@@ -62,11 +62,13 @@ def main() -> None:
 
     # Fleet mode: spawn_workers=0 — the scheduler waits for workers we
     # bring up ourselves through the CLI, like a real multi-host fleet.
-    with ClusterExecutor(2, spawn_workers=0, worker_wait=120.0) as executor:
+    with ClusterExecutor(2, spawn_workers=0, min_workers=2, worker_wait=120.0) as executor:
         host, port = executor.start(wait=False)
         print(f"scheduler listening on {host}:{port}")
         workers = [start_worker(host, port) for _ in range(2)]
         try:
+            # Dispatch only once the whole fleet is in (start is idempotent).
+            executor.start(wait=True)
             with EnsembleGrammarDetector(
                 window=60, ensemble_size=6, seed=11, executor=executor
             ) as clustered:

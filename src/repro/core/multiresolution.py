@@ -159,8 +159,9 @@ class MultiResolutionDiscretizer:
 
         The string-free fast path for id-based grammar kernels: numerosity
         reduction happens on the symbol matrix, and the kept rows are
-        interned against the discretizer-wide vocabulary — word strings are
-        materialized once per *distinct* kept row, not per window. Only the
+        interned against the discretizer-wide id space — packable rows are
+        never decoded to word strings, and wider rows build one string per
+        *distinct* kept row, not per window. Only the
         exact strategy is served here (``"none"`` keeps every window, so it
         gains nothing from deferral); callers fall back to :meth:`tokens`
         for other strategies.
@@ -187,8 +188,6 @@ class MultiResolutionDiscretizer:
                 keep[1:] = codes[1:] != codes[:-1]
                 kept_offsets = np.flatnonzero(keep).astype(np.int64)
                 ids = self._interner.intern_packed(codes[kept_offsets], symbols.shape[1])
-        cached = TokenIdSequence(
-            ids, kept_offsets, len(symbols), self.window, self._interner.vocabulary
-        )
+        cached = TokenIdSequence(ids, kept_offsets, len(symbols), self.window)
         self._id_cache[key] = cached
         return cached

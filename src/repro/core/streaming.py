@@ -216,7 +216,7 @@ class StreamingGrammarDetector:
         self._last_symbols: np.ndarray | None = None
         #: Kept tokens as interned ids against :attr:`_interner`'s
         #: vocabulary — word strings are materialized only at snapshot
-        #: boundaries (frozen grammars, process payloads, ``tokens()``).
+        #: boundaries (frozen grammars, snapshot export, ``tokens()``).
         self._interner = WordInterner()
         self._kept_ids: list[int] = []
         self._kept_offsets: list[int] = []
@@ -558,13 +558,6 @@ class StreamingGrammarDetector:
     def _live_offsets(self) -> np.ndarray:
         return np.asarray(self._kept_offsets[self._live_from :], dtype=np.int64)
 
-    def _frozen_grammar(self):
-        """Freeze the unbounded live builder (kernel-appropriate call)."""
-        self._catch_up_builder()
-        if self._kernel == "python":
-            return self._builder.freeze()
-        return self._builder.freeze(self._interner.vocabulary)
-
     def tokens(self) -> TokenSequence:
         """Snapshot of the live numerosity-reduced token sequence.
 
@@ -665,7 +658,7 @@ class StreamingGrammarDetector:
             self._catch_up_builder()
             if self._kernel == "python":
                 return rule_density_curve(
-                    self._frozen_grammar(), self.tokens(), len(self.state)
+                    self._builder.freeze(), self.tokens(), len(self.state)
                 )
             # Unbounded members always have >= 1 live token once a window
             # completed (the caller checked n_windows), so no empty guard.
@@ -801,40 +794,6 @@ def _member_snapshot_curve(member: "StreamingGrammarDetector") -> np.ndarray:
     return member.density_curve()
 
 
-def _snapshot_density_task(payload) -> np.ndarray:
-    """Process task: density curve of a picklable member snapshot.
-
-    The live Sequitur state never leaves the parent process; what crosses
-    the boundary depends on the member's mode — a frozen grammar plus
-    tokens (unbounded), the live tokens to re-induce from (sliding), or the
-    per-generation frozen grammars (decay).
-    """
-    kind, data = payload
-    if kind == "frozen":
-        grammar, tokens, length = data
-        return rule_density_curve(grammar, tokens, length)
-    if kind == "sliding":
-        tokens, start, length = data
-        if tokens is None:
-            return np.zeros(length, dtype=np.float64)
-        grammar = induce_grammar(tokens.words)
-        return rule_density_curve(grammar, tokens, length, horizon_start=start)
-    if kind == "decay":
-        generations, tokens, generation_size, start, length = data
-        if tokens is None:
-            return np.zeros(length, dtype=np.float64)
-        return _generation_density(
-            generations,
-            tokens.words,
-            tokens.offsets,
-            generation_size,
-            tokens,
-            start,
-            length,
-        )
-    raise ValueError(f"unknown snapshot payload kind {kind!r}")
-
-
 class StreamingEnsembleDetector(ExecutorOwnerMixin):
     """Algorithm 1 over a stream: N live members on one shared stream state.
 
@@ -851,12 +810,14 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
     each chunk with one vectorized PAA/interval pass per distinct PAA size,
     shared by every member of that size via the merged breakpoint table.
 
-    ``executor`` parallelizes the *snapshot* side (``density_curve`` /
-    ``detect``), where every member's grammar is turned into a rule density
-    curve: thread workers call the live members directly, process workers
-    receive a picklable snapshot per member (the live Sequitur state never
-    leaves this process). Ingest stays serial — it is already one
-    vectorized pass. Results are identical across backends.
+    ``executor`` only matters for the *snapshot* side (``density_curve`` /
+    ``detect``): thread workers call the live members directly. Process
+    and cluster executors run no streaming work — the live Sequitur state
+    never leaves this process, and computing every curve here over the
+    cached occurrence spans is faster than shipping a picklable snapshot
+    for a worker to re-induce (see ``docs/streaming.md``). Ingest stays
+    serial — it is already one vectorized pass. Results are identical
+    across backends.
     """
 
     def __init__(
@@ -994,52 +955,21 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
                     member._forget_before(start)
 
     def _snapshot_curves(self) -> list[np.ndarray]:
-        """Every member's snapshot curve, via the configured executor.
+        """Every member's snapshot curve: on a thread pool, else in place.
 
         Curves are deterministic functions of each member's live tokens and
         the shared stream, so all backends return bitwise-identical results.
         """
         executor = self.executor
-        if executor is None or executor.kind == "serial":
-            return [member.density_curve() for member in self.members]
-        if executor.kind == "thread":
+        if executor is not None and executor.kind == "thread":
             # Members are independent snapshot readers of the shared state;
             # threads can call them directly, zero serialization.
             return executor.map(_member_snapshot_curve, self.members)
-        # Process backend: ship a picklable snapshot per member; the live
-        # Sequitur builders stay here.
-        length = len(self.state)
-        start = self.state.start
-        live_length = self.state.live_length
-        payloads = []
-        for member in self.members:
-            if member._builder is not None:
-                payloads.append(
-                    ("frozen", (member._frozen_grammar(), member.tokens(), length))
-                )
-                continue
-            words, offsets = member._live_tokens()
-            tokens = (
-                TokenSequence(words, offsets, member.n_windows, member.window)
-                if words
-                else None
-            )
-            if member._generations is not None:
-                payloads.append(
-                    (
-                        "decay",
-                        (
-                            member._generations.live_grammars(),
-                            tokens,
-                            member._generations.generation_size,
-                            start,
-                            live_length,
-                        ),
-                    )
-                )
-            else:
-                payloads.append(("sliding", (tokens, start, live_length)))
-        return executor.map(_snapshot_density_task, payloads)
+        # Serial, process and cluster: the owning process computes every
+        # curve. The live builders cannot leave it, and rebuilding a member
+        # from a picklable snapshot costs a worker more than the member's
+        # cached span path costs here.
+        return [member.density_curve() for member in self.members]
 
     def memory_bytes(self) -> int:
         """O(1) estimate of the bytes this ensemble retains.

@@ -79,19 +79,16 @@ class TokenIdSequence:
     """A numerosity-reduced token sequence carried as interned integer ids.
 
     The id-native counterpart of :class:`TokenSequence`, produced by the
-    vectorized tokenizer path: ``vocabulary[ids[i]]`` is the word string of
-    token ``i`` (the vocabulary is owned by a
-    :class:`repro.sax.alphabet.WordInterner` and may keep growing — ids are
-    stable). Grammar kernels feed on :attr:`ids` directly; word strings are
-    only materialized when a frozen :class:`~repro.grammar.rules.Grammar`
-    is requested.
+    vectorized tokenizer path. Ids come from a
+    :class:`repro.sax.alphabet.WordInterner`; the sequence carries no
+    vocabulary, so building one never decodes a word string. Grammar
+    kernels feed on :attr:`ids` directly.
     """
 
     ids: np.ndarray = field(repr=False)
     offsets: np.ndarray = field(repr=False)
     n_windows: int
     window: int
-    vocabulary: list[str] = field(repr=False)
 
     def __post_init__(self) -> None:
         if len(self.ids) != len(self.offsets):
@@ -104,15 +101,6 @@ class TokenIdSequence:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def words(self) -> tuple[str, ...]:
-        """Materialize the word strings (one interned string per token)."""
-        vocabulary = self.vocabulary
-        return tuple(vocabulary[token_id] for token_id in self.ids)
-
-    def to_token_sequence(self) -> TokenSequence:
-        """The equivalent :class:`TokenSequence` (word-string view)."""
-        return TokenSequence(self.words(), self.offsets, self.n_windows, self.window)
 
 
 def kept_window_mask(symbols: np.ndarray) -> np.ndarray:

@@ -72,7 +72,9 @@ def _detector(**overrides) -> EnsembleGrammarDetector:
 @pytest.fixture(scope="module")
 def cluster():
     """One shared 2-worker localhost cluster (spawn cost paid once)."""
-    with ClusterExecutor(2, **CLUSTER_KWARGS) as executor:
+    # min_workers=2: tests that count the fleet must not start while the
+    # second worker is still importing.
+    with ClusterExecutor(2, min_workers=2, **CLUSTER_KWARGS) as executor:
         executor.start(wait=True)
         yield executor
 
@@ -369,7 +371,13 @@ class TestFaultInjection:
     def test_pool_lost_mid_run_fails_tasks(self):
         """Killing *every* worker strands the queue; it fails after the grace."""
         with ClusterExecutor(1, spawn_workers=1, worker_wait=1.5, lease_timeout=15.0) as executor:
-            executor.start(wait=True)
+            # worker_wait is the starvation grace under test; the spawned
+            # worker's import gets its own, generous deadline.
+            executor.start()
+            deadline = time.monotonic() + 60.0
+            while not executor.worker_stats() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert executor.worker_stats(), "spawned worker never connected"
             iterator = executor.imap_unordered(_sleepy_echo, [(i, 0.3) for i in range(4)])
             assert _kill_first_busy_worker(executor) is not None
             with pytest.raises(ClusterWorkerLost):

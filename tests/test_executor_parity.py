@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.engine import BatchItemError, detect_many, iter_detect_batch
 from repro.core.ensemble import EnsembleGrammarDetector
-from repro.core.executors import make_executor
+from repro.core.executors import MemberExecutor, make_executor
 from repro.core.streaming import StreamingEnsembleDetector
 from repro.discord.discords import DiscordDetector
 from repro.discord.hotsax import HotSaxDetector
@@ -192,6 +192,28 @@ class TestEvaluateMethodsParity:
                 assert results[dataset][name].scores == reference[dataset][name].scores
 
 
+class _RecordingExecutor(MemberExecutor):
+    """Delegates to a real backend and records every task batch it is handed."""
+
+    def __init__(self, inner: MemberExecutor) -> None:
+        super().__init__(1)
+        self.inner = inner
+        self.kind = inner.kind
+        self.calls: list[tuple[str, int]] = []
+
+    def map(self, fn, payloads):
+        payloads = list(payloads)
+        self.calls.append((fn.__name__, len(payloads)))
+        return self.inner.map(fn, payloads)
+
+    def imap_unordered(self, fn, payloads, *, return_exceptions=False):
+        payloads = list(payloads)
+        self.calls.append((fn.__name__, len(payloads)))
+        return self.inner.imap_unordered(
+            fn, payloads, return_exceptions=return_exceptions
+        )
+
+
 class TestStreamingSnapshotParity:
     def test_density_curve_identical(self, executor_kind, series):
         reference = StreamingEnsembleDetector(window=WINDOW, ensemble_size=5, seed=3)
@@ -203,6 +225,29 @@ class TestStreamingSnapshotParity:
             )
             streaming.extend(series)
             assert np.array_equal(streaming.density_curve(), expected)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [{}, {"capacity": 500, "policy": "sliding"}, {"capacity": 500, "policy": "decay"}],
+        ids=["unbounded", "sliding", "decay"],
+    )
+    def test_polls_stay_in_owning_process(self, executor_kind, series, bounds):
+        """Only thread pools run streaming polls; process and cluster pools
+        get no tasks, and every poll stays bitwise equal to the serial one."""
+        config = dict(window=WINDOW, ensemble_size=5, seed=3, **bounds)
+        reference = StreamingEnsembleDetector(**config)
+        with make_executor(executor_kind, 2) as inner:
+            recorder = _RecordingExecutor(inner)
+            streaming = StreamingEnsembleDetector(executor=recorder, **config)
+            for chunk in np.array_split(series, 4):
+                reference.extend(chunk)
+                streaming.extend(chunk)
+                assert np.array_equal(
+                    streaming.density_curve(), reference.density_curve()
+                )
+                assert streaming.detect(3) == reference.detect(3)
+        if executor_kind != "thread":
+            assert recorder.calls == []
 
 
 class TestBaselineBatchParity:
