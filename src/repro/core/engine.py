@@ -545,8 +545,8 @@ def _member_curve(
     """Density curve of one ensemble member, kernel-fused when possible.
 
     Under an id-based grammar kernel (``REPRO_KERNEL`` fast/compiled) with
-    exact numerosity, the member runs entirely on integers: interned token
-    ids feed the kernel builder, occurrence spans come out as arrays, and
+    exact numerosity, the member runs entirely on integers: token ids feed
+    the kernel builder, occurrence spans come out as arrays, and
     the curve is accumulated without materializing a :class:`Grammar`,
     occurrence objects, or per-rule interval lists. The python kernel (and
     the ``"none"`` strategy) takes the reference word/Grammar path. Both

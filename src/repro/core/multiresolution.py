@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs.stages import stage_timer
-from repro.sax.alphabet import WordInterner, index_matrix_to_words, pack_symbol_rows
+from repro.sax.alphabet import index_matrix_to_words, pack_symbol_rows
 from repro.sax.numerosity import (
     TokenIdSequence,
     TokenSequence,
@@ -86,12 +86,8 @@ class MultiResolutionDiscretizer:
         )
         self.alphabet_table = self._plan.alphabet_table
         self._sweep = self._plan.sweep_series(self.stats)
-        #: Cache: (paa_size, alphabet_size) -> TokenSequence.
+        #: Caches: (paa_size, alphabet_size) -> TokenSequence / ids.
         self._token_cache: dict[tuple[int, int], TokenSequence] = {}
-        #: Shared word interner + cache: (paa_size, alphabet_size) -> ids.
-        #: One id space across all resolutions (words of different lengths
-        #: never collide, so sharing is safe and keeps one vocabulary).
-        self._interner = WordInterner()
         self._id_cache: dict[tuple[int, int], TokenIdSequence] = {}
 
     @property
@@ -155,15 +151,16 @@ class MultiResolutionDiscretizer:
         return cached
 
     def token_ids(self, paa_size: int, alphabet_size: int) -> TokenIdSequence:
-        """Interned token ids for ``(paa_size, alphabet_size)``.
+        """Token ids for ``(paa_size, alphabet_size)``, never a word string.
 
         The string-free fast path for id-based grammar kernels: numerosity
-        reduction happens on the symbol matrix, and the kept rows are
-        interned against the discretizer-wide id space — packable rows are
-        never decoded to word strings, and wider rows build one string per
-        *distinct* kept row, not per window. Only the
-        exact strategy is served here (``"none"`` keeps every window, so it
-        gains nothing from deferral); callers fall back to :meth:`tokens`
+        reduction happens on the symbol matrix, and each kept row's id is its
+        rank among the distinct kept rows (one ``np.unique``). Grammar
+        structure depends only on which tokens are equal, so these ids
+        induce the same grammar as interned ones; a batch sequence is fed
+        once, so it needs no id space that stays stable across calls. Only
+        the exact strategy is served here (``"none"`` keeps every window, so
+        it gains nothing from deferral); callers fall back to :meth:`tokens`
         for other strategies.
         """
         if self.numerosity != "exact":
@@ -180,14 +177,16 @@ class MultiResolutionDiscretizer:
             codes = pack_symbol_rows(symbols)
             if codes is None:
                 kept_offsets = np.flatnonzero(kept_window_mask(symbols)).astype(np.int64)
-                ids = self._interner.intern_matrix(symbols[kept_offsets])
+                ids = np.unique(
+                    symbols[kept_offsets], axis=0, return_inverse=True
+                )[1].reshape(-1)
             else:
                 # Packing is injective, so run boundaries on the scalar codes
                 # are exactly the row-inequality mask of kept_window_mask.
                 keep = np.ones(len(codes), dtype=bool)
                 keep[1:] = codes[1:] != codes[:-1]
                 kept_offsets = np.flatnonzero(keep).astype(np.int64)
-                ids = self._interner.intern_packed(codes[kept_offsets], symbols.shape[1])
+                ids = np.unique(codes[kept_offsets], return_inverse=True)[1]
         cached = TokenIdSequence(ids, kept_offsets, len(symbols), self.window)
         self._id_cache[key] = cached
         return cached

@@ -384,9 +384,10 @@ class StreamingGrammarDetector:
         ``first_start .. first_start + len(symbols) - 1``. Two windows share
         a SAX word exactly when their symbol rows are equal, so run
         boundaries are found on the index matrix and the kept rows are
-        interned to integer ids — the same string-free fast path as the
-        batch :class:`~repro.core.multiresolution.MultiResolutionDiscretizer`;
-        a word string is built once per *distinct* row, ever. Id kernels
+        interned to integer ids that stay stable across drains (the batch
+        :class:`~repro.core.multiresolution.MultiResolutionDiscretizer`
+        feeds each sequence once, so it skips the interner); a word string
+        is built once per *distinct* row, ever. Id kernels
         feed the ids directly; the oracle kernel feeds the interned strings
         (equal strings, so the induced grammar is bitwise identical).
         """
@@ -638,6 +639,10 @@ class StreamingGrammarDetector:
         version = self.state.version
         if self._curve_cache is not None and self._curve_cache[0] == version:
             return self._curve_cache[1]
+        if self._builder is not None:
+            # Outside the density timer: the deferred feed is grammar time
+            # and carries its own timer.
+            self._catch_up_builder()
         with stage_timer("density"):
             curve = self._compute_density_curve()
         self._curve_cache = (version, curve)
@@ -655,7 +660,6 @@ class StreamingGrammarDetector:
         the same interval multiset, so they are bitwise identical.
         """
         if self._builder is not None:
-            self._catch_up_builder()
             if self._kernel == "python":
                 return rule_density_curve(
                     self._builder.freeze(), self.tokens(), len(self.state)

@@ -493,75 +493,44 @@ class FastSequitur:
         )
         return Grammar(tuple(grammar_rules))
 
-    def _expanded_lengths(self) -> list[int]:
-        """Terminal count each live rule expands to, indexed by serial.
-
-        Iterative post-order; dead (expanded-away) serials stay at ``-1``.
-        """
-        nxt, value = self._next, self._value
-        rule_guard = self._rule_guard
-        lengths = [-1] * len(rule_guard)
-        stack = [0]
-        while stack:
-            serial = stack[-1]
-            if lengths[serial] >= 0:
-                stack.pop()
-                continue
-            pending: list[int] = []
-            symbol = nxt[rule_guard[serial]]
-            while value[symbol] >= 0:
-                v = value[symbol]
-                if v & 1:
-                    ref = (v - 1) >> 1
-                    if lengths[ref] < 0:
-                        pending.append(ref)
-                symbol = nxt[symbol]
-            if pending:
-                stack.extend(pending)
-                continue
-            total = 0
-            symbol = nxt[rule_guard[serial]]
-            while value[symbol] >= 0:
-                v = value[symbol]
-                total += lengths[(v - 1) >> 1] if v & 1 else 1
-                symbol = nxt[symbol]
-            lengths[serial] = total
-            stack.pop()
-        return lengths
-
     def occurrence_spans(self) -> tuple[np.ndarray, np.ndarray]:
         """Token spans of every rule occurrence except R0, as two arrays.
 
-        The fused-density entry point: an in-order walk of R0's parse tree
+        The fused-density entry point: one in-order walk of R0's parse tree
         emitting ``(first_token, last_token)`` per non-terminal node —
-        exactly the spans of ``Grammar.rule_occurrences()`` (same walk
-        order) without materializing a Grammar, occurrence objects, or
-        per-occurrence tuples.
+        exactly ``Grammar.occurrence_spans()``, element by element, without
+        materializing a Grammar, occurrence objects, or per-occurrence
+        tuples. A node's first token is known on entry (pre-order); its last
+        is written when the walk returns from the rule's guard, so no
+        separate expanded-length pass is needed.
         """
         nxt, value = self._next, self._value
         rule_guard = self._rule_guard
-        lengths = self._expanded_lengths()
         firsts: list[int] = []
         lasts: list[int] = []
         append_first = firsts.append
         append_last = lasts.append
         position = 0
+        # Open nodes, innermost last: the symbol to resume at after the
+        # node's rule body, then the node's index into firsts/lasts.
         stack: list[int] = []
         push = stack.append
+        pop = stack.pop
         symbol = nxt[rule_guard[0]]
         while True:
             v = value[symbol]
             if v < 0:
                 if not stack:
                     break
-                symbol = stack.pop()
+                lasts[pop()] = position - 1
+                symbol = pop()
                 continue
             if v & 1:
-                serial = (v - 1) >> 1
-                append_first(position)
-                append_last(position + lengths[serial] - 1)
                 push(nxt[symbol])
-                symbol = nxt[rule_guard[serial]]
+                push(len(firsts))
+                append_first(position)
+                append_last(position)
+                symbol = nxt[rule_guard[(v - 1) >> 1]]
             else:
                 position += 1
                 symbol = nxt[symbol]

@@ -83,15 +83,17 @@ def _pack_word_key(key: bytes) -> int:
 
 
 class WordInterner:
-    """Map symbol-matrix rows to stable integer token ids.
+    """Map symbol-matrix rows to stable integer token ids (streaming only).
 
-    The string-deferral boundary of the tokenizer refactor: downstream of
+    The string-deferral boundary of the streaming tokenizer: downstream of
     numerosity reduction the grammar kernels consume token *ids*, so word
     strings only exist once per *distinct* row — materialized into
     :attr:`vocabulary` (``vocabulary[id]`` is the word of ``id``). Ids are
     assigned in first-seen order and stay stable for the lifetime of the
     interner, which is what lets a streaming member keep one interner
     across drains and feed ids straight into an incremental grammar builder.
+    Batch tokenization needs no such stability (each sequence is fed once),
+    so it ranks distinct rows with ``np.unique`` instead.
 
     The packed path (:meth:`intern_packed`) defers even the string: a new
     code costs one dict insert at ingest, and its word is decoded only when

@@ -76,11 +76,13 @@ class TokenSequence:
 
 @dataclass(frozen=True)
 class TokenIdSequence:
-    """A numerosity-reduced token sequence carried as interned integer ids.
+    """A numerosity-reduced token sequence carried as integer ids.
 
     The id-native counterpart of :class:`TokenSequence`, produced by the
-    vectorized tokenizer path. Ids come from a
-    :class:`repro.sax.alphabet.WordInterner`; the sequence carries no
+    batch tokenizer path
+    (:meth:`repro.core.multiresolution.MultiResolutionDiscretizer.token_ids`).
+    Two tokens share an id exactly when their words are equal; the id
+    values themselves mean nothing outside the sequence, and it carries no
     vocabulary, so building one never decodes a word string. Grammar
     kernels feed on :attr:`ids` directly.
     """

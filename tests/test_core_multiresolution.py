@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.multiresolution import MultiResolutionDiscretizer
-from repro.sax.numerosity import numerosity_reduction
+from repro.sax.alphabet import MAX_PACKED_WIDTH, WordInterner, pack_symbol_rows
+from repro.sax.numerosity import kept_window_mask, numerosity_reduction
 from repro.sax.sax import discretize
 
 
@@ -76,6 +77,59 @@ class TestValidation:
     def test_max_paa_above_window_rejected(self, rng):
         with pytest.raises(ValueError, match="exceeds"):
             MultiResolutionDiscretizer(rng.standard_normal(30), 10, 11, 4)
+
+
+def _same_equality_pattern(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when ``a[i] == a[j]`` exactly when ``b[i] == b[j]``, for all i, j."""
+    pairs = set(zip(a.tolist(), b.tolist()))
+    return len(a) == len(b) and len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+class TestTokenIds:
+    """Batch ids skip the interner: only their equality pattern is contract."""
+
+    @pytest.fixture
+    def wide(self, rng) -> MultiResolutionDiscretizer:
+        # Low-entropy series so even 16-symbol words repeat.
+        series = np.tile(np.sin(np.linspace(0, 2 * np.pi, 40)), 15)
+        series += 0.05 * rng.standard_normal(len(series))
+        return MultiResolutionDiscretizer(series, 40, max_paa_size=16, max_alphabet_size=6)
+
+    @pytest.mark.parametrize("w, a", [(2, 2), (4, 3), (8, 6), (12, 6), (13, 4), (16, 6)])
+    def test_equality_pattern_matches_interners(self, wide, w, a):
+        ids = wide.token_ids(w, a)
+        symbols = wide.alphabet_table.symbols_for(wide.interval_matrix(w), a)
+        kept = np.flatnonzero(kept_window_mask(symbols))
+        assert np.array_equal(ids.offsets, kept)
+        assert ids.ids.dtype == np.int64
+        # Dense ranks of the distinct kept rows.
+        assert sorted(set(ids.ids.tolist())) == list(range(int(ids.ids.max()) + 1))
+        assert len(set(ids.ids.tolist())) < len(ids)  # some word repeats
+        assert _same_equality_pattern(ids.ids, WordInterner().intern_matrix(symbols[kept]))
+        codes = pack_symbol_rows(symbols)
+        if w <= MAX_PACKED_WIDTH:
+            packed = WordInterner().intern_packed(codes[kept], w)
+            assert _same_equality_pattern(ids.ids, packed)
+        else:
+            assert codes is None
+
+    @pytest.mark.parametrize("w, a", [(5, 4), (14, 5)])
+    def test_equality_pattern_matches_words(self, wide, w, a):
+        ids = wide.token_ids(w, a)
+        tokens = wide.tokens(w, a)
+        assert np.array_equal(ids.offsets, tokens.offsets)
+        assert (ids.n_windows, ids.window) == (tokens.n_windows, tokens.window)
+        words = np.unique(np.asarray(tokens.words), return_inverse=True)[1]
+        assert _same_equality_pattern(ids.ids, words)
+
+    def test_cached_per_combination(self, wide):
+        assert wide.token_ids(6, 4) is wide.token_ids(6, 4)
+
+    def test_rejects_non_exact_numerosity(self, rng):
+        series = np.cumsum(rng.standard_normal(100))
+        d = MultiResolutionDiscretizer(series, 20, 4, 4, numerosity="none")
+        with pytest.raises(ValueError, match="numerosity='exact'"):
+            d.token_ids(4, 4)
 
 
 class TestNumerosityModes:

@@ -3,7 +3,8 @@
 The contract (see ``repro/grammar/_kernel.py``): for any token sequence,
 every kernel produces the identical frozen
 :class:`~repro.grammar.rules.Grammar` — same rules, same numbering, same
-refcounts — and the identical occurrence-span multiset. Grammar structure
+refcounts — and the identical occurrence-span arrays, element by element
+(the kernel walk visits nodes in the oracle's order). Grammar structure
 depends only on the equality pattern of the tokens, so interning token
 strings to integer ids is invisible to the result.
 
@@ -37,6 +38,43 @@ FIXED_STREAMS = (
 )
 
 
+def _fibonacci_word(length: int) -> list[int]:
+    previous, current = [0], [0, 1]
+    while len(current) < length:
+        previous, current = current, current + previous
+    return current[:length]
+
+
+def _thue_morse(length: int) -> list[int]:
+    return [bin(i).count("1") & 1 for i in range(length)]
+
+
+def _doubling(depth: int) -> list[int]:
+    """``s -> s s k``: each level wraps the previous one in a new rule."""
+    stream: list[int] = [0]
+    for marker in range(1, depth + 1):
+        stream = stream + stream + [marker]
+    return stream
+
+
+#: Deeply nested parse trees: rules of rules many levels down, so the
+#: span walk opens and closes long chains of nodes at one guard after
+#: another. Periodic and ``abab...`` streams nest logarithmically; the
+#: Fibonacci and Thue-Morse words and the doubling stream force repeated
+#: rule reuse and rule-utility inlining on the way.
+NESTED_STREAMS = {
+    "periodic-7": list(range(7)) * 60,
+    "abab-1024": [0, 1] * 512,
+    "aab-periodic": [0, 0, 1] * 200,
+    "fibonacci-987": _fibonacci_word(987),
+    "thue-morse-1024": _thue_morse(1024),
+    "doubling-9": _doubling(9),
+    "periodic-with-glitches": [
+        3 if i % 97 == 0 else i % 5 for i in range(1200)
+    ],
+}
+
+
 def _vocabulary(stream) -> list[str]:
     return [f"w{i}" for i in range(max(stream) + 1)]
 
@@ -50,16 +88,17 @@ def _oracle(stream):
 
 
 def _assert_matches_oracle(builder, stream) -> None:
-    """Frozen grammar, refcounts, and span multiset must match the oracle."""
+    """Frozen grammar, refcounts, and span arrays must match the oracle."""
     oracle = _oracle(stream)
     expected = oracle.freeze()
     actual = builder.freeze(_vocabulary(stream))
     assert actual == expected
     assert actual.rule_refcounts() == expected.rule_refcounts()
     firsts, lasts = builder.occurrence_spans()
-    spans = sorted(zip(firsts.tolist(), lasts.tolist()))
-    reference = sorted(zip(*(a.tolist() for a in expected.occurrence_spans())))
-    assert spans == reference
+    expected_firsts, expected_lasts = expected.occurrence_spans()
+    assert firsts.dtype == lasts.dtype == np.int64
+    assert np.array_equal(firsts, expected_firsts)
+    assert np.array_equal(lasts, expected_lasts)
 
 
 class TestFastKernelEquivalence:
@@ -97,6 +136,19 @@ class TestFastKernelEquivalence:
         builder = FastSequitur()
         builder.feed_many(stream)
         _assert_matches_oracle(builder, stream)
+
+    @pytest.mark.parametrize("stream", NESTED_STREAMS.values(), ids=NESTED_STREAMS.keys())
+    def test_deeply_nested_streams(self, stream):
+        builder = FastSequitur()
+        builder.feed_many(stream)
+        _assert_matches_oracle(builder, stream)
+        # The streams really are deep: some occurrence sits inside a chain
+        # of enclosing occurrences several levels high.
+        firsts, lasts = builder.occurrence_spans()
+        depth = np.zeros(len(stream) + 1, dtype=np.int64)
+        np.add.at(depth, firsts, 1)
+        np.add.at(depth, lasts + 1, -1)
+        assert np.cumsum(depth).max() >= 4
 
     def test_paper_example(self):
         """Eq. (4): R0 -> R1 cc ca R1, R1 -> ab bc aa (Table 2)."""
@@ -206,9 +258,9 @@ class TestGenerationalSequiturKernels:
             forgetter.feed_id(token, offset)
         grammars = {i: g for i, g, _ in forgetter.live_grammars()}
         for index, firsts, lasts, count in forgetter.live_spans():
-            spans = sorted(zip(firsts.tolist(), lasts.tolist()))
-            expected = sorted(zip(*(a.tolist() for a in grammars[index].occurrence_spans())))
-            assert spans == expected
+            expected_firsts, expected_lasts = grammars[index].occurrence_spans()
+            assert np.array_equal(firsts, expected_firsts)
+            assert np.array_equal(lasts, expected_lasts)
             assert count == grammars[index].expanded_lengths()[0]
 
     def test_sealing_releases_the_builder_arena(self):
@@ -251,6 +303,14 @@ class TestCompiledKernel:
 
     @pytest.mark.parametrize("stream", FIXED_STREAMS, ids=repr)
     def test_fixed_regressions(self, stream):
+        from repro.grammar._kernel_compiled import CompiledSequitur
+
+        builder = CompiledSequitur()
+        builder.feed_many(stream)
+        _assert_matches_oracle(builder, stream)
+
+    @pytest.mark.parametrize("stream", NESTED_STREAMS.values(), ids=NESTED_STREAMS.keys())
+    def test_deeply_nested_streams(self, stream):
         from repro.grammar._kernel_compiled import CompiledSequitur
 
         builder = CompiledSequitur()

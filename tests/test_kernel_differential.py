@@ -21,6 +21,7 @@ from repro.core.ensemble import EnsembleGrammarDetector
 from repro.core.executors import make_executor
 from repro.core.streaming import StreamingEnsembleDetector, StreamingGrammarDetector
 from repro.sax import _kernel
+from repro.sax.alphabet import MAX_PACKED_WIDTH
 
 try:  # pragma: no cover - exercised only where numba is installed
     import numba  # noqa: F401
@@ -80,6 +81,30 @@ def test_batch_detect_matches_python_oracle(kernel, seed):
     series = random_series(seed)
     oracle_report, oracle_anomalies = batch_result("python", series, None)
     report, anomalies = batch_result(kernel, series, None)
+    assert report.parameters == oracle_report.parameters
+    assert report.kept == oracle_report.kept
+    assert np.array_equal(report.curve, oracle_report.curve)
+    for ours, expected in zip(report.member_curves, oracle_report.member_curves):
+        assert np.array_equal(ours, expected)
+    assert anomalies == oracle_anomalies
+
+
+@pytest.mark.parametrize("kernel", NON_ORACLE)
+def test_wide_word_batch_detect_matches_python_oracle(kernel):
+    """Words wider than the packable 12 symbols take the row-``np.unique``
+    id path; the ensemble must still match the oracle bit for bit."""
+    series = random_series(10)
+    config = dict(CONFIG, ensemble_size=10, max_paa_size=16, seed=1)
+
+    def run(name: str):
+        with _kernel.use_kernel(name):
+            detector = EnsembleGrammarDetector(**config)
+            report = detector.ensemble_report(series, keep_member_curves=True)
+            return report, detector.detect(series, 3)
+
+    oracle_report, oracle_anomalies = run("python")
+    report, anomalies = run(kernel)
+    assert any(w > MAX_PACKED_WIDTH for w, _ in report.parameters)
     assert report.parameters == oracle_report.parameters
     assert report.kept == oracle_report.kept
     assert np.array_equal(report.curve, oracle_report.curve)

@@ -7,6 +7,8 @@ identical results — the timers wrap computations, they never alter one.
 
 from __future__ import annotations
 
+from time import perf_counter
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,21 @@ def test_detect_fills_all_five_stages(timing_on):
         detector.extend(series)
         detector.detect(2)
     assert set(timings) == set(STAGES)
+
+
+def test_first_unbounded_poll_stages_do_not_overlap(timing_on):
+    """The first poll of an unbounded member runs the deferred grammar feed;
+    it must be charged to ``grammar`` only, not to ``density`` as well, so
+    the two stages together fit inside the poll's wall time."""
+    rng = np.random.default_rng(11)
+    member = StreamingGrammarDetector(window=50, paa_size=5, alphabet_size=5)
+    member.extend(np.cumsum(rng.standard_normal(20_000)))
+    with capture() as timings:
+        started = perf_counter()
+        member.density_curve()
+        wall = perf_counter() - started
+    assert timings["grammar"] > 0.0 and timings["density"] > 0.0
+    assert timings["grammar"] + timings["density"] <= wall
 
 
 def test_observations_land_in_the_shared_histogram(timing_on):
