@@ -48,7 +48,6 @@ from repro.core import (
     StreamingGrammarDetector,
     ThreadExecutor,
     as_executor,
-    make_executor,
 )
 from repro.discord import DiscordDetector, HotSaxDetector, hotsax_discords, matrix_profile_stomp
 from repro.grammar import (
@@ -87,7 +86,6 @@ __all__ = [
     "discretize",
     "hotsax_discords",
     "induce_grammar",
-    "make_executor",
     "matrix_profile_stomp",
     "numerosity_reduction",
     "rule_density_curve",

@@ -16,9 +16,9 @@ its ensemble variant (Sections 5–6).
 - :mod:`repro.core.executors` — the pluggable execution backends
   (serial/thread/process) with shared-memory series passing and reusable
   pools.
-- :mod:`repro.core.cluster` — the cross-machine backends behind the same
+- :mod:`repro.core.cluster` — the cross-machine backend behind the same
   interface: the stdlib TCP cluster executor (scheduler + ``repro worker``
-  fleet) and the import-guarded dask adapter.
+  fleet).
 - :mod:`repro.core.engine` — the execution engine: shared stream state for
   streaming ensembles, executor-driven member execution, and the
   :func:`~repro.core.engine.detect_batch` /
@@ -37,7 +37,7 @@ from repro.core.engine import (
     detect_many,
     iter_detect_batch,
 )
-from repro.core.cluster import ClusterExecutor, DaskExecutor
+from repro.core.cluster import ClusterExecutor
 from repro.core.ensemble import EnsembleGrammarDetector, EnsembleReport, combine_and_detect
 from repro.core.executors import (
     EXECUTOR_KINDS,
@@ -47,7 +47,6 @@ from repro.core.executors import (
     SerialExecutor,
     ThreadExecutor,
     as_executor,
-    make_executor,
 )
 from repro.core.multiresolution import MultiResolutionDiscretizer
 from repro.core.selection import normalize_curve, select_by_std
@@ -58,7 +57,6 @@ __all__ = [
     "AnomalyDetector",
     "BatchItemError",
     "ClusterExecutor",
-    "DaskExecutor",
     "EVICTION_POLICIES",
     "EXECUTOR_KINDS",
     "EXECUTOR_SPECS",
@@ -80,7 +78,6 @@ __all__ = [
     "detect_many",
     "extract_candidates",
     "iter_detect_batch",
-    "make_executor",
     "normalize_curve",
     "select_by_std",
 ]

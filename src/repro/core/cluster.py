@@ -54,16 +54,12 @@ Deployment shapes
 - **Self-contained (zero config):** ``ClusterExecutor(max_workers=4)``
   binds an ephemeral localhost port and spawns four local worker
   subprocesses via the CLI ``worker`` subcommand. This is what
-  ``make_executor("cluster", n)`` builds, what the parity suite runs, and
+  ``as_executor("cluster", n)`` builds, what the parity suite runs, and
   the easiest way to try the backend.
 - **Fleet:** ``as_executor("cluster:0.0.0.0:9123")`` binds a fixed address
   and waits for externally started workers (any host). The CLI spells it
   ``--executor cluster --scheduler 0.0.0.0:9123``; see
   ``docs/deployment.md`` for the run-book.
-- **Dask:** :class:`DaskExecutor` adapts a ``dask.distributed`` cluster to
-  the same interface. It is import-guarded: constructing it without the
-  ``distributed`` package installed raises a clear error, and nothing in
-  this module requires dask at import time.
 """
 
 from __future__ import annotations
@@ -99,7 +95,6 @@ __all__ = [
     "ClusterExecutor",
     "ClusterSeriesRef",
     "ClusterWorkerLost",
-    "DaskExecutor",
     "parse_address",
     "run_worker",
 ]
@@ -1172,86 +1167,3 @@ def run_worker(
             pass
     return 0
 
-
-# ----------------------------------------------------------------------
-# Dask adapter (import-guarded; stubbed when the dependency is absent).
-# ----------------------------------------------------------------------
-
-_DASK_HINT = (
-    "the dask executor requires the 'distributed' package "
-    "(pip install distributed); the stdlib TCP backend "
-    "(--executor cluster) has no extra dependencies"
-)
-
-
-class DaskExecutor(MemberExecutor):
-    """Adapt a ``dask.distributed`` cluster to the ``MemberExecutor`` interface.
-
-    Construction connects a ``distributed.Client`` to ``address`` (or a
-    temporary ``LocalCluster`` when ``address`` is ``None``). The class is
-    import-guarded: when the ``distributed`` package is not installed,
-    instantiating it raises :class:`ClusterError` with an install hint, and
-    importing this module stays dependency-free. Series are passed inline
-    (dask's own serialization layer already deduplicates scattered data).
-    """
-
-    kind = "dask"
-
-    def __init__(self, address: str | None = None, max_workers: int | None = None) -> None:
-        super().__init__(max_workers)
-        try:
-            from distributed import Client
-        except ImportError as error:
-            raise ClusterError(_DASK_HINT) from error
-        self._client = Client(address) if address else Client(
-            n_workers=self._max_workers, threads_per_worker=1
-        )
-
-    def close(self) -> None:
-        """Disconnect the dask client (idempotent)."""
-        if not self._closed:
-            self._client.close()
-        super().close()
-
-    def map(self, fn, payloads):
-        """Run ``fn`` over ``payloads`` on the dask cluster, in order."""
-        self._check_open()
-        futures = self._client.map(fn, list(payloads), pure=False)
-        return self._client.gather(futures)
-
-    def imap_unordered(self, fn, payloads, *, return_exceptions: bool = False):
-        """Yield ``(index, result)`` pairs as dask futures complete.
-
-        Honours the interface's abandonment contract: closing the iterator
-        early cancels futures that have not completed and waits out the
-        ones already running before returning.
-        """
-        self._check_open()
-        from distributed import as_completed
-        from distributed import wait as dask_wait
-
-        futures = self._client.map(fn, list(payloads), pure=False)
-        index_of = {future: index for index, future in enumerate(futures)}
-
-        def _drain():
-            pending = set(futures)
-            try:
-                for future in as_completed(futures):
-                    pending.discard(future)
-                    error = future.exception()
-                    if error is None:
-                        yield index_of[future], future.result()
-                    elif return_exceptions:
-                        yield index_of[future], error
-                    else:
-                        raise error
-            finally:
-                if pending:
-                    for future in pending:
-                        future.cancel()
-                    try:
-                        dask_wait(list(pending))
-                    except Exception:  # pragma: no cover — cancelled futures
-                        pass
-
-        return _drain()

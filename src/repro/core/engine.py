@@ -544,7 +544,7 @@ def _member_curve(
 ) -> np.ndarray:
     """Density curve of one ensemble member, kernel-fused when possible.
 
-    Under an id-based grammar kernel (``REPRO_KERNEL`` fast/compiled) with
+    Under the id-based grammar kernel (``REPRO_KERNEL=fast``) with
     exact numerosity, the member runs entirely on integers: token ids feed
     the kernel builder, occurrence spans come out as arrays, and
     the curve is accumulated without materializing a :class:`Grammar`,

@@ -67,19 +67,18 @@ __all__ = [
     "ThreadExecutor",
     "as_executor",
     "detect_many",
-    "make_executor",
     "open_executor",
     "resolve_series",
 ]
 
 #: The in-process executor backends (what the parity suite parametrizes
-#: over by default; the distributed backends live in
-#: :mod:`repro.core.cluster` and are named via :data:`EXECUTOR_SPECS`).
+#: over by default; the cluster backend lives in :mod:`repro.core.cluster`
+#: and is named via :data:`EXECUTOR_SPECS`).
 EXECUTOR_KINDS = ("serial", "thread", "process")
 
 #: Every spec form :func:`as_executor` accepts — the single source of the
 #: CLI help and of "unknown executor" error messages.
-EXECUTOR_SPECS = ("serial", "thread", "process", "cluster[:HOST:PORT]", "dask[:ADDRESS]")
+EXECUTOR_SPECS = ("serial", "thread", "process", "cluster[:HOST:PORT]")
 
 #: Prefix of every shared-memory segment this library creates (leak checks
 #: in the test suite key on it).
@@ -506,8 +505,6 @@ def _check_spec(spec: str) -> None:
 
             parse_address(argument)
         return
-    if base == "dask":
-        return
     raise ValueError(f"unknown executor {spec!r}; expected one of {EXECUTOR_SPECS}")
 
 
@@ -520,37 +517,22 @@ def as_executor(spec: str, max_workers: int | None = None) -> MemberExecutor:
     - ``"cluster"`` — a self-contained localhost cluster: bind an ephemeral
       port and spawn ``max_workers`` local worker subprocesses;
     - ``"cluster:HOST:PORT"`` — bind ``HOST:PORT`` and wait for externally
-      started ``python -m repro worker`` processes (fleet mode);
-    - ``"dask"`` / ``"dask:ADDRESS"`` — the dask adapter (requires the
-      ``distributed`` package; raises a clear error without it).
+      started ``python -m repro worker`` processes (fleet mode).
 
     Results are bitwise identical across every backend; the spec only
-    chooses where the work runs.
+    chooses where the work runs. A non-string ``spec`` raises ``TypeError``.
     """
+    if not isinstance(spec, str):
+        raise TypeError(f"executor spec must be a string, got {type(spec).__name__}")
     _check_spec(spec)
     base, argument = _split_spec(spec)
     if base in _EXECUTOR_CLASSES:
         return _EXECUTOR_CLASSES[base](max_workers)
-    if base == "cluster":
-        from repro.core.cluster import ClusterExecutor
+    from repro.core.cluster import ClusterExecutor
 
-        if argument is None:
-            return ClusterExecutor(max_workers)
-        return ClusterExecutor(max_workers, bind=argument)
-    from repro.core.cluster import DaskExecutor
-
-    return DaskExecutor(argument, max_workers)
-
-
-def make_executor(kind: str, max_workers: int | None = None) -> MemberExecutor:
-    """Instantiate a registered executor backend by name (or full spec).
-
-    The historical name for :func:`as_executor`; both accept every form in
-    :data:`EXECUTOR_SPECS`.
-    """
-    if not isinstance(kind, str):
-        raise TypeError(f"executor spec must be a string, got {type(kind).__name__}")
-    return as_executor(kind, max_workers)
+    if argument is None:
+        return ClusterExecutor(max_workers)
+    return ClusterExecutor(max_workers, bind=argument)
 
 
 def validate_executor_spec(executor) -> None:
@@ -594,7 +576,7 @@ def _resolve_executor(
             return None, False
         return ProcessExecutor(max_workers=n_jobs), True
     if isinstance(executor, str):
-        return make_executor(executor, None if n_jobs <= 1 else n_jobs), True
+        return as_executor(executor, None if n_jobs <= 1 else n_jobs), True
     return executor, False
 
 
@@ -603,19 +585,13 @@ def open_executor(executor, max_workers: int | None = None):
     """Yield a ready executor; close it on exit only if created here.
 
     ``executor`` may be a live :class:`MemberExecutor` (caller keeps
-    ownership — nothing is closed) or a backend name from
-    :data:`EXECUTOR_KINDS` (a temporary executor is created and closed when
-    the block exits).
+    ownership — nothing is closed) or a spec from :data:`EXECUTOR_SPECS`
+    (a temporary executor is created and closed when the block exits).
     """
     if isinstance(executor, MemberExecutor):
         yield executor
         return
-    if not isinstance(executor, str):
-        raise TypeError(
-            f"executor must be a MemberExecutor or one of {EXECUTOR_SPECS}, "
-            f"got {type(executor).__name__}"
-        )
-    owned = make_executor(executor, max_workers)
+    owned = as_executor(executor, max_workers)
     try:
         yield owned
     finally:
@@ -659,7 +635,7 @@ class ExecutorOwnerMixin:
         per detector, not once per call.
         """
         if self._executor is None and self._executor_spec is not None:
-            self._executor = make_executor(self._executor_spec, self._executor_pool_size())
+            self._executor = as_executor(self._executor_spec, self._executor_pool_size())
             self._owns_executor = True
         return self._executor
 

@@ -3,9 +3,9 @@
 - :mod:`repro.grammar.sequitur` — the linear-time Sequitur algorithm
   (digram uniqueness + rule utility) over discrete token sequences.
 - :mod:`repro.grammar._kernel` — the selectable Sequitur backends
-  (``REPRO_KERNEL``): the pure-Python array kernel (``fast``, default),
-  the numba kernel (``compiled``, import-guarded), and the object-graph
-  reference oracle (``python``). All produce bitwise-identical grammars.
+  (``REPRO_KERNEL``): the pure-Python array kernel (``fast``, default)
+  and the object-graph reference oracle (``python``). Both produce
+  bitwise-identical grammars.
 - :mod:`repro.grammar.rules` — the frozen :class:`Grammar` produced by
   induction: rules, expansions, occurrence enumeration, size metrics.
 - :mod:`repro.grammar.density` — the rule density curve (Section 5.2), the

@@ -3,8 +3,8 @@
 The object-graph :class:`~repro.grammar.sequitur._SequiturBuilder` is the
 *reference oracle*: a faithful port of the canonical linked-list Sequitur,
 easy to audit against the paper but interpreter-bound (every token allocates
-symbols, every digram hashes a tuple of strings). This module provides the
-fast backends behind one seam so every caller — batch, streaming, baselines
+symbols, every digram hashes a tuple of strings). This module puts the
+fast backend behind one seam so every caller — batch, streaming, baselines
 — picks up the same speedup without touching the public API:
 
 - ``"python"`` — the reference object implementation (oracle).
@@ -12,10 +12,6 @@ fast backends behind one seam so every caller — batch, streaming, baselines
   onto an array-backed symbol arena (parallel ``next``/``prev``/``value``
   lists indexed by integer slot) with a packed-int digram table. No symbol
   objects, no tuple keys; terminals are interned integer token ids.
-- ``"compiled"`` — a numba-jitted port of the fast kernel
-  (:mod:`repro.grammar._kernel_compiled`), import-guarded exactly like the
-  optional Dask executor: selecting it without numba installed raises with
-  an install hint, and its tests are skipped when it cannot be imported.
 
 Selection: the ``REPRO_KERNEL`` environment variable (read lazily on first
 use, so test harnesses and CI matrices can set it per run), overridable
@@ -24,7 +20,7 @@ is ``"fast"``; the bitwise-parity suites run the whole test matrix under
 both ``python`` and ``fast`` to keep the kernels interchangeable.
 
 Kernel equivalence contract (pinned by ``tests/test_grammar_kernel.py``):
-for any token sequence, every backend produces the identical frozen
+for any token sequence, both backends produce the identical frozen
 :class:`~repro.grammar.rules.Grammar` (same rules, same numbering, same
 refcounts) and the identical occurrence spans. Grammar structure depends
 only on the *equality pattern* of the tokens, never on id values, so
@@ -56,7 +52,7 @@ import numpy as np
 from repro.grammar.rules import Grammar, GrammarRule
 
 #: Recognized kernel names, in documentation order.
-KERNELS = ("python", "fast", "compiled")
+KERNELS = ("python", "fast")
 
 #: Kernel used when ``REPRO_KERNEL`` is unset.
 DEFAULT_KERNEL = "fast"
@@ -109,23 +105,13 @@ def use_kernel(name: str | None) -> Iterator[None]:
 def make_builder(kernel: str | None = None) -> "FastSequitur":
     """Instantiate the id-based builder for ``kernel`` (default: current).
 
-    Only the id-based backends are constructible here; the ``"python"``
+    Only the ``"fast"`` kernel is constructible here; the ``"python"``
     oracle consumes words, not ids, and its callers keep using
     :class:`~repro.grammar.sequitur._SequiturBuilder` directly.
     """
     kernel = current_kernel() if kernel is None else _validate_kernel(kernel)
     if kernel == "fast":
         return FastSequitur()
-    if kernel == "compiled":
-        try:
-            from repro.grammar._kernel_compiled import CompiledSequitur
-        except ImportError as error:
-            raise ImportError(
-                "REPRO_KERNEL=compiled requires numba, which is not installed; "
-                "install numba or select REPRO_KERNEL=fast (the pure-Python "
-                "array kernel) or REPRO_KERNEL=python (the reference oracle)"
-            ) from error
-        return CompiledSequitur()
     raise ValueError(
         "the python kernel has no id-based builder; use _SequiturBuilder "
         "with word tokens"

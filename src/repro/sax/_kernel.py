@@ -13,22 +13,17 @@ environment variable governs the whole tokenize→grammar pipeline:
   common case ``window % paa_size == 0`` (segment boundaries land exactly
   on samples, so the fractional interpolation term is identically zero and
   the cumulative sums are plain ``prefix_sum`` lookups).
-- ``"compiled"`` — a numba-jitted port (:mod:`repro.sax._kernel_compiled`),
-  import-guarded exactly like the grammar kernel: selecting it without
-  numba installed raises with an install hint, and its tests skip
-  themselves when the module cannot be imported.
 
 Selection is shared with the grammar seam — :func:`current_kernel`,
 :func:`set_kernel` and :func:`use_kernel` are re-exported from
-:mod:`repro.grammar._kernel` — so ``REPRO_KERNEL=compiled`` (or a
+:mod:`repro.grammar._kernel` — so ``REPRO_KERNEL=python`` (or a
 ``use_kernel`` scope) switches both stages together.
 
 Parity contract (pinned by ``tests/test_sax_properties.py`` and
-``tests/test_kernel_differential.py``): for every kernel, the symbol
+``tests/test_kernel_differential.py``): under ``fast`` the symbol
 matrices — and therefore every token, grammar and anomaly curve downstream
 — are bitwise identical to the reference path. For the PAA coefficient
-values themselves, ``python`` and ``compiled`` replicate the reference
-float operations term for term; the ``fast`` integer-stride path omits the
+values themselves, the ``fast`` integer-stride path omits the
 reference's ``+ 0.0 * values[k]`` interpolation term, which can only flip
 the *sign of an exactly-zero* coefficient (the term is a signed zero when
 the boundary is integral), never its value. All downstream consumers —
@@ -50,26 +45,6 @@ from repro.grammar._kernel import (  # noqa: F401  (re-exported seam controls)
 )
 from repro.sax.paa import _fractional_prefix, sliding_paa_rows
 from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD, constancy_mask
-
-#: Lazily imported compiled backend module (None until first use).
-_COMPILED = None
-
-
-def _compiled():
-    """Import the numba backend, translating ImportError into an install hint."""
-    global _COMPILED
-    if _COMPILED is None:
-        try:
-            from repro.sax import _kernel_compiled
-        except ImportError as error:
-            raise ImportError(
-                "REPRO_KERNEL=compiled requires numba, which is not installed; "
-                "install numba or select REPRO_KERNEL=fast (the default) or "
-                "REPRO_KERNEL=python (the reference oracle)"
-            ) from error
-        _COMPILED = _kernel_compiled
-    return _COMPILED
-
 
 def window_stats(
     prefix_sum: np.ndarray,
@@ -156,9 +131,9 @@ def paa_rows_block(
     """Kernel-dispatched z-normalized PAA rows for starts in ``[start, stop)``.
 
     Row ``i`` corresponds to the window starting at global index
-    ``start + i``; every kernel produces output ``==``-equal to
-    :func:`~repro.sax.paa.sliding_paa_rows` (``python`` and ``compiled``
-    bitwise so). ``stats`` may carry a precomputed :func:`window_stats`
+    ``start + i``; both kernels produce output ``==``-equal to
+    :func:`~repro.sax.paa.sliding_paa_rows` (``python`` bitwise so).
+    ``stats`` may carry a precomputed :func:`window_stats`
     triple to share across PAA sizes; the ``python`` oracle ignores it and
     re-derives the statistics, exactly as the pre-seam code did.
     """
@@ -173,55 +148,17 @@ def paa_rows_block(
             prefix_sum, prefix_sq, start, stop, window, znorm_threshold, origin=origin
         )
     means, safe_stds, constant = stats
-    if kernel == "compiled":
-        return _compiled().paa_rows(
-            prefix_sum, values, start, stop, window, paa_size,
-            means, safe_stds, constant, origin,
-        )
     return _fast_paa_rows(
         prefix_sum, values, start, stop, window, paa_size,
         means, safe_stds, constant, origin,
     )
 
 
-def interval_rows_from(
-    rows: np.ndarray,
-    merged_breakpoints: np.ndarray,
-    *,
-    kernel: str | None = None,
-) -> np.ndarray:
-    """Locate each PAA coefficient's merged-table interval, kernel-dispatched.
+def interval_rows_from(rows: np.ndarray, merged_breakpoints: np.ndarray) -> np.ndarray:
+    """Locate each PAA coefficient's merged-table interval.
 
-    ``python`` and ``fast`` use ``np.searchsorted(..., side="right")``;
-    ``compiled`` runs an equivalent jitted ``bisect_right`` (the
-    breakpoint-tie golden vectors in ``tests/test_sax_properties.py`` pin
-    both to the identical closed-on-the-left region convention).
+    ``np.searchsorted(..., side="right")`` under every kernel: a value
+    equal to a breakpoint falls in the region above it (the breakpoint-tie
+    golden vectors in ``tests/test_sax_properties.py`` pin the convention).
     """
-    kernel = current_kernel() if kernel is None else kernel
-    if kernel == "compiled":
-        return _compiled().interval_rows_from(rows, merged_breakpoints)
     return np.searchsorted(merged_breakpoints, rows, side="right")
-
-
-def interval_rows_block(
-    prefix_sum: np.ndarray,
-    prefix_sq: np.ndarray,
-    values: np.ndarray,
-    start: int,
-    stop: int,
-    window: int,
-    paa_size: int,
-    merged_breakpoints: np.ndarray,
-    znorm_threshold: float = DEFAULT_ZNORM_THRESHOLD,
-    *,
-    origin: int = 0,
-    stats: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    kernel: str | None = None,
-) -> np.ndarray:
-    """PAA + interval location in one call (convenience composition)."""
-    kernel = current_kernel() if kernel is None else kernel
-    rows = paa_rows_block(
-        prefix_sum, prefix_sq, values, start, stop, window, paa_size,
-        znorm_threshold, origin=origin, stats=stats, kernel=kernel,
-    )
-    return interval_rows_from(rows, merged_breakpoints, kernel=kernel)

@@ -8,7 +8,7 @@ matrix only on ``(window, paa_size)``, and the merged-table interval of a
 coefficient only on its value — so for an ensemble with ``m`` members over
 ``k ≤ m`` distinct PAA sizes, one plan computes:
 
-- the window means/stds **once** per sweep (``fast``/``compiled`` kernels),
+- the window means/stds **once** per sweep (``fast`` kernel),
 - one PAA matrix and one interval matrix per *distinct* PAA size,
 - each member's symbol matrix as a fancy-index into the precomputed
   symbol matrix of :class:`~repro.sax.breakpoints.MultiResolutionAlphabet`
@@ -22,9 +22,9 @@ per-PAA-size matrices lazily so batch (all starts at once), streaming
 multi-resolution discretizer all share one code path.
 
 The hot loops live behind the kernel seam (:mod:`repro.sax._kernel`):
-``REPRO_KERNEL={python,fast,compiled}`` selects the backend, and every
-backend is pinned bitwise-identical downstream by the property/differential
-suites. Stage timers fire here — ``paa`` around matrix formation and
+``REPRO_KERNEL={python,fast}`` selects the backend, and the two are
+pinned bitwise-identical downstream by the property/differential suites.
+Stage timers fire here — ``paa`` around matrix formation and
 ``discretize`` around interval search — once per sweep per PAA size.
 """
 
@@ -192,8 +192,8 @@ class DiscretizationSweep:
 
     def _shared_stats(self):
         # The python oracle re-derives statistics inside sliding_paa_rows,
-        # exactly as the pre-plan per-member code did; sharing is the
-        # fast/compiled kernels' job.
+        # exactly as the pre-plan per-member code did; sharing is the fast
+        # kernel's job.
         if self._kernel == "python":
             return None
         if self._stats is None:
@@ -227,7 +227,7 @@ class DiscretizationSweep:
             rows = self.paa_rows(paa_size)
             with stage_timer("discretize"):
                 intervals = _kernel.interval_rows_from(
-                    rows, self.plan.alphabet_table.merged_breakpoints, kernel=self._kernel
+                    rows, self.plan.alphabet_table.merged_breakpoints
                 )
                 intervals.flags.writeable = False
             self._intervals[paa_size] = intervals

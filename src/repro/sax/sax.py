@@ -109,9 +109,9 @@ def discretize_symbols(
     if stats is None:
         stats = CumulativeStats(series)
     # Kernel-dispatched (REPRO_KERNEL): the python oracle reproduces the
-    # historical sliding_paa_matrix + searchsorted path verbatim; fast and
-    # compiled run the seam's shared-statistics backends, pinned bitwise
-    # identical downstream by the property suite.
+    # historical sliding_paa_matrix + searchsorted path verbatim; fast runs
+    # the seam's shared-statistics backend, pinned bitwise identical
+    # downstream by the property suite.
     n_windows = len(stats.series) - window + 1
     paa_matrix = _kernel.paa_rows_block(
         stats.prefix_sum, stats.prefix_sq, stats.series,

@@ -281,14 +281,15 @@ class TestUnifiedExecutorFlag:
             assert actions["executor"].help == EXECUTOR_HELP, command
 
     def test_unknown_executor_rejected_with_choices(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["detect", "--input", "x.csv", "--window", "10",
-                  "--executor", "bogus"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "unknown executor 'bogus'" in err
-        for backend in ("serial", "thread", "process", "cluster"):
-            assert backend in err
+        for name in ("bogus", "dask"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["detect", "--input", "x.csv", "--window", "10",
+                      "--executor", name])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert f"unknown executor {name!r}" in err
+            for backend in ("serial", "thread", "process", "cluster"):
+                assert backend in err
 
     def test_unknown_executor_rejected_on_every_subcommand(self, capsys):
         cases = {

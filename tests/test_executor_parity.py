@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.engine import BatchItemError, detect_many, iter_detect_batch
 from repro.core.ensemble import EnsembleGrammarDetector
-from repro.core.executors import MemberExecutor, make_executor
+from repro.core.executors import MemberExecutor, as_executor
 from repro.core.streaming import StreamingEnsembleDetector
 from repro.discord.discords import DiscordDetector
 from repro.discord.hotsax import HotSaxDetector
@@ -67,7 +67,7 @@ def _detector(**overrides) -> EnsembleGrammarDetector:
 class TestDetectParity:
     def test_curves_and_member_selection_bitwise_identical(self, executor_kind, series):
         reference = _detector().ensemble_report(series, keep_member_curves=True)
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             report = _detector(executor=executor).ensemble_report(
                 series, keep_member_curves=True
             )
@@ -80,27 +80,27 @@ class TestDetectParity:
 
     def test_detect_identical(self, executor_kind, series):
         reference = _detector().detect(series, 3)
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             assert _detector(executor=executor).detect(series, 3) == reference
 
 
 class TestDetectBatchParity:
     def test_results_identical_to_serial_reference(self, executor_kind, batch):
         reference = _detector().detect_batch(batch, 3)
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             results = _detector(executor=executor).detect_batch(batch, 3)
         assert results == reference
 
     def test_explicit_executor_argument(self, executor_kind, batch):
         reference = _detector().detect_batch(batch, 3)
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             assert _detector().detect_batch(batch, 3, executor=executor) == reference
 
 
 class TestIterDetectBatchParity:
     def test_incremental_results_identical(self, executor_kind, batch):
         reference = _detector().detect_batch(batch, 3)
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             pairs = list(_detector(executor=executor).iter_detect_batch(batch, 3))
         assert sorted(index for index, _ in pairs) == list(range(len(batch)))
         for index, anomalies in pairs:
@@ -109,12 +109,12 @@ class TestIterDetectBatchParity:
     def test_module_function_matches_method(self, executor_kind, batch):
         detector = _detector()
         reference = _detector().detect_batch(batch, 2)
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             pairs = dict(iter_detect_batch(detector, batch, 2, executor=executor))
         assert [pairs[i] for i in range(len(batch))] == reference
 
     def test_abandoned_iterator_cleans_up(self, executor_kind, batch):
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             iterator = _detector(executor=executor).iter_detect_batch(batch, 2)
             next(iterator)
             iterator.close()
@@ -122,7 +122,7 @@ class TestIterDetectBatchParity:
 
     def test_arguments_validated_eagerly(self, executor_kind, batch):
         """Bad labels must raise at the call site, not at first next()."""
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             detector = _detector(executor=executor)
             with pytest.raises(ValueError, match="labels"):
                 detector.iter_detect_batch(batch, 2, labels=["only-one"])
@@ -130,7 +130,7 @@ class TestIterDetectBatchParity:
     def test_single_series_batch_parity(self, executor_kind, series):
         """A one-series batch spends the pool on members, results unchanged."""
         reference = _detector().detect_batch([series], 3)
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             detector = _detector(executor=executor)
             assert detector.detect_batch([series], 3) == reference
             assert dict(detector.iter_detect_batch([series], 3))[0] == reference[0]
@@ -159,7 +159,7 @@ class TestEvaluateMethodsParity:
     def test_corpus_scores_identical(self, executor_kind, corpora):
         cases = corpora["GunPoint"]
         reference = evaluate_methods_on_corpus(cases, self._factories(), k=3)
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             results = evaluate_methods_on_corpus(
                 cases, self._factories(), k=3, executor=executor
             )
@@ -184,7 +184,7 @@ class TestEvaluateMethodsParity:
 
     def test_multi_corpus_shared_pool(self, executor_kind, corpora):
         reference = evaluate_methods(corpora, self._factories(), k=3)
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             results = evaluate_methods(corpora, self._factories(), k=3, executor=executor)
         assert set(results) == set(reference)
         for dataset in reference:
@@ -219,7 +219,7 @@ class TestStreamingSnapshotParity:
         reference = StreamingEnsembleDetector(window=WINDOW, ensemble_size=5, seed=3)
         reference.extend(series)
         expected = reference.density_curve()
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             streaming = StreamingEnsembleDetector(
                 window=WINDOW, ensemble_size=5, seed=3, executor=executor
             )
@@ -236,7 +236,7 @@ class TestStreamingSnapshotParity:
         get no tasks, and every poll stays bitwise equal to the serial one."""
         config = dict(window=WINDOW, ensemble_size=5, seed=3, **bounds)
         reference = StreamingEnsembleDetector(**config)
-        with make_executor(executor_kind, 2) as inner:
+        with as_executor(executor_kind, 2) as inner:
             recorder = _RecordingExecutor(inner)
             streaming = StreamingEnsembleDetector(executor=recorder, **config)
             for chunk in np.array_split(series, 4):
@@ -263,20 +263,20 @@ class TestBaselineBatchParity:
     def test_detect_batch_identical(self, executor_kind, batch, factory):
         detector = factory()
         reference = [detector.detect(series, 2) for series in batch]
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             assert detector.detect_batch(batch, 2, executor=executor) == reference
 
     def test_detect_many_function(self, executor_kind, batch):
         detector = DiscordDetector(WINDOW)
         reference = [detector.detect(series, 2) for series in batch]
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             assert detect_many(detector, batch, 2, executor=executor) == reference
 
 
 class TestSharedMemoryCleanup:
     def test_worker_exception_does_not_leak(self, executor_kind, batch):
         bad = list(batch) + [np.arange(10.0)]  # shorter than the window
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             with pytest.raises(BatchItemError) as excinfo:
                 _detector(executor=executor).detect_batch(
                     bad, 3, labels=[f"s{i}.csv" for i in range(len(bad))]
@@ -288,7 +288,7 @@ class TestSharedMemoryCleanup:
     def test_detect_many_exception_does_not_leak(self, executor_kind, batch):
         bad = [batch[0], np.arange(5.0)]
         detector = DiscordDetector(WINDOW)
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             with pytest.raises(BatchItemError) as excinfo:
                 detector.detect_batch(bad, 2, executor=executor)
         assert excinfo.value.index == 1

@@ -23,7 +23,7 @@ from repro.core.executors import (
     SerialExecutor,
     SharedSeriesRef,
     ThreadExecutor,
-    make_executor,
+    as_executor,
     open_executor,
     resolve_series,
     validate_executor_spec,
@@ -51,26 +51,26 @@ def member_series(rng) -> np.ndarray:
 
 
 class TestRegistry:
-    def test_make_executor_kinds(self):
+    def test_as_executor_kinds(self):
         for kind in EXECUTOR_KINDS:
-            executor = make_executor(kind, 2)
+            executor = as_executor(kind, 2)
             assert isinstance(executor, MemberExecutor)
             assert executor.kind == kind
             executor.close()
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            make_executor("celery", 2)
+        for spec in ("celery", "dask", "dask:tcp://10.0.0.1:8786"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                as_executor(spec, 2)
+            with pytest.raises(ValueError, match="unknown executor"):
+                validate_executor_spec(spec)
 
-    def test_dask_spec_is_import_guarded(self):
-        """'dask' is a valid spec, but without the dependency it fails clearly."""
-        validate_executor_spec("dask")
-        validate_executor_spec("dask:tcp://10.0.0.1:8786")
-        try:
-            import distributed  # noqa: F401
-        except ImportError:
-            with pytest.raises(RuntimeError, match="distributed"):
-                make_executor("dask", 2)
+    def test_non_string_spec_rejected(self):
+        with pytest.raises(TypeError, match="must be a string"):
+            as_executor(3)
+        with pytest.raises(TypeError, match="must be a string"):
+            with open_executor(3):
+                pass
 
     def test_validate_executor_spec(self):
         validate_executor_spec(None)
@@ -108,21 +108,21 @@ class TestRegistry:
 
 class TestInterfaceContract:
     def test_map_preserves_order(self, executor_kind):
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             assert executor.map(_square, list(range(10))) == [x * x for x in range(10)]
 
     def test_imap_unordered_covers_all_indices(self, executor_kind):
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             pairs = dict(executor.imap_unordered(_square, [3, 1, 4, 1, 5]))
         assert pairs == {0: 9, 1: 1, 2: 16, 3: 1, 4: 25}
 
     def test_map_propagates_worker_errors(self, executor_kind):
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             with pytest.raises(ValueError, match="three is right out"):
                 executor.map(_fail_on_three, [1, 2, 3, 4])
 
     def test_closed_executor_refuses_work(self, executor_kind):
-        executor = make_executor(executor_kind, 2)
+        executor = as_executor(executor_kind, 2)
         executor.close()
         executor.close()  # idempotent
         assert executor.closed
@@ -137,12 +137,12 @@ class TestInterfaceContract:
                 pass
 
     def test_context_manager_closes(self, executor_kind):
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             assert not executor.closed
         assert executor.closed
 
     def test_repr_names_state(self, executor_kind):
-        executor = make_executor(executor_kind, 2)
+        executor = as_executor(executor_kind, 2)
         assert "open" in repr(executor)
         executor.close()
         assert "closed" in repr(executor)
@@ -151,7 +151,7 @@ class TestInterfaceContract:
 class TestSeriesPassing:
     def test_inline_ref_round_trip(self, executor_kind, rng):
         series = rng.standard_normal(257)
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             with executor.share_series(series) as handle:
                 restored = resolve_series(handle.ref)
                 assert np.array_equal(restored, series)
@@ -188,7 +188,7 @@ class TestSeriesPassing:
     def test_non_1d_series_rejected_on_every_backend(self, executor_kind, rng):
         """Regression: the shm ref records only a length, so a 2-D input
         must be refused up front rather than silently flattened."""
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             with pytest.raises(ValueError, match="1-dimensional"):
                 executor.share_series(rng.standard_normal((3, 4)))
 
@@ -270,7 +270,7 @@ class TestMemberCurveParity:
         reference = compute_member_curves(
             member_series, 100, PARAMETERS, max_paa_size=10, max_alphabet_size=10, n_jobs=1
         )
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             curves = compute_member_curves(
                 member_series,
                 100,

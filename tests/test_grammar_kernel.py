@@ -1,7 +1,7 @@
-"""Kernel equivalence: the fast Sequitur backends against the oracle.
+"""Kernel equivalence: the fast Sequitur backend against the oracle.
 
 The contract (see ``repro/grammar/_kernel.py``): for any token sequence,
-every kernel produces the identical frozen
+the ``fast`` kernel produces the identical frozen
 :class:`~repro.grammar.rules.Grammar` — same rules, same numbering, same
 refcounts — and the identical occurrence-span arrays, element by element
 (the kernel walk visits nodes in the oracle's order). Grammar structure
@@ -9,9 +9,7 @@ depends only on the equality pattern of the tokens, so interning token
 strings to integer ids is invisible to the result.
 
 The property suite drives random (repetition-biased) token streams through
-the id kernels and the reference ``_SequiturBuilder`` side by side; the
-compiled kernel runs the same battery when numba is importable and is
-skipped otherwise (it must never be *required*).
+the id kernel and the reference ``_SequiturBuilder`` side by side.
 """
 
 from __future__ import annotations
@@ -198,10 +196,13 @@ class TestKernelSeam:
             assert _kernel.current_kernel() == "python"
 
     def test_environment_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv(_kernel.KERNEL_ENV, "turbo")
-        with _kernel.use_kernel(None):
-            with pytest.raises(ValueError, match="unknown grammar kernel"):
-                _kernel.current_kernel()
+        # Older builds shipped a "compiled" kernel; an environment still
+        # naming it must fail loudly, not fall back silently.
+        for name in ("turbo", "compiled"):
+            monkeypatch.setenv(_kernel.KERNEL_ENV, name)
+            with _kernel.use_kernel(None):
+                with pytest.raises(ValueError, match="unknown grammar kernel"):
+                    _kernel.current_kernel()
 
     def test_use_kernel_restores_previous(self):
         before = _kernel.current_kernel()
@@ -216,15 +217,6 @@ class TestKernelSeam:
     def test_make_builder_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown grammar kernel"):
             _kernel.make_builder("warp")
-
-    def test_compiled_without_numba_raises_install_hint(self):
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            with pytest.raises(ImportError, match="requires numba"):
-                _kernel.make_builder("compiled")
-        else:
-            assert _kernel.make_builder("compiled") is not None
 
 
 class TestGenerationalSequiturKernels:
@@ -285,34 +277,3 @@ class TestGenerationalSequiturKernels:
         # counts and frozen rules remain.
         assert set(forgetter._sealed) == set(forgetter._sealed_spans)
 
-
-class TestCompiledKernel:
-    """The numba kernel is gated by the same battery — when importable."""
-
-    @pytest.fixture(autouse=True)
-    def _require_compiled(self):
-        pytest.importorskip("numba")
-
-    @given(stream=token_streams)
-    def test_matches_oracle(self, stream):
-        from repro.grammar._kernel_compiled import CompiledSequitur
-
-        builder = CompiledSequitur()
-        builder.feed_many(stream)
-        _assert_matches_oracle(builder, stream)
-
-    @pytest.mark.parametrize("stream", FIXED_STREAMS, ids=repr)
-    def test_fixed_regressions(self, stream):
-        from repro.grammar._kernel_compiled import CompiledSequitur
-
-        builder = CompiledSequitur()
-        builder.feed_many(stream)
-        _assert_matches_oracle(builder, stream)
-
-    @pytest.mark.parametrize("stream", NESTED_STREAMS.values(), ids=NESTED_STREAMS.keys())
-    def test_deeply_nested_streams(self, stream):
-        from repro.grammar._kernel_compiled import CompiledSequitur
-
-        builder = CompiledSequitur()
-        builder.feed_many(stream)
-        _assert_matches_oracle(builder, stream)

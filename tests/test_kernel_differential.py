@@ -3,13 +3,11 @@
 The property battery (``test_sax_properties.py``) pins the discretization
 stage in isolation; this suite drives random series through the *whole*
 detector — batch ``detect()``/``ensemble_report()`` and streaming
-append/extend + poll — under every kernel and every executor backend, and
+append/extend + poll — under both kernels and every executor backend, and
 asserts the end results are bitwise identical: same anomaly positions, same
 member selection, same float64 curve bits.
 
-``python`` is the oracle; ``fast`` (the default) must match it exactly, and
-``compiled`` joins the matrix wherever numba is importable (CI's numba cell
-runs this file under ``REPRO_KERNEL=compiled``).
+``python`` is the oracle; ``fast`` (the default) must match it exactly.
 """
 
 from __future__ import annotations
@@ -18,19 +16,12 @@ import numpy as np
 import pytest
 
 from repro.core.ensemble import EnsembleGrammarDetector
-from repro.core.executors import make_executor
+from repro.core.executors import as_executor
 from repro.core.streaming import StreamingEnsembleDetector, StreamingGrammarDetector
 from repro.sax import _kernel
 from repro.sax.alphabet import MAX_PACKED_WIDTH
 
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba  # noqa: F401
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-NON_ORACLE = ["fast"] + (["compiled"] if HAVE_NUMBA else [])
+NON_ORACLE = ["fast"]
 
 WINDOW = 50
 CONFIG = dict(
@@ -54,7 +45,7 @@ def batch_result(kernel: str, series: np.ndarray, executor_kind: str | None):
             report = detector.ensemble_report(series, keep_member_curves=True)
             anomalies = detector.detect(series, 3)
         else:
-            with make_executor(executor_kind, 2) as executor:
+            with as_executor(executor_kind, 2) as executor:
                 detector = EnsembleGrammarDetector(**CONFIG, executor=executor)
                 report = detector.ensemble_report(series, keep_member_curves=True)
                 anomalies = detector.detect(series, 3)

@@ -9,9 +9,7 @@ including the awkward corners: zero-variance windows, fully constant series,
 ring buffers whose arrays start at a nonzero global ``origin``.
 
 The ``python`` kernel is the oracle (it *is* the reference implementation);
-``fast`` must match it exactly, and ``compiled`` is exercised whenever numba
-is importable (skipped otherwise, and run in CI's numba matrix cell under
-``REPRO_KERNEL=compiled``).
+``fast`` must match it exactly.
 """
 
 from __future__ import annotations
@@ -33,22 +31,7 @@ from repro.sax.paa import CumulativeStats, sliding_paa_rows
 from repro.sax.plan import DiscretizationPlan
 from repro.sax.sax import discretize, sax_word
 
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba  # noqa: F401
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-KERNELS = ["python", "fast"] + (["compiled"] if HAVE_NUMBA else [])
-
-kernel_param = pytest.mark.parametrize(
-    "kernel",
-    ["python", "fast", pytest.param(
-        "compiled",
-        marks=pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed"),
-    )],
-)
+kernel_param = pytest.mark.parametrize("kernel", ["python", "fast"])
 
 
 def make_series(seed: int, n: int, flavor: str = "mixed") -> np.ndarray:
@@ -238,11 +221,11 @@ def test_sweep_with_ring_buffer_origin_matches_unbounded(kernel):
 
 
 # ----------------------------------------------------------------------
-# Kernel cross-checks: fast (and compiled) against the python oracle.
+# Kernel cross-checks: fast against the python oracle.
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("other", [k for k in KERNELS if k != "python"])
+@pytest.mark.parametrize("other", ["fast"])
 def test_kernels_bitwise_equal_to_python_oracle(other):
     rng = np.random.default_rng(31)
     for trial in range(8):
@@ -328,9 +311,8 @@ def test_exact_breakpoint_values_golden_vectors(kernel, alphabet_size):
     """A coefficient exactly *on* a breakpoint belongs to the interval above.
 
     SAX uses half-open intervals [beta_{i-1}, beta_i); `side="right"` makes
-    searchsorted return i for value == beta_{i-1}. Every kernel's interval
-    search (vectorized searchsorted, compiled bisect) must agree with the
-    scalar `symbol_indices` on values placed exactly on the table, a hair
+    searchsorted return i for value == beta_{i-1}. The interval search
+    must agree, under every kernel, with the scalar `symbol_indices` on values placed exactly on the table, a hair
     below, and a hair above.
     """
     table = gaussian_breakpoints(alphabet_size)

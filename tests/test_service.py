@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.ensemble import EnsembleGrammarDetector
-from repro.core.executors import BatchItemError, make_executor
+from repro.core.executors import BatchItemError, as_executor
 from repro.core.streaming import StreamingEnsembleDetector
 from repro.service import (
     BadRequest,
@@ -310,7 +310,7 @@ class TestDetectServiceParity:
 
     def test_borrowed_executor_not_closed(self):
         async def main():
-            with make_executor("thread", 2) as executor:
+            with as_executor("thread", 2) as executor:
                 async with DetectService(executor=executor, batch_window=0.0) as service:
                     await service.detect(make_series(0), seed=0, **CONFIG)
                 assert not executor.closed  # borrowed — service must not close it

@@ -7,7 +7,8 @@ original's — across kernels (``python``/``fast``), across eviction
 policies (unbounded/sliding/decay), and across the wire encoding
 (:func:`~repro.service.snapshot.encode_snapshot` /
 :func:`~repro.service.snapshot.decode_snapshot`). Version skew — container
-or state — is rejected loudly, never half-restored.
+or state — is rejected loudly, never half-restored; the recorded kernel name
+is informational, so a snapshot naming a kernel this build lacks restores.
 """
 
 from __future__ import annotations
@@ -135,6 +136,32 @@ class TestVersioning:
         state["state_version"] = SNAPSHOT_STATE_VERSION + 1
         with pytest.raises(SnapshotVersionError, match="state_version"):
             StreamingEnsembleDetector.restore(state)
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=("unbounded", "sliding", "decay"))
+    def test_snapshot_naming_a_retired_kernel_restores(self, policy):
+        """A snapshot recording a kernel this build lacks (older builds shipped
+        ``compiled``) restores under the current kernel, bitwise unchanged."""
+        feed = make_feed()
+        uninterrupted = build(policy)
+        uninterrupted.extend(feed)
+
+        checkpointed = build(policy)
+        checkpointed.extend(feed[:600])
+        state = checkpointed.snapshot()
+        state["kernel"] = "compiled"
+        resumed = StreamingEnsembleDetector.restore(decode_snapshot(encode_snapshot(state)))
+        boundaries = (600, 733, 901, len(feed))
+        for start, stop in zip(boundaries, boundaries[1:]):
+            checkpointed.extend(feed[start:stop])
+            resumed.extend(feed[start:stop])
+            assert ranked(resumed) == ranked(checkpointed)
+            np.testing.assert_array_equal(
+                resumed.density_curve(), checkpointed.density_curve()
+            )
+        assert ranked(resumed) == ranked(uninterrupted)
+        np.testing.assert_array_equal(
+            resumed.density_curve(), uninterrupted.density_curve()
+        )
 
     def test_foreign_payload_is_rejected(self):
         with pytest.raises(SnapshotVersionError, match="snapshot"):

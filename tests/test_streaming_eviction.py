@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import SharedStreamState
-from repro.core.executors import make_executor
+from repro.core.executors import as_executor
 from repro.core.streaming import StreamingEnsembleDetector, StreamingGrammarDetector
 from repro.grammar.density import rule_density_curve
 from repro.grammar.sequitur import GenerationalSequitur, induce_grammar
@@ -392,7 +392,7 @@ class TestEnsembleEvictionParity:
 
     def test_sliding_parity_across_executors(self, long_series, executor_kind):
         reference = self._reference_ensemble_curve(long_series, seed=7, capacity=2500)
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             bounded = StreamingEnsembleDetector(
                 window=100, ensemble_size=6, seed=7, capacity=2500, executor=executor
             )
@@ -409,7 +409,7 @@ class TestEnsembleEvictionParity:
         )
         serial.extend(long_series)
         reference = serial.density_curve()
-        with make_executor(executor_kind, 2) as executor:
+        with as_executor(executor_kind, 2) as executor:
             bounded = StreamingEnsembleDetector(
                 window=100, ensemble_size=5, seed=9, capacity=2000, policy="decay",
                 executor=executor,
