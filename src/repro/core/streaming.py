@@ -67,6 +67,7 @@ from repro.grammar.density import density_curve_from_token_spans, rule_density_c
 from repro.grammar.sequitur import GenerationalSequitur, _SequiturBuilder, induce_grammar
 from repro.obs.stages import stage_timer
 from repro.sax.alphabet import WordInterner, pack_symbol_rows
+from repro.sax.breakpoints import MultiResolutionAlphabet
 from repro.sax.numerosity import STRATEGIES, TokenSequence, kept_window_mask
 from repro.sax.plan import DiscretizationPlan
 from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD
@@ -239,7 +240,7 @@ class StreamingGrammarDetector:
         self._generations: GenerationalSequitur | None = None
         self._snapshot_cache: tuple[tuple[int, int], "object"] | None = None
         #: Sliding fast path: the kernel builder over the live ids, tagged
-        #: with the prune counter it was anchored at (see _sliding_spans).
+        #: with the prune counter it was anchored at (see _catch_up_sliding).
         self._span_builder: tuple[int, "object"] | None = None
         #: Last snapshot curve, keyed by the shared state's version counter:
         #: repeated ``density_curve()`` polls without new data are O(1).
@@ -342,9 +343,9 @@ class StreamingGrammarDetector:
             stop = min(self._consumed + _DRAIN_BLOCK, n_windows)
             # The sweep fires the paa/discretize stage timers internally.
             sweep = self.state.sweep(self._plan, self._consumed, stop=stop)
-            symbols = sweep.symbol_rows(self.paa_size, self.alphabet_size)
-            with stage_timer("grammar"):
-                self._ingest_symbols(symbols, self._consumed)
+            self._ingest_symbols(
+                sweep.interval_rows(self.paa_size), self._plan.alphabet_table, self._consumed
+            )
 
     def _evict(self) -> None:
         """Advance the retention horizon and forget what slid out."""
@@ -370,62 +371,68 @@ class StreamingGrammarDetector:
         if self._live_from > _PRUNE_SLACK and self._live_from * 2 > len(self._kept_ids):
             # Compaction only ever runs in a call that just advanced
             # _total_pruned, so the sliding span builder's anchor check
-            # (_sliding_spans) can never see a silently-shifted list.
+            # (_catch_up_sliding) can never see a silently-shifted list.
             del self._kept_ids[: self._live_from]
             del self._kept_offsets[: self._live_from]
             self._live_from = 0
         if self._generations is not None:
             self._generations.drop_before(start)
 
-    def _ingest_symbols(self, symbols: np.ndarray, first_start: int) -> None:
-        """Numerosity-reduce a block of per-window symbol rows and feed them.
+    def _ingest_symbols(
+        self, intervals: np.ndarray, table: MultiResolutionAlphabet, first_start: int
+    ) -> None:
+        """Discretize and numerosity-reduce a block of windows; keep the ids.
 
-        ``symbols`` holds one row per window start in
-        ``first_start .. first_start + len(symbols) - 1``. Two windows share
-        a SAX word exactly when their symbol rows are equal, so run
-        boundaries are found on the index matrix and the kept rows are
-        interned to integer ids that stay stable across drains (the batch
+        ``intervals`` holds one merged-table interval row per window start
+        in ``first_start .. first_start + len(intervals) - 1``; ``table``
+        maps them to this member's symbols. Two windows share a SAX word
+        exactly when their symbol rows are equal, so run boundaries are
+        found on the index matrix and the kept rows are interned to integer
+        ids that stay stable across drains (the batch
         :class:`~repro.core.multiresolution.MultiResolutionDiscretizer`
         feeds each sequence once, so it skips the interner); a word string
-        is built once per *distinct* row, ever. Id kernels
-        feed the ids directly; the oracle kernel feeds the interned strings
-        (equal strings, so the induced grammar is bitwise identical).
+        is built once per *distinct* row, ever.
+
+        Symbol lookup, reduction and interning are ``discretize`` time, as
+        in batch ``token_ids``. Only the decay generations feed a grammar
+        here (``grammar`` time); unbounded and sliding members induce at
+        poll time.
         """
-        count = len(symbols)
+        count = len(intervals)
         if count == 0:
             return
-        codes = pack_symbol_rows(symbols)
-        if self.numerosity == "exact":
-            if codes is None:
-                keep = kept_window_mask(symbols)
-                if self._last_symbols is not None:
-                    keep[0] = bool(np.any(symbols[0] != self._last_symbols))
+        with stage_timer("discretize"):
+            symbols = table.symbols_for(intervals, self.alphabet_size)
+            codes = pack_symbol_rows(symbols)
+            if self.numerosity == "exact":
+                if codes is None:
+                    keep = kept_window_mask(symbols)
+                    if self._last_symbols is not None:
+                        keep[0] = bool(np.any(symbols[0] != self._last_symbols))
+                else:
+                    # Packing is injective, so run boundaries on the scalar
+                    # codes are exactly kept_window_mask's row comparisons —
+                    # including the chunk-boundary carry against the last row
+                    # of the previous block.
+                    keep = np.ones(count, dtype=bool)
+                    keep[1:] = codes[1:] != codes[:-1]
+                    if self._last_symbols is not None:
+                        keep[0] = codes[0] != pack_symbol_rows(self._last_symbols[None, :])[0]
+                kept_idx = np.flatnonzero(keep)
+                self._last_symbols = np.array(symbols[-1], dtype=np.int64)
             else:
-                # Packing is injective, so run boundaries on the scalar
-                # codes are exactly kept_window_mask's row comparisons —
-                # including the chunk-boundary carry against the last row
-                # of the previous block.
-                keep = np.ones(count, dtype=bool)
-                keep[1:] = codes[1:] != codes[:-1]
-                if self._last_symbols is not None:
-                    keep[0] = codes[0] != pack_symbol_rows(self._last_symbols[None, :])[0]
-            kept_idx = np.flatnonzero(keep)
-            self._last_symbols = np.array(symbols[-1], dtype=np.int64)
-        else:
-            kept_idx = np.arange(count)
-        if codes is None:
-            ids = self._interner.intern_matrix(symbols[kept_idx]).tolist()
-        else:
-            ids = self._interner.intern_packed(
-                codes[kept_idx], symbols.shape[1]
-            ).tolist()
+                kept_idx = np.arange(count)
+            if codes is None:
+                ids = self._interner.intern_matrix(symbols[kept_idx]).tolist()
+            else:
+                ids = self._interner.intern_packed(codes[kept_idx], symbols.shape[1]).tolist()
         offsets = (kept_idx + first_start).tolist()
         self._kept_ids.extend(ids)
         self._kept_offsets.extend(offsets)
         self._total_kept += len(ids)
-        # Unbounded builders catch up lazily at the next poll
-        # (_catch_up_builder); only the decay generations must observe
-        # every token eagerly (generation boundaries are offset-driven).
+        # Unbounded and sliding builders catch up lazily at the next poll;
+        # only the decay generations must observe every token eagerly
+        # (generation boundaries are offset-driven).
         if self._generations is not None:
             # Generation routing can seal (and freeze) mid-ingest, and the
             # oracle kernel feeds word strings — both index the vocabulary
@@ -433,8 +440,9 @@ class StreamingGrammarDetector:
             # packed intern path deferred must be materialized first.
             _ = self._interner.vocabulary
             feed_id = self._generations.feed_id
-            for token_id, offset in zip(ids, offsets):
-                feed_id(token_id, offset)
+            with stage_timer("grammar"):
+                for token_id, offset in zip(ids, offsets):
+                    feed_id(token_id, offset)
         self._consumed = first_start + count
 
     def _catch_up_builder(self) -> None:
@@ -587,36 +595,42 @@ class StreamingGrammarDetector:
         self._snapshot_cache = (key, grammar)
         return grammar
 
-    def _sliding_spans(self) -> tuple[np.ndarray, np.ndarray]:
-        """Occurrence spans of the grammar over exactly the live token ids.
+    def _catch_up_sliding(self) -> None:
+        """Bring the sliding grammar up to exactly the live tokens.
 
-        Amortized prune-and-repair, the id-kernel sliding path: while no
-        token has been pruned since the cached builder was anchored, the
-        live sequence has only grown at the right end — where Sequitur *is*
-        incremental — so the builder is repaired by feeding just the new
-        suffix. Once the horizon has claimed tokens, the dead prefix
-        invalidates the grammar (Sequitur output depends on the whole
-        sequence, and the parity contract is re-induction over exactly the
-        live tokens), so the builder is rebuilt over the live ids: O(live)
-        work bounded by the capacity, never by the stream length — which is
-        what keeps poll latency flat as the stream grows.
+        Runs under the ``grammar`` stage timer, before a poll opens its
+        ``density`` timer. The oracle kernel re-induces over the live words
+        into the snapshot cache (:meth:`_sliding_grammar`). Id kernels take
+        the amortized prune-and-repair path: while no token has been pruned
+        since the cached builder was anchored, the live sequence has only
+        grown at the right end — where Sequitur *is* incremental — so the
+        builder is repaired by feeding just the new suffix. Once the horizon
+        has claimed tokens, the dead prefix invalidates the grammar
+        (Sequitur output depends on the whole sequence, and the parity
+        contract is re-induction over exactly the live tokens), so the
+        builder is rebuilt over the live ids: O(live) work bounded by the
+        capacity, never by the stream length — which is what keeps poll
+        latency flat as the stream grows.
 
         The anchor check is sound against list compaction: compaction only
         runs inside a ``_forget_before`` call that just advanced
         ``_total_pruned``, so an unchanged prune counter guarantees both an
         unchanged ``_live_from`` and an unshifted list.
         """
-        cached = self._span_builder
-        if cached is not None and cached[0] == self._total_pruned:
-            builder = cached[1]
-            delta = self._kept_ids[self._live_from + builder.n_tokens :]
-            if delta:
-                builder.feed_many(delta)
-        else:
-            builder = _kernel.make_builder(self._kernel)
-            builder.feed_many(self._kept_ids[self._live_from :])
-            self._span_builder = (self._total_pruned, builder)
-        return builder.occurrence_spans()
+        with stage_timer("grammar"):
+            if self._kernel == "python":
+                self._sliding_grammar(self._live_tokens()[0])
+                return
+            cached = self._span_builder
+            if cached is not None and cached[0] == self._total_pruned:
+                builder = cached[1]
+                delta = self._kept_ids[self._live_from + builder.n_tokens :]
+                if delta:
+                    builder.feed_many(delta)
+            else:
+                builder = _kernel.make_builder(self._kernel)
+                builder.feed_many(self._kept_ids[self._live_from :])
+                self._span_builder = (self._total_pruned, builder)
 
     def density_curve(self) -> np.ndarray:
         """Rule density curve over the live stream range (snapshot).
@@ -639,10 +653,12 @@ class StreamingGrammarDetector:
         version = self.state.version
         if self._curve_cache is not None and self._curve_cache[0] == version:
             return self._curve_cache[1]
+        # Outside the density timer: the deferred feed (unbounded) and the
+        # live re-induction (sliding) are grammar time, with their own timer.
         if self._builder is not None:
-            # Outside the density timer: the deferred feed is grammar time
-            # and carries its own timer.
             self._catch_up_builder()
+        elif self._generations is None and self.n_tokens:
+            self._catch_up_sliding()
         with stage_timer("density"):
             curve = self._compute_density_curve()
         self._curve_cache = (version, curve)
@@ -702,7 +718,7 @@ class StreamingGrammarDetector:
             tokens = TokenSequence(words, offsets, self.n_windows, self.window)
             grammar = self._sliding_grammar(words)
             return rule_density_curve(grammar, tokens, length, horizon_start=start)
-        firsts, lasts = self._sliding_spans()
+        firsts, lasts = self._span_builder[1].occurrence_spans()
         return density_curve_from_token_spans(
             self._live_offsets(), self.window, firsts, lasts, length, horizon_start=start
         )
@@ -945,12 +961,8 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
             sweep = self.state.sweep(self._plan, first, stop=stop)
             for paa_size, members in self._by_paa_size.items():
                 intervals = sweep.interval_rows(paa_size)
-                with stage_timer("grammar"):
-                    for member in members:
-                        symbols = self._alphabet_table.symbols_for(
-                            intervals, member.alphabet_size
-                        )
-                        member._ingest_symbols(symbols, first)
+                for member in members:
+                    member._ingest_symbols(intervals, self._alphabet_table, first)
             first = stop
         if self.state.capacity is not None:
             start = self.state.trim()

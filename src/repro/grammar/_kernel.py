@@ -39,6 +39,15 @@ checked first), and rule serials are never reused, so stale table entries
 can never collide — the same ownership discipline as the oracle's
 ``digrams.get(key) is symbol`` identity check, with arena indices playing
 the role of object identity (slots are never recycled).
+
+Tail-only reduction: the builder is append-only, so every digram match
+starts at the tail of R0 — the digram a new token forms with R0's last
+symbol — and a replacement there can only cascade through the
+non-terminal it just put at the tail. ``FastSequitur._reduce_tail`` runs
+the oracle's whole match/substitute/cleanup/expand chain as one loop under
+that precondition (``next[next[new]]`` is R0's guard), which makes most of
+the generic chain's branches dead; the comment above it lists which and
+why. The property suite asserts the precondition on every call.
 """
 
 from __future__ import annotations
@@ -169,189 +178,168 @@ class FastSequitur:
         return self._fed
 
     # ------------------------------------------------------------------
-    # Core Sequitur steps.
+    # Core Sequitur step: tail-only reduction.
     #
-    # The oracle's _check/_process_match/_substitute/_cleanup/_join call
-    # chain is flattened into _check (light probe) and _match (one
-    # straight-line function over local aliases): on the hot path the
-    # attribute lookups and method-call frames of the 1:1 transliteration
-    # cost more than the algorithm itself. The control flow — including
-    # the exact order of digram-table updates, which the output grammar
-    # depends on — mirrors the oracle statement for statement; the
-    # property suite pins the equivalence.
+    # Appending a token creates exactly one digram, the last two symbols of
+    # R0, and replacing a digram there creates exactly one more: the anchor
+    # before it and the non-terminal now at the tail. So every match the
+    # oracle's _check/_process_match/_substitute/_cleanup/_join/_expand
+    # chain handles is a tail match, and _reduce_tail(new, match) runs that
+    # chain under one precondition, nxt[nxt[new]] == R0's guard. The
+    # branches it drops, and why they are dead:
+    #
+    # - Tail site (anchor, new, second, guard). Both right-hand
+    #   triple-repetition fixes compare a symbol against R0's guard and
+    #   never fire; the digram starting at `second` ends at the guard, so
+    #   it was never registered; the inserted non-terminal is followed by
+    #   the guard, so neither the stale-digram delete after it nor
+    #   _check(nonterminal) can do anything. Only _check(anchor) remains,
+    #   and a match there is again a tail match (anchor, N, guard): the
+    #   oracle's recursion becomes this function's loop.
+    # - Earlier occurrence (new rules only). The cleanup keeps its generic
+    #   triple fixes, but _check(anchor) and _check(nonterminal) can only
+    #   register: both keys hold the brand-new rule's serial, so no entry
+    #   can exist yet. The clones' reference-count increments cancel the
+    #   cleanup's decrements and are skipped.
+    # - Stale-entry deletes keyed on the anchor's new neighbour. Every
+    #   table entry is owned by a linked symbol that starts that digram
+    #   now (an entry is deleted before its owner's next link changes), so
+    #   the anchor can only own the entry of the digram it starts at the
+    #   time, which the cleanup already removed.
+    # - Post-work. What the oracle runs after its recursive call returns
+    #   (registering a new rule's body digram, then rule utility) is kept
+    #   per level on a stack and run innermost first. In a rule-utility
+    #   expansion both _joins are plain link writes: the first starts at a
+    #   rule guard; in the second, the inlined body's last symbol is
+    #   followed by its own guard, and the symbol it is joined to follows
+    #   the sole reference to the inlined rule, so no delete or triple fix
+    #   can fire.
+    #
+    # What remains updates the digram table in the oracle's order, which
+    # the output grammar depends on; the property suite compares grammars,
+    # spans and digram tables with the oracle and asserts the precondition
+    # and the table invariant on every call.
     # ------------------------------------------------------------------
 
-    def _check(self, symbol: int) -> bool:
-        nxt, value = self._next, self._value
-        after = nxt[symbol]
-        if value[symbol] < 0 or after == -1 or value[after] < 0:
-            return False
-        key = (value[symbol] << 32) | value[after]
-        found = self._digrams.get(key, -1)
-        if found == -1:
-            self._digrams[key] = symbol
-            return False
-        if nxt[found] != symbol:
-            self._match(symbol, found)
-        return True
-
-    def _match(self, new: int, match: int) -> None:
+    def _reduce_tail(self, new: int, match: int) -> None:
+        """Replace the tail digram at ``new`` and its earlier ``match``."""
         nxt, prv, value = self._next, self._prev, self._value
         digrams = self._digrams
+        get = digrams.get
         rule_guard, rule_count = self._rule_guard, self._rule_count
-        match_prev = prv[match]
-        if value[match_prev] < 0 and value[nxt[nxt[match]]] < 0:
-            # The match is the entire body of an existing rule: reuse it.
-            serial = -value[match_prev] - 1
-            site = new
-            other_site = -1
-            first = -1
-        else:
-            # New rule from clones of the digram (oracle _process_match).
-            serial = len(rule_guard)
-            guard = len(value)
-            value.append(-serial - 1)
-            nxt.append(-1)
-            prv.append(-1)
-            rule_guard.append(guard)
-            rule_count.append(0)
-            v1 = value[new]
-            v2 = value[nxt[new]]
-            first = guard + 1
-            second = guard + 2
-            value.append(v1)
-            nxt.append(-1)
-            prv.append(-1)
-            value.append(v2)
-            nxt.append(-1)
-            prv.append(-1)
-            if v1 & 1:
-                rule_count[(v1 - 1) >> 1] += 1
-            if v2 & 1:
-                rule_count[(v2 - 1) >> 1] += 1
-            nxt[guard] = first
-            prv[first] = guard
-            nxt[first] = second
-            prv[second] = first
-            nxt[second] = guard
-            prv[guard] = second
-            site = match
-            other_site = new
-        while site != -1:
-            # ---- oracle _substitute(site, serial) ----------------------
-            anchor = prv[site]
-            victim = site
-            second_victim = nxt[site]
-            # _cleanup(victim) for victim in (site, site.next)
-            while True:
-                v = value[victim]
-                if v >= 0:
-                    # _join(prev, next) with digram maintenance
-                    left, right = prv[victim], nxt[victim]
-                    if nxt[left] != -1:
-                        lv = value[left]
-                        la = nxt[left]
-                        if lv >= 0 and la != -1 and value[la] >= 0:
-                            k = (lv << 32) | value[la]
-                            if digrams.get(k, -1) == left:
-                                del digrams[k]
-                        rp, rn = prv[right], nxt[right]
-                        rv = value[right]
-                        if rp != -1 and rn != -1 and rv >= 0 and value[rp] == rv and value[rn] == rv:
-                            digrams[(rv << 32) | rv] = right
-                        lp, ln = prv[left], nxt[left]
-                        lv = value[left]
-                        if lp != -1 and ln != -1 and lv >= 0 and value[ln] == lv and value[lp] == lv:
-                            digrams[(lv << 32) | lv] = lp
-                    nxt[left] = right
-                    prv[right] = left
-                    # _delete_digram(victim): reads victim's (stale) next
-                    va = nxt[victim]
-                    if va != -1 and value[va] >= 0:
-                        k = (v << 32) | value[va]
-                        if digrams.get(k, -1) == victim:
-                            del digrams[k]
-                    if v & 1:
-                        rule_count[(v - 1) >> 1] -= 1
-                if victim == second_victim:
-                    break
-                victim = second_victim
-            # _insert_after(anchor, NonTerminal(serial))
+        tail_guard = rule_guard[0]
+        pending: list[int] = []
+        while True:
+            anchor, second = prv[match], nxt[match]
+            after = nxt[second]
+            av, fv = value[anchor], value[after]
+            if av < 0 and fv < 0:
+                # The match is the entire body of an existing rule: reuse it.
+                serial = -av - 1
+                first = -1
+            else:
+                # New rule from clones of the digram, substituted at the
+                # earlier occurrence (anchor, match, second, after) first.
+                # The clones' reference counts and the cleanup's cancel out.
+                serial = len(rule_guard)
+                guard = len(value)
+                first = guard + 1
+                v1, v2 = value[match], value[second]
+                encoded = (serial << 1) | 1
+                value += (-serial - 1, v1, v2, encoded)
+                nxt += (first, first + 1, guard, after)
+                prv += (first + 1, guard, first, anchor)
+                rule_guard.append(guard)
+                rule_count.append(1)
+                # _cleanup(match): joins anchor -> second.
+                if av >= 0 and get((av << 32) | v1, -1) == anchor:
+                    del digrams[(av << 32) | v1]
+                if v1 == v2 and fv == v2:
+                    digrams[(v2 << 32) | v2] = second
+                if av >= 0 and v1 == av and value[prv[anchor]] == av:
+                    digrams[(av << 32) | av] = prv[anchor]
+                prv[second] = anchor
+                if get((v1 << 32) | v2, -1) == match:
+                    del digrams[(v1 << 32) | v2]
+                # _cleanup(second): joins anchor -> after.
+                if fv >= 0 and v2 == fv and value[nxt[after]] == fv:
+                    digrams[(fv << 32) | fv] = after
+                if av >= 0 and v2 == av and value[prv[anchor]] == av:
+                    digrams[(av << 32) | av] = prv[anchor]
+                if fv >= 0 and get((v2 << 32) | fv, -1) == second:
+                    del digrams[(v2 << 32) | fv]
+                # Inserting N joins the anchor to it while the anchor is
+                # still followed by `after`: the oracle's _join runs its
+                # left triple fix over (anchor.prev, anchor, after).
+                if av >= 0 and fv == av and value[prv[anchor]] == av:
+                    digrams[(av << 32) | av] = prv[anchor]
+                nxt[anchor] = prv[after] = guard + 3
+                if av >= 0:
+                    digrams[(av << 32) | encoded] = anchor
+                if fv >= 0:
+                    digrams[(encoded << 32) | fv] = guard + 3
+            # Tail site: (anchor, new, second, guard) -> (anchor, N, guard).
+            anchor, second = prv[new], nxt[new]
+            av, v, sv = value[anchor], value[new], value[second]
+            if av >= 0:
+                if get((av << 32) | v, -1) == anchor:
+                    del digrams[(av << 32) | v]
+                if v == av and value[prv[anchor]] == av:
+                    digrams[(av << 32) | av] = prv[anchor]
+            prv[second] = anchor
+            if get((v << 32) | sv, -1) == new:
+                del digrams[(v << 32) | sv]
+            if v & 1:
+                rule_count[(v - 1) >> 1] -= 1
+            if av >= 0 and sv == av and value[prv[anchor]] == av:
+                digrams[(av << 32) | av] = prv[anchor]
+            if sv & 1:
+                rule_count[(sv - 1) >> 1] -= 1
             nonterminal = len(value)
-            value.append((serial << 1) | 1)
-            nxt.append(-1)
-            prv.append(-1)
+            encoded = (serial << 1) | 1
+            value.append(encoded)
+            nxt.append(tail_guard)
+            prv.append(anchor)
             rule_count[serial] += 1
-            after_anchor = nxt[anchor]
-            # _join(nonterminal, anchor.next): fresh symbol, plain links.
-            nxt[nonterminal] = after_anchor
-            prv[after_anchor] = nonterminal
-            # _join(anchor, nonterminal): anchor.next was just relinked, so
-            # only anchor's own stale digram needs deleting; the triple fix
-            # cannot fire (the fresh non-terminal has no prev yet at the
-            # oracle's equivalent point, and anchor.next is the fresh one).
-            av = value[anchor]
-            if av >= 0 and value[after_anchor] >= 0:
-                k = (av << 32) | value[after_anchor]
-                if digrams.get(k, -1) == anchor:
-                    del digrams[k]
-            nxt[anchor] = nonterminal
-            prv[nonterminal] = anchor
-            # if not _check(anchor): _check(anchor.next)
-            if not self._check(anchor):
-                self._check(nxt[anchor])
-            site = other_site
-            other_site = -1
-        if first != -1:
-            digrams[(value[first] << 32) | value[nxt[first]]] = first
-        # Rule utility: the replacement may have dropped another rule's
-        # reference count to one, in which case it is inlined (_expand).
-        first_of_rule = nxt[rule_guard[serial]]
-        head = value[first_of_rule]
-        if head > 0 and head & 1 and rule_count[(head - 1) >> 1] == 1:
-            inner = (head - 1) >> 1
-            left = prv[first_of_rule]
-            right = nxt[first_of_rule]
-            inner_guard = rule_guard[inner]
-            inner_first = nxt[inner_guard]
-            inner_last = prv[inner_guard]
-            # _delete_digram(nonterminal being expanded)
-            fa = nxt[first_of_rule]
-            if fa != -1 and value[fa] >= 0:
-                k = (head << 32) | value[fa]
-                if digrams.get(k, -1) == first_of_rule:
-                    del digrams[k]
-            self._join(left, inner_first)
-            self._join(inner_last, right)
-            digrams[(value[inner_last] << 32) | value[nxt[inner_last]]] = inner_last
-            rule_count[inner] = 0
-            nxt[inner_guard] = inner_guard
-            prv[inner_guard] = inner_guard
-
-    def _join(self, left: int, right: int) -> None:
-        """Oracle ``_join`` (cold path: only rule expansion uses it now)."""
-        nxt, prv, value = self._next, self._prev, self._value
-        digrams = self._digrams
-        if nxt[left] != -1:
-            lv = value[left]
-            la = nxt[left]
-            if lv >= 0 and la != -1 and value[la] >= 0:
-                k = (lv << 32) | value[la]
-                if digrams.get(k, -1) == left:
-                    del digrams[k]
-            # Triple-repetition fix: when unlinking inside a run of identical
-            # symbols (e.g. ``aaa``) the overlapping digram that becomes
-            # primary must be (re-)registered.
-            rp, rn = prv[right], nxt[right]
-            rv = value[right]
-            if rp != -1 and rn != -1 and rv >= 0 and value[rp] == rv and value[rn] == rv:
-                digrams[(rv << 32) | rv] = right
-            lp, ln = prv[left], nxt[left]
-            lv = value[left]
-            if lp != -1 and ln != -1 and lv >= 0 and value[ln] == lv and value[lp] == lv:
-                digrams[(lv << 32) | lv] = lp
-        nxt[left] = right
-        prv[right] = left
+            nxt[anchor] = prv[tail_guard] = nonterminal
+            # _check(anchor): register, skip an overlap, or cascade.
+            if av < 0:
+                break
+            key = (av << 32) | encoded
+            found = get(key, -1)
+            if found == -1:
+                digrams[key] = anchor
+                break
+            if nxt[found] == anchor:
+                break
+            pending += (first, serial)
+            new, match = anchor, found
+        while True:
+            if first != -1:
+                digrams[(value[first] << 32) | value[nxt[first]]] = first
+            # Rule utility: the replacement may have dropped another rule's
+            # reference count to one, in which case it is inlined.
+            first_of_rule = nxt[rule_guard[serial]]
+            head = value[first_of_rule]
+            if head > 0 and head & 1 and rule_count[(head - 1) >> 1] == 1:
+                inner = (head - 1) >> 1
+                left, right = prv[first_of_rule], nxt[first_of_rule]
+                inner_guard = rule_guard[inner]
+                inner_first, inner_last = nxt[inner_guard], prv[inner_guard]
+                if value[right] >= 0 and get((head << 32) | value[right], -1) == first_of_rule:
+                    del digrams[(head << 32) | value[right]]
+                nxt[left] = inner_first
+                prv[inner_first] = left
+                nxt[inner_last] = right
+                prv[right] = inner_last
+                digrams[(value[inner_last] << 32) | value[right]] = inner_last
+                rule_count[inner] = 0
+                nxt[inner_guard] = inner_guard
+                prv[inner_guard] = inner_guard
+            if not pending:
+                return
+            serial = pending.pop()
+            first = pending.pop()
 
     # ------------------------------------------------------------------
     # Public builder API.
@@ -364,42 +352,37 @@ class FastSequitur:
         inlined: one arena append, two link writes, one dict probe.
         """
         nxt, prv, value = self._next, self._prev, self._value
-        encoded = token_id << 1
-        value.append(encoded)
-        nxt.append(-1)
-        prv.append(-1)
-        terminal = len(value) - 1
         guard = self._rule_guard[0]
         last = prv[guard]
+        encoded = token_id << 1
         # _insert_after(root.last(), terminal): both joins reduce to plain
         # link writes (the fresh terminal has no neighbours yet, and the
         # digram ending at the guard is never registered).
-        nxt[terminal] = guard
-        prv[guard] = terminal
-        nxt[last] = terminal
-        prv[terminal] = last
+        terminal = len(value)
+        value.append(encoded)
+        nxt.append(guard)
+        prv.append(last)
+        nxt[last] = prv[guard] = terminal
         self._fed += 1
         # _check(terminal.prev), inlined for the no-match fast path.
         last_value = value[last]
         if last_value < 0:
             return
         key = (last_value << 32) | encoded
-        digrams = self._digrams
-        found = digrams.get(key, -1)
+        found = self._digrams.get(key, -1)
         if found == -1:
-            digrams[key] = last
-            return
-        if nxt[found] != last:
-            self._match(last, found)
+            self._digrams[key] = last
+        elif nxt[found] != last:
+            self._reduce_tail(last, found)
 
     def feed_many(self, token_ids: Sequence[int]) -> None:
         """Feed a batch of token ids — the streaming layer's bulk entry.
 
         The :meth:`feed` fast path is inlined into the loop body with every
-        container bound to a local: the common no-match token costs a few
-        list appends and one dict probe with no method-call frame at all.
-        Only a digram match (and the structural repairs it may cascade
-        into) leaves the loop.
+        container bound to a local and R0's last symbol carried in locals:
+        the common no-match token costs three list appends, two link writes
+        and one dict probe with no method-call frame at all. Only a digram
+        match leaves the loop.
         """
         if isinstance(token_ids, np.ndarray):
             # Unbox once: numpy scalars are slower than ints in the arena
@@ -410,29 +393,28 @@ class FastSequitur:
         digrams = self._digrams
         digram_get = digrams.get
         guard = self._rule_guard[0]
-        match = self._match
-        fed = self._fed
+        reduce_tail = self._reduce_tail
+        last = prv[guard]
+        last_value = value[last]
         for token_id in token_ids:
             encoded = token_id << 1
+            terminal = len(value)
             append_v(encoded)
             append_n(guard)
-            append_p(-1)
-            terminal = len(value) - 1
-            last = prv[guard]
-            prv[guard] = terminal
-            nxt[last] = terminal
-            prv[terminal] = last
-            fed += 1
-            last_value = value[last]
-            if last_value < 0:
-                continue
-            key = (last_value << 32) | encoded
-            found = digram_get(key, -1)
-            if found == -1:
-                digrams[key] = last
-            elif nxt[found] != last:
-                match(last, found)
-        self._fed = fed
+            append_p(last)
+            nxt[last] = prv[guard] = terminal
+            if last_value >= 0:
+                key = (last_value << 32) | encoded
+                found = digram_get(key, -1)
+                if found == -1:
+                    digrams[key] = last
+                elif nxt[found] != last:
+                    reduce_tail(last, found)
+                    last = prv[guard]
+                    last_value = value[last]
+                    continue
+            last, last_value = terminal, encoded
+        self._fed += len(token_ids)
 
     def freeze(self, words: Sequence[str]) -> Grammar:
         """Snapshot into an immutable :class:`Grammar`, mapping ids to words.

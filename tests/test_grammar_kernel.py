@@ -9,16 +9,23 @@ depends only on the equality pattern of the tokens, so interning token
 strings to integer ids is invisible to the result.
 
 The property suite drives random (repetition-biased) token streams through
-the id kernel and the reference ``_SequiturBuilder`` side by side.
+the id kernel and the reference ``_SequiturBuilder`` side by side, asserting
+on the way the tail-only reduction's precondition and the digram-table
+invariant its dropped branches rely on.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.multiresolution import MultiResolutionDiscretizer
+from repro.datasets.planting import make_corpus
+from repro.datasets.ucr_like import DATASETS
 from repro.grammar import _kernel
 from repro.grammar._kernel import FastSequitur
 from repro.grammar.sequitur import GenerationalSequitur, _SequiturBuilder, induce_grammar
@@ -33,6 +40,20 @@ FIXED_STREAMS = (
     [[0] * n for n in range(1, 18)]
     + [[0, 1, 0, 1], [0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1, 0, 1]]
     + [[0, 1, 2, 3, 4, 0, 1, 2]]  # ab bc aa cc ca ab bc aa
+    # Shortest streams whose digram table tells apart a reduction that
+    # skips one of the run-of-identical-symbols fixes.
+    + [
+        [0, 0, 0, 1, 2, 0, 3, 1, 2],
+        [0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1],
+        [0, 1, 1, 1, 2, 0, 1],
+        [0, 0, 0, 1, 0, 0, 0, 1, 0, 1],
+        [0, 1, 0, 1, 1, 1, 1, 2, 1, 0, 2, 1],
+        [0, 1, 2, 0, 2, 1, 0, 0, 0, 1, 0, 2, 0, 0, 2, 2, 2, 0, 2],
+    ]
+    # The fix at the earlier occurrence's insertion (anchor.prev, anchor and
+    # the symbol after the replaced digram all equal) decides which
+    # occurrence of w0 w0 the last two tokens match.
+    + [[0, 0, 0, 1, 2, 0, 3, 1, 2, 1, 0, 0]]
 )
 
 
@@ -73,6 +94,53 @@ NESTED_STREAMS = {
 }
 
 
+#: Real ensemble members: ``token_ids`` for a few ``(w, a)`` on two planted
+#: cases. About 1k tokens each, with longer reduction cascades than the
+#: 200-token property streams reach.
+MEMBER_CASES = [
+    (dataset, w, a) for dataset in ("Wafer", "Trace") for w, a in ((4, 5), (6, 4), (7, 6))
+]
+
+
+def _arena(builder: FastSequitur) -> tuple:
+    return (
+        builder._value, builder._next, builder._prev, builder._digrams,
+        builder._rule_count, builder._rule_guard, builder.n_tokens,
+    )
+
+
+def _assert_table_owned(builder: FastSequitur) -> None:
+    """Every digram-table entry is owned by a linked symbol that starts that
+    digram now (what makes the oracle's other stale-entry deletes dead)."""
+    nxt, prv, value = builder._next, builder._prev, builder._value
+    for key, owner in builder._digrams.items():
+        after = nxt[owner]
+        assert nxt[prv[owner]] == owner and prv[after] == owner
+        assert key == (value[owner] << 32) | value[after]
+
+
+@contextmanager
+def _tail_checked():
+    """Assert ``_reduce_tail``'s precondition and the table invariant on
+    every call; yields the list of calls seen."""
+    reduce_tail = FastSequitur._reduce_tail
+    calls: list[int] = []
+
+    def checked(builder, new, match):
+        nxt = builder._next
+        assert nxt[nxt[new]] == builder._rule_guard[0]
+        _assert_table_owned(builder)
+        calls.append(new)
+        reduce_tail(builder, new, match)
+        _assert_table_owned(builder)
+
+    FastSequitur._reduce_tail = checked
+    try:
+        yield calls
+    finally:
+        FastSequitur._reduce_tail = reduce_tail
+
+
 def _vocabulary(stream) -> list[str]:
     return [f"w{i}" for i in range(max(stream) + 1)]
 
@@ -85,9 +153,61 @@ def _oracle(stream):
     return builder
 
 
+def _fast_table(builder: FastSequitur) -> dict:
+    """The digram table as ``{(left, right): (rule serial, index)}`` of the
+    owner's place in the live grammar (``None`` for a detached owner)."""
+    nxt, value, rule_guard = builder._next, builder._value, builder._rule_guard
+    place: dict[int, tuple[int, int]] = {}
+    seen = {0}
+    pending = [0]
+    while pending:
+        serial = pending.pop()
+        symbol, index = nxt[rule_guard[serial]], 0
+        while value[symbol] >= 0:
+            place[symbol] = (serial, index)
+            if value[symbol] & 1 and value[symbol] >> 1 not in seen:
+                seen.add(value[symbol] >> 1)
+                pending.append(value[symbol] >> 1)
+            symbol, index = nxt[symbol], index + 1
+
+    def name(v: int) -> tuple:
+        return ("rule", v >> 1) if v & 1 else ("word", f"w{v >> 1}")
+
+    return {
+        (name(key >> 32), name(key & 0xFFFFFFFF)): place.get(owner)
+        for key, owner in builder._digrams.items()
+    }
+
+
+def _oracle_table(builder: _SequiturBuilder) -> dict:
+    """:func:`_fast_table` for the reference builder."""
+    place: dict[int, tuple[int, int]] = {}
+    seen = {0}
+    pending = [builder.root]
+    while pending:
+        rule = pending.pop()
+        symbol, index = rule.first(), 0
+        while not symbol.is_guard:
+            place[id(symbol)] = (rule.serial, index)
+            if symbol.is_nonterminal and symbol.rule.serial not in seen:
+                seen.add(symbol.rule.serial)
+                pending.append(symbol.rule)
+            symbol, index = symbol.next, index + 1
+
+    def name(key) -> tuple:
+        return ("word", key) if isinstance(key, str) else ("rule", key)
+
+    return {
+        (name(left), name(right)): place.get(id(owner))
+        for (left, right), owner in builder._digrams.items()
+    }
+
+
 def _assert_matches_oracle(builder, stream) -> None:
-    """Frozen grammar, refcounts, and span arrays must match the oracle."""
+    """Frozen grammar, refcounts, span arrays and the digram table (entry by
+    entry, by its owner's place in the grammar) must match the oracle."""
     oracle = _oracle(stream)
+    assert _fast_table(builder) == _oracle_table(oracle)
     expected = oracle.freeze()
     actual = builder.freeze(_vocabulary(stream))
     assert actual == expected
@@ -103,21 +223,22 @@ class TestFastKernelEquivalence:
     @given(stream=token_streams)
     def test_feed_matches_oracle(self, stream):
         builder = FastSequitur()
-        for token in stream:
-            builder.feed(token)
+        with _tail_checked():
+            for token in stream:
+                builder.feed(token)
         _assert_matches_oracle(builder, stream)
 
     @given(stream=token_streams)
     def test_feed_many_matches_feed(self, stream):
+        """Token-by-token and batched feeding leave identical arenas."""
         one_by_one = FastSequitur()
         for token in stream:
             one_by_one.feed(token)
         batched = FastSequitur()
-        batched.feed_many(np.asarray(stream, dtype=np.int64))
-        assert batched.freeze(_vocabulary(stream)) == one_by_one.freeze(
-            _vocabulary(stream)
-        )
-        assert batched.n_tokens == one_by_one.n_tokens == len(stream)
+        with _tail_checked():
+            batched.feed_many(np.asarray(stream, dtype=np.int64))
+        assert _arena(batched) == _arena(one_by_one)
+        assert batched.n_tokens == len(stream)
 
     @given(stream=token_streams, split=st.integers(min_value=0, max_value=200))
     def test_incremental_prefix_feeding(self, stream, split):
@@ -138,7 +259,9 @@ class TestFastKernelEquivalence:
     @pytest.mark.parametrize("stream", NESTED_STREAMS.values(), ids=NESTED_STREAMS.keys())
     def test_deeply_nested_streams(self, stream):
         builder = FastSequitur()
-        builder.feed_many(stream)
+        with _tail_checked() as calls:
+            builder.feed_many(stream)
+        assert calls
         _assert_matches_oracle(builder, stream)
         # The streams really are deep: some occurrence sits inside a chain
         # of enclosing occurrences several levels high.
@@ -147,6 +270,21 @@ class TestFastKernelEquivalence:
         np.add.at(depth, firsts, 1)
         np.add.at(depth, lasts + 1, -1)
         assert np.cumsum(depth).max() >= 4
+
+    @pytest.mark.parametrize("dataset, w, a", MEMBER_CASES)
+    def test_member_sequences(self, dataset, w, a):
+        case = make_corpus(DATASETS[dataset], n_cases=1, seed=3)[0]
+        discretizer = MultiResolutionDiscretizer(case.series, case.gt_length, w, a)
+        stream = discretizer.token_ids(w, a).ids.tolist()
+        batched = FastSequitur()
+        with _tail_checked() as calls:
+            batched.feed_many(stream)
+        assert len(stream) > 300 and calls
+        _assert_matches_oracle(batched, stream)
+        one_by_one = FastSequitur()
+        for token in stream:
+            one_by_one.feed(token)
+        assert _arena(one_by_one) == _arena(batched)
 
     def test_paper_example(self):
         """Eq. (4): R0 -> R1 cc ca R1, R1 -> ab bc aa (Table 2)."""

@@ -110,6 +110,38 @@ def test_first_unbounded_poll_stages_do_not_overlap(timing_on):
     assert timings["grammar"] + timings["density"] <= wall
 
 
+def test_sliding_poll_charges_reinduction_to_grammar(timing_on):
+    """A sliding poll after the horizon advanced rebuilds the span builder
+    over the live tokens; that feed is ``grammar`` time, timed before the
+    ``density`` timer opens, so the two stages fit inside the poll."""
+    detector = StreamingEnsembleDetector(**CONFIG, capacity=300, seed=2)
+    detector.extend(make_series(seed=4, n=1_500))
+    assert all(member.retired_tokens > 0 for member in detector.members)
+    with capture() as timings:
+        started = perf_counter()
+        detector.density_curve()
+        wall = perf_counter() - started
+    assert timings.get("grammar", 0.0) > 0.0 and timings["density"] > 0.0
+    assert timings["grammar"] + timings["density"] <= wall
+
+
+@pytest.mark.parametrize(
+    "bounds, feeds_grammar",
+    [({}, False), ({"capacity": 300}, False), ({"capacity": 300, "policy": "decay"}, True)],
+    ids=["unbounded", "sliding", "decay"],
+)
+def test_ingest_times_grammar_only_where_it_feeds_one(timing_on, bounds, feeds_grammar):
+    """Symbol lookup, numerosity reduction and interning are ``discretize``
+    time; only the decay generations feed a grammar during ``extend``."""
+    detector = StreamingEnsembleDetector(**CONFIG, **bounds, seed=2)
+    with capture() as timings:
+        detector.extend(make_series(seed=4, n=1_500))
+    assert timings["discretize"] > 0.0
+    assert ("grammar" in timings) is feeds_grammar
+    if feeds_grammar:
+        assert timings["grammar"] > 0.0
+
+
 def test_observations_land_in_the_shared_histogram(timing_on):
     child = stages._children["density"]
     _, _, before = child.snapshot()
