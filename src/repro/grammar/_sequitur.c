@@ -1,0 +1,350 @@
+/*
+ * Native Sequitur arena behind repro.grammar._kernel.FastSequitur.
+ *
+ * Plain C with no Python headers: the first import of repro.grammar._kernel
+ * compiles this file with Python's own C compiler into __pycache__/ (the
+ * file name carries a hash of this source and the machine) and loads it
+ * through ctypes. There is no fallback; a failed build is an ImportError.
+ *
+ * Symbol arena. Slot i is one symbol: value[i] encodes it, next[i] and
+ * prev[i] link it into its rule's circular list. Slots are never recycled.
+ *
+ *   value >= 0, even  terminal with token id value >> 1
+ *   value >= 1, odd   non-terminal naming the rule with serial (value-1) >> 1
+ *   value < 0         guard of the rule with serial -value - 1
+ *
+ * Rules are indexed by serial (0 is R0): rule_guard[s] is the guard slot,
+ * rule_count[s] the reference count. Serials are never reused either.
+ *
+ * Digram table. Open addressing with linear probing and backward-shift
+ * deletion, keyed by left << 32 | right (both values < 2^32, so token ids
+ * must lie in [0, 2^31)); an owner of -1 marks an empty bucket. Guards
+ * never enter the table, and an entry is owned by the slot that starts its
+ * digram: the arena analogue of the reference builder's identity check.
+ *
+ * Tail-only reduction. The builder only appends, so a digram match always
+ * starts at the tail of R0 (a new token against R0's last symbol), and a
+ * replacement there can only cascade through the non-terminal it just put
+ * at the tail. reduce_tail(new, match) runs the reference builder's whole
+ * check/match/substitute/cleanup/join/expand chain as one loop under the
+ * precondition next[next[new]] == R0's guard, checked on every level. The
+ * branches it drops, and why they are dead:
+ *
+ * - Tail site (anchor, new, second, guard). Both right-hand triple fixes
+ *   compare a symbol against R0's guard and never fire; the digram starting
+ *   at `second` ends at the guard, so it was never registered; the inserted
+ *   non-terminal is followed by the guard, so neither the stale-digram
+ *   delete after it nor check(nonterminal) can do anything. Only
+ *   check(anchor) remains, and a match there is again a tail match.
+ * - Earlier occurrence (new rules only). The cleanup keeps its generic
+ *   triple fixes, but check(anchor) and check(nonterminal) can only
+ *   register: both keys hold the brand-new rule's serial. The clones'
+ *   reference-count increments cancel the cleanup's decrements.
+ * - Stale-entry deletes keyed on the anchor's new neighbour. An entry is
+ *   deleted before its owner's next link changes, so the anchor can only
+ *   own the entry of the digram it starts now, which the cleanup removed.
+ * - Post-work. What the reference runs after its recursive call returns
+ *   (registering a new rule's body digram, then rule utility) is kept per
+ *   level on the pending stack and run innermost first. In a rule-utility
+ *   expansion both joins are plain link writes.
+ *
+ * What remains updates the digram table in the reference's order, which the
+ * output grammar depends on. Every entry point returns a status; after
+ * SEQ_NOMEM or SEQ_TAIL the arena is left mid-update, so the status sticks
+ * and every later call returns it.
+ */
+#include <stdint.h>
+#include <stdlib.h>
+
+enum { SEQ_OK = 0, SEQ_RANGE = -1, SEQ_NOMEM = -2, SEQ_TAIL = -3, SEQ_SPANS = -4 };
+
+typedef struct {
+    int64_t *value, *next, *prev;      /* arena, slot_cap entries each */
+    int64_t *rule_guard, *rule_count;  /* rule_cap entries each */
+    uint64_t *keys;                    /* digram table, table_cap buckets */
+    int64_t *owners;
+    int64_t *pending;  /* 2 * pending_cap: cascade levels, or open span nodes */
+    int64_t slots, slot_cap, rules, rule_cap, digrams, table_cap, pending_cap;
+    int64_t fed, status;
+    int shift;  /* 64 - log2(table_cap) */
+} Seq;
+
+#define KEY(left, right) ((uint64_t)(left) << 32 | (uint64_t)(right))
+#define IN_RANGE(token) ((token) >= 0 && (token) < (int64_t)1 << 31)
+
+static int fail(Seq *s, int status) { return (int)(s->status = status); }
+
+static int grow(int64_t **array, int64_t count) {
+    int64_t *grown = realloc(*array, (size_t)count * sizeof **array);
+    if (!grown) return SEQ_NOMEM;
+    *array = grown;
+    return SEQ_OK;
+}
+
+static uint64_t bucket(const Seq *s, uint64_t key) {
+    return (key * 0x9E3779B97F4A7C15ULL) >> s->shift;
+}
+
+/* The bucket holding `key`, or the empty bucket that ends its probe run. */
+static uint64_t find(const Seq *s, uint64_t key) {
+    uint64_t mask = (uint64_t)s->table_cap - 1, i = bucket(s, key);
+    while (s->owners[i] >= 0 && s->keys[i] != key) i = (i + 1) & mask;
+    return i;
+}
+
+static int64_t lookup(const Seq *s, uint64_t key) { return s->owners[find(s, key)]; }
+
+static void put(Seq *s, uint64_t key, int64_t owner) {
+    uint64_t i = find(s, key);
+    s->digrams += s->owners[i] < 0;
+    s->keys[i] = key;
+    s->owners[i] = owner;
+}
+
+/* Delete key's entry if `owner` owns it, shifting its probe run back. */
+static void drop(Seq *s, uint64_t key, int64_t owner) {
+    uint64_t mask = (uint64_t)s->table_cap - 1, i = find(s, key), j;
+    if (s->owners[i] != owner || owner < 0) return;
+    for (j = (i + 1) & mask; s->owners[j] >= 0; j = (j + 1) & mask)
+        if (((j - bucket(s, s->keys[j])) & mask) >= ((j - i) & mask)) {
+            s->keys[i] = s->keys[j];
+            s->owners[i] = s->owners[j];
+            i = j;
+        }
+    s->owners[i] = -1;
+    s->digrams--;
+}
+
+static int rehash(Seq *s, int64_t cap) {
+    uint64_t *keys = s->keys;
+    int64_t *owners = s->owners, old_cap = s->table_cap;
+    s->keys = malloc((size_t)cap * sizeof *s->keys);
+    s->owners = malloc((size_t)cap * sizeof *s->owners);
+    if (!s->keys || !s->owners) {
+        free(s->keys), free(s->owners);
+        s->keys = keys, s->owners = owners;
+        return SEQ_NOMEM;
+    }
+    s->table_cap = cap, s->digrams = 0;
+    for (s->shift = 64; cap > 1; cap >>= 1) s->shift--;
+    for (int64_t i = 0; i < s->table_cap; i++) s->owners[i] = -1;
+    for (int64_t i = 0; i < old_cap; i++)
+        if (owners[i] >= 0) put(s, keys[i], owners[i]);
+    free(keys), free(owners);
+    return SEQ_OK;
+}
+
+/* Make room for `slots` symbols, `rules` rules, `digrams` table entries and
+ * `levels` pending levels before any of them is written. */
+static int reserve(Seq *s, int64_t slots, int64_t rules, int64_t digrams, int64_t levels) {
+    int64_t cap;
+    if (s->slots + slots > s->slot_cap) {
+        for (cap = 2 * s->slot_cap; cap < s->slots + slots; cap *= 2) {}
+        if (grow(&s->value, cap) || grow(&s->next, cap) || grow(&s->prev, cap))
+            return fail(s, SEQ_NOMEM);
+        s->slot_cap = cap;
+    }
+    if (s->rules + rules > s->rule_cap) {
+        if (grow(&s->rule_guard, 2 * s->rule_cap) || grow(&s->rule_count, 2 * s->rule_cap))
+            return fail(s, SEQ_NOMEM);
+        s->rule_cap *= 2;
+    }
+    if (2 * (s->digrams + digrams) > s->table_cap) {
+        for (cap = 2 * s->table_cap; 2 * (s->digrams + digrams) > cap; cap *= 2) {}
+        if (rehash(s, cap)) return fail(s, SEQ_NOMEM);
+    }
+    if (levels > s->pending_cap) {
+        if (grow(&s->pending, 4 * s->pending_cap)) return fail(s, SEQ_NOMEM);
+        s->pending_cap *= 2;
+    }
+    return SEQ_OK;
+}
+
+static int reduce_tail(Seq *s, int64_t new, int64_t match) {
+    int64_t depth = 0, first, serial, *value, *next, *prev, *rule_guard, *rule_count;
+    for (;;) {
+        /* A level writes at most 5 slots, 1 rule and 8 digram entries, and
+         * defers 2 more to the post-work, as every pending level does. */
+        if (reserve(s, 5, 1, 10 + 2 * depth, depth + 1)) return (int)s->status;
+        value = s->value, next = s->next, prev = s->prev;
+        rule_guard = s->rule_guard, rule_count = s->rule_count;
+        int64_t tail_guard = rule_guard[0];
+        if (next[next[new]] != tail_guard) return fail(s, SEQ_TAIL);
+        int64_t anchor = prev[match], second = next[match], after = next[second];
+        int64_t av = value[anchor], fv = value[after];
+        if (av < 0 && fv < 0) {
+            /* The match is the entire body of an existing rule: reuse it. */
+            serial = -av - 1;
+            first = -1;
+        } else {
+            /* New rule from clones of the digram, substituted at the earlier
+             * occurrence (anchor, match, second, after) first. */
+            int64_t guard = s->slots, v1 = value[match], v2 = value[second];
+            serial = s->rules++;
+            int64_t encoded = serial << 1 | 1;
+            first = guard + 1;
+            s->slots += 4;
+            value[guard] = -serial - 1, next[guard] = first, prev[guard] = first + 1;
+            value[first] = v1, next[first] = first + 1, prev[first] = guard;
+            value[first + 1] = v2, next[first + 1] = guard, prev[first + 1] = first;
+            value[guard + 3] = encoded, next[guard + 3] = after, prev[guard + 3] = anchor;
+            rule_guard[serial] = guard, rule_count[serial] = 1;
+            /* cleanup(match): joins anchor -> second. */
+            if (av >= 0) drop(s, KEY(av, v1), anchor);
+            if (v1 == v2 && fv == v2) put(s, KEY(v2, v2), second);
+            if (av >= 0 && v1 == av && value[prev[anchor]] == av) put(s, KEY(av, av), prev[anchor]);
+            prev[second] = anchor;
+            drop(s, KEY(v1, v2), match);
+            /* cleanup(second): joins anchor -> after. */
+            if (fv >= 0 && v2 == fv && value[next[after]] == fv) put(s, KEY(fv, fv), after);
+            if (av >= 0 && v2 == av && value[prev[anchor]] == av) put(s, KEY(av, av), prev[anchor]);
+            if (fv >= 0) drop(s, KEY(v2, fv), second);
+            /* Inserting N joins the anchor to it while the anchor is still
+             * followed by `after`: the left triple fix over
+             * (anchor.prev, anchor, after). */
+            if (av >= 0 && fv == av && value[prev[anchor]] == av) put(s, KEY(av, av), prev[anchor]);
+            next[anchor] = prev[after] = guard + 3;
+            if (av >= 0) put(s, KEY(av, encoded), anchor);
+            if (fv >= 0) put(s, KEY(encoded, fv), guard + 3);
+        }
+        /* Tail site: (anchor, new, second, guard) -> (anchor, N, guard). */
+        int64_t nonterminal = s->slots++, encoded = serial << 1 | 1;
+        int64_t v = value[new], sv = value[next[new]];
+        anchor = prev[new], second = next[new], av = value[anchor];
+        if (av >= 0) {
+            drop(s, KEY(av, v), anchor);
+            if (v == av && value[prev[anchor]] == av) put(s, KEY(av, av), prev[anchor]);
+        }
+        prev[second] = anchor;
+        drop(s, KEY(v, sv), new);
+        if (v & 1) rule_count[(v - 1) >> 1]--;
+        if (av >= 0 && sv == av && value[prev[anchor]] == av) put(s, KEY(av, av), prev[anchor]);
+        if (sv & 1) rule_count[(sv - 1) >> 1]--;
+        value[nonterminal] = encoded, next[nonterminal] = tail_guard, prev[nonterminal] = anchor;
+        rule_count[serial]++;
+        next[anchor] = prev[tail_guard] = nonterminal;
+        /* check(anchor): register, skip an overlap, or cascade. */
+        if (av < 0) break;
+        int64_t found = lookup(s, KEY(av, encoded));
+        if (found == -1) {
+            put(s, KEY(av, encoded), anchor);
+            break;
+        }
+        if (next[found] == anchor) break;
+        s->pending[2 * depth] = first, s->pending[2 * depth + 1] = serial;
+        depth++;
+        new = anchor, match = found;
+    }
+    for (;;) {
+        if (first != -1) put(s, KEY(value[first], value[next[first]]), first);
+        /* Rule utility: the replacement may have dropped another rule's
+         * reference count to one, in which case it is inlined. */
+        int64_t head_slot = next[rule_guard[serial]], head = value[head_slot];
+        if (head > 0 && (head & 1) && rule_count[(head - 1) >> 1] == 1) {
+            int64_t inner = (head - 1) >> 1, left = prev[head_slot], right = next[head_slot];
+            int64_t inner_guard = rule_guard[inner];
+            int64_t inner_first = next[inner_guard], inner_last = prev[inner_guard];
+            if (value[right] >= 0) drop(s, KEY(head, value[right]), head_slot);
+            next[left] = inner_first, prev[inner_first] = left;
+            next[inner_last] = right, prev[right] = inner_last;
+            put(s, KEY(value[inner_last], value[right]), inner_last);
+            rule_count[inner] = 0;
+            next[inner_guard] = prev[inner_guard] = inner_guard;
+        }
+        if (!depth) return SEQ_OK;
+        depth--;
+        first = s->pending[2 * depth], serial = s->pending[2 * depth + 1];
+    }
+}
+
+static int feed(Seq *s, int64_t token) {
+    if (reserve(s, 1, 0, 1, 0)) return (int)s->status;
+    int64_t guard = s->rule_guard[0], last = s->prev[guard], terminal = s->slots++;
+    int64_t last_value = s->value[last], found;
+    s->value[terminal] = token << 1, s->next[terminal] = guard, s->prev[terminal] = last;
+    s->next[last] = s->prev[guard] = terminal;
+    s->fed++;
+    if (last_value < 0) return SEQ_OK;
+    found = lookup(s, KEY(last_value, token << 1));
+    if (found == -1) put(s, KEY(last_value, token << 1), last);
+    else if (s->next[found] != last) return reduce_tail(s, last, found);
+    return SEQ_OK;
+}
+
+/* ---- exported entry points (ctypes) ---- */
+
+void seq_free(Seq *s) {
+    free(s->value), free(s->next), free(s->prev), free(s->rule_guard);
+    free(s->rule_count), free(s->keys), free(s->owners), free(s->pending);
+    free(s);
+}
+
+Seq *seq_new(void) {
+    Seq *s = calloc(1, sizeof *s);
+    if (!s) return NULL;
+    s->slot_cap = 64, s->rule_cap = 16, s->pending_cap = 8;
+    if (grow(&s->value, 64) || grow(&s->next, 64) || grow(&s->prev, 64)
+        || grow(&s->rule_guard, 16) || grow(&s->rule_count, 16)
+        || grow(&s->pending, 16) || rehash(s, 64)) {
+        seq_free(s);
+        return NULL;
+    }
+    /* R0: serial 0, an empty circular list through its guard. */
+    s->slots = s->rules = 1;
+    s->value[0] = -1, s->next[0] = s->prev[0] = 0;
+    s->rule_guard[0] = s->rule_count[0] = 0;
+    return s;
+}
+
+int seq_feed(Seq *s, int64_t token) {
+    if (s->status) return (int)s->status;
+    return IN_RANGE(token) ? feed(s, token) : SEQ_RANGE;
+}
+
+int seq_feed_many(Seq *s, const int64_t *tokens, int64_t count) {
+    if (s->status) return (int)s->status;
+    for (int64_t i = 0; i < count; i++)
+        if (!IN_RANGE(tokens[i])) return SEQ_RANGE;
+    for (int64_t i = 0; i < count; i++)
+        if (feed(s, tokens[i])) return (int)s->status;
+    return SEQ_OK;
+}
+
+int64_t seq_n_tokens(const Seq *s) { return s->fed; }
+
+/* Token spans (first, last) of every rule occurrence but R0, in pre-order:
+ * a node's first token is known on entry, its last when the walk returns
+ * from the rule's guard. Returns the node count, or a negative status. */
+int64_t seq_spans(Seq *s, int64_t *firsts, int64_t *lasts, int64_t cap) {
+    int64_t nodes = 0, depth = 0, position = 0, symbol, v;
+    if (s->status) return s->status;
+    for (symbol = s->next[s->rule_guard[0]];;) {
+        if ((v = s->value[symbol]) < 0) {
+            if (!depth) return nodes;
+            depth--;
+            lasts[s->pending[2 * depth + 1]] = position - 1;
+            symbol = s->pending[2 * depth];
+        } else if (v & 1) {
+            if (nodes == cap) return SEQ_SPANS;
+            if (reserve(s, 0, 0, 0, depth + 1)) return s->status;
+            s->pending[2 * depth] = s->next[symbol], s->pending[2 * depth + 1] = nodes;
+            depth++;
+            firsts[nodes] = lasts[nodes] = position;
+            nodes++;
+            symbol = s->next[s->rule_guard[(v - 1) >> 1]];
+        } else {
+            position++;
+            symbol = s->next[symbol];
+        }
+    }
+}
+
+/* Everything in one call: sizes = {slots, slot_cap, rules, rule_cap,
+ * table_cap, pending_cap, fed, status}; arrays = {value, next, prev,
+ * rule_guard, rule_count, keys, owners}. The arrays stay owned by `s`. */
+void seq_export(const Seq *s, int64_t *sizes, const int64_t **arrays) {
+    sizes[0] = s->slots, sizes[1] = s->slot_cap, sizes[2] = s->rules, sizes[3] = s->rule_cap;
+    sizes[4] = s->table_cap, sizes[5] = s->pending_cap, sizes[6] = s->fed, sizes[7] = s->status;
+    arrays[0] = s->value, arrays[1] = s->next, arrays[2] = s->prev, arrays[3] = s->rule_guard;
+    arrays[4] = s->rule_count, arrays[5] = (const int64_t *)s->keys, arrays[6] = s->owners;
+}

@@ -10,13 +10,20 @@ strings to integer ids is invisible to the result.
 
 The property suite drives random (repetition-biased) token streams through
 the id kernel and the reference ``_SequiturBuilder`` side by side, asserting
-on the way the tail-only reduction's precondition and the digram-table
-invariant its dropped branches rely on.
+after every token the digram-table invariant the tail-only reduction's
+dropped branches rely on; the kernel itself checks the reduction's
+precondition on every match and fails the feed if it does not hold.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import copy
+import hashlib
+import pickle
+import platform
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -102,43 +109,32 @@ MEMBER_CASES = [
 ]
 
 
-def _arena(builder: FastSequitur) -> tuple:
-    return (
-        builder._value, builder._next, builder._prev, builder._digrams,
-        builder._rule_count, builder._rule_guard, builder.n_tokens,
-    )
-
-
 def _assert_table_owned(builder: FastSequitur) -> None:
     """Every digram-table entry is owned by a linked symbol that starts that
     digram now (what makes the oracle's other stale-entry deletes dead)."""
-    nxt, prv, value = builder._next, builder._prev, builder._value
-    for key, owner in builder._digrams.items():
+    value, nxt, prv, digrams, _, _, _ = builder._arena()
+    for key, owner in digrams.items():
         after = nxt[owner]
         assert nxt[prv[owner]] == owner and prv[after] == owner
         assert key == (value[owner] << 32) | value[after]
 
 
-@contextmanager
-def _tail_checked():
-    """Assert ``_reduce_tail``'s precondition and the table invariant on
-    every call; yields the list of calls seen."""
-    reduce_tail = FastSequitur._reduce_tail
-    calls: list[int] = []
+def _feed_checked(stream) -> FastSequitur:
+    """Feed token by token, asserting the table invariant after each one.
 
-    def checked(builder, new, match):
-        nxt = builder._next
-        assert nxt[nxt[new]] == builder._rule_guard[0]
+    The tail-only reduction's own precondition (``next[next[new]]`` is R0's
+    guard) is checked by the kernel on every reduction: a violation raises
+    :class:`RuntimeError` out of the feed.
+    """
+    builder = FastSequitur()
+    for token in stream:
+        builder.feed(token)
         _assert_table_owned(builder)
-        calls.append(new)
-        reduce_tail(builder, new, match)
-        _assert_table_owned(builder)
+    return builder
 
-    FastSequitur._reduce_tail = checked
-    try:
-        yield calls
-    finally:
-        FastSequitur._reduce_tail = reduce_tail
+
+def _n_rules(builder: FastSequitur) -> int:
+    return len(builder._arena()[5])
 
 
 def _vocabulary(stream) -> list[str]:
@@ -156,7 +152,7 @@ def _oracle(stream):
 def _fast_table(builder: FastSequitur) -> dict:
     """The digram table as ``{(left, right): (rule serial, index)}`` of the
     owner's place in the live grammar (``None`` for a detached owner)."""
-    nxt, value, rule_guard = builder._next, builder._value, builder._rule_guard
+    value, nxt, _, digrams, _, rule_guard, _ = builder._arena()
     place: dict[int, tuple[int, int]] = {}
     seen = {0}
     pending = [0]
@@ -175,7 +171,7 @@ def _fast_table(builder: FastSequitur) -> dict:
 
     return {
         (name(key >> 32), name(key & 0xFFFFFFFF)): place.get(owner)
-        for key, owner in builder._digrams.items()
+        for key, owner in digrams.items()
     }
 
 
@@ -222,22 +218,15 @@ def _assert_matches_oracle(builder, stream) -> None:
 class TestFastKernelEquivalence:
     @given(stream=token_streams)
     def test_feed_matches_oracle(self, stream):
-        builder = FastSequitur()
-        with _tail_checked():
-            for token in stream:
-                builder.feed(token)
-        _assert_matches_oracle(builder, stream)
+        _assert_matches_oracle(_feed_checked(stream), stream)
 
     @given(stream=token_streams)
     def test_feed_many_matches_feed(self, stream):
         """Token-by-token and batched feeding leave identical arenas."""
-        one_by_one = FastSequitur()
-        for token in stream:
-            one_by_one.feed(token)
+        one_by_one = _feed_checked(stream)
         batched = FastSequitur()
-        with _tail_checked():
-            batched.feed_many(np.asarray(stream, dtype=np.int64))
-        assert _arena(batched) == _arena(one_by_one)
+        batched.feed_many(np.asarray(stream, dtype=np.int64))
+        assert batched._arena() == one_by_one._arena()
         assert batched.n_tokens == len(stream)
 
     @given(stream=token_streams, split=st.integers(min_value=0, max_value=200))
@@ -255,14 +244,15 @@ class TestFastKernelEquivalence:
         builder = FastSequitur()
         builder.feed_many(stream)
         _assert_matches_oracle(builder, stream)
+        assert _feed_checked(stream)._arena() == builder._arena()
 
     @pytest.mark.parametrize("stream", NESTED_STREAMS.values(), ids=NESTED_STREAMS.keys())
     def test_deeply_nested_streams(self, stream):
         builder = FastSequitur()
-        with _tail_checked() as calls:
-            builder.feed_many(stream)
-        assert calls
+        builder.feed_many(stream)
+        assert _n_rules(builder) > 1
         _assert_matches_oracle(builder, stream)
+        assert _feed_checked(stream)._arena() == builder._arena()
         # The streams really are deep: some occurrence sits inside a chain
         # of enclosing occurrences several levels high.
         firsts, lasts = builder.occurrence_spans()
@@ -277,14 +267,10 @@ class TestFastKernelEquivalence:
         discretizer = MultiResolutionDiscretizer(case.series, case.gt_length, w, a)
         stream = discretizer.token_ids(w, a).ids.tolist()
         batched = FastSequitur()
-        with _tail_checked() as calls:
-            batched.feed_many(stream)
-        assert len(stream) > 300 and calls
+        batched.feed_many(stream)
+        assert len(stream) > 300 and _n_rules(batched) > 1
         _assert_matches_oracle(batched, stream)
-        one_by_one = FastSequitur()
-        for token in stream:
-            one_by_one.feed(token)
-        assert _arena(one_by_one) == _arena(batched)
+        assert _feed_checked(stream)._arena() == batched._arena()
 
     def test_paper_example(self):
         """Eq. (4): R0 -> R1 cc ca R1, R1 -> ab bc aa (Table 2)."""
@@ -302,6 +288,113 @@ class TestFastKernelEquivalence:
         assert grown > 0
         builder.feed_many(stream)
         assert builder.memory_bytes() >= grown
+
+    @pytest.mark.parametrize("stream", NESTED_STREAMS.values(), ids=NESTED_STREAMS.keys())
+    def test_memory_bytes_is_the_native_capacity(self, stream):
+        """24 B per slot, 16 B per digram bucket, rule and pending level of
+        the kernel's own capacity report; it never shrinks while feeding."""
+        builder = FastSequitur()
+        previous = 0
+        for token in stream:
+            builder.feed(token)
+            _, slots, _, rules, buckets, levels, _, _ = builder._export()[0]
+            value, _, _, digrams, rule_count, _, _ = builder._arena()
+            assert slots >= len(value) and rules >= len(rule_count)
+            assert buckets >= 2 * len(digrams)
+            reported = builder.memory_bytes()
+            assert reported == 24 * slots + 16 * (buckets + rules + levels)
+            assert reported >= previous
+            previous = reported
+
+
+class TestNativeHandle:
+    def test_pickle_and_copy_are_refused(self):
+        """Two Python objects must never free the same native arena."""
+        builder = FastSequitur()
+        builder.feed_many([0, 1, 0, 1])
+        with pytest.raises(TypeError, match="native arena"):
+            pickle.dumps(builder)
+        with pytest.raises(TypeError, match="native arena"):
+            copy.copy(builder)
+        with pytest.raises(TypeError, match="native arena"):
+            copy.deepcopy(builder)
+
+    @pytest.mark.parametrize("bad", [-1, 2**31, 2**32, 2**40])
+    def test_ids_outside_the_packed_key_are_rejected(self, bad):
+        """Each side of a digram key has 32 bits for an encoded id, so ids
+        must lie in [0, 2**31); a bad batch feeds nothing."""
+        builder = FastSequitur()
+        builder.feed_many([0, 2**31 - 1])
+        before = builder._arena()
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            builder.feed(bad)
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            builder.feed_many(np.asarray([0, 1, bad], dtype=np.int64))
+        assert builder._arena() == before
+        builder.feed_many([0, 2**31 - 1])
+        assert builder.n_tokens == 4
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc and RLIMIT_AS")
+    def test_allocation_failure_raises_memory_error(self):
+        """A failed native allocation surfaces as MemoryError, and the
+        builder keeps refusing afterwards instead of feeding a torn arena."""
+        script = textwrap.dedent(
+            """
+            import resource
+            import numpy as np
+            from repro.grammar._kernel import FastSequitur
+
+            ids = np.arange(1 << 21, dtype=np.int64)
+            builder = FastSequitur()
+            with open("/proc/self/status") as status:
+                size = next(int(line.split()[1]) for line in status if line.startswith("VmSize"))
+            resource.setrlimit(resource.RLIMIT_AS, ((size << 10) + (32 << 20), resource.RLIM_INFINITY))
+            outcomes = []
+            for _ in range(2):
+                try:
+                    builder.feed_many(ids)
+                    outcomes.append("fed")
+                except MemoryError:
+                    outcomes.append("MemoryError")
+            print(*outcomes)
+            """
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["MemoryError", "MemoryError"]
+
+
+class TestNativeBuild:
+    def test_build_writes_a_content_addressed_library(self, tmp_path):
+        machine = platform.machine()
+        source = _kernel._SOURCE.read_bytes()
+        digest = hashlib.sha256(source + machine.encode()).hexdigest()[:16]
+        built = _kernel._build(tmp_path)
+        assert built == tmp_path / f"_sequitur.{machine}-{digest}.so"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [built.name]
+        library = _kernel._load(built)
+        handle = library.seq_new()
+        try:
+            assert library.seq_feed(handle, 3) == 0 and library.seq_n_tokens(handle) == 1
+        finally:
+            library.seq_free(handle)
+        # A second build finds the library and compiles nothing.
+        assert _kernel._build(tmp_path, compiler="/nonexistent/cc") == built
+
+    def test_missing_compiler_is_an_import_error(self, tmp_path):
+        with pytest.raises(ImportError) as raised:
+            _kernel._build(tmp_path, compiler="/nonexistent/cc")
+        assert "/nonexistent/cc" in str(raised.value)
+        assert str(_kernel._SOURCE) in str(raised.value)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_compiler_errors_are_an_import_error(self, tmp_path):
+        with pytest.raises(ImportError, match="_sequitur.c") as raised:
+            _kernel._build(tmp_path, compiler=f"{sys.executable} -c 'raise SystemExit(\"boom\")'")
+        assert "boom" in str(raised.value)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestInduceGrammarKernelParity:
