@@ -23,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs.stages import stage_timer
-from repro.sax.alphabet import index_matrix_to_words, pack_symbol_rows
+from repro.sax import _kernel
+from repro.sax.alphabet import index_matrix_to_words
 from repro.sax.numerosity import (
     TokenIdSequence,
     TokenSequence,
@@ -153,15 +154,18 @@ class MultiResolutionDiscretizer:
     def token_ids(self, paa_size: int, alphabet_size: int) -> TokenIdSequence:
         """Token ids for ``(paa_size, alphabet_size)``, never a word string.
 
-        The string-free fast path for id-based grammar kernels: numerosity
-        reduction happens on the symbol matrix, and each kept row's id is its
-        rank among the distinct kept rows (one ``np.unique``). Grammar
-        structure depends only on which tokens are equal, so these ids
-        induce the same grammar as interned ones; a batch sequence is fed
-        once, so it needs no id space that stays stable across calls. Only
-        the exact strategy is served here (``"none"`` keeps every window, so
-        it gains nothing from deferral); callers fall back to :meth:`tokens`
-        for other strategies.
+        The string-free fast path for id-based grammar kernels. Under
+        ``fast`` one native pass (:func:`repro.sax._kernel.sax_tokens`) maps
+        the shared interval matrix to this member's symbols, keeps each row
+        that differs from the row before it, and numbers the kept rows in
+        *first-occurrence* order (not by sorted rank), at any word width.
+        The ``python`` oracle numbers the words of :meth:`tokens` the same
+        way. Grammar structure depends only on which tokens are equal, so
+        these ids induce the same grammar as interned ones; a batch sequence
+        is fed once, so it needs no id space that stays stable across
+        calls. Only the exact strategy is served here (``"none"`` keeps every
+        window, so it gains nothing from deferral); callers fall back to
+        :meth:`tokens` for other strategies.
         """
         if self.numerosity != "exact":
             raise ValueError(
@@ -171,22 +175,22 @@ class MultiResolutionDiscretizer:
         cached = self._id_cache.get(key)
         if cached is not None:
             return cached
-        intervals = self.interval_matrix(paa_size)
-        with stage_timer("discretize"):
-            symbols = self.alphabet_table.symbols_for(intervals, alphabet_size)
-            codes = pack_symbol_rows(symbols)
-            if codes is None:
-                kept_offsets = np.flatnonzero(kept_window_mask(symbols)).astype(np.int64)
-                ids = np.unique(
-                    symbols[kept_offsets], axis=0, return_inverse=True
-                )[1].reshape(-1)
-            else:
-                # Packing is injective, so run boundaries on the scalar codes
-                # are exactly the row-inequality mask of kept_window_mask.
-                keep = np.ones(len(codes), dtype=bool)
-                keep[1:] = codes[1:] != codes[:-1]
-                kept_offsets = np.flatnonzero(keep).astype(np.int64)
-                ids = np.unique(codes[kept_offsets], return_inverse=True)[1]
-        cached = TokenIdSequence(ids, kept_offsets, len(symbols), self.window)
+        if self._sweep.kernel == "python":
+            tokens = self.tokens(paa_size, alphabet_size)
+            with stage_timer("discretize"):
+                first_seen: dict[str, int] = {}
+                ids = np.fromiter(
+                    (first_seen.setdefault(word, len(first_seen)) for word in tokens.words),
+                    dtype=np.int64,
+                    count=len(tokens),
+                )
+            cached = TokenIdSequence(ids, tokens.offsets, tokens.n_windows, self.window)
+        else:
+            intervals = self.interval_matrix(paa_size)
+            with stage_timer("discretize"):
+                offsets, ids = _kernel.sax_tokens(
+                    intervals, self.alphabet_table.symbol_column(alphabet_size)
+                )
+            cached = TokenIdSequence(ids, offsets, len(intervals), self.window)
         self._id_cache[key] = cached
         return cached

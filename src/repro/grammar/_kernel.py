@@ -14,7 +14,9 @@ fast backend behind one seam so every caller — batch, streaming, baselines
 
 Build on first import: importing this module compiles ``_sequitur.c`` with
 Python's C compiler (``sysconfig`` ``CC``) into ``__pycache__/``, named by
-a hash of the source and the machine, and loads it with :mod:`ctypes`.
+a hash of the source, the machine and the compile command, and loads it
+with :mod:`ctypes`. :func:`_build` and :func:`_load` serve every native
+source of the package (``repro.sax._kernel`` builds ``_sax.c`` with them).
 Concurrent first imports are safe (write, then rename). A failed build
 raises :class:`ImportError`; there is no Python fallback.
 
@@ -61,53 +63,75 @@ _ERRORS = {
 }
 
 
-def _raise(status: int) -> None:
-    error, message = _ERRORS[status]
+def _raise(status: int, errors: dict = _ERRORS) -> None:
+    """Raise what ``errors`` (a native status table) maps ``status`` to."""
+    error, message = errors[status]
     raise error(message)
 
 
-def _build(directory: Path, compiler: str | None = None) -> Path:
-    """Compile ``_sequitur.c`` into ``directory`` unless already there."""
+#: Compiler flags of every native source. ``-ffp-contract=off`` keeps the
+#: compiler from fusing ``a*b + c`` into one FMA (it does on FMA targets such
+#: as aarch64), which would break bitwise parity with the numpy reference.
+_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _build(
+    source: Path, directory: Path, compiler: str | None = None, flags: Sequence[str] = _FLAGS
+) -> Path:
+    """Compile the C file ``source`` into ``directory`` unless already there.
+
+    The library is named by a hash of the source, the machine and the full
+    compile command (compiler and flags), so changing any of them builds a
+    new library instead of reusing a stale one.
+    """
+    source = Path(source)
     machine = platform.machine()
-    digest = hashlib.sha256(_SOURCE.read_bytes() + machine.encode()).hexdigest()[:16]
-    target = Path(directory) / f"_sequitur.{machine}-{digest}.so"
+    compiler = compiler or sysconfig.get_config_var("CC") or "cc"
+    command = [*shlex.split(compiler), *flags]
+    digest = hashlib.sha256(
+        b"\0".join([source.read_bytes(), machine.encode(), *(part.encode() for part in command)])
+    ).hexdigest()[:16]
+    target = Path(directory) / f"{source.stem}.{machine}-{digest}.so"
     if target.is_file():
         return target
-    compiler = compiler or sysconfig.get_config_var("CC") or "cc"
     target.parent.mkdir(parents=True, exist_ok=True)
     temporary = target.with_name(f"{target.name}.{os.getpid()}.tmp")
-    command = [*shlex.split(compiler), "-O2", "-shared", "-fPIC", "-o", str(temporary), str(_SOURCE)]
     try:
         try:
-            built = subprocess.run(command, capture_output=True, text=True)
+            built = subprocess.run(
+                [*command, "-o", str(temporary), str(source)], capture_output=True, text=True
+            )
         except OSError as error:
-            raise ImportError(f"cannot run C compiler {compiler!r} on {_SOURCE}: {error}") from None
+            raise ImportError(f"cannot run C compiler {compiler!r} on {source}: {error}") from None
         if built.returncode:
-            raise ImportError(f"C compiler {compiler!r} failed on {_SOURCE}:\n{built.stderr}")
+            raise ImportError(f"C compiler {compiler!r} failed on {source}:\n{built.stderr}")
         os.replace(temporary, target)
     finally:
         temporary.unlink(missing_ok=True)
     return target
 
 
-def _load(path: Path) -> ctypes.CDLL:
+def _load(path: Path, signatures) -> ctypes.CDLL:
+    """Load a built library, declaring each ``(name, restype, argtypes)``."""
     lib = ctypes.CDLL(str(path))
-    handle, int64, address = ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p
-    for name, restype, argtypes in (
-        ("seq_new", handle, ()),
-        ("seq_free", None, (handle,)),
-        ("seq_feed", ctypes.c_int, (handle, int64)),
-        ("seq_feed_many", ctypes.c_int, (handle, address, int64)),
-        ("seq_n_tokens", int64, (handle,)),
-        ("seq_spans", int64, (handle, address, address, int64)),
-        ("seq_export", None, (handle, address, address)),
-    ):
+    for name, restype, argtypes in signatures:
         function = getattr(lib, name)
         function.restype, function.argtypes = restype, argtypes
     return lib
 
 
-_lib = _load(_build(_SOURCE.parent / "__pycache__"))
+#: The C entry points of ``_sequitur.c``: ``(name, restype, argtypes)``.
+_SIGNATURES = (
+    ("seq_new", ctypes.c_void_p, ()),
+    ("seq_free", None, (ctypes.c_void_p,)),
+    ("seq_feed", ctypes.c_int, (ctypes.c_void_p, ctypes.c_int64)),
+    ("seq_feed_many", ctypes.c_int, (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64)),
+    ("seq_n_tokens", ctypes.c_int64, (ctypes.c_void_p,)),
+    ("seq_spans", ctypes.c_int64, (ctypes.c_void_p,) * 3 + (ctypes.c_int64,)),
+    ("seq_export", None, (ctypes.c_void_p,) * 3),
+)
+
+_lib = _load(_build(_SOURCE, _SOURCE.parent / "__pycache__"), _SIGNATURES)
 
 
 #: Recognized kernel names, in documentation order.

@@ -1,37 +1,44 @@
-"""Discretization kernel seam: selectable PAA/symbol hot-path backends.
+"""Discretization kernel seam: the numpy reference and one native pass.
 
-PR 6 put the grammar stage behind ``REPRO_KERNEL``; this module extends the
+The grammar stage sits behind ``REPRO_KERNEL``; this module extends the
 same seam one layer up, to the discretization front end, so a single
 environment variable governs the whole tokenize→grammar pipeline:
 
 - ``"python"`` — the reference path: :func:`repro.sax.paa.sliding_paa_rows`
   per PAA size (each call re-derives the window statistics) and
-  ``np.searchsorted`` against the merged breakpoint table. This is the
-  oracle the property suite compares everything against.
-- ``"fast"`` — shared window statistics computed once per sweep and reused
-  by every PAA size, plus an integer-stride prefix-sum gather for the
-  common case ``window % paa_size == 0`` (segment boundaries land exactly
-  on samples, so the fractional interpolation term is identically zero and
-  the cumulative sums are plain ``prefix_sum`` lookups).
+  :func:`interval_rows_from` (``np.searchsorted``) against the merged
+  breakpoint table. This is the oracle the property suites compare
+  everything against.
+- ``"fast"`` — :func:`window_stats` once per sweep, shared by every PAA
+  size, then the native passes of ``_sax.c``: :func:`sax_intervals` does
+  z-normalized PAA and the breakpoint search in one loop per PAA size, and
+  :func:`sax_tokens` does symbol lookup, exact numerosity reduction and
+  token ids in one loop per ensemble member.
+
+Build on first import: importing this module compiles ``_sax.c`` through
+the same :func:`~repro.grammar._kernel._build` / ``_load`` helpers as the
+Sequitur arena (see ``repro.grammar._kernel``). A failed build raises
+:class:`ImportError`; there is no fallback.
 
 Selection is shared with the grammar seam — :func:`current_kernel`,
 :func:`set_kernel` and :func:`use_kernel` are re-exported from
 :mod:`repro.grammar._kernel` — so ``REPRO_KERNEL=python`` (or a
 ``use_kernel`` scope) switches both stages together.
 
-Parity contract (pinned by ``tests/test_sax_properties.py`` and
-``tests/test_kernel_differential.py``): under ``fast`` the symbol
-matrices — and therefore every token, grammar and anomaly curve downstream
-— are bitwise identical to the reference path. For the PAA coefficient
-values themselves, the ``fast`` integer-stride path omits the
-reference's ``+ 0.0 * values[k]`` interpolation term, which can only flip
-the *sign of an exactly-zero* coefficient (the term is a signed zero when
-the boundary is integral), never its value. All downstream consumers —
-``searchsorted`` discretization, the parity suites' ``array_equal`` —
-compare by ``==``, under which ``-0.0 == 0.0``.
+Parity contract (pinned by ``tests/test_sax_native.py``,
+``tests/test_sax_properties.py`` and ``tests/test_kernel_differential.py``):
+the native PAA rows and interval matrices are bitwise equal to the
+reference, because ``_sax.c`` repeats numpy's float operations one for one
+and is compiled without FMA contraction. Native token ids are dense ids in
+*first-occurrence* order, not the sorted rank of a word: only their
+equality pattern is contract, and it equals the reference words'. Grammar
+structure depends on nothing else.
 """
 
 from __future__ import annotations
+
+import ctypes
+from pathlib import Path
 
 import numpy as np
 
@@ -39,12 +46,53 @@ from repro.grammar._kernel import (  # noqa: F401  (re-exported seam controls)
     DEFAULT_KERNEL,
     KERNEL_ENV,
     KERNELS,
+    _build,
+    _load,
+    _raise,
     current_kernel,
     set_kernel,
     use_kernel,
 )
-from repro.sax.paa import _fractional_prefix, sliding_paa_rows
+from repro.sax.paa import sliding_paa_rows
 from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD, constancy_mask
+
+#: The native front end's source; built into ``__pycache__/`` next to it.
+_SOURCE = Path(__file__).with_name("_sax.c")
+
+#: The C entry points of ``_sax.c``: ``(name, restype, argtypes)``.
+_SIGNATURES = (
+    (
+        "sax_intervals",
+        ctypes.c_int,
+        (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+        + (ctypes.c_int64,) * 6
+        + (ctypes.c_void_p,) * 4
+        + (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p),
+    ),
+    (
+        "sax_tokens",
+        ctypes.c_int64,
+        (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
+        + (ctypes.c_void_p,) * 2,
+    ),
+)
+
+_lib = _load(_build(_SOURCE, _SOURCE.parent / "__pycache__"), _SIGNATURES)
+
+#: Status codes of ``_sax.c`` and what each raises.
+_ERRORS = {
+    -1: (IndexError, "an index lies outside the tables or buffers of the native SAX pass"),
+    -2: (MemoryError, "the native SAX pass could not allocate its buffers"),
+}
+
+
+def _checked(array, dtype, ndim: int, name: str) -> None:
+    """Raise unless ``array`` is a C-contiguous ``ndim``-D ``dtype`` array."""
+    if not isinstance(array, np.ndarray) or array.dtype != dtype:
+        raise TypeError(f"{name} must be a numpy {np.dtype(dtype)} array")
+    if array.ndim != ndim or not array.flags.c_contiguous:
+        raise ValueError(f"{name} must be a C-contiguous {ndim}-D array, got shape {array.shape}")
+
 
 def window_stats(
     prefix_sum: np.ndarray,
@@ -78,42 +126,6 @@ def window_stats(
     return means, safe_stds, constant
 
 
-def _fast_paa_rows(
-    prefix_sum: np.ndarray,
-    values: np.ndarray,
-    start: int,
-    stop: int,
-    window: int,
-    paa_size: int,
-    means: np.ndarray,
-    safe_stds: np.ndarray,
-    constant: np.ndarray,
-    origin: int,
-) -> np.ndarray:
-    """The ``fast`` PAA block: shared stats + integer-stride gather.
-
-    When ``window % paa_size == 0`` every segment boundary is an exact
-    integer position: the fractional parts are identically zero and the
-    cumulative sums collapse to direct ``prefix_sum`` lookups (see the
-    module docstring for the signed-zero caveat this introduces). Otherwise
-    the exact fractional interpolation of the reference path runs verbatim.
-    """
-    step = window / paa_size
-    if window % paa_size == 0:
-        local = np.arange(start - origin, stop - origin, dtype=np.int64)
-        offsets = np.arange(paa_size + 1, dtype=np.int64) * (window // paa_size)
-        cumulative = prefix_sum[local[:, None] + offsets[None, :]]
-    else:
-        starts = np.arange(start, stop)
-        relative = np.arange(paa_size + 1) * step
-        positions = starts[:, None] + relative[None, :]
-        cumulative = _fractional_prefix(prefix_sum, values, positions, origin)
-    coefficients = (cumulative[:, 1:] - cumulative[:, :-1]) / step
-    normalized = (coefficients - means[:, None]) / safe_stds[:, None]
-    normalized[constant] = 0.0
-    return normalized
-
-
 def paa_rows_block(
     prefix_sum: np.ndarray,
     prefix_sq: np.ndarray,
@@ -126,39 +138,137 @@ def paa_rows_block(
     *,
     origin: int = 0,
     stats: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    breakpoints: np.ndarray | None = None,
     kernel: str | None = None,
 ) -> np.ndarray:
     """Kernel-dispatched z-normalized PAA rows for starts in ``[start, stop)``.
 
     Row ``i`` corresponds to the window starting at global index
-    ``start + i``; both kernels produce output ``==``-equal to
-    :func:`~repro.sax.paa.sliding_paa_rows` (``python`` bitwise so).
-    ``stats`` may carry a precomputed :func:`window_stats`
-    triple to share across PAA sizes; the ``python`` oracle ignores it and
-    re-derives the statistics, exactly as the pre-seam code did.
+    ``start + i``; both kernels produce output bitwise equal to
+    :func:`~repro.sax.paa.sliding_paa_rows`. With a sorted ``breakpoints``
+    table the result is instead the interval matrix of those rows
+    (:func:`interval_rows_from`), which ``fast`` computes without forming
+    the rows. ``stats`` may carry a precomputed :func:`window_stats` triple
+    to share across PAA sizes; the ``python`` oracle ignores it and
+    re-derives the statistics.
     """
     kernel = current_kernel() if kernel is None else kernel
     if kernel == "python":
-        return sliding_paa_rows(
+        rows = sliding_paa_rows(
             prefix_sum, prefix_sq, values, start, stop, window, paa_size,
             znorm_threshold, origin=origin,
         )
+        return rows if breakpoints is None else interval_rows_from(rows, breakpoints)
     if stats is None:
         stats = window_stats(
             prefix_sum, prefix_sq, start, stop, window, znorm_threshold, origin=origin
         )
-    means, safe_stds, constant = stats
-    return _fast_paa_rows(
-        prefix_sum, values, start, stop, window, paa_size,
-        means, safe_stds, constant, origin,
+    rows, intervals = sax_intervals(
+        prefix_sum, values, start, stop, window, paa_size, stats, breakpoints,
+        origin=origin, rows=breakpoints is None,
     )
+    return rows if breakpoints is None else intervals
 
 
 def interval_rows_from(rows: np.ndarray, merged_breakpoints: np.ndarray) -> np.ndarray:
-    """Locate each PAA coefficient's merged-table interval.
+    """Locate each PAA coefficient's merged-table interval (the reference search).
 
-    ``np.searchsorted(..., side="right")`` under every kernel: a value
-    equal to a breakpoint falls in the region above it (the breakpoint-tie
-    golden vectors in ``tests/test_sax_properties.py`` pin the convention).
+    ``np.searchsorted(..., side="right")``: a value equal to a breakpoint
+    falls in the region above it (the breakpoint-tie golden vectors in
+    ``tests/test_sax_properties.py`` pin the convention, and
+    :func:`sax_intervals` follows it).
     """
     return np.searchsorted(merged_breakpoints, rows, side="right")
+
+
+def sax_intervals(
+    prefix_sum: np.ndarray,
+    values: np.ndarray,
+    start: int,
+    stop: int,
+    window: int,
+    paa_size: int,
+    stats: tuple[np.ndarray, np.ndarray, np.ndarray],
+    breakpoints: np.ndarray | None = None,
+    *,
+    origin: int = 0,
+    rows: bool = False,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """One native z-normalized PAA pass: ``(rows, intervals)``.
+
+    ``rows`` (float64, one row per window start in ``[start, stop)``) is
+    written when ``rows=True``; ``intervals`` (``intp``, the
+    ``side="right"`` search of every coefficient in ``breakpoints``) when a
+    table is given. Either is ``None`` otherwise. ``stats`` is the
+    :func:`window_stats` triple of the same range. Inputs are checked here,
+    before the C call: wrong dtypes raise :class:`TypeError`, wrong shapes,
+    lengths or ranges :class:`ValueError`.
+    """
+    start, stop, origin = int(start), int(stop), int(origin)
+    window, paa_size = int(window), int(paa_size)
+    _checked(prefix_sum, np.float64, 1, "prefix_sum")
+    _checked(values, np.float64, 1, "values")
+    means, stds, constant = stats
+    _checked(means, np.float64, 1, "means")
+    _checked(stds, np.float64, 1, "safe_stds")
+    _checked(constant, np.bool_, 1, "constant")
+    if not 0 <= origin <= start <= stop:
+        raise ValueError(f"need 0 <= origin <= start <= stop, got {origin}, {start}, {stop}")
+    if not 1 <= paa_size <= window:
+        raise ValueError(f"need 1 <= paa_size <= window, got {paa_size}, {window}")
+    count = stop - start
+    if any(len(column) != count for column in (means, stds, constant)):
+        raise ValueError(f"stats must hold {count} windows")
+    if count and (
+        len(prefix_sum) < stop - origin + window or len(values) < stop - origin + window - 1
+    ):
+        raise ValueError(
+            f"window starts up to {stop - 1} need {stop - origin + window} prefix sums "
+            f"from origin {origin}, got {len(prefix_sum)} (and {len(values)} values)"
+        )
+    out_rows = np.empty((count, paa_size)) if rows else None
+    out_intervals = None
+    if breakpoints is not None:
+        _checked(breakpoints, np.float64, 1, "breakpoints")
+        out_intervals = np.empty((count, paa_size), dtype=np.intp)
+    if count:
+        status = _lib.sax_intervals(
+            prefix_sum.ctypes.data, len(prefix_sum), values.ctypes.data, len(values),
+            start, stop, origin, window, paa_size,
+            means.ctypes.data, stds.ctypes.data, constant.ctypes.data,
+            None if breakpoints is None else breakpoints.ctypes.data,
+            0 if breakpoints is None else len(breakpoints),
+            None if out_rows is None else out_rows.ctypes.data,
+            None if out_intervals is None else out_intervals.ctypes.data,
+        )
+        if status:
+            _raise(status, _ERRORS)
+    return out_rows, out_intervals
+
+
+def sax_tokens(intervals: np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One native tokenize pass: ``(kept_offsets, ids)``, both int64.
+
+    ``intervals`` is an interval matrix (``intp``, one row per window) and
+    ``symbols`` one alphabet's column of the symbol matrix (int64, interval
+    -> symbol index). A window is kept when its symbol row differs from the
+    previous window's (exact numerosity reduction); kept rows get dense ids
+    in first-occurrence order, equal rows equal ids, at any row width.
+    Inputs are checked before the C call, as in :func:`sax_intervals`.
+    """
+    _checked(intervals, np.intp, 2, "intervals")
+    _checked(symbols, np.int64, 1, "symbols")
+    rows, width = intervals.shape
+    if width < 1 or not len(symbols):
+        raise ValueError(f"need words of at least one symbol and a symbol table, got {width}")
+    offsets = np.empty(rows, dtype=np.int64)
+    ids = np.empty(rows, dtype=np.int64)
+    kept = _lib.sax_tokens(
+        intervals.ctypes.data, rows, width, symbols.ctypes.data, len(symbols),
+        offsets.ctypes.data, ids.ctypes.data,
+    )
+    if kept < 0:
+        _raise(kept, _ERRORS)
+    offsets.resize(kept, refcheck=False)
+    ids.resize(kept, refcheck=False)
+    return offsets, ids

@@ -85,6 +85,9 @@ class MultiResolutionAlphabet:
         #: alphabet size ``min_alphabet_size + j`` (Figure 6's symbol matrix,
         #: stored interval-major).
         self.symbol_matrix = self._build_symbol_matrix()
+        #: The same table alphabet-major, so each column is contiguous.
+        self._columns = np.ascontiguousarray(self.symbol_matrix.T)
+        self._columns.flags.writeable = False
 
     def _build_symbol_matrix(self) -> np.ndarray:
         sizes = range(self.min_alphabet_size, self.max_alphabet_size + 1)
@@ -116,16 +119,19 @@ class MultiResolutionAlphabet:
             self.merged_breakpoints, np.asarray(values, dtype=np.float64), side="right"
         )
 
-    def symbols_for(self, interval_idx: np.ndarray, alphabet_size: int) -> np.ndarray:
-        """Symbol indices of pre-located intervals under one alphabet size."""
+    def symbol_column(self, alphabet_size: int) -> np.ndarray:
+        """Interval -> symbol index under one alphabet size (contiguous int64)."""
         alphabet_size = int(alphabet_size)
         if not self.min_alphabet_size <= alphabet_size <= self.max_alphabet_size:
             raise ValueError(
                 f"alphabet_size={alphabet_size} outside table range "
                 f"[{self.min_alphabet_size}, {self.max_alphabet_size}]"
             )
-        column = alphabet_size - self.min_alphabet_size
-        return self.symbol_matrix[np.asarray(interval_idx), column]
+        return self._columns[alphabet_size - self.min_alphabet_size]
+
+    def symbols_for(self, interval_idx: np.ndarray, alphabet_size: int) -> np.ndarray:
+        """Symbol indices of pre-located intervals under one alphabet size."""
+        return self.symbol_column(alphabet_size)[np.asarray(interval_idx)]
 
     def all_symbols_for(self, interval_idx: np.ndarray) -> np.ndarray:
         """Symbol indices of pre-located intervals under *every* alphabet size.

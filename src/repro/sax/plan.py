@@ -9,10 +9,14 @@ coefficient only on its value — so for an ensemble with ``m`` members over
 ``k ≤ m`` distinct PAA sizes, one plan computes:
 
 - the window means/stds **once** per sweep (``fast`` kernel),
-- one PAA matrix and one interval matrix per *distinct* PAA size,
-- each member's symbol matrix as a fancy-index into the precomputed
-  symbol matrix of :class:`~repro.sax.breakpoints.MultiResolutionAlphabet`
+- one interval matrix per *distinct* PAA size (under ``fast`` one native
+  z-norm + PAA + breakpoint-search pass that never forms the float matrix),
+- each member's symbols through one column of the precomputed symbol
+  matrix of :class:`~repro.sax.breakpoints.MultiResolutionAlphabet`
   (Figure 6 of the paper) — O(rows × word_length) with no arithmetic.
+  Batch members get their numerosity-reduced token ids straight from the
+  interval matrix (:func:`repro.sax._kernel.sax_tokens`): dense ids in
+  first-occurrence order, not the sorted rank of a word.
 
 A :class:`DiscretizationPlan` is built once per detector from the ensemble
 configuration; each batch series or streaming drain block then opens a
@@ -24,8 +28,11 @@ multi-resolution discretizer all share one code path.
 The hot loops live behind the kernel seam (:mod:`repro.sax._kernel`):
 ``REPRO_KERNEL={python,fast}`` selects the backend, and the two are
 pinned bitwise-identical downstream by the property/differential suites.
-Stage timers fire here — ``paa`` around matrix formation and
-``discretize`` around interval search — once per sweep per PAA size.
+Stage timers fire here, once per sweep per PAA size: under ``fast``,
+``paa`` covers the whole native pass (z-norm, PAA and interval search);
+under ``python``, ``paa`` covers matrix formation and ``discretize`` the
+interval search. Symbol lookup, numerosity and ids are ``discretize``
+time wherever they run.
 """
 
 from __future__ import annotations
@@ -220,16 +227,28 @@ class DiscretizationSweep:
         return rows
 
     def interval_rows(self, paa_size: int) -> np.ndarray:
-        """Merged-table interval matrix for one PAA size (cached per sweep)."""
+        """Merged-table interval matrix for one PAA size (cached per sweep).
+
+        Under ``fast`` this is one native pass (z-norm + PAA + search, all
+        ``paa`` time) that never forms the float matrix; the ``python``
+        oracle searches the cached :meth:`paa_rows` (``discretize`` time).
+        """
         paa_size = self._validated(paa_size)
         intervals = self._intervals.get(paa_size)
         if intervals is None:
-            rows = self.paa_rows(paa_size)
-            with stage_timer("discretize"):
-                intervals = _kernel.interval_rows_from(
-                    rows, self.plan.alphabet_table.merged_breakpoints
-                )
-                intervals.flags.writeable = False
+            breakpoints = self.plan.alphabet_table.merged_breakpoints
+            if self._kernel == "python":
+                rows = self.paa_rows(paa_size)
+                with stage_timer("discretize"):
+                    intervals = _kernel.interval_rows_from(rows, breakpoints)
+            else:
+                with stage_timer("paa"):
+                    intervals = _kernel.sax_intervals(
+                        self._prefix_sum, self._values, self.start, self.stop,
+                        self.plan.window, paa_size, self._shared_stats(), breakpoints,
+                        origin=self._origin,
+                    )[1]
+            intervals.flags.writeable = False
             self._intervals[paa_size] = intervals
         return intervals
 

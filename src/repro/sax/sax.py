@@ -108,16 +108,14 @@ def discretize_symbols(
     alphabet_size = validate_alphabet_size(alphabet_size)
     if stats is None:
         stats = CumulativeStats(series)
-    # Kernel-dispatched (REPRO_KERNEL): the python oracle reproduces the
-    # historical sliding_paa_matrix + searchsorted path verbatim; fast runs
-    # the seam's shared-statistics backend, pinned bitwise identical
-    # downstream by the property suite.
+    # Kernel-dispatched (REPRO_KERNEL): the python oracle runs
+    # sliding_paa_rows + searchsorted; fast runs the same float operations
+    # in one native pass, with the breakpoint table as the interval table.
     n_windows = len(stats.series) - window + 1
-    paa_matrix = _kernel.paa_rows_block(
-        stats.prefix_sum, stats.prefix_sq, stats.series,
-        0, n_windows, window, paa_size, znorm_threshold,
+    return _kernel.paa_rows_block(
+        stats.prefix_sum, stats.prefix_sq, stats.series, 0, n_windows, window, paa_size,
+        znorm_threshold, breakpoints=gaussian_breakpoints(alphabet_size),
     )
-    return _kernel.interval_rows_from(paa_matrix, gaussian_breakpoints(alphabet_size))
 
 
 def mindist(

