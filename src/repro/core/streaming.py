@@ -66,9 +66,9 @@ from repro.grammar import _kernel
 from repro.grammar.density import density_curve_from_token_spans, rule_density_curve
 from repro.grammar.sequitur import GenerationalSequitur, _SequiturBuilder, induce_grammar
 from repro.obs.stages import stage_timer
-from repro.sax.alphabet import WordInterner, pack_symbol_rows
+from repro.sax.alphabet import WordInterner
 from repro.sax.breakpoints import MultiResolutionAlphabet
-from repro.sax.numerosity import STRATEGIES, TokenSequence, kept_window_mask
+from repro.sax.numerosity import STRATEGIES, TokenSequence
 from repro.sax.plan import DiscretizationPlan
 from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD
 from repro.utils.rng import RandomState, ensure_rng
@@ -289,8 +289,9 @@ class StreamingGrammarDetector:
         """O(1) estimate of this member's retained bytes.
 
         Counts the kept token ids and offsets (CPython ``int`` prices), the
-        interner's vocabulary (one string per *distinct* word ever seen),
-        and the live grammar state (builder arena or generation set) —
+        interner (a native table with one entry per *distinct* word ever
+        seen, plus the word strings read so far; exact), and the live
+        grammar state (builder arena or generation set) —
         *excluding* the shared stream state, which is stored once per
         stream and accounted separately via
         :attr:`~repro.core.engine.SharedStreamState.nbytes`. An estimate,
@@ -386,12 +387,15 @@ class StreamingGrammarDetector:
         ``intervals`` holds one merged-table interval row per window start
         in ``first_start .. first_start + len(intervals) - 1``; ``table``
         maps them to this member's symbols. Two windows share a SAX word
-        exactly when their symbol rows are equal, so run boundaries are
-        found on the index matrix and the kept rows are interned to integer
-        ids that stay stable across drains (the batch
+        exactly when their symbol rows are equal, so one native pass of the
+        interner (:meth:`~repro.sax.alphabet.WordInterner.intern_packed`)
+        drops each row equal to the one before it (the last row of the
+        previous block carried in as ``_last_symbols``) and gives every
+        kept row an id that stays stable across drains (the batch
         :class:`~repro.core.multiresolution.MultiResolutionDiscretizer`
-        feeds each sequence once, so it skips the interner); a word string
-        is built once per *distinct* row, ever.
+        feeds each sequence once, so it uses a throwaway table); a word
+        string is built once per *distinct* row, ever, and only when the
+        vocabulary is read.
 
         Symbol lookup, reduction and interning are ``discretize`` time, as
         in batch ``token_ids``. Only the decay generations feed a grammar
@@ -401,32 +405,14 @@ class StreamingGrammarDetector:
         count = len(intervals)
         if count == 0:
             return
+        exact = self.numerosity == "exact"
         with stage_timer("discretize"):
             symbols = table.symbols_for(intervals, self.alphabet_size)
-            codes = pack_symbol_rows(symbols)
-            if self.numerosity == "exact":
-                if codes is None:
-                    keep = kept_window_mask(symbols)
-                    if self._last_symbols is not None:
-                        keep[0] = bool(np.any(symbols[0] != self._last_symbols))
-                else:
-                    # Packing is injective, so run boundaries on the scalar
-                    # codes are exactly kept_window_mask's row comparisons —
-                    # including the chunk-boundary carry against the last row
-                    # of the previous block.
-                    keep = np.ones(count, dtype=bool)
-                    keep[1:] = codes[1:] != codes[:-1]
-                    if self._last_symbols is not None:
-                        keep[0] = codes[0] != pack_symbol_rows(self._last_symbols[None, :])[0]
-                kept_idx = np.flatnonzero(keep)
+            kept = self._interner.intern_packed(symbols, self._last_symbols, reduce=exact)
+            if exact:
                 self._last_symbols = np.array(symbols[-1], dtype=np.int64)
-            else:
-                kept_idx = np.arange(count)
-            if codes is None:
-                ids = self._interner.intern_matrix(symbols[kept_idx]).tolist()
-            else:
-                ids = self._interner.intern_packed(codes[kept_idx], symbols.shape[1]).tolist()
-        offsets = (kept_idx + first_start).tolist()
+            ids = kept[:, 1].tolist()
+        offsets = (kept[:, 0] + first_start).tolist()
         self._kept_ids.extend(ids)
         self._kept_offsets.extend(offsets)
         self._total_kept += len(ids)
@@ -436,8 +422,8 @@ class StreamingGrammarDetector:
         if self._generations is not None:
             # Generation routing can seal (and freeze) mid-ingest, and the
             # oracle kernel feeds word strings — both index the vocabulary
-            # list the router captured at construction, so any words the
-            # packed intern path deferred must be materialized first.
+            # list the router captured at construction, so the words
+            # interned since its last read must be decoded first.
             _ = self._interner.vocabulary
             feed_id = self._generations.feed_id
             with stage_timer("grammar"):

@@ -13,7 +13,10 @@ environment variable governs the whole tokenize→grammar pipeline:
   size, then the native passes of ``_sax.c``: :func:`sax_intervals` does
   z-normalized PAA and the breakpoint search in one loop per PAA size, and
   :func:`sax_tokens` does symbol lookup, exact numerosity reduction and
-  token ids in one loop per ensemble member.
+  token ids in one loop per ensemble member, on a row table that lives for
+  that one call. Streaming members keep a table of the same kind for their
+  whole life behind :class:`repro.sax.alphabet.WordInterner`, under either
+  kernel: it is the only interner.
 
 Build on first import: importing this module compiles ``_sax.c`` through
 the same :func:`~repro.grammar._kernel._build` / ``_load`` helpers as the
@@ -74,6 +77,23 @@ _SIGNATURES = (
         ctypes.c_int64,
         (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
         + (ctypes.c_void_p,) * 2,
+    ),
+    ("sax_table_new", ctypes.c_void_p, ()),
+    ("sax_table_free", None, (ctypes.c_void_p,)),
+    ("sax_table_size", ctypes.c_int64, (ctypes.c_void_p,)),
+    ("sax_table_export", None, (ctypes.c_void_p,) * 3),
+    (
+        "sax_table_intern",
+        ctypes.c_int64,
+        (ctypes.c_void_p,) * 2
+        + (ctypes.c_int64,) * 2
+        + (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
+        + (ctypes.c_void_p,) * 2,
+    ),
+    (
+        "sax_table_insert",
+        ctypes.c_int64,
+        (ctypes.c_void_p,) * 3 + (ctypes.c_int64,),
     ),
 )
 
@@ -253,7 +273,9 @@ def sax_tokens(intervals: np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, 
     ``symbols`` one alphabet's column of the symbol matrix (int64, interval
     -> symbol index). A window is kept when its symbol row differs from the
     previous window's (exact numerosity reduction); kept rows get dense ids
-    in first-occurrence order, equal rows equal ids, at any row width.
+    in first-occurrence order, equal rows equal ids, at any row width. The
+    row table is the one behind :class:`~repro.sax.alphabet.WordInterner`,
+    created and freed inside the call.
     Inputs are checked before the C call, as in :func:`sax_intervals`.
     """
     _checked(intervals, np.intp, 2, "intervals")

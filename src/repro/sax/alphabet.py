@@ -2,43 +2,18 @@
 
 from __future__ import annotations
 
+import ctypes
+import sys
+
 import numpy as np
+
+from repro.sax._kernel import _ERRORS, _lib, _raise
 
 #: The SAX symbol set, ordered by breakpoint region (lowest region = 'a').
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 #: Code point of the first symbol; symbol index ``i`` maps to ``chr(_BASE + i)``.
 _BASE = ord("a")
-
-#: Bits per symbol in a packed word code; 5 bits cover indices 0..25 (< 32).
-_CODE_BITS = 5
-
-#: Widest word packable into one length-tagged int64 code: the tag bit must
-#: stay below bit 63, so ``5 * width + 1 <= 63``.
-MAX_PACKED_WIDTH = 12
-
-
-def pack_symbol_rows(indices: np.ndarray) -> np.ndarray | None:
-    """Pack each symbol row into one length-tagged int64 code, or ``None``.
-
-    ``code = (1 << 5·width) | Σ_j symbols[j] << 5·(width-1-j)`` — symbols
-    occupy 5 bits each and the tag bit encodes the width, so codes are
-    injective over ``(width, row)``: two codes are equal exactly when they
-    pack equal-length, element-wise-equal rows. This turns row-level
-    operations (numerosity run detection, vocabulary lookup) into scalar
-    int64 operations. Returns ``None`` when the rows are too wide to pack
-    (``width > 12``), in which case callers fall back to the bytes path.
-    """
-    matrix = np.asarray(indices)
-    if matrix.ndim != 2:
-        raise ValueError(f"expected a 2-D index matrix, got shape {matrix.shape}")
-    width = matrix.shape[1]
-    if width > MAX_PACKED_WIDTH:
-        return None
-    codes = np.full(matrix.shape[0], np.int64(1) << (_CODE_BITS * width), dtype=np.int64)
-    for column in range(width):
-        codes |= matrix[:, column].astype(np.int64) << (_CODE_BITS * (width - 1 - column))
-    return codes
 
 
 def indices_to_word(indices: np.ndarray) -> str:
@@ -74,100 +49,74 @@ def index_matrix_to_words(indices: np.ndarray) -> list[str]:
     ]
 
 
-def _pack_word_key(key: bytes) -> int:
-    """Packed code of one ASCII word key (scalar :func:`pack_symbol_rows`)."""
-    code = 0
-    for byte in key:
-        code = (code << _CODE_BITS) | (byte - _BASE)
-    return code | (1 << (_CODE_BITS * len(key)))
-
-
 class WordInterner:
-    """Map symbol-matrix rows to stable integer token ids (streaming only).
+    """Map symbol rows to stable integer token ids (streaming only).
 
-    The string-deferral boundary of the streaming tokenizer: downstream of
-    numerosity reduction the grammar kernels consume token *ids*, so word
-    strings only exist once per *distinct* row — materialized into
-    :attr:`vocabulary` (``vocabulary[id]`` is the word of ``id``). Ids are
-    assigned in first-seen order and stay stable for the lifetime of the
-    interner, which is what lets a streaming member keep one interner
-    across drains and feed ids straight into an incremental grammar builder.
-    Batch tokenization needs no such stability (each sequence is fed once),
-    so it ranks distinct rows with ``np.unique`` instead.
+    A handle on one native row table of ``_sax.c``: the distinct words seen
+    so far, stored once each as ASCII bytes, with a dense id per word in
+    first-seen order. Ids stay stable for the lifetime of the interner,
+    which is what lets a streaming member keep one interner across drains
+    and feed ids straight into an incremental grammar builder. Batch
+    tokenization needs no such stability (each sequence is fed once), so
+    ``sax_tokens`` runs a throwaway table of the same kind per member.
 
-    The packed path (:meth:`intern_packed`) defers even the string: a new
-    code costs one dict insert at ingest, and its word is decoded only when
-    :attr:`vocabulary` is next read (a poll, a grammar freeze, a snapshot
-    export). The property materializes any pending words first, and the
-    underlying list object never changes identity, so callers that captured
+    Word strings exist in Python only once :attr:`vocabulary` is read (a
+    poll that freezes a grammar, a snapshot export): the property decodes
+    the words added since the last read from the native arena and appends
+    them to one list that never changes identity, so callers that captured
     the list at construction time (grammar builders, generation routers)
-    see the appended words — provided the property is read before they
+    see the appended words, provided the property is read before they
     index a freshly allocated id.
 
     Two rows get the same id exactly when they are element-wise equal, so a
     grammar induced over ids is structurally identical to one induced over
-    the corresponding word strings.
+    the corresponding word strings. Symbols must lie in ``[0, 26)``. The
+    table is C ``malloc`` memory, invisible to tracemalloc;
+    :meth:`memory_bytes` reports it from its capacities. Pickling and
+    copying go through :meth:`from_vocabulary`.
     """
 
-    __slots__ = ("_ids", "_code_ids", "_pending", "_n_ids", "_vocabulary")
+    __slots__ = ("_handle", "_vocabulary", "_word_bytes")
 
     def __init__(self) -> None:
-        self._ids: dict[bytes, int] = {}
-        #: Packed-code table (:func:`pack_symbol_rows` codes -> ids). Codes
-        #: are length-tagged, so one table serves every word width. The
-        #: invariant that keeps :meth:`intern_packed` to pure int work:
-        #: every interned word of packable width has its code here, no
-        #: matter which method interned it.
-        self._code_ids: dict[int, int] = {}
-        #: Packed codes whose word strings are not yet materialized, as
-        #: ``(code, width)`` in id-allocation order; their ids are the
-        #: dense suffix ``_n_ids - len(_pending) .. _n_ids`` of the id
-        #: space, continuing straight after ``_vocabulary``.
-        self._pending: list[tuple[int, int]] = []
-        self._n_ids = 0
+        self._handle = _lib.sax_table_new()
+        if not self._handle:
+            raise MemoryError("cannot allocate a native word table")
         self._vocabulary: list[str] = []
+        #: ``sys.getsizeof`` summed over the strings in :attr:`_vocabulary`.
+        self._word_bytes = 0
+
+    def __del__(self, _free=_lib.sax_table_free) -> None:  # bound early: globals die at exit
+        if self._handle:
+            _free(self._handle)
+
+    def __reduce__(self):
+        return WordInterner.from_vocabulary, (list(self.vocabulary),)
 
     def __len__(self) -> int:
-        return self._n_ids
+        return _lib.sax_table_size(self._handle)
 
     @property
     def vocabulary(self) -> list[str]:
         """Word string of each token id, in id order.
 
         Callers may hold a reference; the list only ever grows (ids are
-        never reassigned). Reading the property materializes any words the
-        packed fast path deferred.
+        never reassigned). Reading the property decodes the words interned
+        since the last read.
         """
-        if self._pending:
-            self._materialize()
-        return self._vocabulary
-
-    def _materialize(self) -> None:
-        """Decode pending packed codes into the bytes table + vocabulary."""
-        pending, self._pending = self._pending, []
-        vocabulary = self._vocabulary
-        table = self._ids
-        total = len(pending)
-        index = 0
-        while index < total:
-            # One vectorized decode per run of equal-width codes (a
-            # streaming member has a single width; a multi-resolution
-            # interner alternates in runs).
-            width = pending[index][1]
-            stop = index
-            while stop < total and pending[stop][1] == width:
-                stop += 1
-            codes = np.asarray(
-                [pending[i][0] for i in range(index, stop)], dtype=np.int64
-            )
-            shifts = _CODE_BITS * np.arange(width - 1, -1, -1, dtype=np.int64)
-            symbols = (codes[:, None] >> shifts[None, :]) & ((1 << _CODE_BITS) - 1)
-            byte_block = (symbols.astype(np.uint8) + _BASE).tobytes()
-            for row in range(stop - index):
-                key = byte_block[row * width : (row + 1) * width]
-                table[key] = len(vocabulary)
-                vocabulary.append(key.decode("ascii"))
-            index = stop
+        words = self._vocabulary
+        first = len(words)
+        count = _lib.sax_table_size(self._handle)
+        if first < count:
+            _, (arena, ends_at) = self._export()
+            ends = (ctypes.c_int64 * count).from_address(ends_at)
+            base = ends[first - 1] if first else 0
+            stops = [stop - base for stop in ends[first:count]]
+            text = ctypes.string_at(arena + base, stops[-1]).decode("ascii")
+            added = [text[a:b] for a, b in zip([0, *stops[:-1]], stops)]
+            words.extend(added)
+            self._word_bytes += sum(map(sys.getsizeof, added))
+        return words
 
     @classmethod
     def from_vocabulary(cls, vocabulary) -> "WordInterner":
@@ -175,109 +124,83 @@ class WordInterner:
 
         The session-snapshot restore path: ids are first-seen-ordered and
         never reassigned, so a vocabulary list *is* the interner's full
-        state — word ``vocabulary[i]`` gets id ``i`` again, and previously
+        state: word ``vocabulary[i]`` gets id ``i`` again, and previously
         interned token-id sequences remain valid against the restored
-        instance.
+        instance. A repeated word raises :class:`ValueError`.
         """
         interner = cls()
-        table = interner._ids
-        code_table = interner._code_ids
-        words = interner._vocabulary
-        for word in vocabulary:
-            key = word.encode("ascii")
-            if key in table:
-                raise ValueError(f"duplicate word {word!r} in vocabulary")
-            table[key] = len(words)
-            if len(key) <= MAX_PACKED_WIDTH:
-                code_table[_pack_word_key(key)] = len(words)
-            words.append(word)
-        interner._n_ids = len(words)
+        words = list(vocabulary)
+        if words:
+            blob = "".join(words).encode("ascii")
+            ends = np.cumsum([len(word) for word in words], dtype=np.int64)
+            inserted = _lib.sax_table_insert(interner._handle, blob, ends.ctypes.data, len(words))
+            if inserted < 0:
+                _raise(inserted, _ERRORS)
+            if inserted < len(words):
+                raise ValueError(f"duplicate word {words[inserted]!r} in vocabulary")
+        interner._vocabulary.extend(words)
+        interner._word_bytes = sum(map(sys.getsizeof, words))
         return interner
 
     def intern_matrix(self, indices: np.ndarray) -> np.ndarray:
         """Token ids of every row of a 2-D symbol-index matrix (int64)."""
-        matrix = np.asarray(indices)
-        if matrix.ndim != 2:
-            raise ValueError(f"expected a 2-D index matrix, got shape {matrix.shape}")
-        if self._pending:
-            # Direct appends need the dense vocabulary, and a pending
-            # packed word must be findable under its bytes key.
-            self._materialize()
-        byte_matrix = (matrix.astype(np.uint8) + _BASE).tobytes()
-        width = matrix.shape[1]
-        packable = width <= MAX_PACKED_WIDTH
-        ids = np.empty(matrix.shape[0], dtype=np.int64)
-        table = self._ids
-        get = table.get
-        code_table = self._code_ids
-        vocabulary = self._vocabulary
-        for row in range(matrix.shape[0]):
-            key = byte_matrix[row * width : (row + 1) * width]
-            token_id = get(key)
-            if token_id is None:
-                token_id = len(vocabulary)
-                table[key] = token_id
-                if packable:
-                    code_table[_pack_word_key(key)] = token_id
-                vocabulary.append(key.decode("ascii"))
-            ids[row] = token_id
-        self._n_ids = len(vocabulary)
-        return ids
+        return self._intern(indices, None, False)[1]
 
-    def intern_packed(self, codes: np.ndarray, width: int) -> np.ndarray:
-        """Token ids of packed word codes; id-equal to :meth:`intern_matrix`.
+    def intern_packed(
+        self, symbols: np.ndarray, previous=None, *, reduce: bool = True
+    ) -> np.ndarray:
+        """One native pass over a block of symbol rows: ``(offset, id)`` per kept row.
 
-        ``codes`` must come from :func:`pack_symbol_rows` over rows of
-        ``width`` symbols. One ``np.unique`` collapses the block to its
-        distinct codes, and a *new* distinct code costs one dict insert —
-        the word string itself is deferred until :attr:`vocabulary` is next
-        read. New ids are allocated in first-occurrence order, exactly as
-        :meth:`intern_matrix`'s row loop would assign them.
+        ``symbols`` holds one symbol row per window. With ``reduce`` a row
+        equal to the row before it is dropped (exact numerosity reduction);
+        ``previous`` is the row before the block (the last row of the
+        previous block), or ``None`` at the start of a stream. The rows
+        are packed into ASCII words and interned in the same C pass. The
+        result is a ``(kept, 2)`` int64 array: column 0 holds each kept
+        row's index in the block, column 1 its id; new ids are allocated
+        in first-occurrence order, exactly as :meth:`intern_matrix` would
+        assign them to the kept rows.
         """
-        codes = np.asarray(codes, dtype=np.int64)
-        unique, first_index, inverse = np.unique(
-            codes, return_index=True, return_inverse=True
+        return self._intern(symbols, previous, reduce).T
+
+    def _intern(self, symbols, previous, reduce: bool) -> np.ndarray:
+        """The ``(2, kept)`` offsets and ids of one ``sax_table_intern`` call."""
+        rows = np.ascontiguousarray(symbols, dtype=np.intp)
+        if rows.ndim != 2 or rows.shape[1] < 1:
+            raise ValueError(f"expected a 2-D matrix of non-empty rows, got shape {rows.shape}")
+        count, width = rows.shape
+        carry = None
+        if previous is not None:
+            carry = np.ascontiguousarray(previous, dtype=np.intp)
+            if carry.shape != (width,):
+                raise ValueError(f"previous row must hold {width} symbols, got shape {carry.shape}")
+        out = np.empty((2, count), dtype=np.int64)
+        offsets = out.ctypes.data
+        kept = _lib.sax_table_intern(
+            self._handle, rows.ctypes.data, count, width, None, 0,
+            None if carry is None else carry.ctypes.data, bool(reduce),
+            offsets, offsets + 8 * count,
         )
-        get = self._code_ids.get
-        # Plain-int iteration: numpy scalar unboxing dominates this loop
-        # otherwise (the block is one drain's worth of kept tokens, and on
-        # high-entropy streams most of them are distinct).
-        unique_list = unique.tolist()
-        ids_list = [get(code) for code in unique_list]
-        missing = [position for position, t in enumerate(ids_list) if t is None]
-        if missing:
-            # Visit misses in first-occurrence order so fresh ids come out
-            # exactly as intern_matrix's row loop would assign them. The
-            # code-table invariant (every packable interned word has a code
-            # entry) makes a code miss a true vocabulary miss, so no bytes
-            # lookup is needed here.
-            first_list = first_index.tolist()
-            missing.sort(key=first_list.__getitem__)
-            table = self._code_ids
-            pending = self._pending
-            token_id = self._n_ids
-            for position in missing:
-                code = unique_list[position]
-                table[code] = token_id
-                pending.append((code, width))
-                ids_list[position] = token_id
-                token_id += 1
-            self._n_ids = token_id
-        return np.asarray(ids_list, dtype=np.int64)[inverse]
+        if kept < 0:
+            _raise(kept, _ERRORS)
+        return out[:, :kept]
 
     def memory_bytes(self) -> int:
-        """Rough retained-bytes estimate (vocabulary + id tables).
+        """Bytes this interner holds.
 
-        Pending (not yet materialized) words count at the same price as
-        materialized ones: the estimate must not dip just because no poll
-        has forced their strings into existence yet.
+        The native table, from its capacities: 1 B per arena byte, 12 B per
+        id slot (word end and hash) and 4 B per bucket. On top, the word
+        strings :attr:`vocabulary` has decoded so far and the list holding
+        them, at their ``sys.getsizeof`` prices.
         """
-        if not self._n_ids:
-            return 0
-        if self._vocabulary:
-            width = len(self._vocabulary[0])
-        else:
-            width = self._pending[0][1]
-        # bytes key + str value + two dict/list slots, per distinct word,
-        # plus one packed-code dict entry per packable word.
-        return self._n_ids * (2 * width + 120) + len(self._code_ids) * 60
+        _, id_cap, _, byte_cap, buckets = self._export()[0]
+        native = byte_cap + 12 * id_cap + 4 * buckets
+        return native + sys.getsizeof(self._vocabulary) + self._word_bytes
+
+    def _export(self) -> tuple[list[int], tuple[int | None, int | None]]:
+        """One C call: ``(n_ids, id_cap, n_bytes, byte_cap, bucket_cap)`` and
+        the addresses of the byte arena and the word-end array."""
+        sizes = (ctypes.c_int64 * 5)()
+        arrays = (ctypes.c_void_p * 2)()
+        _lib.sax_table_export(self._handle, sizes, arrays)
+        return list(sizes), (arrays[0], arrays[1])

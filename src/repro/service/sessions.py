@@ -17,8 +17,12 @@ process needs:
   estimate across live sessions is kept under ``memory_budget`` bytes:
   session creation and appends that would blow the budget are rejected
   with :class:`~repro.service.errors.MemoryBudgetExceeded`. Bounded
-  sessions (``capacity=``, PR 3) have flat retention, so the budget chiefly
-  polices unbounded ones.
+  sessions (``capacity=``) keep their stream and live tokens inside the
+  horizon, but not their vocabulary: each member's interner holds every
+  distinct word it has ever seen, so a long-lived bounded session still
+  grows with the stream, and can hit the budget, until ids are retired as
+  the horizon advances (the "bounded sessions with bounded memory" item of
+  ``ROADMAP.md``).
 - **Durability** — with a :class:`~repro.service.snapshot.SnapshotStore`
   attached, sessions are checkpointed every ``snapshot_interval`` appended
   points (plus on demand, on idle eviction, and on graceful shutdown), and

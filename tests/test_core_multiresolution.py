@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.interner import MAX_PACKED_WIDTH, pack_symbol_rows
 from repro.core.multiresolution import MultiResolutionDiscretizer
-from repro.sax.alphabet import MAX_PACKED_WIDTH, WordInterner, pack_symbol_rows
+from repro.sax.alphabet import WordInterner
 from repro.sax.numerosity import kept_window_mask, numerosity_reduction
 from repro.sax.sax import discretize
 
@@ -106,12 +107,14 @@ class TestTokenIds:
         assert sorted(set(ids.ids.tolist())) == list(range(int(ids.ids.max()) + 1))
         assert len(set(ids.ids.tolist())) < len(ids)  # some word repeats
         assert _same_equality_pattern(ids.ids, WordInterner().intern_matrix(symbols[kept]))
-        codes = pack_symbol_rows(symbols)
-        if w <= MAX_PACKED_WIDTH:
-            packed = WordInterner().intern_packed(codes[kept], w)
-            assert _same_equality_pattern(ids.ids, packed)
-        else:
-            assert codes is None
+        # The streaming interner's fused pass keeps the same rows and, being
+        # first-occurrence too, gives the same ids, at every width: words
+        # past the oracle's packable 12 symbols take the same native path.
+        packed = WordInterner().intern_packed(symbols)
+        assert np.array_equal(packed[:, 0], kept)
+        assert _same_equality_pattern(ids.ids, packed[:, 1])
+        assert np.array_equal(ids.ids, packed[:, 1])
+        assert (pack_symbol_rows(symbols) is None) == (w > MAX_PACKED_WIDTH)
 
     @pytest.mark.parametrize("w, a", [(5, 4), (14, 5)])
     def test_equality_pattern_matches_words(self, wide, w, a):

@@ -15,11 +15,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.interner import MAX_PACKED_WIDTH
 from repro.core.ensemble import EnsembleGrammarDetector
 from repro.core.executors import as_executor
 from repro.core.streaming import StreamingEnsembleDetector, StreamingGrammarDetector
 from repro.sax import _kernel
-from repro.sax.alphabet import MAX_PACKED_WIDTH
 
 NON_ORACLE = ["fast"]
 
@@ -82,8 +82,8 @@ def test_batch_detect_matches_python_oracle(kernel, seed):
 
 @pytest.mark.parametrize("kernel", NON_ORACLE)
 def test_wide_word_batch_detect_matches_python_oracle(kernel):
-    """Words wider than the packable 12 symbols take the row-``np.unique``
-    id path; the ensemble must still match the oracle bit for bit."""
+    """Members whose words are wider than a packed int64 code holds (12
+    symbols) must still match the oracle bit for bit."""
     series = random_series(10)
     config = dict(CONFIG, ensemble_size=10, max_paa_size=16, seed=1)
 

@@ -17,14 +17,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.interner import MAX_PACKED_WIDTH, pack_symbol_rows
+from oracles.interner import WordInterner as OracleInterner
 from repro.core.engine import SharedStreamState
 from repro.sax import _kernel
-from repro.sax.alphabet import (
-    MAX_PACKED_WIDTH,
-    WordInterner,
-    index_matrix_to_words,
-    pack_symbol_rows,
-)
+from repro.sax.alphabet import WordInterner, index_matrix_to_words
 from repro.sax.breakpoints import gaussian_breakpoints, symbol_indices
 from repro.sax.numerosity import kept_window_mask, numerosity_reduction
 from repro.sax.paa import CumulativeStats, sliding_paa_rows
@@ -251,7 +248,7 @@ def test_kernels_bitwise_equal_to_python_oracle(other):
 
 
 # ----------------------------------------------------------------------
-# Numerosity reduction and packed interning on sweep output.
+# Numerosity reduction and interning on sweep output.
 # ----------------------------------------------------------------------
 
 
@@ -262,26 +259,35 @@ def test_packed_runs_equal_row_mask_and_word_reduction(kernel):
     plan = DiscretizationPlan(window, [(w, a)])
     with _kernel.use_kernel(kernel):
         symbols = plan.sweep_series(CumulativeStats(series)).symbol_rows(w, a)
-    codes = pack_symbol_rows(symbols)
-    assert codes is not None
-    keep = np.ones(len(codes), dtype=bool)
-    keep[1:] = codes[1:] != codes[:-1]
+    # The fused native pass keeps exactly kept_window_mask's rows.
+    fused = WordInterner().intern_packed(symbols)
+    keep = np.zeros(len(symbols), dtype=bool)
+    keep[fused[:, 0]] = True
     assert np.array_equal(keep, kept_window_mask(symbols))
-    # The packed-id path and the word-string path intern identically.
+    # The fused path and the plain row path intern identically, and both
+    # give the oracle interner's ids, value for value.
     kept = np.flatnonzero(keep)
-    packed_ids = WordInterner().intern_packed(codes[kept], symbols.shape[1])
     matrix_ids = WordInterner().intern_matrix(symbols[kept])
-    assert np.array_equal(packed_ids, matrix_ids)
+    assert np.array_equal(fused[:, 1], matrix_ids)
+    assert np.array_equal(matrix_ids, OracleInterner().intern_matrix(symbols[kept]))
     # And both agree with the classic string-level numerosity reduction.
     reduced = numerosity_reduction(index_matrix_to_words(symbols), window, "exact")
     assert np.array_equal(np.asarray(reduced.offsets), kept)
 
 
 def test_pack_symbol_rows_width_gate():
+    """The oracle's packed codes stop at 12 symbols; the native table has
+    no width gate, so rows on both sides of that line intern alike."""
     wide = np.zeros((3, MAX_PACKED_WIDTH + 1), dtype=np.int64)
     assert pack_symbol_rows(wide) is None
     narrow = np.zeros((3, MAX_PACKED_WIDTH), dtype=np.int64)
     assert pack_symbol_rows(narrow) is not None
+    for width in (MAX_PACKED_WIDTH, MAX_PACKED_WIDTH + 1, 40):
+        rows = np.zeros((3, width), dtype=np.int64)
+        rows[1, -1] = 1  # differs from its neighbours in the last symbol only
+        fused = WordInterner().intern_packed(rows)
+        assert fused.tolist() == [[0, 0], [1, 1], [2, 0]]
+        assert np.array_equal(fused[:, 1], OracleInterner().intern_matrix(rows))
 
 
 @kernel_param

@@ -18,7 +18,9 @@ import argparse
 import numpy as np
 import pytest
 
+import repro.core.streaming as streaming_mod
 import repro.service.snapshot as snapshot_mod
+from oracles.interner import StreamingOracleInterner
 from repro.core.ensemble import EnsembleGrammarDetector
 from repro.core.streaming import (
     SNAPSHOT_FORMAT,
@@ -126,6 +128,87 @@ class TestBitwiseRestore:
         resumed = StreamingEnsembleDetector.restore(crashed.snapshot())
         resumed.extend(feed[500:])
         assert ranked(resumed) == ranked(uninterrupted)
+
+
+def assert_same_state(ours, theirs, path="snapshot") -> None:
+    """Recursive equality of snapshot structures; arrays compare by dtype
+    and value, everything else by type and ``==``."""
+    assert type(ours) is type(theirs), path
+    if isinstance(ours, dict):
+        assert ours.keys() == theirs.keys(), path
+        for key in ours:
+            assert_same_state(ours[key], theirs[key], f"{path}[{key!r}]")
+    elif isinstance(ours, (list, tuple)):
+        assert len(ours) == len(theirs), path
+        for index, (a, b) in enumerate(zip(ours, theirs)):
+            assert_same_state(a, b, f"{path}[{index}]")
+    elif isinstance(ours, np.ndarray):
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), path
+    else:
+        assert ours == theirs, path
+
+
+def noisy_feed() -> np.ndarray:
+    """``make_feed`` riding a random walk: hundreds of distinct words."""
+    walk = np.cumsum(np.random.default_rng(4).standard_normal(1500))
+    return make_feed(n=1500) + 0.3 * walk
+
+
+class TestInternerStability:
+    """Token ids go into snapshots, so the native interner must export what
+    the pure-Python oracle interner exports, id value for id value, and a
+    snapshot taken on either must resume bitwise on the other."""
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=("unbounded", "sliding", "decay"))
+    def test_export_state_equals_the_oracle_interners(self, policy, monkeypatch):
+        feed = noisy_feed()
+        native = build(policy)
+        with monkeypatch.context() as patch:
+            patch.setattr(streaming_mod, "WordInterner", StreamingOracleInterner)
+            oracle = build(policy)
+        assert all(type(m._interner) is StreamingOracleInterner for m in oracle.members)
+        boundaries = (0, 1, 260, 333, 900, 901, len(feed))
+        for start, stop in zip(boundaries, boundaries[1:]):
+            native.extend(feed[start:stop])
+            oracle.extend(feed[start:stop])
+            assert_same_state(
+                [m.export_state() for m in native.members],
+                [m.export_state() for m in oracle.members],
+            )
+            if stop >= 100:
+                assert ranked(native) == ranked(oracle)
+        assert_same_state(native.snapshot(), oracle.snapshot())
+        assert sum(len(m._interner) for m in native.members) > 150
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=("unbounded", "sliding", "decay"))
+    def test_restore_across_interners_continues_bitwise(self, policy, monkeypatch):
+        feed = noisy_feed()
+        uninterrupted = build(policy)
+        uninterrupted.extend(feed)
+        reference = ranked(uninterrupted)
+        curve = uninterrupted.density_curve()
+        native = build(policy)
+        native.extend(feed[:800])
+        with monkeypatch.context() as patch:
+            patch.setattr(streaming_mod, "WordInterner", StreamingOracleInterner)
+            oracle = build(policy)
+            oracle.extend(feed[:800])
+            # Native snapshot, resumed on the oracle interner.
+            on_oracle = StreamingEnsembleDetector.restore(native.snapshot())
+            on_oracle.extend(feed[800:1111])
+            on_oracle.extend(feed[1111:])
+        # Oracle snapshot, resumed on the native interner.
+        on_native = StreamingEnsembleDetector.restore(oracle.snapshot())
+        on_native.extend(feed[800:1111])
+        on_native.extend(feed[1111:])
+        assert type(on_oracle.members[0]._interner) is StreamingOracleInterner
+        assert type(on_native.members[0]._interner) is streaming_mod.WordInterner
+        for resumed in (on_oracle, on_native):
+            assert ranked(resumed) == reference
+            np.testing.assert_array_equal(resumed.density_curve(), curve)
+        assert_same_state(on_native.snapshot(), on_oracle.snapshot())
+        assert_same_state(on_native.snapshot()["members"], uninterrupted.snapshot()["members"])
+        assert SNAPSHOT_STATE_VERSION == 1
 
 
 class TestVersioning:
