@@ -222,7 +222,7 @@ class EnsembleGrammarDetector(ExecutorOwnerMixin):
         with stage_timer("combine"):
             stds = tuple(curve_std(curve) for curve in curves)
             if self.select_members:
-                kept = tuple(select_by_std(curves, self.selectivity))
+                kept = tuple(select_by_std(curves, self.selectivity, stds=stds))
             else:
                 kept = tuple(range(len(curves)))
             if self.normalize_members:

@@ -13,6 +13,7 @@
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +26,8 @@ def curve_std(curve: np.ndarray) -> float:
 def select_by_std(
     curves: list[np.ndarray],
     selectivity: float,
+    *,
+    stds: Sequence[float] | None = None,
 ) -> list[int]:
     """Indices of the top ``selectivity`` fraction of curves by std, descending.
 
@@ -34,6 +37,9 @@ def select_by_std(
         Candidate rule density curves.
     selectivity:
         The paper's ``tau`` in (0, 1]; at least one curve is always kept.
+    stds:
+        ``curve_std`` of each curve, when the caller has them already (the
+        ensemble report keeps them); computed here otherwise.
 
     Returns
     -------
@@ -51,7 +57,11 @@ def select_by_std(
     # binary representation noise (0.4 * 50 is 20.000000000000004 in
     # floats, which must stay 20 kept members, not jump to 21).
     keep = min(len(curves), max(1, math.ceil(round(selectivity * len(curves), 9))))
-    stds = np.array([curve_std(curve) for curve in curves])
+    if stds is None:
+        stds = [curve_std(curve) for curve in curves]
+    elif len(stds) != len(curves):
+        raise ValueError(f"got {len(stds)} stds for {len(curves)} curves")
+    stds = np.asarray(stds, dtype=np.float64)
     # argsort on (-std, index): descending std, stable on ties.
     order = np.lexsort((np.arange(len(curves)), -stds))
     return [int(i) for i in order[:keep]]

@@ -17,6 +17,9 @@ Python's C compiler (``sysconfig`` ``CC``) into ``__pycache__/``, named by
 a hash of the source, the machine and the compile command, and loads it
 with :mod:`ctypes`. :func:`_build` and :func:`_load` serve every native
 source of the package (``repro.sax._kernel`` builds ``_sax.c`` with them).
+The same library carries the two curve kernels, ``seq_density`` and
+``seq_median``, which :func:`repro.grammar.density.density_curve_from_token_spans`
+and :func:`repro.core.combiners.combine_curves` call under either kernel.
 Concurrent first imports are safe (write, then rename). A failed build
 raises :class:`ImportError`; there is no Python fallback.
 
@@ -129,7 +132,26 @@ _SIGNATURES = (
     ("seq_n_tokens", ctypes.c_int64, (ctypes.c_void_p,)),
     ("seq_spans", ctypes.c_int64, (ctypes.c_void_p,) * 3 + (ctypes.c_int64,)),
     ("seq_export", None, (ctypes.c_void_p,) * 3),
+    (
+        "seq_density",
+        ctypes.c_int,
+        (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
+        + (ctypes.c_int64,) * 3
+        + (ctypes.c_void_p,),
+    ),
+    (
+        "seq_median",
+        ctypes.c_int,
+        (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p),
+    ),
 )
+
+#: Status codes of the curve kernels ``seq_density`` and ``seq_median``.
+_CURVE_ERRORS = {
+    -2: (MemoryError, "no memory for the median's sort scratch"),
+    -5: (IndexError, "an occurrence span's token index lies outside the offsets"),
+    -6: (ValueError, "an occurrence span maps to an empty interval (end before start)"),
+}
 
 _lib = _load(_build(_SOURCE, _SOURCE.parent / "__pycache__"), _SIGNATURES)
 

@@ -52,11 +52,19 @@
  * output grammar depends on. Every entry point returns a status; after
  * SEQ_NOMEM or SEQ_TAIL the arena is left mid-update, so the status sticks
  * and every later call returns it.
+ *
+ * Curve kernels. The spans the walk yields end in two arena-free kernels at
+ * the bottom of this file: seq_density turns them into the rule density
+ * curve, seq_median combines the ensemble's normalized member curves.
  */
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
-enum { SEQ_OK = 0, SEQ_RANGE = -1, SEQ_NOMEM = -2, SEQ_TAIL = -3, SEQ_SPANS = -4 };
+enum {
+    SEQ_OK = 0, SEQ_RANGE = -1, SEQ_NOMEM = -2, SEQ_TAIL = -3, SEQ_SPANS = -4,
+    SEQ_INDEX = -5, SEQ_EMPTY = -6
+};
 
 typedef struct {
     int64_t *value, *next, *prev;      /* arena, slot_cap entries each */
@@ -347,4 +355,77 @@ void seq_export(const Seq *s, int64_t *sizes, const int64_t **arrays) {
     sizes[4] = s->table_cap, sizes[5] = s->pending_cap, sizes[6] = s->fed, sizes[7] = s->status;
     arrays[0] = s->value, arrays[1] = s->next, arrays[2] = s->prev, arrays[3] = s->rule_guard;
     arrays[4] = s->rule_count, arrays[5] = (const int64_t *)s->keys, arrays[6] = s->owners;
+}
+
+/* ---- curve kernels (no arena) ---- */
+
+/* Rule density curve of `length` >= 1 points from token spans: span i
+ * covers points offsets[firsts[i]] - horizon_start through
+ * offsets[lasts[i]] + window - 1 - horizon_start, clipped to the curve.
+ * Integer arithmetic wraps like numpy's int64. Every span index is checked
+ * (negative ones included) before an empty interval is reported, as numpy
+ * indexing raises before the emptiness check. The +1/-1 differences and
+ * their prefix sum are integers far below 2^53, so the doubles are exact. */
+int seq_density(const int64_t *offsets, int64_t n_offsets, int64_t window,
+                const int64_t *firsts, const int64_t *lasts, int64_t spans,
+                int64_t horizon_start, int64_t length, double *curve) {
+    uint64_t bound = (uint64_t)n_offsets, reach = (uint64_t)window - 1;
+    uint64_t origin = (uint64_t)horizon_start;
+    int empty = 0;
+    memset(curve, 0, (size_t)length * sizeof *curve);
+    for (int64_t i = 0; i < spans; i++) {
+        if ((uint64_t)firsts[i] >= bound || (uint64_t)lasts[i] >= bound) return SEQ_INDEX;
+        int64_t start = (int64_t)((uint64_t)offsets[firsts[i]] - origin);
+        int64_t end = (int64_t)((uint64_t)offsets[lasts[i]] + reach - origin);
+        if (end < start) empty = 1;
+        if (empty || start >= length || end < 0) continue;
+        curve[start > 0 ? start : 0] += 1.0;
+        if (end < length - 1) curve[end + 1] -= 1.0;
+    }
+    if (empty) return SEQ_EMPTY;
+    double running = 0.0;
+    for (int64_t t = 0; t < length; t++) curve[t] = running += curve[t];
+    return SEQ_OK;
+}
+
+/* Point-wise median of k >= 1 rows of n doubles, as np.median computes it:
+ * the mean of the middle value (odd k) or pair (even k), summed from +0.0
+ * as numpy's mean is, so a -0.0 median comes out +0.0; and a NaN wherever a
+ * column holds one. Each column is insertion-sorted starting from the
+ * previous column's order, which density curves (piecewise constant) mostly
+ * keep, so a point costs about k steps. */
+int seq_median(const double *const *rows, int64_t k, int64_t n, double *out) {
+    int64_t *order = malloc((size_t)k * sizeof *order);
+    double *sorted = malloc((size_t)k * sizeof *sorted);
+    int64_t lower = (k - 1) / 2, upper = k / 2;
+    if (!order || !sorted) {
+        free(order), free(sorted);
+        return SEQ_NOMEM;
+    }
+    for (int64_t i = 0; i < k; i++) order[i] = i;
+    for (int64_t t = 0; t < n; t++) {
+        double nan = 0.0;
+        int any_nan = 0;
+        for (int64_t i = 0; i < k; i++) {
+            double v = rows[order[i]][t];
+            if (v != v) any_nan = 1, nan = v;
+            sorted[i] = v;
+        }
+        if (any_nan) {
+            out[t] = nan;
+            continue;
+        }
+        for (int64_t i = 1; i < k; i++) {
+            double v = sorted[i];
+            int64_t row = order[i], j = i;
+            for (; j > 0 && sorted[j - 1] > v; j--) {
+                sorted[j] = sorted[j - 1];
+                order[j] = order[j - 1];
+            }
+            sorted[j] = v, order[j] = row;
+        }
+        out[t] = lower == upper ? 0.0 + sorted[lower] : (0.0 + sorted[lower] + sorted[upper]) / 2;
+    }
+    free(order), free(sorted);
+    return SEQ_OK;
 }

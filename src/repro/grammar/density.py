@@ -7,13 +7,22 @@ zero) density.
 
 Construction is O(#occurrences + N) using a difference array: each occurrence
 contributes +1 at its interval start and -1 one past its end, and a prefix
-sum yields the curve.
+sum yields the curve. Two implementations share those semantics:
+
+- :func:`density_curve_from_token_spans` — the production path of batch and
+  streaming detection under both grammar kernels. It maps token spans to
+  intervals, clips and accumulates them in one native pass
+  (``seq_density`` in ``_sequitur.c``, beside the span walk that feeds it).
+- :func:`density_from_intervals` — numpy over explicit interval pairs; RRA,
+  the single-grammar detector and the GI baselines use it, and the tests
+  use it as the oracle of the native pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.grammar._kernel import _CURVE_ERRORS, _lib, _raise
 from repro.grammar.rules import Grammar
 from repro.sax.numerosity import TokenSequence
 
@@ -34,11 +43,11 @@ def density_from_intervals(
 
     Notes
     -----
-    The difference array is built with one ``np.add.at`` scatter per
-    endpoint column rather than a Python loop over occurrences — on dense
-    grammars this is the hot step of curve construction. Clipping and
-    validation semantics match the scalar reference loop exactly (pinned by
-    a ground-truth test).
+    The difference array is two ``np.bincount`` histograms, one per
+    endpoint column, rather than a Python loop over occurrences. The counts
+    are integers, so the result does not depend on accumulation order.
+    Clipping and validation semantics match the scalar reference loop
+    exactly (pinned by a ground-truth test).
     """
     if length <= 0:
         raise ValueError(f"curve length must be positive, got {length}")
@@ -64,10 +73,9 @@ def density_from_intervals(
     clipped_starts = np.maximum(starts, 0)
     clipped_ends = np.minimum(ends, length - 1)
     in_range = (clipped_starts < length) & (clipped_ends >= 0)
-    diff = np.zeros(length + 1, dtype=np.int64)
-    np.add.at(diff, clipped_starts[in_range], 1)
-    np.add.at(diff, clipped_ends[in_range] + 1, -1)
-    return np.cumsum(diff[:-1]).astype(np.float64)
+    opens = np.bincount(clipped_starts[in_range], minlength=length + 1)
+    closes = np.bincount(clipped_ends[in_range] + 1, minlength=length + 1)
+    return np.cumsum((opens - closes)[:-1]).astype(np.float64)
 
 
 def density_curve_from_token_spans(
@@ -79,23 +87,50 @@ def density_curve_from_token_spans(
     *,
     horizon_start: int = 0,
 ) -> np.ndarray:
-    """Density curve from occurrence token spans, fully vectorized.
+    """Density curve from occurrence token spans, in one native pass.
 
-    The fused fast path shared by batch and streaming detection: token
-    spans (from :meth:`Grammar.occurrence_spans` or a kernel builder's
-    ``occurrence_spans``) are mapped to time-series intervals with two
-    gathers — ``starts = offsets[firsts]``, ``ends = offsets[lasts] +
-    window - 1`` (the :meth:`TokenSequence.token_span` convention) — and
-    accumulated by :func:`density_from_intervals`, whose validation and
-    clipping make the result bitwise identical to the per-occurrence
-    reference path.
+    The fused path shared by batch and streaming detection: token spans
+    (from :meth:`Grammar.occurrence_spans` or a kernel builder's
+    ``occurrence_spans``) map to the time-series intervals
+    ``[offsets[first], offsets[last] + window - 1]`` (the
+    :meth:`TokenSequence.token_span` convention), shifted left by
+    ``horizon_start``. ``seq_density`` clips and accumulates them exactly
+    as :func:`density_from_intervals` does on those intervals, so the
+    curves are bitwise equal.
+
+    Raises
+    ------
+    IndexError
+        If a span index lies outside ``offsets``. Negative indices are out
+        of range too: unlike numpy indexing, they do not wrap around.
+    ValueError
+        If a span maps to an empty interval, or ``series_length <= 0``.
     """
-    starts = offsets[firsts]
-    ends = offsets[lasts] + (window - 1)
-    if horizon_start:
-        starts = starts - horizon_start
-        ends = ends - horizon_start
-    return density_from_intervals(np.column_stack((starts, ends)), series_length)
+    if series_length <= 0:
+        raise ValueError(f"curve length must be positive, got {series_length}")
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+    firsts = np.ascontiguousarray(firsts, dtype=np.int64)
+    lasts = np.ascontiguousarray(lasts, dtype=np.int64)
+    if firsts.ndim != 1 or firsts.shape != lasts.shape:
+        raise ValueError(
+            f"firsts and lasts must be 1-D and of one length, got shapes "
+            f"{firsts.shape} and {lasts.shape}"
+        )
+    curve = np.empty(series_length, dtype=np.float64)
+    status = _lib.seq_density(
+        offsets.ctypes.data,
+        offsets.size,
+        window,
+        firsts.ctypes.data,
+        lasts.ctypes.data,
+        firsts.size,
+        horizon_start,
+        series_length,
+        curve.ctypes.data,
+    )
+    if status:
+        _raise(status, _CURVE_ERRORS)
+    return curve
 
 
 def rule_density_curve(

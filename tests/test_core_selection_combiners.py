@@ -8,8 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core import EnsembleGrammarDetector
 from repro.core.combiners import COMBINERS, combine_curves
+from repro.core.multiresolution import MultiResolutionDiscretizer
 from repro.core.selection import curve_std, normalize_curve, select_by_std
+from repro.datasets.planting import make_corpus
+from repro.datasets.ucr_like import DATASETS
+from repro.grammar._kernel import make_builder, use_kernel
+from repro.grammar.density import density_from_intervals
 
 non_negative = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 
@@ -80,6 +86,20 @@ class TestSelectByStd:
     def test_empty_curves_rejected(self):
         with pytest.raises(ValueError, match="no curves"):
             select_by_std([], selectivity=0.5)
+
+    def test_precomputed_stds_select_the_same_members(self):
+        rng = np.random.default_rng(3)
+        curves = [np.repeat(rng.integers(0, 6, 30), 4).astype(float) for _ in range(50)]
+        curves += [curve.copy() for curve in curves[:5]]  # std ties
+        stds = tuple(curve_std(curve) for curve in curves)
+        for selectivity in (0.05, 0.4, 1.0):
+            assert select_by_std(curves, selectivity, stds=stds) == select_by_std(
+                curves, selectivity
+            )
+
+    def test_precomputed_stds_must_match_curves(self):
+        with pytest.raises(ValueError, match="2 stds for 3 curves"):
+            select_by_std([np.ones(3)] * 3, 0.5, stds=(0.0, 0.0))
 
     @given(
         st.lists(arrays(np.float64, 16, elements=non_negative), min_size=1, max_size=12),
@@ -186,3 +206,165 @@ class TestCombineCurves:
         stack = np.stack(curves)
         assert np.all(combined >= stack.min(axis=0) - 1e-12)
         assert np.all(combined <= stack.max(axis=0) + 1e-12)
+
+
+def _piecewise_constant(rng, k, n, levels=6):
+    """``k`` density-like rows: small integer levels held over random runs."""
+    rows = np.empty((k, n))
+    for row in rows:
+        cuts = np.sort(rng.integers(0, n, size=rng.integers(0, 12)))
+        row[:] = np.repeat(rng.integers(0, levels, len(cuts) + 1), np.diff([0, *cuts, n]))
+    return rows
+
+
+class TestNativeMedianDifferential:
+    """``combine_curves(..., "median")`` (the native ``seq_median``) against
+    ``np.median(np.stack(curves), axis=0)``."""
+
+    @staticmethod
+    def _assert_same(curves):
+        native = combine_curves(curves, "median")
+        with np.errstate(invalid="ignore"):  # -inf + inf in an even middle pair
+            oracle = np.median(
+                np.stack([np.asarray(c, dtype=np.float64) for c in curves]), axis=0
+            )
+        np.testing.assert_array_equal(native, oracle)
+        # Byte-equal (signed zeros included) wherever the result is a number.
+        numbers = ~np.isnan(oracle)
+        assert native[numbers].tobytes() == oracle[numbers].tobytes()
+
+    @pytest.mark.parametrize("k", [*range(1, 42), 300])
+    def test_any_member_count(self, k):
+        rng = np.random.default_rng(k)
+        rows = _piecewise_constant(rng, k, 257) / 5.0
+        self._assert_same(list(rows))
+        self._assert_same(rows)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 10])
+    def test_ties_zero_rows_and_infinities(self, k):
+        rng = np.random.default_rng(100 + k)
+        rows = _piecewise_constant(rng, k, 120, levels=2)
+        rows[0] = 0.0
+        rows[rng.random(rows.shape) < 0.1] = np.inf
+        rows[rng.random(rows.shape) < 0.1] = -np.inf
+        self._assert_same(list(rows))
+        self._assert_same(np.zeros((k, 30)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_negative_zero_medians_come_out_positive(self, k):
+        """numpy's mean sums from +0.0, so a -0.0 middle gives +0.0."""
+        rows = np.full((k, 3), -0.0)
+        rows[:, 1] = [(-0.0, 0.0)[i % 2] for i in range(k)]
+        self._assert_same(list(rows))
+        assert not np.signbit(combine_curves(rows)).any()
+
+    def test_infinities_meeting_in_the_middle_give_nan(self):
+        combined = combine_curves([np.array([-np.inf, 1.0]), np.array([np.inf, 3.0])])
+        assert np.isnan(combined[0]) and combined[1] == 2.0
+
+    @pytest.mark.parametrize("k", [1, 4, 5])
+    def test_nan_column_gives_nan(self, k):
+        rows = _piecewise_constant(np.random.default_rng(k), k, 40)
+        rows[k // 2, 7] = np.nan
+        rows[0, 19] = np.nan
+        rows[:, 30] = np.nan
+        combined = combine_curves(list(rows))
+        assert np.isnan(combined[[7, 19, 30]]).all()
+        self._assert_same(list(rows))
+
+    @given(
+        st.lists(
+            arrays(
+                np.float64,
+                9,
+                elements=st.one_of(
+                    st.sampled_from([0.0, 0.5, 1.0, np.inf, -np.inf]),
+                    st.floats(allow_nan=False, width=64),
+                ),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_matches_numpy_on_arbitrary_values(self, curves):
+        self._assert_same(curves)
+
+    def test_non_contiguous_and_float32_inputs(self):
+        rng = np.random.default_rng(9)
+        wide = _piecewise_constant(rng, 12, 400)
+        self._assert_same(list(wide[:, ::3]))  # strided member views
+        self._assert_same(wide[::2, 1::2])  # a strided 2-D stack
+        self._assert_same(wide.T.copy().T)  # Fortran order
+        self._assert_same([row.astype(np.float32) / 7 for row in wide[:5]])
+        self._assert_same((wide[:6] / 7).astype(np.float32))
+
+    def test_shape_errors_unchanged(self):
+        with pytest.raises(ValueError, match="empty"):
+            combine_curves([])
+        with pytest.raises(ValueError, match="empty"):
+            combine_curves(np.empty((3, 0)))
+        with pytest.raises(ValueError, match="empty"):
+            combine_curves([np.empty(0), np.empty(0)])
+        with pytest.raises(ValueError, match="stack into 2-D"):
+            combine_curves(np.ones((2, 3, 4)))
+        with pytest.raises(ValueError, match="member curve 1 has length 4"):
+            combine_curves([np.ones(3), np.ones(4)])
+        with pytest.raises(ValueError, match="member curve 0 must be 1-D"):
+            combine_curves([np.float64(1.0)])
+
+    def test_one_dimensional_ndarray_is_one_member(self):
+        curve = np.array([3.0, 1.0, 2.0])
+        assert combine_curves(curve).tobytes() == curve.tobytes()
+
+
+#: The paper's protocol over planted cases of all six UCR-like datasets:
+#: six cases each, N = 50 members, tau = 0.4.
+POOL_SEED = 20200330
+
+
+@pytest.fixture(scope="module")
+def pool_cases():
+    return [
+        (case, POOL_SEED + index)
+        for offset, dataset in enumerate(DATASETS.values())
+        for index, case in enumerate(make_corpus(dataset, n_cases=6, seed=POOL_SEED + offset))
+    ]
+
+
+def _oracle_ensemble_curve(detector, series, parameters):
+    """Algorithm 1 from the numpy oracles: density from explicit intervals,
+    std selection, max normalization and ``np.median``."""
+    window = detector.window
+    discretizer = MultiResolutionDiscretizer(
+        series, window, detector.max_paa_size, detector.max_alphabet_size
+    )
+    curves = []
+    for paa_size, alphabet_size in parameters:
+        tokens = discretizer.token_ids(paa_size, alphabet_size)
+        builder = make_builder("fast")
+        builder.feed_many(tokens.ids)
+        firsts, lasts = builder.occurrence_spans()
+        offsets = np.asarray(tokens.offsets, dtype=np.int64)
+        intervals = np.column_stack((offsets[firsts], offsets[lasts] + window - 1))
+        curves.append(density_from_intervals(intervals, len(series)))
+    kept = select_by_std(curves, detector.selectivity)
+    return np.median(np.stack([normalize_curve(curves[i]) for i in kept]), axis=0)
+
+
+def test_ensemble_curves_equal_the_numpy_oracle_path(pool_cases):
+    """Whole pipeline, under the active kernel (CI runs this file under
+    ``REPRO_KERNEL=python`` too): every pool case's ensemble curve is
+    byte-equal to the numpy oracle path, and the report's stds and kept
+    members equal what selection without precomputed stds gives. The
+    oracle's spans come from the fast arena either way."""
+    for case, seed in pool_cases:
+        detector = EnsembleGrammarDetector(
+            window=case.gt_length, ensemble_size=50, selectivity=0.4, seed=seed
+        )
+        report = detector.ensemble_report(case.series, keep_member_curves=True)
+        with use_kernel("fast"):
+            oracle = _oracle_ensemble_curve(detector, case.series, report.parameters)
+        assert report.curve.tobytes() == oracle.tobytes()
+        curves = list(report.member_curves)
+        assert report.stds == tuple(curve_std(curve) for curve in curves)
+        assert list(report.kept) == select_by_std(curves, detector.selectivity)

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.grammar.density import density_from_intervals, rule_density_curve
+from repro.grammar.density import (
+    density_curve_from_token_spans,
+    density_from_intervals,
+    rule_density_curve,
+)
 from repro.grammar.sequitur import induce_grammar
 from repro.sax.numerosity import numerosity_reduction
 
@@ -106,12 +110,122 @@ class TestDensityFromIntervals:
         st.integers(1, 50),
     )
     def test_vectorized_matches_loop_reference(self, intervals, length):
-        """The np.add.at scatter must reproduce the scalar loop exactly,
+        """The np.bincount scatter must reproduce the scalar loop exactly,
         including out-of-range clipping on both sides."""
         assert np.array_equal(
             density_from_intervals(intervals, length),
             self._loop_reference(intervals, length),
         )
+
+
+def _oracle_from_spans(offsets, window, firsts, lasts, length, horizon_start=0):
+    """The numpy path the native ``seq_density`` replaced: gather the
+    intervals, then :func:`density_from_intervals`."""
+    starts = offsets[firsts] - horizon_start
+    ends = offsets[lasts] + (window - 1) - horizon_start
+    return density_from_intervals(np.column_stack((starts, ends)), length)
+
+
+@st.composite
+def span_cases(draw):
+    """Sorted offsets, any spans over them (none included), a horizon that
+    can put spans left of, across or past the curve, and a curve length."""
+    gaps = draw(st.lists(st.integers(0, 12), min_size=1, max_size=40))
+    offsets = np.cumsum(np.asarray(gaps, dtype=np.int64))
+    window = draw(st.integers(1, 30))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(offsets) - 1), st.integers(0, len(offsets) - 1)),
+            max_size=30,
+        )
+    )
+    firsts = np.asarray([min(pair) for pair in pairs], dtype=np.int64)
+    lasts = np.asarray([max(pair) for pair in pairs], dtype=np.int64)
+    reach = int(offsets[-1]) + window
+    horizon_start = draw(st.integers(-10, reach + 10))
+    length = draw(st.one_of(st.just(1), st.integers(1, reach + 10)))
+    return offsets, window, firsts, lasts, length, horizon_start
+
+
+class TestNativeDensityDifferential:
+    """``density_curve_from_token_spans`` (the native ``seq_density``)
+    against the numpy oracle, byte for byte."""
+
+    @staticmethod
+    def _assert_same(offsets, window, firsts, lasts, length, horizon_start=0):
+        native = density_curve_from_token_spans(
+            offsets, window, firsts, lasts, length, horizon_start=horizon_start
+        )
+        oracle = _oracle_from_spans(offsets, window, firsts, lasts, length, horizon_start)
+        assert native.dtype == np.float64
+        assert native.tobytes() == oracle.tobytes()
+
+    @given(span_cases())
+    @example((np.array([0, 3, 7]), 4, np.array([], dtype=np.int64),
+              np.array([], dtype=np.int64), 12, 0))
+    def test_matches_numpy_oracle(self, case):
+        self._assert_same(*case)
+
+    @pytest.mark.parametrize(
+        "horizon_start, length",
+        [
+            (0, 40),  # the batch case: every span inside the curve
+            (100, 20),  # every span wholly left of the curve
+            (8, 20),  # spans straddling the left edge
+            (-30, 25),  # the curve ends before the spans start
+            (5, 10),  # spans straddling the right edge
+            (3, 1),  # a one-point curve
+        ],
+    )
+    def test_horizon_placements(self, horizon_start, length):
+        offsets = np.array([0, 2, 5, 9, 14, 20], dtype=np.int64)
+        firsts = np.array([0, 1, 2, 0, 4, 3], dtype=np.int64)
+        lasts = np.array([1, 3, 2, 5, 5, 4], dtype=np.int64)
+        self._assert_same(offsets, 6, firsts, lasts, length, horizon_start)
+
+    def test_accepts_lists_and_other_integer_dtypes(self):
+        offsets = np.array([0, 4, 9], dtype=np.int32)
+        native = density_curve_from_token_spans(offsets, 3, [0, 1], [1, 2], 15)
+        oracle = _oracle_from_spans(offsets.astype(np.int64), 3, [0, 1], [1, 2], 15)
+        assert native.tobytes() == oracle.tobytes()
+
+    def test_empty_interval_rejected(self):
+        """Unsorted offsets map a span to an interval ending before it starts."""
+        offsets = np.array([10, 0], dtype=np.int64)
+        firsts, lasts = np.array([0]), np.array([1])
+        with pytest.raises(ValueError, match="empty"):
+            _oracle_from_spans(offsets, 1, firsts, lasts, 20)
+        with pytest.raises(ValueError, match="empty"):
+            density_curve_from_token_spans(offsets, 1, firsts, lasts, 20)
+
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_non_positive_length_rejected(self, length):
+        offsets = np.array([0, 1], dtype=np.int64)
+        spans = np.array([0]), np.array([1])
+        with pytest.raises(ValueError, match="positive"):
+            _oracle_from_spans(offsets, 2, *spans, length)
+        with pytest.raises(ValueError, match="positive"):
+            density_curve_from_token_spans(offsets, 2, *spans, length)
+
+    @pytest.mark.parametrize(
+        "firsts, lasts", [([0, 3], [1, 3]), ([0, 1], [1, 7]), ([-1], [0]), ([0], [-2])]
+    )
+    def test_span_index_out_of_range(self, firsts, lasts):
+        """Every span index must lie in ``[0, len(offsets))``. Negative
+        indices raise too, where numpy indexing would wrap around."""
+        offsets = np.array([0, 2, 4], dtype=np.int64)
+        with pytest.raises(IndexError):
+            density_curve_from_token_spans(offsets, 2, np.array(firsts), np.array(lasts), 10)
+
+    def test_index_error_takes_precedence_over_empty_interval(self):
+        """As in the numpy path, which gathers before it checks emptiness."""
+        offsets = np.array([10, 0], dtype=np.int64)
+        with pytest.raises(IndexError):
+            density_curve_from_token_spans(offsets, 1, np.array([0, 5]), np.array([1, 1]), 20)
+
+    def test_mismatched_span_arrays_rejected(self):
+        with pytest.raises(ValueError, match="one length"):
+            density_curve_from_token_spans(np.arange(4), 2, np.array([0, 1]), np.array([1]), 9)
 
 
 class TestRuleDensityCurve:
