@@ -72,7 +72,9 @@ parsed by one shared helper: ``serial``, ``thread``, ``process``, or
 ``cluster`` (``--scheduler HOST:PORT`` binds a fixed address for remote
 workers; without it a local mini-cluster of ``--n-jobs`` workers is
 spawned). Unknown names are rejected up front with the list of valid
-choices. Results are bitwise identical across backends.
+choices. Without ``--executor``, ``--n-jobs`` counts the member threads of
+each detect (default 1: every member on the calling thread) and no process
+is spawned. Results are bitwise identical across backends.
 
 ``detect`` and ``stream`` also take ``--profile FILE``: the run executes
 under :mod:`cProfile`, binary stats are dumped to ``FILE`` and a
@@ -156,12 +158,13 @@ def save_series(path: str | Path, series: np.ndarray) -> None:
 #: The one ``--executor`` help string every subcommand shares (the parsing
 #: helper below is the single place executor flags are interpreted).
 EXECUTOR_HELP = (
-    "execution backend: 'serial' (inline reference), 'thread' "
-    "(GIL-releasing numpy work), 'process' (shared-memory series passing, "
-    "reusable pool), or 'cluster' (dispatch to `repro worker` processes "
-    "over TCP; spawns --n-jobs local workers, or binds --scheduler "
-    "HOST:PORT for remote ones). Results are bitwise identical across "
-    "backends. Default: derive from --n-jobs"
+    "execution backend: 'serial' (inline reference), 'thread' (reusable "
+    "thread pool; every hot loop is native code that releases the GIL), "
+    "'process' (shared-memory series passing, reusable pool), or 'cluster' "
+    "(dispatch to `repro worker` processes over TCP; spawns --n-jobs local "
+    "workers, or binds --scheduler HOST:PORT for remote ones). Results are "
+    "bitwise identical across backends. Default: none; --n-jobs then counts "
+    "member threads and no process is spawned"
 )
 
 
@@ -180,7 +183,10 @@ def _add_executor_options(parser: argparse.ArgumentParser) -> None:
         "--n-jobs",
         type=int,
         default=1,
-        help="worker count for member/batch execution (default 1)",
+        help=(
+            "without --executor: member threads per detect (default 1, every "
+            "member on the calling thread); with one: its worker count"
+        ),
     )
     parser.add_argument(
         "--executor",
@@ -587,10 +593,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         None if args.memory_budget_mb is None else int(args.memory_budget_mb * 1024 * 1024)
     )
     snapshot_store = None if args.snapshot_dir is None else LocalSnapshotStore(args.snapshot_dir)
-    if args.executor is None and args.n_jobs > 1:
-        # Asking for workers without naming a backend: a long-lived service
-        # wants one reusable pool, not a fresh one per micro-batch.
-        args.executor = "process"
 
     async def _main(executor: MemberExecutor | None) -> None:
         service = DetectService(

@@ -10,14 +10,19 @@ the layer that makes the library production-shaped on both axes:
   stream. Appends are amortized O(1) via capacity doubling, and the prefix
   sums are extended with the exact left-associated accumulation order of
   ``np.cumsum`` so streaming results stay bitwise equal to the batch path.
-- :func:`compute_member_curves` — the ensemble's member fan-out. Serially it
-  shares one :class:`~repro.core.multiresolution.MultiResolutionDiscretizer`
-  across all members (Section 6.2); with an executor (or ``n_jobs > 1``)
-  members are grouped by PAA size ``w`` and the groups are spread over the
-  executor's workers, each sharing the per-``w`` interval matrix among its
-  members. Series reach process workers through shared memory, not pickling
-  (see :mod:`repro.core.executors`). All paths run the same floating-point
-  operations, so results are bitwise identical.
+- :func:`compute_member_curves` — the ensemble's member fan-out. Without an
+  executor all members share one
+  :class:`~repro.core.multiresolution.MultiResolutionDiscretizer` (Section
+  6.2) and each member is one native call that releases the GIL
+  (:func:`repro.grammar._kernel.member_curve`); with ``n_jobs > 1`` the
+  per-``w`` sweeps and then the members fan out across the calling thread
+  and the process-wide thread pool (:func:`repro.core.executors.fan_out`).
+  With an explicit executor members are grouped by PAA size ``w`` and the
+  groups are spread over the executor's workers, each sharing the per-``w``
+  interval matrix among its members. Series reach process workers through
+  shared memory, not pickling (see :mod:`repro.core.executors`). All paths
+  run the same floating-point operations, so results are bitwise
+  identical.
 - :func:`detect_batch` / :func:`iter_detect_batch` — the serving shape for
   high-traffic workloads: fan out many *independent* series across an
   executor, each handled by an identically-configured detector clone with a
@@ -59,15 +64,16 @@ from repro.core.executors import (  # noqa: F401 — re-exported engine API
     _resolve_n_jobs,
     _wrap_batch_error,
     detect_many,
+    fan_out,
     resolve_series,
     share_series_batch,
     validate_executor_spec,
 )
 from repro.core.multiresolution import MultiResolutionDiscretizer
 from repro.grammar import _kernel
-from repro.grammar.density import density_curve_from_token_spans, rule_density_curve
+from repro.grammar.density import rule_density_curve
 from repro.grammar.sequitur import induce_grammar
-from repro.obs.stages import stage_timer
+from repro.obs.stages import merge, stage_timer
 from repro.sax.paa import sliding_paa_rows
 from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD
 from repro.utils.rng import spawn_rngs
@@ -536,22 +542,33 @@ class SharedStreamState:
 # ----------------------------------------------------------------------
 
 
+def _member_stage_times(phase_ns) -> dict[str, float]:
+    """Seconds per stage from :func:`~repro.grammar._kernel.member_curve`'s
+    tokenize, feed, spans and density counters."""
+    tokenize, feed, spans, density = phase_ns
+    return {
+        "discretize": tokenize * 1e-9,
+        "grammar": (feed + spans) * 1e-9,
+        "density": density * 1e-9,
+    }
+
+
 def _member_curve(
     discretizer: MultiResolutionDiscretizer,
     paa_size: int,
     alphabet_size: int,
     series_length: int,
 ) -> np.ndarray:
-    """Density curve of one ensemble member, kernel-fused when possible.
+    """Density curve of one ensemble member, in one native call when possible.
 
-    Under the id-based grammar kernel (``REPRO_KERNEL=fast``) with
-    exact numerosity, the member runs entirely on integers: token ids feed
-    the kernel builder, occurrence spans come out as arrays, and
-    the curve is accumulated without materializing a :class:`Grammar`,
-    occurrence objects, or per-rule interval lists. The python kernel (and
-    the ``"none"`` strategy) takes the reference word/Grammar path. Both
-    paths are bitwise identical — the kernel-equivalence suite pins the
-    grammars, and integer scatter-adds commute.
+    Under the ``fast`` kernel with exact numerosity the member is
+    :func:`~repro.grammar._kernel.member_curve` on the shared interval
+    matrix: symbol lookup, numerosity, ids, Sequitur, spans and density in
+    one call, whose phase counters are charged to the ``discretize``,
+    ``grammar`` and ``density`` stages here. The python kernel (and the
+    ``"none"`` strategy) takes the reference word/Grammar path. Both paths
+    are bitwise identical — the kernel-equivalence suite pins the grammars,
+    and integer scatter-adds commute.
     """
     kernel = _kernel.current_kernel()
     if kernel == "python" or discretizer.numerosity != "exact":
@@ -562,17 +579,56 @@ def _member_curve(
             grammar = induce_grammar(tokens.words)
         with stage_timer("density"):
             return rule_density_curve(grammar, tokens, series_length)
-    token_ids = discretizer.token_ids(paa_size, alphabet_size)
-    if not len(token_ids):
-        raise ValueError("cannot induce a grammar from an empty token sequence")
-    with stage_timer("grammar"):
-        builder = _kernel.make_builder(kernel)
-        builder.feed_many(token_ids.ids)
-        firsts, lasts = builder.occurrence_spans()
-    with stage_timer("density"):
-        return density_curve_from_token_spans(
-            token_ids.offsets, token_ids.window, firsts, lasts, series_length
-        )
+    curve, phase_ns = _kernel.member_curve(
+        discretizer.interval_matrix(paa_size),
+        discretizer.alphabet_table.symbol_column(alphabet_size),
+        discretizer.window,
+        series_length,
+    )
+    merge(_member_stage_times(phase_ns))
+    return curve
+
+
+def _fan_out_members(
+    discretizer: MultiResolutionDiscretizer,
+    parameters: Sequence[tuple[int, int]],
+    series_length: int,
+    n_jobs: int,
+) -> list[np.ndarray]:
+    """Every member's curve, fanned out across ``n_jobs`` threads in two phases.
+
+    The window statistics are computed once, here. Phase 1 fills the
+    sweep's interval matrix of each distinct ``w``, largest first (the
+    largest matrices take longest); phase 2 runs the members, largest ``w``
+    first, each one :func:`~repro.grammar._kernel.member_curve` call whose
+    curve lands in its sample-order slot. The tasks call nothing but those
+    two native passes: they record no stage timer and touch no thread-local
+    state, and this thread merges their measured times into the stages and
+    captures afterwards. The calls between the phases (``interval_matrix``
+    hits the filled cache, symbol columns are table reads) run here too.
+    """
+    sweep = discretizer.sweep
+    sweep.shared_stats()
+    widths = sorted({paa_size for paa_size, _ in parameters}, reverse=True)
+    for seconds in fan_out(sweep.fill_intervals, widths, n_jobs):
+        if seconds:
+            merge({"paa": seconds})
+    intervals = {paa_size: discretizer.interval_matrix(paa_size) for paa_size in widths}
+    table = discretizer.alphabet_table
+    order = sorted(range(len(parameters)), key=lambda i: parameters[i], reverse=True)
+    inputs = [
+        (intervals[parameters[i][0]], table.symbol_column(parameters[i][1])) for i in order
+    ]
+    window = discretizer.window
+
+    def member(pair):
+        return _kernel.member_curve(pair[0], pair[1], window, series_length)
+
+    curves: list[np.ndarray] = [np.empty(0)] * len(parameters)
+    for index, (curve, phase_ns) in zip(order, fan_out(member, inputs, n_jobs)):
+        curves[index] = curve
+        merge(_member_stage_times(phase_ns))
+    return curves
 
 
 def _member_curves_task(payload) -> list[tuple[int, np.ndarray]]:
@@ -613,18 +669,24 @@ def compute_member_curves(
 ) -> list[np.ndarray]:
     """Rule density curves of every ensemble member, in sample order.
 
-    Serially (``n_jobs=1``, no executor) all members share one
-    :class:`MultiResolutionDiscretizer`. With an executor — or ``n_jobs >
-    1``, which creates a temporary process pool for the call — the members
-    are grouped by PAA size ``w`` and the groups run across the executor's
-    workers; under the process backend the series crosses into workers
-    through one shared-memory segment instead of a pickled copy per group.
-    Member curves are deterministic functions of ``(series, window, w, a)``,
-    so every path produces bitwise-identical results.
+    Without an executor all members share one
+    :class:`MultiResolutionDiscretizer` and run on this thread
+    (``n_jobs=1``) or fan out across it and up to ``n_jobs - 1`` threads of
+    the process-wide pool (``None``: every available CPU; see
+    :func:`_fan_out_members`). Only the ``fast`` kernel with exact
+    numerosity fans out: the python oracle and the ``"none"`` strategy run
+    their members here, one after another, as does a call made from a
+    fan-out thread. With an executor the members are grouped by PAA size
+    ``w`` and the groups run across the executor's workers, each group's
+    members one after another; under the process backend the series
+    crosses into workers through one shared-memory segment instead of a
+    pickled copy per group. Member curves are deterministic functions of
+    ``(series, window, w, a)``, so every path produces bitwise-identical
+    results.
     """
     n_jobs = _resolve_n_jobs(n_jobs)
     curves: list[np.ndarray] = [np.empty(0)] * len(parameters)
-    pool, owned = _resolve_executor(executor, n_jobs, len(parameters))
+    pool, owned = _resolve_executor(executor, n_jobs)
     if pool is None:
         discretizer = MultiResolutionDiscretizer(
             series,
@@ -634,6 +696,8 @@ def compute_member_curves(
             znorm_threshold=znorm_threshold,
             numerosity=numerosity,
         )
+        if n_jobs > 1 and numerosity == "exact" and discretizer.sweep.kernel == "fast":
+            return _fan_out_members(discretizer, parameters, len(series), n_jobs)
         # Grouped by w so the interval matrix is built once per w, but
         # reported in *sample order* — a uniform random prefix of the sample
         # is itself a uniform sample, which the size-sweep benches rely on.
@@ -797,7 +861,7 @@ def _iter_detect_batch(
     """The deferred half of :func:`iter_detect_batch` (validated inputs)."""
     if not series_list:
         return
-    pool, owned = _resolve_executor(executor, n_jobs, len(series_list))
+    pool, owned = _resolve_executor(executor, n_jobs)
     # Clones running where the batch layer is serial keep the whole job
     # budget for member-level parallelism; pooled clones run their members
     # serially to avoid nested pools.
@@ -904,9 +968,10 @@ def detect_batch(
         Candidates to report per series.
     n_jobs:
         Worker count; ``None`` defers to ``detector.n_jobs``. Without an
-        explicit ``executor``, ``n_jobs=1`` runs the exact same per-series
-        function inline and larger values use a temporary process pool, so
-        parallel and serial results are identical.
+        explicit ``executor`` the series run one after another on this
+        thread and ``n_jobs`` counts each clone's member threads
+        (``1``: serial); with one it sizes a named backend. Parallel and
+        serial results are identical.
     executor:
         A live :class:`~repro.core.executors.MemberExecutor` (reused, never
         closed here) or a backend name from

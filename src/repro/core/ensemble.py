@@ -94,9 +94,14 @@ class EnsembleGrammarDetector(ExecutorOwnerMixin):
     seed:
         Seed or generator controlling the parameter sampling.
     n_jobs:
-        Process count for member execution: members are grouped by PAA size
-        ``w`` and the groups run across a process pool (``None`` uses every
-        core). Results are identical to the serial path; see
+        Member threads per ``detect`` when no ``executor`` is given. The
+        default ``None`` uses every CPU available to the process (its
+        affinity mask): the per-``w`` sweeps and then the members, each one
+        native call that releases the GIL, fan out across the calling
+        thread and a process-wide thread pool. ``1`` runs every member on
+        the calling thread, one after another. No process is ever spawned
+        for ``n_jobs``; with an ``executor`` it sizes a backend built from
+        a name. Results are bitwise identical for every value; see
         :mod:`repro.core.engine`.
     executor:
         Execution backend for member and batch fan-out: a live
@@ -134,7 +139,7 @@ class EnsembleGrammarDetector(ExecutorOwnerMixin):
         normalize_members: bool = True,
         znorm_threshold: float = DEFAULT_ZNORM_THRESHOLD,
         seed: RandomState = None,
-        n_jobs: int | None = 1,
+        n_jobs: int | None = None,
         executor: MemberExecutor | str | None = None,
     ) -> None:
         if window < 2:

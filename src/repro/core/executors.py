@@ -7,10 +7,11 @@ This module makes the execution strategy a first-class, *reusable* object:
 - :class:`SerialExecutor` — runs tasks inline, in submission order. The
   reference backend: every other backend must produce bitwise-identical
   results (the contract of ``tests/test_executor_parity.py``).
-- :class:`ThreadExecutor` — a reusable thread pool. The right choice for
-  GIL-releasing numpy-heavy tasks and for workloads dominated by many small
-  tasks, where process spawn and argument pickling would dominate. Series
-  are passed by reference (no copies at all).
+- :class:`ThreadExecutor` — a reusable thread pool. Every hot loop of a
+  detection (SAX, Sequitur, spans, density, median) is a native call that
+  releases the GIL, so threads run members and series in parallel without
+  process spawn or argument pickling. Series are passed by reference (no
+  copies at all).
 - :class:`ProcessExecutor` — a reusable process pool that passes input
   series through POSIX shared memory (:mod:`multiprocessing.shared_memory`)
   instead of pickling them into every task payload. The pool is created
@@ -38,6 +39,17 @@ back to inline (pickled) payloads — results are identical either way.
 Handles own their segment: ``close()`` (or the ``with`` block) unlinks it,
 and the engine's callers close handles even when a worker raises, so no
 ``/dev/shm`` segments outlive a call.
+
+The fan-out pool
+----------------
+Without an explicit executor, ``n_jobs`` counts threads: :func:`fan_out`
+runs a list of tasks on the calling thread plus up to ``n_jobs - 1``
+threads of one lazily created, process-wide thread pool (the detector's
+member fan-out, :mod:`repro.core.engine`). Nothing without an explicit
+executor ever spawns a process. A forked child forgets the pool (it would
+wait on threads that do not exist there) and builds its own on first use,
+and a fan-out called from one of the pool's own threads runs inline, so
+the pool never waits on itself.
 """
 
 from __future__ import annotations
@@ -66,7 +78,9 @@ __all__ = [
     "StatelessBatchMixin",
     "ThreadExecutor",
     "as_executor",
+    "available_cpus",
     "detect_many",
+    "fan_out",
     "open_executor",
     "resolve_series",
 ]
@@ -87,9 +101,21 @@ SHM_PREFIX = "repro"
 _shm_counter = itertools.count()
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else ``os.cpu_count()``.
+
+    ``taskset``, cgroup cpusets and container CPU pinning shrink the
+    affinity mask but not ``cpu_count``, which would oversubscribe them.
+    """
+    try:
+        return max(len(os.sched_getaffinity(0)), 1)
+    except (AttributeError, OSError):  # no affinity API on this platform
+        return max(os.cpu_count() or 1, 1)
+
+
 def _resolve_workers(max_workers: int | None) -> int:
     if max_workers is None:
-        return max(os.cpu_count() or 1, 1)
+        return available_cpus()
     max_workers = int(max_workers)
     if max_workers < 1:
         raise ValueError(f"max_workers must be a positive integer or None, got {max_workers}")
@@ -418,9 +444,10 @@ def _drain_futures(futures: list[Future]) -> None:
 class ThreadExecutor(_PooledExecutor):
     """A reusable thread pool.
 
-    Best when member work releases the GIL (numpy-heavy PAA/interval math)
-    or when tasks are so small that pickling would dominate: payloads and
-    series are passed by reference with zero serialization.
+    Member work runs in native calls that release the GIL, so tasks run in
+    parallel; payloads and series are passed by reference with zero
+    serialization, which also makes threads the cheaper choice for many
+    small tasks.
     """
 
     kind = "thread"
@@ -469,6 +496,95 @@ class ProcessExecutor(_PooledExecutor):
             except OSError:  # pragma: no cover — no usable /dev/shm
                 self._use_shared_memory = False
         return super().share_series(series)
+
+
+# ----------------------------------------------------------------------
+# The process-wide fan-out pool (n_jobs without an explicit executor).
+# ----------------------------------------------------------------------
+
+_fan_out_lock = threading.Lock()
+_fan_out_pool: ThreadPoolExecutor | None = None
+_fan_out_thread = threading.local()
+
+
+def _mark_fan_out_thread() -> None:
+    _fan_out_thread.active = True
+
+
+def _forget_fan_out_pool() -> None:
+    """After ``fork``: the child has none of the pool's threads; drop it."""
+    global _fan_out_pool, _fan_out_lock
+    _fan_out_pool = None
+    _fan_out_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_fan_out_pool)
+
+
+def _shared_pool() -> ThreadPoolExecutor:
+    """The process-wide fan-out pool, created on first use (one thread per CPU)."""
+    global _fan_out_pool
+    with _fan_out_lock:
+        if _fan_out_pool is None:
+            _fan_out_pool = ThreadPoolExecutor(
+                max_workers=available_cpus(),
+                thread_name_prefix="repro-fan-out",
+                initializer=_mark_fan_out_thread,
+            )
+        return _fan_out_pool
+
+
+def on_fan_out_thread() -> bool:
+    """Whether the calling thread is one of the fan-out pool's."""
+    return getattr(_fan_out_thread, "active", False)
+
+
+def fan_out(task: Callable[[Any], Any], items: Sequence[Any], n_jobs: int) -> list:
+    """``[task(item) for item in items]`` on up to ``n_jobs`` threads.
+
+    The calling thread works too, next to up to ``n_jobs - 1`` threads of
+    the process-wide pool; each thread claims the next unclaimed item, in
+    list order, so put the largest items first. Results come back in item
+    order whichever thread ran them. Called from a pool thread, or with
+    ``n_jobs`` 1 or one item, everything runs inline. An error stops
+    further claims and is raised once every started task has ended; of
+    several, the one of the lowest item index, which is the error the
+    inline loop would raise. A task runs on whichever thread claims it, so
+    what it records in thread-local state (stage captures, tracer spans)
+    stays on that thread: tasks that need their time reported return it.
+    """
+    count = len(items)
+    helpers = min(int(n_jobs), count) - 1
+    if helpers < 1 or on_fan_out_thread():
+        return [task(item) for item in items]
+    results: list = [None] * count
+    errors: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    claimed = 0
+
+    def run() -> None:
+        nonlocal claimed
+        while True:
+            with lock:
+                index = claimed
+                claimed += 1
+            if index >= count:
+                return
+            try:
+                results[index] = task(items[index])
+            except BaseException as error:
+                with lock:
+                    errors[index] = error
+                    claimed = count  # nothing new starts after an error
+
+    futures = [_shared_pool().submit(run) for _ in range(helpers)]
+    run()
+    for future in futures:
+        future.result()  # run() keeps task errors; this surfaces anything else
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -558,23 +674,21 @@ def _resolve_n_jobs(n_jobs: int | None) -> int:
 def _resolve_executor(
     executor: MemberExecutor | str | None,
     n_jobs: int,
-    task_count: int,
 ) -> tuple[MemberExecutor | None, bool]:
     """Pick the executor for a call; returns ``(executor, owned)``.
 
-    ``None`` as the first element means "run the legacy inline path".
-    Without an explicit executor, ``n_jobs`` keeps its PR-1 meaning: 1 runs
-    inline, more creates a temporary process pool for just this call (and
-    ``owned`` says the caller must close it). Naming a backend is asking
-    for parallelism, so with the do-nothing default ``n_jobs`` (1) the pool
-    is sized to every core — the same rule the ensemble detector applies;
-    pass a live executor instance to control the worker count exactly.
+    ``None`` as the first element means "run on the caller": without an
+    explicit executor, ``n_jobs`` counts member threads of the process-wide
+    fan-out pool (:func:`fan_out`) and never creates a process pool. A
+    backend name builds that backend for just this call (``owned`` says the
+    caller must close it); naming one is asking for parallelism, so with
+    ``n_jobs`` 1 the pool is sized to every available CPU — the same rule
+    the ensemble detector applies. Pass a live executor instance to control
+    the worker count exactly.
     """
     validate_executor_spec(executor)
     if executor is None:
-        if n_jobs == 1 or task_count <= 1:
-            return None, False
-        return ProcessExecutor(max_workers=n_jobs), True
+        return None, False
     if isinstance(executor, str):
         return as_executor(executor, None if n_jobs <= 1 else n_jobs), True
     return executor, False
@@ -729,6 +843,14 @@ def _detect_many_task(payload) -> list:
         raise _wrap_batch_error(index, label, error) from error
 
 
+def _detect_many_contained(payload):
+    """:func:`_detect_many_task`, returning its :class:`BatchItemError`."""
+    try:
+        return _detect_many_task(payload)
+    except BatchItemError as error:
+        return error
+
+
 def share_series_batch(pool: MemberExecutor, stack, series_list, labels) -> list[SeriesHandle]:
     """Publish every series of a batch, attributing share-time failures.
 
@@ -803,8 +925,11 @@ def detect_many(
     detector object itself is applied to every series (no per-series
     reseeding), which is correct exactly when ``detect()`` is a pure
     function of the constructor parameters and the series — true for the
-    discord, HOT SAX, RRA, and fixed-parameter GI detectors. The detector is
-    pickled into process workers; the series travel via shared memory.
+    discord, HOT SAX, RRA, and fixed-parameter GI detectors. Without an
+    executor the series run on the caller and up to ``n_jobs - 1`` threads
+    of the fan-out pool (:func:`fan_out`); under a process executor the
+    detector is pickled into the workers and the series travel via shared
+    memory.
     Results are in input order and identical across backends; failures raise
     :class:`BatchItemError` — or, with ``return_exceptions=True``, land in
     the failing series' result slot as the :class:`BatchItemError` itself
@@ -815,20 +940,14 @@ def detect_many(
     if not series_list:
         return []
     n_jobs = _resolve_n_jobs(n_jobs)
-    pool, owned = _resolve_executor(executor, n_jobs, len(series_list))
+    pool, owned = _resolve_executor(executor, n_jobs)
     if pool is None:
-        results = []
-        for index, series in enumerate(series_list):
-            label = None if labels is None else labels[index]
-            payload = (detector, series, int(k), index, label)
-            if return_exceptions:
-                try:
-                    results.append(_detect_many_task(payload))
-                except BatchItemError as error:
-                    results.append(error)
-            else:
-                results.append(_detect_many_task(payload))
-        return results
+        payloads = [
+            (detector, series, int(k), index, None if labels is None else labels[index])
+            for index, series in enumerate(series_list)
+        ]
+        task = _detect_many_contained if return_exceptions else _detect_many_task
+        return fan_out(task, payloads, n_jobs)
     results = [None] * len(series_list)  # type: ignore[list-item]
     with ExitStack() as stack:
         if owned:

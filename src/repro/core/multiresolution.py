@@ -92,6 +92,11 @@ class MultiResolutionDiscretizer:
         self._id_cache: dict[tuple[int, int], TokenIdSequence] = {}
 
     @property
+    def sweep(self):
+        """The shared :class:`~repro.sax.plan.DiscretizationSweep` over the series."""
+        return self._sweep
+
+    @property
     def n_windows(self) -> int:
         """Number of sliding-window positions."""
         return len(self.series) - self.window + 1

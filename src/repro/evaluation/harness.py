@@ -116,10 +116,11 @@ def _close_detectors(detectors) -> None:
 def _prepare_for_pool(detector, pool_kind: str):
     """Make a factory-built detector safe to ship into a pooled task.
 
-    Detectors configured with ``n_jobs > 1`` or their own executor would
-    spawn a member pool per ``detect()`` call *inside* each harness worker
-    — nested pools and an oversubscribed machine (and, under the thread
-    backend, pools nobody ever closes). The harness owns these instances
+    Detectors configured with ``n_jobs`` other than 1 (the ensemble's
+    default ``None`` fans members out over every CPU) or their own executor
+    would run a member pool per ``detect()`` call *inside* each harness
+    worker — nested pools and an oversubscribed machine (and, under the
+    thread backend, pools nobody ever closes). The harness owns these instances
     (the factory contract is to build a *fresh* detector per call — the
     harness configures and closes them), so force member execution fully
     serial whenever the harness itself is the parallel layer. Results are

@@ -12,16 +12,23 @@ fast backend behind one seam so every caller — batch, streaming, baselines
   of ``_sequitur.c``, whose header comment documents the symbol encoding
   and the tail-only reduction.
 
-Build on first import: importing this module compiles ``_sequitur.c`` with
-Python's C compiler (``sysconfig`` ``CC``) into ``__pycache__/``, named by
-a hash of the source, the machine and the compile command, and loads it
-with :mod:`ctypes`. :func:`_build` and :func:`_load` serve every native
-source of the package (``repro.sax._kernel`` builds ``_sax.c`` with them).
-The same library carries the two curve kernels, ``seq_density`` and
-``seq_median``, which :func:`repro.grammar.density.density_curve_from_token_spans`
-and :func:`repro.core.combiners.combine_curves` call under either kernel.
+Build on first import: importing this module compiles the package's two
+C files, ``_sequitur.c`` and ``repro/sax/_sax.c``, with Python's C
+compiler (``sysconfig`` ``CC``) into one library in ``__pycache__/``,
+named by a hash of both sources, the machine and the compile command, and
+loads it with :mod:`ctypes` once, declaring every entry point from the one
+:data:`_SIGNATURES` table. ``repro.sax._kernel`` binds the same handle.
+The library carries the arena, the SAX front end (see
+``repro.sax._kernel``), the two curve kernels ``seq_density`` and
+``seq_median`` (which :func:`repro.grammar.density.density_curve_from_token_spans`
+and :func:`repro.core.combiners.combine_curves` call under either kernel)
+and :func:`member_curve`, one batch ensemble member in one call.
 Concurrent first imports are safe (write, then rename). A failed build
 raises :class:`ImportError`; there is no Python fallback.
+
+Every entry point is a ctypes ``CDLL`` call, which releases the GIL for its
+duration; none keeps global state, so calls on distinct handles may run on
+any number of threads at once.
 
 Selection: the ``REPRO_KERNEL`` environment variable (read lazily on first
 use, so test harnesses and CI matrices can set it per run), overridable
@@ -54,8 +61,11 @@ import numpy as np
 
 from repro.grammar.rules import Grammar, GrammarRule
 
-#: The native arena's source; built into ``__pycache__/`` next to it.
+#: The native arena's source; the library is built into ``__pycache__/`` next to it.
 _SOURCE = Path(__file__).with_name("_sequitur.c")
+
+#: Every native source of the package, compiled into one library.
+_SOURCES = (_SOURCE, _SOURCE.parents[1] / "sax" / "_sax.c")
 
 #: Status codes of ``_sequitur.c`` and what each raises.
 _ERRORS = {
@@ -79,35 +89,45 @@ _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _build(
-    source: Path, directory: Path, compiler: str | None = None, flags: Sequence[str] = _FLAGS
+    sources: Sequence[Path],
+    directory: Path,
+    compiler: str | None = None,
+    flags: Sequence[str] = _FLAGS,
 ) -> Path:
-    """Compile the C file ``source`` into ``directory`` unless already there.
+    """Compile the C file(s) ``sources`` into one library in ``directory``.
 
-    The library is named by a hash of the source, the machine and the full
-    compile command (compiler and flags), so changing any of them builds a
-    new library instead of reusing a stale one.
+    Nothing is compiled when the library is already there. It is named
+    after the first source and a hash of every source, the machine and the
+    full compile command (compiler and flags), so changing any of them
+    builds a new library instead of reusing a stale one.
     """
-    source = Path(source)
+    sources = [Path(source) for source in sources]
     machine = platform.machine()
     compiler = compiler or sysconfig.get_config_var("CC") or "cc"
     command = [*shlex.split(compiler), *flags]
     digest = hashlib.sha256(
-        b"\0".join([source.read_bytes(), machine.encode(), *(part.encode() for part in command)])
+        b"\0".join(
+            [*(source.read_bytes() for source in sources), machine.encode()]
+            + [part.encode() for part in command]
+        )
     ).hexdigest()[:16]
-    target = Path(directory) / f"{source.stem}.{machine}-{digest}.so"
+    target = Path(directory) / f"{sources[0].stem}.{machine}-{digest}.so"
     if target.is_file():
         return target
     target.parent.mkdir(parents=True, exist_ok=True)
     temporary = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    names = ", ".join(str(source) for source in sources)
     try:
         try:
             built = subprocess.run(
-                [*command, "-o", str(temporary), str(source)], capture_output=True, text=True
+                [*command, "-o", str(temporary), *map(str, sources)],
+                capture_output=True,
+                text=True,
             )
         except OSError as error:
-            raise ImportError(f"cannot run C compiler {compiler!r} on {source}: {error}") from None
+            raise ImportError(f"cannot run C compiler {compiler!r} on {names}: {error}") from None
         if built.returncode:
-            raise ImportError(f"C compiler {compiler!r} failed on {source}:\n{built.stderr}")
+            raise ImportError(f"C compiler {compiler!r} failed on {names}:\n{built.stderr}")
         os.replace(temporary, target)
     finally:
         temporary.unlink(missing_ok=True)
@@ -123,7 +143,7 @@ def _load(path: Path, signatures) -> ctypes.CDLL:
     return lib
 
 
-#: The C entry points of ``_sequitur.c``: ``(name, restype, argtypes)``.
+#: Every C entry point of the library: ``(name, restype, argtypes)``.
 _SIGNATURES = (
     ("seq_new", ctypes.c_void_p, ()),
     ("seq_free", None, (ctypes.c_void_p,)),
@@ -144,6 +164,45 @@ _SIGNATURES = (
         ctypes.c_int,
         (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p),
     ),
+    (
+        "seq_member_curve",
+        ctypes.c_int,
+        (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
+        + (ctypes.c_int64,) * 3
+        + (ctypes.c_void_p,) * 2,
+    ),
+    # _sax.c
+    (
+        "sax_intervals",
+        ctypes.c_int,
+        (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+        + (ctypes.c_int64,) * 6
+        + (ctypes.c_void_p,) * 4
+        + (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p),
+    ),
+    (
+        "sax_tokens",
+        ctypes.c_int64,
+        (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
+        + (ctypes.c_void_p,) * 2,
+    ),
+    ("sax_table_new", ctypes.c_void_p, ()),
+    ("sax_table_free", None, (ctypes.c_void_p,)),
+    ("sax_table_size", ctypes.c_int64, (ctypes.c_void_p,)),
+    ("sax_table_export", None, (ctypes.c_void_p,) * 3),
+    (
+        "sax_table_intern",
+        ctypes.c_int64,
+        (ctypes.c_void_p,) * 2
+        + (ctypes.c_int64,) * 2
+        + (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
+        + (ctypes.c_void_p,) * 2,
+    ),
+    (
+        "sax_table_insert",
+        ctypes.c_int64,
+        (ctypes.c_void_p,) * 3 + (ctypes.c_int64,),
+    ),
 )
 
 #: Status codes of the curve kernels ``seq_density`` and ``seq_median``.
@@ -153,7 +212,63 @@ _CURVE_ERRORS = {
     -6: (ValueError, "an occurrence span maps to an empty interval (end before start)"),
 }
 
-_lib = _load(_build(_SOURCE, _SOURCE.parent / "__pycache__"), _SIGNATURES)
+#: Status codes of :func:`member_curve`: every stage's, plus its own two.
+_MEMBER_ERRORS = {
+    **_ERRORS,
+    **_CURVE_ERRORS,
+    -2: (MemoryError, "the native member pipeline could not allocate its buffers"),
+    -7: (IndexError, "an interval or symbol lies outside the alphabet column"),
+    -8: (ValueError, "cannot induce a grammar from an empty token sequence"),
+}
+
+_lib = _load(_build(_SOURCES, _SOURCE.parent / "__pycache__"), _SIGNATURES)
+
+
+def _checked(array, dtype, ndim: int, name: str) -> None:
+    """Raise unless ``array`` is a C-contiguous ``ndim``-D ``dtype`` array."""
+    if not isinstance(array, np.ndarray) or array.dtype != dtype:
+        raise TypeError(f"{name} must be a numpy {np.dtype(dtype)} array")
+    if array.ndim != ndim or not array.flags.c_contiguous:
+        raise ValueError(f"{name} must be a C-contiguous {ndim}-D array, got shape {array.shape}")
+
+
+def member_curve(
+    intervals: np.ndarray, symbols: np.ndarray, window: int, length: int
+) -> tuple[np.ndarray, tuple[int, int, int, int]]:
+    """One batch ensemble member in one native call: ``(curve, phase_ns)``.
+
+    ``intervals`` is the member's interval matrix (``intp``, one row per
+    window start) and ``symbols`` its alphabet column (int64). The call runs
+    exactly the chain :func:`repro.sax._kernel.sax_tokens` ->
+    :meth:`FastSequitur.feed_many` -> :meth:`FastSequitur.occurrence_spans`
+    -> :func:`repro.grammar.density.density_curve_from_token_spans` and
+    returns the same float64 curve of ``length`` points, byte for byte,
+    with the GIL released throughout. ``phase_ns`` holds the nanoseconds
+    spent tokenizing, feeding, walking the spans and accumulating the
+    density, for the caller to charge to its stages: this function records
+    nothing.
+
+    Raises what the chain raises: :class:`TypeError`/:class:`ValueError`
+    for malformed inputs before the C call; :class:`IndexError` for a value
+    outside the column (or a symbol outside the letters);
+    :class:`ValueError` for an empty token sequence; :class:`MemoryError`.
+    """
+    _checked(intervals, np.intp, 2, "intervals")
+    _checked(symbols, np.int64, 1, "symbols")
+    rows, width = intervals.shape
+    if width < 1 or not len(symbols):
+        raise ValueError(f"need words of at least one symbol and a symbol table, got {width}")
+    if length <= 0:
+        raise ValueError(f"curve length must be positive, got {length}")
+    curve = np.empty(length, dtype=np.float64)
+    phase_ns = (ctypes.c_int64 * 4)()
+    status = _lib.seq_member_curve(
+        intervals.ctypes.data, rows, width, symbols.ctypes.data, len(symbols),
+        window, length, curve.ctypes.data, phase_ns,
+    )
+    if status:
+        _raise(status, _MEMBER_ERRORS)
+    return curve, tuple(phase_ns)
 
 
 #: Recognized kernel names, in documentation order.
@@ -368,6 +483,7 @@ __all__ = [
     "KERNEL_ENV",
     "current_kernel",
     "make_builder",
+    "member_curve",
     "set_kernel",
     "use_kernel",
 ]

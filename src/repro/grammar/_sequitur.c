@@ -2,9 +2,10 @@
  * Native Sequitur arena behind repro.grammar._kernel.FastSequitur.
  *
  * Plain C with no Python headers: the first import of repro.grammar._kernel
- * compiles this file with Python's own C compiler into __pycache__/ (the
- * file name carries a hash of this source and the machine) and loads it
- * through ctypes. There is no fallback; a failed build is an ImportError.
+ * compiles this file and ../sax/_sax.c with Python's own C compiler into
+ * one library in __pycache__/ (the file name carries a hash of both
+ * sources, the machine and the compile command) and loads it through
+ * ctypes. There is no fallback; a failed build is an ImportError.
  *
  * Symbol arena. Slot i is one symbol: value[i] encodes it, next[i] and
  * prev[i] link it into its rule's circular list. Slots are never recycled.
@@ -56,14 +57,21 @@
  * Curve kernels. The spans the walk yields end in two arena-free kernels at
  * the bottom of this file: seq_density turns them into the rule density
  * curve, seq_median combines the ensemble's normalized member curves.
+ *
+ * One member, one call. seq_member_curve chains a batch ensemble member's
+ * whole pipeline: sax_tokens (from _sax.c, which is compiled into the same
+ * library), the arena, seq_spans and seq_density, keeping every check and
+ * status of the chained calls. It holds no state between calls, so members
+ * may run on as many threads at once as the caller likes.
  */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 enum {
     SEQ_OK = 0, SEQ_RANGE = -1, SEQ_NOMEM = -2, SEQ_TAIL = -3, SEQ_SPANS = -4,
-    SEQ_INDEX = -5, SEQ_EMPTY = -6
+    SEQ_INDEX = -5, SEQ_EMPTY = -6, SEQ_SYMBOL = -7, SEQ_NO_TOKENS = -8
 };
 
 typedef struct {
@@ -428,4 +436,75 @@ int seq_median(const double *const *rows, int64_t k, int64_t n, double *out) {
     }
     free(order), free(sorted);
     return SEQ_OK;
+}
+
+/* ---- one batch member, end to end ---- */
+
+/* _sax.c: symbol lookup, exact numerosity reduction and first-occurrence
+ * ids of one interval matrix; the kept count, or -1 (a value outside the
+ * column or the letters) or -2 (no memory). */
+int64_t sax_tokens(const intptr_t *intervals, int64_t n_rows, int64_t width,
+                   const int64_t *column, int64_t n_symbols, int64_t *offsets,
+                   int64_t *ids);
+
+static int64_t clock_ns(void) {
+    struct timespec now;
+    clock_gettime(CLOCK_MONOTONIC, &now);
+    return (int64_t)now.tv_sec * 1000000000 + now.tv_nsec;
+}
+
+/* Charge the time since *mark to *phase and move the mark. */
+static void lap(int64_t *mark, int64_t *phase) {
+    int64_t now = clock_ns();
+    *phase = now - *mark;
+    *mark = now;
+}
+
+/* The rule density curve (`length` doubles) of one batch member from its
+ * interval matrix (n_rows x width, row r the window starting at r) and its
+ * alphabet column: sax_tokens -> seq_feed_many -> seq_spans -> seq_density,
+ * as the chained calls run them. A row or column value out of range is
+ * SEQ_SYMBOL, no kept token SEQ_NO_TOKENS; every other status is the one
+ * the failing stage returns. phase_ns receives the nanoseconds spent
+ * tokenizing, feeding, walking the spans and accumulating the density (0
+ * for a phase that did not run). */
+int seq_member_curve(const intptr_t *intervals, int64_t n_rows, int64_t width,
+                     const int64_t *column, int64_t n_symbols, int64_t window,
+                     int64_t length, double *curve, int64_t *phase_ns) {
+    int64_t rows = n_rows > 0 ? n_rows : 1, mark = clock_ns(), kept, nodes;
+    int64_t *offsets = malloc(4 * (size_t)rows * sizeof *offsets), *ids, *firsts, *lasts;
+    Seq *s = NULL;
+    int status = SEQ_OK;
+    memset(phase_ns, 0, 4 * sizeof *phase_ns);
+    if (!offsets) return SEQ_NOMEM;
+    ids = offsets + rows, firsts = ids + rows, lasts = firsts + rows;
+    kept = sax_tokens(intervals, n_rows, width, column, n_symbols, offsets, ids);
+    lap(&mark, &phase_ns[0]);
+    if (kept < 0) {
+        status = kept == -1 ? SEQ_SYMBOL : SEQ_NOMEM;
+        goto done;
+    }
+    if (!kept) {
+        status = SEQ_NO_TOKENS;
+        goto done;
+    }
+    if (!(s = seq_new())) {
+        status = SEQ_NOMEM;
+        goto done;
+    }
+    status = seq_feed_many(s, ids, kept);
+    lap(&mark, &phase_ns[1]);
+    if (status) goto done;
+    nodes = seq_spans(s, firsts, lasts, kept);
+    lap(&mark, &phase_ns[2]);
+    if (nodes < 0) {
+        status = (int)nodes;
+        goto done;
+    }
+    status = seq_density(offsets, kept, window, firsts, lasts, nodes, 0, length, curve);
+    lap(&mark, &phase_ns[3]);
+done:
+    if (s) seq_free(s);
+    free(offsets);
+    return status;
 }

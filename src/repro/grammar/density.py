@@ -9,10 +9,13 @@ Construction is O(#occurrences + N) using a difference array: each occurrence
 contributes +1 at its interval start and -1 one past its end, and a prefix
 sum yields the curve. Two implementations share those semantics:
 
-- :func:`density_curve_from_token_spans` — the production path of batch and
-  streaming detection under both grammar kernels. It maps token spans to
-  intervals, clips and accumulates them in one native pass
-  (``seq_density`` in ``_sequitur.c``, beside the span walk that feeds it).
+- :func:`density_curve_from_token_spans` — the production path of
+  streaming detection and of the python kernel's batch members. It maps
+  token spans to intervals, clips and accumulates them in one native pass
+  (``seq_density`` in ``_sequitur.c``, beside the span walk that feeds
+  it). A ``fast`` batch member runs the same ``seq_density`` as the last
+  stage of its one native call
+  (:func:`repro.grammar._kernel.member_curve`).
 - :func:`density_from_intervals` — numpy over explicit interval pairs; RRA,
   the single-grammar detector and the GI baselines use it, and the tests
   use it as the oracle of the native pass.

@@ -10,6 +10,11 @@ timing is recorded into the process histogram
 every active :func:`capture` accumulator (the opt-in ``timings`` block on
 detect responses).
 
+Time measured where no timer can run — inside one native call (the
+phase counters of :func:`repro.grammar._kernel.member_curve`) or on a
+fan-out thread — is charged on the calling thread with :func:`merge`, so
+it lands in the same histogram and captures as a timer's.
+
 Overhead discipline: the timers fire once per *drain block / member
 curve*, never per point, and when telemetry is disabled
 (``REPRO_TELEMETRY=0`` or :func:`set_stage_timing`\\ ``(False)``)
@@ -32,6 +37,7 @@ from repro.obs.metrics import REGISTRY, STAGE_BUCKETS
 __all__ = [
     "STAGES",
     "capture",
+    "merge",
     "set_stage_timing",
     "stage_timer",
     "stage_timing_enabled",
@@ -113,12 +119,32 @@ def stage_timer(stage: str) -> object:
     return _Timer(stage)
 
 
+def merge(times: dict[str, float]) -> None:
+    """Charge ``{stage: seconds}`` measured elsewhere to this thread.
+
+    Each entry is one observation, recorded exactly as a closing
+    :func:`stage_timer` would record it: into the histogram and every
+    capture active on the *calling* thread. Pool tasks measure their own
+    time and hand it back; the thread that waits for them merges it, so no
+    thread ever writes another thread's accumulators. A no-op when timing
+    is off.
+    """
+    if _enabled:
+        for stage, elapsed in times.items():
+            _observe(stage, elapsed)
+
+
 @contextmanager
 def capture() -> Iterator[dict[str, float]]:
     """Accumulate this thread's stage durations for the ``with`` block.
 
     Yields a dict that fills with ``{stage: seconds}`` as timers close;
-    nested captures each see every observation. Empty when telemetry is
+    nested captures each see every observation. A detect whose members fan
+    out across the process-wide thread pool is covered too: each task
+    measures its own stages and the calling thread charges them here with
+    :func:`merge` once the fan-out completes. Those merged times are
+    thread-seconds, so under a fan-out the stages may add up to more than
+    the wall time, by up to the number of threads. Empty when telemetry is
     disabled or the executed path runs its stages in another process
     (process/cluster executors record in the worker, not here).
     """

@@ -18,10 +18,12 @@ environment variable governs the whole tokenize→grammar pipeline:
   whole life behind :class:`repro.sax.alphabet.WordInterner`, under either
   kernel: it is the only interner.
 
-Build on first import: importing this module compiles ``_sax.c`` through
-the same :func:`~repro.grammar._kernel._build` / ``_load`` helpers as the
-Sequitur arena (see ``repro.grammar._kernel``). A failed build raises
-:class:`ImportError`; there is no fallback.
+Build on first import: ``_sax.c`` is compiled with the Sequitur arena's
+``_sequitur.c`` into the package's one native library, which
+``repro.grammar._kernel`` builds and loads; this module binds the same
+handle. A failed build raises :class:`ImportError`; there is no fallback.
+A batch ensemble member calls :func:`sax_tokens`'s pass as the first stage
+of :func:`repro.grammar._kernel.member_curve`, inside one native call.
 
 Selection is shared with the grammar seam — :func:`current_kernel`,
 :func:`set_kernel` and :func:`use_kernel` are re-exported from
@@ -40,17 +42,14 @@ structure depends on nothing else.
 
 from __future__ import annotations
 
-import ctypes
-from pathlib import Path
-
 import numpy as np
 
 from repro.grammar._kernel import (  # noqa: F401  (re-exported seam controls)
     DEFAULT_KERNEL,
     KERNEL_ENV,
     KERNELS,
-    _build,
-    _load,
+    _checked,
+    _lib,
     _raise,
     current_kernel,
     set_kernel,
@@ -59,59 +58,11 @@ from repro.grammar._kernel import (  # noqa: F401  (re-exported seam controls)
 from repro.sax.paa import sliding_paa_rows
 from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD, constancy_mask
 
-#: The native front end's source; built into ``__pycache__/`` next to it.
-_SOURCE = Path(__file__).with_name("_sax.c")
-
-#: The C entry points of ``_sax.c``: ``(name, restype, argtypes)``.
-_SIGNATURES = (
-    (
-        "sax_intervals",
-        ctypes.c_int,
-        (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
-        + (ctypes.c_int64,) * 6
-        + (ctypes.c_void_p,) * 4
-        + (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p),
-    ),
-    (
-        "sax_tokens",
-        ctypes.c_int64,
-        (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
-        + (ctypes.c_void_p,) * 2,
-    ),
-    ("sax_table_new", ctypes.c_void_p, ()),
-    ("sax_table_free", None, (ctypes.c_void_p,)),
-    ("sax_table_size", ctypes.c_int64, (ctypes.c_void_p,)),
-    ("sax_table_export", None, (ctypes.c_void_p,) * 3),
-    (
-        "sax_table_intern",
-        ctypes.c_int64,
-        (ctypes.c_void_p,) * 2
-        + (ctypes.c_int64,) * 2
-        + (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
-        + (ctypes.c_void_p,) * 2,
-    ),
-    (
-        "sax_table_insert",
-        ctypes.c_int64,
-        (ctypes.c_void_p,) * 3 + (ctypes.c_int64,),
-    ),
-)
-
-_lib = _load(_build(_SOURCE, _SOURCE.parent / "__pycache__"), _SIGNATURES)
-
 #: Status codes of ``_sax.c`` and what each raises.
 _ERRORS = {
     -1: (IndexError, "an index lies outside the tables or buffers of the native SAX pass"),
     -2: (MemoryError, "the native SAX pass could not allocate its buffers"),
 }
-
-
-def _checked(array, dtype, ndim: int, name: str) -> None:
-    """Raise unless ``array`` is a C-contiguous ``ndim``-D ``dtype`` array."""
-    if not isinstance(array, np.ndarray) or array.dtype != dtype:
-        raise TypeError(f"{name} must be a numpy {np.dtype(dtype)} array")
-    if array.ndim != ndim or not array.flags.c_contiguous:
-        raise ValueError(f"{name} must be a C-contiguous {ndim}-D array, got shape {array.shape}")
 
 
 def window_stats(

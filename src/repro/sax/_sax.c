@@ -1,10 +1,13 @@
 /*
  * Native SAX front end behind repro.sax._kernel under the fast kernel.
  *
- * Plain C with no Python headers, built and loaded like _sequitur.c: the
- * first import of repro.sax._kernel compiles this file with Python's own C
- * compiler (with -ffp-contract=off, so no a*b+c is fused) into __pycache__/
- * and loads it through ctypes. There is no fallback.
+ * Plain C with no Python headers, compiled together with
+ * ../grammar/_sequitur.c into the package's one native library: the first
+ * import of repro.grammar._kernel builds both files with Python's own C
+ * compiler (with -ffp-contract=off, so no a*b+c is fused) into
+ * ../grammar/__pycache__/ and loads the library through ctypes. There is
+ * no fallback. sax_tokens is also the first stage of _sequitur.c's
+ * seq_member_curve.
  *
  * sax_intervals: one pass per sweep and PAA size. Row r is the window that
  * starts at global index start + r. The pass repeats, operation for

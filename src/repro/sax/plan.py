@@ -32,11 +32,15 @@ Stage timers fire here, once per sweep per PAA size: under ``fast``,
 ``paa`` covers the whole native pass (z-norm, PAA and interval search);
 under ``python``, ``paa`` covers matrix formation and ``discretize`` the
 interval search. Symbol lookup, numerosity and ids are ``discretize``
-time wherever they run.
+time wherever they run. A detect that fans its members out across threads
+fills the per-PAA-size cache on pool threads through
+:meth:`DiscretizationSweep.fill_intervals`, which records no timer and
+returns its time for the calling thread to charge to ``paa``.
 """
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -197,10 +201,13 @@ class DiscretizationSweep:
             raise ValueError(f"paa_size={paa_size} not in plan ({self.plan.paa_sizes})")
         return paa_size
 
-    def _shared_stats(self):
-        # The python oracle re-derives statistics inside sliding_paa_rows,
-        # exactly as the pre-plan per-member code did; sharing is the fast
-        # kernel's job.
+    def shared_stats(self):
+        """The sweep's :func:`~repro.sax._kernel.window_stats` triple, computed once.
+
+        ``None`` under the python oracle, which re-derives the statistics
+        inside ``sliding_paa_rows`` exactly as the pre-plan per-member code
+        did; sharing is the fast kernel's job.
+        """
         if self._kernel == "python":
             return None
         if self._stats is None:
@@ -220,7 +227,7 @@ class DiscretizationSweep:
                     self._prefix_sum, self._prefix_sq, self._values,
                     self.start, self.stop, self.plan.window, paa_size,
                     self.plan.znorm_threshold, origin=self._origin,
-                    stats=self._shared_stats(), kernel=self._kernel,
+                    stats=self.shared_stats(), kernel=self._kernel,
                 )
                 rows.flags.writeable = False
             self._paa[paa_size] = rows
@@ -236,21 +243,46 @@ class DiscretizationSweep:
         paa_size = self._validated(paa_size)
         intervals = self._intervals.get(paa_size)
         if intervals is None:
-            breakpoints = self.plan.alphabet_table.merged_breakpoints
             if self._kernel == "python":
                 rows = self.paa_rows(paa_size)
                 with stage_timer("discretize"):
-                    intervals = _kernel.interval_rows_from(rows, breakpoints)
+                    intervals = _kernel.interval_rows_from(
+                        rows, self.plan.alphabet_table.merged_breakpoints
+                    )
             else:
                 with stage_timer("paa"):
-                    intervals = _kernel.sax_intervals(
-                        self._prefix_sum, self._values, self.start, self.stop,
-                        self.plan.window, paa_size, self._shared_stats(), breakpoints,
-                        origin=self._origin,
-                    )[1]
+                    intervals = self._native_intervals(paa_size)
             intervals.flags.writeable = False
             self._intervals[paa_size] = intervals
         return intervals
+
+    def _native_intervals(self, paa_size: int) -> np.ndarray:
+        return _kernel.sax_intervals(
+            self._prefix_sum, self._values, self.start, self.stop, self.plan.window,
+            paa_size, self.shared_stats(), self.plan.alphabet_table.merged_breakpoints,
+            origin=self._origin,
+        )[1]
+
+    def fill_intervals(self, paa_size: int) -> float:
+        """Cache one PAA size's interval matrix off the caller's thread.
+
+        The fast kernel's pass of :meth:`interval_rows`, without its stage
+        timer: returns the seconds spent (0.0 when already cached) for the
+        calling thread to charge to ``paa``, so pool threads may run it for
+        distinct PAA sizes at once. Call :meth:`shared_stats` first, on the
+        caller, so the statistics are computed once. A later
+        :meth:`interval_rows` returns the cached matrix.
+        """
+        paa_size = self._validated(paa_size)
+        if self._kernel == "python":
+            raise ValueError("fill_intervals runs the fast kernel's pass only")
+        if paa_size in self._intervals:
+            return 0.0
+        started = perf_counter()
+        intervals = self._native_intervals(paa_size)
+        intervals.flags.writeable = False
+        self._intervals[paa_size] = intervals
+        return perf_counter() - started
 
     def symbol_rows(self, paa_size: int, alphabet_size: int) -> np.ndarray:
         """One member's symbol-index matrix (intervals shared, lookup per member)."""

@@ -136,8 +136,9 @@ class DetectService:
         the caller closes it), or ``None`` for the inline ``n_jobs``
         semantics.
     n_jobs:
-        Pool size for a spec-built executor (and the ``n_jobs`` passed to
-        the batch engine when ``executor`` is ``None``).
+        Pool size for a spec-built executor; when ``executor`` is ``None``,
+        the member threads of each detection (the batch engine's
+        ``n_jobs``; no process is spawned).
     batch_window, max_batch_size, max_pending:
         Micro-batching knobs — see
         :class:`~repro.service.batching.MicroBatcher`.

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core import EnsembleGrammarDetector
 from repro.core.combiners import COMBINERS, combine_curves
+from repro.core.executors import ProcessExecutor
 from repro.core.multiresolution import MultiResolutionDiscretizer
 from repro.core.selection import curve_std, normalize_curve, select_by_std
 from repro.datasets.planting import make_corpus
@@ -368,3 +369,24 @@ def test_ensemble_curves_equal_the_numpy_oracle_path(pool_cases):
         curves = list(report.member_curves)
         assert report.stds == tuple(curve_std(curve) for curve in curves)
         assert list(report.kept) == select_by_std(curves, detector.selectivity)
+
+
+def test_ensemble_curves_equal_across_member_execution(pool_cases):
+    """Every pool case's ensemble curve is byte-equal whether the members
+    run one after another on the caller (``n_jobs=1``), fan out across two
+    threads or every available CPU (the default), or run in a process
+    pool. Under ``REPRO_KERNEL=python`` (CI) all of these take the oracle
+    path, which the test above pins to the numpy oracle."""
+    with ProcessExecutor(2) as processes:
+        for case, seed in pool_cases:
+
+            def curve(**kwargs):
+                detector = EnsembleGrammarDetector(
+                    window=case.gt_length, ensemble_size=50, selectivity=0.4, seed=seed, **kwargs
+                )
+                return detector.ensemble_report(case.series).curve.tobytes()
+
+            serial = curve(n_jobs=1)
+            assert curve(n_jobs=2) == serial
+            assert curve() == serial
+            assert curve(executor=processes) == serial

@@ -232,15 +232,15 @@ class TestPoolReuse:
     def test_named_backend_with_default_n_jobs_gets_real_parallelism(self):
         """Regression: executor='process' with the default n_jobs=1 must not
         build a one-worker pool (naming a backend is asking for parallelism)."""
-        from repro.core.executors import _resolve_executor
+        from repro.core.executors import _resolve_executor, available_cpus
 
-        pool, owned = _resolve_executor("process", 1, 4)
+        pool, owned = _resolve_executor("process", 1)
         try:
             assert owned
-            assert pool.max_workers == max(os.cpu_count() or 1, 1)
+            assert pool.max_workers == available_cpus()
         finally:
             pool.close()
-        pool, owned = _resolve_executor("process", 3, 4)
+        pool, owned = _resolve_executor("process", 3)
         try:
             assert pool.max_workers == 3
         finally:

@@ -372,12 +372,13 @@ class TestNativeBuild:
     def test_build_writes_a_content_addressed_library(self, tmp_path, monkeypatch):
         machine = platform.machine()
         command = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *_kernel._FLAGS]
+        # One library from both C files, named after the first, hashed over all.
+        sources = [source.read_bytes() for source in _kernel._SOURCES]
+        assert [source.name for source in _kernel._SOURCES] == ["_sequitur.c", "_sax.c"]
         digest = hashlib.sha256(
-            b"\0".join(
-                [_kernel._SOURCE.read_bytes(), machine.encode(), *(p.encode() for p in command)]
-            )
+            b"\0".join([*sources, machine.encode(), *(p.encode() for p in command)])
         ).hexdigest()[:16]
-        built = _kernel._build(_kernel._SOURCE, tmp_path)
+        built = _kernel._build(_kernel._SOURCES, tmp_path)
         assert built == tmp_path / f"_sequitur.{machine}-{digest}.so"
         assert sorted(path.name for path in tmp_path.iterdir()) == [built.name]
         library = _kernel._load(built, _kernel._SIGNATURES)
@@ -386,17 +387,22 @@ class TestNativeBuild:
             assert library.seq_feed(handle, 3) == 0 and library.seq_n_tokens(handle) == 1
         finally:
             library.seq_free(handle)
+        table = library.sax_table_new()
+        try:
+            assert library.sax_table_size(table) == 0
+        finally:
+            library.sax_table_free(table)
         # A second build finds the library and compiles nothing.
         def no_compiler(*args, **kwargs):
             raise AssertionError("compiled again")
 
         monkeypatch.setattr(_kernel.subprocess, "run", no_compiler)
-        assert _kernel._build(_kernel._SOURCE, tmp_path) == built
+        assert _kernel._build(_kernel._SOURCES, tmp_path) == built
 
     def test_compile_command_is_part_of_the_name(self, tmp_path):
         """A flag change must build a new library, never reuse a stale one."""
-        default = _kernel._build(_kernel._SOURCE, tmp_path)
-        other = _kernel._build(_kernel._SOURCE, tmp_path, flags=("-O1", "-shared", "-fPIC"))
+        default = _kernel._build(_kernel._SOURCES, tmp_path)
+        other = _kernel._build(_kernel._SOURCES, tmp_path, flags=("-O1", "-shared", "-fPIC"))
         assert "-ffp-contract=off" in _kernel._FLAGS
         assert default != other and default.stem.split("-")[0] == other.stem.split("-")[0]
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
@@ -405,15 +411,15 @@ class TestNativeBuild:
 
     def test_missing_compiler_is_an_import_error(self, tmp_path):
         with pytest.raises(ImportError) as raised:
-            _kernel._build(_kernel._SOURCE, tmp_path, compiler="/nonexistent/cc")
+            _kernel._build(_kernel._SOURCES, tmp_path, compiler="/nonexistent/cc")
         assert "/nonexistent/cc" in str(raised.value)
-        assert str(_kernel._SOURCE) in str(raised.value)
+        assert all(str(source) in str(raised.value) for source in _kernel._SOURCES)
         assert list(tmp_path.iterdir()) == []
 
     def test_compiler_errors_are_an_import_error(self, tmp_path):
         with pytest.raises(ImportError, match="_sequitur.c") as raised:
             _kernel._build(
-                _kernel._SOURCE,
+                _kernel._SOURCES,
                 tmp_path,
                 compiler=f"{sys.executable} -c 'raise SystemExit(\"boom\")'",
             )

@@ -95,6 +95,35 @@ def test_detect_fills_all_five_stages(timing_on):
     assert set(timings) == set(STAGES)
 
 
+def test_member_threads_report_the_same_stages(timing_on):
+    """Members fanned out across threads measure their own stages; the
+    calling thread merges them, so ``capture()`` sees all five under
+    ``n_jobs=2`` exactly as under the serial path, none of them empty."""
+    series = make_series(n=3000)
+    seen = {}
+    for n_jobs in (1, 2):
+        with capture() as timings:
+            EnsembleGrammarDetector(**CONFIG, seed=1, n_jobs=n_jobs).detect(series, 2)
+        seen[n_jobs] = timings
+        assert set(timings) == set(STAGES)
+        assert all(value > 0.0 for value in timings.values())
+    assert set(seen[1]) == set(seen[2])
+
+
+def test_merge_charges_the_calling_thread(timing_on):
+    with capture() as timings:
+        stages.merge({"grammar": 0.25, "density": 0.5})
+        stages.merge({"grammar": 0.25})
+    assert timings == {"grammar": 0.5, "density": 0.5}
+    previous = set_stage_timing(False)
+    try:
+        with capture() as timings:
+            stages.merge({"grammar": 1.0})
+        assert timings == {}
+    finally:
+        set_stage_timing(previous)
+
+
 def test_first_unbounded_poll_stages_do_not_overlap(timing_on):
     """The first poll of an unbounded member runs the deferred grammar feed;
     it must be charged to ``grammar`` only, not to ``density`` as well, so
