@@ -49,25 +49,35 @@ def _repo_root() -> Path:
     return Path(__file__).resolve().parents[2]
 
 
-def git_sha() -> str:
+def _git(repo: Path, *args: str) -> subprocess.CompletedProcess | None:
+    try:
+        return subprocess.run(
+            ["git", "-C", str(repo), *args], capture_output=True, text=True, timeout=10
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+
+
+def git_sha(repo: Path | None = None) -> str:
     """The commit the numbers were measured at (``GITHUB_SHA`` in CI).
 
-    Falls back to ``git rev-parse HEAD`` of the repo this file lives in,
-    then to ``"unknown"`` — a record is still valid outside a checkout.
+    Falls back to ``git rev-parse HEAD`` of ``repo`` (default: the repo
+    this file lives in), with ``+dirty`` appended when a tracked file
+    differs from that commit — numbers measured on uncommitted changes
+    (a baseline refreshed before the commit that moves it) must not name
+    the parent as if they measured it. Then ``"unknown"``: a record is
+    still valid outside a checkout.
     """
     env_sha = os.environ.get("GITHUB_SHA")
     if env_sha:
         return env_sha
-    try:
-        out = subprocess.run(
-            ["git", "-C", str(_repo_root()), "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
+    repo = _repo_root() if repo is None else Path(repo)
+    head = _git(repo, "rev-parse", "HEAD")
+    if head is None or head.returncode:
         return "unknown"
-    return out.stdout.strip() if out.returncode == 0 else "unknown"
+    status = _git(repo, "status", "--porcelain", "--untracked-files=no")
+    dirty = status is None or status.returncode or status.stdout.strip()
+    return head.stdout.strip() + ("+dirty" if dirty else "")
 
 
 @functools.lru_cache(maxsize=1)

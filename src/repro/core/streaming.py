@@ -19,7 +19,7 @@ Algorithm 1 does (std filter -> max-normalize -> median).
 
 Bounded-memory streaming
 ------------------------
-By default the stream state (and every member's token list and grammar)
+By default the stream state (and every member's token log and grammar)
 grows with the stream — the batch-parity mode, where feeding a whole series
 point-by-point or in arbitrary chunks produces exactly the same density
 curve as the batch detector (covered by the streaming-parity tests, which
@@ -33,10 +33,12 @@ O(capacity + N·w) regardless of stream length. Two policies:
 - ``policy="sliding"`` (exact): the horizon is exactly the last
   ``capacity`` points. Window discretization and the kept-token stream stay
   bitwise identical to the unbounded path inside the horizon (the state
-  keeps the absolute prefix sums), and each snapshot *re-induces* the
-  grammar over exactly the live tokens — equivalently, every token whose
-  window slid out has been un-ingested. Density is renormalized over the
-  live horizon only.
+  keeps the absolute prefix sums), and each snapshot's grammar is the one
+  induced over exactly the live tokens — equivalently, every token whose
+  window slid out has been un-ingested. (A poll feeds the member's arena
+  only the new tokens while none was pruned, and rebuilds it over the live
+  ones after a prune; see :class:`~repro.grammar._kernel.TokenLog`.)
+  Density is renormalized over the live horizon only.
 - ``policy="decay"`` (approximate, amortized): tokens are segmented into
   generations (:class:`~repro.grammar.sequitur.GenerationalSequitur`), each
   with its own live incremental Sequitur builder; the horizon advances in
@@ -52,7 +54,6 @@ Bounded detectors report anomalies in *absolute* stream positions; their
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import replace
 
 import numpy as np
@@ -60,14 +61,13 @@ import numpy as np
 from repro.core.anomaly import Anomaly, extract_candidates
 from repro.core.combiners import COMBINERS, combine_curves
 from repro.core.engine import EVICTION_POLICIES, SharedStreamState
-from repro.core.executors import ExecutorOwnerMixin, MemberExecutor
+from repro.core.executors import ExecutorOwnerMixin, MemberExecutor, available_cpus, fan_out
 from repro.core.selection import normalize_curve, select_by_std
 from repro.grammar import _kernel
 from repro.grammar.density import density_curve_from_token_spans, rule_density_curve
-from repro.grammar.sequitur import GenerationalSequitur, _SequiturBuilder, induce_grammar
-from repro.obs.stages import stage_timer
+from repro.grammar.sequitur import GenerationalSequitur, _SequiturBuilder
+from repro.obs.stages import merge, stage_timer
 from repro.sax.alphabet import WordInterner
-from repro.sax.breakpoints import MultiResolutionAlphabet
 from repro.sax.numerosity import STRATEGIES, TokenSequence
 from repro.sax.plan import DiscretizationPlan
 from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD
@@ -83,8 +83,8 @@ from repro.utils.validation import (
 #: streams stay bounded during ingest as well as between chunks.
 _DRAIN_BLOCK = 65_536
 
-#: Dead tokens tolerated at the front of a member's kept lists before the
-#: lists are physically compacted (amortized O(1) per token).
+#: Dead tokens tolerated at the front of a member's token log before they
+#: are physically dropped (amortized O(1) per token).
 _PRUNE_SLACK = 1024
 
 #: Version of the in-memory session-snapshot structure produced by
@@ -210,52 +210,37 @@ class StreamingGrammarDetector:
         #: :mod:`repro.grammar._kernel`): a mid-stream ``REPRO_KERNEL``
         #: change must not mix kernels within one member's life.
         self._kernel = _kernel.current_kernel()
-        #: Window starts already discretized and fed to the grammar.
+        #: Window starts already discretized and logged.
         self._consumed = 0
-        #: Symbol row of the last seen window (online numerosity reduction
-        #: across chunk boundaries).
-        self._last_symbols: np.ndarray | None = None
-        #: Kept tokens as interned ids against :attr:`_interner`'s
-        #: vocabulary — word strings are materialized only at snapshot
-        #: boundaries (frozen grammars, snapshot export, ``tokens()``).
+        #: Distinct words ever seen, each with a stable id; word strings are
+        #: materialized only at snapshot boundaries (frozen grammars,
+        #: snapshot export, ``tokens()``).
         self._interner = WordInterner()
-        self._kept_ids: list[int] = []
-        self._kept_offsets: list[int] = []
-        #: Index into the kept lists of the first *live* token.
-        self._live_from = 0
-        #: Monotone counters identifying the live token set (cache keys that
-        #: survive list compaction).
-        self._total_kept = 0
-        self._total_pruned = 0
-        #: Grammar backend, by mode: a live Sequitur builder (unbounded), a
-        #: snapshot-induction cache (sliding), or generation-segmented
-        #: builders dropped wholesale as the horizon passes them (decay).
-        self._builder = None
-        #: How many of :attr:`_kept_ids` the unbounded builder has consumed.
-        #: Feeding is deferred to poll time (:meth:`_catch_up_builder`): the
-        #: grammar is a deterministic function of the kept-id sequence, so
-        #: catching up at the next snapshot is bitwise equal to eager
-        #: feeding — and ingest-only workloads never pay for it.
-        self._builder_fed = 0
+        #: The kept tokens (ids against the interner, window offsets), the
+        #: carried symbol row, the live boundary and prune counter, and the
+        #: fast kernel's arena over the live ids: native memory, touched by
+        #: one call per drain block, horizon advance and poll.
+        self._log = _kernel.TokenLog(self.paa_size)
+        #: Decay policy: generation-segmented builders dropped wholesale as
+        #: the horizon passes them.
         self._generations: GenerationalSequitur | None = None
-        self._snapshot_cache: tuple[tuple[int, int], "object"] | None = None
-        #: Sliding fast path: the kernel builder over the live ids, tagged
-        #: with the prune counter it was anchored at (see _catch_up_sliding).
-        self._span_builder: tuple[int, "object"] | None = None
+        #: Python kernel: the oracle builder over the live words, as
+        #: ``(prune counter it was anchored at, builder, tokens fed)`` (see
+        #: :meth:`_oracle_grammar`).
+        self._oracle: tuple[int, _SequiturBuilder, int] | None = None
         #: Last snapshot curve, keyed by the shared state's version counter:
         #: repeated ``density_curve()`` polls without new data are O(1).
         self._curve_cache: tuple[int, np.ndarray] | None = None
-        if self.state.capacity is None:
-            if self._kernel == "python":
-                self._builder = _SequiturBuilder()
-            else:
-                self._builder = _kernel.make_builder(self._kernel)
-        elif self.state.policy == "decay":
+        if self.state.capacity is not None and self.state.policy == "decay":
             self._generations = GenerationalSequitur(
                 self.state.generation_size,
                 kernel=self._kernel,
                 vocabulary=self._interner.vocabulary,
             )
+        #: Whether a poll is one native call (:meth:`TokenLog.curve`): the
+        #: fast kernel, unbounded or sliding. Such polls may fan out across
+        #: threads (:class:`StreamingEnsembleDetector`).
+        self._one_call_poll = self._generations is None and self._kernel == "fast"
 
     def __len__(self) -> int:
         return len(self.state)
@@ -278,34 +263,30 @@ class StreamingGrammarDetector:
     @property
     def n_tokens(self) -> int:
         """Live tokens (after reduction and any horizon pruning)."""
-        return len(self._kept_ids) - self._live_from
+        return self._log.n_tokens
 
     @property
     def retired_tokens(self) -> int:
         """Tokens whose windows slid out of the horizon (0 when unbounded)."""
-        return self._total_pruned
+        return self._log.pruned
 
     def memory_bytes(self) -> int:
-        """O(1) estimate of this member's retained bytes.
+        """This member's retained bytes, from native capacities where it has them.
 
-        Counts the kept token ids and offsets (CPython ``int`` prices), the
-        interner (a native table with one entry per *distinct* word ever
-        seen, plus the word strings read so far; exact), and the live
-        grammar state (builder arena or generation set) —
-        *excluding* the shared stream state, which is stored once per
-        stream and accounted separately via
-        :attr:`~repro.core.engine.SharedStreamState.nbytes`. An estimate,
-        not an exact measurement: it is what the serving layer's session
-        memory budget accounts against.
+        The interner (a native table with one entry per *distinct* word ever
+        seen, plus the word strings read so far), the token log (12 B per
+        token slot, the carried row and the fast kernel's arena, all from
+        their capacities: exact) and the decay generations — *excluding*
+        the shared stream state, which is stored once per stream and
+        accounted separately via
+        :attr:`~repro.core.engine.SharedStreamState.nbytes`. The python
+        kernel's oracle builder is estimated per fed token. This is what the
+        serving layer's session memory budget accounts against.
         """
-        kept = len(self._kept_ids)
-        total = kept * 72 + self._interner.memory_bytes()
-        if self._builder is not None:
-            if self._kernel == "python":
-                # ~3 CPython symbol objects per fed token in the oracle.
-                total += self._total_kept * 200
-            else:
-                total += self._builder.memory_bytes()
+        total = self._interner.memory_bytes() + self._log.memory_bytes()
+        if self._oracle is not None:
+            # ~3 CPython symbol objects per fed token in the oracle.
+            total += self._oracle[2] * 200
         if self._generations is not None:
             total += self._generations.memory_bytes()
         return total
@@ -332,21 +313,23 @@ class StreamingGrammarDetector:
         self._evict()
 
     def _drain(self) -> None:
-        """Discretize every completed-but-unseen window and feed the grammar.
+        """Discretize every completed-but-unseen window and log the kept tokens.
 
         Runs in fixed-size blocks so the transient PAA/symbol matrices stay
         bounded no matter how large one chunk is; block boundaries are
-        invisible to the result (numerosity reduction carries
-        ``_last_symbols`` across them).
+        invisible to the result (numerosity reduction carries the last
+        symbol row across them).
         """
         n_windows = self.state.n_windows(self.window)
+        column = self._plan.alphabet_table.symbol_column(self.alphabet_size)
         while self._consumed < n_windows:
             stop = min(self._consumed + _DRAIN_BLOCK, n_windows)
             # The sweep fires the paa/discretize stage timers internally.
             sweep = self.state.sweep(self._plan, self._consumed, stop=stop)
-            self._ingest_symbols(
-                sweep.interval_rows(self.paa_size), self._plan.alphabet_table, self._consumed
-            )
+            intervals = sweep.interval_rows(self.paa_size)
+            with stage_timer("discretize"):
+                kept = self._ingest_block(intervals, column, self._consumed)
+            self._feed_generations(kept)
 
     def _evict(self) -> None:
         """Advance the retention horizon and forget what slid out."""
@@ -358,100 +341,61 @@ class StreamingGrammarDetector:
     def _forget_before(self, start: int) -> None:
         """Prune tokens whose window start precedes ``start`` (amortized O(1)).
 
-        The kept-offset list is sorted, so the new live boundary is one
-        bisect away; the dead prefix is physically deleted only once it
-        outweighs the live part. Under the decay policy, grammar
-        generations that ended before ``start`` are dropped wholesale.
+        One native call: the log bisects its sorted offsets for the new live
+        boundary and drops the dead prefix once it holds more than
+        :data:`_PRUNE_SLACK` tokens and outweighs the live part. Under the
+        decay policy, grammar generations that ended before ``start`` are
+        dropped wholesale.
         """
         if start <= 0:
             return
-        live_from = bisect_left(self._kept_offsets, start, lo=self._live_from)
-        if live_from != self._live_from:
-            self._total_pruned += live_from - self._live_from
-            self._live_from = live_from
-        if self._live_from > _PRUNE_SLACK and self._live_from * 2 > len(self._kept_ids):
-            # Compaction only ever runs in a call that just advanced
-            # _total_pruned, so the sliding span builder's anchor check
-            # (_catch_up_sliding) can never see a silently-shifted list.
-            del self._kept_ids[: self._live_from]
-            del self._kept_offsets[: self._live_from]
-            self._live_from = 0
+        self._log.forget(start, _PRUNE_SLACK)
         if self._generations is not None:
             self._generations.drop_before(start)
 
-    def _ingest_symbols(
-        self, intervals: np.ndarray, table: MultiResolutionAlphabet, first_start: int
-    ) -> None:
-        """Discretize and numerosity-reduce a block of windows; keep the ids.
+    def _ingest_block(self, intervals: np.ndarray, column: np.ndarray, first_start: int) -> int:
+        """Log one block of windows in one native call; returns the kept count.
 
         ``intervals`` holds one merged-table interval row per window start
-        in ``first_start .. first_start + len(intervals) - 1``; ``table``
+        in ``first_start .. first_start + len(intervals) - 1``; ``column``
         maps them to this member's symbols. Two windows share a SAX word
-        exactly when their symbol rows are equal, so one native pass of the
-        interner (:meth:`~repro.sax.alphabet.WordInterner.intern_packed`)
-        drops each row equal to the one before it (the last row of the
-        previous block carried in as ``_last_symbols``) and gives every
-        kept row an id that stays stable across drains (the batch
-        :class:`~repro.core.multiresolution.MultiResolutionDiscretizer`
-        feeds each sequence once, so it uses a throwaway table); a word
-        string is built once per *distinct* row, ever, and only when the
-        vocabulary is read.
+        exactly when their symbol rows are equal, so the call
+        (:meth:`~repro.sax.alphabet.WordInterner.intern_log`) looks the
+        symbols up, drops each row equal to the one before it (the last row
+        of the previous block is carried in the log), gives every kept row
+        an id that stays stable across drains and appends ids and offsets
+        to the log. A word string is built once per *distinct* row, ever,
+        and only when the vocabulary is read.
 
-        Symbol lookup, reduction and interning are ``discretize`` time, as
-        in batch ``token_ids``. Only the decay generations feed a grammar
-        here (``grammar`` time); unbounded and sliding members induce at
-        poll time.
+        This is ``discretize`` time, as in batch ``token_ids``; the caller
+        times it. Only the decay generations feed a grammar at ingest
+        (:meth:`_feed_generations`); unbounded and sliding members induce
+        at poll time.
         """
-        count = len(intervals)
-        if count == 0:
-            return
-        exact = self.numerosity == "exact"
-        with stage_timer("discretize"):
-            symbols = table.symbols_for(intervals, self.alphabet_size)
-            kept = self._interner.intern_packed(symbols, self._last_symbols, reduce=exact)
-            if exact:
-                self._last_symbols = np.array(symbols[-1], dtype=np.int64)
-            ids = kept[:, 1].tolist()
-        offsets = (kept[:, 0] + first_start).tolist()
-        self._kept_ids.extend(ids)
-        self._kept_offsets.extend(offsets)
-        self._total_kept += len(ids)
-        # Unbounded and sliding builders catch up lazily at the next poll;
-        # only the decay generations must observe every token eagerly
-        # (generation boundaries are offset-driven).
-        if self._generations is not None:
-            # Generation routing can seal (and freeze) mid-ingest, and the
-            # oracle kernel feeds word strings — both index the vocabulary
-            # list the router captured at construction, so the words
-            # interned since its last read must be decoded first.
-            _ = self._interner.vocabulary
-            feed_id = self._generations.feed_id
-            with stage_timer("grammar"):
-                for token_id, offset in zip(ids, offsets):
-                    feed_id(token_id, offset)
-        self._consumed = first_start + count
+        kept = self._interner.intern_log(
+            self._log, intervals, column, first_start, self.numerosity == "exact"
+        )
+        self._consumed = first_start + len(intervals)
+        return kept
 
-    def _catch_up_builder(self) -> None:
-        """Feed the unbounded builder every kept id it has not yet seen.
+    def _feed_generations(self, kept: int) -> None:
+        """Decay policy: feed the ``kept`` newest logged tokens to the generations.
 
-        Grammar induction is a deterministic function of the fed token
-        sequence and unbounded members never prune, so deferring the feed
-        from ingest to the first poll that needs the grammar produces a
-        bitwise-identical builder — while extend-only ingestion (the
-        serving hot path) skips grammar work entirely.
+        Generation boundaries are offset-driven, so the generations observe
+        every token eagerly (``grammar`` time). A no-op for other members.
         """
-        if self._builder_fed >= len(self._kept_ids):
+        if self._generations is None or not kept:
             return
-        pending = self._kept_ids[self._builder_fed :]
+        # Generation routing can seal (and freeze) mid-ingest, and the
+        # oracle kernel feeds word strings — both index the vocabulary list
+        # the router captured at construction, so the words interned since
+        # its last read must be decoded first.
+        _ = self._interner.vocabulary
+        ids, offsets = self._log.tokens(kept)
+        feed_id = self._generations.feed_id
         with stage_timer("grammar"):
-            if self._kernel == "python":
-                vocabulary = self._interner.vocabulary
-                feed = self._builder.feed
-                for token_id in pending:
-                    feed(vocabulary[token_id])
-            else:
-                self._builder.feed_many(pending)
-        self._builder_fed = len(self._kept_ids)
+            for token_id, offset in zip(ids.tolist(), offsets.tolist()):
+                feed_id(token_id, offset)
 
     # ------------------------------------------------------------------
     # Snapshot / restore (serialization).
@@ -460,40 +404,38 @@ class StreamingGrammarDetector:
     def export_state(self) -> dict:
         """Serializable state of this member (shared stream excluded).
 
-        Holds the live kept tokens (as interned ids + window offsets), the
-        vocabulary that gives those ids meaning, and the ingest cursors.
-        Grammar builders are deliberately *not* exported: a grammar is a
-        deterministic function of the token sequence fed to it, so
-        :meth:`_restore_state` rebuilds them by replaying the live ids —
-        smaller snapshots, no kernel-private structures on the wire, and
-        restorability across grammar kernels (the kernel-equivalence
-        contract makes the replayed grammars bitwise identical).
+        Holds the live kept tokens (as interned ids + window offsets, copied
+        out of the log), the vocabulary that gives those ids meaning, and
+        the ingest cursors. Grammar builders are deliberately *not*
+        exported: a grammar is a deterministic function of the token
+        sequence fed to it, so :meth:`_restore_state` rebuilds them by
+        replaying the live ids — smaller snapshots, no kernel-private
+        structures on the wire, and restorability across grammar kernels
+        (the kernel-equivalence contract makes the replayed grammars
+        bitwise identical).
         """
+        ids, offsets = self._log.tokens()
         return {
             "paa_size": int(self.paa_size),
             "alphabet_size": int(self.alphabet_size),
             "consumed": int(self._consumed),
-            "last_symbols": (
-                None if self._last_symbols is None else self._last_symbols.copy()
-            ),
+            "last_symbols": self._log.carry,
             "vocabulary": list(self._interner.vocabulary),
-            "kept_ids": np.asarray(self._kept_ids[self._live_from :], dtype=np.int64),
-            "kept_offsets": np.asarray(
-                self._kept_offsets[self._live_from :], dtype=np.int64
-            ),
-            "total_kept": int(self._total_kept),
-            "total_pruned": int(self._total_pruned),
+            "kept_ids": ids,
+            "kept_offsets": offsets,
+            "total_kept": int(self._log.kept),
+            "total_pruned": int(self._log.pruned),
         }
 
     def _restore_state(self, data: dict) -> None:
         """Install :meth:`export_state` output into a freshly built member.
 
         The member must already be attached to the restored shared state and
-        configured identically (window, sizes, numerosity). Unbounded
-        members never prune, so their exported kept lists are the complete
-        fed sequence and replaying them reconstructs the live builder
-        exactly; sliding members rebuild their span builder lazily at the
-        next poll; decay members replay through
+        configured identically (window, sizes, numerosity). The live tokens
+        are loaded into the log, whose arena (unbounded and sliding) is
+        rebuilt over them at the next poll: unbounded members never prune,
+        so their live tokens are the complete fed sequence. Decay members
+        replay through
         :meth:`~repro.grammar.sequitur.GenerationalSequitur.replay` (pure
         offset routing, so generations re-seal at identical boundaries).
         """
@@ -503,38 +445,29 @@ class StreamingGrammarDetector:
                 f"not (w={self.paa_size}, a={self.alphabet_size})"
             )
         self._interner = WordInterner.from_vocabulary(data["vocabulary"])
-        ids = [int(i) for i in np.asarray(data["kept_ids"], dtype=np.int64)]
-        offsets = [int(o) for o in np.asarray(data["kept_offsets"], dtype=np.int64)]
+        ids = np.asarray(data["kept_ids"], dtype=np.int64).ravel()
+        offsets = np.asarray(data["kept_offsets"], dtype=np.int64).ravel()
         if len(ids) != len(offsets):
             raise ValueError(
                 f"member snapshot holds {len(ids)} ids but {len(offsets)} offsets"
             )
-        if ids and (min(ids) < 0 or max(ids) >= len(self._interner.vocabulary)):
+        if len(ids) and (ids.min() < 0 or ids.max() >= len(self._interner.vocabulary)):
             raise ValueError("member snapshot token ids fall outside its vocabulary")
-        self._kept_ids = ids
-        self._kept_offsets = offsets
-        self._live_from = 0
-        self._total_kept = int(data["total_kept"])
-        self._total_pruned = int(data["total_pruned"])
-        self._consumed = int(data["consumed"])
+        pruned = int(data["total_pruned"])
+        if int(data["total_kept"]) != pruned + len(ids):
+            raise ValueError(
+                f"member snapshot counts {data['total_kept']} kept and {pruned} pruned "
+                f"tokens but holds {len(ids)} live ones"
+            )
         last = data["last_symbols"]
-        self._last_symbols = None if last is None else np.asarray(last, dtype=np.int64)
-        self._snapshot_cache = None
-        self._span_builder = None
+        self._log = _kernel.TokenLog(self.paa_size)
+        self._log.load(ids, offsets, None if last is None else np.asarray(last), pruned)
+        self._consumed = int(data["consumed"])
+        self._oracle = None
         self._curve_cache = None
-        if self._builder is not None:
-            # Replay is deferred: a fresh builder plus _builder_fed = 0
-            # makes the next poll's _catch_up_builder feed the complete
-            # kept sequence — identical to an eager replay here, but
-            # restore itself stays O(tokens-copied).
-            if self._kernel == "python":
-                self._builder = _SequiturBuilder()
-            else:
-                self._builder = _kernel.make_builder(self._kernel)
-            self._builder_fed = 0
-        elif self._generations is not None:
+        if self._generations is not None:
             self._generations = GenerationalSequitur.replay(
-                zip(ids, offsets),
+                zip(ids.tolist(), offsets.tolist()),
                 generation_size=self.state.generation_size,
                 kernel=self._kernel,
                 vocabulary=self._interner.vocabulary,
@@ -546,12 +479,8 @@ class StreamingGrammarDetector:
 
     def _live_tokens(self) -> tuple[tuple[str, ...], np.ndarray]:
         vocabulary = self._interner.vocabulary
-        words = tuple(vocabulary[i] for i in self._kept_ids[self._live_from :])
-        offsets = np.asarray(self._kept_offsets[self._live_from :], dtype=np.int64)
-        return words, offsets
-
-    def _live_offsets(self) -> np.ndarray:
-        return np.asarray(self._kept_offsets[self._live_from :], dtype=np.int64)
+        ids, offsets = self._log.tokens()
+        return tuple(vocabulary[i] for i in ids.tolist()), offsets
 
     def tokens(self) -> TokenSequence:
         """Snapshot of the live numerosity-reduced token sequence.
@@ -572,51 +501,27 @@ class StreamingGrammarDetector:
             )
         return TokenSequence(words, offsets, self.n_windows, self.window)
 
-    def _sliding_grammar(self, words: tuple[str, ...]):
-        """Grammar over exactly the live tokens (cached per live set)."""
-        key = (self._total_kept, self._total_pruned)
-        if self._snapshot_cache is not None and self._snapshot_cache[0] == key:
-            return self._snapshot_cache[1]
-        grammar = induce_grammar(words)
-        self._snapshot_cache = (key, grammar)
-        return grammar
+    def _oracle_grammar(self):
+        """Python kernel: the oracle grammar over exactly the live words.
 
-    def _catch_up_sliding(self) -> None:
-        """Bring the sliding grammar up to exactly the live tokens.
-
-        Runs under the ``grammar`` stage timer, before a poll opens its
-        ``density`` timer. The oracle kernel re-induces over the live words
-        into the snapshot cache (:meth:`_sliding_grammar`). Id kernels take
-        the amortized prune-and-repair path: while no token has been pruned
-        since the cached builder was anchored, the live sequence has only
-        grown at the right end — where Sequitur *is* incremental — so the
-        builder is repaired by feeding just the new suffix. Once the horizon
-        has claimed tokens, the dead prefix invalidates the grammar
-        (Sequitur output depends on the whole sequence, and the parity
-        contract is re-induction over exactly the live tokens), so the
-        builder is rebuilt over the live ids: O(live) work bounded by the
-        capacity, never by the stream length — which is what keeps poll
-        latency flat as the stream grows.
-
-        The anchor check is sound against list compaction: compaction only
-        runs inside a ``_forget_before`` call that just advanced
-        ``_total_pruned``, so an unchanged prune counter guarantees both an
-        unchanged ``_live_from`` and an unshifted list.
+        The same anchor rule as the fast kernel's native poll: while no
+        token has been pruned since the builder was anchored, the live
+        sequence has only grown at the right end, where Sequitur *is*
+        incremental, so the builder is fed just the new words. Once the
+        horizon has claimed tokens, the builder is rebuilt over the live
+        words: O(live) work bounded by the capacity. Unbounded members never
+        prune, so they always feed incrementally.
         """
-        with stage_timer("grammar"):
-            if self._kernel == "python":
-                self._sliding_grammar(self._live_tokens()[0])
-                return
-            cached = self._span_builder
-            if cached is not None and cached[0] == self._total_pruned:
-                builder = cached[1]
-                delta = self._kept_ids[self._live_from + builder.n_tokens :]
-                if delta:
-                    builder.feed_many(delta)
-            else:
-                builder = _kernel.make_builder(self._kernel)
-                builder.feed_many(self._kept_ids[self._live_from :])
-                self._span_builder = (self._total_pruned, builder)
+        pruned = self._log.pruned
+        ids = self._log.tokens()[0]
+        if self._oracle is None or self._oracle[0] != pruned:
+            self._oracle = (pruned, _SequiturBuilder(), 0)
+        _, builder, fed = self._oracle
+        vocabulary = self._interner.vocabulary
+        for token_id in ids[fed:].tolist():
+            builder.feed(vocabulary[token_id])
+        self._oracle = (pruned, builder, len(ids))
+        return builder.freeze()
 
     def density_curve(self) -> np.ndarray:
         """Rule density curve over the live stream range (snapshot).
@@ -625,6 +530,11 @@ class StreamingGrammarDetector:
         pipeline's. Bounded: the curve over ``[horizon_start, len(self))``
         — index ``i`` covers absolute point ``horizon_start + i`` — built
         from the live tokens only and renormalized over the live horizon.
+
+        Under the fast kernel an unbounded or sliding member polls in one
+        native call (:meth:`~repro.grammar._kernel.TokenLog.curve`), whose
+        phase counters are charged to the ``grammar`` (feed and spans) and
+        ``density`` stages here.
 
         The last snapshot is memoized keyed on the shared state's
         :attr:`~repro.core.engine.SharedStreamState.version`, so repeated
@@ -639,46 +549,39 @@ class StreamingGrammarDetector:
         version = self.state.version
         if self._curve_cache is not None and self._curve_cache[0] == version:
             return self._curve_cache[1]
-        # Outside the density timer: the deferred feed (unbounded) and the
-        # live re-induction (sliding) are grammar time, with their own timer.
-        if self._builder is not None:
-            self._catch_up_builder()
-        elif self._generations is None and self.n_tokens:
-            self._catch_up_sliding()
-        with stage_timer("density"):
-            curve = self._compute_density_curve()
+        if self._one_call_poll:
+            curve, phase_ns = self._log.curve(
+                self.window, self.state.start, self.state.live_length
+            )
+            merge(_poll_stage_times(phase_ns))
+        else:
+            curve = self._reference_curve()
         self._curve_cache = (version, curve)
         return curve
 
-    def _compute_density_curve(self) -> np.ndarray:
-        """The uncached snapshot computation behind :meth:`density_curve`.
+    def _reference_curve(self) -> np.ndarray:
+        """The snapshot curve of the python kernel and of decay members.
 
         The oracle kernel takes the reference route (freeze to a
         :class:`~repro.grammar.rules.Grammar`, then
-        :func:`rule_density_curve`); id kernels fuse it — occurrence spans
-        are read straight off the builder arena and scattered into the
-        curve, with no frozen grammar, no per-occurrence objects, and no
-        word strings. Both routes end in the same integer scatter-add over
-        the same interval multiset, so they are bitwise identical.
+        :func:`rule_density_curve`); decay members under the fast kernel
+        read each generation's occurrence spans off its builder arena.
+        Every route ends in the same integer scatter-add over the same
+        interval multiset as :meth:`TokenLog.curve`, so all are bitwise
+        identical.
         """
-        if self._builder is not None:
-            if self._kernel == "python":
-                return rule_density_curve(
-                    self._builder.freeze(), self.tokens(), len(self.state)
-                )
-            # Unbounded members always have >= 1 live token once a window
-            # completed (the caller checked n_windows), so no empty guard.
-            firsts, lasts = self._builder.occurrence_spans()
-            return density_curve_from_token_spans(
-                self._live_offsets(), self.window, firsts, lasts, len(self.state)
-            )
         start = self.state.start
         length = self.state.live_length
         if self.n_tokens == 0:
             # Every kept token expired (e.g. one constant run spanning the
             # whole horizon): no rules, zero density everywhere.
             return np.zeros(length, dtype=np.float64)
-        if self._generations is not None:
+        if self._generations is None:
+            with stage_timer("grammar"):
+                grammar = self._oracle_grammar()
+            with stage_timer("density"):
+                return rule_density_curve(grammar, self.tokens(), length, horizon_start=start)
+        with stage_timer("density"):
             if self._kernel == "python":
                 words, offsets = self._live_tokens()
                 tokens = TokenSequence(words, offsets, self.n_windows, self.window)
@@ -693,21 +596,12 @@ class StreamingGrammarDetector:
                 )
             return _generation_density_from_spans(
                 self._generations.live_spans(),
-                self._live_offsets(),
+                self._log.tokens()[1],
                 self._generations.generation_size,
                 self.window,
                 start,
                 length,
             )
-        if self._kernel == "python":
-            words, offsets = self._live_tokens()
-            tokens = TokenSequence(words, offsets, self.n_windows, self.window)
-            grammar = self._sliding_grammar(words)
-            return rule_density_curve(grammar, tokens, length, horizon_start=start)
-        firsts, lasts = self._span_builder[1].occurrence_spans()
-        return density_curve_from_token_spans(
-            self._live_offsets(), self.window, firsts, lasts, length, horizon_start=start
-        )
 
     def detect(self, k: int = 3) -> list[Anomaly]:
         """Top-``k`` anomalies over the live stream range.
@@ -795,6 +689,13 @@ def _generation_density_from_spans(
     return curve
 
 
+def _poll_stage_times(phase_ns) -> dict[str, float]:
+    """Seconds per stage from :meth:`~repro.grammar._kernel.TokenLog.curve`'s
+    feed, spans and density counters."""
+    feed, spans, density = phase_ns
+    return {"grammar": (feed + spans) * 1e-9, "density": density * 1e-9}
+
+
 def _member_snapshot_curve(member: "StreamingGrammarDetector") -> np.ndarray:
     """Thread task: one member's snapshot rule density curve."""
     return member.density_curve()
@@ -816,14 +717,25 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
     each chunk with one vectorized PAA/interval pass per distinct PAA size,
     shared by every member of that size via the merged breakpoint table.
 
+    Each member keeps its kept tokens and live grammar in one native token
+    log (:class:`~repro.grammar._kernel.TokenLog`), so a drain block costs
+    one native call per member and, under the fast kernel, so does an
+    unbounded or sliding member's poll. Those calls release the GIL, and
+    without an executor a poll fans them out across this thread and the
+    process-wide thread pool (:func:`repro.core.executors.fan_out`, one
+    thread per available CPU), largest live token count first; the caller
+    charges their phase counters to the ``grammar`` and ``density`` stages.
+    Decay members and the python kernel poll on the calling thread.
+
     ``executor`` only matters for the *snapshot* side (``density_curve`` /
-    ``detect``): thread workers call the live members directly. Process
-    and cluster executors run no streaming work — the live Sequitur state
-    never leaves this process, and computing every curve here over the
-    cached occurrence spans is faster than shipping a picklable snapshot
-    for a worker to re-induce (see ``docs/streaming.md``). Ingest stays
-    serial — it is already one vectorized pass. Results are identical
-    across backends.
+    ``detect``): ``"serial"`` computes every curve on the calling thread,
+    and a thread executor's workers call the live members directly.
+    Process and cluster executors run no streaming work — the live token
+    logs never leave this process, and polling them here is far cheaper
+    than shipping a picklable snapshot for a worker to re-induce (see
+    ``docs/streaming.md``) — so they poll as if no executor were given.
+    Ingest stays serial — it is already one vectorized pass plus one call
+    per member. Results are bitwise identical across backends.
     """
 
     def __init__(
@@ -895,11 +807,9 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
             )
             for w, a in self.parameters
         ]
-        #: Members grouped by PAA size — the vectorized ingest shares one
+        #: Distinct PAA sizes — the vectorized ingest shares one
         #: PAA/interval pass per distinct size.
-        self._by_paa_size: dict[int, list[StreamingGrammarDetector]] = {}
-        for member in self.members:
-            self._by_paa_size.setdefault(member.paa_size, []).append(member)
+        self._paa_sizes = sorted({member.paa_size for member in self.members})
         #: Snapshot memoization keyed by the state's version counter: the
         #: combined ensemble curve, and the last ``detect(k)`` result, so
         #: high-frequency polling without new data is O(1).
@@ -932,23 +842,36 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
     def _drain(self) -> None:
         """Vectorized ingest: one PAA + interval pass per distinct PAA size.
 
-        Large chunks are drained in fixed-size blocks (bounded transient
-        memory); once every member has consumed every completed window, the
-        retention horizon advances and members forget what slid out.
+        Then one native call per member logs the block's kept tokens, all
+        under one ``discretize`` timer, and decay members feed their
+        generations. Large chunks are drained in fixed-size blocks (bounded
+        transient memory); once every member has consumed every completed
+        window, the retention horizon advances and members forget what slid
+        out, again one native call each.
         """
         n_windows = self.state.n_windows(self.window)
         # Every member is drained in lock-step by this loop (members never
         # ingest on their own when attached), so one cursor serves all.
         first = self.members[0]._consumed
+        table = self._alphabet_table
         while first < n_windows:
             stop = min(first + _DRAIN_BLOCK, n_windows)
-            # One shared sweep per block; the sweep fires the paa and
-            # discretize stage timers internally, once per distinct size.
+            # One shared sweep per block; the sweep fires the paa (and, under
+            # the python kernel, discretize) stage timers itself, once per
+            # distinct size, so the matrices are formed before the timer.
             sweep = self.state.sweep(self._plan, first, stop=stop)
-            for paa_size, members in self._by_paa_size.items():
-                intervals = sweep.interval_rows(paa_size)
-                for member in members:
-                    member._ingest_symbols(intervals, self._alphabet_table, first)
+            intervals = {w: sweep.interval_rows(w) for w in self._paa_sizes}
+            with stage_timer("discretize"):
+                kept = [
+                    member._ingest_block(
+                        intervals[member.paa_size],
+                        table.symbol_column(member.alphabet_size),
+                        first,
+                    )
+                    for member in self.members
+                ]
+            for member, count in zip(self.members, kept):
+                member._feed_generations(count)
             first = stop
         if self.state.capacity is not None:
             start = self.state.trim()
@@ -957,7 +880,7 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
                     member._forget_before(start)
 
     def _snapshot_curves(self) -> list[np.ndarray]:
-        """Every member's snapshot curve: on a thread pool, else in place.
+        """Every member's snapshot curve: fanned out, on a thread pool, or in place.
 
         Curves are deterministic functions of each member's live tokens and
         the shared stream, so all backends return bitwise-identical results.
@@ -967,18 +890,55 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
             # Members are independent snapshot readers of the shared state;
             # threads can call them directly, zero serialization.
             return executor.map(_member_snapshot_curve, self.members)
-        # Serial, process and cluster: the owning process computes every
-        # curve. The live builders cannot leave it, and rebuilding a member
-        # from a picklable snapshot costs a worker more than the member's
-        # cached span path costs here.
+        # No executor, process and cluster: the owning process computes
+        # every curve. The live logs cannot leave it, and rebuilding a member
+        # from a picklable snapshot costs a worker more than its poll costs
+        # here. Only "serial" keeps the one-call polls on this thread too.
+        if executor is None or executor.kind != "serial":
+            self._fan_out_polls()
         return [member.density_curve() for member in self.members]
+
+    def _fan_out_polls(self) -> None:
+        """Cache the curve of every one-call member, polled across threads.
+
+        The due members' logs, largest live token count first, go into one
+        :class:`~repro.grammar._kernel.LogPolls`, and :func:`fan_out` runs
+        its GIL-free native call on this thread and up to one pool thread
+        per further available CPU; each call claims members one at a time
+        until none is left. The calls record no stage timer and touch no
+        thread-local state: this thread then installs the curves in the
+        members' caches (where :meth:`density_curve` finds them) and charges
+        the phase counters to its stages and captures.
+        """
+        state = self.state
+        if not state.n_windows(self.window):
+            return  # every member raises its "no complete window" error
+        version = state.version
+        due = [
+            member
+            for member in self.members
+            if member._one_call_poll
+            and (member._curve_cache is None or member._curve_cache[0] != version)
+        ]
+        if not due:
+            return
+        due.sort(key=lambda member: member._log.n_tokens, reverse=True)
+        polls = _kernel.LogPolls(
+            [member._log for member in due], self.window, state.start, state.live_length
+        )
+        n_jobs = min(available_cpus(), len(due))
+        fan_out(polls.run, range(n_jobs), n_jobs)
+        for member, (curve, phase_ns) in zip(due, polls.results()):
+            member._curve_cache = (version, curve)
+            merge(_poll_stage_times(phase_ns))
 
     def memory_bytes(self) -> int:
         """O(1) estimate of the bytes this ensemble retains.
 
         The shared stream buffers (stored once, referenced by every member)
-        plus each member's token/offset estimate — the quantity the serving
-        layer's global session memory budget sums over its live sessions.
+        plus each member's :meth:`StreamingGrammarDetector.memory_bytes` —
+        the quantity the serving layer's global session memory budget sums
+        over its live sessions.
         """
         return self.state.nbytes + sum(member.memory_bytes() for member in self.members)
 
@@ -1091,9 +1051,7 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
             )
             member._restore_state(data)
             instance.members.append(member)
-        instance._by_paa_size = {}
-        for member in instance.members:
-            instance._by_paa_size.setdefault(member.paa_size, []).append(member)
+        instance._paa_sizes = sorted({member.paa_size for member in instance.members})
         instance._curve_cache = None
         instance._detect_cache = None
         return instance

@@ -21,8 +21,11 @@ loads it with :mod:`ctypes` once, declaring every entry point from the one
 The library carries the arena, the SAX front end (see
 ``repro.sax._kernel``), the two curve kernels ``seq_density`` and
 ``seq_median`` (which :func:`repro.grammar.density.density_curve_from_token_spans`
-and :func:`repro.core.combiners.combine_curves` call under either kernel)
-and :func:`member_curve`, one batch ensemble member in one call.
+and :func:`repro.core.combiners.combine_curves` call under either kernel),
+:func:`member_curve`, one batch ensemble member in one call, and
+:class:`TokenLog`, a streaming member's kept tokens and arena, with one
+call per drain block, horizon advance and poll (:class:`LogPolls` shares
+the polls of many logs between threads).
 Concurrent first imports are safe (write, then rename). A failed build
 raises :class:`ImportError`; there is no Python fallback.
 
@@ -171,6 +174,27 @@ _SIGNATURES = (
         + (ctypes.c_int64,) * 3
         + (ctypes.c_void_p,) * 2,
     ),
+    ("seq_log_new", ctypes.c_void_p, (ctypes.c_int64,)),
+    ("seq_log_free", None, (ctypes.c_void_p,)),
+    (
+        "seq_log_ingest",
+        ctypes.c_int64,
+        (ctypes.c_void_p,) * 3 + (ctypes.c_int64, ctypes.c_void_p) + (ctypes.c_int64,) * 3,
+    ),
+    ("seq_log_forget", ctypes.c_int64, (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64)),
+    (
+        "seq_log_curves",
+        None,
+        (ctypes.c_void_p,) + (ctypes.c_int64,) * 4 + (ctypes.c_void_p,) * 4,
+    ),
+    (
+        "seq_log_load",
+        ctypes.c_int,
+        (ctypes.c_void_p,) * 3 + (ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64),
+    ),
+    ("seq_log_live", ctypes.c_int64, (ctypes.c_void_p,)),
+    ("seq_log_copy", None, (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)),
+    ("seq_log_export", None, (ctypes.c_void_p,) * 3),
     # _sax.c
     (
         "sax_intervals",
@@ -219,6 +243,12 @@ _MEMBER_ERRORS = {
     -2: (MemoryError, "the native member pipeline could not allocate its buffers"),
     -7: (IndexError, "an interval or symbol lies outside the alphabet column"),
     -8: (ValueError, "cannot induce a grammar from an empty token sequence"),
+}
+
+#: Status codes of :class:`TokenLog`'s calls.
+_LOG_ERRORS = {
+    **_MEMBER_ERRORS,
+    -2: (MemoryError, "the native token log or its arena could not grow"),
 }
 
 _lib = _load(_build(_SOURCES, _SOURCE.parent / "__pycache__"), _SIGNATURES)
@@ -449,7 +479,7 @@ class FastSequitur:
         calls, so tracemalloc does not see them.
         """
         sizes = self._export()[0]
-        return 24 * sizes[1] + 16 * (sizes[3] + sizes[4] + sizes[5])
+        return _arena_bytes(sizes[1], sizes[3], sizes[4], sizes[5])
 
     def _export(self) -> tuple[list[int], ctypes.Array]:
         """One C call: ``(slots, slot_cap, rules, rule_cap, bucket_cap,
@@ -476,11 +506,248 @@ class FastSequitur:
         return (*arena, digrams, read(4, rules), read(3, rules), fed)
 
 
+def _arena_bytes(slot_cap: int, rule_cap: int, table_cap: int, pending_cap: int) -> int:
+    """Bytes of a native arena with these capacities (0 for no arena)."""
+    return 24 * slot_cap + 16 * (rule_cap + table_cap + pending_cap)
+
+
+class TokenLog:
+    """One streaming member's kept tokens and live grammar, in native memory.
+
+    A thin handle on a ``SeqLog`` of ``_sequitur.c``: the kept token ids
+    (int32) and their window offsets (int64), the carried symbol row of the
+    last window, the live boundary, the prune counter and the member's
+    persistent Sequitur arena. A member makes one call per drain block
+    (:meth:`ingest`), one per horizon advance (:meth:`forget`) and one per
+    poll (:meth:`curve`); each releases the GIL, and none touches another
+    log, so the polls of distinct logs may run on distinct threads. One log
+    must not be used by two threads at once.
+
+    The arena is Sequitur over exactly the live ids as of the last poll,
+    anchored at the prune counter it was built under. While that counter
+    has not moved, the live ids only grew at the right end, where Sequitur
+    is incremental, so a poll feeds the new suffix; once it has moved, the
+    poll rebuilds the arena over the live ids. Unbounded members never
+    prune, so they always take the incremental branch. Either way the
+    arena's grammar is a function of the live ids alone, which is what
+    makes the curve bitwise equal to re-inducing over the live tokens.
+    """
+
+    __slots__ = ("_handle", "width")
+
+    def __init__(self, width: int) -> None:
+        self.width = int(width)
+        if self.width < 1:
+            raise ValueError(f"words need at least one symbol, got width {self.width}")
+        self._handle = _lib.seq_log_new(self.width)
+        if not self._handle:
+            raise MemoryError("cannot allocate a native token log")
+
+    def __del__(self, _free=_lib.seq_log_free) -> None:  # bound early: globals die at exit
+        if getattr(self, "_handle", None):
+            _free(self._handle)
+
+    def __reduce__(self):
+        raise TypeError("a TokenLog owns native memory and cannot be pickled or copied")
+
+    def _export(self) -> tuple[list[int], np.ndarray]:
+        """One C call: ``(count, cap, live, kept, pruned, width, has_carry,
+        slot_cap, rule_cap, table_cap, pending_cap)`` and the carried row
+        (int64; meaningful when ``has_carry``)."""
+        sizes = (ctypes.c_int64 * 11)()
+        carry = np.zeros(self.width, dtype=np.int64)
+        _lib.seq_log_export(self._handle, sizes, carry.ctypes.data)
+        return list(sizes), carry
+
+    @property
+    def n_tokens(self) -> int:
+        """Live tokens."""
+        return _lib.seq_log_live(self._handle)
+
+    @property
+    def stored(self) -> int:
+        """Tokens held in memory: the live ones plus a not yet dropped dead prefix."""
+        return self._export()[0][0]
+
+    @property
+    def kept(self) -> int:
+        """Tokens ever kept."""
+        return self._export()[0][3]
+
+    @property
+    def pruned(self) -> int:
+        """Tokens ever pruned (their windows slid out of the horizon)."""
+        return self._export()[0][4]
+
+    @property
+    def carry(self) -> np.ndarray | None:
+        """A copy of the carried symbol row (int64), or ``None`` before one."""
+        sizes, carry = self._export()
+        return carry if sizes[6] else None
+
+    def tokens(self, last: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the ids and offsets (both int64) of the live tokens.
+
+        With ``last``, of only the newest ``last`` of them.
+        """
+        count = _lib.seq_log_live(self._handle)
+        if last is not None:
+            count = max(0, min(count, int(last)))
+        ids = np.empty(count, dtype=np.int64)
+        offsets = np.empty(count, dtype=np.int64)
+        _lib.seq_log_copy(self._handle, count, ids.ctypes.data, offsets.ctypes.data)
+        return ids, offsets
+
+    def ingest(
+        self, table, intervals: np.ndarray, column: np.ndarray, first_start: int, reduce: bool
+    ) -> int:
+        """Append one drain block's kept tokens; returns how many were kept.
+
+        ``table`` is the handle of the member's native row table
+        (:class:`repro.sax.alphabet.WordInterner`), ``intervals`` the
+        block's interval matrix (``intp``, row ``r`` the window starting at
+        ``first_start + r``) and ``column`` the member's alphabet column
+        (int64). One call looks the symbols up, drops each row equal to the
+        row before it when ``reduce`` (the last row of the previous block is
+        carried), interns the kept rows and appends their ids and offsets.
+        A value outside the column raises :class:`IndexError` and appends
+        nothing; :class:`MemoryError` when the log or table cannot grow.
+        """
+        _checked(intervals, np.intp, 2, "intervals")
+        _checked(column, np.int64, 1, "column")
+        rows, width = intervals.shape
+        if width != self.width or not len(column) or not table:
+            raise ValueError(
+                f"need {self.width}-symbol rows, a symbol column and a row table, "
+                f"got width {width}"
+            )
+        kept = _lib.seq_log_ingest(
+            self._handle, table, intervals.ctypes.data, rows, column.ctypes.data, len(column),
+            bool(reduce), first_start,
+        )
+        if kept < 0:
+            _raise(kept, _LOG_ERRORS)
+        return kept
+
+    def forget(self, start: int, slack: int) -> int:
+        """Prune the tokens whose window starts before ``start``; returns how many.
+
+        One bisection of the sorted offsets. The dead prefix is dropped from
+        memory once it holds more than ``slack`` tokens and outweighs the
+        live ones (amortized O(1) per token).
+        """
+        return _lib.seq_log_forget(self._handle, start, slack)
+
+    def curve(
+        self, window: int, horizon_start: int, length: int
+    ) -> tuple[np.ndarray, tuple[int, int, int]]:
+        """One poll: the rule density curve over the live tokens and ``phase_ns``.
+
+        The curve covers ``length`` points from ``horizon_start``; with no
+        live token it is all zeros. ``phase_ns`` holds the nanoseconds spent
+        feeding (or rebuilding) the arena, walking its spans and
+        accumulating the density, for the caller to charge: this method
+        records nothing and touches no thread-local state.
+        """
+        polls = LogPolls((self,), window, horizon_start, length)
+        polls.run()
+        return polls.results()[0]
+
+    def load(
+        self, ids: np.ndarray, offsets: np.ndarray, carry: np.ndarray | None, pruned: int
+    ) -> None:
+        """Replace the stored tokens with live ones, after ``pruned`` slid out.
+
+        The restore path of a session snapshot: ``ids`` and ``offsets`` are
+        the live tokens, ``carry`` the carried row (or ``None``). The arena
+        is rebuilt over them at the next poll.
+        """
+        ids = np.ascontiguousarray(ids, dtype=np.int64)
+        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        if ids.shape != offsets.shape or ids.ndim != 1:
+            raise ValueError(f"got {ids.shape} ids but {offsets.shape} offsets")
+        if pruned < 0:
+            raise ValueError(f"a pruned count cannot be negative, got {pruned}")
+        row = None
+        if carry is not None:
+            row = np.ascontiguousarray(carry, dtype=np.intp)
+            if row.shape != (self.width,):
+                raise ValueError(f"carried row must hold {self.width} symbols, got {row.shape}")
+        status = _lib.seq_log_load(
+            self._handle, ids.ctypes.data, offsets.ctypes.data, len(ids),
+            None if row is None else row.ctypes.data, int(pruned),
+        )
+        if status:
+            _raise(status, _LOG_ERRORS)
+
+    def memory_bytes(self) -> int:
+        """Bytes the log holds, from its capacities.
+
+        12 B per token slot (int32 id, int64 offset), the carried row, and
+        the arena (see :meth:`FastSequitur.memory_bytes`). The allocations
+        are C ``malloc`` calls, so tracemalloc does not see them.
+        """
+        sizes = self._export()[0]
+        row = np.dtype(np.intp).itemsize * sizes[5]
+        return 12 * sizes[1] + row + _arena_bytes(*sizes[7:11])
+
+
+class LogPolls:
+    """The polls of several token logs over one horizon, shared by threads.
+
+    :meth:`run` is one native call that claims the logs one at a time and
+    polls each (:meth:`TokenLog.curve`) until none is left, so any number
+    of threads may call it at once: each takes the GIL back once, when its
+    call returns, rather than once per log — on a small VM such a handoff
+    between threads costs about as much as a short member's poll — and a
+    thread that starts late simply finds less to do. The logs share the
+    window and horizon, as the members of one ensemble do; put the largest
+    first. :meth:`results` then returns ``(curve, phase_ns)`` per log in
+    order, or raises the error of the lowest-indexed log that failed.
+    """
+
+    __slots__ = ("_args", "_curves", "_cursor", "_logs", "_phase_ns", "_statuses")
+
+    def __init__(
+        self, logs: Sequence[TokenLog], window: int, horizon_start: int, length: int
+    ) -> None:
+        if length <= 0:
+            raise ValueError(f"curve length must be positive, got {length}")
+        count = len(logs)
+        self._logs = tuple(logs)  # keeps the handles alive while threads run
+        self._curves = [np.empty(length, dtype=np.float64) for _ in range(count)]
+        self._phase_ns = (ctypes.c_int64 * (3 * count))()
+        self._statuses = (ctypes.c_int64 * count)()
+        self._cursor = ctypes.c_int64(0)
+        self._args = (
+            (ctypes.c_void_p * count)(*[log._handle for log in logs]),
+            count, window, horizon_start, length,
+            (ctypes.c_void_p * count)(*[curve.ctypes.data for curve in self._curves]),
+            self._phase_ns, self._statuses, ctypes.byref(self._cursor),
+        )
+
+    def run(self, _item=None) -> None:
+        """Poll logs until none is left unclaimed (GIL-free; records nothing)."""
+        _lib.seq_log_curves(*self._args)
+
+    def results(self) -> list[tuple[np.ndarray, tuple[int, int, int]]]:
+        """``(curve, phase_ns)`` of every log, once every :meth:`run` returned."""
+        for status in self._statuses:
+            if status:
+                _raise(status, _LOG_ERRORS)
+        phase_ns = self._phase_ns
+        return [
+            (curve, tuple(phase_ns[3 * i : 3 * i + 3])) for i, curve in enumerate(self._curves)
+        ]
+
+
 __all__ = [
     "DEFAULT_KERNEL",
     "FastSequitur",
     "KERNELS",
     "KERNEL_ENV",
+    "LogPolls",
+    "TokenLog",
     "current_kernel",
     "make_builder",
     "member_curve",

@@ -63,6 +63,16 @@
  * library), the arena, seq_spans and seq_density, keeping every check and
  * status of the chained calls. It holds no state between calls, so members
  * may run on as many threads at once as the caller likes.
+ *
+ * One streaming member, one log. A SeqLog (bottom of the file) holds a
+ * streaming member's kept token ids (int32) and window offsets (int64),
+ * the carried last symbol row, the live boundary, the prune counter and
+ * the member's persistent arena. seq_log_ingest takes one drain block
+ * through sax_table_intern into the member's row table and appends the
+ * kept tokens; seq_log_forget prunes past the horizon; seq_log_curves
+ * runs whole polls (feed or rebuild, spans, density) of one or more logs.
+ * A log is touched by one call at a time, so the polls of distinct
+ * members may run on distinct threads.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -295,6 +305,17 @@ void seq_free(Seq *s) {
     free(s);
 }
 
+/* Empty the arena, keeping every capacity: R0 (serial 0) becomes an empty
+ * circular list through its guard. The digram table is a map, so the
+ * grammar fed afterwards does not depend on its size. */
+static void reset(Seq *s) {
+    s->slots = s->rules = 1;
+    s->digrams = s->fed = s->status = 0;
+    for (int64_t i = 0; i < s->table_cap; i++) s->owners[i] = -1;
+    s->value[0] = -1, s->next[0] = s->prev[0] = 0;
+    s->rule_guard[0] = s->rule_count[0] = 0;
+}
+
 Seq *seq_new(void) {
     Seq *s = calloc(1, sizeof *s);
     if (!s) return NULL;
@@ -305,10 +326,7 @@ Seq *seq_new(void) {
         seq_free(s);
         return NULL;
     }
-    /* R0: serial 0, an empty circular list through its guard. */
-    s->slots = s->rules = 1;
-    s->value[0] = -1, s->next[0] = s->prev[0] = 0;
-    s->rule_guard[0] = s->rule_count[0] = 0;
+    reset(s);
     return s;
 }
 
@@ -507,4 +525,218 @@ done:
     if (s) seq_free(s);
     free(offsets);
     return status;
+}
+
+/* ---- one streaming member's token log ---- */
+
+/* _sax.c: symbol lookup, numerosity reduction against a carried row and
+ * interning of one block of rows into a persistent row table; the kept
+ * count, or -1 (a value outside the column or the letters) or -2 (no
+ * memory). */
+int64_t sax_table_intern(void *table, const intptr_t *rows, int64_t n_rows, int64_t width,
+                         const int64_t *column, int64_t n_symbols, const intptr_t *carry,
+                         int64_t reduce, int64_t *offsets, int64_t *ids);
+
+/* A streaming member's kept tokens, oldest first: ids[i] was kept from the
+ * window starting at offsets[i] (ascending). Tokens before `live` slid out
+ * of the horizon; they are dropped physically once they outweigh the live
+ * ones. `carry` is the symbol row of the last window ingested, which the
+ * next block's numerosity reduction compares its first row against. `seq`
+ * is Sequitur over exactly the live ids as of the last poll, built when
+ * the prune counter read `anchor`: while no token is pruned the live ids
+ * only grow at the right end, where Sequitur is incremental, so a poll
+ * feeds the new suffix; once one is pruned, the poll rebuilds it. */
+typedef struct {
+    int32_t *ids;
+    int64_t *offsets;
+    intptr_t *carry;     /* width symbols, valid when has_carry */
+    int64_t count, cap;  /* stored tokens and their capacity */
+    int64_t live;        /* index of the first live token */
+    int64_t kept, pruned; /* tokens ever kept and ever pruned */
+    int64_t width, has_carry, anchor;
+    Seq *seq;
+} SeqLog;
+
+void seq_log_free(SeqLog *log) {
+    if (!log) return;
+    if (log->seq) seq_free(log->seq);
+    free(log->ids), free(log->offsets), free(log->carry), free(log);
+}
+
+SeqLog *seq_log_new(int64_t width) {
+    SeqLog *log = width >= 1 ? calloc(1, sizeof *log) : NULL;
+    if (!log) return NULL;
+    log->width = width;
+    if (!(log->carry = malloc((size_t)width * sizeof *log->carry))) {
+        free(log);
+        return NULL;
+    }
+    return log;
+}
+
+/* Room for `more` tokens after the stored ones. */
+static int log_reserve(SeqLog *log, int64_t more) {
+    int64_t cap = log->cap ? log->cap : 64;
+    if (log->count + more <= log->cap) return SEQ_OK;
+    while (cap < log->count + more) cap *= 2;
+    int32_t *ids = realloc(log->ids, (size_t)cap * sizeof *ids);
+    if (!ids) return SEQ_NOMEM;
+    log->ids = ids;
+    int64_t *offsets = realloc(log->offsets, (size_t)cap * sizeof *offsets);
+    if (!offsets) return SEQ_NOMEM;
+    log->offsets = offsets, log->cap = cap;
+    return SEQ_OK;
+}
+
+/* One drain block: intervals is n_rows x width (row r the window starting
+ * at first + r), column the member's alphabet column. Looks the symbols
+ * up, drops each row equal to the one before it when `reduce` (the row
+ * before the block is the carried one), interns the kept rows into `table`
+ * and appends their ids and offsets. Returns the kept count, SEQ_SYMBOL
+ * for a value outside the column (nothing is appended, and the table
+ * forgets the words the call added) or SEQ_NOMEM. */
+int64_t seq_log_ingest(SeqLog *log, void *table, const intptr_t *intervals, int64_t n_rows,
+                       const int64_t *column, int64_t n_symbols, int64_t reduce, int64_t first) {
+    int64_t width = log->width, kept, *ids, *offsets;
+    if (n_rows <= 0) return 0;
+    if (log_reserve(log, n_rows) || !(ids = malloc((size_t)n_rows * sizeof *ids)))
+        return SEQ_NOMEM;
+    offsets = log->offsets + log->count;
+    kept = sax_table_intern(table, intervals, n_rows, width, column, n_symbols,
+                            reduce && log->has_carry ? log->carry : NULL, reduce, offsets, ids);
+    if (kept < 0) {
+        free(ids);
+        return kept == -1 ? SEQ_SYMBOL : SEQ_NOMEM;
+    }
+    for (int64_t i = 0; i < kept; i++) {
+        offsets[i] += first;
+        log->ids[log->count + i] = (int32_t)ids[i];
+    }
+    free(ids);
+    log->count += kept, log->kept += kept;
+    if (reduce) {
+        const intptr_t *last = intervals + (n_rows - 1) * width;
+        for (int64_t j = 0; j < width; j++) log->carry[j] = (intptr_t)column[last[j]];
+        log->has_carry = 1;
+    }
+    return kept;
+}
+
+/* Prune the tokens whose window starts before `start`; returns how many.
+ * The dead prefix is dropped once it holds more than `slack` tokens and
+ * outweighs the live part, which only a call that pruned can find true. */
+int64_t seq_log_forget(SeqLog *log, int64_t start, int64_t slack) {
+    int64_t low = log->live, high = log->count, pruned;
+    while (low < high) {
+        int64_t middle = low + (high - low) / 2;
+        if (log->offsets[middle] < start) low = middle + 1;
+        else high = middle;
+    }
+    pruned = low - log->live;
+    log->pruned += pruned, log->live = low;
+    if (log->live > slack && 2 * log->live > log->count) {
+        log->count -= log->live;
+        memmove(log->ids, log->ids + log->live, (size_t)log->count * sizeof *log->ids);
+        memmove(log->offsets, log->offsets + log->live, (size_t)log->count * sizeof *log->offsets);
+        log->live = 0;
+    }
+    return pruned;
+}
+
+/* The rule density curve (`length` doubles from horizon_start) over the
+ * live tokens: bring `seq` up to exactly the live ids (feed the suffix, or
+ * rebuild it after a prune), walk its spans and accumulate the density.
+ * No live token is an all-zero curve. phase_ns receives the nanoseconds
+ * spent feeding, walking the spans and accumulating the density. */
+static int log_curve(SeqLog *log, int64_t window, int64_t horizon_start, int64_t length,
+                     double *curve, int64_t *phase_ns) {
+    int64_t n = log->count - log->live, mark = clock_ns(), nodes, *firsts;
+    const int32_t *ids = log->ids + log->live;
+    Seq *s = log->seq;
+    int status;
+    memset(phase_ns, 0, 3 * sizeof *phase_ns);
+    if (!n) {
+        memset(curve, 0, (size_t)length * sizeof *curve);
+        return SEQ_OK;
+    }
+    if (!s || log->anchor != log->pruned || s->fed > n) {
+        if (!s && !(s = log->seq = seq_new())) return SEQ_NOMEM;
+        reset(s);
+        log->anchor = log->pruned;
+    }
+    if (s->status) return (int)s->status;
+    for (int64_t i = s->fed; i < n; i++)
+        if (feed(s, ids[i])) return (int)s->status;
+    lap(&mark, &phase_ns[0]);
+    if (!(firsts = malloc(2 * (size_t)n * sizeof *firsts))) return SEQ_NOMEM;
+    nodes = seq_spans(s, firsts, firsts + n, n);
+    lap(&mark, &phase_ns[1]);
+    status = nodes < 0 ? (int)nodes
+                       : seq_density(log->offsets + log->live, n, window, firsts, firsts + n,
+                                     nodes, horizon_start, length, curve);
+    lap(&mark, &phase_ns[2]);
+    free(firsts);
+    return status;
+}
+
+/* The polls of n logs over one horizon: curves[i], phase_ns[3 i .. 3 i + 2]
+ * and statuses[i] are log i's (see log_curve). Logs are claimed one at a
+ * time through the shared *cursor, so any number of threads may make this
+ * call on the same arguments at once: each polls what it claims and
+ * returns when none is left, and a thread that starts late finds less to
+ * do. A failed poll stops further claims. One call per thread, not per
+ * log, also means one GIL handoff per thread, not per log. */
+void seq_log_curves(SeqLog *const *logs, int64_t n, int64_t window, int64_t horizon_start,
+                    int64_t length, double *const *curves, int64_t *phase_ns,
+                    int64_t *statuses, int64_t *cursor) {
+    int64_t i;
+    while ((i = __atomic_fetch_add(cursor, 1, __ATOMIC_RELAXED)) < n) {
+        statuses[i] = log_curve(logs[i], window, horizon_start, length, curves[i],
+                                phase_ns + 3 * i);
+        if (statuses[i]) __atomic_store_n(cursor, n, __ATOMIC_RELAXED);
+    }
+}
+
+/* Replace the stored tokens with n live ones (a restored snapshot), after
+ * `pruned` tokens slid out; carry may be NULL. Ids must lie in [0, 2^31).
+ * The builder is rebuilt at the next poll. */
+int seq_log_load(SeqLog *log, const int64_t *ids, const int64_t *offsets, int64_t n,
+                 const intptr_t *carry, int64_t pruned) {
+    int64_t count = log->count;
+    for (int64_t i = 0; i < n; i++)
+        if (!IN_RANGE(ids[i])) return SEQ_RANGE;
+    log->count = 0;
+    if (log_reserve(log, n)) {
+        log->count = count;
+        return SEQ_NOMEM;
+    }
+    for (int64_t i = 0; i < n; i++) log->ids[i] = (int32_t)ids[i];
+    if (n) memcpy(log->offsets, offsets, (size_t)n * sizeof *offsets);
+    log->count = n, log->live = 0, log->pruned = pruned, log->kept = pruned + n;
+    log->has_carry = carry != NULL;
+    if (carry) memcpy(log->carry, carry, (size_t)log->width * sizeof *carry);
+    log->anchor = -1;
+    return SEQ_OK;
+}
+
+int64_t seq_log_live(const SeqLog *log) { return log->count - log->live; }
+
+/* Copy the newest n live tokens (n at most seq_log_live) into ids and
+ * offsets, oldest first. */
+void seq_log_copy(const SeqLog *log, int64_t n, int64_t *ids, int64_t *offsets) {
+    int64_t first = log->count - n;
+    for (int64_t i = 0; i < n; i++) ids[i] = log->ids[first + i];
+    if (n) memcpy(offsets, log->offsets + first, (size_t)n * sizeof *offsets);
+}
+
+/* sizes = {count, cap, live, kept, pruned, width, has_carry, and the
+ * builder's slot_cap, rule_cap, table_cap, pending_cap (0 without one)};
+ * carry receives the carried row when there is one. */
+void seq_log_export(const SeqLog *log, int64_t *sizes, int64_t *carry) {
+    const Seq *s = log->seq;
+    sizes[0] = log->count, sizes[1] = log->cap, sizes[2] = log->live, sizes[3] = log->kept;
+    sizes[4] = log->pruned, sizes[5] = log->width, sizes[6] = log->has_carry;
+    sizes[7] = s ? s->slot_cap : 0, sizes[8] = s ? s->rule_cap : 0;
+    sizes[9] = s ? s->table_cap : 0, sizes[10] = s ? s->pending_cap : 0;
+    for (int64_t j = 0; log->has_carry && j < log->width; j++) carry[j] = log->carry[j];
 }

@@ -11,9 +11,11 @@ every active :func:`capture` accumulator (the opt-in ``timings`` block on
 detect responses).
 
 Time measured where no timer can run — inside one native call (the
-phase counters of :func:`repro.grammar._kernel.member_curve`) or on a
-fan-out thread — is charged on the calling thread with :func:`merge`, so
-it lands in the same histogram and captures as a timer's.
+phase counters of :func:`repro.grammar._kernel.member_curve` for a batch
+member, of :class:`repro.grammar._kernel.LogPolls` for streaming polls)
+or on a fan-out thread — is charged on the calling thread with
+:func:`merge`, one observation per member, so it lands in the same
+histogram and captures as a timer's.
 
 Overhead discipline: the timers fire once per *drain block / member
 curve*, never per point, and when telemetry is disabled

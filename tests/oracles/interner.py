@@ -264,9 +264,31 @@ class StreamingOracleInterner(WordInterner):
     find the runs, ``previous`` carries the row before the block, and the
     kept rows are interned. It returns the native layout, ``(kept, 2)``
     rows of ``(offset in the block, id)``.
+
+    :meth:`intern_log` is the list-based route a streaming member's native
+    ingest call replaces: numpy symbol lookup through the alphabet column,
+    :meth:`intern_packed` against the log's carried row, then the log's
+    tokens plus the kept ones loaded back with the new carried row.
     """
 
     __slots__ = ()
+
+    def intern_log(self, log, intervals, column, first_start, reduce) -> int:
+        if len(intervals) == 0:
+            return 0
+        if np.min(intervals) < 0 or np.max(intervals) >= len(column):
+            raise IndexError("an interval lies outside the alphabet column")
+        symbols = np.asarray(column)[np.asarray(intervals)]
+        kept = self.intern_packed(symbols, log.carry, reduce=reduce)
+        ids, offsets = log.tokens()
+        carry = symbols[-1] if reduce else log.carry
+        log.load(
+            np.concatenate([ids, kept[:, 1]]),
+            np.concatenate([offsets, kept[:, 0] + first_start]),
+            carry,
+            log.pruned,
+        )
+        return len(kept)
 
     def intern_packed(self, symbols, previous=None, *, reduce=True) -> np.ndarray:
         symbols = np.asarray(symbols, dtype=np.int64)

@@ -7,6 +7,8 @@ tests locate it the same way ``repro bench`` does and put it on the path.
 from __future__ import annotations
 
 import json
+import shutil
+import subprocess
 import sys
 
 import pytest
@@ -26,7 +28,7 @@ from runner.compare import (  # noqa: E402
     load_baselines,
     write_baselines,
 )
-from runner.machine import FINGERPRINT_FIELDS, machine_fingerprint  # noqa: E402
+from runner.machine import FINGERPRINT_FIELDS, git_sha, machine_fingerprint  # noqa: E402
 from runner.matrix import load_matrix  # noqa: E402
 from runner.schema import (  # noqa: E402
     SCHEMA_VERSION,
@@ -129,6 +131,39 @@ class TestMachineFingerprint:
         for field in FINGERPRINT_FIELDS:
             assert fingerprint[field], field
         assert isinstance(fingerprint["cpu_count"], int)
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    def test_sha_marks_a_tree_that_differs_from_head(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("GITHUB_SHA", raising=False)
+        # Keep git from finding a checkout above the temporary directory.
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+
+        def git(*args):
+            subprocess.run(
+                ["git", "-C", str(tmp_path), "-c", "user.name=bench", "-c",
+                 "user.email=bench@example.invalid", *args],
+                check=True, capture_output=True,
+            )
+
+        assert git_sha(tmp_path) == "unknown"  # not a checkout yet
+        git("init", "-q")
+        (tmp_path / "tracked.txt").write_text("one\n")
+        git("add", "tracked.txt")
+        git("commit", "-q", "-m", "first")
+        head = subprocess.run(
+            ["git", "-C", str(tmp_path), "rev-parse", "HEAD"],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        assert git_sha(tmp_path) == head
+        (tmp_path / "untracked.txt").write_text("ignored\n")
+        assert git_sha(tmp_path) == head  # untracked files do not count
+        (tmp_path / "tracked.txt").write_text("two\n")
+        assert git_sha(tmp_path) == head + "+dirty"
+        git("add", "tracked.txt")
+        assert git_sha(tmp_path) == head + "+dirty"  # staged, not committed
+        git("commit", "-q", "-m", "second")
+        assert git_sha(tmp_path) not in (head, head + "+dirty")
+        assert not git_sha(tmp_path).endswith("+dirty")
 
 
 class TestGateMath:

@@ -275,11 +275,11 @@ class TestSlidingParity:
             member.tokens()
 
     def test_token_lists_stay_bounded(self, rng):
-        """The memory claim at the member level: pruned lists do not grow."""
+        """The memory claim at the member level: the pruned token log does not grow."""
         member = StreamingGrammarDetector(window=20, paa_size=4, alphabet_size=6, capacity=200)
         for _ in range(100):
             member.extend(np.cumsum(rng.standard_normal(100)))
-        assert len(member._kept_ids) <= member.n_tokens + 2 * 1024 + 1
+        assert member._log.stored <= member.n_tokens + 2 * 1024 + 1
         assert member.retired_tokens > 0
 
 
