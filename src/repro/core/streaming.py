@@ -87,6 +87,14 @@ _DRAIN_BLOCK = 65_536
 #: are physically dropped (amortized O(1) per token).
 _PRUNE_SLACK = 1024
 
+#: Live tokens a poll needs per thread before another thread joins it. A
+#: pool thread that joins costs OS wake-ups on both sides (about 0.27 ms
+#: each on an idle 2-vCPU VM, several ms when its host is busy), while a
+#: live token costs about 0.1 µs to re-induce: 20 sliding members at
+#: capacity 2000 (~20k live tokens, ~1.5 ms of native work) polled at a
+#: p90 of 6.2 ms fanned out over two threads against 2.1 ms on one.
+_POLL_TOKENS_PER_THREAD = 100_000
+
 #: Version of the in-memory session-snapshot structure produced by
 #: :meth:`StreamingEnsembleDetector.snapshot`. Bumped on any incompatible
 #: change; :meth:`StreamingEnsembleDetector.restore` rejects other versions
@@ -721,11 +729,12 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
     log (:class:`~repro.grammar._kernel.TokenLog`), so a drain block costs
     one native call per member and, under the fast kernel, so does an
     unbounded or sliding member's poll. Those calls release the GIL, and
-    without an executor a poll fans them out across this thread and the
-    process-wide thread pool (:func:`repro.core.executors.fan_out`, one
-    thread per available CPU), largest live token count first; the caller
-    charges their phase counters to the ``grammar`` and ``density`` stages.
-    Decay members and the python kernel poll on the calling thread.
+    without an executor a poll large enough to pay for it fans them out
+    across this thread and the process-wide thread pool
+    (:func:`repro.core.executors.fan_out`, at most one thread per available
+    CPU), largest live token count first; the caller charges their phase
+    counters to the ``grammar`` and ``density`` stages. Decay members and
+    the python kernel poll on the calling thread.
 
     ``executor`` only matters for the *snapshot* side (``density_curve`` /
     ``detect``): ``"serial"`` computes every curve on the calling thread,
@@ -903,12 +912,14 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
 
         The due members' logs, largest live token count first, go into one
         :class:`~repro.grammar._kernel.LogPolls`, and :func:`fan_out` runs
-        its GIL-free native call on this thread and up to one pool thread
-        per further available CPU; each call claims members one at a time
-        until none is left. The calls record no stage timer and touch no
-        thread-local state: this thread then installs the curves in the
-        members' caches (where :meth:`density_curve` finds them) and charges
-        the phase counters to its stages and captures.
+        its GIL-free native call on this thread and on pool threads, one
+        thread per :data:`_POLL_TOKENS_PER_THREAD` live tokens and at most
+        one per available CPU (so a small poll stays on this thread); each
+        call claims members one at a time until none is left. The calls
+        record no stage timer and touch no thread-local state: this thread
+        then installs the curves in the members' caches (where
+        :meth:`density_curve` finds them) and charges the phase counters to
+        its stages and captures.
         """
         state = self.state
         if not state.n_windows(self.window):
@@ -922,11 +933,14 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
         ]
         if not due:
             return
-        due.sort(key=lambda member: member._log.n_tokens, reverse=True)
+        sizes = [member._log.n_tokens for member in due]
+        order = sorted(range(len(due)), key=sizes.__getitem__, reverse=True)
+        due = [due[i] for i in order]
         polls = _kernel.LogPolls(
             [member._log for member in due], self.window, state.start, state.live_length
         )
-        n_jobs = min(available_cpus(), len(due))
+        threads = sum(sizes) // _POLL_TOKENS_PER_THREAD
+        n_jobs = max(1, min(available_cpus(), len(due), threads))
         fan_out(polls.run, range(n_jobs), n_jobs)
         for member, (curve, phase_ns) in zip(due, polls.results()):
             member._curve_cache = (version, curve)

@@ -449,20 +449,29 @@ def pool_polls(executor=None, cycles: int = 6) -> list[tuple]:
 
 
 class TestFanOut:
+    """Polls fanned out across threads equal polls on the caller.
+
+    The pool streams' polls are small (about 20k live tokens), which by
+    default stay on the calling thread, so the fan-out widths are forced by
+    lowering the live tokens a thread needs to one.
+    """
+
     @pytest.fixture(scope="class")
     def reference(self):
         with mock.patch.object(streaming_mod, "available_cpus", lambda: 1):
             return pool_polls()
 
-    @pytest.mark.parametrize("width", [2, None], ids=["width-2", "default"])
+    @pytest.mark.parametrize("width", [2, None], ids=["width-2", "all-cpus"])
     def test_fanned_out_polls_equal_polls_on_the_caller(self, reference, width):
-        if width is None:
-            assert pool_polls() == reference
-            return
-        with mock.patch.object(streaming_mod, "available_cpus", lambda: width):
-            assert pool_polls() == reference
+        with mock.patch.object(streaming_mod, "_POLL_TOKENS_PER_THREAD", 1):
+            if width is None:
+                assert pool_polls() == reference
+                return
+            with mock.patch.object(streaming_mod, "available_cpus", lambda: width):
+                assert pool_polls() == reference
 
-    def test_serial_and_process_executors_equal_the_fan_out(self, reference):
+    def test_default_serial_and_process_executors_equal_the_fan_out(self, reference):
+        assert pool_polls() == reference
         assert pool_polls("serial") == reference
         with ProcessExecutor(2) as executor:
             assert pool_polls(executor) == reference
@@ -498,10 +507,19 @@ class TestFanOut:
             made.clear()
             default.detect(3)
             default.detect(3)  # cached: nothing polled again
-        assert len(made) == 1
-        sizes = made[0]
-        assert len(sizes) == len(default.members) and sizes == sorted(sizes, reverse=True)
-        jobs = min(available_cpus(), len(sizes))
+            assert len(made) == 1
+            sizes = made[0]
+            assert len(sizes) == len(default.members) and sizes == sorted(sizes, reverse=True)
+            # Too few live tokens to pay for a second thread.
+            assert sum(sizes) < streaming_mod._POLL_TOKENS_PER_THREAD
+            assert fanned == [(1, 1)]
+            fanned.clear()
+            default.extend(source.next_chunk())
+            # Enough live tokens for two threads, at most one per CPU.
+            per_thread = sum(member._log.n_tokens for member in default.members) // 2
+            with mock.patch.object(streaming_mod, "_POLL_TOKENS_PER_THREAD", per_thread):
+                default.detect(3)
+        jobs = min(available_cpus(), 2)
         assert fanned == [(jobs, jobs)]
 
     def test_capture_sees_grammar_and_density_of_a_default_poll(self):
