@@ -581,11 +581,7 @@ def fan_out(task: Callable[[Any], Any], items: Sequence[Any], n_jobs: int) -> li
     futures = [_shared_pool().submit(run) for _ in range(helpers)]
     run()
     for future in futures:
-        # Every item is claimed now: a helper that has not started has
-        # nothing left to do, so it is cancelled rather than waited for
-        # (waking an idle pool thread can cost more than a short task).
-        if not future.cancel():
-            future.result()  # run() keeps task errors; this surfaces anything else
+        future.result()  # run() keeps task errors; this surfaces anything else
     if errors:
         raise errors[min(errors)]
     return results

@@ -61,7 +61,7 @@ import numpy as np
 from repro.core.anomaly import Anomaly, extract_candidates
 from repro.core.combiners import COMBINERS, combine_curves
 from repro.core.engine import EVICTION_POLICIES, SharedStreamState
-from repro.core.executors import ExecutorOwnerMixin, MemberExecutor, available_cpus, fan_out
+from repro.core.executors import ExecutorOwnerMixin, MemberExecutor
 from repro.core.selection import normalize_curve, select_by_std
 from repro.grammar import _kernel
 from repro.grammar.density import density_curve_from_token_spans, rule_density_curve
@@ -86,14 +86,6 @@ _DRAIN_BLOCK = 65_536
 #: Dead tokens tolerated at the front of a member's token log before they
 #: are physically dropped (amortized O(1) per token).
 _PRUNE_SLACK = 1024
-
-#: Live tokens a poll needs per thread before another thread joins it. A
-#: pool thread that joins costs OS wake-ups on both sides (about 0.27 ms
-#: each on an idle 2-vCPU VM, several ms when its host is busy), while a
-#: live token costs about 0.1 µs to re-induce: 20 sliding members at
-#: capacity 2000 (~20k live tokens, ~1.5 ms of native work) polled at a
-#: p90 of 6.2 ms fanned out over two threads against 2.1 ms on one.
-_POLL_TOKENS_PER_THREAD = 100_000
 
 #: Version of the in-memory session-snapshot structure produced by
 #: :meth:`StreamingEnsembleDetector.snapshot`. Bumped on any incompatible
@@ -246,8 +238,8 @@ class StreamingGrammarDetector:
                 vocabulary=self._interner.vocabulary,
             )
         #: Whether a poll is one native call (:meth:`TokenLog.curve`): the
-        #: fast kernel, unbounded or sliding. Such polls may fan out across
-        #: threads (:class:`StreamingEnsembleDetector`).
+        #: fast kernel, unbounded or sliding. An ensemble polls all of them
+        #: in one call (:class:`StreamingEnsembleDetector`).
         self._one_call_poll = self._generations is None and self._kernel == "fast"
 
     def __len__(self) -> int:
@@ -727,21 +719,18 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
 
     Each member keeps its kept tokens and live grammar in one native token
     log (:class:`~repro.grammar._kernel.TokenLog`), so a drain block costs
-    one native call per member and, under the fast kernel, so does an
-    unbounded or sliding member's poll. Those calls release the GIL, and
-    without an executor a poll large enough to pay for it fans them out
-    across this thread and the process-wide thread pool
-    (:func:`repro.core.executors.fan_out`, at most one thread per available
-    CPU), largest live token count first; the caller charges their phase
-    counters to the ``grammar`` and ``density`` stages. Decay members and
-    the python kernel poll on the calling thread.
+    one native call per member. Under the fast kernel an ensemble poll
+    polls every due unbounded or sliding member in one native call
+    (:func:`~repro.grammar._kernel.poll_logs`) on the calling thread, which
+    charges their phase counters to the ``grammar`` and ``density`` stages.
+    Decay members and the python kernel poll one member at a time.
 
     ``executor`` only matters for the *snapshot* side (``density_curve`` /
-    ``detect``): ``"serial"`` computes every curve on the calling thread,
-    and a thread executor's workers call the live members directly.
-    Process and cluster executors run no streaming work — the live token
-    logs never leave this process, and polling them here is far cheaper
-    than shipping a picklable snapshot for a worker to re-induce (see
+    ``detect``): a thread executor's workers call the live members
+    directly, one task per member. Serial, process and cluster executors
+    run no streaming work off this thread — the live token logs never
+    leave this process, and polling them here is far cheaper than shipping
+    a picklable snapshot for a worker to re-induce (see
     ``docs/streaming.md``) — so they poll as if no executor were given.
     Ingest stays serial — it is already one vectorized pass plus one call
     per member. Results are bitwise identical across backends.
@@ -870,17 +859,23 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
             # distinct size, so the matrices are formed before the timer.
             sweep = self.state.sweep(self._plan, first, stop=stop)
             intervals = {w: sweep.interval_rows(w) for w in self._paa_sizes}
-            with stage_timer("discretize"):
-                kept = [
-                    member._ingest_block(
-                        intervals[member.paa_size],
-                        table.symbol_column(member.alphabet_size),
-                        first,
-                    )
-                    for member in self.members
-                ]
-            for member, count in zip(self.members, kept):
-                member._feed_generations(count)
+            kept: list[int] = []
+            try:
+                with stage_timer("discretize"):
+                    for member in self.members:
+                        kept.append(
+                            member._ingest_block(
+                                intervals[member.paa_size],
+                                table.symbol_column(member.alphabet_size),
+                                first,
+                            )
+                        )
+            finally:
+                # Should a member's ingest fail, the members before it have
+                # logged the block: their generations still get its tokens,
+                # so a decay grammar never falls behind its log.
+                for member, count in zip(self.members, kept):
+                    member._feed_generations(count)
             first = stop
         if self.state.capacity is not None:
             start = self.state.trim()
@@ -889,7 +884,7 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
                     member._forget_before(start)
 
     def _snapshot_curves(self) -> list[np.ndarray]:
-        """Every member's snapshot curve: fanned out, on a thread pool, or in place.
+        """Every member's snapshot curve: on a thread pool, or in place.
 
         Curves are deterministic functions of each member's live tokens and
         the shared stream, so all backends return bitwise-identical results.
@@ -899,27 +894,20 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
             # Members are independent snapshot readers of the shared state;
             # threads can call them directly, zero serialization.
             return executor.map(_member_snapshot_curve, self.members)
-        # No executor, process and cluster: the owning process computes
-        # every curve. The live logs cannot leave it, and rebuilding a member
-        # from a picklable snapshot costs a worker more than its poll costs
-        # here. Only "serial" keeps the one-call polls on this thread too.
-        if executor is None or executor.kind != "serial":
-            self._fan_out_polls()
+        # No executor, serial, process and cluster: the owning process
+        # computes every curve. The live logs cannot leave it, and
+        # rebuilding a member from a picklable snapshot costs a worker more
+        # than its poll costs here.
+        self._poll_one_call_members()
         return [member.density_curve() for member in self.members]
 
-    def _fan_out_polls(self) -> None:
-        """Cache the curve of every one-call member, polled across threads.
+    def _poll_one_call_members(self) -> None:
+        """Cache the curve of every due one-call member, from one native call.
 
-        The due members' logs, largest live token count first, go into one
-        :class:`~repro.grammar._kernel.LogPolls`, and :func:`fan_out` runs
-        its GIL-free native call on this thread and on pool threads, one
-        thread per :data:`_POLL_TOKENS_PER_THREAD` live tokens and at most
-        one per available CPU (so a small poll stays on this thread); each
-        call claims members one at a time until none is left. The calls
-        record no stage timer and touch no thread-local state: this thread
-        then installs the curves in the members' caches (where
-        :meth:`density_curve` finds them) and charges the phase counters to
-        its stages and captures.
+        The due members' logs go to :func:`~repro.grammar._kernel.poll_logs`
+        together; this thread then installs the curves in the members'
+        caches (where :meth:`density_curve` finds them) and charges each
+        member's phase counters to its stages and captures.
         """
         state = self.state
         if not state.n_windows(self.window):
@@ -933,16 +921,10 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
         ]
         if not due:
             return
-        sizes = [member._log.n_tokens for member in due]
-        order = sorted(range(len(due)), key=sizes.__getitem__, reverse=True)
-        due = [due[i] for i in order]
-        polls = _kernel.LogPolls(
+        polls = _kernel.poll_logs(
             [member._log for member in due], self.window, state.start, state.live_length
         )
-        threads = sum(sizes) // _POLL_TOKENS_PER_THREAD
-        n_jobs = max(1, min(available_cpus(), len(due), threads))
-        fan_out(polls.run, range(n_jobs), n_jobs)
-        for member, (curve, phase_ns) in zip(due, polls.results()):
+        for member, (curve, phase_ns) in zip(due, polls):
             member._curve_cache = (version, curve)
             merge(_poll_stage_times(phase_ns))
 

@@ -24,8 +24,8 @@ The library carries the arena, the SAX front end (see
 and :func:`repro.core.combiners.combine_curves` call under either kernel),
 :func:`member_curve`, one batch ensemble member in one call, and
 :class:`TokenLog`, a streaming member's kept tokens and arena, with one
-call per drain block, horizon advance and poll (:class:`LogPolls` shares
-the polls of many logs between threads).
+call per drain block, horizon advance and poll (:func:`poll_logs` polls
+the logs of a whole ensemble in one call).
 Concurrent first imports are safe (write, then rename). A failed build
 raises :class:`ImportError`; there is no Python fallback.
 
@@ -184,8 +184,8 @@ _SIGNATURES = (
     ("seq_log_forget", ctypes.c_int64, (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64)),
     (
         "seq_log_curves",
-        None,
-        (ctypes.c_void_p,) + (ctypes.c_int64,) * 4 + (ctypes.c_void_p,) * 4,
+        ctypes.c_int,
+        (ctypes.c_void_p,) + (ctypes.c_int64,) * 4 + (ctypes.c_void_p,) * 2,
     ),
     (
         "seq_log_load",
@@ -649,9 +649,7 @@ class TokenLog:
         accumulating the density, for the caller to charge: this method
         records nothing and touches no thread-local state.
         """
-        polls = LogPolls((self,), window, horizon_start, length)
-        polls.run()
-        return polls.results()[0]
+        return poll_logs((self,), window, horizon_start, length)[0]
 
     def load(
         self, ids: np.ndarray, offsets: np.ndarray, carry: np.ndarray | None, pruned: int
@@ -692,53 +690,31 @@ class TokenLog:
         return 12 * sizes[1] + row + _arena_bytes(*sizes[7:11])
 
 
-class LogPolls:
-    """The polls of several token logs over one horizon, shared by threads.
+def poll_logs(
+    logs: Sequence[TokenLog], window: int, horizon_start: int, length: int
+) -> list[tuple[np.ndarray, tuple[int, int, int]]]:
+    """The polls of several token logs over one horizon, in one native call.
 
-    :meth:`run` is one native call that claims the logs one at a time and
-    polls each (:meth:`TokenLog.curve`) until none is left, so any number
-    of threads may call it at once: each takes the GIL back once, when its
-    call returns, rather than once per log — on a small VM such a handoff
-    between threads costs about as much as a short member's poll — and a
-    thread that starts late simply finds less to do. The logs share the
-    window and horizon, as the members of one ensemble do; put the largest
-    first. :meth:`results` then returns ``(curve, phase_ns)`` per log in
-    order, or raises the error of the lowest-indexed log that failed.
+    Returns ``(curve, phase_ns)`` per log, in order (see
+    :meth:`TokenLog.curve`), or raises the error of the first log that
+    failed. The logs share the window and horizon, as the members of one
+    ensemble do; one call for all of them takes the GIL back once rather
+    than once per log. Records nothing and touches no thread-local state.
     """
-
-    __slots__ = ("_args", "_curves", "_cursor", "_logs", "_phase_ns", "_statuses")
-
-    def __init__(
-        self, logs: Sequence[TokenLog], window: int, horizon_start: int, length: int
-    ) -> None:
-        if length <= 0:
-            raise ValueError(f"curve length must be positive, got {length}")
-        count = len(logs)
-        self._logs = tuple(logs)  # keeps the handles alive while threads run
-        self._curves = [np.empty(length, dtype=np.float64) for _ in range(count)]
-        self._phase_ns = (ctypes.c_int64 * (3 * count))()
-        self._statuses = (ctypes.c_int64 * count)()
-        self._cursor = ctypes.c_int64(0)
-        self._args = (
-            (ctypes.c_void_p * count)(*[log._handle for log in logs]),
-            count, window, horizon_start, length,
-            (ctypes.c_void_p * count)(*[curve.ctypes.data for curve in self._curves]),
-            self._phase_ns, self._statuses, ctypes.byref(self._cursor),
-        )
-
-    def run(self, _item=None) -> None:
-        """Poll logs until none is left unclaimed (GIL-free; records nothing)."""
-        _lib.seq_log_curves(*self._args)
-
-    def results(self) -> list[tuple[np.ndarray, tuple[int, int, int]]]:
-        """``(curve, phase_ns)`` of every log, once every :meth:`run` returned."""
-        for status in self._statuses:
-            if status:
-                _raise(status, _LOG_ERRORS)
-        phase_ns = self._phase_ns
-        return [
-            (curve, tuple(phase_ns[3 * i : 3 * i + 3])) for i, curve in enumerate(self._curves)
-        ]
+    if length <= 0:
+        raise ValueError(f"curve length must be positive, got {length}")
+    count = len(logs)
+    curves = [np.empty(length, dtype=np.float64) for _ in range(count)]
+    phase_ns = (ctypes.c_int64 * (3 * count))()
+    status = _lib.seq_log_curves(
+        (ctypes.c_void_p * count)(*[log._handle for log in logs]),
+        count, window, horizon_start, length,
+        (ctypes.c_void_p * count)(*[curve.ctypes.data for curve in curves]),
+        phase_ns,
+    )
+    if status:
+        _raise(status, _LOG_ERRORS)
+    return [(curve, tuple(phase_ns[3 * i : 3 * i + 3])) for i, curve in enumerate(curves)]
 
 
 __all__ = [
@@ -746,11 +722,11 @@ __all__ = [
     "FastSequitur",
     "KERNELS",
     "KERNEL_ENV",
-    "LogPolls",
     "TokenLog",
     "current_kernel",
     "make_builder",
     "member_curve",
+    "poll_logs",
     "set_kernel",
     "use_kernel",
 ]

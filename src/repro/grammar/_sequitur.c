@@ -679,22 +679,17 @@ static int log_curve(SeqLog *log, int64_t window, int64_t horizon_start, int64_t
     return status;
 }
 
-/* The polls of n logs over one horizon: curves[i], phase_ns[3 i .. 3 i + 2]
- * and statuses[i] are log i's (see log_curve). Logs are claimed one at a
- * time through the shared *cursor, so any number of threads may make this
- * call on the same arguments at once: each polls what it claims and
- * returns when none is left, and a thread that starts late finds less to
- * do. A failed poll stops further claims. One call per thread, not per
- * log, also means one GIL handoff per thread, not per log. */
-void seq_log_curves(SeqLog *const *logs, int64_t n, int64_t window, int64_t horizon_start,
-                    int64_t length, double *const *curves, int64_t *phase_ns,
-                    int64_t *statuses, int64_t *cursor) {
-    int64_t i;
-    while ((i = __atomic_fetch_add(cursor, 1, __ATOMIC_RELAXED)) < n) {
-        statuses[i] = log_curve(logs[i], window, horizon_start, length, curves[i],
-                                phase_ns + 3 * i);
-        if (statuses[i]) __atomic_store_n(cursor, n, __ATOMIC_RELAXED);
+/* The polls of n logs over one horizon: curves[i] and phase_ns[3 i .. 3 i + 2]
+ * are log i's (see log_curve). Returns the status of the first log that
+ * fails, leaving the later ones unpolled, or SEQ_OK. One call for every
+ * log of an ensemble means one GIL release per poll, not one per member. */
+int seq_log_curves(SeqLog *const *logs, int64_t n, int64_t window, int64_t horizon_start,
+                   int64_t length, double *const *curves, int64_t *phase_ns) {
+    for (int64_t i = 0; i < n; i++) {
+        int status = log_curve(logs[i], window, horizon_start, length, curves[i], phase_ns + 3 * i);
+        if (status) return status;
     }
+    return SEQ_OK;
 }
 
 /* Replace the stored tokens with n live ones (a restored snapshot), after

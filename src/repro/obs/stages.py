@@ -12,7 +12,7 @@ detect responses).
 
 Time measured where no timer can run — inside one native call (the
 phase counters of :func:`repro.grammar._kernel.member_curve` for a batch
-member, of :class:`repro.grammar._kernel.LogPolls` for streaming polls)
+member, of :func:`repro.grammar._kernel.poll_logs` for streaming polls)
 or on a fan-out thread — is charged on the calling thread with
 :func:`merge`, one observation per member, so it lands in the same
 histogram and captures as a timer's.

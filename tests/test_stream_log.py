@@ -14,8 +14,10 @@ counter and curve byte must agree, also across an export -> restore.
 
 The ensemble-level tests check that a whole session on the native log
 equals one on the python kernel with the oracle interner, under every
-policy and numerosity, and that the polls fanned out across threads are
-byte-equal to polls on the caller, whatever the fan-out width or executor.
+policy and numerosity, that an ensemble poll (one native call for every
+one-call member) is byte-equal whatever the executor, and that a member
+whose ingest fails leaves the others' decay grammars agreeing with their
+logs.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import pickle
 import subprocess
 import sys
 import textwrap
-import threading
 from bisect import bisect_left
 from unittest import mock
 
@@ -35,7 +36,7 @@ from hypothesis import strategies as st
 
 import repro.core.streaming as streaming_mod
 from oracles.interner import StreamingOracleInterner
-from repro.core.executors import ProcessExecutor, available_cpus
+from repro.core.executors import ProcessExecutor, ThreadExecutor
 from repro.core.streaming import StreamingEnsembleDetector, StreamingGrammarDetector
 from repro.grammar import _kernel
 from repro.grammar._kernel import TokenLog, use_kernel
@@ -325,7 +326,7 @@ class TestErrors:
         with pytest.raises(error):
             log.ingest(table, intervals, column, 0, True)
         with pytest.raises(ValueError, match="positive"):
-            _kernel.LogPolls([log], 3, 0, 0)
+            _kernel.poll_logs([log], 3, 0, 0)
 
     @pytest.mark.parametrize(
         "ids, offsets, carry, pruned",
@@ -361,7 +362,7 @@ class TestErrors:
             """
             import resource
             import numpy as np
-            from repro.grammar._kernel import LogPolls, TokenLog
+            from repro.grammar._kernel import TokenLog, poll_logs
             from repro.sax.alphabet import WordInterner
 
             rows = 1 << 22
@@ -377,9 +378,7 @@ class TestErrors:
             small.load(np.arange(4), np.arange(4), None, 0)
 
             def shared():
-                polls = LogPolls([small, loaded], 4, 0, 16)
-                polls.run()
-                polls.results()
+                poll_logs([small, loaded], 4, 0, 16)
 
             for name, call in (
                 ("ingest", lambda: WordInterner().intern_log(TokenLog(1), intervals, column, 0, 1)),
@@ -429,7 +428,7 @@ class PoolStream:
 def pool_polls(executor=None, cycles: int = 6) -> list[tuple]:
     """Every poll of the six pool streams' sliding sessions: 4 appends, then a poll.
 
-    The sessions run the fast kernel, the one whose polls fan out.
+    The sessions run the fast kernel, the one whose polls are one call.
     """
     polls = []
     for index in range(6):
@@ -448,79 +447,40 @@ def pool_polls(executor=None, cycles: int = 6) -> list[tuple]:
     return polls
 
 
-class TestFanOut:
-    """Polls fanned out across threads equal polls on the caller.
-
-    The pool streams' polls are small (about 20k live tokens), which by
-    default stay on the calling thread, so the fan-out widths are forced by
-    lowering the live tokens a thread needs to one.
-    """
+class TestEnsemblePolls:
+    """An ensemble poll is byte-equal whatever the executor."""
 
     @pytest.fixture(scope="class")
     def reference(self):
-        with mock.patch.object(streaming_mod, "available_cpus", lambda: 1):
-            return pool_polls()
+        return pool_polls()
 
-    @pytest.mark.parametrize("width", [2, None], ids=["width-2", "all-cpus"])
-    def test_fanned_out_polls_equal_polls_on_the_caller(self, reference, width):
-        with mock.patch.object(streaming_mod, "_POLL_TOKENS_PER_THREAD", 1):
-            if width is None:
-                assert pool_polls() == reference
-                return
-            with mock.patch.object(streaming_mod, "available_cpus", lambda: width):
-                assert pool_polls() == reference
-
-    def test_default_serial_and_process_executors_equal_the_fan_out(self, reference):
-        assert pool_polls() == reference
+    def test_serial_thread_and_process_executors_equal_the_default(self, reference):
         assert pool_polls("serial") == reference
+        with ThreadExecutor(2) as executor:
+            assert pool_polls(executor) == reference
         with ProcessExecutor(2) as executor:
             assert pool_polls(executor) == reference
 
-    def test_the_default_poll_shares_one_poll_set_largest_log_first(self):
-        made, fanned = [], []
-        real_polls, real_fan_out = _kernel.LogPolls, streaming_mod.fan_out
+    @pytest.mark.parametrize("executor", [None, "serial"])
+    def test_one_native_call_polls_every_due_member(self, executor):
+        made = []
+        real = _kernel.poll_logs
 
-        def polls(logs, *args):
-            made.append([log.n_tokens for log in logs])
-            return real_polls(logs, *args)
-
-        def spy(task, items, n_jobs):
-            fanned.append((len(items), n_jobs))
-            return real_fan_out(task, items, n_jobs)
+        def spy(logs, *args):
+            made.append(len(logs))
+            return real(logs, *args)
 
         source = PoolStream(0)
-        with use_kernel("fast"):  # the python kernel polls on the caller
-            default = StreamingEnsembleDetector(window=100, capacity=2000, seed=3)
-            serial = StreamingEnsembleDetector(
-                window=100, capacity=2000, seed=3, executor="serial"
+        with use_kernel("fast"):  # the python kernel polls member by member
+            detector = StreamingEnsembleDetector(
+                window=100, capacity=2000, seed=3, executor=executor
             )
-        with mock.patch.object(_kernel, "LogPolls", polls), mock.patch.object(
-            streaming_mod, "fan_out", spy
-        ):
+        with mock.patch.object(_kernel, "poll_logs", spy):
             for _ in range(12):
-                chunk = source.next_chunk()
-                default.extend(chunk)
-                serial.extend(chunk)
-            serial.detect(3)
-            # Serial: one single-log poll per member on this thread.
-            assert fanned == [] and [len(logs) for logs in made] == [1] * len(serial.members)
-            made.clear()
-            default.detect(3)
-            default.detect(3)  # cached: nothing polled again
-            assert len(made) == 1
-            sizes = made[0]
-            assert len(sizes) == len(default.members) and sizes == sorted(sizes, reverse=True)
-            # Too few live tokens to pay for a second thread.
-            assert sum(sizes) < streaming_mod._POLL_TOKENS_PER_THREAD
-            assert fanned == [(1, 1)]
-            fanned.clear()
-            default.extend(source.next_chunk())
-            # Enough live tokens for two threads, at most one per CPU.
-            per_thread = sum(member._log.n_tokens for member in default.members) // 2
-            with mock.patch.object(streaming_mod, "_POLL_TOKENS_PER_THREAD", per_thread):
-                default.detect(3)
-        jobs = min(available_cpus(), 2)
-        assert fanned == [(jobs, jobs)]
+                detector.extend(source.next_chunk())
+            detector.detect(3)
+            detector.detect(3)  # cached: nothing polled again
+        assert made == [len(detector.members)]
 
     def test_capture_sees_grammar_and_density_of_a_default_poll(self):
         with use_kernel("fast"):
@@ -534,50 +494,37 @@ class TestFanOut:
         assert times.get("combine", 0) > 0
 
 
-class TestLogPolls:
-    def test_threads_sharing_one_poll_set_poll_every_log_exactly_once(self):
-        """More threads than CPUs claim logs through one shared cursor, with
-        thread switches forced often: a lost update of the cursor would poll
-        a log twice at once (a race on its arena) or skip it (an unwritten
-        curve), and either shows as a curve unlike the sequential one."""
-        rng = np.random.default_rng(3)
-        # Many short logs make claims frequent, so threads contend for the
-        # cursor often; a few long ones keep threads busy at the same time.
-        sizes = [int(size) for size in rng.integers(3, 24, 1500)] + [400] * 8
-        tokens = [(rng.integers(0, 4, size), np.arange(size) * 2) for size in sizes]
-        length = 2 * max(sizes) + 10
-
-        def fresh():
-            logs = []
-            for ids, offsets in tokens:
-                log = TokenLog(3)
-                log.load(ids, offsets, None, 0)
-                logs.append(log)
-            return logs
-
-        expected = [log.curve(7, 0, length)[0].tobytes() for log in fresh()]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                polls = _kernel.LogPolls(fresh(), 7, 0, length)
-                barrier = threading.Barrier(8, timeout=30)
-
-                def worker():
-                    barrier.wait()
-                    polls.run()
-
-                threads = [threading.Thread(target=worker) for _ in range(8)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                assert not any(thread.is_alive() for thread in threads)
-                results = polls.results()
-                assert [curve.tobytes() for curve, _ in results] == expected
-                assert all(sum(phase_ns) > 0 for _, phase_ns in results)
-        finally:
-            sys.setswitchinterval(interval)
+class TestFailedIngest:
+    @pytest.mark.parametrize("kernel", ["fast", "python"])
+    def test_members_that_logged_the_block_feed_their_generations(self, kernel):
+        """When one member's ingest fails, the members before it have logged
+        the block, and their decay generations must hold its tokens too."""
+        feed = make_feed(7, 1200)
+        with use_kernel(kernel):
+            failing, reference = (
+                StreamingEnsembleDetector(
+                    window=30, ensemble_size=6, capacity=300, policy="decay", seed=5
+                )
+                for _ in range(2)
+            )
+        failing.extend(feed[:600])
+        reference.extend(feed[:600])
+        broken = 3
+        with mock.patch.object(
+            failing.members[broken], "_ingest_block", side_effect=MemoryError("injected")
+        ):
+            with pytest.raises(MemoryError, match="injected"):
+                failing.extend(feed[600:])
+        reference.extend(feed[600:])
+        # The failed drain never advanced the horizon; advance it as the
+        # drain would have, for the members that logged the block.
+        start = failing.state.trim()
+        assert start == reference.horizon_start > 0
+        for index in range(broken):
+            member, expected = failing.members[index], reference.members[index]
+            member._forget_before(start)
+            assert member._log.kept == expected._log.kept
+            assert member.density_curve().tobytes() == expected.density_curve().tobytes()
 
 
 class TestMemoryBytes:
