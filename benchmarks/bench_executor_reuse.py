@@ -3,12 +3,14 @@
 Two overheads dominated PR 1's parallel path and are what the executor
 subsystem removes:
 
-1. **Pool spawn/teardown per call** — every parallel ``detect()`` built a
-   fresh ``ProcessPoolExecutor``. On short series the spawn costs more than
-   the detection. ``bench_executor_pool_reuse`` runs the same sequence of
-   ``detect()`` calls through one reused :class:`ProcessExecutor` vs a
-   fresh pool per call.
-2. **Pickling the series once per task** — each w-group payload carried its
+1. **Pool spawn/teardown per call** — every parallel call built a fresh
+   ``ProcessPoolExecutor``. On short series the spawn costs more than the
+   detection. ``bench_executor_pool_reuse`` runs the same sequence of
+   two-series ``detect_batch()`` calls through one reused
+   :class:`ProcessExecutor` vs a fresh pool per call. (Executors carry
+   whole series, so a one-series ``detect()`` never reaches the pool and
+   has nothing to amortize.)
+2. **Pickling the series once per task** — each task payload carried its
    own copy of the input. ``bench_shared_memory_series_passing`` isolates
    the transfer layer on a >=100k-point series: the same reused pool runs
    the same touch-task over payloads that carry the series inline (pickled
@@ -43,37 +45,34 @@ SHORT_POINTS = 1_000
 BIG_POINTS = 400_000 if FULL else int(os.environ.get("REPRO_EXEC_POINTS", "150000"))
 WINDOW = 100
 WORKERS = 2
-TASKS = 9  # one per w-group of a wmax=10 ensemble
+TASKS = 9  # a burst of tasks over one series
 ROUNDS = 5
 
 
 def bench_executor_pool_reuse(benchmark, report):
-    """One long-lived pool vs a fresh pool per detect() call (short series)."""
-    series_sequence = [
-        random_walk(SHORT_POINTS, seed=seed) for seed in range(CALLS)
+    """One long-lived pool vs a fresh pool per detect_batch() call (short series)."""
+    batches = [
+        [random_walk(SHORT_POINTS, seed=2 * call), random_walk(SHORT_POINTS, seed=2 * call + 1)]
+        for call in range(CALLS)
     ]
+    detector = EnsembleGrammarDetector(window=WINDOW, ensemble_size=10, seed=0)
 
     def _reused() -> float:
         with Timer() as timer:
             with ProcessExecutor(WORKERS) as executor:
-                detector = EnsembleGrammarDetector(
-                    window=WINDOW, ensemble_size=10, seed=0, executor=executor
-                )
-                for series in series_sequence:
-                    detector.detect(series, 3)
+                for batch in batches:
+                    detector.detect_batch(batch, 3, executor=executor)
         return timer.elapsed
 
     reused_time = benchmark.pedantic(_reused, rounds=1, iterations=1)
 
     def _per_call_spawn() -> float:
         # The PR-1 shape: every parallel call pays ProcessPoolExecutor
-        # spawn/teardown (executor=None + n_jobs>1 creates a pool per call).
-        detector = EnsembleGrammarDetector(
-            window=WINDOW, ensemble_size=10, seed=0, n_jobs=WORKERS
-        )
+        # spawn/teardown.
         with Timer() as timer:
-            for series in series_sequence:
-                detector.detect(series, 3)
+            for batch in batches:
+                with ProcessExecutor(WORKERS) as executor:
+                    detector.detect_batch(batch, 3, executor=executor)
         return timer.elapsed
 
     # Best of two keeps a single scheduler hiccup on a busy CI runner from
@@ -89,8 +88,8 @@ def bench_executor_pool_reuse(benchmark, report):
             ["reused ProcessExecutor", f"{reused_time:.3f}", f"{1e3 * reused_time / CALLS:.1f}"],
         ],
         title=(
-            f"{CALLS} consecutive detect() calls, {SHORT_POINTS:,}-point series, "
-            f"{WORKERS} workers"
+            f"{CALLS} consecutive two-series detect_batch() calls, "
+            f"{SHORT_POINTS:,}-point series, {WORKERS} workers"
         ),
     )
     report(table + f"\nspeedup: {speedup:.2f}x\n" + scale_note(), "executor_reuse.txt")

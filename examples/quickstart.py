@@ -9,10 +9,11 @@ plus the single-run detector for contrast, and the engine's batch front
 end (``detect_batch``) fanning out several independent series at once.
 
 Scaling up: ``EnsembleGrammarDetector(..., n_jobs=4)`` spreads the ensemble
-members (grouped by PAA size) over a process pool, and
-``detector.detect_batch(series_list, k)`` fans out many independent series
-the same way — both produce results identical to the serial path, so a
-single seed still reproduces an entire batch run.
+members over 4 threads of this process (the default uses every CPU), and
+``detector.detect_batch(series_list, k, executor="process")`` spreads many
+independent series over a process pool, one whole series per task — both
+produce results identical to the serial path, so a single seed still
+reproduces an entire batch run.
 """
 
 from __future__ import annotations

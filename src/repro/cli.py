@@ -74,7 +74,9 @@ workers; without it a local mini-cluster of ``--n-jobs`` workers is
 spawned). Unknown names are rejected up front with the list of valid
 choices. Without ``--executor``, ``--n-jobs`` counts the member threads of
 each detect (default 1: every member on the calling thread) and no process
-is spawned. Results are bitwise identical across backends.
+is spawned. An executor carries whole series: a one-file ``detect`` runs
+its members on this process's threads even with one. Results are bitwise
+identical across backends.
 
 ``detect`` and ``stream`` also take ``--profile FILE``: the run executes
 under :mod:`cProfile`, binary stats are dumped to ``FILE`` and a
@@ -158,13 +160,15 @@ def save_series(path: str | Path, series: np.ndarray) -> None:
 #: The one ``--executor`` help string every subcommand shares (the parsing
 #: helper below is the single place executor flags are interpreted).
 EXECUTOR_HELP = (
-    "execution backend: 'serial' (inline reference), 'thread' (reusable "
-    "thread pool; every hot loop is native code that releases the GIL), "
-    "'process' (shared-memory series passing, reusable pool), or 'cluster' "
-    "(dispatch to `repro worker` processes over TCP; spawns --n-jobs local "
-    "workers, or binds --scheduler HOST:PORT for remote ones). Results are "
-    "bitwise identical across backends. Default: none; --n-jobs then counts "
-    "member threads and no process is spawned"
+    "execution backend for batches of series: 'serial' (inline reference), "
+    "'thread' (reusable thread pool; every hot loop is native code that "
+    "releases the GIL), 'process' (shared-memory series passing, reusable "
+    "pool), or 'cluster' (dispatch to `repro worker` processes over TCP; "
+    "spawns --n-jobs local workers, or binds --scheduler HOST:PORT for "
+    "remote ones). It carries whole series: the members of one detection "
+    "always run on this process's threads. Results are bitwise identical "
+    "across backends. Default: none; --n-jobs then counts member threads "
+    "and no process is spawned"
 )
 
 
@@ -185,7 +189,9 @@ def _add_executor_options(parser: argparse.ArgumentParser) -> None:
         default=1,
         help=(
             "without --executor: member threads per detect (default 1, every "
-            "member on the calling thread); with one: its worker count"
+            "member on the calling thread); with one: its worker count, and "
+            "the member threads of a one-file detect, which runs here (1: the "
+            "backend's width, capped at the CPUs)"
         ),
     )
     parser.add_argument(

@@ -10,26 +10,27 @@ the layer that makes the library production-shaped on both axes:
   stream. Appends are amortized O(1) via capacity doubling, and the prefix
   sums are extended with the exact left-associated accumulation order of
   ``np.cumsum`` so streaming results stay bitwise equal to the batch path.
-- :func:`compute_member_curves` — the ensemble's member fan-out. Without an
-  executor all members share one
+- :func:`compute_member_curves` — the ensemble's member fan-out. All
+  members share one
   :class:`~repro.core.multiresolution.MultiResolutionDiscretizer` (Section
   6.2) and each member is one native call that releases the GIL
-  (:func:`repro.grammar._kernel.member_curve`); with ``n_jobs > 1`` the
-  per-``w`` sweeps and then the members fan out across the calling thread
-  and the process-wide thread pool (:func:`repro.core.executors.fan_out`).
-  With an explicit executor members are grouped by PAA size ``w`` and the
-  groups are spread over the executor's workers, each sharing the per-``w``
-  interval matrix among its members. Series reach process workers through
-  shared memory, not pickling (see :mod:`repro.core.executors`). All paths
-  run the same floating-point operations, so results are bitwise
-  identical.
+  (:func:`repro.grammar._kernel.member_curve`); with more than one member
+  thread the per-``w`` sweeps and then the members fan out across the
+  calling thread and the process-wide thread pool
+  (:func:`repro.core.executors.fan_out`). Members never cross an executor:
+  naming one only sets how many threads they get
+  (:func:`repro.core.executors.member_jobs`). Every path runs the same
+  floating-point operations, so results are bitwise identical.
 - :func:`detect_batch` / :func:`iter_detect_batch` — the serving shape for
   high-traffic workloads: fan out many *independent* series across an
-  executor, each handled by an identically-configured detector clone with a
-  deterministic per-series seed, so results do not depend on the backend or
-  scheduling order. ``iter_detect_batch`` yields each series' result as it
-  completes instead of gathering the whole batch; a worker failure is
-  wrapped in :class:`BatchItemError` carrying which input failed.
+  executor, one whole series per task, each handled by an
+  identically-configured detector clone with a deterministic per-series
+  seed, so results do not depend on the backend or scheduling order. Series
+  reach process workers through shared memory, not pickling (see
+  :mod:`repro.core.executors`); a one-series batch runs in this process.
+  ``iter_detect_batch`` yields each series' result as it completes instead
+  of gathering the whole batch; a worker failure is wrapped in
+  :class:`BatchItemError` carrying which input failed.
 - :func:`detect_many` — the same fan-out for *stateless* detectors (the
   discord / HOT SAX / RRA / fixed-parameter GI baselines), which is what
   lets the evaluation harness run method comparisons through one shared
@@ -65,6 +66,7 @@ from repro.core.executors import (  # noqa: F401 — re-exported engine API
     _wrap_batch_error,
     detect_many,
     fan_out,
+    member_jobs,
     resolve_series,
     share_series_batch,
     validate_executor_spec,
@@ -631,30 +633,6 @@ def _fan_out_members(
     return curves
 
 
-def _member_curves_task(payload) -> list[tuple[int, np.ndarray]]:
-    """Worker: density curves of one ``w``-group of ensemble members.
-
-    Builds a discretizer local to the worker; members in the group share its
-    per-``w`` interval matrix exactly as the serial path does. The series
-    arrives as an executor series reference (shared memory under the process
-    backend).
-    """
-    series_ref, window, max_paa, max_alphabet, znorm_threshold, numerosity, items = payload
-    series = resolve_series(series_ref)
-    discretizer = MultiResolutionDiscretizer(
-        series,
-        window,
-        max_paa,
-        max_alphabet,
-        znorm_threshold=znorm_threshold,
-        numerosity=numerosity,
-    )
-    results: list[tuple[int, np.ndarray]] = []
-    for index, (paa_size, alphabet_size) in items:
-        results.append((index, _member_curve(discretizer, paa_size, alphabet_size, len(series))))
-    return results
-
-
 def compute_member_curves(
     series: np.ndarray,
     window: int,
@@ -669,65 +647,37 @@ def compute_member_curves(
 ) -> list[np.ndarray]:
     """Rule density curves of every ensemble member, in sample order.
 
-    Without an executor all members share one
-    :class:`MultiResolutionDiscretizer` and run on this thread
-    (``n_jobs=1``) or fan out across it and up to ``n_jobs - 1`` threads of
-    the process-wide pool (``None``: every available CPU; see
-    :func:`_fan_out_members`). Only the ``fast`` kernel with exact
-    numerosity fans out: the python oracle and the ``"none"`` strategy run
-    their members here, one after another, as does a call made from a
-    fan-out thread. With an executor the members are grouped by PAA size
-    ``w`` and the groups run across the executor's workers, each group's
-    members one after another; under the process backend the series
-    crosses into workers through one shared-memory segment instead of a
-    pickled copy per group. Member curves are deterministic functions of
-    ``(series, window, w, a)``, so every path produces bitwise-identical
+    All members share one :class:`MultiResolutionDiscretizer` and run in
+    this process: on this thread (one member thread) or fanned out across
+    it and the threads of the process-wide pool (see
+    :func:`_fan_out_members`). Without an executor ``n_jobs`` counts those
+    threads (``None``: every available CPU); an executor never receives a
+    member, naming one only sets the thread count
+    (:func:`~repro.core.executors.member_jobs`). Only the ``fast`` kernel
+    with exact numerosity fans out: the python oracle and the ``"none"``
+    strategy run their members here, one after another, as does a call
+    made from a fan-out thread. Member curves are deterministic functions
+    of ``(series, window, w, a)``, so every path produces bitwise-identical
     results.
     """
-    n_jobs = _resolve_n_jobs(n_jobs)
+    jobs = member_jobs(executor, n_jobs)
+    discretizer = MultiResolutionDiscretizer(
+        series,
+        window,
+        max_paa_size,
+        max_alphabet_size,
+        znorm_threshold=znorm_threshold,
+        numerosity=numerosity,
+    )
+    if jobs > 1 and numerosity == "exact" and discretizer.sweep.kernel == "fast":
+        return _fan_out_members(discretizer, parameters, len(series), jobs)
+    # Grouped by w so the interval matrix is built once per w, but reported
+    # in *sample order* — a uniform random prefix of the sample is itself a
+    # uniform sample, which the size-sweep benches rely on.
     curves: list[np.ndarray] = [np.empty(0)] * len(parameters)
-    pool, owned = _resolve_executor(executor, n_jobs)
-    if pool is None:
-        discretizer = MultiResolutionDiscretizer(
-            series,
-            window,
-            max_paa_size,
-            max_alphabet_size,
-            znorm_threshold=znorm_threshold,
-            numerosity=numerosity,
-        )
-        if n_jobs > 1 and numerosity == "exact" and discretizer.sweep.kernel == "fast":
-            return _fan_out_members(discretizer, parameters, len(series), n_jobs)
-        # Grouped by w so the interval matrix is built once per w, but
-        # reported in *sample order* — a uniform random prefix of the sample
-        # is itself a uniform sample, which the size-sweep benches rely on.
-        by_w = sorted(range(len(parameters)), key=lambda i: parameters[i])
-        for index in by_w:
-            paa_size, alphabet_size = parameters[index]
-            curves[index] = _member_curve(discretizer, paa_size, alphabet_size, len(series))
-        return curves
-    groups: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for index, (paa_size, alphabet_size) in enumerate(parameters):
-        groups.setdefault(paa_size, []).append((index, (paa_size, alphabet_size)))
-    with ExitStack() as stack:
-        if owned:
-            stack.callback(pool.close)
-        handle = stack.enter_context(pool.share_series(series))
-        payloads = [
-            (
-                handle.ref,
-                int(window),
-                int(max_paa_size),
-                int(max_alphabet_size),
-                float(znorm_threshold),
-                numerosity,
-                items,
-            )
-            for _, items in sorted(groups.items())
-        ]
-        for group_result in pool.map(_member_curves_task, payloads):
-            for index, curve in group_result:
-                curves[index] = curve
+    for index in sorted(range(len(parameters)), key=lambda i: parameters[i]):
+        paa_size, alphabet_size = parameters[index]
+        curves[index] = _member_curve(discretizer, paa_size, alphabet_size, len(series))
     return curves
 
 
@@ -738,12 +688,12 @@ def compute_member_curves(
 
 def _detect_one_series(payload) -> list:
     """Worker: run one identically-configured detector clone on one series."""
-    kwargs, seed, series_ref, k, member_jobs, index, label = payload
+    kwargs, seed, series_ref, k, jobs, index, label = payload
     from repro.core.ensemble import EnsembleGrammarDetector
 
     try:
         series = resolve_series(series_ref)
-        detector = EnsembleGrammarDetector(**kwargs, seed=seed, n_jobs=member_jobs)
+        detector = EnsembleGrammarDetector(**kwargs, seed=seed, n_jobs=jobs)
         return detector.detect(series, k)
     except Exception as error:
         raise _wrap_batch_error(index, label, error) from error
@@ -820,7 +770,8 @@ def iter_detect_batch(
     series_list = [np.ascontiguousarray(series, dtype=np.float64) for series in series_iterable]
     labels = _check_labels(labels, len(series_list))
     validate_executor_spec(executor)
-    n_jobs = _resolve_n_jobs(detector.n_jobs if n_jobs is None else n_jobs)
+    n_jobs = detector.n_jobs if n_jobs is None else n_jobs
+    _resolve_n_jobs(n_jobs)  # validated here; the deferred half resolves it
     chunksize = int(chunksize)
     if chunksize < 1:
         raise ValueError(f"chunksize must be a positive integer, got {chunksize}")
@@ -852,7 +803,7 @@ def _iter_detect_batch(
     seeds: list,
     series_list: list[np.ndarray],
     k: int,
-    n_jobs: int,
+    n_jobs: int | None,
     executor: MemberExecutor | str | None,
     labels: list[str] | None,
     return_exceptions: bool = False,
@@ -861,15 +812,14 @@ def _iter_detect_batch(
     """The deferred half of :func:`iter_detect_batch` (validated inputs)."""
     if not series_list:
         return
-    pool, owned = _resolve_executor(executor, n_jobs)
-    # Clones running where the batch layer is serial keep the whole job
-    # budget for member-level parallelism; pooled clones run their members
-    # serially to avoid nested pools.
-    member_jobs = n_jobs if pool is None or pool.kind == "serial" else 1
-    if pool is None:
+    if executor is None or len(series_list) == 1:
+        # Executors carry whole series only: without one, or with nothing
+        # to spread across one, the clones run here and spend the whole job
+        # budget on their members' threads.
+        jobs = member_jobs(executor, n_jobs)
         for index, (seed, series) in enumerate(zip(seeds, series_list)):
             label = None if labels is None else labels[index]
-            payload = (kwargs, seed, series, k, member_jobs, index, label)
+            payload = (kwargs, seed, series, k, jobs, index, label)
             if return_exceptions:
                 try:
                     result = _detect_one_series(payload)
@@ -879,27 +829,13 @@ def _iter_detect_batch(
             else:
                 yield index, _detect_one_series(payload)
         return
+    pool, owned = _resolve_executor(executor, _resolve_n_jobs(n_jobs))
+    # Pooled clones run their members serially to avoid nested pools; a
+    # serial executor runs its clones here, by the same rule as a batch of one.
+    clone_jobs = member_jobs(pool, n_jobs) if pool.kind == "serial" else 1
     with ExitStack() as stack:
         if owned:
             stack.callback(pool.close)
-        if pool.kind != "serial" and len(series_list) == 1:
-            # A one-series batch has no batch-level parallelism to exploit:
-            # run the clone here and spend the whole pool on its *members*
-            # instead of shipping one serial task to one worker.
-            from repro.core.ensemble import EnsembleGrammarDetector
-
-            label = None if labels is None else labels[0]
-            try:
-                clone = EnsembleGrammarDetector(
-                    **kwargs, seed=seeds[0], n_jobs=n_jobs, executor=pool
-                )
-                yield 0, clone.detect(series_list[0], k)
-            except Exception as error:
-                if return_exceptions:
-                    yield 0, _wrap_batch_error(0, label, error)
-                    return
-                raise _wrap_batch_error(0, label, error) from error
-            return
         handles = share_series_batch(pool, stack, series_list, labels)
         payloads = [
             (
@@ -907,7 +843,7 @@ def _iter_detect_batch(
                 seed,
                 handle.ref,
                 k,
-                member_jobs,
+                clone_jobs,
                 index,
                 None if labels is None else labels[index],
             )
@@ -976,7 +912,9 @@ def detect_batch(
         A live :class:`~repro.core.executors.MemberExecutor` (reused, never
         closed here) or a backend name from
         :data:`~repro.core.executors.EXECUTOR_KINDS` (created and closed for
-        this call). Results are identical across backends.
+        this call). It carries whole series: a batch of one runs here, its
+        members on :func:`~repro.core.executors.member_jobs` threads, and
+        never touches it. Results are identical across backends.
     labels:
         Optional per-series labels (file paths, ids); a failing series
         raises :class:`BatchItemError` carrying its index and label.

@@ -94,24 +94,27 @@ class EnsembleGrammarDetector(ExecutorOwnerMixin):
     seed:
         Seed or generator controlling the parameter sampling.
     n_jobs:
-        Member threads per ``detect`` when no ``executor`` is given. The
-        default ``None`` uses every CPU available to the process (its
-        affinity mask): the per-``w`` sweeps and then the members, each one
-        native call that releases the GIL, fan out across the calling
-        thread and a process-wide thread pool. ``1`` runs every member on
-        the calling thread, one after another. No process is ever spawned
-        for ``n_jobs``; with an ``executor`` it sizes a backend built from
-        a name. Results are bitwise identical for every value; see
-        :mod:`repro.core.engine`.
+        Member threads per ``detect``. The default ``None`` uses every CPU
+        available to the process (its affinity mask): the per-``w`` sweeps
+        and then the members, each one native call that releases the GIL,
+        fan out across the calling thread and a process-wide thread pool.
+        ``1`` runs every member on the calling thread, one after another.
+        No process is ever spawned for ``n_jobs``. With an ``executor`` it
+        also sizes a backend built from a name, and ``None`` or ``1`` give
+        the members the executor's width instead
+        (:func:`~repro.core.executors.member_jobs`). Results are bitwise
+        identical for every value; see :mod:`repro.core.engine`.
     executor:
-        Execution backend for member and batch fan-out: a live
+        Execution backend for batch fan-out: a live
         :class:`~repro.core.executors.MemberExecutor` (caller owns it; the
         detector only borrows), a backend name from
         :data:`~repro.core.executors.EXECUTOR_KINDS` (the detector creates
-        it lazily on first use, reuses it across ``detect`` calls — so a
-        process pool spawns once, not per call — and releases it in
+        it lazily on first use, reuses it across batches — so a process
+        pool spawns once, not per call — and releases it in
         :meth:`close`), or ``None`` to fall back to the ``n_jobs``
-        semantics. Results are bitwise identical across backends.
+        semantics. It carries whole series: the members of one ``detect``
+        always run in this process. Results are bitwise identical across
+        backends.
 
     Example
     -------
@@ -222,7 +225,9 @@ class EnsembleGrammarDetector(ExecutorOwnerMixin):
             znorm_threshold=self.znorm_threshold,
             numerosity=self.numerosity,
             n_jobs=self.n_jobs,
-            executor=self.executor,
+            # The spec when no live executor exists yet: members only read
+            # its width, so a named backend is not built for them.
+            executor=self._executor if self._executor is not None else self._executor_spec,
         )
         with stage_timer("combine"):
             stds = tuple(curve_std(curve) for curve in curves)

@@ -9,21 +9,24 @@ This module makes the execution strategy a first-class, *reusable* object:
   results (the contract of ``tests/test_executor_parity.py``).
 - :class:`ThreadExecutor` — a reusable thread pool. Every hot loop of a
   detection (SAX, Sequitur, spans, density, median) is a native call that
-  releases the GIL, so threads run members and series in parallel without
-  process spawn or argument pickling. Series are passed by reference (no
-  copies at all).
+  releases the GIL, so threads run series in parallel without process
+  spawn or argument pickling. Series are passed by reference (no copies at
+  all).
 - :class:`ProcessExecutor` — a reusable process pool that passes input
   series through POSIX shared memory (:mod:`multiprocessing.shared_memory`)
   instead of pickling them into every task payload. The pool is created
   lazily on first use and *kept alive* across repeated calls, so a detector
-  that holds one pays spawn cost once, not per ``detect()``.
+  that holds one pays spawn cost once, not per batch.
 
-All backends implement the same :class:`MemberExecutor` interface::
+All backends implement the same :class:`MemberExecutor` interface. An
+executor carries whole series (batches, method comparisons, baseline
+batches); the members of one detection never cross one::
 
     with ProcessExecutor(max_workers=4) as executor:
         detector = EnsembleGrammarDetector(window=100, executor=executor)
-        detector.detect(series_a)   # pool spawns here
-        detector.detect(series_b)   # ...and is reused here
+        detector.detect_batch([series_a, series_b])  # pool spawns here
+        detector.detect_batch([series_c, series_d])  # ...and is reused here
+        detector.detect(series_e)  # members on this process's threads
 
 Series passing
 --------------
@@ -42,14 +45,16 @@ and the engine's callers close handles even when a worker raises, so no
 
 The fan-out pool
 ----------------
-Without an explicit executor, ``n_jobs`` counts threads: :func:`fan_out`
-runs a list of tasks on the calling thread plus up to ``n_jobs - 1``
-threads of one lazily created, process-wide thread pool (the detector's
-member fan-out, :mod:`repro.core.engine`). Nothing without an explicit
-executor ever spawns a process. A forked child forgets the pool (it would
-wait on threads that do not exist there) and builds its own on first use,
-and a fan-out called from one of the pool's own threads runs inline, so
-the pool never waits on itself.
+The members of one detection run on the calling thread plus up to
+``n_jobs - 1`` threads of one lazily created, process-wide thread pool
+(:func:`fan_out`, the detector's member fan-out in
+:mod:`repro.core.engine`); :func:`member_jobs` says how many threads that
+is when an executor is named. Nothing without an explicit executor ever
+spawns a process, and a one-series detection spawns none even with one.
+A forked child forgets the pool (it would wait on threads that do not
+exist there) and builds its own on first use, and a fan-out called from
+one of the pool's own threads runs inline, so the pool never waits on
+itself.
 """
 
 from __future__ import annotations
@@ -81,6 +86,7 @@ __all__ = [
     "available_cpus",
     "detect_many",
     "fan_out",
+    "member_jobs",
     "open_executor",
     "resolve_series",
 ]
@@ -444,8 +450,8 @@ def _drain_futures(futures: list[Future]) -> None:
 class ThreadExecutor(_PooledExecutor):
     """A reusable thread pool.
 
-    Member work runs in native calls that release the GIL, so tasks run in
-    parallel; payloads and series are passed by reference with zero
+    Detection work runs in native calls that release the GIL, so tasks run
+    in parallel; payloads and series are passed by reference with zero
     serialization, which also makes threads the cheaper choice for many
     small tasks.
     """
@@ -692,6 +698,28 @@ def _resolve_executor(
     if isinstance(executor, str):
         return as_executor(executor, None if n_jobs <= 1 else n_jobs), True
     return executor, False
+
+
+def member_jobs(executor: MemberExecutor | str | None, n_jobs: int | None) -> int:
+    """Member threads of one detection: executors carry whole series only.
+
+    The members of one detection always run in this process, on the caller
+    plus threads of the fan-out pool (:func:`fan_out`). Without an executor
+    that is ``n_jobs`` (``None``: every available CPU). Naming an executor
+    is asking for parallelism: ``n_jobs`` when above 1, else the executor's
+    width capped at the available CPUs, which for a spec string is what
+    :func:`_resolve_executor` would size it to (nothing is built just to
+    read it). A serial executor gives 1.
+    """
+    validate_executor_spec(executor)
+    jobs = _resolve_n_jobs(n_jobs)
+    if executor is None or (n_jobs is not None and jobs > 1):
+        return jobs
+    if isinstance(executor, str):
+        kind, width = _split_spec(executor)[0], available_cpus()
+    else:
+        kind, width = executor.kind, min(executor.max_workers, available_cpus())
+    return 1 if kind == "serial" else width
 
 
 @contextmanager

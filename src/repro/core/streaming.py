@@ -696,11 +696,6 @@ def _poll_stage_times(phase_ns) -> dict[str, float]:
     return {"grammar": (feed + spans) * 1e-9, "density": density * 1e-9}
 
 
-def _member_snapshot_curve(member: "StreamingGrammarDetector") -> np.ndarray:
-    """Thread task: one member's snapshot rule density curve."""
-    return member.density_curve()
-
-
 class StreamingEnsembleDetector(ExecutorOwnerMixin):
     """Algorithm 1 over a stream: N live members on one shared stream state.
 
@@ -725,15 +720,12 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
     charges their phase counters to the ``grammar`` and ``density`` stages.
     Decay members and the python kernel poll one member at a time.
 
-    ``executor`` only matters for the *snapshot* side (``density_curve`` /
-    ``detect``): a thread executor's workers call the live members
-    directly, one task per member. Serial, process and cluster executors
-    run no streaming work off this thread — the live token logs never
-    leave this process, and polling them here is far cheaper than shipping
-    a picklable snapshot for a worker to re-induce (see
-    ``docs/streaming.md``) — so they poll as if no executor were given.
-    Ingest stays serial — it is already one vectorized pass plus one call
-    per member. Results are bitwise identical across backends.
+    ``executor`` is accepted for symmetry with the batch detector, but no
+    streaming work runs on it, whatever its kind: the live token logs never
+    leave this process, and one native poll of every due member here beats
+    one pool task per member (see ``docs/streaming.md``). Ingest stays
+    serial too — it is already one vectorized pass plus one call per
+    member. Results are bitwise identical across backends.
     """
 
     def __init__(
@@ -882,24 +874,6 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
             if start:
                 for member in self.members:
                     member._forget_before(start)
-
-    def _snapshot_curves(self) -> list[np.ndarray]:
-        """Every member's snapshot curve: on a thread pool, or in place.
-
-        Curves are deterministic functions of each member's live tokens and
-        the shared stream, so all backends return bitwise-identical results.
-        """
-        executor = self.executor
-        if executor is not None and executor.kind == "thread":
-            # Members are independent snapshot readers of the shared state;
-            # threads can call them directly, zero serialization.
-            return executor.map(_member_snapshot_curve, self.members)
-        # No executor, serial, process and cluster: the owning process
-        # computes every curve. The live logs cannot leave it, and
-        # rebuilding a member from a picklable snapshot costs a worker more
-        # than its poll costs here.
-        self._poll_one_call_members()
-        return [member.density_curve() for member in self.members]
 
     def _poll_one_call_members(self) -> None:
         """Cache the curve of every due one-call member, from one native call.
@@ -1062,13 +1036,14 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
         The combined curve is memoized keyed on the shared state's
         :attr:`~repro.core.engine.SharedStreamState.version`: polling
         without new data returns the cached array (treat it as read-only)
-        without touching the members or the executor. Parity is unaffected
+        without touching the members. Parity is unaffected
         — the cache only ever replays a value the uncached path computed.
         """
         version = self.state.version
         if self._curve_cache is not None and self._curve_cache[0] == version:
             return self._curve_cache[1]
-        curves = self._snapshot_curves()
+        self._poll_one_call_members()
+        curves = [member.density_curve() for member in self.members]
         with stage_timer("combine"):
             kept = select_by_std(curves, self.selectivity)
             survivors = [normalize_curve(curves[i]) for i in kept]

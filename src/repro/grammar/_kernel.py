@@ -497,7 +497,11 @@ class FastSequitur:
         (slots, _, rules, _, buckets, _, fed, _), arrays = self._export()
 
         def read(index: int, size: int) -> list[int]:
-            return np.ctypeslib.as_array(arrays[index], shape=(size,)).tolist()
+            # A copy, not an ``as_array`` view: a view builds a new ctypes
+            # array type for every size.
+            out = np.empty(size, dtype=np.int64)
+            ctypes.memmove(out.ctypes.data, arrays[index], out.nbytes)
+            return out.tolist()
 
         digrams = {
             key: owner for key, owner in zip(read(5, buckets), read(6, buckets)) if owner >= 0

@@ -109,9 +109,13 @@ class WordInterner:
         count = _lib.sax_table_size(self._handle)
         if first < count:
             _, (arena, ends_at) = self._export()
-            ends = (ctypes.c_int64 * count).from_address(ends_at)
-            base = ends[first - 1] if first else 0
-            stops = [stop - base for stop in ends[first:count]]
+            # Copy the new word ends out: a ctypes array view would build a
+            # new array type for every vocabulary size.
+            lo = max(first - 1, 0)
+            ends = np.empty(count - lo, dtype=np.int64)
+            ctypes.memmove(ends.ctypes.data, ends_at + 8 * lo, ends.nbytes)
+            base = int(ends[0]) if first else 0
+            stops = ((ends[1:] if first else ends) - base).tolist()
             text = ctypes.string_at(arena + base, stops[-1]).decode("ascii")
             added = [text[a:b] for a, b in zip([0, *stops[:-1]], stops)]
             words.extend(added)

@@ -257,8 +257,11 @@ class DetectService:
         parameters (``window`` is required). Bitwise identical to
         ``EnsembleGrammarDetector(**config, seed=seed).detect(series, k)``.
         ``timings=True`` attaches the micro-batch's per-stage durations to
-        the result (empty for cache hits or stages run in worker
-        processes); it never changes the detection itself.
+        the result; it never changes the detection itself. A micro-batch of
+        one series runs its members in this process under every executor,
+        so every stage is there; a cache hit reports an empty block, and a
+        coalesced batch under a process or cluster executor reports only
+        what ran here (its series ran in the workers).
         """
         kwargs, fingerprint = self._normalize_config(config)
         return await self._submit_detect(

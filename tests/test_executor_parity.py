@@ -18,12 +18,13 @@ import pytest
 
 from repro.core.engine import BatchItemError, detect_many, iter_detect_batch
 from repro.core.ensemble import EnsembleGrammarDetector
-from repro.core.executors import MemberExecutor, as_executor
+from repro.core.executors import MemberExecutor, ThreadExecutor, as_executor
 from repro.core.streaming import StreamingEnsembleDetector
 from repro.discord.discords import DiscordDetector
 from repro.discord.hotsax import HotSaxDetector
 from repro.evaluation.harness import evaluate_methods, evaluate_methods_on_corpus
 from repro.grammar.rra import RRADetector
+from repro.obs.stages import capture
 
 WINDOW = 60
 ENSEMBLE = 6
@@ -128,12 +129,16 @@ class TestIterDetectBatchParity:
                 detector.iter_detect_batch(batch, 2, labels=["only-one"])
 
     def test_single_series_batch_parity(self, executor_kind, series):
-        """A one-series batch spends the pool on members, results unchanged."""
+        """A one-series batch runs in the caller and hands the executor no
+        task, results unchanged."""
         reference = _detector().detect_batch([series], 3)
-        with as_executor(executor_kind, 2) as executor:
-            detector = _detector(executor=executor)
+        with as_executor(executor_kind, 2) as inner:
+            recorder = _RecordingExecutor(inner)
+            detector = _detector(executor=recorder)
             assert detector.detect_batch([series], 3) == reference
-            assert dict(detector.iter_detect_batch([series], 3))[0] == reference[0]
+            assert list(detector.iter_detect_batch([series], 3)) == [(0, reference[0])]
+            assert _detector().detect_batch([series], 3, executor=recorder) == reference
+        assert recorder.calls == []
 
 
 class TestEvaluateMethodsParity:
@@ -193,13 +198,18 @@ class TestEvaluateMethodsParity:
 
 
 class _RecordingExecutor(MemberExecutor):
-    """Delegates to a real backend and records every task batch it is handed."""
+    """Delegates to a real backend and records every task batch and series
+    it is handed."""
 
     def __init__(self, inner: MemberExecutor) -> None:
-        super().__init__(1)
+        super().__init__(inner.max_workers)
         self.inner = inner
         self.kind = inner.kind
         self.calls: list[tuple[str, int]] = []
+
+    def share_series(self, series):
+        self.calls.append(("share_series", 1))
+        return self.inner.share_series(series)
 
     def map(self, fn, payloads):
         payloads = list(payloads)
@@ -212,6 +222,37 @@ class _RecordingExecutor(MemberExecutor):
         return self.inner.imap_unordered(
             fn, payloads, return_exceptions=return_exceptions
         )
+
+
+class TestMembersStayInProcess:
+    """Executors carry whole series: the members of one detection never
+    reach one, under any backend, and the results stay byte for byte (a
+    batch of one: ``test_single_series_batch_parity``)."""
+
+    def test_detect_hands_executor_no_task(self, executor_kind, series):
+        reference = _detector().ensemble_report(series, keep_member_curves=True)
+        with as_executor(executor_kind, 2) as inner:
+            recorder = _RecordingExecutor(inner)
+            detector = _detector(executor=recorder)
+            report = detector.ensemble_report(series, keep_member_curves=True)
+            anomalies = _detector(executor=recorder).detect(series, 3)
+        assert recorder.calls == []
+        assert report.curve.tobytes() == reference.curve.tobytes()
+        assert [curve.tobytes() for curve in report.member_curves] == [
+            curve.tobytes() for curve in reference.member_curves
+        ]
+        assert anomalies == _detector().detect(series, 3)
+
+    def test_two_series_batch_reaches_the_pool(self, executor_kind, batch):
+        reference = _detector().detect_batch(batch[:2], 3)
+        with as_executor(executor_kind, 2) as inner:
+            recorder = _RecordingExecutor(inner)
+            assert _detector(executor=recorder).detect_batch(batch[:2], 3) == reference
+        assert recorder.calls == [
+            ("share_series", 1),
+            ("share_series", 1),
+            ("_detect_one_series", 2),
+        ]
 
 
 class TestStreamingSnapshotParity:
@@ -232,8 +273,8 @@ class TestStreamingSnapshotParity:
         ids=["unbounded", "sliding", "decay"],
     )
     def test_polls_stay_in_owning_process(self, executor_kind, series, bounds):
-        """Only thread pools run streaming polls; process and cluster pools
-        get no tasks, and every poll stays bitwise equal to the serial one."""
+        """No executor runs streaming polls, thread pools included, and
+        every poll stays bitwise equal to the serial one."""
         config = dict(window=WINDOW, ensemble_size=5, seed=3, **bounds)
         reference = StreamingEnsembleDetector(**config)
         with as_executor(executor_kind, 2) as inner:
@@ -246,8 +287,20 @@ class TestStreamingSnapshotParity:
                     streaming.density_curve(), reference.density_curve()
                 )
                 assert streaming.detect(3) == reference.detect(3)
-        if executor_kind != "thread":
-            assert recorder.calls == []
+        assert recorder.calls == []
+
+    def test_thread_executor_poll_is_captured(self, series):
+        """A poll under a thread executor runs on this thread, so capture()
+        sees its grammar and density time."""
+        with ThreadExecutor(2) as executor:
+            streaming = StreamingEnsembleDetector(
+                window=WINDOW, ensemble_size=5, seed=3, executor=executor
+            )
+            streaming.extend(series)
+            with capture() as timings:
+                streaming.density_curve()
+        assert {"grammar", "density", "combine"} <= set(timings)
+        assert timings["grammar"] > 0.0 and timings["density"] > 0.0
 
 
 class TestBaselineBatchParity:

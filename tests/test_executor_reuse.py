@@ -1,10 +1,12 @@
 """Executor reuse semantics: one pool across calls == fresh pools per call.
 
 The point of :class:`ProcessExecutor`'s lazy-reuse design is that repeated
-``detect()`` calls stop paying pool spawn/teardown; these tests pin down
-that reuse changes *nothing* about the results — three consecutive calls
-through one long-lived pool match three calls through three fresh pools
-bit for bit (and match the serial path, which is the parity anchor).
+batches stop paying pool spawn/teardown; these tests pin down that reuse
+changes *nothing* about the results — three consecutive batches through
+one long-lived pool match three batches through three fresh pools bit for
+bit (and match the serial path, which is the parity anchor). Executors
+carry whole series, so every batch here holds two: a one-series batch or
+a ``detect()`` runs in the caller and never starts the pool.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ CALLS = 3
 
 @pytest.fixture
 def series_sequence(rng) -> list[np.ndarray]:
-    """Three distinct inputs, one per consecutive detect() call."""
+    """Three distinct inputs, one per consecutive call."""
     sequence = []
     for i in range(CALLS):
         series = np.sin(np.linspace(0, 24 * np.pi, 1100))
@@ -32,59 +34,56 @@ def series_sequence(rng) -> list[np.ndarray]:
     return sequence
 
 
+@pytest.fixture
+def batches(series_sequence) -> list[list[np.ndarray]]:
+    """Three two-series batches, one per consecutive detect_batch() call."""
+    return [[series_sequence[i], series_sequence[(i + 1) % CALLS]] for i in range(CALLS)]
+
+
 def _detector(**overrides) -> EnsembleGrammarDetector:
     kwargs = dict(window=WINDOW, ensemble_size=6, seed=17)
     kwargs.update(overrides)
     return EnsembleGrammarDetector(**kwargs)
 
 
-def _serial_reference(series_sequence) -> list:
-    # One detector, three calls: each call consumes the parameter-sampling
-    # rng, so the reference must replay the same call sequence.
-    detector = _detector()
-    return [detector.detect(series, 3) for series in series_sequence]
-
-
-def test_reused_pool_matches_fresh_pools(series_sequence):
-    reference = _serial_reference(series_sequence)
+def test_reused_pool_matches_fresh_pools(batches):
+    reference = [_detector().detect_batch(batch, 3) for batch in batches]
 
     with ProcessExecutor(2) as reused:
         detector = _detector(executor=reused)
-        reused_results = [detector.detect(series, 3) for series in series_sequence]
+        reused_results = [detector.detect_batch(batch, 3) for batch in batches]
 
     fresh_detector = _detector()
     fresh_results = []
-    for series in series_sequence:
+    for batch in batches:
         with ProcessExecutor(2) as fresh_pool:
-            # Swap a brand-new pool under the same detector so its rng
-            # stream advances exactly as in the reused run.
-            fresh_detector._executor = fresh_pool
-            fresh_results.append(fresh_detector.detect(series, 3))
-            fresh_detector._executor = None
+            fresh_results.append(fresh_detector.detect_batch(batch, 3, executor=fresh_pool))
 
     assert reused_results == fresh_results == reference
 
 
-def test_pool_is_actually_reused_across_detect_calls(series_sequence):
+def test_pool_is_actually_reused_across_batches(batches, series_sequence):
     with ProcessExecutor(2) as executor:
         detector = _detector(executor=executor)
-        assert not executor.pool_started
         detector.detect(series_sequence[0], 3)
+        detector.detect_batch(batches[0][:1], 3)
+        assert not executor.pool_started  # one series never reaches the pool
+        detector.detect_batch(batches[0], 3)
         assert executor.pool_started
         first_pool = executor._pool
-        detector.detect(series_sequence[1], 3)
-        detector.detect(series_sequence[2], 3)
+        detector.detect_batch(batches[1], 3)
+        detector.detect_batch(batches[2], 3)
         assert executor._pool is first_pool
 
 
-def test_detector_owns_spec_built_executor_and_reuses_it(series_sequence):
+def test_detector_owns_spec_built_executor_and_reuses_it(batches):
     detector = _detector(executor="process", n_jobs=2)
     try:
-        detector.detect(series_sequence[0], 3)
+        detector.detect_batch(batches[0], 3)
         executor = detector.executor
         assert isinstance(executor, ProcessExecutor)
         assert executor.pool_started
-        detector.detect(series_sequence[1], 3)
+        detector.detect_batch(batches[1], 3)
         assert detector.executor is executor  # same pool, not a new one
     finally:
         detector.close()

@@ -194,6 +194,25 @@ def test_detect_opt_in_timings_block():
     assert cached["cached"] is True and cached["timings"] == {}
 
 
+def test_detect_timings_cover_members_under_every_executor(executor_kind):
+    """A one-series detect runs its members in the node, never in executor
+    workers, so its timings block carries every member stage."""
+
+    async def main():
+        async with DetectService(executor=executor_kind, batch_window=0.0) as service:
+            server = ServiceHTTPServer(service, "127.0.0.1", 0)
+            await server.start()
+            try:
+                body = {"series": make_series(), "k": 2, "seed": 3, "timings": True, **CONFIG}
+                _, _, timed = await _get(server.port, "/v1/detect", body)
+            finally:
+                await server.aclose()
+        return json.loads(timed)
+
+    timings = asyncio.run(main())["timings"]
+    assert all(timings[stage] > 0.0 for stage in ("discretize", "grammar", "density"))
+
+
 # ----------------------------------------------------------------------
 # Router.
 # ----------------------------------------------------------------------

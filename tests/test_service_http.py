@@ -265,7 +265,9 @@ class TestShutdownHygiene:
         )
         try:
             # A request heavy enough to still be in flight when SIGTERM lands.
-            series = [float(v) for v in make_series(7, 30_000)]
+            # Executors carry whole series, so it is a batch: one series
+            # would run in the node and never start the pool.
+            series = [[float(v) for v in make_series(seed, 30_000)] for seed in (7, 8, 9)]
             payload = {
                 "series": series,
                 "k": 3,
@@ -274,7 +276,9 @@ class TestShutdownHygiene:
                 "ensemble_size": 10,
             }
             with ThreadPoolExecutor(max_workers=1) as pool:
-                in_flight = pool.submit(request, port, "POST", "/detect", payload, 120.0)
+                in_flight = pool.submit(
+                    request, port, "POST", "/v1/detect_batch", payload, 120.0
+                )
                 # Wait until the pool has spawned workers (the batch is live).
                 worker_pids: list[int] = []
                 deadline = time.monotonic() + 30
