@@ -5,11 +5,10 @@ one executor pool, coalesced into shared ``detect_batch`` calls. This bench
 measures exactly that claim at 32 concurrent clients:
 
 1. **batch-size-1 serving** — the same :class:`~repro.service.core.DetectService`
-   with ``max_batch_size=1`` and no coalescing window: every request is its
-   own engine call on the shared pool (the pre-serving behaviour, one
-   request at a time).
-2. **micro-batched serving** — ``max_batch_size=32`` with a small
-   coalescing window: concurrent requests ride one ``detect_batch`` call,
+   with ``max_batch_size=1``: every request is its own engine call (the
+   pre-serving behaviour, one request at a time).
+2. **micro-batched serving** — ``max_batch_size=32``: the requests that
+   queued while the previous batch ran ride one ``detect_batch`` call,
    with per-request seeds (results stay bitwise identical — the parity
    suite is the proof) and chunked worker tasks.
 3. **micro-batched + result cache** — the same requests repeated, answered
@@ -62,7 +61,6 @@ def bench_service_micro_batching_throughput(report):
         workers=WORKERS,
         rounds=ROUNDS,
         max_batch_size=1,
-        batch_window=0.0,
         series_points=SERIES_POINTS,
     )
     micro_rps, micro_stats = service_best_rps(

@@ -439,6 +439,63 @@ def _detect_one(
     return {"ms_per_detect": elapsed / calls * 1e3}
 
 
+def service_detect_once(
+    executor: str,
+    points: int,
+    window: int = 100,
+    ensemble: int = 20,
+    calls: int = 5,
+    seed: int = 0,
+) -> float:
+    """Seconds for ``calls`` sequential uncached ``DetectService.detect`` calls.
+
+    One closed-loop caller, a fresh seed per call and no result cache: every
+    call goes through the micro-batcher as a batch of one, so the cell reads
+    ``detect_one``'s cost plus whatever the batcher adds before dispatch.
+    ``executor="none"`` serves inline; any other name builds that backend and
+    starts its pool with a two-series batch outside the timed region.
+    """
+    import asyncio
+
+    from repro.service import DetectService
+
+    series = cached_series(points, seed)
+    config = dict(window=window, ensemble_size=ensemble)
+
+    async def _run() -> float:
+        async with DetectService(
+            executor=None if executor == "none" else executor,
+            n_jobs=2,
+            cache_entries=0,
+            default_timeout=None,
+        ) as service:
+            if executor != "none":
+                warm = [cached_series(points, seed + 1), cached_series(points, seed + 2)]
+                await service.detect_many(warm, k=3, seed=seed, **config)
+            # One untimed detect first, as in detect_one_once.
+            await service.detect(series, k=3, seed=seed, **config)
+            with Timer() as timer:
+                for call in range(calls):
+                    await service.detect(series, k=3, seed=seed + 1 + call, **config)
+            return timer.elapsed
+
+    return asyncio.run(_run())
+
+
+@register("service_detect")
+def _service_detect(
+    *,
+    executor: str,
+    points: int,
+    window: int = 100,
+    ensemble: int = 20,
+    calls: int = 5,
+    seed: int = 0,
+):
+    elapsed = service_detect_once(executor, points, window, ensemble, calls, seed)
+    return {"ms_per_detect": elapsed / calls * 1e3}
+
+
 # ----------------------------------------------------------------------
 # Dispatch overhead: near-empty tasks over one shared series.
 # ----------------------------------------------------------------------
@@ -497,7 +554,6 @@ def service_best_rps(
     workers: int,
     rounds: int = 3,
     max_batch_size: int | None = None,
-    batch_window: float = 0.005,
     cache_entries: int = 0,
     repeat_requests: bool = False,
     series_points: int = 48,
@@ -527,7 +583,6 @@ def service_best_rps(
         async with DetectService(
             executor="process",
             n_jobs=workers,
-            batch_window=batch_window,
             max_batch_size=max_batch_size,
             max_pending=4 * clients,
             cache_entries=cache_entries,

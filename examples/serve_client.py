@@ -57,7 +57,7 @@ def start_server(snapshot_dir: str) -> tuple[subprocess.Popen, str]:
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
-            "--port", "0", "--batch-window-ms", "5", "--max-batch", "16",
+            "--port", "0", "--max-batch", "16",
             "--snapshot-dir", snapshot_dir,
         ],
         stdout=subprocess.PIPE,

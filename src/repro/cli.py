@@ -41,12 +41,12 @@ Five subcommands cover the library's main workflows:
 
 - ``serve`` — run the async serving subsystem (:mod:`repro.service`): a
   long-lived HTTP endpoint that micro-batches concurrent ``detect``
-  requests onto one shared executor pool, hosts named multi-tenant
+  requests onto one shared executor pool (a batch is what queued while
+  the previous one ran, never a timed wait), hosts named multi-tenant
   streaming sessions, and caches results by series digest. See
   ``docs/serving.md``::
 
-      python -m repro serve --port 8765 --executor process --n-jobs 4 \\
-          --batch-window-ms 2 --max-batch 16
+      python -m repro serve --port 8765 --executor process --n-jobs 4 --max-batch 16
 
 - ``worker`` — join a cluster scheduler as one task-at-a-time worker
   (:mod:`repro.core.cluster`). Any command run with ``--executor cluster
@@ -593,8 +593,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.snapshot import LocalSnapshotStore
 
     _setup_cli_logging(args)
-    if args.batch_window_ms < 0:
-        raise ValueError(f"batch-window-ms must be non-negative, got {args.batch_window_ms}")
     memory_budget = (
         None if args.memory_budget_mb is None else int(args.memory_budget_mb * 1024 * 1024)
     )
@@ -604,7 +602,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service = DetectService(
             executor=executor,
             n_jobs=args.n_jobs,
-            batch_window=args.batch_window_ms / 1000.0,
             max_batch_size=args.max_batch,
             max_pending=args.max_pending,
             cache_entries=args.cache_entries,
@@ -879,12 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
     serve.add_argument(
         "--port", type=int, default=8765, help="bind port; 0 picks an ephemeral port"
-    )
-    serve.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=2.0,
-        help="micro-batch coalescing window in milliseconds (default 2; 0 disables)",
     )
     serve.add_argument(
         "--max-batch",

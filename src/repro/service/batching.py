@@ -4,14 +4,18 @@ The serving problem this solves: many concurrent ``detect`` requests arrive
 independently, but the engine's :func:`~repro.core.engine.detect_batch` is
 far more efficient per request than one call per request — it amortizes the
 executor round-trip, series publication, and pool packing across the whole
-batch. :class:`MicroBatcher` is the piece in between: requests that arrive
-within a small coalescing window and share a *group key* (in the service:
-the detector-config fingerprint plus ``k``) are dispatched together as one
-batch to a blocking runner executed on a worker thread, and each caller's
-``await`` resolves with its own result.
+batch. :class:`MicroBatcher` is the piece in between: requests that share a
+*group key* (in the service: the detector-config fingerprint plus ``k``)
+are dispatched together as one batch to a blocking runner executed on a
+worker thread, and each caller's ``await`` resolves with its own result.
 
 Semantics:
 
+- **Natural batching** — a group's dispatch loop takes whatever is queued
+  right now (up to ``max_batch_size``), runs it, and repeats. Nothing
+  lingers: a lone request goes to the runner at once, and requests that
+  arrive while a batch runs form the next batch, so batches fill exactly
+  as fast as load builds up.
 - **Grouping** — only requests with equal group keys are batched together;
   each active group has one dispatch loop, so at most one batch per group
   is in flight at a time (batch-level parallelism comes from the executor
@@ -71,13 +75,10 @@ class MicroBatcher:
     run_batch:
         Blocking batch runner (see :data:`BatchRunner`); executed via
         ``asyncio.to_thread`` so the event loop stays responsive.
-    batch_window:
-        Seconds to linger after picking up work, letting concurrent
-        requests join the same batch. ``0`` dispatches whatever is queued
-        immediately — the "no coalescing" baseline the throughput bench
-        compares against.
     max_batch_size:
-        Largest number of requests dispatched as one batch.
+        Largest number of requests dispatched as one batch. ``1`` turns
+        coalescing off — the baseline the throughput bench compares
+        against.
     max_pending:
         Backpressure bound: queued-but-undispatched requests across all
         groups. ``submit`` beyond it raises
@@ -88,13 +89,9 @@ class MicroBatcher:
         self,
         run_batch: BatchRunner,
         *,
-        batch_window: float = 0.002,
         max_batch_size: int = 16,
         max_pending: int = 128,
     ) -> None:
-        batch_window = float(batch_window)
-        if batch_window < 0:
-            raise ValueError(f"batch_window must be non-negative, got {batch_window}")
         max_batch_size = int(max_batch_size)
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
@@ -102,7 +99,6 @@ class MicroBatcher:
         if max_pending < 1:
             raise ValueError(f"max_pending must be positive, got {max_pending}")
         self._run_batch = run_batch
-        self.batch_window = batch_window
         self.max_batch_size = max_batch_size
         self.max_pending = max_pending
         self._queues: dict[Hashable, deque[_Pending]] = {}
@@ -171,13 +167,14 @@ class MicroBatcher:
     # ------------------------------------------------------------------
 
     async def _drain_group(self, key: Hashable) -> None:
-        """Dispatch loop of one group: coalesce, run, deliver, repeat."""
+        """Dispatch loop of one group: take what is queued, run, deliver, repeat.
+
+        Never waits for more work: whatever queued while the previous batch
+        ran is the next batch.
+        """
         queue = self._queues[key]
         try:
             while queue:
-                if self.batch_window > 0.0 and len(queue) < self.max_batch_size:
-                    # Linger once so concurrent submitters can pile on.
-                    await asyncio.sleep(self.batch_window)
                 batch: list[_Pending] = []
                 while queue and len(batch) < self.max_batch_size:
                     batch.append(queue.popleft())
@@ -267,7 +264,6 @@ class MicroBatcher:
             "rejected_overload": self.rejected,
             "expired_deadline": self.expired,
             "mean_batch_size": (self.dispatched / self.batches) if self.batches else 0.0,
-            "batch_window": self.batch_window,
             "max_batch_size": self.max_batch_size,
             "max_pending": self.max_pending,
         }

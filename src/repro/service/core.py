@@ -7,10 +7,10 @@
   backend, or the inline ``n_jobs`` semantics) shared by *every* request —
   the consolidation a long-lived service exists for: one pool, spawned
   once, amortized across all callers;
-- a :class:`~repro.service.batching.MicroBatcher` that coalesces concurrent
-  ``detect`` requests with equal detector configurations into single
-  ``detect_batch`` calls with per-request seeds, bounded queueing
-  (429-style rejection) and per-request deadlines;
+- a :class:`~repro.service.batching.MicroBatcher` that coalesces ``detect``
+  requests with equal detector configurations that queued while the
+  previous batch ran into single ``detect_batch`` calls with per-request
+  seeds, bounded queueing (429-style rejection) and per-request deadlines;
 - a :class:`~repro.service.sessions.StreamSessionManager` hosting named
   streaming sessions with idle eviction and a global memory budget;
 - an :class:`~repro.service.cache.LRUCache` keyed by series digest +
@@ -139,7 +139,7 @@ class DetectService:
         Pool size for a spec-built executor; when ``executor`` is ``None``,
         the member threads of each detection (the batch engine's
         ``n_jobs``; no process is spawned).
-    batch_window, max_batch_size, max_pending:
+    max_batch_size, max_pending:
         Micro-batching knobs — see
         :class:`~repro.service.batching.MicroBatcher`.
     cache_entries:
@@ -166,7 +166,6 @@ class DetectService:
         *,
         executor: MemberExecutor | str | None = None,
         n_jobs: int | None = 1,
-        batch_window: float = 0.002,
         max_batch_size: int = 16,
         max_pending: int = 128,
         cache_entries: int = 256,
@@ -191,7 +190,6 @@ class DetectService:
         self.cache = LRUCache(cache_entries)
         self.batcher = MicroBatcher(
             self._run_batch,
-            batch_window=batch_window,
             max_batch_size=max_batch_size,
             max_pending=max_pending,
         )

@@ -81,7 +81,7 @@ async def _get(port: int, path: str, body=None, headers=None):
 
 def test_service_metrics_exposition():
     async def main():
-        async with DetectService(batch_window=0.0) as service:
+        async with DetectService() as service:
             server = ServiceHTTPServer(service, "127.0.0.1", 0)
             await server.start()
             try:
@@ -113,7 +113,7 @@ def test_service_metrics_exposition():
 
 def test_request_id_honored_minted_and_echoed():
     async def main():
-        async with DetectService(batch_window=0.0) as service:
+        async with DetectService() as service:
             server = ServiceHTTPServer(service, "127.0.0.1", 0)
             await server.start()
             try:
@@ -145,7 +145,7 @@ def test_unexpected_handler_crash_returns_envelope_and_logs_traceback(json_log_s
             return super()._route(method, path)
 
     async def main():
-        async with DetectService(batch_window=0.0) as service:
+        async with DetectService() as service:
             server = CrashingServer(service, "127.0.0.1", 0)
             await server.start()
             try:
@@ -170,7 +170,7 @@ def test_unexpected_handler_crash_returns_envelope_and_logs_traceback(json_log_s
 
 def test_detect_opt_in_timings_block():
     async def main():
-        async with DetectService(batch_window=0.0) as service:
+        async with DetectService() as service:
             server = ServiceHTTPServer(service, "127.0.0.1", 0)
             await server.start()
             try:
@@ -199,7 +199,7 @@ def test_detect_timings_cover_members_under_every_executor(executor_kind):
     workers, so its timings block carries every member stage."""
 
     async def main():
-        async with DetectService(executor=executor_kind, batch_window=0.0) as service:
+        async with DetectService(executor=executor_kind) as service:
             server = ServiceHTTPServer(service, "127.0.0.1", 0)
             await server.start()
             try:
@@ -241,7 +241,7 @@ def test_router_metrics_exposition():
 
 def test_slow_request_threshold_logs_warning(caplog):
     async def main():
-        async with DetectService(batch_window=0.0) as service:
+        async with DetectService() as service:
             server = ServiceHTTPServer(service, "127.0.0.1", 0, slow_request_ms=0.0)
             await server.start()
             try:

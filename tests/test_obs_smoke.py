@@ -76,7 +76,7 @@ def drain_output(process: subprocess.Popen) -> list[str]:
 
 
 def test_json_logs_share_request_id_and_metrics_scrape():
-    process, port = start_server("--log-format", "json", "--batch-window-ms", "5")
+    process, port = start_server("--log-format", "json")
     trace_id = "smoke-trace-0001"
     try:
         client = ServiceClient(f"http://127.0.0.1:{port}", request_id=trace_id)
@@ -120,7 +120,7 @@ def test_json_logs_share_request_id_and_metrics_scrape():
 
 
 def test_text_logs_by_default_include_request_id():
-    process, port = start_server("--batch-window-ms", "5")
+    process, port = start_server()
     trace_id = "text-trace-0002"
     try:
         client = ServiceClient(f"http://127.0.0.1:{port}", request_id=trace_id)

@@ -119,14 +119,14 @@ class TestMicroBatcher:
             return [(i, p * 10) for i, p in enumerate(payloads)]
 
         async def main():
-            batcher = MicroBatcher(runner, batch_window=0.02, max_batch_size=8)
+            batcher = MicroBatcher(runner, max_batch_size=8)
             results = await asyncio.gather(*(batcher.submit("g", i) for i in range(8)))
             await batcher.aclose()
             return results
 
         results = run(main())
         assert results == [i * 10 for i in range(8)]
-        # All eight arrived within one coalescing window.
+        # All eight queued before the group's dispatch loop first ran.
         assert batch_sizes == [8]
 
     def test_groups_do_not_mix(self):
@@ -137,7 +137,7 @@ class TestMicroBatcher:
             return [(i, p) for i, p in enumerate(payloads)]
 
         async def main():
-            batcher = MicroBatcher(runner, batch_window=0.02)
+            batcher = MicroBatcher(runner)
             await asyncio.gather(
                 *(batcher.submit("a", i) for i in range(3)),
                 *(batcher.submit("b", 100 + i) for i in range(3)),
@@ -155,13 +155,75 @@ class TestMicroBatcher:
             return [(i, p) for i, p in enumerate(payloads)]
 
         async def main():
-            batcher = MicroBatcher(runner, batch_window=0.02, max_batch_size=3)
+            batcher = MicroBatcher(runner, max_batch_size=3)
             await asyncio.gather(*(batcher.submit("g", i) for i in range(7)))
             await batcher.aclose()
 
         run(main())
         assert max(batch_sizes) <= 3
         assert sum(batch_sizes) == 7
+
+    def test_lone_submit_dispatches_without_sleeping(self, monkeypatch):
+        import threading
+
+        # Raising inside the patched sleep would kill the dispatch loop and
+        # leave the caller's future pending forever, so the patch records
+        # the call and the test fails on it instead.
+        slept = []
+        real_sleep = asyncio.sleep
+
+        async def recording_sleep(delay, *args, **kwargs):
+            slept.append(delay)
+            return await real_sleep(delay, *args, **kwargs)
+
+        monkeypatch.setattr("repro.service.batching.asyncio.sleep", recording_sleep)
+        ran = threading.Event()
+
+        def runner(key, payloads):
+            ran.set()
+            return [(i, p) for i, p in enumerate(payloads)]
+
+        async def main():
+            batcher = MicroBatcher(runner)
+            result = await batcher.submit("g", 42)
+            stats = batcher.stats()
+            await batcher.aclose()
+            return result, stats
+
+        result, stats = run(main())
+        assert slept == [], f"dispatch loop slept {slept} before running a batch"
+        assert ran.is_set() and result == 42
+        assert stats["batches"] == 1 and stats["dispatched"] == 1
+
+    def test_requests_queued_during_a_batch_form_the_next_batch(self):
+        import threading
+
+        batch_sizes = []
+        entered = threading.Event()
+        release = threading.Event()
+
+        def runner(key, payloads):
+            batch_sizes.append(len(payloads))
+            if len(batch_sizes) == 1:
+                entered.set()
+                assert release.wait(timeout=30)
+            return [(i, p) for i, p in enumerate(payloads)]
+
+        async def main():
+            batcher = MicroBatcher(runner, max_batch_size=3)
+            first = asyncio.ensure_future(batcher.submit("g", 0))
+            # The first batch is running (blocked) once the runner says so.
+            assert await asyncio.to_thread(entered.wait, 30)
+            rest = [asyncio.ensure_future(batcher.submit("g", i)) for i in range(1, 6)]
+            await asyncio.sleep(0)  # let every submit enqueue
+            assert batcher.pending == 5
+            release.set()
+            results = await asyncio.gather(first, *rest)
+            await batcher.aclose()
+            return results
+
+        assert run(main()) == list(range(6))
+        assert batch_sizes == [1, 3, 2]
 
     def test_backpressure_rejects_beyond_max_pending(self):
         release = None
@@ -175,7 +237,7 @@ class TestMicroBatcher:
 
             nonlocal release
             release = threading.Event()
-            batcher = MicroBatcher(runner, batch_window=0.0, max_batch_size=1, max_pending=2)
+            batcher = MicroBatcher(runner, max_batch_size=1, max_pending=2)
             first = asyncio.ensure_future(batcher.submit("g", 0))
             await asyncio.sleep(0.05)  # dispatched; runner now blocks
             second = asyncio.ensure_future(batcher.submit("g", 1))
@@ -198,7 +260,7 @@ class TestMicroBatcher:
             return [(i, p) for i, p in enumerate(payloads)]
 
         async def main():
-            batcher = MicroBatcher(runner, batch_window=0.0, max_batch_size=1)
+            batcher = MicroBatcher(runner, max_batch_size=1)
             first = asyncio.ensure_future(batcher.submit("g", 0))
             await asyncio.sleep(0.01)
             # Second request waits behind the slow batch; its deadline fires
@@ -219,7 +281,7 @@ class TestMicroBatcher:
             return out
 
         async def main():
-            batcher = MicroBatcher(runner, batch_window=0.02, max_batch_size=8)
+            batcher = MicroBatcher(runner, max_batch_size=8)
             results = await asyncio.gather(
                 *(batcher.submit("g", i) for i in range(3)), return_exceptions=True
             )
@@ -235,7 +297,7 @@ class TestMicroBatcher:
             raise RuntimeError("pool died")
 
         async def main():
-            batcher = MicroBatcher(runner, batch_window=0.01)
+            batcher = MicroBatcher(runner)
             with pytest.raises(RuntimeError, match="pool died"):
                 await batcher.submit("g", 0)
             await batcher.aclose()
@@ -263,9 +325,7 @@ class TestDetectServiceParity:
         series = [make_series(i) for i in range(5)]
 
         async def main():
-            async with DetectService(
-                executor=executor_kind, n_jobs=2, batch_window=0.02, max_batch_size=8
-            ) as service:
+            async with DetectService(executor=executor_kind, n_jobs=2, max_batch_size=8) as service:
                 return await asyncio.gather(
                     *(
                         service.detect(s, k=3, seed=i, **CONFIG)
@@ -283,9 +343,7 @@ class TestDetectServiceParity:
         series = [make_series(10 + i) for i in range(4)]
 
         async def main():
-            async with DetectService(
-                executor=executor_kind, n_jobs=2, batch_window=0.01
-            ) as service:
+            async with DetectService(executor=executor_kind, n_jobs=2) as service:
                 return await service.detect_many(series, k=3, seed=7, **CONFIG)
 
         results = run(main())
@@ -296,7 +354,7 @@ class TestDetectServiceParity:
         series = [make_series(0), np.arange(10.0), make_series(2)]  # middle too short
 
         async def main():
-            async with DetectService(batch_window=0.01) as service:
+            async with DetectService() as service:
                 return await service.detect_many(series, k=3, seed=7, **CONFIG)
 
         results = run(main())
@@ -311,7 +369,7 @@ class TestDetectServiceParity:
     def test_borrowed_executor_not_closed(self):
         async def main():
             with as_executor("thread", 2) as executor:
-                async with DetectService(executor=executor, batch_window=0.0) as service:
+                async with DetectService(executor=executor) as service:
                     await service.detect(make_series(0), seed=0, **CONFIG)
                 assert not executor.closed  # borrowed — service must not close it
 
@@ -323,7 +381,7 @@ class TestDetectServiceCache:
         series = make_series(3)
 
         async def main():
-            async with DetectService(batch_window=0.0, cache_entries=32) as service:
+            async with DetectService(cache_entries=32) as service:
                 first = await service.detect(series, k=3, seed=1, **CONFIG)
                 second = await service.detect(series.copy(), k=3, seed=1, **CONFIG)
                 stats = service.stats()
@@ -340,7 +398,7 @@ class TestDetectServiceCache:
         series = make_series(3)
 
         async def main():
-            async with DetectService(batch_window=0.0, cache_entries=32) as service:
+            async with DetectService(cache_entries=32) as service:
                 await service.detect(series, k=3, seed=1, **CONFIG)
                 second = await service.detect(series, k=3, seed=2, **CONFIG)
                 return second
@@ -351,7 +409,7 @@ class TestDetectServiceCache:
         series = make_series(3)
 
         async def main():
-            async with DetectService(batch_window=0.0, cache_entries=0) as service:
+            async with DetectService(cache_entries=0) as service:
                 await service.detect(series, k=3, seed=1, **CONFIG)
                 return await service.detect(series, k=3, seed=1, **CONFIG)
 
@@ -544,7 +602,7 @@ class TestNoPermanentPerConfigState:
         """A long tail of distinct configs must leave no state behind."""
 
         async def main():
-            async with DetectService(batch_window=0.0) as service:
+            async with DetectService() as service:
                 for window in range(40, 56):
                     await service.detect(
                         make_series(1), k=3, seed=0, window=window, ensemble_size=4

@@ -104,8 +104,8 @@ def request(port: int, method: str, path: str, body=None, timeout: float = 60.0)
 
 @pytest.fixture(scope="module")
 def server():
-    """One shared server (serial executor, fast coalescing) for the module."""
-    process, port = start_server("--batch-window-ms", "5", "--max-batch", "16")
+    """One shared server (inline executor) for the module."""
+    process, port = start_server("--max-batch", "16")
     yield port
     assert stop_server(process) == 0
 
@@ -260,9 +260,7 @@ class TestShutdownHygiene:
 
     def test_sigterm_mid_batch_leaves_no_shm_or_workers(self, shm_segments):
         before = shm_segments()
-        process, port = start_server(
-            "--executor", "process", "--n-jobs", "2", "--batch-window-ms", "2"
-        )
+        process, port = start_server("--executor", "process", "--n-jobs", "2")
         try:
             # A request heavy enough to still be in flight when SIGTERM lands.
             # Executors carry whole series, so it is a batch: one series
