@@ -6,7 +6,7 @@ alphabet resolutions from one binary search. This bench measures the end
 effect: producing the numerosity-reduced token sequences for the full
 (w, a) grid via the shared MultiResolutionDiscretizer — whose PAA and
 interval matrices come from one :class:`repro.sax.plan.DiscretizationPlan`
-sweep through the ``REPRO_KERNEL`` seam — versus discretizing from scratch
+sweep of native passes — versus discretizing from scratch
 per combination.
 
 Shape check: the shared path is substantially faster than the naive path

@@ -1,18 +1,20 @@
-"""Native-speed grammar core: kernel and streaming hot-path bench (ISSUE 6).
+"""Native-speed grammar core: grammar and streaming hot-path bench.
 
 Three measurements, written to ``results/BENCH_grammar_kernel.json`` in the
 normalized envelope (machine fingerprint + git SHA, see
 ``runner/schema.py``):
 
-1. **Grammar stage, per token** — the id-based ``FastSequitur`` (batched
+1. **Grammar stage, per token** — the native ``FastSequitur`` (batched
    ``feed_many`` + fused ``occurrence_spans``) against the reference
-   ``_SequiturBuilder`` oracle on the same random token stream.
+   ``SequiturBuilder`` of ``tests/oracles/`` on the same random token
+   stream.
 2. **Streaming, per point** — end-to-end ``StreamingGrammarDetector``
-   ingest + density poll on a 100k-point stream under the fast and python
-   kernels, and against a reconstruction of the seed's scalar path
-   (per-window ``sax_word`` + per-word oracle feed), which is what the
-   refactor replaced. The headline gate: the fast path is >= 10x the
-   scalar per-point cost.
+   ingest + density poll on a 100k-point stream, against the oracle
+   pipeline of ``tests/oracles/`` (numpy SAX + word-fed Sequitur over the
+   whole stream, whose curve must equal the detector's bitwise) and against
+   a reconstruction of the seed's scalar path (per-window ``sax_word`` +
+   per-word oracle feed), which is what the refactor replaced. The headline
+   gate: the native path is >= 10x the scalar per-point cost.
 3. **Poll latency vs stream length** — a capacity-bounded sliding member
    polled while ingesting: steady-state poll latency is O(capacity), so it
    must stay flat (within 20%) between 10k and 100k points ingested.
@@ -32,15 +34,22 @@ import os
 import numpy as np
 
 from benchlib import FULL, RESULTS_DIR, scale_note, strict
+from oracles import pipeline
+from oracles.sequitur import SequiturBuilder
+from repro.core.streaming import StreamingGrammarDetector
 from repro.datasets.generators import random_walk
 from repro.evaluation.tables import format_table
 from repro.grammar.density import rule_density_curve
-from repro.grammar.sequitur import _SequiturBuilder
 from repro.sax.numerosity import numerosity_reduction
 from repro.sax.sax import sax_word
 from repro.utils.timing import Timer
 from runner.schema import write_bench_payload
-from runner.workloads import grammar_stage_once, poll_latency_curve, stream_per_point_once
+from runner.workloads import (
+    grammar_stage_once,
+    make_token_stream,
+    poll_latency_curve,
+    stream_per_point_once,
+)
 
 POINTS = 300_000 if FULL else int(os.environ.get("REPRO_KERNEL_BENCH_POINTS", "100000"))
 #: The scalar reconstruction is ~2 orders slower per point; a slice of the
@@ -55,13 +64,25 @@ CAPACITY = 5_000
 SEED = 0
 
 
+def _oracle_grammar_stage() -> tuple[float, tuple]:
+    """The reference builder fed the word spelling of the timed id stream."""
+    _, words = make_token_stream(N_TOKENS, ALPHABET, SEED)
+    builder = SequiturBuilder()
+    with Timer() as timer:
+        feed = builder.feed
+        for word in words:
+            feed(word)
+        spans = builder.freeze().occurrence_spans()
+    return timer.elapsed, spans
+
+
 def _grammar_stage() -> dict:
-    """Oracle vs fast kernel on one stream, with the large-scale parity check."""
-    oracle_s, spans_oracle = grammar_stage_once("python", N_TOKENS, ALPHABET, SEED)
-    fast_s, spans_fast = grammar_stage_once("fast", N_TOKENS, ALPHABET, SEED)
+    """Oracle vs native builder on one stream, with the large-scale parity check."""
+    oracle_s, spans_oracle = _oracle_grammar_stage()
+    fast_s, spans_fast = grammar_stage_once(N_TOKENS, ALPHABET, SEED)
 
     # The bench doubles as a large-scale parity check: identical span
-    # multisets from both backends.
+    # multisets from both builders.
     assert np.array_equal(np.sort(spans_oracle[0]), np.sort(spans_fast[0]))
     assert np.array_equal(np.sort(spans_oracle[1]), np.sort(spans_fast[1]))
 
@@ -87,10 +108,27 @@ def _legacy_per_point(series: np.ndarray) -> float:
             for p in range(len(series) - WINDOW + 1)
         ]
         kept = numerosity_reduction(words, WINDOW)
-        builder = _SequiturBuilder()
+        builder = SequiturBuilder()
         for word in kept.words:
             builder.feed(word)
         rule_density_curve(builder.freeze(), kept, len(series))
+    return timer.elapsed / len(series)
+
+
+def _oracle_per_point(series: np.ndarray) -> float:
+    """The oracle pipeline's one poll over the whole stream, per point.
+
+    Also the bench's streaming parity check: its curve must equal, bit for
+    bit, the native detector's after a chunked ingest of the same stream.
+    """
+    with Timer() as timer:
+        expected = pipeline.stream_member_curve(series, WINDOW, PAA_SIZE, ALPHA_SIZE)
+    detector = StreamingGrammarDetector(
+        window=WINDOW, paa_size=PAA_SIZE, alphabet_size=ALPHA_SIZE
+    )
+    for offset in range(0, len(series), 10_000):
+        detector.extend(series[offset : offset + 10_000])
+    assert detector.density_curve().tobytes() == expected.tobytes()
     return timer.elapsed / len(series)
 
 
@@ -100,13 +138,11 @@ def bench_grammar_kernel(benchmark, report):
     grammar_stage = _grammar_stage()
 
     fast_per_point = benchmark.pedantic(
-        lambda: stream_per_point_once("fast", POINTS, WINDOW, PAA_SIZE, ALPHA_SIZE, SEED),
+        lambda: stream_per_point_once(POINTS, WINDOW, PAA_SIZE, ALPHA_SIZE, SEED),
         rounds=1,
         iterations=1,
     )
-    python_per_point = stream_per_point_once(
-        "python", POINTS, WINDOW, PAA_SIZE, ALPHA_SIZE, SEED
-    )
+    oracle_per_point = _oracle_per_point(series)
     legacy_per_point = _legacy_per_point(series[:LEGACY_POINTS])
 
     checkpoints = [c for c in (10_000, 25_000, 50_000, 100_000) if c <= POINTS]
@@ -115,7 +151,7 @@ def bench_grammar_kernel(benchmark, report):
     )
 
     legacy_speedup = legacy_per_point / max(fast_per_point, 1e-12)
-    kernel_speedup = python_per_point / max(fast_per_point, 1e-12)
+    oracle_speedup = oracle_per_point / max(fast_per_point, 1e-12)
 
     table = format_table(
         ["Path", "Scope", "Per point / token", "vs fast"],
@@ -127,13 +163,13 @@ def bench_grammar_kernel(benchmark, report):
                 f"{legacy_speedup:.1f}x slower",
             ],
             [
-                "python kernel (oracle)",
+                "oracle pipeline",
                 f"{POINTS:,} pts",
-                f"{python_per_point * 1e6:.2f} us/pt",
-                f"{kernel_speedup:.1f}x slower",
+                f"{oracle_per_point * 1e6:.2f} us/pt",
+                f"{oracle_speedup:.1f}x slower",
             ],
             [
-                "fast kernel",
+                "native detector",
                 f"{POINTS:,} pts",
                 f"{fast_per_point * 1e6:.2f} us/pt",
                 "1.0x",
@@ -151,7 +187,7 @@ def bench_grammar_kernel(benchmark, report):
                 "1.0x",
             ],
         ],
-        title=f"Grammar kernel hot path (window {WINDOW}, w={PAA_SIZE}, a={ALPHA_SIZE})",
+        title=f"Grammar hot path (window {WINDOW}, w={PAA_SIZE}, a={ALPHA_SIZE})",
     )
     latency_lines = [
         f"sliding poll @ {row['points_ingested']:,} pts ingested "
@@ -173,20 +209,20 @@ def bench_grammar_kernel(benchmark, report):
             "grammar_stage": grammar_stage,
             "streaming_per_point_us": {
                 "legacy_scalar": legacy_per_point * 1e6,
-                "python_kernel": python_per_point * 1e6,
+                "oracle_pipeline": oracle_per_point * 1e6,
                 "fast_kernel": fast_per_point * 1e6,
                 "legacy_over_fast": legacy_speedup,
-                "python_over_fast": kernel_speedup,
+                "oracle_over_fast": oracle_speedup,
             },
             "sliding_poll_latency": latency_curve,
         },
         RESULTS_DIR,
     )
 
-    # Always asserted: the fast kernel must actually beat the oracle on the
-    # grammar stage (a generous floor; locally it is ~2.5-3x).
+    # Always asserted: the native builder must actually beat the oracle on
+    # the grammar stage (a generous floor; locally it is ~2.5-3x).
     assert grammar_stage["speedup"] > 1.2, (
-        f"fast kernel is not faster than the oracle ({grammar_stage['speedup']:.2f}x)"
+        f"native builder is not faster than the oracle ({grammar_stage['speedup']:.2f}x)"
     )
 
     if strict():

@@ -31,7 +31,6 @@ from runner.workloads import cached_series, stream_per_point_once
 
 POINTS = 100_000 if FULL else int(os.environ.get("REPRO_STREAM_POINTS", "20000"))
 WINDOW = 100
-KERNEL = "fast"
 SEED = 0
 #: Acceptance bound: timers-on may cost at most this ratio of timers-off.
 MAX_RATIO = 1.02
@@ -40,7 +39,7 @@ MAX_RATIO = 1.02
 def _per_point(enabled: bool) -> dict[str, float]:
     previous = set_stage_timing(enabled)
     try:
-        elapsed = stream_per_point_once(KERNEL, POINTS, window=WINDOW, seed=SEED)
+        elapsed = stream_per_point_once(POINTS, window=WINDOW, seed=SEED)
     finally:
         set_stage_timing(previous)
     return {"s_per_point": elapsed}
@@ -76,7 +75,7 @@ def bench_obs_overhead_streaming(report):
         ],
         title=(
             f"Telemetry overhead on a {POINTS:,}-point stream "
-            f"(kernel={KERNEL}, window {WINDOW})"
+            f"(window {WINDOW})"
         ),
     )
     report(
@@ -89,7 +88,6 @@ def bench_obs_overhead_streaming(report):
         {
             "points": POINTS,
             "window": WINDOW,
-            "kernel": KERNEL,
             "off_us_per_point": off * 1e6,
             "on_us_per_point": on * 1e6,
             "ratio": ratio,

@@ -21,8 +21,8 @@ import os
 import numpy as np
 
 from benchlib import FULL, RESULTS_DIR, scale_note
+from oracles.sequitur import SequiturBuilder
 from repro.evaluation.tables import format_table
-from repro.grammar.sequitur import _SequiturBuilder
 from repro.sax.alphabet import indices_to_word
 from repro.sax.breakpoints import gaussian_breakpoints
 from repro.sax.znorm import constancy_cutoff
@@ -53,7 +53,7 @@ class _PointwiseMember:
         self._prefix_sq: list[float] = [0.0]
         self._last_word: str | None = None
         self._kept_words: list[str] = []
-        self._builder = _SequiturBuilder()
+        self._builder = SequiturBuilder()
 
     def append(self, value: float) -> None:
         self._values.append(value)

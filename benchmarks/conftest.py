@@ -1,10 +1,19 @@
-"""Fixtures shared by every bench: the cached suite and report printing."""
+"""Fixtures shared by every bench: the cached suite and report printing.
+
+The reference implementations of ``tests/oracles/`` (pure-Python Sequitur,
+numpy SAX) are importable as ``oracles`` from every bench.
+"""
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
-from benchlib import RESULTS_DIR, run_main_suite
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+
+from benchlib import RESULTS_DIR, run_main_suite  # noqa: E402
 
 
 @pytest.fixture(scope="session")

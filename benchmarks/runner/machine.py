@@ -27,7 +27,6 @@ FINGERPRINT_FIELDS = (
     "platform",
     "python",
     "numpy",
-    "kernel",
     "git_sha",
 )
 
@@ -82,15 +81,8 @@ def git_sha(repo: Path | None = None) -> str:
 
 @functools.lru_cache(maxsize=1)
 def machine_fingerprint() -> dict:
-    """The cached per-process fingerprint dict (keys: FINGERPRINT_FIELDS).
-
-    ``kernel`` is the *resolved* grammar kernel (``REPRO_KERNEL`` or the
-    default), not the raw environment variable, so records distinguish an
-    explicit ``fast`` from an implicit one only by this one field's value.
-    """
+    """The cached per-process fingerprint dict (keys: FINGERPRINT_FIELDS)."""
     import numpy
-
-    from repro.grammar import _kernel
 
     return {
         "cpu_model": _cpu_model(),
@@ -98,6 +90,5 @@ def machine_fingerprint() -> dict:
         "platform": platform.platform(),
         "python": sys.version.split()[0],
         "numpy": numpy.__version__,
-        "kernel": _kernel.current_kernel(),
         "git_sha": git_sha(),
     }

@@ -10,21 +10,22 @@ The spec file declares *what to measure*, the runner decides *how*:
     tolerance = 0.75            # relative regression tolerance
     cross_machine_slack = 1.0   # extra tolerance multiplier off-baseline-machine
 
-    [workloads.grammar_tokens]
+    [workloads.detect_batch]
     tier = 1                    # 1 = CI subset, 2 = heavy/local
     description = "..."
-    [workloads.grammar_tokens.params]      # fixed parameters
-    tokens = 20000
-    [workloads.grammar_tokens.axes]        # swept parameters (product)
-    kernel = ["fast", "python"]
-    [workloads.grammar_tokens.units]       # metric name -> unit
-    us_per_token = "us/token"
-    [workloads.grammar_tokens.tolerances]  # optional per-metric override
-    us_per_token = 0.75
+    [workloads.detect_batch.params]      # fixed parameters
+    n_series = 4
+    [workloads.detect_batch.axes]        # swept parameters (product)
+    executor = ["serial", "thread", "process"]
+    [workloads.detect_batch.units]       # metric name -> unit
+    ms_per_series = "ms/series"
+    [workloads.detect_batch.tolerances]  # optional per-metric override
+    ms_per_series = 1.0
 
 A workload's cells are the cartesian product of its axes; each cell's
 metric ids are ``workload.axis=value....metric`` (e.g.
-``grammar_tokens.kernel=fast.us_per_token``) — globally unique, stable
+``detect_batch.executor=process.ms_per_series``; a workload without axes
+is one cell, ``grammar_tokens.us_per_token``) — globally unique, stable
 under axis reordering (axes are sorted), and filename-safe for the
 per-metric baseline files.
 
@@ -185,7 +186,7 @@ class Matrix:
     ) -> list[MatrixCell]:
         """Expand the matrix, optionally restricted by tier and substring.
 
-        ``pattern`` matches against the cell id (so ``kernel=python`` or a
+        ``pattern`` matches against the cell id (so ``executor=process`` or a
         workload name both work). Cells come out in spec order, axes in
         sorted-key order — deterministic for NDJSON diffing.
         """

@@ -17,7 +17,7 @@ record schema everything now flows through:
   instead of each inventing a shape.
 
 Every record carries the machine fingerprint (CPU model, core count,
-python/numpy versions, resolved ``REPRO_KERNEL``, git SHA) from
+python/numpy versions, git SHA) from
 :mod:`runner.machine` — a number without provenance is not a baseline.
 """
 

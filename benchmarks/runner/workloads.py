@@ -19,7 +19,6 @@ import numpy as np
 from repro.core.streaming import StreamingEnsembleDetector, StreamingGrammarDetector
 from repro.datasets.generators import random_walk
 from repro.grammar import _kernel
-from repro.grammar.sequitur import _SequiturBuilder
 from repro.utils.timing import Timer
 
 #: name -> callable(**params) -> {metric: value}; one entry per
@@ -65,36 +64,25 @@ def make_token_stream(tokens: int, alphabet: int, seed: int = 0):
 # ----------------------------------------------------------------------
 
 
-def grammar_stage_once(
-    kernel: str, tokens: int, alphabet: int = 40, seed: int = 0
-) -> tuple[float, tuple]:
+def grammar_stage_once(tokens: int, alphabet: int = 40, seed: int = 0) -> tuple[float, tuple]:
     """One grammar-stage run: returns ``(elapsed_s, occurrence_spans)``.
 
-    ``kernel="python"`` runs the reference word-fed oracle
-    (:class:`_SequiturBuilder`); any other kernel name runs the id-based
-    builder from :func:`repro.grammar._kernel.make_builder`. Returning the
-    spans lets callers (the grammar bench, the parity tests) assert
-    cross-kernel span equality on the exact stream that was timed.
+    Feeds the id stream to a native builder
+    (:func:`repro.grammar._kernel.make_builder`) and reads its occurrence
+    spans. Returning the spans lets callers (the grammar bench) check them
+    against the reference Sequitur on the exact stream that was timed.
     """
-    ids, words = make_token_stream(tokens, alphabet, seed)
-    if kernel == "python":
-        builder = _SequiturBuilder()
-        with Timer() as timer:
-            feed = builder.feed
-            for word in words:
-                feed(word)
-            spans = builder.freeze().occurrence_spans()
-    else:
-        fast = _kernel.make_builder(kernel)
-        with Timer() as timer:
-            fast.feed_many(ids)
-            spans = fast.occurrence_spans()
+    ids, _ = make_token_stream(tokens, alphabet, seed)
+    builder = _kernel.make_builder()
+    with Timer() as timer:
+        builder.feed_many(ids)
+        spans = builder.occurrence_spans()
     return timer.elapsed, spans
 
 
 @register("grammar_tokens")
-def _grammar_tokens(*, kernel: str, tokens: int, alphabet: int = 40, seed: int = 0):
-    elapsed, _ = grammar_stage_once(kernel, tokens, alphabet, seed)
+def _grammar_tokens(*, tokens: int, alphabet: int = 40, seed: int = 0):
+    elapsed, _ = grammar_stage_once(tokens, alphabet, seed)
     return {"us_per_token": elapsed / tokens * 1e6}
 
 
@@ -104,7 +92,6 @@ def _grammar_tokens(*, kernel: str, tokens: int, alphabet: int = 40, seed: int =
 
 
 def stream_per_point_once(
-    kernel: str,
     points: int,
     window: int = 100,
     paa_size: int = 4,
@@ -114,28 +101,26 @@ def stream_per_point_once(
 ) -> float:
     """Seconds per point: chunked ``extend`` plus one final density poll."""
     series = cached_series(points, seed)
-    with _kernel.use_kernel(kernel):
-        detector = StreamingGrammarDetector(
-            window=window, paa_size=paa_size, alphabet_size=alphabet_size
-        )
-        with Timer() as timer:
-            for offset in range(0, len(series), chunk):
-                detector.extend(series[offset : offset + chunk])
-            detector.density_curve()
+    detector = StreamingGrammarDetector(
+        window=window, paa_size=paa_size, alphabet_size=alphabet_size
+    )
+    with Timer() as timer:
+        for offset in range(0, len(series), chunk):
+            detector.extend(series[offset : offset + chunk])
+        detector.density_curve()
     return timer.elapsed / len(series)
 
 
 @register("streaming_points")
 def _streaming_points(
     *,
-    kernel: str,
     points: int,
     window: int = 100,
     paa_size: int = 4,
     alphabet_size: int = 4,
     seed: int = 0,
 ):
-    per_point = stream_per_point_once(kernel, points, window, paa_size, alphabet_size, seed)
+    per_point = stream_per_point_once(points, window, paa_size, alphabet_size, seed)
     return {"us_per_point": per_point * 1e6}
 
 
@@ -213,7 +198,6 @@ def _sliding_poll(
 
 
 def paa_multiwindow_once(
-    kernel: str,
     points: int,
     window: int = 100,
     paa_sizes: tuple = (3, 4, 5, 6, 7, 8),
@@ -223,7 +207,7 @@ def paa_multiwindow_once(
 
     Measures the :class:`~repro.sax.plan.DiscretizationSweep` front half —
     shared window statistics, one PAA matrix and one merged-table search per
-    distinct PAA size — under the selected ``REPRO_KERNEL``. Prefix sums are
+    distinct PAA size. Prefix sums are
     built outside the timed region (they are series-level setup shared with
     every other stage).
     """
@@ -237,26 +221,22 @@ def paa_multiwindow_once(
         [(int(w), 10) for w in paa_sizes],
         max_alphabet_size=10,
     )
-    with _kernel.use_kernel(kernel):
-        with Timer() as timer:
-            sweep = plan.sweep_series(stats)
-            for paa_size in paa_sizes:
-                sweep.interval_rows(int(paa_size))
+    with Timer() as timer:
+        sweep = plan.sweep_series(stats)
+        for paa_size in paa_sizes:
+            sweep.interval_rows(int(paa_size))
     return timer.elapsed, sweep
 
 
 @register("paa_multiwindow")
-def _paa_multiwindow(
-    *, kernel: str, points: int, window: int = 100, seed: int = 0
-):
+def _paa_multiwindow(*, points: int, window: int = 100, seed: int = 0):
     paa_sizes = (3, 4, 5, 6, 7, 8)
-    elapsed, sweep = paa_multiwindow_once(kernel, points, window, paa_sizes, seed)
+    elapsed, sweep = paa_multiwindow_once(points, window, paa_sizes, seed)
     rows = len(sweep) * len(paa_sizes)
     return {"us_per_row": elapsed / rows * 1e6}
 
 
 def discretize_once(
-    kernel: str,
     points: int,
     members: int,
     window: int = 100,
@@ -281,18 +261,15 @@ def discretize_once(
     configs = [pool[int(i)] for i in chosen]
     stats = CumulativeStats(series)
     plan = DiscretizationPlan(window, configs, max_alphabet_size=10)
-    with _kernel.use_kernel(kernel):
-        with Timer() as timer:
-            sweep = plan.sweep_series(stats)
-            matrices = [sweep.symbol_rows(w, a) for w, a in configs]
+    with Timer() as timer:
+        sweep = plan.sweep_series(stats)
+        matrices = [sweep.symbol_rows(w, a) for w, a in configs]
     return timer.elapsed, matrices
 
 
 @register("discretize")
-def _discretize(
-    *, kernel: str, points: int, members: int, window: int = 100, seed: int = 0
-):
-    elapsed, matrices = discretize_once(kernel, points, members, window, seed)
+def _discretize(*, points: int, members: int, window: int = 100, seed: int = 0):
+    elapsed, matrices = discretize_once(points, members, window, seed)
     windows = sum(len(matrix) for matrix in matrices)
     return {"us_per_member_window": elapsed / windows * 1e6}
 

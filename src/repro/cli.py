@@ -523,29 +523,23 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     series = load_series(args.input)
     if args.chunk_size < 1:
         raise ValueError(f"chunk-size must be positive, got {args.chunk_size}")
-    with ExitStack() as stack:
-        # Built here, so owned here: entering it on the stack guarantees
-        # the pool dies even when a mid-stream chunk is rejected.
-        executor = open_cli_executor(args, stack)
-        detector = stack.enter_context(
-            StreamingEnsembleDetector(
-                args.window,
-                max_paa_size=args.wmax,
-                max_alphabet_size=args.amax,
-                ensemble_size=args.ensemble_size,
-                selectivity=args.selectivity,
-                capacity=args.stream_capacity,
-                policy=args.eviction_policy,
-                segments=args.segments,
-                seed=args.seed,
-                executor=executor,
-            )
-        )
-        for offset in range(0, len(series), args.chunk_size):
-            detector.extend(series[offset : offset + args.chunk_size])
-        anomalies = detector.detect(args.top)
-        horizon_start = detector.horizon_start
-        live_length = detector.state.live_length
+    # A streaming ensemble runs in this process: no executor is built.
+    detector = StreamingEnsembleDetector(
+        args.window,
+        max_paa_size=args.wmax,
+        max_alphabet_size=args.amax,
+        ensemble_size=args.ensemble_size,
+        selectivity=args.selectivity,
+        capacity=args.stream_capacity,
+        policy=args.eviction_policy,
+        segments=args.segments,
+        seed=args.seed,
+    )
+    for offset in range(0, len(series), args.chunk_size):
+        detector.extend(series[offset : offset + args.chunk_size])
+    anomalies = detector.detect(args.top)
+    horizon_start = detector.horizon_start
+    live_length = detector.state.live_length
     mode = (
         "unbounded"
         if args.stream_capacity is None
@@ -1038,7 +1032,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--filter",
         metavar="SUBSTR",
         default=None,
-        help="only cells whose id contains SUBSTR (e.g. a workload name or kernel=fast)",
+        help="only cells whose id contains SUBSTR (e.g. a workload name or executor=process)",
     )
     bench.add_argument(
         "--tier",

@@ -878,8 +878,10 @@ class ClusterExecutor(MemberExecutor):
                     pass
                 elif kind == "bye":
                     break
-        except (EOFError, OSError, ConnectionError):
-            pass  # worker died or link dropped: handled below
+        except (EOFError, OSError, ConnectionError, ClusterError):
+            # The worker died, the link dropped, or the scheduler began
+            # closing (a hello during shutdown is refused): handled below.
+            pass
         finally:
             if worker is not None:
                 self._state.worker_lost(worker)

@@ -76,7 +76,7 @@ from repro.grammar import _kernel
 from repro.grammar.density import rule_density_curve
 from repro.grammar.sequitur import induce_grammar
 from repro.obs.stages import merge, stage_timer
-from repro.sax.paa import sliding_paa_rows
+from repro.sax._kernel import paa_rows_block
 from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD
 from repro.utils.rng import spawn_rngs
 from repro.utils.validation import validate_paa_size, validate_window
@@ -463,7 +463,7 @@ class SharedStreamState:
 
         Returns a ``(stop - first_start, paa_size)`` matrix (``stop``
         defaults to ``n_windows(window)`` and is clipped to it) computed in
-        one numpy pass over the shared prefix sums; row ``i`` is bitwise
+        one native pass over the shared prefix sums; row ``i`` is bitwise
         equal to the batch discretizer's row ``first_start + i``.
         ``first_start`` is a global window start and must lie at or after
         the eviction horizon (:attr:`start`); because the retained prefix
@@ -489,7 +489,7 @@ class SharedStreamState:
             )
         base = self._base
         used = self._n - base
-        return sliding_paa_rows(
+        return paa_rows_block(
             self._prefix[: used + 1],
             self._prefix_sq[: used + 1],
             self._values[:used],
@@ -563,17 +563,14 @@ def _member_curve(
 ) -> np.ndarray:
     """Density curve of one ensemble member, in one native call when possible.
 
-    Under the ``fast`` kernel with exact numerosity the member is
+    With exact numerosity the member is
     :func:`~repro.grammar._kernel.member_curve` on the shared interval
     matrix: symbol lookup, numerosity, ids, Sequitur, spans and density in
     one call, whose phase counters are charged to the ``discretize``,
-    ``grammar`` and ``density`` stages here. The python kernel (and the
-    ``"none"`` strategy) takes the reference word/Grammar path. Both paths
-    are bitwise identical — the kernel-equivalence suite pins the grammars,
-    and integer scatter-adds commute.
+    ``grammar`` and ``density`` stages here. The ``"none"`` strategy keeps
+    every window, so it takes the word/Grammar path instead.
     """
-    kernel = _kernel.current_kernel()
-    if kernel == "python" or discretizer.numerosity != "exact":
+    if discretizer.numerosity != "exact":
         # The discretizer fires the paa/discretize stage timers itself (the
         # shared sweep times matrix formation and breakpoint search).
         tokens = discretizer.tokens(paa_size, alphabet_size)
@@ -648,17 +645,15 @@ def compute_member_curves(
     """Rule density curves of every ensemble member, in sample order.
 
     All members share one :class:`MultiResolutionDiscretizer` and run in
-    this process: on this thread (one member thread) or fanned out across
-    it and the threads of the process-wide pool (see
-    :func:`_fan_out_members`). Without an executor ``n_jobs`` counts those
-    threads (``None``: every available CPU); an executor never receives a
-    member, naming one only sets the thread count
-    (:func:`~repro.core.executors.member_jobs`). Only the ``fast`` kernel
-    with exact numerosity fans out: the python oracle and the ``"none"``
-    strategy run their members here, one after another, as does a call
-    made from a fan-out thread. Member curves are deterministic functions
-    of ``(series, window, w, a)``, so every path produces bitwise-identical
-    results.
+    this process: on this thread (one member thread) or fanned out across it
+    and the threads of the process-wide pool (see :func:`_fan_out_members`).
+    Without an executor ``n_jobs`` counts those threads (``None``: every
+    available CPU); an executor never receives a member, naming one only
+    sets the thread count (:func:`~repro.core.executors.member_jobs`). Only
+    exact numerosity fans out: the ``"none"`` strategy runs its members
+    here, one after another, as does a call made from a fan-out thread.
+    Member curves are deterministic functions of ``(series, window, w, a)``,
+    so every path produces bitwise-identical results.
     """
     jobs = member_jobs(executor, n_jobs)
     discretizer = MultiResolutionDiscretizer(
@@ -669,7 +664,7 @@ def compute_member_curves(
         znorm_threshold=znorm_threshold,
         numerosity=numerosity,
     )
-    if jobs > 1 and numerosity == "exact" and discretizer.sweep.kernel == "fast":
+    if jobs > 1 and numerosity == "exact":
         return _fan_out_members(discretizer, parameters, len(series), jobs)
     # Grouped by w so the interval matrix is built once per w, but reported
     # in *sample order* — a uniform random prefix of the sample is itself a

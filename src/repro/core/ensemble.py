@@ -8,8 +8,7 @@ Instead of committing to one ``(w, a)``, the ensemble:
    :class:`repro.core.multiresolution.MultiResolutionDiscretizer`, which is
    backed by a :class:`repro.sax.plan.DiscretizationPlan`: prefix statistics
    are built once per series and the expensive PAA/binary-search work runs
-   once per distinct ``w`` through the ``REPRO_KERNEL`` seam
-   (:mod:`repro.sax._kernel`);
+   once per distinct ``w`` in one native pass (:mod:`repro.sax._kernel`);
 3. discards low-quality members: curves are ranked by standard deviation and
    only the top ``tau`` fraction kept (Section 6.1.1);
 4. normalizes each survivor by its maximum — *not* min–max, so zero density

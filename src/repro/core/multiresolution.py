@@ -106,8 +106,8 @@ class MultiResolutionDiscretizer:
 
         Computed once per distinct ``paa_size`` and cached (in the shared
         :class:`~repro.sax.plan.DiscretizationSweep`); this is the expensive
-        half of discretization (PAA + binary search), dispatched through the
-        ``REPRO_KERNEL`` seam.
+        half of discretization (PAA + binary search), one native pass per
+        PAA size.
         """
         paa_size = validate_paa_size(paa_size, self.window)
         if paa_size > self.max_paa_size:
@@ -159,18 +159,18 @@ class MultiResolutionDiscretizer:
     def token_ids(self, paa_size: int, alphabet_size: int) -> TokenIdSequence:
         """Token ids for ``(paa_size, alphabet_size)``, never a word string.
 
-        The string-free fast path for id-based grammar kernels. Under
-        ``fast`` one native pass (:func:`repro.sax._kernel.sax_tokens`) maps
-        the shared interval matrix to this member's symbols, keeps each row
-        that differs from the row before it, and numbers the kept rows in
-        *first-occurrence* order (not by sorted rank), at any word width.
-        The ``python`` oracle numbers the words of :meth:`tokens` the same
-        way. Grammar structure depends only on which tokens are equal, so
-        these ids induce the same grammar as interned ones; a batch sequence
-        is fed once, so it needs no id space that stays stable across
-        calls. Only the exact strategy is served here (``"none"`` keeps every
-        window, so it gains nothing from deferral); callers fall back to
-        :meth:`tokens` for other strategies.
+        The string-free path for the native grammar builder. One native pass
+        (:func:`repro.sax._kernel.sax_tokens`) maps the shared interval
+        matrix to this member's symbols, keeps each row that differs from
+        the row before it, and numbers the kept rows in *first-occurrence*
+        order (not by sorted rank), at any word width: the words of
+        :meth:`tokens`, numbered as they first appear. Grammar structure
+        depends only on which tokens are equal, so these ids induce the same
+        grammar as interned ones; a batch sequence is fed once, so it needs
+        no id space that stays stable across calls. Only the exact strategy
+        is served here (``"none"`` keeps every window, so it gains nothing
+        from deferral); callers fall back to :meth:`tokens` for other
+        strategies.
         """
         if self.numerosity != "exact":
             raise ValueError(
@@ -180,22 +180,11 @@ class MultiResolutionDiscretizer:
         cached = self._id_cache.get(key)
         if cached is not None:
             return cached
-        if self._sweep.kernel == "python":
-            tokens = self.tokens(paa_size, alphabet_size)
-            with stage_timer("discretize"):
-                first_seen: dict[str, int] = {}
-                ids = np.fromiter(
-                    (first_seen.setdefault(word, len(first_seen)) for word in tokens.words),
-                    dtype=np.int64,
-                    count=len(tokens),
-                )
-            cached = TokenIdSequence(ids, tokens.offsets, tokens.n_windows, self.window)
-        else:
-            intervals = self.interval_matrix(paa_size)
-            with stage_timer("discretize"):
-                offsets, ids = _kernel.sax_tokens(
-                    intervals, self.alphabet_table.symbol_column(alphabet_size)
-                )
-            cached = TokenIdSequence(ids, offsets, len(intervals), self.window)
+        intervals = self.interval_matrix(paa_size)
+        with stage_timer("discretize"):
+            offsets, ids = _kernel.sax_tokens(
+                intervals, self.alphabet_table.symbol_column(alphabet_size)
+            )
+        cached = TokenIdSequence(ids, offsets, len(intervals), self.window)
         self._id_cache[key] = cached
         return cached

@@ -17,6 +17,11 @@ members over the *same shared stream state* (memory O(stream + N·w) rather
 than N copies of the stream) and combines their snapshot curves exactly as
 Algorithm 1 does (std filter -> max-normalize -> median).
 
+Every member runs on the native token log and Sequitur arena of
+:mod:`repro.grammar._kernel`; the parity suites compare its polls with the
+pure-Python pipeline of ``tests/oracles/`` (numpy SAX, word-fed Sequitur
+over the live tokens, one grammar per decay generation).
+
 Bounded-memory streaming
 ------------------------
 By default the stream state (and every member's token log and grammar)
@@ -43,8 +48,8 @@ O(capacity + N·w) regardless of stream length. Two policies:
   generations (:class:`~repro.grammar.sequitur.GenerationalSequitur`), each
   with its own live incremental Sequitur builder; the horizon advances in
   generation steps and expired generations are dropped wholesale, rules
-  retired by refcount. Snapshots reuse the frozen grammars of sealed
-  generations (only the newest generation is re-frozen), at the cost of two
+  retired by refcount. Snapshots reuse the occurrence spans of sealed
+  generations (only the newest generation is re-read), at the cost of two
   relaxed guarantees: retention overshoots the horizon by up to one
   generation, and rules never span a generation boundary.
 
@@ -61,11 +66,10 @@ import numpy as np
 from repro.core.anomaly import Anomaly, extract_candidates
 from repro.core.combiners import COMBINERS, combine_curves
 from repro.core.engine import EVICTION_POLICIES, SharedStreamState
-from repro.core.executors import ExecutorOwnerMixin, MemberExecutor
 from repro.core.selection import normalize_curve, select_by_std
 from repro.grammar import _kernel
-from repro.grammar.density import density_curve_from_token_spans, rule_density_curve
-from repro.grammar.sequitur import GenerationalSequitur, _SequiturBuilder
+from repro.grammar.density import density_curve_from_token_spans
+from repro.grammar.sequitur import GenerationalSequitur
 from repro.obs.stages import merge, stage_timer
 from repro.sax.alphabet import WordInterner
 from repro.sax.numerosity import STRATEGIES, TokenSequence
@@ -206,10 +210,6 @@ class StreamingGrammarDetector:
             znorm_threshold=self.znorm_threshold,
             min_alphabet_size=self.alphabet_size,
         )
-        #: Grammar kernel pinned at construction (see
-        #: :mod:`repro.grammar._kernel`): a mid-stream ``REPRO_KERNEL``
-        #: change must not mix kernels within one member's life.
-        self._kernel = _kernel.current_kernel()
         #: Window starts already discretized and logged.
         self._consumed = 0
         #: Distinct words ever seen, each with a stable id; word strings are
@@ -218,29 +218,24 @@ class StreamingGrammarDetector:
         self._interner = WordInterner()
         #: The kept tokens (ids against the interner, window offsets), the
         #: carried symbol row, the live boundary and prune counter, and the
-        #: fast kernel's arena over the live ids: native memory, touched by
+        #: arena over the live ids: native memory, touched by
         #: one call per drain block, horizon advance and poll.
         self._log = _kernel.TokenLog(self.paa_size)
         #: Decay policy: generation-segmented builders dropped wholesale as
         #: the horizon passes them.
         self._generations: GenerationalSequitur | None = None
-        #: Python kernel: the oracle builder over the live words, as
-        #: ``(prune counter it was anchored at, builder, tokens fed)`` (see
-        #: :meth:`_oracle_grammar`).
-        self._oracle: tuple[int, _SequiturBuilder, int] | None = None
         #: Last snapshot curve, keyed by the shared state's version counter:
         #: repeated ``density_curve()`` polls without new data are O(1).
         self._curve_cache: tuple[int, np.ndarray] | None = None
         if self.state.capacity is not None and self.state.policy == "decay":
             self._generations = GenerationalSequitur(
                 self.state.generation_size,
-                kernel=self._kernel,
                 vocabulary=self._interner.vocabulary,
             )
-        #: Whether a poll is one native call (:meth:`TokenLog.curve`): the
-        #: fast kernel, unbounded or sliding. An ensemble polls all of them
-        #: in one call (:class:`StreamingEnsembleDetector`).
-        self._one_call_poll = self._generations is None and self._kernel == "fast"
+        #: Whether a poll is one native call (:meth:`TokenLog.curve`):
+        #: unbounded or sliding. An ensemble polls all of them in one call
+        #: (:class:`StreamingEnsembleDetector`).
+        self._one_call_poll = self._generations is None
 
     def __len__(self) -> int:
         return len(self.state)
@@ -275,18 +270,14 @@ class StreamingGrammarDetector:
 
         The interner (a native table with one entry per *distinct* word ever
         seen, plus the word strings read so far), the token log (12 B per
-        token slot, the carried row and the fast kernel's arena, all from
-        their capacities: exact) and the decay generations — *excluding*
-        the shared stream state, which is stored once per stream and
-        accounted separately via
-        :attr:`~repro.core.engine.SharedStreamState.nbytes`. The python
-        kernel's oracle builder is estimated per fed token. This is what the
-        serving layer's session memory budget accounts against.
+        token slot, the carried row and the arena, all from their
+        capacities: exact) and the decay generations — *excluding* the
+        shared stream state, which is stored once per stream and accounted
+        separately via :attr:`~repro.core.engine.SharedStreamState.nbytes`.
+        This is what the serving layer's session memory budget accounts
+        against.
         """
         total = self._interner.memory_bytes() + self._log.memory_bytes()
-        if self._oracle is not None:
-            # ~3 CPython symbol objects per fed token in the oracle.
-            total += self._oracle[2] * 200
         if self._generations is not None:
             total += self._generations.memory_bytes()
         return total
@@ -386,10 +377,9 @@ class StreamingGrammarDetector:
         """
         if self._generations is None or not kept:
             return
-        # Generation routing can seal (and freeze) mid-ingest, and the
-        # oracle kernel feeds word strings — both index the vocabulary list
-        # the router captured at construction, so the words interned since
-        # its last read must be decoded first.
+        # Generation routing can seal (and freeze) mid-ingest, which indexes
+        # the vocabulary list the router captured at construction, so the
+        # words interned since its last read must be decoded first.
         _ = self._interner.vocabulary
         ids, offsets = self._log.tokens(kept)
         feed_id = self._generations.feed_id
@@ -409,10 +399,8 @@ class StreamingGrammarDetector:
         the ingest cursors. Grammar builders are deliberately *not*
         exported: a grammar is a deterministic function of the token
         sequence fed to it, so :meth:`_restore_state` rebuilds them by
-        replaying the live ids — smaller snapshots, no kernel-private
-        structures on the wire, and restorability across grammar kernels
-        (the kernel-equivalence contract makes the replayed grammars
-        bitwise identical).
+        replaying the live ids — smaller snapshots, and no arena structures
+        on the wire.
         """
         ids, offsets = self._log.tokens()
         return {
@@ -463,13 +451,11 @@ class StreamingGrammarDetector:
         self._log = _kernel.TokenLog(self.paa_size)
         self._log.load(ids, offsets, None if last is None else np.asarray(last), pruned)
         self._consumed = int(data["consumed"])
-        self._oracle = None
         self._curve_cache = None
         if self._generations is not None:
             self._generations = GenerationalSequitur.replay(
                 zip(ids.tolist(), offsets.tolist()),
                 generation_size=self.state.generation_size,
-                kernel=self._kernel,
                 vocabulary=self._interner.vocabulary,
             )
 
@@ -501,28 +487,6 @@ class StreamingGrammarDetector:
             )
         return TokenSequence(words, offsets, self.n_windows, self.window)
 
-    def _oracle_grammar(self):
-        """Python kernel: the oracle grammar over exactly the live words.
-
-        The same anchor rule as the fast kernel's native poll: while no
-        token has been pruned since the builder was anchored, the live
-        sequence has only grown at the right end, where Sequitur *is*
-        incremental, so the builder is fed just the new words. Once the
-        horizon has claimed tokens, the builder is rebuilt over the live
-        words: O(live) work bounded by the capacity. Unbounded members never
-        prune, so they always feed incrementally.
-        """
-        pruned = self._log.pruned
-        ids = self._log.tokens()[0]
-        if self._oracle is None or self._oracle[0] != pruned:
-            self._oracle = (pruned, _SequiturBuilder(), 0)
-        _, builder, fed = self._oracle
-        vocabulary = self._interner.vocabulary
-        for token_id in ids[fed:].tolist():
-            builder.feed(vocabulary[token_id])
-        self._oracle = (pruned, builder, len(ids))
-        return builder.freeze()
-
     def density_curve(self) -> np.ndarray:
         """Rule density curve over the live stream range (snapshot).
 
@@ -531,9 +495,9 @@ class StreamingGrammarDetector:
         — index ``i`` covers absolute point ``horizon_start + i`` — built
         from the live tokens only and renormalized over the live horizon.
 
-        Under the fast kernel an unbounded or sliding member polls in one
-        native call (:meth:`~repro.grammar._kernel.TokenLog.curve`), whose
-        phase counters are charged to the ``grammar`` (feed and spans) and
+        An unbounded or sliding member polls in one native call
+        (:meth:`~repro.grammar._kernel.TokenLog.curve`), whose phase
+        counters are charged to the ``grammar`` (feed and spans) and
         ``density`` stages here.
 
         The last snapshot is memoized keyed on the shared state's
@@ -555,20 +519,17 @@ class StreamingGrammarDetector:
             )
             merge(_poll_stage_times(phase_ns))
         else:
-            curve = self._reference_curve()
+            curve = self._decay_curve()
         self._curve_cache = (version, curve)
         return curve
 
-    def _reference_curve(self) -> np.ndarray:
-        """The snapshot curve of the python kernel and of decay members.
+    def _decay_curve(self) -> np.ndarray:
+        """The snapshot curve of a decay member, from its generations' spans.
 
-        The oracle kernel takes the reference route (freeze to a
-        :class:`~repro.grammar.rules.Grammar`, then
-        :func:`rule_density_curve`); decay members under the fast kernel
-        read each generation's occurrence spans off its builder arena.
-        Every route ends in the same integer scatter-add over the same
-        interval multiset as :meth:`TokenLog.curve`, so all are bitwise
-        identical.
+        Each generation's occurrence spans come off its builder arena
+        (sealed generations' were read once, at seal time); the curve is
+        the same integer scatter-add over the same interval multiset as a
+        grammar over each generation's tokens would give.
         """
         start = self.state.start
         length = self.state.live_length
@@ -576,24 +537,7 @@ class StreamingGrammarDetector:
             # Every kept token expired (e.g. one constant run spanning the
             # whole horizon): no rules, zero density everywhere.
             return np.zeros(length, dtype=np.float64)
-        if self._generations is None:
-            with stage_timer("grammar"):
-                grammar = self._oracle_grammar()
-            with stage_timer("density"):
-                return rule_density_curve(grammar, self.tokens(), length, horizon_start=start)
         with stage_timer("density"):
-            if self._kernel == "python":
-                words, offsets = self._live_tokens()
-                tokens = TokenSequence(words, offsets, self.n_windows, self.window)
-                return _generation_density(
-                    self._generations.live_grammars(),
-                    words,
-                    offsets,
-                    self._generations.generation_size,
-                    tokens,
-                    start,
-                    length,
-                )
             return _generation_density_from_spans(
                 self._generations.live_spans(),
                 self._log.tokens()[1],
@@ -617,44 +561,6 @@ class StreamingGrammarDetector:
         return candidates
 
 
-def _generation_density(
-    generations,
-    words: tuple[str, ...],
-    offsets: np.ndarray,
-    generation_size: int,
-    tokens: TokenSequence,
-    start: int,
-    length: int,
-) -> np.ndarray:
-    """Sum of per-generation density curves over the live horizon.
-
-    Each live generation's frozen grammar covers exactly the live tokens
-    whose offsets fall in its ``generation_size`` point range (the horizon
-    only advances in whole generations, so no generation is partially
-    expired). Rules never span generations — the decay policy's relaxed
-    guarantee — so the curves simply add.
-    """
-    curve = np.zeros(length, dtype=np.float64)
-    for index, grammar, count in generations:
-        first = int(np.searchsorted(offsets, index * generation_size, side="left"))
-        stop = int(np.searchsorted(offsets, (index + 1) * generation_size, side="left"))
-        if stop - first != count:
-            raise RuntimeError(
-                f"generation {index} holds {count} tokens but {stop - first} "
-                "live tokens fall in its range; horizon and generations are "
-                "out of step"
-            )
-        if first == stop:
-            continue
-        generation_tokens = TokenSequence(
-            words[first:stop], offsets[first:stop], tokens.n_windows, tokens.window
-        )
-        curve += rule_density_curve(
-            grammar, generation_tokens, length, horizon_start=start
-        )
-    return curve
-
-
 def _generation_density_from_spans(
     spans,
     offsets: np.ndarray,
@@ -663,13 +569,16 @@ def _generation_density_from_spans(
     start: int,
     length: int,
 ) -> np.ndarray:
-    """Id-kernel twin of :func:`_generation_density`, with no grammars.
+    """Sum of per-generation density curves over the live horizon.
 
-    Sealed generations' occurrence spans were extracted once at seal time
+    Each live generation covers exactly the live tokens whose offsets fall
+    in its ``generation_size`` point range (the horizon only advances in
+    whole generations, so no generation is partially expired), found by an
+    offset bisection. Rules never span generations — the decay policy's
+    relaxed guarantee — so the curves simply add, oldest first. Sealed
+    generations' occurrence spans were extracted once at seal time
     (:meth:`GenerationalSequitur.live_spans`) — only the growing generation
-    is re-read per poll. Each generation's spans index its own token slice,
-    found by the same offset bisection as the reference path; accumulation
-    order (oldest first) matches, so the float sum is bitwise identical.
+    is re-read per poll.
     """
     curve = np.zeros(length, dtype=np.float64)
     for index, firsts, lasts, count in spans:
@@ -696,7 +605,7 @@ def _poll_stage_times(phase_ns) -> dict[str, float]:
     return {"grammar": (feed + spans) * 1e-9, "density": density * 1e-9}
 
 
-class StreamingEnsembleDetector(ExecutorOwnerMixin):
+class StreamingEnsembleDetector:
     """Algorithm 1 over a stream: N live members on one shared stream state.
 
     Parameters mirror :class:`repro.core.ensemble.EnsembleGrammarDetector`
@@ -714,18 +623,16 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
 
     Each member keeps its kept tokens and live grammar in one native token
     log (:class:`~repro.grammar._kernel.TokenLog`), so a drain block costs
-    one native call per member. Under the fast kernel an ensemble poll
-    polls every due unbounded or sliding member in one native call
+    one native call per member. An ensemble poll polls every due unbounded
+    or sliding member in one native call
     (:func:`~repro.grammar._kernel.poll_logs`) on the calling thread, which
     charges their phase counters to the ``grammar`` and ``density`` stages.
-    Decay members and the python kernel poll one member at a time.
+    Decay members poll one member at a time.
 
-    ``executor`` is accepted for symmetry with the batch detector, but no
-    streaming work runs on it, whatever its kind: the live token logs never
-    leave this process, and one native poll of every due member here beats
-    one pool task per member (see ``docs/streaming.md``). Ingest stays
-    serial too — it is already one vectorized pass plus one call per
-    member. Results are bitwise identical across backends.
+    A streaming ensemble takes no executor: the live token logs never leave
+    this process, and one native poll of every due member here beats one
+    pool task per member (see ``docs/streaming.md``). Ingest is one
+    vectorized pass plus one call per member.
     """
 
     def __init__(
@@ -743,7 +650,6 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
         policy: str = "sliding",
         segments: int = 4,
         seed: RandomState = None,
-        executor: MemberExecutor | str | None = None,
     ) -> None:
         if window < 2:
             raise ValueError(f"window must be at least 2, got {window}")
@@ -763,7 +669,6 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
         self.combiner = combiner
         self.numerosity = numerosity
         self.znorm_threshold = float(znorm_threshold)
-        self._init_executor(executor)
         rng = ensure_rng(seed)
         pool = [
             (int(w), int(a))
@@ -846,9 +751,9 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
         table = self._alphabet_table
         while first < n_windows:
             stop = min(first + _DRAIN_BLOCK, n_windows)
-            # One shared sweep per block; the sweep fires the paa (and, under
-            # the python kernel, discretize) stage timers itself, once per
-            # distinct size, so the matrices are formed before the timer.
+            # One shared sweep per block; the sweep fires the paa stage timer
+            # itself, once per distinct size, so the matrices are formed
+            # before the timer.
             sweep = self.state.sweep(self._plan, first, stop=stop)
             intervals = {w: sweep.interval_rows(w) for w in self._paa_sizes}
             kept: list[int] = []
@@ -930,7 +835,6 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
         return {
             "format": SNAPSHOT_FORMAT,
             "state_version": SNAPSHOT_STATE_VERSION,
-            "kernel": _kernel.current_kernel(),
             "config": {
                 "window": int(self.window),
                 "max_paa_size": int(self.max_paa_size),
@@ -949,20 +853,14 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
         }
 
     @classmethod
-    def restore(
-        cls,
-        snapshot: dict,
-        *,
-        executor: MemberExecutor | str | None = None,
-    ) -> "StreamingEnsembleDetector":
+    def restore(cls, snapshot: dict) -> "StreamingEnsembleDetector":
         """Rebuild a live ensemble from :meth:`snapshot` output.
 
-        Restoring is kernel-portable: grammars are replayed from the live
-        token ids under the *current* ``REPRO_KERNEL``, and the kernel
-        equivalence contract keeps the results bitwise identical to the
-        snapshotting process's. A snapshot from a different
-        ``state_version`` raises :class:`SnapshotVersionError` — a clear
-        rejection, never garbage output.
+        Grammars are replayed from the live token ids, so the results are
+        bitwise identical to the snapshotting process's. A ``"kernel"``
+        field, which older builds wrote, is ignored. A snapshot from a
+        different ``state_version`` raises :class:`SnapshotVersionError` —
+        a clear rejection, never garbage output.
         """
         if not isinstance(snapshot, dict) or snapshot.get("format") != SNAPSHOT_FORMAT:
             raise SnapshotVersionError(
@@ -998,7 +896,6 @@ class StreamingEnsembleDetector(ExecutorOwnerMixin):
         if instance.numerosity not in STRATEGIES:
             raise ValueError(f"unknown strategy {instance.numerosity!r}")
         instance.znorm_threshold = float(config["znorm_threshold"])
-        instance._init_executor(executor)
         instance.parameters = parameters
         instance.ensemble_size = len(parameters)
         instance.state = SharedStreamState.from_state(snapshot["stream"])

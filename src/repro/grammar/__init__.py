@@ -2,10 +2,9 @@
 
 - :mod:`repro.grammar.sequitur` — the linear-time Sequitur algorithm
   (digram uniqueness + rule utility) over discrete token sequences.
-- :mod:`repro.grammar._kernel` — the selectable Sequitur backends
-  (``REPRO_KERNEL``): the pure-Python array kernel (``fast``, default)
-  and the object-graph reference oracle (``python``). Both produce
-  bitwise-identical grammars.
+- :mod:`repro.grammar._kernel` — the native Sequitur arena every grammar
+  is built on (the object-graph reference it is tested against lives in
+  ``tests/oracles/``).
 - :mod:`repro.grammar.rules` — the frozen :class:`Grammar` produced by
   induction: rules, expansions, occurrence enumeration, size metrics.
 - :mod:`repro.grammar.density` — the rule density curve (Section 5.2), the
@@ -17,7 +16,6 @@
   side of grammar-based anomaly detection.
 """
 
-from repro.grammar._kernel import KERNELS, current_kernel, set_kernel, use_kernel
 from repro.grammar.density import density_from_intervals, rule_density_curve
 from repro.grammar.motifs import Motif, discover_motifs, motifs_from_grammar
 from repro.grammar.rra import RRADetector, RuleInterval, rule_intervals
@@ -26,10 +24,6 @@ from repro.grammar.sequitur import GenerationalSequitur, induce_grammar
 
 __all__ = [
     "GenerationalSequitur",
-    "KERNELS",
-    "current_kernel",
-    "set_kernel",
-    "use_kernel",
     "Grammar",
     "GrammarRule",
     "Motif",

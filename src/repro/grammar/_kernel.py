@@ -1,16 +1,10 @@
-"""Grammar-induction kernel seam: selectable Sequitur hot-path backends.
+"""The native Sequitur core: the one grammar-induction backend.
 
-The object-graph :class:`~repro.grammar.sequitur._SequiturBuilder` is the
-*reference oracle*: a faithful port of the canonical linked-list Sequitur,
-easy to audit against the paper but interpreter-bound (every token allocates
-symbols, every digram hashes a tuple of strings). This module puts the
-fast backend behind one seam so every caller — batch, streaming, baselines
-— picks up the same speedup without touching the public API:
-
-- ``"python"`` — the reference object implementation (oracle).
-- ``"fast"`` — :class:`FastSequitur` below: a handle on the native arena
-  of ``_sequitur.c``, whose header comment documents the symbol encoding
-  and the tail-only reduction.
+:class:`FastSequitur` is a handle on the native arena of ``_sequitur.c``,
+whose header comment documents the symbol encoding and the tail-only
+reduction. Every caller (batch, streaming, baselines) builds its grammars
+here; the object-graph reference Sequitur it is tested against lives with
+the tests (``tests/oracles/sequitur.py``).
 
 Build on first import: importing this module compiles the package's two
 C files, ``_sequitur.c`` and ``repro/sax/_sax.c``, with Python's C
@@ -21,7 +15,7 @@ loads it with :mod:`ctypes` once, declaring every entry point from the one
 The library carries the arena, the SAX front end (see
 ``repro.sax._kernel``), the two curve kernels ``seq_density`` and
 ``seq_median`` (which :func:`repro.grammar.density.density_curve_from_token_spans`
-and :func:`repro.core.combiners.combine_curves` call under either kernel),
+and :func:`repro.core.combiners.combine_curves` call),
 :func:`member_curve`, one batch ensemble member in one call, and
 :class:`TokenLog`, a streaming member's kept tokens and arena, with one
 call per drain block, horizon advance and poll (:func:`poll_logs` polls
@@ -33,18 +27,12 @@ Every entry point is a ctypes ``CDLL`` call, which releases the GIL for its
 duration; none keeps global state, so calls on distinct handles may run on
 any number of threads at once.
 
-Selection: the ``REPRO_KERNEL`` environment variable (read lazily on first
-use, so test harnesses and CI matrices can set it per run), overridable
-programmatically with :func:`set_kernel` / :func:`use_kernel`. The default
-is ``"fast"``; the bitwise-parity suites run the whole test matrix under
-both ``python`` and ``fast`` to keep the kernels interchangeable.
-
-Kernel equivalence contract (pinned by ``tests/test_grammar_kernel.py``):
-for any token sequence, both backends produce the identical frozen
-:class:`~repro.grammar.rules.Grammar` (same rules, same numbering, same
-refcounts) and the identical occurrence spans. Grammar structure depends
-only on the *equality pattern* of the tokens, never on id values, so
-interning is invisible to the result.
+Equivalence contract (pinned by ``tests/test_grammar_kernel.py`` against
+the reference builder): for any token sequence the arena produces the
+identical frozen :class:`~repro.grammar.rules.Grammar` (same rules, same
+numbering, same refcounts) and the identical occurrence spans. Grammar
+structure depends only on the *equality pattern* of the tokens, never on
+id values, so interning is invisible to the result.
 """
 
 from __future__ import annotations
@@ -56,9 +44,8 @@ import platform
 import shlex
 import subprocess
 import sysconfig
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -301,71 +288,22 @@ def member_curve(
     return curve, tuple(phase_ns)
 
 
-#: Recognized kernel names, in documentation order.
-KERNELS = ("python", "fast")
+def make_builder() -> "FastSequitur":
+    """A fresh Sequitur builder on the native arena (:class:`FastSequitur`).
 
-#: Kernel used when ``REPRO_KERNEL`` is unset.
-DEFAULT_KERNEL = "fast"
-
-#: Environment variable consulted (lazily) for the kernel choice.
-KERNEL_ENV = "REPRO_KERNEL"
-
-#: Programmatic override; ``None`` defers to the environment.
-_override: str | None = None
-
-
-def _validate_kernel(name: str) -> str:
-    name = str(name)
-    if name not in KERNELS:
-        raise ValueError(f"unknown grammar kernel {name!r}; expected one of {KERNELS}")
-    return name
+    The one place grammar code creates builders, so the end-to-end
+    benchmark's tracer (``perfbench/tracing.py``) can hook it by name.
+    """
+    return FastSequitur()
 
 
 def current_kernel() -> str:
-    """The active kernel name (override, else ``REPRO_KERNEL``, else fast)."""
-    if _override is not None:
-        return _override
-    env = os.environ.get(KERNEL_ENV)
-    if env is None or env == "":
-        return DEFAULT_KERNEL
-    return _validate_kernel(env)
+    """The grammar backend's name, always ``"fast"``: there is one.
 
-
-def set_kernel(name: str | None) -> str | None:
-    """Override the kernel programmatically; returns the previous override.
-
-    ``None`` removes the override, deferring to ``REPRO_KERNEL`` again.
+    Kept because the end-to-end benchmark's runner (``perfbench/run.py``)
+    imports it to label its reports.
     """
-    global _override
-    previous = _override
-    _override = None if name is None else _validate_kernel(name)
-    return previous
-
-
-@contextmanager
-def use_kernel(name: str | None) -> Iterator[None]:
-    """Context manager scoping a kernel override (tests and benchmarks)."""
-    previous = set_kernel(name)
-    try:
-        yield
-    finally:
-        set_kernel(previous)
-
-
-def make_builder(kernel: str | None = None) -> "FastSequitur":
-    """Instantiate the id-based builder for ``kernel`` (default: current).
-
-    Only the ``"fast"`` kernel is constructible here; the ``"python"``
-    oracle consumes words, not ids, and its callers keep using
-    :class:`~repro.grammar.sequitur._SequiturBuilder` directly.
-    """
-    kernel = current_kernel() if kernel is None else _validate_kernel(kernel)
-    if kernel == "fast":
-        return FastSequitur()
-    raise ValueError(
-        "the python kernel has no id-based builder; use _SequiturBuilder "
-        "with word tokens"
-    )
+    return "fast"
 
 
 class FastSequitur:
@@ -722,15 +660,10 @@ def poll_logs(
 
 
 __all__ = [
-    "DEFAULT_KERNEL",
     "FastSequitur",
-    "KERNELS",
-    "KERNEL_ENV",
     "TokenLog",
     "current_kernel",
     "make_builder",
     "member_curve",
     "poll_logs",
-    "set_kernel",
-    "use_kernel",
 ]

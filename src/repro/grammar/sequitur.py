@@ -8,16 +8,14 @@ Sequitur reads a token sequence left to right and maintains two invariants:
 - **Rule utility** — every rule is referenced at least twice; a rule whose
   reference count drops to one is inlined and deleted.
 
-The implementation follows the canonical linked-list design from the
-reference implementation: each rule body is a circular doubly-linked list
-anchored by a *guard* symbol, and a hash table maps digram keys to their
-single current occurrence. Amortized cost is O(1) per input token.
-
-The builder (:class:`_SequiturBuilder`) is internal; the public entry points
-are :func:`induce_grammar`, which returns a frozen
+Grammars are built on the native arena of :mod:`repro.grammar._kernel`
+(amortized O(1) per input token). The public entry points here are
+:func:`induce_grammar`, which returns a frozen
 :class:`repro.grammar.rules.Grammar`, and :class:`GenerationalSequitur`,
 the generation-segmented variant whose old generations can be retired
-wholesale (the streaming eviction layer's grammar forgetting).
+wholesale (the streaming eviction layer's grammar forgetting). The
+canonical linked-list Sequitur they are tested against, a port of the
+reference implementation, is ``tests/oracles/sequitur.py``.
 """
 
 from __future__ import annotations
@@ -25,300 +23,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.grammar import _kernel
-from repro.grammar.rules import Grammar, GrammarRule
-
-#: Type of a digram-table key: a pair of per-symbol keys (see ``_Symbol.key``).
-_DigramKey = tuple[object, object]
-
-
-class _Rule:
-    """A grammar rule under construction: circular list body + refcount."""
-
-    __slots__ = ("guard", "count", "serial")
-
-    def __init__(self, serial: int) -> None:
-        self.serial = serial
-        self.count = 0
-        self.guard = _Guard(self)
-        self.guard.next = self.guard
-        self.guard.prev = self.guard
-
-    def first(self) -> "_Symbol":
-        return self.guard.next
-
-    def last(self) -> "_Symbol":
-        return self.guard.prev
-
-
-class _Symbol:
-    """Base node of a rule body's doubly-linked list."""
-
-    __slots__ = ("prev", "next")
-
-    is_guard = False
-    is_nonterminal = False
-
-    def __init__(self) -> None:
-        self.prev: _Symbol | None = None
-        self.next: _Symbol | None = None
-
-    @property
-    def key(self) -> object:
-        raise NotImplementedError
-
-    def clone(self) -> "_Symbol":
-        raise NotImplementedError
-
-
-class _Terminal(_Symbol):
-    __slots__ = ("word",)
-
-    def __init__(self, word: str) -> None:
-        super().__init__()
-        self.word = word
-
-    @property
-    def key(self) -> object:
-        return self.word
-
-    def clone(self) -> "_Terminal":
-        return _Terminal(self.word)
-
-
-class _NonTerminal(_Symbol):
-    __slots__ = ("rule",)
-
-    is_nonterminal = True
-
-    def __init__(self, rule: _Rule) -> None:
-        super().__init__()
-        self.rule = rule
-        rule.count += 1
-
-    @property
-    def key(self) -> object:
-        # Rules are identified by serial number; serials are never reused,
-        # so stale digram-table entries for deleted rules can never collide.
-        return self.rule.serial
-
-    def clone(self) -> "_NonTerminal":
-        return _NonTerminal(self.rule)
-
-
-class _Guard(_Symbol):
-    __slots__ = ("rule",)
-
-    is_guard = True
-
-    def __init__(self, rule: _Rule) -> None:
-        super().__init__()
-        self.rule = rule
-
-    @property
-    def key(self) -> object:
-        # A guard participates in no digram; a unique key guarantees that.
-        return self
-
-    def clone(self) -> "_Symbol":
-        raise TypeError("guards are never cloned")
-
-
-class _SequiturBuilder:
-    """Incremental Sequitur: feed tokens, then freeze into a Grammar."""
-
-    def __init__(self) -> None:
-        self._digrams: dict[_DigramKey, _Symbol] = {}
-        self._serial = 0
-        self.root = self._new_rule()
-
-    def _new_rule(self) -> _Rule:
-        rule = _Rule(self._serial)
-        self._serial += 1
-        return rule
-
-    # ------------------------------------------------------------------
-    # Linked-list primitives (ports of the reference implementation).
-    # ------------------------------------------------------------------
-
-    def _digram_key(self, symbol: _Symbol) -> _DigramKey:
-        return (symbol.key, symbol.next.key)
-
-    def _delete_digram(self, symbol: _Symbol) -> None:
-        """Drop the digram starting at ``symbol`` from the table, if it owns it."""
-        if symbol.is_guard or symbol.next is None or symbol.next.is_guard:
-            return
-        key = self._digram_key(symbol)
-        if self._digrams.get(key) is symbol:
-            del self._digrams[key]
-
-    def _join(self, left: _Symbol, right: _Symbol) -> None:
-        """Link ``left -> right``, maintaining the digram table.
-
-        Includes the triple-repetition fix from the reference implementation:
-        when unlinking inside a run of identical symbols (e.g. ``aaa``), the
-        overlapping digram that becomes primary must be (re-)registered.
-        """
-        if left.next is not None:
-            self._delete_digram(left)
-            if (
-                right.prev is not None
-                and right.next is not None
-                and not right.is_guard
-                and not right.prev.is_guard
-                and not right.next.is_guard
-                and right.key == right.prev.key
-                and right.key == right.next.key
-            ):
-                self._digrams[self._digram_key(right)] = right
-            if (
-                left.prev is not None
-                and left.next is not None
-                and not left.is_guard
-                and not left.prev.is_guard
-                and not left.next.is_guard
-                and left.key == left.next.key
-                and left.key == left.prev.key
-            ):
-                self._digrams[self._digram_key(left.prev)] = left.prev
-        left.next = right
-        right.prev = left
-
-    def _insert_after(self, anchor: _Symbol, new: _Symbol) -> None:
-        self._join(new, anchor.next)
-        self._join(anchor, new)
-
-    def _cleanup(self, symbol: _Symbol) -> None:
-        """Unlink ``symbol`` from its rule body, updating table and refcounts."""
-        if symbol.is_guard:
-            return
-        self._join(symbol.prev, symbol.next)
-        self._delete_digram(symbol)
-        if symbol.is_nonterminal:
-            symbol.rule.count -= 1
-
-    # ------------------------------------------------------------------
-    # Core Sequitur steps.
-    # ------------------------------------------------------------------
-
-    def _check(self, symbol: _Symbol) -> bool:
-        """Enforce digram uniqueness for the digram starting at ``symbol``.
-
-        Returns True when the digram matched an existing occurrence (whether
-        or not a replacement happened — overlapping matches are skipped, as
-        in the reference implementation).
-        """
-        if symbol.is_guard or symbol.next is None or symbol.next.is_guard:
-            return False
-        key = self._digram_key(symbol)
-        found = self._digrams.get(key)
-        if found is None:
-            self._digrams[key] = symbol
-            return False
-        if found.next is not symbol:
-            self._process_match(symbol, found)
-        return True
-
-    def _process_match(self, new: _Symbol, match: _Symbol) -> None:
-        """Replace both occurrences of a repeated digram by a non-terminal."""
-        if match.prev.is_guard and match.next.next.is_guard:
-            # The matching occurrence is the entire body of an existing rule:
-            # reuse that rule instead of creating a new one.
-            rule = match.prev.rule
-            self._substitute(new, rule)
-        else:
-            rule = self._new_rule()
-            first = new.clone()
-            second = new.next.clone()
-            rule.guard.next = first
-            first.prev = rule.guard
-            first.next = second
-            second.prev = first
-            second.next = rule.guard
-            rule.guard.prev = second
-            self._substitute(match, rule)
-            self._substitute(new, rule)
-            self._digrams[self._digram_key(first)] = first
-        # Rule utility: the replacement may have dropped another rule's
-        # reference count to one, in which case it is inlined.
-        first_of_rule = rule.first()
-        if first_of_rule.is_nonterminal and first_of_rule.rule.count == 1:
-            self._expand(first_of_rule)
-
-    def _substitute(self, symbol: _Symbol, rule: _Rule) -> None:
-        """Replace the digram starting at ``symbol`` with ``NonTerminal(rule)``."""
-        anchor = symbol.prev
-        self._cleanup(symbol)
-        self._cleanup(symbol.next)
-        self._insert_after(anchor, _NonTerminal(rule))
-        if not self._check(anchor):
-            self._check(anchor.next)
-
-    def _expand(self, nonterminal: _NonTerminal) -> None:
-        """Inline a once-referenced rule at its sole remaining use site."""
-        rule = nonterminal.rule
-        left = nonterminal.prev
-        right = nonterminal.next
-        first = rule.first()
-        last = rule.last()
-        # Remove the table entries owned by the disappearing digrams around
-        # the non-terminal before relinking.
-        self._delete_digram(nonterminal)
-        self._join(left, first)
-        self._join(last, right)
-        self._digrams[self._digram_key(last)] = last
-        rule.count = 0
-        rule.guard.next = rule.guard
-        rule.guard.prev = rule.guard
-
-    # ------------------------------------------------------------------
-    # Public builder API.
-    # ------------------------------------------------------------------
-
-    def feed(self, word: str) -> None:
-        """Append one token to the sequence and restore the invariants."""
-        terminal = _Terminal(word)
-        self._insert_after(self.root.last(), terminal)
-        self._check(terminal.prev)
-
-    def freeze(self) -> Grammar:
-        """Snapshot the builder into an immutable :class:`Grammar`.
-
-        Rules are renumbered 1..k in the order of first reference during a
-        pre-order walk from R0, so output numbering is deterministic and
-        deleted rules leave no gaps.
-        """
-        numbering: dict[int, int] = {}
-        ordered_rules: list[_Rule] = []
-        # Pre-order walk with an explicit stack: deep grammars must not hit
-        # the interpreter recursion limit.
-        stack: list[_Symbol] = [self.root.first()]
-        while stack:
-            symbol = stack.pop()
-            while not symbol.is_guard:
-                if symbol.is_nonterminal and symbol.rule.serial not in numbering:
-                    numbering[symbol.rule.serial] = len(ordered_rules) + 1
-                    ordered_rules.append(symbol.rule)
-                    stack.append(symbol.next)
-                    symbol = symbol.rule.first()
-                    continue
-                symbol = symbol.next
-
-        def _rhs(rule: _Rule) -> tuple[str | int, ...]:
-            body: list[str | int] = []
-            symbol = rule.first()
-            while not symbol.is_guard:
-                if symbol.is_nonterminal:
-                    body.append(numbering[symbol.rule.serial])
-                else:
-                    body.append(symbol.word)
-                symbol = symbol.next
-            return tuple(body)
-
-        grammar_rules = [GrammarRule(0, _rhs(self.root))]
-        grammar_rules.extend(
-            GrammarRule(index + 1, _rhs(rule)) for index, rule in enumerate(ordered_rules)
-        )
-        return Grammar(tuple(grammar_rules))
+from repro.grammar.rules import Grammar
 
 
 class GenerationalSequitur:
@@ -341,41 +46,36 @@ class GenerationalSequitur:
     The sliding policy avoids this by re-inducing over the live tokens
     instead; see :mod:`repro.core.streaming`.
 
-    Each generation's builder comes from the active grammar kernel (see
-    :mod:`repro.grammar._kernel`): id-based kernels intern words internally
-    (:meth:`feed`) or accept pre-interned ids against a caller-owned
-    vocabulary (:meth:`feed_id`, the streaming layer's path). Sealing a
-    generation always frees the builder arena — only the frozen
-    :class:`Grammar` (plain word strings, no token-array references) is
-    retained, which :meth:`memory_bytes` makes observable.
+    Each generation's builder is a native arena
+    (:func:`repro.grammar._kernel.make_builder`), which interns words
+    internally (:meth:`feed`) or accepts pre-interned ids against a
+    caller-owned vocabulary (:meth:`feed_id`, the streaming layer's path).
+    Sealing a generation always frees the builder arena — only the frozen
+    :class:`Grammar` (plain word strings, no token-array references) and
+    its occurrence spans are retained, which :meth:`memory_bytes` makes
+    observable.
     """
 
     def __init__(
         self,
         generation_size: int,
         *,
-        kernel: str | None = None,
         vocabulary: Sequence[str] | None = None,
     ) -> None:
         generation_size = int(generation_size)
         if generation_size < 1:
             raise ValueError(f"generation_size must be positive, got {generation_size}")
         self.generation_size = generation_size
-        #: Kernel every generation builder is created from, pinned at
-        #: construction so a mid-stream env change cannot mix kernels.
-        self.kernel = _kernel.current_kernel() if kernel is None else kernel
-        if self.kernel not in _kernel.KERNELS:
-            raise ValueError(f"unknown grammar kernel {self.kernel!r}")
         #: Caller-owned vocabulary for :meth:`feed_id` (``vocabulary[id]`` is
         #: the word of token id ``id``; it may keep growing between calls).
         self._vocabulary = vocabulary
-        #: Internal interner backing :meth:`feed` under id-based kernels.
+        #: Internal interner backing :meth:`feed`.
         self._own_vocabulary: list[str] = []
         self._own_ids: dict[str, int] = {}
         #: Sealed generations: ``{generation_index: (grammar, token_count)}``.
         self._sealed: dict[int, tuple[Grammar, int]] = {}
         #: Sealed generations' occurrence spans, extracted once at seal time
-        #: (id kernels only) — what makes decay polls amortized: a sealed
+        #: — what makes decay polls amortized: a sealed
         #: grammar never changes, so its spans never need re-walking.
         self._sealed_spans: dict[int, tuple] = {}
         self._current_index: int | None = None
@@ -398,7 +98,6 @@ class GenerationalSequitur:
         tokens: Iterable[tuple[int, int]],
         *,
         generation_size: int,
-        kernel: str | None = None,
         vocabulary: Sequence[str] | None = None,
     ) -> "GenerationalSequitur":
         """Rebuild generation-segmented grammar state from live tokens.
@@ -412,7 +111,7 @@ class GenerationalSequitur:
         re-seal at the same boundaries, and the newest keeps growing.
         Retirement statistics are *not* live state and restart at zero.
         """
-        instance = cls(generation_size, kernel=kernel, vocabulary=vocabulary)
+        instance = cls(generation_size, vocabulary=vocabulary)
         feed_id = instance.feed_id
         for token_id, offset in tokens:
             feed_id(token_id, offset)
@@ -423,8 +122,6 @@ class GenerationalSequitur:
         return int(offset) // self.generation_size
 
     def _freeze_current(self) -> Grammar:
-        if self.kernel == "python":
-            return self._current_builder.freeze()
         vocabulary = self._vocabulary if self._vocabulary is not None else self._own_vocabulary
         return self._current_builder.freeze(vocabulary)
 
@@ -438,12 +135,9 @@ class GenerationalSequitur:
             self._freeze_current(),
             self._current_count,
         )
-        if self.kernel != "python":
-            # Spans are two small int arrays per generation — kept so decay
-            # polls never re-walk a sealed grammar (see live_spans).
-            self._sealed_spans[self._current_index] = (
-                self._current_builder.occurrence_spans()
-            )
+        # Spans are two small int arrays per generation — kept so decay
+        # polls never re-walk a sealed grammar (see live_spans).
+        self._sealed_spans[self._current_index] = self._current_builder.occurrence_spans()
         self._current_builder = None
         self._current_frozen = None
         self._current_spans = None
@@ -460,10 +154,7 @@ class GenerationalSequitur:
             self._seal_current()
             self._current_index = index
         if self._current_builder is None:
-            if self.kernel == "python":
-                self._current_builder = _SequiturBuilder()
-            else:
-                self._current_builder = _kernel.make_builder(self.kernel)
+            self._current_builder = _kernel.make_builder()
 
     def feed(self, word: str, offset: int) -> None:
         """Route one token (with its window offset) to its generation.
@@ -473,15 +164,12 @@ class GenerationalSequitur:
         monotone.
         """
         self._route(offset)
-        if self.kernel == "python":
-            self._current_builder.feed(word)
-        else:
-            token_id = self._own_ids.get(word)
-            if token_id is None:
-                token_id = len(self._own_vocabulary)
-                self._own_ids[word] = token_id
-                self._own_vocabulary.append(word)
-            self._current_builder.feed(token_id)
+        token_id = self._own_ids.get(word)
+        if token_id is None:
+            token_id = len(self._own_vocabulary)
+            self._own_ids[word] = token_id
+            self._own_vocabulary.append(word)
+        self._current_builder.feed(token_id)
         self._current_count += 1
         self._current_frozen = None
         self._current_spans = None
@@ -497,10 +185,7 @@ class GenerationalSequitur:
         if self._vocabulary is None:
             raise ValueError("feed_id requires a vocabulary at construction")
         self._route(offset)
-        if self.kernel == "python":
-            self._current_builder.feed(self._vocabulary[token_id])
-        else:
-            self._current_builder.feed(token_id)
+        self._current_builder.feed(token_id)
         self._current_count += 1
         self._current_frozen = None
         self._current_spans = None
@@ -545,20 +230,15 @@ class GenerationalSequitur:
     def live_spans(self) -> list[tuple[int, "object", "object", int]]:
         """``(index, firsts, lasts, count)`` of every live generation.
 
-        The span-level twin of :meth:`live_grammars` for id-based kernels:
-        sealed generations return occurrence spans extracted once at seal
-        time (their grammars never change again), and only the growing
-        generation reads its live builder arena (cached until the next
-        token). No frozen grammars, rule objects, or word strings are built
-        — the decay snapshot path feeds these straight into the fused
-        density scatter. Oldest generation first, matching
-        :meth:`live_grammars` so accumulated curves stay bitwise equal.
+        The span-level twin of :meth:`live_grammars`: sealed generations
+        return occurrence spans extracted once at seal time (their grammars
+        never change again), and only the growing generation reads its live
+        builder arena (cached until the next token). No frozen grammars,
+        rule objects, or word strings are built — the decay snapshot path
+        feeds these straight into the fused density scatter. Oldest
+        generation first, matching :meth:`live_grammars` so accumulated
+        curves stay bitwise equal.
         """
-        if self.kernel == "python":
-            raise ValueError(
-                "live_spans requires an id-based kernel; the oracle kernel "
-                "snapshots through live_grammars()"
-            )
         live = [
             (index, *self._sealed_spans[index], self._sealed[index][1])
             for index in sorted(self._sealed)
@@ -576,20 +256,15 @@ class GenerationalSequitur:
     def memory_bytes(self) -> int:
         """Estimate of bytes retained by live grammar state.
 
-        The growing generation is charged its builder arena (id kernels
-        report exactly; the oracle is estimated per fed token); sealed
-        generations are charged only their frozen rules. The decay soak
+        The growing generation is charged its builder arena (exactly, from
+        the native capacities); sealed generations are charged only their
+        frozen rules and spans. The decay soak
         asserts this stays bounded as generations retire — the accounting
         that catches a sealed generation accidentally pinning its builder.
         """
         total = 0
         if self._current_builder is not None:
-            if self.kernel == "python":
-                # ~3 slot objects per token (terminal + amortized rule
-                # machinery) at CPython object prices.
-                total += self._current_count * 200
-            else:
-                total += self._current_builder.memory_bytes()
+            total += self._current_builder.memory_bytes()
         for grammar, _count in self._sealed.values():
             total += 64 * grammar.grammar_size()
         for firsts, lasts in self._sealed_spans.values():
@@ -622,24 +297,12 @@ def induce_grammar(tokens: Iterable[str] | Sequence[str]) -> Grammar:
     >>> grammar.rules[1].rhs
     ('ab', 'bc', 'aa')
     """
-    kernel = _kernel.current_kernel()
-    if kernel == "python":
-        builder = _SequiturBuilder()
-        fed = False
-        for word in tokens:
-            if not isinstance(word, str):
-                raise TypeError(f"tokens must be strings, got {type(word).__name__}")
-            builder.feed(word)
-            fed = True
-        if not fed:
-            raise ValueError("cannot induce a grammar from an empty token sequence")
-        return builder.freeze()
-    # Id-based kernels: intern words on the fly, feed integer ids, map back
-    # at freeze time. Grammar structure depends only on the equality pattern
-    # of the tokens, so the result is identical to the oracle's.
+    # Intern words on the fly, feed integer ids, map back at freeze time.
+    # Grammar structure depends only on the equality pattern of the tokens,
+    # so the result is the one the words themselves would induce.
     ids: dict[str, int] = {}
     vocabulary: list[str] = []
-    id_builder = _kernel.make_builder(kernel)
+    id_builder = _kernel.make_builder()
     feed = id_builder.feed
     fed = False
     for word in tokens:

@@ -1,22 +1,13 @@
-"""Discretization kernel seam: the numpy reference and one native pass.
+"""The native discretization front end: window statistics, then one C pass.
 
-The grammar stage sits behind ``REPRO_KERNEL``; this module extends the
-same seam one layer up, to the discretization front end, so a single
-environment variable governs the whole tokenize→grammar pipeline:
-
-- ``"python"`` — the reference path: :func:`repro.sax.paa.sliding_paa_rows`
-  per PAA size (each call re-derives the window statistics) and
-  :func:`interval_rows_from` (``np.searchsorted``) against the merged
-  breakpoint table. This is the oracle the property suites compare
-  everything against.
-- ``"fast"`` — :func:`window_stats` once per sweep, shared by every PAA
-  size, then the native passes of ``_sax.c``: :func:`sax_intervals` does
-  z-normalized PAA and the breakpoint search in one loop per PAA size, and
-  :func:`sax_tokens` does symbol lookup, exact numerosity reduction and
-  token ids in one loop per ensemble member, on a row table that lives for
-  that one call. Streaming members keep a table of the same kind for their
-  whole life behind :class:`repro.sax.alphabet.WordInterner`, under either
-  kernel: it is the only interner.
+:func:`window_stats` computes the window means and standard deviations
+once per sweep, shared by every PAA size; then the native passes of
+``_sax.c`` run: :func:`sax_intervals` does z-normalized PAA and the
+breakpoint search in one loop per PAA size, and :func:`sax_tokens` does
+symbol lookup, exact numerosity reduction and token ids in one loop per
+ensemble member, on a row table that lives for that one call. Streaming
+members keep a table of the same kind for their whole life behind
+:class:`repro.sax.alphabet.WordInterner`, the only interner.
 
 Build on first import: ``_sax.c`` is compiled with the Sequitur arena's
 ``_sequitur.c`` into the package's one native library, which
@@ -25,16 +16,13 @@ handle. A failed build raises :class:`ImportError`; there is no fallback.
 A batch ensemble member calls :func:`sax_tokens`'s pass as the first stage
 of :func:`repro.grammar._kernel.member_curve`, inside one native call.
 
-Selection is shared with the grammar seam — :func:`current_kernel`,
-:func:`set_kernel` and :func:`use_kernel` are re-exported from
-:mod:`repro.grammar._kernel` — so ``REPRO_KERNEL=python`` (or a
-``use_kernel`` scope) switches both stages together.
-
 Parity contract (pinned by ``tests/test_sax_native.py``,
-``tests/test_sax_properties.py`` and ``tests/test_kernel_differential.py``):
-the native PAA rows and interval matrices are bitwise equal to the
-reference, because ``_sax.c`` repeats numpy's float operations one for one
-and is compiled without FMA contraction. Native token ids are dense ids in
+``tests/test_sax_properties.py`` and ``tests/test_kernel_differential.py``
+against the numpy reference in ``tests/oracles/sax.py``): the native PAA
+rows and interval matrices are bitwise equal to the reference's sliding
+PAA rows and ``np.searchsorted(..., side="right")`` intervals, because
+``_sax.c`` repeats numpy's float operations one for one and is compiled
+without FMA contraction. Native token ids are dense ids in
 *first-occurrence* order, not the sorted rank of a word: only their
 equality pattern is contract, and it equals the reference words'. Grammar
 structure depends on nothing else.
@@ -44,18 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.grammar._kernel import (  # noqa: F401  (re-exported seam controls)
-    DEFAULT_KERNEL,
-    KERNEL_ENV,
-    KERNELS,
-    _checked,
-    _lib,
-    _raise,
-    current_kernel,
-    set_kernel,
-    use_kernel,
-)
-from repro.sax.paa import sliding_paa_rows
+from repro.grammar._kernel import _checked, _lib, _raise
 from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD, constancy_mask
 
 #: Status codes of ``_sax.c`` and what each raises.
@@ -77,9 +54,9 @@ def window_stats(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(means, safe_stds, constant)`` for window starts in ``[start, stop)``.
 
-    Exactly the statistics block of :func:`~repro.sax.paa.sliding_paa_rows`
-    — same operations in the same order, so reusing one result across every
-    PAA size of a sweep is bitwise indistinguishable from recomputing it.
+    Exactly the statistics block of the reference sliding PAA rows — same
+    operations in the same order, so reusing one result across every PAA
+    size of a sweep is bitwise indistinguishable from recomputing it.
     ``safe_stds`` substitutes 1.0 on constant windows (whose rows are zeroed
     afterwards), ``constant`` is the boolean constancy row mask.
     """
@@ -110,26 +87,19 @@ def paa_rows_block(
     origin: int = 0,
     stats: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     breakpoints: np.ndarray | None = None,
-    kernel: str | None = None,
 ) -> np.ndarray:
-    """Kernel-dispatched z-normalized PAA rows for starts in ``[start, stop)``.
+    """Z-normalized PAA rows for window starts in ``[start, stop)``, natively.
 
     Row ``i`` corresponds to the window starting at global index
-    ``start + i``; both kernels produce output bitwise equal to
-    :func:`~repro.sax.paa.sliding_paa_rows`. With a sorted ``breakpoints``
-    table the result is instead the interval matrix of those rows
-    (:func:`interval_rows_from`), which ``fast`` computes without forming
-    the rows. ``stats`` may carry a precomputed :func:`window_stats` triple
-    to share across PAA sizes; the ``python`` oracle ignores it and
-    re-derives the statistics.
+    ``start + i``. With a sorted ``breakpoints`` table the result is
+    instead the interval matrix of those rows (the ``side="right"`` search
+    of every coefficient), computed without forming the rows. ``stats``
+    may carry a precomputed :func:`window_stats` triple to share across
+    PAA sizes. ``origin`` is the global index of ``values[0]``: an evicted
+    stream buffer passes its retained arrays with their offset, and the
+    window positions stay global, so every output bit equals the
+    unevicted computation's.
     """
-    kernel = current_kernel() if kernel is None else kernel
-    if kernel == "python":
-        rows = sliding_paa_rows(
-            prefix_sum, prefix_sq, values, start, stop, window, paa_size,
-            znorm_threshold, origin=origin,
-        )
-        return rows if breakpoints is None else interval_rows_from(rows, breakpoints)
     if stats is None:
         stats = window_stats(
             prefix_sum, prefix_sq, start, stop, window, znorm_threshold, origin=origin
@@ -139,17 +109,6 @@ def paa_rows_block(
         origin=origin, rows=breakpoints is None,
     )
     return rows if breakpoints is None else intervals
-
-
-def interval_rows_from(rows: np.ndarray, merged_breakpoints: np.ndarray) -> np.ndarray:
-    """Locate each PAA coefficient's merged-table interval (the reference search).
-
-    ``np.searchsorted(..., side="right")``: a value equal to a breakpoint
-    falls in the region above it (the breakpoint-tie golden vectors in
-    ``tests/test_sax_properties.py`` pin the convention, and
-    :func:`sax_intervals` follows it).
-    """
-    return np.searchsorted(merged_breakpoints, rows, side="right")
 
 
 def sax_intervals(
@@ -169,7 +128,8 @@ def sax_intervals(
 
     ``rows`` (float64, one row per window start in ``[start, stop)``) is
     written when ``rows=True``; ``intervals`` (``intp``, the
-    ``side="right"`` search of every coefficient in ``breakpoints``) when a
+    ``side="right"`` search of every coefficient in ``breakpoints``; a
+    value equal to a breakpoint falls in the region above it) when a
     table is given. Either is ``None`` otherwise. ``stats`` is the
     :func:`window_stats` triple of the same range. Inputs are checked here,
     before the C call: wrong dtypes raise :class:`TypeError`, wrong shapes,

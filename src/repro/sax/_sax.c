@@ -1,5 +1,5 @@
 /*
- * Native SAX front end behind repro.sax._kernel under the fast kernel.
+ * Native SAX front end behind repro.sax._kernel.
  *
  * Plain C with no Python headers, compiled together with
  * ../grammar/_sequitur.c into the package's one native library: the first
@@ -11,8 +11,8 @@
  *
  * sax_intervals: one pass per sweep and PAA size. Row r is the window that
  * starts at global index start + r. The pass repeats, operation for
- * operation, repro.sax.paa.sliding_paa_rows followed by
- * np.searchsorted(breaks, rows, side="right"):
+ * operation, the numpy reference sliding_paa_rows (tests/oracles/sax.py)
+ * followed by np.searchsorted(breaks, rows, side="right"):
  *
  *   relative[k] = k * (window / paa_size)
  *   position    = (double)(start + r) + relative[k]

@@ -11,30 +11,16 @@ upsampling the series by ``w`` and averaging blocks of ``n``.
 :class:`CumulativeStats` pre-computes the prefix sums ``ESum_x`` and
 ``ESum_xx`` of the paper so that, for any subsequence, the mean and standard
 deviation cost O(1) and the ``w`` PAA coefficients cost O(w) — independent of
-``n``. It also exposes a fully vectorized sliding-window PAA matrix used by
-the discretizer.
+``n``. The sliding-window discretizer reads its prefix sums and runs the
+whole PAA matrix natively (:func:`repro.sax._kernel.paa_rows_block`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD, constancy_cutoff, constancy_mask, znorm
+from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD, constancy_cutoff, znorm
 from repro.utils.validation import ensure_time_series, validate_paa_size, validate_window
-
-
-def paa_naive(subsequence: np.ndarray, paa_size: int) -> np.ndarray:
-    """Reference PAA via the upsample-and-average construction.
-
-    Exact but O(n·w); used in tests as the ground truth for the fast paths.
-    """
-    values = ensure_time_series(subsequence, name="subsequence")
-    paa_size = validate_paa_size(paa_size, len(values))
-    n = len(values)
-    # Repeating each sample w times and averaging blocks of n implements the
-    # exact fractional-boundary convention.
-    upsampled = np.repeat(values, paa_size)
-    return upsampled.reshape(paa_size, n).mean(axis=1)
 
 
 def _fractional_prefix(
@@ -65,7 +51,9 @@ def _fractional_prefix(
 def paa(subsequence: np.ndarray, paa_size: int) -> np.ndarray:
     """Exact fractional PAA in O(n + w) via a prefix sum.
 
-    Agrees with :func:`paa_naive` to numerical precision for every ``n, w``.
+    Agrees with the upsample-and-average construction (repeat each sample
+    ``w`` times, average blocks of ``n``) to numerical precision for every
+    ``n, w``.
     """
     values = ensure_time_series(subsequence, name="subsequence")
     paa_size = validate_paa_size(paa_size, len(values))
@@ -159,84 +147,6 @@ class CumulativeStats:
             return means, np.zeros_like(means)
         variances = np.maximum((totals_sq - totals * totals / window) / (window - 1), 0.0)
         return means, np.sqrt(variances)
-
-    def sliding_paa_matrix(
-        self,
-        window: int,
-        paa_size: int,
-        znorm_threshold: float = DEFAULT_ZNORM_THRESHOLD,
-    ) -> np.ndarray:
-        """Z-normalized PAA coefficients of *every* window, vectorized.
-
-        Returns a ``(len(series) - window + 1, paa_size)`` matrix; row ``p``
-        equals ``fast_paa(p, window, paa_size)``. This is the bulk entry
-        point used by the sliding-window discretizer: the relative segment
-        boundaries are shared by all windows, so the whole matrix is a pair
-        of fancy-indexed prefix-sum lookups.
-        """
-        window = validate_window(window, len(self.series))
-        paa_size = validate_paa_size(paa_size, window)
-        n_windows = len(self.series) - window + 1
-        return sliding_paa_rows(
-            self.prefix_sum,
-            self.prefix_sq,
-            self.series,
-            0,
-            n_windows,
-            window,
-            paa_size,
-            znorm_threshold,
-        )
-
-
-def sliding_paa_rows(
-    prefix_sum: np.ndarray,
-    prefix_sq: np.ndarray,
-    values: np.ndarray,
-    start: int,
-    stop: int,
-    window: int,
-    paa_size: int,
-    znorm_threshold: float = DEFAULT_ZNORM_THRESHOLD,
-    *,
-    origin: int = 0,
-) -> np.ndarray:
-    """Z-normalized PAA rows for window starts in ``[start, stop)``.
-
-    Operates directly on pre-built prefix sums so that the batch discretizer
-    (:class:`CumulativeStats`) and the streaming engine's shared stream state
-    run the *same* floating-point operations — row ``i`` is bitwise equal to
-    ``fast_paa(start + i, window, paa_size)``. Callers must guarantee
-    ``origin <= start <= stop`` and ``stop + window - 1 <= origin +
-    len(values)``.
-
-    ``origin`` is the global stream index of ``values[0]``: an evicted
-    stream state passes its retained arrays with their offset, while
-    ``start``/``stop`` stay global. Window positions are then formed from
-    the *global* indices, which keeps the fractional-boundary float
-    arithmetic — and so every output bit — identical to the unevicted
-    computation (``start_local + relative`` and ``start_global + relative``
-    round differently for fractional segment widths).
-    """
-    starts = np.arange(start, stop)
-    relative = np.arange(paa_size + 1) * (window / paa_size)
-    positions = starts[:, None] + relative[None, :]
-    cumulative = _fractional_prefix(prefix_sum, values, positions, origin)
-    coefficients = np.diff(cumulative, axis=1) / (window / paa_size)
-    local = starts - origin
-    totals = prefix_sum[local + window] - prefix_sum[local]
-    totals_sq = prefix_sq[local + window] - prefix_sq[local]
-    means = totals / window
-    if window == 1:
-        stds = np.zeros_like(means)
-    else:
-        variances = np.maximum((totals_sq - totals * totals / window) / (window - 1), 0.0)
-        stds = np.sqrt(variances)
-    constant = constancy_mask(means, stds, znorm_threshold)
-    safe_stds = np.where(constant, 1.0, stds)
-    normalized = (coefficients - means[:, None]) / safe_stds[:, None]
-    normalized[constant] = 0.0
-    return normalized
 
 
 def znorm_paa(

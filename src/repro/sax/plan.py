@@ -8,9 +8,9 @@ matrix only on ``(window, paa_size)``, and the merged-table interval of a
 coefficient only on its value — so for an ensemble with ``m`` members over
 ``k ≤ m`` distinct PAA sizes, one plan computes:
 
-- the window means/stds **once** per sweep (``fast`` kernel),
-- one interval matrix per *distinct* PAA size (under ``fast`` one native
-  z-norm + PAA + breakpoint-search pass that never forms the float matrix),
+- the window means/stds **once** per sweep,
+- one interval matrix per *distinct* PAA size (one native z-norm + PAA +
+  breakpoint-search pass that never forms the float matrix),
 - each member's symbols through one column of the precomputed symbol
   matrix of :class:`~repro.sax.breakpoints.MultiResolutionAlphabet`
   (Figure 6 of the paper) — O(rows × word_length) with no arithmetic.
@@ -25,13 +25,11 @@ per-PAA-size matrices lazily so batch (all starts at once), streaming
 (64Ki-row drain blocks with ring-buffer ``origin`` offsets) and the
 multi-resolution discretizer all share one code path.
 
-The hot loops live behind the kernel seam (:mod:`repro.sax._kernel`):
-``REPRO_KERNEL={python,fast}`` selects the backend, and the two are
-pinned bitwise-identical downstream by the property/differential suites.
-Stage timers fire here, once per sweep per PAA size: under ``fast``,
-``paa`` covers the whole native pass (z-norm, PAA and interval search);
-under ``python``, ``paa`` covers matrix formation and ``discretize`` the
-interval search. Symbol lookup, numerosity and ids are ``discretize``
+The hot loops are the native passes of :mod:`repro.sax._kernel`, pinned
+bitwise-identical to the numpy reference (``tests/oracles/sax.py``) by the
+property and differential suites. Stage timers fire here, once per sweep
+per PAA size: ``paa`` covers the whole native pass (z-norm, PAA and
+interval search). Symbol lookup, numerosity and ids are ``discretize``
 time wherever they run. A detect that fans its members out across threads
 fills the per-PAA-size cache on pool threads through
 :meth:`DiscretizationSweep.fill_intervals`, which records no timer and
@@ -127,7 +125,7 @@ class DiscretizationPlan:
         """Open a sweep over window starts ``[start, stop)`` (global indices).
 
         ``origin`` is the global index of ``values[0]``, exactly as in
-        :func:`~repro.sax.paa.sliding_paa_rows` — an evicted stream buffer
+        :func:`~repro.sax._kernel.paa_rows_block` — an evicted stream buffer
         passes its retained arrays plus offset and the float arithmetic
         stays identical to the unevicted computation.
         """
@@ -145,14 +143,14 @@ class DiscretizationSweep:
 
     Lazily computes and caches, per distinct PAA size, the z-normalized PAA
     matrix and the merged-table interval matrix; member symbol matrices are
-    derived from the cached intervals. The active kernel and the window
-    statistics are pinned at construction so every PAA size of the sweep
-    runs the same backend over the same (bitwise) statistics.
+    derived from the cached intervals. The window statistics are computed
+    once, so every PAA size of the sweep runs over the same (bitwise)
+    statistics.
     """
 
     __slots__ = (
         "plan", "_prefix_sum", "_prefix_sq", "_values", "start", "stop",
-        "_origin", "_kernel", "_stats", "_paa", "_intervals",
+        "_origin", "_stats", "_paa", "_intervals",
     )
 
     def __init__(
@@ -182,18 +180,12 @@ class DiscretizationSweep:
         self.start = start
         self.stop = stop
         self._origin = origin
-        self._kernel = _kernel.current_kernel()
         self._stats: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._paa: dict[int, np.ndarray] = {}
         self._intervals: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return self.stop - self.start
-
-    @property
-    def kernel(self) -> str:
-        """The backend pinned for this sweep."""
-        return self._kernel
 
     def _validated(self, paa_size: int) -> int:
         paa_size = validate_paa_size(paa_size, self.plan.window)
@@ -202,14 +194,7 @@ class DiscretizationSweep:
         return paa_size
 
     def shared_stats(self):
-        """The sweep's :func:`~repro.sax._kernel.window_stats` triple, computed once.
-
-        ``None`` under the python oracle, which re-derives the statistics
-        inside ``sliding_paa_rows`` exactly as the pre-plan per-member code
-        did; sharing is the fast kernel's job.
-        """
-        if self._kernel == "python":
-            return None
+        """The sweep's :func:`~repro.sax._kernel.window_stats` triple, computed once."""
         if self._stats is None:
             self._stats = _kernel.window_stats(
                 self._prefix_sum, self._prefix_sq, self.start, self.stop,
@@ -227,7 +212,7 @@ class DiscretizationSweep:
                     self._prefix_sum, self._prefix_sq, self._values,
                     self.start, self.stop, self.plan.window, paa_size,
                     self.plan.znorm_threshold, origin=self._origin,
-                    stats=self.shared_stats(), kernel=self._kernel,
+                    stats=self.shared_stats(),
                 )
                 rows.flags.writeable = False
             self._paa[paa_size] = rows
@@ -236,22 +221,14 @@ class DiscretizationSweep:
     def interval_rows(self, paa_size: int) -> np.ndarray:
         """Merged-table interval matrix for one PAA size (cached per sweep).
 
-        Under ``fast`` this is one native pass (z-norm + PAA + search, all
-        ``paa`` time) that never forms the float matrix; the ``python``
-        oracle searches the cached :meth:`paa_rows` (``discretize`` time).
+        One native pass (z-norm + PAA + search, all ``paa`` time) that
+        never forms the float matrix.
         """
         paa_size = self._validated(paa_size)
         intervals = self._intervals.get(paa_size)
         if intervals is None:
-            if self._kernel == "python":
-                rows = self.paa_rows(paa_size)
-                with stage_timer("discretize"):
-                    intervals = _kernel.interval_rows_from(
-                        rows, self.plan.alphabet_table.merged_breakpoints
-                    )
-            else:
-                with stage_timer("paa"):
-                    intervals = self._native_intervals(paa_size)
+            with stage_timer("paa"):
+                intervals = self._native_intervals(paa_size)
             intervals.flags.writeable = False
             self._intervals[paa_size] = intervals
         return intervals
@@ -266,16 +243,14 @@ class DiscretizationSweep:
     def fill_intervals(self, paa_size: int) -> float:
         """Cache one PAA size's interval matrix off the caller's thread.
 
-        The fast kernel's pass of :meth:`interval_rows`, without its stage
-        timer: returns the seconds spent (0.0 when already cached) for the
-        calling thread to charge to ``paa``, so pool threads may run it for
-        distinct PAA sizes at once. Call :meth:`shared_stats` first, on the
-        caller, so the statistics are computed once. A later
-        :meth:`interval_rows` returns the cached matrix.
+        The pass of :meth:`interval_rows`, without its stage timer: returns
+        the seconds spent (0.0 when already cached) for the calling thread
+        to charge to ``paa``, so pool threads may run it for distinct PAA
+        sizes at once. Call :meth:`shared_stats` first, on the caller, so
+        the statistics are computed once. A later :meth:`interval_rows`
+        returns the cached matrix.
         """
         paa_size = self._validated(paa_size)
-        if self._kernel == "python":
-            raise ValueError("fill_intervals runs the fast kernel's pass only")
         if paa_size in self._intervals:
             return 0.0
         started = perf_counter()

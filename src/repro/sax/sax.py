@@ -108,9 +108,8 @@ def discretize_symbols(
     alphabet_size = validate_alphabet_size(alphabet_size)
     if stats is None:
         stats = CumulativeStats(series)
-    # Kernel-dispatched (REPRO_KERNEL): the python oracle runs
-    # sliding_paa_rows + searchsorted; fast runs the same float operations
-    # in one native pass, with the breakpoint table as the interval table.
+    # One native pass: z-normalized PAA and the breakpoint search, with the
+    # breakpoint table as the interval table.
     n_windows = len(stats.series) - window + 1
     return _kernel.paa_rows_block(
         stats.prefix_sum, stats.prefix_sq, stats.series, 0, n_windows, window, paa_size,

@@ -128,7 +128,8 @@ class DetectService:
     Parameters
     ----------
     executor:
-        Execution backend shared by every request: a spec string from
+        Execution backend shared by every detect request (streaming
+        sessions always run in this process): a spec string from
         :data:`~repro.core.executors.EXECUTOR_SPECS` — including
         ``"cluster:HOST:PORT"``, which puts a worker fleet behind the
         service with no other change — (the service creates and owns it),
@@ -197,7 +198,6 @@ class DetectService:
             max_sessions=max_sessions,
             idle_timeout=idle_timeout,
             memory_budget=memory_budget,
-            executor=self._executor,
             cache=self.cache if self.cache.enabled else None,
             snapshot_store=snapshot_store,
             snapshot_interval=snapshot_interval,

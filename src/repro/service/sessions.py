@@ -50,7 +50,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.executors import MemberExecutor
 from repro.core.streaming import SnapshotVersionError, StreamingEnsembleDetector
 from repro.obs.logging import get_logger
 from repro.service.cache import LRUCache
@@ -157,10 +156,6 @@ class StreamSessionManager:
     memory_budget:
         Global byte budget across all live sessions (``None`` = unlimited),
         accounted with the detectors' O(1) ``memory_bytes()`` estimates.
-    executor:
-        Optional shared :class:`~repro.core.executors.MemberExecutor` given
-        to every session's detector for snapshot fan-out. Borrowed, never
-        closed here.
     cache:
         Optional :class:`~repro.service.cache.LRUCache` for poll responses,
         keyed by ``(session epoch, stream version, k)`` — a poll with no
@@ -181,7 +176,6 @@ class StreamSessionManager:
         max_sessions: int = 64,
         idle_timeout: float | None = None,
         memory_budget: int | None = None,
-        executor: MemberExecutor | None = None,
         cache: LRUCache | None = None,
         snapshot_store: SnapshotStore | None = None,
         snapshot_interval: int | None = None,
@@ -205,7 +199,6 @@ class StreamSessionManager:
         self.idle_timeout = idle_timeout
         self.memory_budget = memory_budget
         self.snapshot_interval = snapshot_interval
-        self._executor = executor
         self._cache = cache
         self._snapshot_store = snapshot_store
         self._sessions: dict[str, _Session] = {}
@@ -295,9 +288,7 @@ class StreamSessionManager:
         self._check_admission("create")
         try:
             parsed = DetectorConfig.from_mapping(dict(config))
-            detector = StreamingEnsembleDetector(
-                executor=self._executor, **parsed.session_kwargs()
-            )
+            detector = StreamingEnsembleDetector(**parsed.session_kwargs())
         except (ValueError, TypeError) as error:
             raise BadRequest(f"invalid session configuration: {error}") from error
         if self._snapshot_store is not None:
@@ -315,7 +306,6 @@ class StreamSessionManager:
         """Unregister a session (its lock held) and leave a tombstone."""
         self._sessions.pop(name, None)
         info = session.info()
-        session.detector.close()
         self._tombstone(name, reason)
         if drop_snapshots and self._snapshot_store is not None:
             self._snapshot_store.delete(name)
@@ -449,9 +439,7 @@ class StreamSessionManager:
 
         def _rebuild() -> tuple[dict, StreamingEnsembleDetector]:
             state = decode_snapshot(data)
-            return state["config"], StreamingEnsembleDetector.restore(
-                state, executor=self._executor
-            )
+            return state["config"], StreamingEnsembleDetector.restore(state)
 
         try:
             snapshot_config, detector = await asyncio.to_thread(_rebuild)

@@ -243,7 +243,7 @@ class TestBaselineFiles:
 
 
 class TestBenchCli:
-    CELL = "grammar_tokens.kernel=fast"
+    CELL = "grammar_tokens"
 
     def test_list_prints_tier1_cells(self, capsys):
         assert main(["bench", "--list"]) == 0

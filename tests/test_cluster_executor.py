@@ -36,7 +36,6 @@ from repro.core.cluster import (
 from repro.core.engine import BatchItemError, detect_many
 from repro.core.ensemble import EnsembleGrammarDetector
 from repro.core.executors import as_executor
-from repro.core.streaming import StreamingEnsembleDetector
 from repro.discord.discords import DiscordDetector
 from repro.evaluation.harness import evaluate_methods_on_corpus
 from repro.service import DetectService
@@ -126,6 +125,43 @@ class TestSpecParsing:
         executor.close()
         with pytest.raises(RuntimeError, match="closed"):
             executor.map(len, ["x"])
+
+
+class _HelloDuringShutdown:
+    """A worker connection whose hello lands once the scheduler is closing."""
+
+    def __init__(self, state) -> None:
+        self.state = state
+        self.closed = False
+
+    def fileno(self) -> int:
+        raise OSError("not a socket")
+
+    def recv(self):
+        self.state.close()
+        return ("hello", "late-worker", 4242)
+
+    def send(self, message) -> None:
+        raise AssertionError(f"nothing may be sent, got {message!r}")
+
+    def close(self) -> None:
+        self.closed = True
+
+
+class TestShutdownRace:
+    def test_hello_during_shutdown_closes_the_connection(self):
+        """``register_worker`` refuses a hello that arrives while the
+        scheduler closes; the handler must swallow that and close the link."""
+        executor = ClusterExecutor(1, spawn_workers=0)
+        try:
+            conn = _HelloDuringShutdown(executor._state)
+            executor._serve_worker(conn)
+            assert conn.closed
+            assert executor._state.closing
+            with pytest.raises(ClusterError, match="closing"):
+                executor._state.register_worker("again", 1, conn)
+        finally:
+            executor.close()
 
 
 class TestDispatch:
@@ -251,16 +287,6 @@ class TestParity:
             _detector(executor=cluster).detect_batch(batch, 3, chunksize=2)
             == reference
         )
-
-    def test_streaming_snapshot(self, cluster, series):
-        reference = StreamingEnsembleDetector(window=WINDOW, ensemble_size=5, seed=3)
-        reference.extend(series)
-        expected = reference.density_curve()
-        streaming = StreamingEnsembleDetector(
-            window=WINDOW, ensemble_size=5, seed=3, executor=cluster
-        )
-        streaming.extend(series)
-        assert np.array_equal(streaming.density_curve(), expected)
 
     def test_evaluate_methods(self, cluster):
         from repro.datasets.planting import make_corpus

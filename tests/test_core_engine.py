@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.sax import sliding_paa_matrix
 from repro.core.engine import (
     BatchItemError,
     SharedStreamState,
@@ -54,7 +55,7 @@ class TestSharedStreamState:
         state.extend(values[123:])
         stats = CumulativeStats(values)
         for window, paa_size in [(50, 4), (10, 3), (60, 7)]:
-            expected = stats.sliding_paa_matrix(window, paa_size)
+            expected = sliding_paa_matrix(stats, window, paa_size)
             assert np.array_equal(state.paa_rows(0, window, paa_size), expected)
             # Partial reads tile the full matrix.
             assert np.array_equal(state.paa_rows(100, window, paa_size), expected[100:])
@@ -90,7 +91,7 @@ class TestSharedStreamState:
             state.paa_rows(50, 10, 2)
 
     def test_paa_rows_validates_window_and_paa_size(self):
-        """Same guards as the batch entry point (sliding_paa_matrix)."""
+        """Same guards as the batch reference (sliding_paa_matrix)."""
         state = SharedStreamState()
         state.extend(np.arange(100.0))
         with pytest.raises(ValueError, match="exceeds"):

@@ -8,14 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import pipeline
+from oracles.sequitur import induce_grammar
 from repro.core import EnsembleGrammarDetector
 from repro.core.combiners import COMBINERS, combine_curves
 from repro.core.executors import ProcessExecutor
-from repro.core.multiresolution import MultiResolutionDiscretizer
 from repro.core.selection import curve_std, normalize_curve, select_by_std
 from repro.datasets.planting import make_corpus
 from repro.datasets.ucr_like import DATASETS
-from repro.grammar._kernel import make_builder, use_kernel
 from repro.grammar.density import density_from_intervals
 
 non_negative = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
@@ -333,18 +333,14 @@ def pool_cases():
 
 
 def _oracle_ensemble_curve(detector, series, parameters):
-    """Algorithm 1 from the numpy oracles: density from explicit intervals,
-    std selection, max normalization and ``np.median``."""
+    """Algorithm 1 from the Python oracles: numpy SAX, word-fed Sequitur,
+    density from explicit intervals, std selection, max normalization and
+    ``np.median``."""
     window = detector.window
-    discretizer = MultiResolutionDiscretizer(
-        series, window, detector.max_paa_size, detector.max_alphabet_size
-    )
     curves = []
     for paa_size, alphabet_size in parameters:
-        tokens = discretizer.token_ids(paa_size, alphabet_size)
-        builder = make_builder("fast")
-        builder.feed_many(tokens.ids)
-        firsts, lasts = builder.occurrence_spans()
+        tokens = pipeline.member_tokens(series, window, paa_size, alphabet_size)
+        firsts, lasts = induce_grammar(tokens.words).occurrence_spans()
         offsets = np.asarray(tokens.offsets, dtype=np.int64)
         intervals = np.column_stack((offsets[firsts], offsets[lasts] + window - 1))
         curves.append(density_from_intervals(intervals, len(series)))
@@ -353,18 +349,15 @@ def _oracle_ensemble_curve(detector, series, parameters):
 
 
 def test_ensemble_curves_equal_the_numpy_oracle_path(pool_cases):
-    """Whole pipeline, under the active kernel (CI runs this file under
-    ``REPRO_KERNEL=python`` too): every pool case's ensemble curve is
-    byte-equal to the numpy oracle path, and the report's stds and kept
-    members equal what selection without precomputed stds gives. The
-    oracle's spans come from the fast arena either way."""
+    """Whole pipeline: every pool case's ensemble curve is byte-equal to
+    the Python oracle path, and the report's stds and kept members equal
+    what selection without precomputed stds gives."""
     for case, seed in pool_cases:
         detector = EnsembleGrammarDetector(
             window=case.gt_length, ensemble_size=50, selectivity=0.4, seed=seed
         )
         report = detector.ensemble_report(case.series, keep_member_curves=True)
-        with use_kernel("fast"):
-            oracle = _oracle_ensemble_curve(detector, case.series, report.parameters)
+        oracle = _oracle_ensemble_curve(detector, case.series, report.parameters)
         assert report.curve.tobytes() == oracle.tobytes()
         curves = list(report.member_curves)
         assert report.stds == tuple(curve_std(curve) for curve in curves)
@@ -375,8 +368,7 @@ def test_ensemble_curves_equal_across_member_execution(pool_cases):
     """Every pool case's ensemble curve is byte-equal whether the members
     run one after another on the caller (``n_jobs=1``), fan out across two
     threads or every available CPU (the default), or run in a process
-    pool. Under ``REPRO_KERNEL=python`` (CI) all of these take the oracle
-    path, which the test above pins to the numpy oracle."""
+    pool; the test above pins the serial curve to the Python oracle."""
     with ProcessExecutor(2) as processes:
         for case, seed in pool_cases:
 

@@ -1,11 +1,11 @@
 """Executor parity suite: every backend must reproduce the serial path bitwise.
 
 Parametrized over {serial, thread, process} × the public entry points
-(detect, detect_batch, iter_detect_batch, evaluate_methods, streaming
-snapshots, baseline batches). "Parity" means *bitwise* equality of anomaly
-curves and identical member selection — not approximate agreement — because
-all backends run the same floating-point operations on the same float64
-values.
+(detect, detect_batch, iter_detect_batch, evaluate_methods, baseline
+batches); a streaming ensemble takes no executor at all. "Parity" means
+*bitwise* equality of anomaly curves and identical member selection — not
+approximate agreement — because all backends run the same floating-point
+operations on the same float64 values.
 
 Also asserts the shared-memory hygiene contract: no ``/dev/shm`` segment
 outlives an executor call, including when a worker raises.
@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.engine import BatchItemError, detect_many, iter_detect_batch
 from repro.core.ensemble import EnsembleGrammarDetector
-from repro.core.executors import MemberExecutor, ThreadExecutor, as_executor
+from repro.core.executors import MemberExecutor, as_executor
 from repro.core.streaming import StreamingEnsembleDetector
 from repro.discord.discords import DiscordDetector
 from repro.discord.hotsax import HotSaxDetector
@@ -255,50 +255,26 @@ class TestMembersStayInProcess:
         ]
 
 
-class TestStreamingSnapshotParity:
-    def test_density_curve_identical(self, executor_kind, series):
-        reference = StreamingEnsembleDetector(window=WINDOW, ensemble_size=5, seed=3)
-        reference.extend(series)
-        expected = reference.density_curve()
+class TestStreamingTakesNoExecutor:
+    def test_executor_argument_is_refused(self, executor_kind):
+        """Streaming polls always run in the owning process, so a streaming
+        ensemble takes no executor, by name or live."""
+        with pytest.raises(TypeError, match="executor"):
+            StreamingEnsembleDetector(window=WINDOW, executor=executor_kind)
         with as_executor(executor_kind, 2) as executor:
-            streaming = StreamingEnsembleDetector(
-                window=WINDOW, ensemble_size=5, seed=3, executor=executor
-            )
-            streaming.extend(series)
-            assert np.array_equal(streaming.density_curve(), expected)
+            with pytest.raises(TypeError, match="executor"):
+                StreamingEnsembleDetector(window=WINDOW, executor=executor)
+        state = StreamingEnsembleDetector(window=WINDOW, ensemble_size=5, seed=3).snapshot()
+        with pytest.raises(TypeError, match="executor"):
+            StreamingEnsembleDetector.restore(state, executor=executor_kind)
 
-    @pytest.mark.parametrize(
-        "bounds",
-        [{}, {"capacity": 500, "policy": "sliding"}, {"capacity": 500, "policy": "decay"}],
-        ids=["unbounded", "sliding", "decay"],
-    )
-    def test_polls_stay_in_owning_process(self, executor_kind, series, bounds):
-        """No executor runs streaming polls, thread pools included, and
-        every poll stays bitwise equal to the serial one."""
-        config = dict(window=WINDOW, ensemble_size=5, seed=3, **bounds)
-        reference = StreamingEnsembleDetector(**config)
-        with as_executor(executor_kind, 2) as inner:
-            recorder = _RecordingExecutor(inner)
-            streaming = StreamingEnsembleDetector(executor=recorder, **config)
-            for chunk in np.array_split(series, 4):
-                reference.extend(chunk)
-                streaming.extend(chunk)
-                assert np.array_equal(
-                    streaming.density_curve(), reference.density_curve()
-                )
-                assert streaming.detect(3) == reference.detect(3)
-        assert recorder.calls == []
-
-    def test_thread_executor_poll_is_captured(self, series):
-        """A poll under a thread executor runs on this thread, so capture()
-        sees its grammar and density time."""
-        with ThreadExecutor(2) as executor:
-            streaming = StreamingEnsembleDetector(
-                window=WINDOW, ensemble_size=5, seed=3, executor=executor
-            )
-            streaming.extend(series)
-            with capture() as timings:
-                streaming.density_curve()
+    def test_default_poll_is_captured(self, series):
+        """A poll runs on the calling thread, so capture() sees its grammar
+        and density time."""
+        streaming = StreamingEnsembleDetector(window=WINDOW, ensemble_size=5, seed=3)
+        streaming.extend(series)
+        with capture() as timings:
+            streaming.density_curve()
         assert {"grammar", "density", "combine"} <= set(timings)
         assert timings["grammar"] > 0.0 and timings["density"] > 0.0
 

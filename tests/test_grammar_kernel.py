@@ -1,7 +1,7 @@
-"""Kernel equivalence: the fast Sequitur backend against the oracle.
+"""Native Sequitur equivalence: the arena against the Python reference.
 
 The contract (see ``repro/grammar/_kernel.py``): for any token sequence,
-the ``fast`` kernel produces the identical frozen
+the native arena produces the identical frozen
 :class:`~repro.grammar.rules.Grammar` — same rules, same numbering, same
 refcounts — and the identical occurrence-span arrays, element by element
 (the kernel walk visits nodes in the oracle's order). Grammar structure
@@ -9,7 +9,8 @@ depends only on the equality pattern of the tokens, so interning token
 strings to integer ids is invisible to the result.
 
 The property suite drives random (repetition-biased) token streams through
-the id kernel and the reference ``_SequiturBuilder`` side by side, asserting
+the arena and the reference ``SequiturBuilder`` of ``tests/oracles/``
+side by side, asserting
 after every token the digram-table invariant the tail-only reduction's
 dropped branches rely on; the kernel itself checks the reduction's
 precondition on every match and fails the feed if it does not hold.
@@ -32,12 +33,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import sequitur as oracle_sequitur
+from oracles.sequitur import GenerationalOracle, SequiturBuilder
 from repro.core.multiresolution import MultiResolutionDiscretizer
 from repro.datasets.planting import make_corpus
 from repro.datasets.ucr_like import DATASETS
 from repro.grammar import _kernel
 from repro.grammar._kernel import FastSequitur
-from repro.grammar.sequitur import GenerationalSequitur, _SequiturBuilder, induce_grammar
+from repro.grammar.sequitur import GenerationalSequitur, induce_grammar
 
 #: Token streams with heavy repetition (small alphabets make digram matches,
 #: rule reuse, and rule-utility inlining all fire often).
@@ -144,7 +147,7 @@ def _vocabulary(stream) -> list[str]:
 
 
 def _oracle(stream):
-    builder = _SequiturBuilder()
+    builder = SequiturBuilder()
     vocabulary = _vocabulary(stream)
     for token in stream:
         builder.feed(vocabulary[token])
@@ -177,7 +180,7 @@ def _fast_table(builder: FastSequitur) -> dict:
     }
 
 
-def _oracle_table(builder: _SequiturBuilder) -> dict:
+def _oracle_table(builder: SequiturBuilder) -> dict:
     """:func:`_fast_table` for the reference builder."""
     place: dict[int, tuple[int, int]] = {}
     seen = {0}
@@ -277,8 +280,7 @@ class TestFastKernelEquivalence:
     def test_paper_example(self):
         """Eq. (4): R0 -> R1 cc ca R1, R1 -> ab bc aa (Table 2)."""
         words = ["ab", "bc", "aa", "cc", "ca", "ab", "bc", "aa"]
-        with _kernel.use_kernel("fast"):
-            grammar = induce_grammar(words)
+        grammar = induce_grammar(words)
         assert grammar.rules[0].rhs == (1, "cc", "ca", 1)
         assert grammar.rules[1].rhs == ("ab", "bc", "aa")
 
@@ -427,86 +429,67 @@ class TestNativeBuild:
         assert list(tmp_path.iterdir()) == []
 
 
-class TestInduceGrammarKernelParity:
+class TestInduceGrammarMatchesTheOracle:
     @given(stream=token_streams)
-    def test_fast_equals_python(self, stream):
+    def test_words_give_the_oracle_grammar(self, stream):
         words = [_vocabulary(stream)[token] for token in stream]
-        with _kernel.use_kernel("python"):
-            reference = induce_grammar(words)
-        with _kernel.use_kernel("fast"):
-            fast = induce_grammar(words)
-        assert fast == reference
+        assert induce_grammar(words) == oracle_sequitur.induce_grammar(words)
 
-    def test_empty_and_type_errors_survive_the_fast_path(self):
-        with _kernel.use_kernel("fast"):
+    def test_empty_and_type_errors_match_the_oracle(self):
+        for induce in (induce_grammar, oracle_sequitur.induce_grammar):
             with pytest.raises(ValueError, match="empty token sequence"):
-                induce_grammar([])
+                induce([])
             with pytest.raises(TypeError, match="must be strings"):
-                induce_grammar(["ab", 3])
+                induce(["ab", 3])
+
+    def test_make_builder_is_a_fresh_native_arena(self):
+        builder = _kernel.make_builder()
+        assert isinstance(builder, FastSequitur) and builder.n_tokens == 0
+        assert builder is not _kernel.make_builder()
+        # The end-to-end benchmark's runner labels its reports with this.
+        assert _kernel.current_kernel() == "fast"
 
 
-class TestKernelSeam:
-    def test_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv(_kernel.KERNEL_ENV, raising=False)
-        with _kernel.use_kernel(None):
-            assert _kernel.current_kernel() == "fast"
-
-    def test_environment_selects_kernel(self, monkeypatch):
-        monkeypatch.setenv(_kernel.KERNEL_ENV, "python")
-        with _kernel.use_kernel(None):
-            assert _kernel.current_kernel() == "python"
-
-    def test_environment_rejects_unknown(self, monkeypatch):
-        # Older builds shipped a "compiled" kernel; an environment still
-        # naming it must fail loudly, not fall back silently.
-        for name in ("turbo", "compiled"):
-            monkeypatch.setenv(_kernel.KERNEL_ENV, name)
-            with _kernel.use_kernel(None):
-                with pytest.raises(ValueError, match="unknown grammar kernel"):
-                    _kernel.current_kernel()
-
-    def test_use_kernel_restores_previous(self):
-        before = _kernel.current_kernel()
-        with _kernel.use_kernel("python"):
-            assert _kernel.current_kernel() == "python"
-        assert _kernel.current_kernel() == before
-
-    def test_make_builder_rejects_python(self):
-        with pytest.raises(ValueError, match="no id-based builder"):
-            _kernel.make_builder("python")
-
-    def test_make_builder_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown grammar kernel"):
-            _kernel.make_builder("warp")
+#: Offsets with long gaps, so generations are skipped as well as filled.
+offset_steps = st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=200)
 
 
-class TestGenerationalSequiturKernels:
+class TestGenerationalSequiturMatchesTheOracle:
     def test_feed_id_requires_vocabulary(self):
-        forgetter = GenerationalSequitur(4, kernel="fast")
+        forgetter = GenerationalSequitur(4)
         with pytest.raises(ValueError, match="vocabulary"):
             forgetter.feed_id(0, 0)
 
-    def test_live_spans_requires_id_kernel(self):
-        forgetter = GenerationalSequitur(4, kernel="python")
-        with pytest.raises(ValueError, match="id-based kernel"):
-            forgetter.live_spans()
-
-    @given(stream=token_streams)
-    def test_feed_id_matches_python_feed(self, stream):
+    @pytest.mark.parametrize("size", [1, 3, 8, 64])
+    @given(stream=token_streams, steps=offset_steps, horizon=st.integers(0, 40))
+    def test_live_grammars_and_retirement_match_the_oracle(self, size, stream, steps, horizon):
+        """``feed_id`` and ``feed`` give the oracle's live grammars, token
+        counts and retirement stats, with a horizon advance half way."""
         vocabulary = _vocabulary(stream)
-        reference = GenerationalSequitur(8, kernel="python")
-        fast = GenerationalSequitur(8, kernel="fast", vocabulary=vocabulary)
-        for offset, token in enumerate(stream):
-            reference.feed(vocabulary[token], offset)
-            fast.feed_id(token, offset)
-        expected = reference.live_grammars()
-        actual = fast.live_grammars()
-        assert [(i, g, c) for i, g, c in actual] == [(i, g, c) for i, g, c in expected]
+        offsets = np.cumsum([steps[i % len(steps)] for i in range(len(stream))]).tolist()
+        by_id = GenerationalSequitur(size, vocabulary=vocabulary)
+        by_word = GenerationalSequitur(size)
+        oracle = GenerationalOracle(size)
+        half = len(stream) // 2
+        for position, (token, offset) in enumerate(zip(stream, offsets)):
+            if position == half:
+                boundary = offsets[half - 1] - horizon if half else 0
+                dropped = {f.drop_before(boundary) for f in (by_id, by_word, oracle)}
+                assert len(dropped) == 1
+            by_id.feed_id(token, offset)
+            by_word.feed(vocabulary[token], offset)
+            oracle.feed(vocabulary[token], offset)
+        expected = oracle.live_grammars()
+        assert by_id.live_grammars() == expected
+        assert by_word.live_grammars() == expected
+        stats = ("retired_generations", "retired_tokens", "retired_rules", "retired_rule_refs")
+        for name in stats:
+            assert getattr(by_id, name) == getattr(by_word, name) == getattr(oracle, name)
 
     @given(stream=token_streams)
     def test_live_spans_match_live_grammars(self, stream):
         vocabulary = _vocabulary(stream)
-        forgetter = GenerationalSequitur(8, kernel="fast", vocabulary=vocabulary)
+        forgetter = GenerationalSequitur(8, vocabulary=vocabulary)
         for offset, token in enumerate(stream):
             forgetter.feed_id(token, offset)
         grammars = {i: g for i, g, _ in forgetter.live_grammars()}
@@ -516,13 +499,26 @@ class TestGenerationalSequiturKernels:
             assert np.array_equal(lasts, expected_lasts)
             assert count == grammars[index].expanded_lengths()[0]
 
+    def test_replay_rebuilds_every_live_generation(self):
+        rng = np.random.default_rng(3)
+        vocabulary = [f"w{i}" for i in range(5)]
+        tokens = [(int(rng.integers(0, 5)), offset) for offset in range(0, 300, 2)]
+        fed = GenerationalSequitur(16, vocabulary=vocabulary)
+        for token, offset in tokens:
+            fed.feed_id(token, offset)
+        fed.drop_before(64)
+        live = [(t, o) for t, o in tokens if o >= 64]
+        replayed = GenerationalSequitur.replay(live, generation_size=16, vocabulary=vocabulary)
+        assert replayed.live_grammars() == fed.live_grammars()
+        assert replayed.retired_generations == 0
+
     def test_sealing_releases_the_builder_arena(self):
         """Decay soak (the interned-word bugfix): sealed generations must not
         pin retired token storage — memory accounting stays bounded as
         generations retire, instead of accumulating one arena per seal."""
         rng = np.random.default_rng(7)
         vocabulary = [f"w{i}" for i in range(16)]
-        forgetter = GenerationalSequitur(64, kernel="fast", vocabulary=vocabulary)
+        forgetter = GenerationalSequitur(64, vocabulary=vocabulary)
         readings = []
         for offset in range(6400):
             forgetter.feed_id(int(rng.integers(0, 16)), offset)
@@ -537,4 +533,3 @@ class TestGenerationalSequiturKernels:
         # And every *sealed* generation has dropped its builder: only spans,
         # counts and frozen rules remain.
         assert set(forgetter._sealed) == set(forgetter._sealed_spans)
-

@@ -1,13 +1,12 @@
-"""Kernel differential suite: the full pipeline across REPRO_KERNEL values.
+"""Pipeline differential suite: the whole detector against the Python oracles.
 
 The property battery (``test_sax_properties.py``) pins the discretization
 stage in isolation; this suite drives random series through the *whole*
 detector — batch ``detect()``/``ensemble_report()`` and streaming
-append/extend + poll — under both kernels and every executor backend, and
-asserts the end results are bitwise identical: same anomaly positions, same
+append/extend + poll — and asserts the end results are bitwise identical
+to the pipeline composed from ``tests/oracles/`` (numpy SAX, word-fed
+Sequitur, production density and combiner): same anomaly positions, same
 member selection, same float64 curve bits.
-
-``python`` is the oracle; ``fast`` (the default) must match it exactly.
 """
 
 from __future__ import annotations
@@ -15,13 +14,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import pipeline
 from oracles.interner import MAX_PACKED_WIDTH
+from repro.core.combiners import COMBINERS
 from repro.core.ensemble import EnsembleGrammarDetector
 from repro.core.executors import as_executor
 from repro.core.streaming import StreamingEnsembleDetector, StreamingGrammarDetector
-from repro.sax import _kernel
-
-NON_ORACLE = ["fast"]
+from repro.datasets.planting import make_corpus
+from repro.datasets.ucr_like import DATASETS
 
 WINDOW = 50
 CONFIG = dict(
@@ -38,139 +38,170 @@ def random_series(seed: int, n: int = 900) -> np.ndarray:
     return series
 
 
-def batch_result(kernel: str, series: np.ndarray, executor_kind: str | None):
-    with _kernel.use_kernel(kernel):
-        detector = EnsembleGrammarDetector(**CONFIG)
-        if executor_kind is None:
+def batch_result(series: np.ndarray, executor_kind: str | None, **config):
+    config = {**CONFIG, **config}
+    if executor_kind is None:
+        report = EnsembleGrammarDetector(**config).ensemble_report(
+            series, keep_member_curves=True
+        )
+        anomalies = EnsembleGrammarDetector(**config).detect(series, 3)
+    else:
+        with as_executor(executor_kind, 2) as executor:
+            detector = EnsembleGrammarDetector(**config, executor=executor)
             report = detector.ensemble_report(series, keep_member_curves=True)
-            anomalies = detector.detect(series, 3)
-        else:
-            with as_executor(executor_kind, 2) as executor:
-                detector = EnsembleGrammarDetector(**CONFIG, executor=executor)
-                report = detector.ensemble_report(series, keep_member_curves=True)
-                anomalies = detector.detect(series, 3)
+            anomalies = EnsembleGrammarDetector(**config, executor=executor).detect(series, 3)
     return report, anomalies
 
 
-def streaming_result(kernel: str, series: np.ndarray, **overrides):
-    """Append + extend ingestion with interleaved polls (snapshot reads)."""
-    with _kernel.use_kernel(kernel):
-        detector = StreamingEnsembleDetector(**CONFIG, **overrides)
-        for value in series[:150]:
-            detector.append(float(value))
-        curves = []
-        for offset in range(150, len(series), 200):
-            detector.extend(series[offset : offset + 200])
-            curves.append(detector.density_curve().copy())
-        anomalies = detector.detect(3)
-    return curves, anomalies
+def assert_batch_matches_oracle(series: np.ndarray, report, anomalies, **config) -> None:
+    detector = EnsembleGrammarDetector(**{**CONFIG, **config})
+    oracle = pipeline.batch_ensemble(detector, series, report.parameters)
+    assert list(report.parameters) == detector.sample_parameters()
+    assert report.kept == oracle.kept
+    assert report.curve.tobytes() == oracle.curve.tobytes()
+    for ours, expected in zip(report.member_curves, oracle.member_curves, strict=True):
+        assert ours.tobytes() == expected.tobytes()
+    assert anomalies == pipeline.anomalies(oracle.curve, detector.window, 3)
 
 
-@pytest.mark.parametrize("kernel", NON_ORACLE)
+def assert_poll_matches_oracle(detector: StreamingEnsembleDetector, fed: np.ndarray) -> None:
+    oracle = pipeline.stream_ensemble(detector, fed)
+    assert detector.density_curve().tobytes() == oracle.curve.tobytes()
+    assert detector.detect(3) == pipeline.anomalies(
+        oracle.curve, detector.window, 3, detector.horizon_start
+    )
+
+
+def streaming_polls(series: np.ndarray, **overrides):
+    """Append + extend ingestion with interleaved polls, each checked
+    against the oracle poll over every point fed so far."""
+    detector = StreamingEnsembleDetector(**CONFIG, **overrides)
+    for value in series[:150]:
+        detector.append(float(value))
+    polls = 0
+    for offset in range(150, len(series), 200):
+        stop = min(offset + 200, len(series))
+        detector.extend(series[offset:stop])
+        assert_poll_matches_oracle(detector, series[:stop])
+        polls += 1
+    return detector, polls
+
+
+@pytest.fixture(scope="module")
+def planted():
+    """One planted case of each UCR-like dataset (the paper's protocol)."""
+    return {name: make_corpus(dataset, n_cases=1, seed=3)[0] for name, dataset in DATASETS.items()}
+
+
 @pytest.mark.parametrize("seed", [1, 2])
-def test_batch_detect_matches_python_oracle(kernel, seed):
+def test_batch_detect_matches_the_oracle(seed):
     series = random_series(seed)
-    oracle_report, oracle_anomalies = batch_result("python", series, None)
-    report, anomalies = batch_result(kernel, series, None)
-    assert report.parameters == oracle_report.parameters
-    assert report.kept == oracle_report.kept
-    assert np.array_equal(report.curve, oracle_report.curve)
-    for ours, expected in zip(report.member_curves, oracle_report.member_curves):
-        assert np.array_equal(ours, expected)
-    assert anomalies == oracle_anomalies
+    assert_batch_matches_oracle(series, *batch_result(series, None))
 
 
-@pytest.mark.parametrize("kernel", NON_ORACLE)
-def test_wide_word_batch_detect_matches_python_oracle(kernel):
+def test_wide_word_batch_detect_matches_the_oracle():
     """Members whose words are wider than a packed int64 code holds (12
     symbols) must still match the oracle bit for bit."""
     series = random_series(10)
-    config = dict(CONFIG, ensemble_size=10, max_paa_size=16, seed=1)
-
-    def run(name: str):
-        with _kernel.use_kernel(name):
-            detector = EnsembleGrammarDetector(**config)
-            report = detector.ensemble_report(series, keep_member_curves=True)
-            return report, detector.detect(series, 3)
-
-    oracle_report, oracle_anomalies = run("python")
-    report, anomalies = run(kernel)
+    config = dict(ensemble_size=10, max_paa_size=16, seed=1)
+    report, anomalies = batch_result(series, None, **config)
     assert any(w > MAX_PACKED_WIDTH for w, _ in report.parameters)
-    assert report.parameters == oracle_report.parameters
-    assert report.kept == oracle_report.kept
-    assert np.array_equal(report.curve, oracle_report.curve)
-    for ours, expected in zip(report.member_curves, oracle_report.member_curves):
-        assert np.array_equal(ours, expected)
-    assert anomalies == oracle_anomalies
+    assert_batch_matches_oracle(series, report, anomalies, **config)
 
 
-@pytest.mark.parametrize("kernel", NON_ORACLE)
-def test_batch_detect_matches_oracle_across_executors(kernel, executor_kind):
+def test_none_numerosity_batch_detect_matches_the_oracle():
+    """The ``"none"`` strategy takes the word path: every window a token."""
+    series = random_series(11)
+    report, anomalies = batch_result(series, None, numerosity="none")
+    assert_batch_matches_oracle(series, report, anomalies, numerosity="none")
+
+
+@pytest.mark.parametrize("combiner", COMBINERS)
+def test_every_combiner_matches_the_oracle(combiner):
+    series = random_series(13)
+    config = dict(combiner=combiner, selectivity=0.5)
+    assert_batch_matches_oracle(series, *batch_result(series, None, **config), **config)
+
+
+@pytest.mark.parametrize("numerosity", ["exact", "none"])
+@pytest.mark.parametrize("dataset", DATASETS)
+def test_planted_case_batch_detect_matches_the_oracle(planted, dataset, numerosity):
+    case = planted[dataset]
+    config = dict(window=case.gt_length, ensemble_size=8, seed=7, numerosity=numerosity)
+    report, anomalies = batch_result(case.series, None, **config)
+    assert_batch_matches_oracle(case.series, report, anomalies, **config)
+
+
+def test_batch_detect_matches_the_oracle_across_executors(executor_kind):
     series = random_series(3)
-    oracle_report, oracle_anomalies = batch_result("python", series, None)
-    report, anomalies = batch_result(kernel, series, executor_kind)
-    assert report.kept == oracle_report.kept
-    assert np.array_equal(report.curve, oracle_report.curve)
-    assert anomalies == oracle_anomalies
+    assert_batch_matches_oracle(series, *batch_result(series, executor_kind))
 
 
-@pytest.mark.parametrize("kernel", NON_ORACLE)
 @pytest.mark.parametrize("seed", [4, 5])
-def test_streaming_polls_match_python_oracle(kernel, seed):
-    series = random_series(seed)
-    oracle_curves, oracle_anomalies = streaming_result("python", series)
-    curves, anomalies = streaming_result(kernel, series)
-    assert len(curves) == len(oracle_curves)
-    for ours, expected in zip(curves, oracle_curves):
-        assert np.array_equal(ours, expected)
-    assert anomalies == oracle_anomalies
+def test_streaming_polls_match_the_oracle(seed):
+    _, polls = streaming_polls(random_series(seed))
+    assert polls == 4
 
 
-@pytest.mark.parametrize("kernel", NON_ORACLE)
-def test_streaming_matches_oracle_across_executors(kernel, executor_kind):
-    series = random_series(6)
-    oracle_curves, oracle_anomalies = streaming_result("python", series)
-    curves, anomalies = streaming_result(kernel, series, executor=executor_kind)
-    for ours, expected in zip(curves, oracle_curves):
-        assert np.array_equal(ours, expected)
-    assert anomalies == oracle_anomalies
-
-
-@pytest.mark.parametrize("kernel", NON_ORACLE)
 @pytest.mark.parametrize(
     "eviction",
     [dict(capacity=300, policy="sliding"), dict(capacity=300, policy="decay", segments=3)],
     ids=["sliding", "decay"],
 )
-def test_streaming_eviction_matches_python_oracle(kernel, eviction):
-    series = random_series(7, n=1200)
-    oracle_curves, oracle_anomalies = streaming_result("python", series, **eviction)
-    curves, anomalies = streaming_result(kernel, series, **eviction)
-    for ours, expected in zip(curves, oracle_curves):
-        assert np.array_equal(ours, expected)
-    assert anomalies == oracle_anomalies
+def test_streaming_eviction_matches_the_oracle(eviction):
+    detector, polls = streaming_polls(random_series(7, n=1200), **eviction)
+    assert polls == 6 and detector.horizon_start > 0
 
 
-@pytest.mark.parametrize("kernel", NON_ORACLE)
-def test_single_member_stream_matches_python_oracle(kernel):
+def test_streaming_none_numerosity_matches_the_oracle():
+    streaming_polls(random_series(12), capacity=400, policy="sliding", numerosity="none")
+
+
+@pytest.mark.parametrize(
+    "eviction",
+    [{}, dict(policy="sliding"), dict(policy="decay", segments=4)],
+    ids=["unbounded", "sliding", "decay"],
+)
+@pytest.mark.parametrize("dataset", DATASETS)
+def test_planted_case_stream_matches_the_oracle(planted, dataset, eviction):
+    """Four uneven chunks of a planted case, each followed by a poll; the
+    bounded runs keep eight windows, so the horizon moves."""
+    case = planted[dataset]
+    window = case.gt_length
+    if eviction:
+        eviction = dict(eviction, capacity=8 * window)
+    detector = StreamingEnsembleDetector(
+        window=window, ensemble_size=6, seed=11, **eviction
+    )
+    bounds = np.linspace(0, len(case.series), 5).astype(int)
+    bounds[1] += 17
+    for stop in bounds[1:]:
+        detector.extend(case.series[len(detector) : stop])
+        assert_poll_matches_oracle(detector, case.series[:stop])
+    assert (detector.horizon_start > 0) == bool(eviction)
+
+
+@pytest.mark.parametrize(
+    "eviction",
+    [{}, dict(capacity=250, policy="sliding"), dict(capacity=250, policy="decay")],
+    ids=["unbounded", "sliding", "decay"],
+)
+def test_single_member_stream_matches_the_oracle(eviction):
     series = random_series(8, n=700)
-
-    def run(name: str):
-        with _kernel.use_kernel(name):
-            member = StreamingGrammarDetector(window=WINDOW, paa_size=5, alphabet_size=5)
-            for value in series[:90]:
-                member.append(float(value))
-            member.extend(series[90:])
-            return member.density_curve().copy(), member.detect(2)
-
-    oracle_curve, oracle_anomalies = run("python")
-    curve, anomalies = run(kernel)
-    assert np.array_equal(curve, oracle_curve)
-    assert anomalies == oracle_anomalies
+    member = StreamingGrammarDetector(window=WINDOW, paa_size=5, alphabet_size=5, **eviction)
+    for value in series[:90]:
+        member.append(float(value))
+    member.extend(series[90:])
+    expected = pipeline.stream_member_curve(
+        series, WINDOW, 5, 5,
+        horizon_start=member.horizon_start,
+        generation_size=member.state.generation_size,
+    )
+    assert member.density_curve().tobytes() == expected.tobytes()
+    assert member.detect(2) == pipeline.anomalies(expected, WINDOW, 2, member.horizon_start)
 
 
-def test_current_kernel_matches_batch_and_streaming():
-    """Whatever kernel the session selected: batch and streaming agree."""
+def test_batch_and_streaming_agree():
     series = random_series(9)
     batch_curve = EnsembleGrammarDetector(**CONFIG).density_curve(series)
     streaming = StreamingEnsembleDetector(**CONFIG)

@@ -5,8 +5,8 @@ pipeline in C. Its contract is the chain it replaces —
 ``sax_tokens -> feed_many -> occurrence_spans ->
 density_curve_from_token_spans`` — byte for byte, with the same error for
 every bad input. The chain's stages are native too and pinned against the
-python oracles by their own suites, so this file needs no kernel scope and
-runs unchanged under ``REPRO_KERNEL=python``.
+Python oracles by their own suites; real members of a series are also
+checked against the whole oracle pipeline of ``tests/oracles/`` here.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import pipeline
 from repro.core.multiresolution import MultiResolutionDiscretizer
 from repro.grammar import _kernel
 from repro.grammar._kernel import FastSequitur, member_curve
@@ -87,6 +88,9 @@ class TestDifferential:
         intervals = discretizer.interval_matrix(width)
         column = discretizer.alphabet_table.symbol_column(alphabet)
         check(intervals, column, 60, len(series))
+        curve, _ = member_curve(intervals, column, 60, len(series))
+        expected = pipeline.member_curve(series, 60, width, alphabet)
+        assert curve.tobytes() == expected.tobytes()
 
     def test_all_equal_rows_give_a_zero_curve(self):
         intervals = np.full((30, 4), 2, dtype=np.intp)

@@ -1,16 +1,15 @@
 """The native SAX front end (``repro/sax/_sax.c``) against the numpy reference.
 
-``sax_intervals`` must give, bit for bit, the rows of
-:func:`~repro.sax.paa.sliding_paa_rows` and the intervals of
+``sax_intervals`` must give, bit for bit, the rows of the numpy reference
+``sliding_paa_rows`` (``tests/oracles/sax.py``) and the intervals of
 ``np.searchsorted(..., side="right")`` over them: integer and fractional
 segment widths, ring-buffer ``origin`` offsets, constant and near-constant
-windows, ``paa_size`` up to ``window``, alphabets up to 26 and values sitting
-exactly on a breakpoint. ``sax_tokens`` (through
-``MultiResolutionDiscretizer.token_ids``) must keep the windows the reference
-:meth:`~repro.core.multiresolution.MultiResolutionDiscretizer.tokens` keeps,
-with ids whose equality pattern is the words', at any word width, so the
-grammar spans are identical. The ctypes wrappers check their inputs before
-any C call.
+windows, ``paa_size`` up to ``window``, alphabets up to 26 and values
+sitting exactly on a breakpoint. ``sax_tokens`` (through
+``MultiResolutionDiscretizer.token_ids``) must keep the windows the oracle's
+words keep after numerosity reduction, with the oracle's first-occurrence
+ids, at any word width, so the grammar spans are identical. The ctypes
+wrappers check their inputs before any C call.
 """
 
 from __future__ import annotations
@@ -22,12 +21,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import pipeline
+from oracles.sax import first_occurrence_ids, sliding_paa_rows
+from oracles.sequitur import induce_grammar
 from repro.core.multiresolution import MultiResolutionDiscretizer
 from repro.grammar._kernel import FastSequitur
-from repro.grammar.sequitur import induce_grammar
 from repro.sax import _kernel
 from repro.sax.breakpoints import MultiResolutionAlphabet, gaussian_breakpoints
-from repro.sax.paa import sliding_paa_rows
 
 FLAVORS = ("walk", "constant", "near_constant", "plateaus")
 
@@ -176,15 +176,12 @@ class TestSaxIntervals:
 
 
 def reference_ids(discretizer, w, a):
-    """The python oracle's words and token ids for the same member."""
-    with _kernel.use_kernel("python"):
-        oracle = MultiResolutionDiscretizer(
-            discretizer.series, discretizer.window, discretizer.max_paa_size,
-            discretizer.max_alphabet_size,
-        )
-    tokens, ids = oracle.tokens(w, a), oracle.token_ids(w, a)
-    assert np.array_equal(ids.offsets, tokens.offsets)
-    return tokens, ids.ids
+    """The oracle's words and token ids for the same member."""
+    tokens = pipeline.member_tokens(discretizer.series, discretizer.window, w, a)
+    production = discretizer.tokens(w, a)
+    assert tokens.words == production.words
+    assert np.array_equal(tokens.offsets, production.offsets)
+    return tokens, first_occurrence_ids(tokens.words)
 
 
 def same_pattern(ids, words) -> bool:
@@ -210,9 +207,8 @@ class TestSaxTokens:
     def test_token_ids_match_the_reference_tokens(self, seed, flavor, window, w, a):
         w = min(w, window)
         series = make_series(seed, 200, flavor)
-        with _kernel.use_kernel("fast"):
-            fast = MultiResolutionDiscretizer(series, window, w, 26)
-            ids = fast.token_ids(w, a)
+        fast = MultiResolutionDiscretizer(series, window, w, 26)
+        ids = fast.token_ids(w, a)
         tokens, expected = reference_ids(fast, w, a)
         assert np.array_equal(ids.offsets, tokens.offsets)
         assert (ids.n_windows, ids.window) == (tokens.n_windows, tokens.window)
@@ -221,8 +217,7 @@ class TestSaxTokens:
         # native grammar over them has the word grammar's spans.
         assert same_pattern(ids.ids, tokens.words)
         assert ids.ids.dtype == np.int64 and np.array_equal(ids.ids, expected)
-        with _kernel.use_kernel("python"):
-            reference_spans = induce_grammar(list(tokens.words)).occurrence_spans()
+        reference_spans = induce_grammar(tokens.words).occurrence_spans()
         assert all(np.array_equal(x, y) for x, y in zip(spans(ids.ids), reference_spans))
 
     @pytest.mark.parametrize("w", [12, 13, 16, 20])
@@ -230,9 +225,8 @@ class TestSaxTokens:
         """Widths above 12 (too wide for one packed int64 code) hash like any other."""
         series = np.tile(np.sin(np.linspace(0, 2 * np.pi, 40)), 15)
         series += 0.05 * np.random.default_rng(w).standard_normal(len(series))
-        with _kernel.use_kernel("fast"):
-            fast = MultiResolutionDiscretizer(series, 40, 20, 6)
-            ids = fast.token_ids(w, 6)
+        fast = MultiResolutionDiscretizer(series, 40, 20, 6)
+        ids = fast.token_ids(w, 6)
         tokens, expected = reference_ids(fast, w, 6)
         assert len(set(ids.ids.tolist())) < len(ids)  # some word repeats
         assert np.array_equal(ids.offsets, tokens.offsets)

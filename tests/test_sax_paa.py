@@ -8,8 +8,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.sax.paa import CumulativeStats, paa, paa_naive, znorm_paa
+from oracles.sax import paa_naive
+from repro.sax._kernel import paa_rows_block
+from repro.sax.paa import CumulativeStats, paa, znorm_paa
 from repro.sax.znorm import znorm
+
+
+def sliding_rows(stats: CumulativeStats, window: int, paa_size: int) -> np.ndarray:
+    """The native z-normalized PAA row of every window of ``stats.series``."""
+    windows = len(stats.series) - window + 1
+    return paa_rows_block(
+        stats.prefix_sum, stats.prefix_sq, stats.series, 0, windows, window, paa_size
+    )
 
 values_strategy = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -106,18 +116,18 @@ class TestCumulativeStats:
             assert means[p] == pytest.approx(series[p : p + 12].mean(), abs=1e-9)
             assert stds[p] == pytest.approx(series[p : p + 12].std(ddof=1), abs=1e-9)
 
-    def test_sliding_paa_matrix_rows_match_fast_paa(self, rng):
+    def test_sliding_rows_match_fast_paa(self, rng):
         series = np.cumsum(rng.standard_normal(120))
         stats = CumulativeStats(series)
-        matrix = stats.sliding_paa_matrix(30, 6)
+        matrix = sliding_rows(stats, 30, 6)
         assert matrix.shape == (91, 6)
         for p in [0, 13, 55, 90]:
             assert np.allclose(matrix[p], stats.fast_paa(p, 30, 6), atol=1e-10)
 
-    def test_sliding_paa_matrix_window_equals_series(self, rng):
+    def test_sliding_rows_window_equals_series(self, rng):
         series = rng.standard_normal(40)
         stats = CumulativeStats(series)
-        matrix = stats.sliding_paa_matrix(40, 10)
+        matrix = sliding_rows(stats, 40, 10)
         assert matrix.shape == (1, 10)
         assert np.allclose(matrix[0], znorm_paa(series, 10), atol=1e-8)
 
@@ -132,7 +142,7 @@ class TestFastPaaProperty:
         window = min(window, len(series))
         paa_size = min(paa_size, window)
         stats = CumulativeStats(series)
-        matrix = stats.sliding_paa_matrix(window, paa_size)
+        matrix = sliding_rows(stats, window, paa_size)
         # Prefix-sum cancellation error scales with the *global* magnitude,
         # so windows whose own variation is small relative to it are
         # ill-conditioned by construction and outside the contract (the

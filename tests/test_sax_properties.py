@@ -1,6 +1,6 @@
 """SAX property battery: the shared discretization plan versus the scalar path.
 
-The contract pinned here is *bitwise* equality: for every kernel the
+The contract pinned here is *bitwise* equality: the
 :class:`~repro.sax.plan.DiscretizationPlan` sweep must reproduce, bit for
 bit, what the per-member scalar pipeline (``fast_paa`` per window start,
 ``symbol_indices`` per coefficient, ``sax_word`` per subsequence) produces —
@@ -8,8 +8,8 @@ including the awkward corners: zero-variance windows, fully constant series,
 ``window == len(series)``, fractional PAA segment boundaries, and streaming
 ring buffers whose arrays start at a nonzero global ``origin``.
 
-The ``python`` kernel is the oracle (it *is* the reference implementation);
-``fast`` must match it exactly.
+The numpy reference of ``tests/oracles/sax.py`` (sliding PAA rows, then
+``np.searchsorted``) is the oracle; the native sweep must match it exactly.
 """
 
 from __future__ import annotations
@@ -19,17 +19,14 @@ import pytest
 
 from oracles.interner import MAX_PACKED_WIDTH, pack_symbol_rows
 from oracles.interner import WordInterner as OracleInterner
+from oracles.sax import interval_rows_from, sliding_paa_rows
 from repro.core.engine import SharedStreamState
-from repro.sax import _kernel
 from repro.sax.alphabet import WordInterner, index_matrix_to_words
 from repro.sax.breakpoints import gaussian_breakpoints, symbol_indices
 from repro.sax.numerosity import kept_window_mask, numerosity_reduction
-from repro.sax.paa import CumulativeStats, sliding_paa_rows
+from repro.sax.paa import CumulativeStats
 from repro.sax.plan import DiscretizationPlan
 from repro.sax.sax import discretize, sax_word
-
-kernel_param = pytest.mark.parametrize("kernel", ["python", "fast"])
-
 
 def make_series(seed: int, n: int, flavor: str = "mixed") -> np.ndarray:
     rng = np.random.default_rng(seed)
@@ -56,50 +53,45 @@ def scalar_symbol_matrix(
 
 
 # ----------------------------------------------------------------------
-# Plan sweep vs the scalar per-window path, across kernels.
+# Plan sweep vs the scalar per-window path.
 # ----------------------------------------------------------------------
 
 
-@kernel_param
 @pytest.mark.parametrize("seed", range(4))
-def test_sweep_matches_scalar_path_random_configs(kernel, seed):
+def test_sweep_matches_scalar_path_random_configs(seed):
     rng = np.random.default_rng(1000 + seed)
-    with _kernel.use_kernel(kernel):
-        for _ in range(6):
-            n = int(rng.integers(30, 160))
-            window = int(rng.integers(4, min(40, n) + 1))
-            series = make_series(int(rng.integers(1 << 30)), n)
-            configs = [
-                (int(rng.integers(2, window // 2 + 2)), int(rng.integers(2, 11)))
-                for _ in range(int(rng.integers(1, 5)))
-            ]
-            configs = [(min(w, window), a) for w, a in configs]
-            threshold = float(rng.choice([1e-8, 1e-4, 0.05]))
-            plan = DiscretizationPlan(window, configs, znorm_threshold=threshold)
-            sweep = plan.sweep_series(CumulativeStats(series))
-            for w, a in configs:
-                expected = scalar_symbol_matrix(series, window, w, a, threshold)
-                assert np.array_equal(sweep.symbol_rows(w, a), expected)
+    for _ in range(6):
+        n = int(rng.integers(30, 160))
+        window = int(rng.integers(4, min(40, n) + 1))
+        series = make_series(int(rng.integers(1 << 30)), n)
+        configs = [
+            (int(rng.integers(2, window // 2 + 2)), int(rng.integers(2, 11)))
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        configs = [(min(w, window), a) for w, a in configs]
+        threshold = float(rng.choice([1e-8, 1e-4, 0.05]))
+        plan = DiscretizationPlan(window, configs, znorm_threshold=threshold)
+        sweep = plan.sweep_series(CumulativeStats(series))
+        for w, a in configs:
+            expected = scalar_symbol_matrix(series, window, w, a, threshold)
+            assert np.array_equal(sweep.symbol_rows(w, a), expected)
 
 
-@kernel_param
-def test_sweep_paa_rows_match_reference_rows(kernel):
+def test_sweep_paa_rows_match_reference_rows():
     series = make_series(7, 120)
     stats = CumulativeStats(series)
     window, threshold = 24, 1e-8
     plan = DiscretizationPlan(window, [(5, 4), (7, 6), (24, 3)], znorm_threshold=threshold)
-    with _kernel.use_kernel(kernel):
-        sweep = plan.sweep_series(stats)
-        for w in (5, 7, 24):
-            reference = sliding_paa_rows(
-                stats.prefix_sum, stats.prefix_sq, series,
-                0, len(series) - window + 1, window, w, threshold,
-            )
-            assert np.array_equal(sweep.paa_rows(w), reference)
+    sweep = plan.sweep_series(stats)
+    for w in (5, 7, 24):
+        reference = sliding_paa_rows(
+            stats.prefix_sum, stats.prefix_sq, series,
+            0, len(series) - window + 1, window, w, threshold,
+        )
+        assert np.array_equal(sweep.paa_rows(w), reference)
 
 
-@kernel_param
-def test_constant_series_matches_reference_bitwise(kernel):
+def test_constant_series_matches_reference_bitwise():
     # A constant series is the nastiest z-norm corner: prefix-sum
     # cancellation can leave stds a hair above the relative constancy
     # cutoff, so some rows are "zero / tiny" rather than exactly zero.
@@ -108,75 +100,65 @@ def test_constant_series_matches_reference_bitwise(kernel):
     series = make_series(3, 64, flavor="constant")
     stats = CumulativeStats(series)
     plan = DiscretizationPlan(20, [(4, 5), (3, 2)])
-    with _kernel.use_kernel(kernel):
-        sweep = plan.sweep_series(stats)
-        for w, a in ((4, 5), (3, 2)):
-            reference = sliding_paa_rows(
-                stats.prefix_sum, stats.prefix_sq, series, 0, 45, 20, w, 1e-8
-            )
-            assert np.array_equal(sweep.paa_rows(w), reference)
-            expected = scalar_symbol_matrix(series, 20, w, a, 1e-8)
-            assert np.array_equal(sweep.symbol_rows(w, a), expected)
+    sweep = plan.sweep_series(stats)
+    for w, a in ((4, 5), (3, 2)):
+        reference = sliding_paa_rows(
+            stats.prefix_sum, stats.prefix_sq, series, 0, 45, 20, w, 1e-8
+        )
+        assert np.array_equal(sweep.paa_rows(w), reference)
+        expected = scalar_symbol_matrix(series, 20, w, a, 1e-8)
+        assert np.array_equal(sweep.symbol_rows(w, a), expected)
     # An exactly-zero-valued constant series does hit the constant branch.
     zeros = np.zeros(64)
-    with _kernel.use_kernel(kernel):
-        sweep = plan.sweep_series(CumulativeStats(zeros))
-        assert np.all(sweep.paa_rows(4) == 0.0)
+    sweep = plan.sweep_series(CumulativeStats(zeros))
+    assert np.all(sweep.paa_rows(4) == 0.0)
 
 
-@kernel_param
-def test_zero_variance_windows_inside_noisy_series(kernel):
+def test_zero_variance_windows_inside_noisy_series():
     series = make_series(11, 90, flavor="mixed")
     window = 8  # small enough to fit inside the planted flat stretch
     plan = DiscretizationPlan(window, [(4, 4), (5, 7)])
-    with _kernel.use_kernel(kernel):
-        sweep = plan.sweep_series(CumulativeStats(series))
-        for w, a in ((4, 4), (5, 7)):
-            expected = scalar_symbol_matrix(series, window, w, a, 1e-8)
-            assert np.array_equal(sweep.symbol_rows(w, a), expected)
+    sweep = plan.sweep_series(CumulativeStats(series))
+    for w, a in ((4, 4), (5, 7)):
+        expected = scalar_symbol_matrix(series, window, w, a, 1e-8)
+        assert np.array_equal(sweep.symbol_rows(w, a), expected)
     # Sanity: the flat stretch actually produced zero-variance windows.
     stats = CumulativeStats(series)
     stds = stats.sliding_means_stds(window)[1]
     assert np.any(stds == 0.0)
 
 
-@kernel_param
-def test_window_equals_series_length(kernel):
+def test_window_equals_series_length():
     series = make_series(5, 37)
     window = len(series)
     plan = DiscretizationPlan(window, [(6, 5)])
-    with _kernel.use_kernel(kernel):
-        sweep = plan.sweep_series(CumulativeStats(series))
-        assert len(sweep) == 1
-        assert np.array_equal(
-            sweep.symbol_rows(6, 5), scalar_symbol_matrix(series, window, 6, 5, 1e-8)
-        )
+    sweep = plan.sweep_series(CumulativeStats(series))
+    assert len(sweep) == 1
+    assert np.array_equal(
+        sweep.symbol_rows(6, 5), scalar_symbol_matrix(series, window, 6, 5, 1e-8)
+    )
 
 
-@kernel_param
-def test_fractional_paa_boundaries(kernel):
-    # window % paa_size != 0 exercises the fractional-prefix path in every
-    # kernel (and for `fast`, the non-integer-stride branch).
+def test_fractional_paa_boundaries():
+    # window % paa_size != 0 exercises the fractional-prefix path (the
+    # native pass's non-integer-stride branch).
     series = make_series(13, 101)
     window = 23
     configs = [(4, 3), (5, 6), (7, 9), (22, 4)]
     plan = DiscretizationPlan(window, configs)
-    with _kernel.use_kernel(kernel):
-        sweep = plan.sweep_series(CumulativeStats(series))
-        for w, a in configs:
-            assert window % w != 0 or w == window
-            expected = scalar_symbol_matrix(series, window, w, a, 1e-8)
-            assert np.array_equal(sweep.symbol_rows(w, a), expected)
+    sweep = plan.sweep_series(CumulativeStats(series))
+    for w, a in configs:
+        assert window % w != 0 or w == window
+        expected = scalar_symbol_matrix(series, window, w, a, 1e-8)
+        assert np.array_equal(sweep.symbol_rows(w, a), expected)
 
 
-@kernel_param
-def test_sweep_words_match_sax_word_oracle(kernel):
+def test_sweep_words_match_sax_word_oracle():
     series = make_series(17, 80)
     window, w, a = 16, 5, 6
     plan = DiscretizationPlan(window, [(w, a)])
-    with _kernel.use_kernel(kernel):
-        sweep = plan.sweep_series(CumulativeStats(series))
-        words = index_matrix_to_words(sweep.symbol_rows(w, a))
+    sweep = plan.sweep_series(CumulativeStats(series))
+    words = index_matrix_to_words(sweep.symbol_rows(w, a))
     expected = [
         sax_word(series[p : p + window], w, a) for p in range(len(series) - window + 1)
     ]
@@ -189,8 +171,7 @@ def test_sweep_words_match_sax_word_oracle(kernel):
 # ----------------------------------------------------------------------
 
 
-@kernel_param
-def test_sweep_with_ring_buffer_origin_matches_unbounded(kernel):
+def test_sweep_with_ring_buffer_origin_matches_unbounded():
     series = make_series(29, 400)
     window = 30
     configs = [(6, 5), (10, 8)]
@@ -203,27 +184,25 @@ def test_sweep_with_ring_buffer_origin_matches_unbounded(kernel):
     first = max(bounded.start, bounded.n_windows(window) - 50)
     stop = bounded.n_windows(window)
     stats = CumulativeStats(series)
-    with _kernel.use_kernel(kernel):
-        sweep = bounded.sweep(plan, first, stop=stop)
-        unbounded = plan.sweep(
-            stats.prefix_sum, stats.prefix_sq, stats.series, first, stop
+    sweep = bounded.sweep(plan, first, stop=stop)
+    unbounded = plan.sweep(
+        stats.prefix_sum, stats.prefix_sq, stats.series, first, stop
+    )
+    for w, a in configs:
+        assert np.array_equal(sweep.paa_rows(w), unbounded.paa_rows(w))
+        assert np.array_equal(
+            sweep.symbol_rows(w, a), unbounded.symbol_rows(w, a)
         )
-        for w, a in configs:
-            assert np.array_equal(sweep.paa_rows(w), unbounded.paa_rows(w))
-            assert np.array_equal(
-                sweep.symbol_rows(w, a), unbounded.symbol_rows(w, a)
-            )
-            expected = scalar_symbol_matrix(series, window, w, a, 1e-8)[first:stop]
-            assert np.array_equal(sweep.symbol_rows(w, a), expected)
+        expected = scalar_symbol_matrix(series, window, w, a, 1e-8)[first:stop]
+        assert np.array_equal(sweep.symbol_rows(w, a), expected)
 
 
 # ----------------------------------------------------------------------
-# Kernel cross-checks: fast against the python oracle.
+# Native sweep against the numpy reference rows and intervals.
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("other", ["fast"])
-def test_kernels_bitwise_equal_to_python_oracle(other):
+def test_native_sweep_bitwise_equal_to_the_numpy_reference():
     rng = np.random.default_rng(31)
     for trial in range(8):
         n = int(rng.integers(40, 200))
@@ -236,15 +215,16 @@ def test_kernels_bitwise_equal_to_python_oracle(other):
         ]
         plan = DiscretizationPlan(window, configs)
         stats = CumulativeStats(series)
-        with _kernel.use_kernel("python"):
-            oracle = plan.sweep_series(stats)
-            oracle_rows = {w: oracle.paa_rows(w).copy() for w, _ in configs}
-            oracle_symbols = {(w, a): oracle.symbol_rows(w, a).copy() for w, a in configs}
-        with _kernel.use_kernel(other):
-            sweep = plan.sweep_series(stats)
-            for w, a in configs:
-                assert np.array_equal(sweep.paa_rows(w), oracle_rows[w])
-                assert np.array_equal(sweep.symbol_rows(w, a), oracle_symbols[(w, a)])
+        table = plan.alphabet_table
+        sweep = plan.sweep_series(stats)
+        for w, a in configs:
+            rows = sliding_paa_rows(
+                stats.prefix_sum, stats.prefix_sq, series, 0, n - window + 1, window, w
+            )
+            intervals = interval_rows_from(rows, table.merged_breakpoints)
+            assert np.array_equal(sweep.paa_rows(w), rows)
+            assert np.array_equal(sweep.interval_rows(w), intervals)
+            assert np.array_equal(sweep.symbol_rows(w, a), table.symbols_for(intervals, a))
 
 
 # ----------------------------------------------------------------------
@@ -252,13 +232,11 @@ def test_kernels_bitwise_equal_to_python_oracle(other):
 # ----------------------------------------------------------------------
 
 
-@kernel_param
-def test_packed_runs_equal_row_mask_and_word_reduction(kernel):
+def test_packed_runs_equal_row_mask_and_word_reduction():
     series = make_series(37, 150, flavor="mixed")
     window, w, a = 12, 4, 4
     plan = DiscretizationPlan(window, [(w, a)])
-    with _kernel.use_kernel(kernel):
-        symbols = plan.sweep_series(CumulativeStats(series)).symbol_rows(w, a)
+    symbols = plan.sweep_series(CumulativeStats(series)).symbol_rows(w, a)
     # The fused native pass keeps exactly kept_window_mask's rows.
     fused = WordInterner().intern_packed(symbols)
     keep = np.zeros(len(symbols), dtype=bool)
@@ -290,17 +268,15 @@ def test_pack_symbol_rows_width_gate():
         assert np.array_equal(fused[:, 1], OracleInterner().intern_matrix(rows))
 
 
-@kernel_param
-def test_znorm_threshold_sweep(kernel):
+def test_znorm_threshold_sweep():
     # Thresholds from strict to sloppy flip different windows into the
     # constant branch; each must match the scalar oracle bitwise.
     series = make_series(41, 100, flavor="mixed")
     window, w, a = 10, 5, 6
     for threshold in (0.0, 1e-8, 1e-3, 0.5):
         plan = DiscretizationPlan(window, [(w, a)], znorm_threshold=threshold)
-        with _kernel.use_kernel(kernel):
-            sweep = plan.sweep_series(CumulativeStats(series))
-            got = sweep.symbol_rows(w, a)
+        sweep = plan.sweep_series(CumulativeStats(series))
+        got = sweep.symbol_rows(w, a)
         assert np.array_equal(
             got, scalar_symbol_matrix(series, window, w, a, threshold)
         )
@@ -311,14 +287,13 @@ def test_znorm_threshold_sweep(kernel):
 # ----------------------------------------------------------------------
 
 
-@kernel_param
 @pytest.mark.parametrize("alphabet_size", [2, 3, 4, 5, 8, 10, 16, 20])
-def test_exact_breakpoint_values_golden_vectors(kernel, alphabet_size):
+def test_exact_breakpoint_values_golden_vectors(alphabet_size):
     """A coefficient exactly *on* a breakpoint belongs to the interval above.
 
     SAX uses half-open intervals [beta_{i-1}, beta_i); `side="right"` makes
     searchsorted return i for value == beta_{i-1}. The interval search
-    must agree, under every kernel, with the scalar `symbol_indices` on values placed exactly on the table, a hair
+    must agree with the scalar `symbol_indices` on values placed exactly on the table, a hair
     below, and a hair above.
     """
     table = gaussian_breakpoints(alphabet_size)
@@ -333,8 +308,7 @@ def test_exact_breakpoint_values_golden_vectors(kernel, alphabet_size):
     assert np.array_equal(
         expected[: len(table)], np.arange(1, alphabet_size, dtype=np.int64)
     )
-    with _kernel.use_kernel(kernel):
-        got = _kernel.interval_rows_from(probes[None, :], table)[0]
+    got = interval_rows_from(probes[None, :], table)[0]
     assert np.array_equal(got, expected)
 
 
@@ -361,13 +335,11 @@ def test_merged_table_ties_agree_with_scalar(alphabet_size):
     assert np.array_equal(merged_route, symbol_indices(probes, alphabet_size))
 
 
-@kernel_param
-def test_signed_zero_breakpoint_tie(kernel):
+def test_signed_zero_breakpoint_tie():
     # Even alphabets have 0.0 in the table; -0.0 == 0.0 must land in the
     # same (upper) interval regardless of the sign bit.
     table = gaussian_breakpoints(4)
     assert 0.0 in table
     probes = np.array([[0.0, -0.0]])
-    with _kernel.use_kernel(kernel):
-        got = _kernel.interval_rows_from(probes, table)
+    got = interval_rows_from(probes, table)
     assert got[0, 0] == got[0, 1] == 2

@@ -631,7 +631,6 @@ class TestSessionCloseRace:
                     )
                     await asyncio.sleep(0.01)  # append is now waiting on the lock
                     service.sessions._sessions.pop("r")  # close() wins
-                    session.detector.close()
                 with pytest.raises(SessionNotFound):
                     await append_task
 
@@ -648,7 +647,6 @@ class TestSessionCloseRace:
                     poll_task = asyncio.ensure_future(service.poll("n"))
                     await asyncio.sleep(0.01)
                     service.sessions._sessions.pop("n")
-                    old.detector.close()
                     await service.create_session("n", seed=1, **CONFIG)
                 with pytest.raises(SessionNotFound):
                     await poll_task

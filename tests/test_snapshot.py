@@ -3,12 +3,12 @@
 The contract under test is the crash-recovery foundation of the sharded
 serving tier: ``StreamingEnsembleDetector.restore(snapshot())`` yields a
 detector whose every *future* poll and append is bitwise identical to the
-original's — across kernels (``python``/``fast``), across eviction
-policies (unbounded/sliding/decay), and across the wire encoding
+original's and to the oracle pipeline's (``tests/oracles/``) — across
+eviction policies (unbounded/sliding/decay), and across the wire encoding
 (:func:`~repro.service.snapshot.encode_snapshot` /
 :func:`~repro.service.snapshot.decode_snapshot`). Version skew — container
-or state — is rejected loudly, never half-restored; the recorded kernel name
-is informational, so a snapshot naming a kernel this build lacks restores.
+or state — is rejected loudly, never half-restored; a ``"kernel"`` field,
+which older builds recorded, is ignored, so their snapshots restore.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import pytest
 
 import repro.core.streaming as streaming_mod
 import repro.service.snapshot as snapshot_mod
+from oracles import pipeline
 from oracles.interner import StreamingOracleInterner
 from repro.core.ensemble import EnsembleGrammarDetector
 from repro.core.streaming import (
@@ -28,15 +29,12 @@ from repro.core.streaming import (
     SnapshotVersionError,
     StreamingEnsembleDetector,
 )
-from repro.grammar import _kernel
 from repro.service.config import DETECT_FIELDS, DetectorConfig
 from repro.service.snapshot import (
     LocalSnapshotStore,
     decode_snapshot,
     encode_snapshot,
 )
-
-KERNELS = ("python", "fast")
 
 POLICIES = (
     {},
@@ -69,42 +67,43 @@ def ranked(detector: StreamingEnsembleDetector, k: int = 4) -> list[tuple]:
 
 
 class TestBitwiseRestore:
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("policy", POLICIES, ids=("unbounded", "sliding", "decay"))
-    def test_restore_is_bitwise_identical_now_and_later(self, kernel, policy):
+    def test_restore_is_bitwise_identical_now_and_later(self, policy):
         feed = make_feed()
-        with _kernel.use_kernel(kernel):
-            original = build(policy)
-            original.extend(feed[:600])
-            restored = StreamingEnsembleDetector.restore(original.snapshot())
-            # Identical immediately...
+        original = build(policy)
+        original.extend(feed[:600])
+        restored = StreamingEnsembleDetector.restore(original.snapshot())
+        # Identical immediately...
+        assert ranked(restored) == ranked(original)
+        np.testing.assert_array_equal(
+            restored.density_curve(), original.density_curve()
+        )
+        # ...and bitwise identical on every future poll as both keep
+        # consuming the stream (uneven chunking on purpose).
+        boundaries = (600, 733, 901, len(feed))
+        for start, stop in zip(boundaries, boundaries[1:]):
+            original.extend(feed[start:stop])
+            restored.extend(feed[start:stop])
             assert ranked(restored) == ranked(original)
-            np.testing.assert_array_equal(
-                restored.density_curve(), original.density_curve()
-            )
-            # ...and bitwise identical on every future poll as both keep
-            # consuming the stream (uneven chunking on purpose).
-            boundaries = (600, 733, 901, len(feed))
-            for start, stop in zip(boundaries, boundaries[1:]):
-                original.extend(feed[start:stop])
-                restored.extend(feed[start:stop])
-                assert ranked(restored) == ranked(original)
-            assert len(restored) == len(original) == len(feed)
+        assert len(restored) == len(original) == len(feed)
 
     @pytest.mark.parametrize("policy", POLICIES, ids=("unbounded", "sliding", "decay"))
-    def test_restore_is_kernel_portable(self, policy):
-        """Snapshot under one kernel, restore under the other: identical."""
+    def test_restored_polls_equal_the_oracle(self, policy):
+        """A restored session's polls are the oracle pipeline's over every
+        point the session has seen, before and after the restore."""
         feed = make_feed()
-        with _kernel.use_kernel("fast"):
-            original = build(policy)
-            original.extend(feed[:700])
-            state = original.snapshot()
-            original.extend(feed[700:])
-            reference = ranked(original)
-        with _kernel.use_kernel("python"):
-            restored = StreamingEnsembleDetector.restore(state)
-            restored.extend(feed[700:])
-            assert ranked(restored) == reference
+        original = build(policy)
+        original.extend(feed[:700])
+        restored = StreamingEnsembleDetector.restore(
+            decode_snapshot(encode_snapshot(original.snapshot()))
+        )
+        for stop in (700, 850, len(feed)):
+            restored.extend(feed[len(restored) : stop])
+            oracle = pipeline.stream_ensemble(restored, feed[:stop]).curve
+            assert restored.density_curve().tobytes() == oracle.tobytes()
+            assert restored.detect(4) == pipeline.anomalies(
+                oracle, restored.window, 4, restored.horizon_start
+            )
 
     def test_snapshot_survives_the_wire_encoding(self):
         feed = make_feed()
@@ -220,10 +219,15 @@ class TestVersioning:
         with pytest.raises(SnapshotVersionError, match="state_version"):
             StreamingEnsembleDetector.restore(state)
 
+    def test_snapshots_record_no_kernel(self):
+        assert "kernel" not in build({}).snapshot()
+
+    @pytest.mark.parametrize("kernel", ["compiled", "python", None], ids=str)
     @pytest.mark.parametrize("policy", POLICIES, ids=("unbounded", "sliding", "decay"))
-    def test_snapshot_naming_a_retired_kernel_restores(self, policy):
-        """A snapshot recording a kernel this build lacks (older builds shipped
-        ``compiled``) restores under the current kernel, bitwise unchanged."""
+    def test_snapshot_naming_a_retired_kernel_restores(self, policy, kernel):
+        """Older builds recorded their grammar kernel (``compiled`` or
+        ``python`` among them); restore ignores the field, bitwise, and a
+        snapshot without it restores alike."""
         feed = make_feed()
         uninterrupted = build(policy)
         uninterrupted.extend(feed)
@@ -231,7 +235,8 @@ class TestVersioning:
         checkpointed = build(policy)
         checkpointed.extend(feed[:600])
         state = checkpointed.snapshot()
-        state["kernel"] = "compiled"
+        if kernel is not None:
+            state["kernel"] = kernel
         resumed = StreamingEnsembleDetector.restore(decode_snapshot(encode_snapshot(state)))
         boundaries = (600, 733, 901, len(feed))
         for start, stop in zip(boundaries, boundaries[1:]):

@@ -8,16 +8,16 @@ one native call per drain block (``ingest``), per horizon advance
 member ran before: the pure-Python interner of ``tests/oracles/`` for
 lookup, reduction and interning, Python lists with a bisect and the same
 compaction rule for forgetting, and the reference
-:class:`~repro.grammar.sequitur._SequiturBuilder` re-induced over exactly
-the live words, with a numpy density, for the curve. Every id, offset,
+:class:`~oracles.sequitur.SequiturBuilder` re-induced over exactly the live
+words, with a numpy density, for the curve. Every id, offset,
 counter and curve byte must agree, also across an export -> restore.
 
 The ensemble-level tests check that a whole session on the native log
-equals one on the python kernel with the oracle interner, under every
-policy and numerosity, that an ensemble poll (one native call for every
-one-call member) is byte-equal whatever the executor, and that a member
-whose ingest fails leaves the others' decay grammars agreeing with their
-logs.
+exports the state of one on the oracle interner, and polls the curve of the
+oracle pipeline (``tests/oracles/pipeline.py``), under every policy and
+numerosity; that an ensemble poll is one native call for every one-call
+member; and that a member whose ingest fails leaves the others' decay
+grammars agreeing with their logs.
 """
 
 from __future__ import annotations
@@ -35,13 +35,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.streaming as streaming_mod
+from oracles import pipeline
 from oracles.interner import StreamingOracleInterner
-from repro.core.executors import ProcessExecutor, ThreadExecutor
+from oracles.sequitur import SequiturBuilder
 from repro.core.streaming import StreamingEnsembleDetector, StreamingGrammarDetector
 from repro.grammar import _kernel
-from repro.grammar._kernel import TokenLog, use_kernel
+from repro.grammar._kernel import TokenLog
 from repro.grammar.density import density_from_intervals
-from repro.grammar.sequitur import _SequiturBuilder
 from repro.obs.stages import capture
 from repro.sax.alphabet import WordInterner
 from repro.sax.breakpoints import MultiResolutionAlphabet
@@ -92,7 +92,7 @@ class OracleLog:
         if not ids:
             return np.zeros(length)
         vocabulary = self.interner.vocabulary
-        builder = _SequiturBuilder()
+        builder = SequiturBuilder()
         for token_id in ids:
             builder.feed(vocabulary[token_id])
         firsts, lasts = builder.freeze().occurrence_spans()
@@ -231,7 +231,8 @@ def assert_same_state(ours, theirs):
 
 
 class TestEnsembleAgainstTheOracleRoute:
-    """A native session equals the python kernel on the oracle interner."""
+    """A native session exports the oracle interner's state and polls the
+    oracle pipeline's curve."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -250,9 +251,7 @@ class TestEnsembleAgainstTheOracleRoute:
         )
 
         def on_oracle(call):
-            with use_kernel("python"), mock.patch.object(
-                streaming_mod, "WordInterner", StreamingOracleInterner
-            ):
+            with mock.patch.object(streaming_mod, "WordInterner", StreamingOracleInterner):
                 return call()
 
         native = StreamingEnsembleDetector(**config)
@@ -270,8 +269,9 @@ class TestEnsembleAgainstTheOracleRoute:
             assert_same_state(member_states(native), member_states(oracle))
             if len(native.state) - native.horizon_start >= 30:
                 mine = native.density_curve()
-                theirs = on_oracle(oracle.density_curve)
-                assert mine.tobytes() == theirs.tobytes()
+                assert mine.tobytes() == on_oracle(oracle.density_curve).tobytes()
+                expected = pipeline.stream_ensemble(native, feed[:position]).curve
+                assert mine.tobytes() == expected.tobytes()
 
 
 class TestErrors:
@@ -425,44 +425,36 @@ class PoolStream:
         return walk + noise + np.where(inside, anomaly, carrier)
 
 
-def pool_polls(executor=None, cycles: int = 6) -> list[tuple]:
-    """Every poll of the six pool streams' sliding sessions: 4 appends, then a poll.
+def pool_session(index: int, cycles: int = 6):
+    """One pool stream's sliding session, polled after every 4 appends.
 
-    The sessions run the fast kernel, the one whose polls are one call.
+    Yields ``(detector, points fed so far)`` after each poll.
     """
-    polls = []
-    for index in range(6):
-        source = PoolStream(index)
-        with use_kernel("fast"):
-            detector = StreamingEnsembleDetector(
-                window=100, capacity=2000, policy="sliding", seed=6151 + index, executor=executor
-            )
-        for _ in range(cycles):
-            for _ in range(4):
-                detector.extend(source.next_chunk())
-            anomalies = detector.detect(3)
-            polls.append(
-                (detector.horizon_start, detector.density_curve().tobytes(), repr(anomalies))
-            )
-    return polls
+    source = PoolStream(index)
+    detector = StreamingEnsembleDetector(
+        window=100, capacity=2000, policy="sliding", seed=6151 + index
+    )
+    fed = []
+    for _ in range(cycles):
+        for _ in range(4):
+            fed.append(source.next_chunk())
+            detector.extend(fed[-1])
+        yield detector, np.concatenate(fed)
 
 
 class TestEnsemblePolls:
-    """An ensemble poll is byte-equal whatever the executor."""
+    def test_pool_polls_equal_the_oracle(self):
+        """A ``stream_ingest``-style session: every poll's curve and
+        anomalies are the oracle pipeline's, once the horizon moves."""
+        for detector, series in pool_session(0):
+            oracle = pipeline.stream_ensemble(detector, series).curve
+            assert detector.density_curve().tobytes() == oracle.tobytes()
+            assert detector.detect(3) == pipeline.anomalies(
+                oracle, 100, 3, detector.horizon_start
+            )
+        assert detector.horizon_start > 0
 
-    @pytest.fixture(scope="class")
-    def reference(self):
-        return pool_polls()
-
-    def test_serial_thread_and_process_executors_equal_the_default(self, reference):
-        assert pool_polls("serial") == reference
-        with ThreadExecutor(2) as executor:
-            assert pool_polls(executor) == reference
-        with ProcessExecutor(2) as executor:
-            assert pool_polls(executor) == reference
-
-    @pytest.mark.parametrize("executor", [None, "serial"])
-    def test_one_native_call_polls_every_due_member(self, executor):
+    def test_one_native_call_polls_every_due_member(self):
         made = []
         real = _kernel.poll_logs
 
@@ -471,10 +463,7 @@ class TestEnsemblePolls:
             return real(logs, *args)
 
         source = PoolStream(0)
-        with use_kernel("fast"):  # the python kernel polls member by member
-            detector = StreamingEnsembleDetector(
-                window=100, capacity=2000, seed=3, executor=executor
-            )
+        detector = StreamingEnsembleDetector(window=100, capacity=2000, seed=3)
         with mock.patch.object(_kernel, "poll_logs", spy):
             for _ in range(12):
                 detector.extend(source.next_chunk())
@@ -483,8 +472,7 @@ class TestEnsemblePolls:
         assert made == [len(detector.members)]
 
     def test_capture_sees_grammar_and_density_of_a_default_poll(self):
-        with use_kernel("fast"):
-            detector = StreamingEnsembleDetector(window=100, capacity=2000, seed=4)
+        detector = StreamingEnsembleDetector(window=100, capacity=2000, seed=4)
         source = PoolStream(1)
         for _ in range(12):
             detector.extend(source.next_chunk())
@@ -495,18 +483,16 @@ class TestEnsemblePolls:
 
 
 class TestFailedIngest:
-    @pytest.mark.parametrize("kernel", ["fast", "python"])
-    def test_members_that_logged_the_block_feed_their_generations(self, kernel):
+    def test_members_that_logged_the_block_feed_their_generations(self):
         """When one member's ingest fails, the members before it have logged
         the block, and their decay generations must hold its tokens too."""
         feed = make_feed(7, 1200)
-        with use_kernel(kernel):
-            failing, reference = (
-                StreamingEnsembleDetector(
-                    window=30, ensemble_size=6, capacity=300, policy="decay", seed=5
-                )
-                for _ in range(2)
+        failing, reference = (
+            StreamingEnsembleDetector(
+                window=30, ensemble_size=6, capacity=300, policy="decay", seed=5
             )
+            for _ in range(2)
+        )
         failing.extend(feed[:600])
         reference.extend(feed[:600])
         broken = 3
@@ -545,12 +531,9 @@ class TestMemoryBytes:
         "capacity, policy", [(None, "sliding"), (400, "sliding"), (400, "decay")]
     )
     def test_a_members_figure_is_interner_plus_log_plus_builders(self, capacity, policy):
-        # The fast kernel's figure is exact; the python oracle builder's is
-        # an estimate per fed token.
-        with use_kernel("fast"):
-            member = StreamingGrammarDetector(
-                window=30, paa_size=5, alphabet_size=6, capacity=capacity, policy=policy
-            )
+        member = StreamingGrammarDetector(
+            window=30, paa_size=5, alphabet_size=6, capacity=capacity, policy=policy
+        )
         feed = make_feed(5, 3000)
         polled = False
         for start in range(0, len(feed), 250):

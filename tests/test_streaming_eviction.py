@@ -6,8 +6,8 @@ The contract under test (see ``repro/core/streaming.py``):
   identical** to the unbounded path for every window inside the horizon;
 - the sliding policy's live tokens are exactly the unbounded token stream
   restricted to ``offset >= horizon_start``, and its density curve is
-  bitwise equal to re-inducing over those tokens — across every executor
-  backend;
+  bitwise equal to re-inducing over those tokens, however the stream is
+  chunked;
 - the decay policy advances the horizon monotonically in generation steps,
   bounds retention by ``capacity + generation_size - 1``, and retires whole
   generations (rules included, by refcount);
@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.core.engine import SharedStreamState
-from repro.core.executors import as_executor
 from repro.core.streaming import StreamingEnsembleDetector, StreamingGrammarDetector
 from repro.grammar.density import rule_density_curve
 from repro.grammar.sequitur import GenerationalSequitur, induce_grammar
@@ -390,33 +389,26 @@ class TestEnsembleEvictionParity:
         kept = select_by_std(curves, unbounded.selectivity)
         return combine_curves([normalize_curve(curves[i]) for i in kept])
 
-    def test_sliding_parity_across_executors(self, long_series, executor_kind):
+    def test_sliding_parity_under_uneven_chunks(self, long_series):
         reference = self._reference_ensemble_curve(long_series, seed=7, capacity=2500)
-        with as_executor(executor_kind, 2) as executor:
-            bounded = StreamingEnsembleDetector(
-                window=100, ensemble_size=6, seed=7, capacity=2500, executor=executor
-            )
-            _feed(bounded, long_series, [123, 4096, 4097])
-            curve = bounded.density_curve()
-            anomalies = bounded.detect(3)
-        assert np.array_equal(curve, reference)
-        for anomaly in anomalies:
+        bounded = StreamingEnsembleDetector(
+            window=100, ensemble_size=6, seed=7, capacity=2500
+        )
+        _feed(bounded, long_series, [123, 4096, 4097])
+        assert np.array_equal(bounded.density_curve(), reference)
+        for anomaly in bounded.detect(3):
             assert anomaly.position >= bounded.horizon_start
 
-    def test_decay_parity_across_executors(self, long_series, executor_kind):
+    def test_decay_parity_under_uneven_chunks(self, long_series):
         serial = StreamingEnsembleDetector(
             window=100, ensemble_size=5, seed=9, capacity=2000, policy="decay"
         )
         serial.extend(long_series)
-        reference = serial.density_curve()
-        with as_executor(executor_kind, 2) as executor:
-            bounded = StreamingEnsembleDetector(
-                window=100, ensemble_size=5, seed=9, capacity=2000, policy="decay",
-                executor=executor,
-            )
-            _feed(bounded, long_series, [999, 5000])
-            curve = bounded.density_curve()
-        assert np.array_equal(curve, reference)
+        bounded = StreamingEnsembleDetector(
+            window=100, ensemble_size=5, seed=9, capacity=2000, policy="decay"
+        )
+        _feed(bounded, long_series, [999, 5000])
+        assert np.array_equal(bounded.density_curve(), serial.density_curve())
 
     def test_members_share_the_bounded_state(self, long_series):
         detector = StreamingEnsembleDetector(
