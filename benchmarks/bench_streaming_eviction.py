@@ -127,10 +127,8 @@ def bench_streaming_eviction_flat_memory(benchmark, report):
         "live_points": decay.state.live_length,
         "allocation_bytes": _state_allocation(decay),
         "live_tokens": _live_tokens(decay),
-        "retired_generations": sum(
-            m._generations.retired_generations for m in decay.members
-        ),
-        "retired_rules": sum(m._generations.retired_rules for m in decay.members),
+        "retired_generations": sum(m.retired_generations for m in decay.members),
+        "retired_rules": sum(m.retired_rules for m in decay.members),
     }
     generation_size = decay.state.generation_size
     del decay

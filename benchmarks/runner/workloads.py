@@ -303,6 +303,60 @@ def _ensemble_ingest(*, points: int, members: int, window: int = 100, seed: int 
 
 
 # ----------------------------------------------------------------------
+# One session cycle: an ensemble append plus a poll, per eviction policy.
+# ----------------------------------------------------------------------
+
+
+def stream_cycle_once(
+    policy: str,
+    cycles: int,
+    chunk: int = 100,
+    window: int = 50,
+    members: int = 10,
+    capacity: int = 1000,
+    segments: int = 4,
+    seed: int = 0,
+) -> float:
+    """Seconds for ``cycles`` append+poll cycles of one bounded session.
+
+    The session has the serving benchmark's shape (window, members,
+    capacity and generations per capacity) and is filled to twice its
+    capacity, outside the timed region, so the horizon already moves. Each
+    cycle appends ``chunk`` points and polls ``detect(3)``, as a served
+    session's append and poll requests do.
+    """
+    warm = 2 * capacity
+    series = cached_series(warm + cycles * chunk, seed)
+    detector = StreamingEnsembleDetector(
+        window=window, ensemble_size=members, capacity=capacity, policy=policy,
+        segments=segments, seed=seed,
+    )
+    detector.extend(series[:warm])
+    detector.detect(3)
+    with Timer() as timer:
+        for start in range(warm, warm + cycles * chunk, chunk):
+            detector.extend(series[start : start + chunk])
+            detector.detect(3)
+    return timer.elapsed
+
+
+@register("stream_cycle")
+def _stream_cycle(
+    *,
+    policy: str,
+    cycles: int,
+    chunk: int = 100,
+    window: int = 50,
+    members: int = 10,
+    capacity: int = 1000,
+    segments: int = 4,
+    seed: int = 0,
+):
+    elapsed = stream_cycle_once(policy, cycles, chunk, window, members, capacity, segments, seed)
+    return {"ms_per_cycle": elapsed / cycles * 1e3}
+
+
+# ----------------------------------------------------------------------
 # Batch detection across executor backends.
 # ----------------------------------------------------------------------
 

@@ -67,8 +67,9 @@ Five subcommands cover the library's main workflows:
       python -m repro bench --compare benchmarks/baselines/
       python -m repro bench --ci    # what the CI bench job runs
 
-Every subcommand that executes work accepts the same ``--executor`` flag,
-parsed by one shared helper: ``serial``, ``thread``, ``process``, or
+Every subcommand that runs batch detections (``detect``, ``evaluate``,
+``serve``) accepts the same ``--executor`` flag, parsed by one shared
+helper: ``serial``, ``thread``, ``process``, or
 ``cluster`` (``--scheduler HOST:PORT`` binds a fixed address for remote
 workers; without it a local mini-cluster of ``--n-jobs`` workers is
 spawned). Unknown names are rejected up front with the list of valid
@@ -76,7 +77,8 @@ choices. Without ``--executor``, ``--n-jobs`` counts the member threads of
 each detect (default 1: every member on the calling thread) and no process
 is spawned. An executor carries whole series: a one-file ``detect`` runs
 its members on this process's threads even with one. Results are bitwise
-identical across backends.
+identical across backends. ``stream`` takes none of these flags (argparse
+rejects them): a streaming ensemble runs in this process.
 
 ``detect`` and ``stream`` also take ``--profile FILE``: the run executes
 under :mod:`cProfile`, binary stats are dumped to ``FILE`` and a
@@ -767,7 +769,6 @@ def _add_detector_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--selectivity", type=float, default=0.4, help="member keep fraction tau")
     parser.add_argument("--paa-size", type=int, default=4, help="w for gi/rra methods")
     parser.add_argument("--alphabet-size", type=int, default=4, help="a for gi/rra methods")
-    _add_executor_options(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -799,6 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_detector_options(detect)
+    _add_executor_options(detect)
     detect.set_defaults(handler=_cmd_detect)
 
     generate = commands.add_parser("generate", help="generate synthetic workloads")
@@ -1093,6 +1095,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate.add_argument("--json", help="write the evaluation to this JSON file")
     _add_detector_options(evaluate)
+    _add_executor_options(evaluate)
     evaluate.set_defaults(handler=_cmd_evaluate)
     return parser
 

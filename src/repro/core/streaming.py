@@ -17,8 +17,10 @@ members over the *same shared stream state* (memory O(stream + N·w) rather
 than N copies of the stream) and combines their snapshot curves exactly as
 Algorithm 1 does (std filter -> max-normalize -> median).
 
-Every member runs on the native token log and Sequitur arena of
-:mod:`repro.grammar._kernel`; the parity suites compare its polls with the
+Every member, under every policy, runs on the native token log and
+Sequitur arenas of :mod:`repro.grammar._kernel`: one native call per drain
+block, per horizon advance and per poll, and an ensemble polls all its
+members in one call. The parity suites compare its polls with the
 pure-Python pipeline of ``tests/oracles/`` (numpy SAX, word-fed Sequitur
 over the live tokens, one grammar per decay generation).
 
@@ -44,14 +46,17 @@ O(capacity + N·w) regardless of stream length. Two policies:
   only the new tokens while none was pruned, and rebuilds it over the live
   ones after a prune; see :class:`~repro.grammar._kernel.TokenLog`.)
   Density is renormalized over the live horizon only.
-- ``policy="decay"`` (approximate, amortized): tokens are segmented into
-  generations (:class:`~repro.grammar.sequitur.GenerationalSequitur`), each
-  with its own live incremental Sequitur builder; the horizon advances in
-  generation steps and expired generations are dropped wholesale, rules
-  retired by refcount. Snapshots reuse the occurrence spans of sealed
-  generations (only the newest generation is re-read), at the cost of two
-  relaxed guarantees: retention overshoots the horizon by up to one
-  generation, and rules never span a generation boundary.
+- ``policy="decay"`` (approximate, amortized): the token log routes each
+  kept token, in the ingest call, to a generation of ``generation_size``
+  window offsets with its own incremental Sequitur arena; the first token
+  of a later generation seals the open one, keeping only its occurrence
+  spans and rule counts. The horizon advances in generation steps and
+  expired generations are dropped wholesale into the retirement counters
+  (:attr:`StreamingGrammarDetector.retired_generations` and its siblings).
+  A poll walks only the open generation's spans and sums one density curve
+  per live generation, at the cost of two relaxed guarantees: retention
+  overshoots the horizon by up to one generation, and rules never span a
+  generation boundary.
 
 Bounded detectors report anomalies in *absolute* stream positions; their
 ``density_curve()`` covers ``[horizon_start, len(stream))``.
@@ -60,6 +65,7 @@ Bounded detectors report anomalies in *absolute* stream positions; their
 from __future__ import annotations
 
 from dataclasses import replace
+from time import perf_counter
 
 import numpy as np
 
@@ -68,8 +74,6 @@ from repro.core.combiners import COMBINERS, combine_curves
 from repro.core.engine import EVICTION_POLICIES, SharedStreamState
 from repro.core.selection import normalize_curve, select_by_std
 from repro.grammar import _kernel
-from repro.grammar.density import density_curve_from_token_spans
-from repro.grammar.sequitur import GenerationalSequitur
 from repro.obs.stages import merge, stage_timer
 from repro.sax.alphabet import WordInterner
 from repro.sax.numerosity import STRATEGIES, TokenSequence
@@ -218,24 +222,17 @@ class StreamingGrammarDetector:
         self._interner = WordInterner()
         #: The kept tokens (ids against the interner, window offsets), the
         #: carried symbol row, the live boundary and prune counter, and the
-        #: arena over the live ids: native memory, touched by
-        #: one call per drain block, horizon advance and poll.
-        self._log = _kernel.TokenLog(self.paa_size)
-        #: Decay policy: generation-segmented builders dropped wholesale as
-        #: the horizon passes them.
-        self._generations: GenerationalSequitur | None = None
+        #: arena over the live ids (or, under decay, the generations):
+        #: native memory, touched by one call per drain block, horizon
+        #: advance and poll.
+        self._log = self._new_log()
         #: Last snapshot curve, keyed by the shared state's version counter:
         #: repeated ``density_curve()`` polls without new data are O(1).
         self._curve_cache: tuple[int, np.ndarray] | None = None
-        if self.state.capacity is not None and self.state.policy == "decay":
-            self._generations = GenerationalSequitur(
-                self.state.generation_size,
-                vocabulary=self._interner.vocabulary,
-            )
-        #: Whether a poll is one native call (:meth:`TokenLog.curve`):
-        #: unbounded or sliding. An ensemble polls all of them in one call
-        #: (:class:`StreamingEnsembleDetector`).
-        self._one_call_poll = self._generations is None
+
+    def _new_log(self) -> _kernel.TokenLog:
+        """An empty token log, with generations under the decay policy."""
+        return _kernel.TokenLog(self.paa_size, self.state.generation_size or 0)
 
     def __len__(self) -> int:
         return len(self.state)
@@ -265,22 +262,35 @@ class StreamingGrammarDetector:
         """Tokens whose windows slid out of the horizon (0 when unbounded)."""
         return self._log.pruned
 
+    @property
+    def retired_generations(self) -> int:
+        """Decay generations dropped wholesale by the horizon (0 otherwise)."""
+        return self._log.retired[0]
+
+    @property
+    def retired_rules(self) -> int:
+        """Rules (R0 excluded) dropped with their decay generations."""
+        return self._log.retired[2]
+
+    @property
+    def retired_rule_refs(self) -> int:
+        """Summed reference counts of :attr:`retired_rules` (each at least 2,
+        by rule utility)."""
+        return self._log.retired[3]
+
     def memory_bytes(self) -> int:
         """This member's retained bytes, from native capacities where it has them.
 
         The interner (a native table with one entry per *distinct* word ever
-        seen, plus the word strings read so far), the token log (12 B per
-        token slot, the carried row and the arena, all from their
-        capacities: exact) and the decay generations — *excluding* the
-        shared stream state, which is stored once per stream and accounted
-        separately via :attr:`~repro.core.engine.SharedStreamState.nbytes`.
-        This is what the serving layer's session memory budget accounts
-        against.
+        seen, plus the word strings read so far) and the token log (12 B per
+        token slot, the carried row, the arena and, under decay, the open
+        generation's arena plus the sealed generations' spans, all from
+        their capacities: exact) — *excluding* the shared stream state,
+        which is stored once per stream and accounted separately via
+        :attr:`~repro.core.engine.SharedStreamState.nbytes`. This is what
+        the serving layer's session memory budget accounts against.
         """
-        total = self._interner.memory_bytes() + self._log.memory_bytes()
-        if self._generations is not None:
-            total += self._generations.memory_bytes()
-        return total
+        return self._interner.memory_bytes() + self._log.memory_bytes()
 
     def _require_owned_state(self) -> None:
         if not self._owns_state:
@@ -318,9 +328,10 @@ class StreamingGrammarDetector:
             # The sweep fires the paa/discretize stage timers internally.
             sweep = self.state.sweep(self._plan, self._consumed, stop=stop)
             intervals = sweep.interval_rows(self.paa_size)
-            with stage_timer("discretize"):
-                kept = self._ingest_block(intervals, column, self._consumed)
-            self._feed_generations(kept)
+            feed_ns = np.zeros(1, dtype=np.int64)
+            started = perf_counter()
+            self._ingest_block(intervals, column, self._consumed, feed_ns)
+            _charge_ingest(perf_counter() - started, feed_ns)
 
     def _evict(self) -> None:
         """Advance the retention horizon and forget what slid out."""
@@ -335,17 +346,17 @@ class StreamingGrammarDetector:
         One native call: the log bisects its sorted offsets for the new live
         boundary and drops the dead prefix once it holds more than
         :data:`_PRUNE_SLACK` tokens and outweighs the live part. Under the
-        decay policy, grammar generations that ended before ``start`` are
-        dropped wholesale.
+        decay policy, the same call drops the sealed generations that ended
+        at or before ``start`` wholesale.
         """
         if start <= 0:
             return
         self._log.forget(start, _PRUNE_SLACK)
-        if self._generations is not None:
-            self._generations.drop_before(start)
 
-    def _ingest_block(self, intervals: np.ndarray, column: np.ndarray, first_start: int) -> int:
-        """Log one block of windows in one native call; returns the kept count.
+    def _ingest_block(
+        self, intervals: np.ndarray, column: np.ndarray, first_start: int, feed_ns: np.ndarray
+    ) -> None:
+        """Log one block of windows in one native call.
 
         ``intervals`` holds one merged-table interval row per window start
         in ``first_start .. first_start + len(intervals) - 1``; ``column``
@@ -359,33 +370,15 @@ class StreamingGrammarDetector:
         and only when the vocabulary is read.
 
         This is ``discretize`` time, as in batch ``token_ids``; the caller
-        times it. Only the decay generations feed a grammar at ingest
-        (:meth:`_feed_generations`); unbounded and sliding members induce
-        at poll time.
+        times it. Only the decay generations feed a grammar at ingest, in
+        the same call, which adds that feed time to ``feed_ns`` for the
+        caller to charge to ``grammar``; unbounded and sliding members
+        induce at poll time.
         """
-        kept = self._interner.intern_log(
-            self._log, intervals, column, first_start, self.numerosity == "exact"
+        self._interner.intern_log(
+            self._log, intervals, column, first_start, self.numerosity == "exact", feed_ns
         )
         self._consumed = first_start + len(intervals)
-        return kept
-
-    def _feed_generations(self, kept: int) -> None:
-        """Decay policy: feed the ``kept`` newest logged tokens to the generations.
-
-        Generation boundaries are offset-driven, so the generations observe
-        every token eagerly (``grammar`` time). A no-op for other members.
-        """
-        if self._generations is None or not kept:
-            return
-        # Generation routing can seal (and freeze) mid-ingest, which indexes
-        # the vocabulary list the router captured at construction, so the
-        # words interned since its last read must be decoded first.
-        _ = self._interner.vocabulary
-        ids, offsets = self._log.tokens(kept)
-        feed_id = self._generations.feed_id
-        with stage_timer("grammar"):
-            for token_id, offset in zip(ids.tolist(), offsets.tolist()):
-                feed_id(token_id, offset)
 
     # ------------------------------------------------------------------
     # Snapshot / restore (serialization).
@@ -396,11 +389,10 @@ class StreamingGrammarDetector:
 
         Holds the live kept tokens (as interned ids + window offsets, copied
         out of the log), the vocabulary that gives those ids meaning, and
-        the ingest cursors. Grammar builders are deliberately *not*
-        exported: a grammar is a deterministic function of the token
-        sequence fed to it, so :meth:`_restore_state` rebuilds them by
-        replaying the live ids — smaller snapshots, and no arena structures
-        on the wire.
+        the ingest cursors. Grammar arenas and generations are deliberately
+        *not* exported: a grammar is a deterministic function of the token
+        sequence fed to it, so :meth:`_restore_state` rebuilds them from the
+        live ids — smaller snapshots, and no arena structures on the wire.
         """
         ids, offsets = self._log.tokens()
         return {
@@ -422,10 +414,10 @@ class StreamingGrammarDetector:
         configured identically (window, sizes, numerosity). The live tokens
         are loaded into the log, whose arena (unbounded and sliding) is
         rebuilt over them at the next poll: unbounded members never prune,
-        so their live tokens are the complete fed sequence. Decay members
-        replay through
-        :meth:`~repro.grammar.sequitur.GenerationalSequitur.replay` (pure
-        offset routing, so generations re-seal at identical boundaries).
+        so their live tokens are the complete fed sequence. A decay log
+        routes them to its generations again in the same call (pure offset
+        routing, so generations re-seal at identical boundaries); its
+        retirement counters restart at zero, as they are not live state.
         """
         if int(data["paa_size"]) != self.paa_size or int(data["alphabet_size"]) != self.alphabet_size:
             raise ValueError(
@@ -448,16 +440,10 @@ class StreamingGrammarDetector:
                 f"tokens but holds {len(ids)} live ones"
             )
         last = data["last_symbols"]
-        self._log = _kernel.TokenLog(self.paa_size)
+        self._log = self._new_log()
         self._log.load(ids, offsets, None if last is None else np.asarray(last), pruned)
         self._consumed = int(data["consumed"])
         self._curve_cache = None
-        if self._generations is not None:
-            self._generations = GenerationalSequitur.replay(
-                zip(ids.tolist(), offsets.tolist()),
-                generation_size=self.state.generation_size,
-                vocabulary=self._interner.vocabulary,
-            )
 
     # ------------------------------------------------------------------
     # Snapshots.
@@ -495,7 +481,7 @@ class StreamingGrammarDetector:
         — index ``i`` covers absolute point ``horizon_start + i`` — built
         from the live tokens only and renormalized over the live horizon.
 
-        An unbounded or sliding member polls in one native call
+        A member polls in one native call
         (:meth:`~repro.grammar._kernel.TokenLog.curve`), whose phase
         counters are charged to the ``grammar`` (feed and spans) and
         ``density`` stages here.
@@ -513,39 +499,10 @@ class StreamingGrammarDetector:
         version = self.state.version
         if self._curve_cache is not None and self._curve_cache[0] == version:
             return self._curve_cache[1]
-        if self._one_call_poll:
-            curve, phase_ns = self._log.curve(
-                self.window, self.state.start, self.state.live_length
-            )
-            merge(_poll_stage_times(phase_ns))
-        else:
-            curve = self._decay_curve()
+        curve, phase_ns = self._log.curve(self.window, self.state.start, self.state.live_length)
+        merge(_poll_stage_times(phase_ns))
         self._curve_cache = (version, curve)
         return curve
-
-    def _decay_curve(self) -> np.ndarray:
-        """The snapshot curve of a decay member, from its generations' spans.
-
-        Each generation's occurrence spans come off its builder arena
-        (sealed generations' were read once, at seal time); the curve is
-        the same integer scatter-add over the same interval multiset as a
-        grammar over each generation's tokens would give.
-        """
-        start = self.state.start
-        length = self.state.live_length
-        if self.n_tokens == 0:
-            # Every kept token expired (e.g. one constant run spanning the
-            # whole horizon): no rules, zero density everywhere.
-            return np.zeros(length, dtype=np.float64)
-        with stage_timer("density"):
-            return _generation_density_from_spans(
-                self._generations.live_spans(),
-                self._log.tokens()[1],
-                self._generations.generation_size,
-                self.window,
-                start,
-                length,
-            )
 
     def detect(self, k: int = 3) -> list[Anomaly]:
         """Top-``k`` anomalies over the live stream range.
@@ -561,41 +518,15 @@ class StreamingGrammarDetector:
         return candidates
 
 
-def _generation_density_from_spans(
-    spans,
-    offsets: np.ndarray,
-    generation_size: int,
-    window: int,
-    start: int,
-    length: int,
-) -> np.ndarray:
-    """Sum of per-generation density curves over the live horizon.
-
-    Each live generation covers exactly the live tokens whose offsets fall
-    in its ``generation_size`` point range (the horizon only advances in
-    whole generations, so no generation is partially expired), found by an
-    offset bisection. Rules never span generations — the decay policy's
-    relaxed guarantee — so the curves simply add, oldest first. Sealed
-    generations' occurrence spans were extracted once at seal time
-    (:meth:`GenerationalSequitur.live_spans`) — only the growing generation
-    is re-read per poll.
-    """
-    curve = np.zeros(length, dtype=np.float64)
-    for index, firsts, lasts, count in spans:
-        first = int(np.searchsorted(offsets, index * generation_size, side="left"))
-        stop = int(np.searchsorted(offsets, (index + 1) * generation_size, side="left"))
-        if stop - first != count:
-            raise RuntimeError(
-                f"generation {index} holds {count} tokens but {stop - first} "
-                "live tokens fall in its range; horizon and generations are "
-                "out of step"
-            )
-        if first == stop:
-            continue
-        curve += density_curve_from_token_spans(
-            offsets[first:stop], window, firsts, lasts, length, horizon_start=start
-        )
-    return curve
+def _charge_ingest(elapsed: float, feed_ns: np.ndarray) -> None:
+    """Charge one drain block's ingest: what decay generations spent feeding
+    (``feed_ns[0]``) to ``grammar``, the rest (lookup, reduction,
+    interning) to ``discretize``."""
+    feed = int(feed_ns[0]) * 1e-9
+    if feed:
+        merge({"discretize": max(elapsed - feed, 0.0), "grammar": feed})
+    else:
+        merge({"discretize": elapsed})
 
 
 def _poll_stage_times(phase_ns) -> dict[str, float]:
@@ -621,13 +552,13 @@ class StreamingEnsembleDetector:
     each chunk with one vectorized PAA/interval pass per distinct PAA size,
     shared by every member of that size via the merged breakpoint table.
 
-    Each member keeps its kept tokens and live grammar in one native token
-    log (:class:`~repro.grammar._kernel.TokenLog`), so a drain block costs
-    one native call per member. An ensemble poll polls every due unbounded
-    or sliding member in one native call
+    Each member keeps its kept tokens and live grammar (under decay, its
+    generations) in one native token log
+    (:class:`~repro.grammar._kernel.TokenLog`), so a drain block costs one
+    native call per member. An ensemble poll polls every due member, under
+    every policy, in one native call
     (:func:`~repro.grammar._kernel.poll_logs`) on the calling thread, which
     charges their phase counters to the ``grammar`` and ``density`` stages.
-    Decay members poll one member at a time.
 
     A streaming ensemble takes no executor: the live token logs never leave
     this process, and one native poll of every due member here beats one
@@ -737,12 +668,13 @@ class StreamingEnsembleDetector:
     def _drain(self) -> None:
         """Vectorized ingest: one PAA + interval pass per distinct PAA size.
 
-        Then one native call per member logs the block's kept tokens, all
-        under one ``discretize`` timer, and decay members feed their
-        generations. Large chunks are drained in fixed-size blocks (bounded
-        transient memory); once every member has consumed every completed
-        window, the retention horizon advances and members forget what slid
-        out, again one native call each.
+        Then one native call per member logs the block's kept tokens (and,
+        under decay, feeds them to its generations), charged to
+        ``discretize`` and the generations' feed to ``grammar``. Large
+        chunks are drained in fixed-size blocks (bounded transient memory);
+        once every member has consumed every completed window, the
+        retention horizon advances and members forget what slid out, again
+        one native call each.
         """
         n_windows = self.state.n_windows(self.window)
         # Every member is drained in lock-step by this loop (members never
@@ -756,23 +688,16 @@ class StreamingEnsembleDetector:
             # before the timer.
             sweep = self.state.sweep(self._plan, first, stop=stop)
             intervals = {w: sweep.interval_rows(w) for w in self._paa_sizes}
-            kept: list[int] = []
-            try:
-                with stage_timer("discretize"):
-                    for member in self.members:
-                        kept.append(
-                            member._ingest_block(
-                                intervals[member.paa_size],
-                                table.symbol_column(member.alphabet_size),
-                                first,
-                            )
-                        )
-            finally:
-                # Should a member's ingest fail, the members before it have
-                # logged the block: their generations still get its tokens,
-                # so a decay grammar never falls behind its log.
-                for member, count in zip(self.members, kept):
-                    member._feed_generations(count)
+            feed_ns = np.zeros(1, dtype=np.int64)
+            started = perf_counter()
+            for member in self.members:
+                member._ingest_block(
+                    intervals[member.paa_size],
+                    table.symbol_column(member.alphabet_size),
+                    first,
+                    feed_ns,
+                )
+            _charge_ingest(perf_counter() - started, feed_ns)
             first = stop
         if self.state.capacity is not None:
             start = self.state.trim()
@@ -780,8 +705,8 @@ class StreamingEnsembleDetector:
                 for member in self.members:
                     member._forget_before(start)
 
-    def _poll_one_call_members(self) -> None:
-        """Cache the curve of every due one-call member, from one native call.
+    def _poll_due_members(self) -> None:
+        """Cache the curve of every due member, from one native call.
 
         The due members' logs go to :func:`~repro.grammar._kernel.poll_logs`
         together; this thread then installs the curves in the members'
@@ -795,8 +720,7 @@ class StreamingEnsembleDetector:
         due = [
             member
             for member in self.members
-            if member._one_call_poll
-            and (member._curve_cache is None or member._curve_cache[0] != version)
+            if member._curve_cache is None or member._curve_cache[0] != version
         ]
         if not due:
             return
@@ -939,7 +863,7 @@ class StreamingEnsembleDetector:
         version = self.state.version
         if self._curve_cache is not None and self._curve_cache[0] == version:
             return self._curve_cache[1]
-        self._poll_one_call_members()
+        self._poll_due_members()
         curves = [member.density_curve() for member in self.members]
         with stage_timer("combine"):
             kept = select_by_std(curves, self.selectivity)

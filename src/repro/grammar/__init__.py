@@ -20,10 +20,9 @@ from repro.grammar.density import density_from_intervals, rule_density_curve
 from repro.grammar.motifs import Motif, discover_motifs, motifs_from_grammar
 from repro.grammar.rra import RRADetector, RuleInterval, rule_intervals
 from repro.grammar.rules import Grammar, GrammarRule, RuleOccurrence
-from repro.grammar.sequitur import GenerationalSequitur, induce_grammar
+from repro.grammar.sequitur import induce_grammar
 
 __all__ = [
-    "GenerationalSequitur",
     "Grammar",
     "GrammarRule",
     "Motif",

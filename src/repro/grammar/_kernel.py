@@ -17,9 +17,10 @@ The library carries the arena, the SAX front end (see
 ``seq_median`` (which :func:`repro.grammar.density.density_curve_from_token_spans`
 and :func:`repro.core.combiners.combine_curves` call),
 :func:`member_curve`, one batch ensemble member in one call, and
-:class:`TokenLog`, a streaming member's kept tokens and arena, with one
-call per drain block, horizon advance and poll (:func:`poll_logs` polls
-the logs of a whole ensemble in one call).
+:class:`TokenLog`, a streaming member's kept tokens and arena (or, under
+the decay policy, its per-generation arenas and sealed spans), with one
+call per drain block, horizon advance and poll under every policy
+(:func:`poll_logs` polls the logs of a whole ensemble in one call).
 Concurrent first imports are safe (write, then rename). A failed build
 raises :class:`ImportError`; there is no Python fallback.
 
@@ -161,12 +162,15 @@ _SIGNATURES = (
         + (ctypes.c_int64,) * 3
         + (ctypes.c_void_p,) * 2,
     ),
-    ("seq_log_new", ctypes.c_void_p, (ctypes.c_int64,)),
+    ("seq_log_new", ctypes.c_void_p, (ctypes.c_int64, ctypes.c_int64)),
     ("seq_log_free", None, (ctypes.c_void_p,)),
     (
         "seq_log_ingest",
         ctypes.c_int64,
-        (ctypes.c_void_p,) * 3 + (ctypes.c_int64, ctypes.c_void_p) + (ctypes.c_int64,) * 3,
+        (ctypes.c_void_p,) * 3
+        + (ctypes.c_int64, ctypes.c_void_p)
+        + (ctypes.c_int64,) * 3
+        + (ctypes.c_void_p,),
     ),
     ("seq_log_forget", ctypes.c_int64, (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64)),
     (
@@ -182,6 +186,7 @@ _SIGNATURES = (
     ("seq_log_live", ctypes.c_int64, (ctypes.c_void_p,)),
     ("seq_log_copy", None, (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)),
     ("seq_log_export", None, (ctypes.c_void_p,) * 3),
+    ("seq_log_generations", ctypes.c_int64, (ctypes.c_void_p,) * 3),
     # _sax.c
     (
         "sax_intervals",
@@ -236,6 +241,12 @@ _MEMBER_ERRORS = {
 _LOG_ERRORS = {
     **_MEMBER_ERRORS,
     -2: (MemoryError, "the native token log or its arena could not grow"),
+    -9: (
+        RuntimeError,
+        "a decay generation's token count differs from the live tokens in its "
+        "range; horizon and generations are out of step",
+    ),
+    -10: (ValueError, "token offsets must be non-negative and non-decreasing"),
 }
 
 _lib = _load(_build(_SOURCES, _SOURCE.parent / "__pycache__"), _SIGNATURES)
@@ -473,15 +484,25 @@ class TokenLog:
     prune, so they always take the incremental branch. Either way the
     arena's grammar is a function of the live ids alone, which is what
     makes the curve bitwise equal to re-inducing over the live tokens.
+
+    With ``generation_size`` (the decay policy), each ingested token is
+    also routed, in the same call, to the generation
+    ``offset // generation_size``, whose own arena it feeds; the first token
+    of a later generation seals the open one, keeping only its spans and
+    rule counts. :meth:`forget` drops the sealed generations the horizon
+    passed into the :attr:`retired` counters, and a poll sums one density
+    curve per live generation (rules never span a generation boundary).
     """
 
     __slots__ = ("_handle", "width")
 
-    def __init__(self, width: int) -> None:
+    def __init__(self, width: int, generation_size: int = 0) -> None:
         self.width = int(width)
         if self.width < 1:
             raise ValueError(f"words need at least one symbol, got width {self.width}")
-        self._handle = _lib.seq_log_new(self.width)
+        if generation_size < 0:
+            raise ValueError(f"generation_size cannot be negative, got {generation_size}")
+        self._handle = _lib.seq_log_new(self.width, int(generation_size))
         if not self._handle:
             raise MemoryError("cannot allocate a native token log")
 
@@ -494,9 +515,11 @@ class TokenLog:
 
     def _export(self) -> tuple[list[int], np.ndarray]:
         """One C call: ``(count, cap, live, kept, pruned, width, has_carry,
-        slot_cap, rule_cap, table_cap, pending_cap)`` and the carried row
-        (int64; meaningful when ``has_carry``)."""
-        sizes = (ctypes.c_int64 * 11)()
+        slot_cap, rule_cap, table_cap, pending_cap, generation_size,
+        generations, generation_cap, sealed_span_slots, retired_generations,
+        retired_tokens, retired_rules, retired_rule_refs, open_count)`` and
+        the carried row (int64; meaningful when ``has_carry``)."""
+        sizes = (ctypes.c_int64 * 20)()
         carry = np.zeros(self.width, dtype=np.int64)
         _lib.seq_log_export(self._handle, sizes, carry.ctypes.data)
         return list(sizes), carry
@@ -527,6 +550,39 @@ class TokenLog:
         sizes, carry = self._export()
         return carry if sizes[6] else None
 
+    @property
+    def retired(self) -> tuple[int, int, int, int]:
+        """Generations, tokens, rules (R0 excluded) and rule references that
+        :meth:`forget` dropped with their generations (zeros without any)."""
+        return tuple(self._export()[0][15:19])
+
+    def generations(self) -> list[tuple[int, int, int, int, np.ndarray, np.ndarray]]:
+        """``(index, count, rules, rule_refs, firsts, lasts)`` of every live
+        generation, oldest first; empty without generations.
+
+        ``firsts`` and ``lasts`` are the generation's occurrence spans
+        (token indices within it), ``rules`` its rules other than R0 and
+        ``rule_refs`` their summed reference counts. The open generation's
+        are read off its arena now; the sealed ones' were kept when they
+        sealed.
+        """
+        sizes = self._export()[0]
+        count = sizes[12]
+        if not count:
+            return []
+        info = np.empty((count, 5), dtype=np.int64)
+        spans = np.empty(sizes[14] + 2 * sizes[19], dtype=np.int64)
+        status = _lib.seq_log_generations(self._handle, info.ctypes.data, spans.ctypes.data)
+        if status < 0:
+            _raise(status, _LOG_ERRORS)
+        out, position = [], 0
+        for index, tokens, nodes, rules, refs in info.tolist():
+            firsts = spans[position : position + nodes].copy()
+            lasts = spans[position + nodes : position + 2 * nodes].copy()
+            out.append((index, tokens, rules, refs, firsts, lasts))
+            position += 2 * nodes
+        return out
+
     def tokens(self, last: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the ids and offsets (both int64) of the live tokens.
 
@@ -541,7 +597,13 @@ class TokenLog:
         return ids, offsets
 
     def ingest(
-        self, table, intervals: np.ndarray, column: np.ndarray, first_start: int, reduce: bool
+        self,
+        table,
+        intervals: np.ndarray,
+        column: np.ndarray,
+        first_start: int,
+        reduce: bool,
+        feed_ns: np.ndarray | None = None,
     ) -> int:
         """Append one drain block's kept tokens; returns how many were kept.
 
@@ -552,6 +614,9 @@ class TokenLog:
         (int64). One call looks the symbols up, drops each row equal to the
         row before it when ``reduce`` (the last row of the previous block is
         carried), interns the kept rows and appends their ids and offsets.
+        With generations, the same call routes the kept tokens to them and
+        adds the nanoseconds that took to ``feed_ns[0]`` (a one-element
+        int64 array), when given.
         A value outside the column raises :class:`IndexError` and appends
         nothing; :class:`MemoryError` when the log or table cannot grow.
         """
@@ -565,7 +630,7 @@ class TokenLog:
             )
         kept = _lib.seq_log_ingest(
             self._handle, table, intervals.ctypes.data, rows, column.ctypes.data, len(column),
-            bool(reduce), first_start,
+            bool(reduce), first_start, None if feed_ns is None else feed_ns.ctypes.data,
         )
         if kept < 0:
             _raise(kept, _LOG_ERRORS)
@@ -576,7 +641,8 @@ class TokenLog:
 
         One bisection of the sorted offsets. The dead prefix is dropped from
         memory once it holds more than ``slack`` tokens and outweighs the
-        live ones (amortized O(1) per token).
+        live ones (amortized O(1) per token). Every sealed generation that
+        ends at or before ``start`` is dropped into :attr:`retired`.
         """
         return _lib.seq_log_forget(self._handle, start, slack)
 
@@ -589,7 +655,10 @@ class TokenLog:
         live token it is all zeros. ``phase_ns`` holds the nanoseconds spent
         feeding (or rebuilding) the arena, walking its spans and
         accumulating the density, for the caller to charge: this method
-        records nothing and touches no thread-local state.
+        records nothing and touches no thread-local state. With generations
+        nothing is fed (that happened at ingest), only the open generation's
+        spans are walked, and a generation whose token count differs from
+        the live tokens in its range raises :class:`RuntimeError`.
         """
         return poll_logs((self,), window, horizon_start, length)[0]
 
@@ -600,7 +669,10 @@ class TokenLog:
 
         The restore path of a session snapshot: ``ids`` and ``offsets`` are
         the live tokens, ``carry`` the carried row (or ``None``). The arena
-        is rebuilt over them at the next poll.
+        is rebuilt over them at the next poll; generations are rebuilt now,
+        by routing the tokens again (offsets must then be non-negative and
+        non-decreasing, else :class:`ValueError`), and :attr:`retired`
+        restarts at zero.
         """
         ids = np.ascontiguousarray(ids, dtype=np.int64)
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
@@ -623,13 +695,16 @@ class TokenLog:
     def memory_bytes(self) -> int:
         """Bytes the log holds, from its capacities.
 
-        12 B per token slot (int32 id, int64 offset), the carried row, and
-        the arena (see :meth:`FastSequitur.memory_bytes`). The allocations
-        are C ``malloc`` calls, so tracemalloc does not see them.
+        12 B per token slot (int32 id, int64 offset), the carried row, the
+        arena (see :meth:`FastSequitur.memory_bytes`; the open generation's
+        under decay), 48 B per generation slot and 8 B per sealed span
+        bound. The allocations are C ``malloc`` calls, so tracemalloc does
+        not see them.
         """
         sizes = self._export()[0]
         row = np.dtype(np.intp).itemsize * sizes[5]
-        return 12 * sizes[1] + row + _arena_bytes(*sizes[7:11])
+        generations = 48 * sizes[13] + 8 * sizes[14]
+        return 12 * sizes[1] + row + _arena_bytes(*sizes[7:11]) + generations
 
 
 def poll_logs(

@@ -73,6 +73,24 @@
  * runs whole polls (feed or rebuild, spans, density) of one or more logs.
  * A log is touched by one call at a time, so the polls of distinct
  * members may run on distinct threads.
+ *
+ * Decay generations. A log made with a generation size g > 0 (the decay
+ * policy) also routes every kept token, inside seq_log_ingest, to the
+ * generation offset / g. Generations are a Gen array, oldest first: the
+ * last one is open and owns the log's arena, which is fed at ingest (not
+ * at poll); the first token of a later generation seals it. Sealing walks
+ * the arena's spans once and keeps them (token indices within the
+ * generation) with the token count, the number of live rules and the sum
+ * of their reference counts (rule_count), then empties the arena for the
+ * next generation, keeping its capacities. seq_log_forget drops every
+ * sealed generation that ends at or before the horizon (which the decay
+ * policy keeps a multiple of g) into the retired_* counters. A poll walks
+ * the open generation's spans only, checks that each generation's token
+ * count equals the live tokens in its offset range (SEQ_GENERATIONS
+ * otherwise) and adds every generation's +1/-1 marks into one curve with
+ * one prefix sum: the sum of per-generation density curves, which are
+ * integers, so it equals adding those curves one by one bit for bit.
+ * seq_log_load re-routes the loaded tokens the same way.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -81,7 +99,8 @@
 
 enum {
     SEQ_OK = 0, SEQ_RANGE = -1, SEQ_NOMEM = -2, SEQ_TAIL = -3, SEQ_SPANS = -4,
-    SEQ_INDEX = -5, SEQ_EMPTY = -6, SEQ_SYMBOL = -7, SEQ_NO_TOKENS = -8
+    SEQ_INDEX = -5, SEQ_EMPTY = -6, SEQ_SYMBOL = -7, SEQ_NO_TOKENS = -8,
+    SEQ_GENERATIONS = -9, SEQ_ORDER = -10
 };
 
 typedef struct {
@@ -385,20 +404,18 @@ void seq_export(const Seq *s, int64_t *sizes, const int64_t **arrays) {
 
 /* ---- curve kernels (no arena) ---- */
 
-/* Rule density curve of `length` >= 1 points from token spans: span i
- * covers points offsets[firsts[i]] - horizon_start through
- * offsets[lasts[i]] + window - 1 - horizon_start, clipped to the curve.
- * Integer arithmetic wraps like numpy's int64. Every span index is checked
- * (negative ones included) before an empty interval is reported, as numpy
- * indexing raises before the emptiness check. The +1/-1 differences and
- * their prefix sum are integers far below 2^53, so the doubles are exact. */
-int seq_density(const int64_t *offsets, int64_t n_offsets, int64_t window,
-                const int64_t *firsts, const int64_t *lasts, int64_t spans,
-                int64_t horizon_start, int64_t length, double *curve) {
+/* The +1/-1 marks of a rule density curve of `length` >= 1 points, added
+ * into `curve`: span i covers points offsets[firsts[i]] - horizon_start
+ * through offsets[lasts[i]] + window - 1 - horizon_start, clipped to the
+ * curve. Integer arithmetic wraps like numpy's int64. Every span index is
+ * checked (negative ones included) before an empty interval is reported,
+ * as numpy indexing raises before the emptiness check. */
+static int density_marks(const int64_t *offsets, int64_t n_offsets, int64_t window,
+                         const int64_t *firsts, const int64_t *lasts, int64_t spans,
+                         int64_t horizon_start, int64_t length, double *curve) {
     uint64_t bound = (uint64_t)n_offsets, reach = (uint64_t)window - 1;
     uint64_t origin = (uint64_t)horizon_start;
     int empty = 0;
-    memset(curve, 0, (size_t)length * sizeof *curve);
     for (int64_t i = 0; i < spans; i++) {
         if ((uint64_t)firsts[i] >= bound || (uint64_t)lasts[i] >= bound) return SEQ_INDEX;
         int64_t start = (int64_t)((uint64_t)offsets[firsts[i]] - origin);
@@ -408,10 +425,26 @@ int seq_density(const int64_t *offsets, int64_t n_offsets, int64_t window,
         curve[start > 0 ? start : 0] += 1.0;
         if (end < length - 1) curve[end + 1] -= 1.0;
     }
-    if (empty) return SEQ_EMPTY;
+    return empty ? SEQ_EMPTY : SEQ_OK;
+}
+
+/* Turn marks into the curve. The marks and their prefix sum are integers
+ * far below 2^53, so the doubles are exact. */
+static void prefix_sum(double *curve, int64_t length) {
     double running = 0.0;
     for (int64_t t = 0; t < length; t++) curve[t] = running += curve[t];
-    return SEQ_OK;
+}
+
+/* Rule density curve of `length` >= 1 points from token spans (see
+ * density_marks). */
+int seq_density(const int64_t *offsets, int64_t n_offsets, int64_t window,
+                const int64_t *firsts, const int64_t *lasts, int64_t spans,
+                int64_t horizon_start, int64_t length, double *curve) {
+    memset(curve, 0, (size_t)length * sizeof *curve);
+    int status = density_marks(offsets, n_offsets, window, firsts, lasts, spans, horizon_start,
+                               length, curve);
+    if (!status) prefix_sum(curve, length);
+    return status;
 }
 
 /* Point-wise median of k >= 1 rows of n doubles, as np.median computes it:
@@ -537,15 +570,27 @@ int64_t sax_table_intern(void *table, const intptr_t *rows, int64_t n_rows, int6
                          const int64_t *column, int64_t n_symbols, const intptr_t *carry,
                          int64_t reduce, int64_t *offsets, int64_t *ids);
 
+/* A decay generation: the tokens whose window offsets lie in [index * g,
+ * (index + 1) * g). A sealed one keeps its `nodes` spans (firsts, then
+ * lasts, token indices within the generation), its live rules (R0
+ * excluded) and their summed reference counts; the open one (the log's
+ * last) is the log's arena, and only its index and count are kept here. */
+typedef struct {
+    int64_t index, count, nodes, rules, refs;
+    int64_t *spans;
+} Gen;
+
 /* A streaming member's kept tokens, oldest first: ids[i] was kept from the
  * window starting at offsets[i] (ascending). Tokens before `live` slid out
  * of the horizon; they are dropped physically once they outweigh the live
  * ones. `carry` is the symbol row of the last window ingested, which the
- * next block's numerosity reduction compares its first row against. `seq`
- * is Sequitur over exactly the live ids as of the last poll, built when
- * the prune counter read `anchor`: while no token is pruned the live ids
- * only grow at the right end, where Sequitur is incremental, so a poll
- * feeds the new suffix; once one is pruned, the poll rebuilds it. */
+ * next block's numerosity reduction compares its first row against.
+ * Without generations, `seq` is Sequitur over exactly the live ids as of
+ * the last poll, built when the prune counter read `anchor`: while no
+ * token is pruned the live ids only grow at the right end, where Sequitur
+ * is incremental, so a poll feeds the new suffix; once one is pruned, the
+ * poll rebuilds it. With generations, `seq` is the open generation's
+ * arena, fed at ingest. */
 typedef struct {
     int32_t *ids;
     int64_t *offsets;
@@ -555,18 +600,31 @@ typedef struct {
     int64_t kept, pruned; /* tokens ever kept and ever pruned */
     int64_t width, has_carry, anchor;
     Seq *seq;
+    int64_t generation_size;  /* g > 0 routes tokens to generations; 0 does not */
+    Gen *gens;                /* the live generations, oldest first; the last is open */
+    int64_t n_gens, gen_cap;
+    int64_t retired[4];       /* generations, tokens, rules, rule references dropped */
 } SeqLog;
+
+/* Free the oldest n generations and shift the rest down. */
+static void drop_generations(SeqLog *log, int64_t n) {
+    if (!n) return;
+    for (int64_t i = 0; i < n; i++) free(log->gens[i].spans);
+    log->n_gens -= n;
+    memmove(log->gens, log->gens + n, (size_t)log->n_gens * sizeof *log->gens);
+}
 
 void seq_log_free(SeqLog *log) {
     if (!log) return;
     if (log->seq) seq_free(log->seq);
-    free(log->ids), free(log->offsets), free(log->carry), free(log);
+    drop_generations(log, log->n_gens);
+    free(log->gens), free(log->ids), free(log->offsets), free(log->carry), free(log);
 }
 
-SeqLog *seq_log_new(int64_t width) {
-    SeqLog *log = width >= 1 ? calloc(1, sizeof *log) : NULL;
+SeqLog *seq_log_new(int64_t width, int64_t generation_size) {
+    SeqLog *log = width >= 1 && generation_size >= 0 ? calloc(1, sizeof *log) : NULL;
     if (!log) return NULL;
-    log->width = width;
+    log->width = width, log->generation_size = generation_size;
     if (!(log->carry = malloc((size_t)width * sizeof *log->carry))) {
         free(log);
         return NULL;
@@ -588,15 +646,91 @@ static int log_reserve(SeqLog *log, int64_t more) {
     return SEQ_OK;
 }
 
+/* The first index in [low, high) whose offset is at least `key`, or high. */
+static int64_t lower_bound(const int64_t *offsets, int64_t low, int64_t high, int64_t key) {
+    while (low < high) {
+        int64_t middle = low + (high - low) / 2;
+        if (offsets[middle] < key) low = middle + 1;
+        else high = middle;
+    }
+    return low;
+}
+
+/* The live rules of an arena (R0 excluded) and their summed reference counts. */
+static void rule_stats(const Seq *s, int64_t *rules, int64_t *refs) {
+    *rules = *refs = 0;
+    for (int64_t r = 1; r < s->rules; r++)
+        if (s->rule_count[r] > 0) ++*rules, *refs += s->rule_count[r];
+}
+
+/* Walk the open generation's spans into `spans` (room for 2 count):
+ * firsts, then lasts, packed. Returns the span count or a status. */
+static int64_t open_spans(SeqLog *log, int64_t *spans) {
+    int64_t count = log->gens[log->n_gens - 1].count;
+    int64_t nodes = seq_spans(log->seq, spans, spans + count, count);
+    if (nodes > 0) memmove(spans + nodes, spans + count, (size_t)nodes * sizeof *spans);
+    return nodes;
+}
+
+/* Seal the open generation: keep its spans and rule stats, then empty the
+ * arena (keeping its capacities) for the next generation. */
+static int seal(SeqLog *log) {
+    Gen *open = &log->gens[log->n_gens - 1];
+    int64_t *spans = malloc(2 * (size_t)open->count * sizeof *spans), *fit, nodes;
+    if (!spans) return SEQ_NOMEM;
+    if ((nodes = open_spans(log, spans)) < 0) {
+        free(spans);
+        return (int)nodes;
+    }
+    if (!nodes) free(spans), spans = NULL;
+    else if ((fit = realloc(spans, 2 * (size_t)nodes * sizeof *spans))) spans = fit;
+    open->spans = spans, open->nodes = nodes;
+    rule_stats(log->seq, &open->rules, &open->refs);
+    reset(log->seq);
+    return SEQ_OK;
+}
+
+/* Route n tokens, offsets ascending, to their generations: each is fed to
+ * the open generation's arena, and a token past it seals it and opens the
+ * token's generation. */
+static int route(SeqLog *log, const int32_t *ids, const int64_t *offsets, int64_t n) {
+    int status;
+    if (log->seq && log->seq->status) return (int)log->seq->status;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t index = offsets[i] / log->generation_size;
+        Gen *open = log->n_gens ? &log->gens[log->n_gens - 1] : NULL;
+        if (offsets[i] < 0 || (open && index < open->index)) return SEQ_ORDER;
+        if (!open || index != open->index) {
+            if (log->n_gens == log->gen_cap) {
+                int64_t cap = log->gen_cap ? 2 * log->gen_cap : 4;
+                Gen *gens = realloc(log->gens, (size_t)cap * sizeof *gens);
+                if (!gens) return SEQ_NOMEM;
+                log->gens = gens, log->gen_cap = cap;
+            }
+            if (!log->seq && !(log->seq = seq_new())) return SEQ_NOMEM;
+            if (open && (status = seal(log))) return status;
+            open = &log->gens[log->n_gens++];
+            memset(open, 0, sizeof *open);
+            open->index = index;
+        }
+        if (feed(log->seq, ids[i])) return (int)log->seq->status;
+        open->count++;
+    }
+    return SEQ_OK;
+}
+
 /* One drain block: intervals is n_rows x width (row r the window starting
  * at first + r), column the member's alphabet column. Looks the symbols
  * up, drops each row equal to the one before it when `reduce` (the row
  * before the block is the carried one), interns the kept rows into `table`
- * and appends their ids and offsets. Returns the kept count, SEQ_SYMBOL
- * for a value outside the column (nothing is appended, and the table
- * forgets the words the call added) or SEQ_NOMEM. */
+ * and appends their ids and offsets; with generations, also routes them
+ * (adding the nanoseconds that takes to *feed_ns, when given). Returns the
+ * kept count, SEQ_SYMBOL for a value outside the column (nothing is
+ * appended, and the table forgets the words the call added), SEQ_NOMEM,
+ * or the status of a failed routing. */
 int64_t seq_log_ingest(SeqLog *log, void *table, const intptr_t *intervals, int64_t n_rows,
-                       const int64_t *column, int64_t n_symbols, int64_t reduce, int64_t first) {
+                       const int64_t *column, int64_t n_symbols, int64_t reduce, int64_t first,
+                       int64_t *feed_ns) {
     int64_t width = log->width, kept, *ids, *offsets;
     if (n_rows <= 0) return 0;
     if (log_reserve(log, n_rows) || !(ids = malloc((size_t)n_rows * sizeof *ids)))
@@ -619,19 +753,23 @@ int64_t seq_log_ingest(SeqLog *log, void *table, const intptr_t *intervals, int6
         for (int64_t j = 0; j < width; j++) log->carry[j] = (intptr_t)column[last[j]];
         log->has_carry = 1;
     }
+    if (log->generation_size && kept) {
+        int64_t mark = clock_ns(), spent;
+        int status = route(log, log->ids + log->count - kept, offsets, kept);
+        lap(&mark, &spent);
+        if (feed_ns) *feed_ns += spent;
+        if (status) return status;
+    }
     return kept;
 }
 
 /* Prune the tokens whose window starts before `start`; returns how many.
  * The dead prefix is dropped once it holds more than `slack` tokens and
- * outweighs the live part, which only a call that pruned can find true. */
+ * outweighs the live part, which only a call that pruned can find true.
+ * Every sealed generation that ends at or before `start` is dropped into
+ * the retired counters. */
 int64_t seq_log_forget(SeqLog *log, int64_t start, int64_t slack) {
-    int64_t low = log->live, high = log->count, pruned;
-    while (low < high) {
-        int64_t middle = low + (high - low) / 2;
-        if (log->offsets[middle] < start) low = middle + 1;
-        else high = middle;
-    }
+    int64_t low = lower_bound(log->offsets, log->live, log->count, start), pruned, dropped = 0;
     pruned = low - log->live;
     log->pruned += pruned, log->live = low;
     if (log->live > slack && 2 * log->live > log->count) {
@@ -640,14 +778,60 @@ int64_t seq_log_forget(SeqLog *log, int64_t start, int64_t slack) {
         memmove(log->offsets, log->offsets + log->live, (size_t)log->count * sizeof *log->offsets);
         log->live = 0;
     }
+    for (; log->generation_size && dropped < log->n_gens - 1; dropped++) {
+        const Gen *gen = &log->gens[dropped];
+        if ((gen->index + 1) * log->generation_size > start) break;
+        log->retired[0]++, log->retired[1] += gen->count;
+        log->retired[2] += gen->rules, log->retired[3] += gen->refs;
+    }
+    drop_generations(log, dropped);
     return pruned;
+}
+
+/* A poll of a log with generations (see the header comment); phase_ns[0]
+ * stays 0, as the generations were fed at ingest. */
+static int generations_curve(SeqLog *log, int64_t window, int64_t horizon_start,
+                             int64_t length, double *curve, int64_t *phase_ns) {
+    const int64_t *offsets = log->offsets + log->live;
+    int64_t n = log->count - log->live, size = log->generation_size, mark = clock_ns();
+    int64_t total = 0, nodes, *spans;
+    int status = SEQ_OK;
+    if (!log->n_gens) return SEQ_GENERATIONS;
+    if (!(spans = malloc(2 * (size_t)log->gens[log->n_gens - 1].count * sizeof *spans)))
+        return SEQ_NOMEM;
+    nodes = open_spans(log, spans);
+    lap(&mark, &phase_ns[1]);
+    if (nodes < 0) {
+        free(spans);
+        return (int)nodes;
+    }
+    memset(curve, 0, (size_t)length * sizeof *curve);
+    for (int64_t g = 0; g < log->n_gens && !status; g++) {
+        const Gen *gen = &log->gens[g];
+        int is_open = g == log->n_gens - 1;
+        const int64_t *firsts = is_open ? spans : gen->spans;
+        int64_t spanned = is_open ? nodes : gen->nodes;
+        int64_t first = lower_bound(offsets, 0, n, gen->index * size);
+        int64_t stop = lower_bound(offsets, first, n, (gen->index + 1) * size);
+        total += gen->count;
+        status = stop - first != gen->count
+                     ? SEQ_GENERATIONS
+                     : density_marks(offsets + first, gen->count, window, firsts,
+                                     firsts + spanned, spanned, horizon_start, length, curve);
+    }
+    if (!status && total != n) status = SEQ_GENERATIONS;
+    if (!status) prefix_sum(curve, length);
+    lap(&mark, &phase_ns[2]);
+    free(spans);
+    return status;
 }
 
 /* The rule density curve (`length` doubles from horizon_start) over the
  * live tokens: bring `seq` up to exactly the live ids (feed the suffix, or
- * rebuild it after a prune), walk its spans and accumulate the density.
- * No live token is an all-zero curve. phase_ns receives the nanoseconds
- * spent feeding, walking the spans and accumulating the density. */
+ * rebuild it after a prune), walk its spans and accumulate the density; a
+ * log with generations polls them instead. No live token is an all-zero
+ * curve. phase_ns receives the nanoseconds spent feeding, walking the
+ * spans and accumulating the density. */
 static int log_curve(SeqLog *log, int64_t window, int64_t horizon_start, int64_t length,
                      double *curve, int64_t *phase_ns) {
     int64_t n = log->count - log->live, mark = clock_ns(), nodes, *firsts;
@@ -659,6 +843,8 @@ static int log_curve(SeqLog *log, int64_t window, int64_t horizon_start, int64_t
         memset(curve, 0, (size_t)length * sizeof *curve);
         return SEQ_OK;
     }
+    if (log->generation_size)
+        return generations_curve(log, window, horizon_start, length, curve, phase_ns);
     if (!s || log->anchor != log->pruned || s->fed > n) {
         if (!s && !(s = log->seq = seq_new())) return SEQ_NOMEM;
         reset(s);
@@ -693,13 +879,19 @@ int seq_log_curves(SeqLog *const *logs, int64_t n, int64_t window, int64_t horiz
 }
 
 /* Replace the stored tokens with n live ones (a restored snapshot), after
- * `pruned` tokens slid out; carry may be NULL. Ids must lie in [0, 2^31).
- * The builder is rebuilt at the next poll. */
+ * `pruned` tokens slid out; carry may be NULL. Ids must lie in [0, 2^31)
+ * and, with generations, offsets must be non-negative and ascending
+ * (checked before anything changes). Without generations the builder is
+ * rebuilt at the next poll; with them, the tokens are routed again and
+ * the retired counters restart at zero. */
 int seq_log_load(SeqLog *log, const int64_t *ids, const int64_t *offsets, int64_t n,
                  const intptr_t *carry, int64_t pruned) {
     int64_t count = log->count;
-    for (int64_t i = 0; i < n; i++)
+    for (int64_t i = 0; i < n; i++) {
         if (!IN_RANGE(ids[i])) return SEQ_RANGE;
+        if (log->generation_size && (offsets[i] < 0 || (i && offsets[i] < offsets[i - 1])))
+            return SEQ_ORDER;
+    }
     log->count = 0;
     if (log_reserve(log, n)) {
         log->count = count;
@@ -711,7 +903,11 @@ int seq_log_load(SeqLog *log, const int64_t *ids, const int64_t *offsets, int64_
     log->has_carry = carry != NULL;
     if (carry) memcpy(log->carry, carry, (size_t)log->width * sizeof *carry);
     log->anchor = -1;
-    return SEQ_OK;
+    if (!log->generation_size) return SEQ_OK;
+    drop_generations(log, log->n_gens);
+    memset(log->retired, 0, sizeof log->retired);
+    if (log->seq) reset(log->seq);
+    return route(log, log->ids, log->offsets, n);
 }
 
 int64_t seq_log_live(const SeqLog *log) { return log->count - log->live; }
@@ -724,14 +920,43 @@ void seq_log_copy(const SeqLog *log, int64_t n, int64_t *ids, int64_t *offsets) 
     if (n) memcpy(offsets, log->offsets + first, (size_t)n * sizeof *offsets);
 }
 
-/* sizes = {count, cap, live, kept, pruned, width, has_carry, and the
- * builder's slot_cap, rule_cap, table_cap, pending_cap (0 without one)};
- * carry receives the carried row when there is one. */
+/* sizes = {count, cap, live, kept, pruned, width, has_carry, the builder's
+ * slot_cap, rule_cap, table_cap, pending_cap (0 without one), then
+ * generation_size, the live generations, their capacity, the sealed
+ * generations' span slots, the retired generations, tokens, rules and
+ * rule references, and the open generation's token count}; carry receives the carried row when there is one. */
 void seq_log_export(const SeqLog *log, int64_t *sizes, int64_t *carry) {
     const Seq *s = log->seq;
     sizes[0] = log->count, sizes[1] = log->cap, sizes[2] = log->live, sizes[3] = log->kept;
     sizes[4] = log->pruned, sizes[5] = log->width, sizes[6] = log->has_carry;
     sizes[7] = s ? s->slot_cap : 0, sizes[8] = s ? s->rule_cap : 0;
     sizes[9] = s ? s->table_cap : 0, sizes[10] = s ? s->pending_cap : 0;
+    sizes[11] = log->generation_size, sizes[12] = log->n_gens, sizes[13] = log->gen_cap;
+    sizes[14] = 0;
+    for (int64_t g = 0; g + 1 < log->n_gens; g++) sizes[14] += 2 * log->gens[g].nodes;
+    for (int j = 0; j < 4; j++) sizes[15 + j] = log->retired[j];
+    sizes[19] = log->n_gens ? log->gens[log->n_gens - 1].count : 0;
     for (int64_t j = 0; log->has_carry && j < log->width; j++) carry[j] = log->carry[j];
+}
+
+/* The live generations, oldest first: info[5 g .. 5 g + 4] = {index,
+ * count, spans, rules, rule references} of generation g, and its spans
+ * (firsts, then lasts) appended to `spans`, which has room for every
+ * sealed generation's and 2 count of the open one's. Returns the number of
+ * generations, or a status. */
+int64_t seq_log_generations(SeqLog *log, int64_t *info, int64_t *spans) {
+    for (int64_t g = 0; g < log->n_gens; g++) {
+        const Gen *gen = &log->gens[g];
+        int64_t *row = info + 5 * g;
+        row[0] = gen->index, row[1] = gen->count;
+        if (g == log->n_gens - 1) {
+            if ((row[2] = open_spans(log, spans)) < 0) return row[2];
+            rule_stats(log->seq, &row[3], &row[4]);
+        } else {
+            row[2] = gen->nodes, row[3] = gen->rules, row[4] = gen->refs;
+            if (gen->nodes) memcpy(spans, gen->spans, 2 * (size_t)gen->nodes * sizeof *spans);
+        }
+        spans += 2 * row[2];
+    }
+    return log->n_gens;
 }

@@ -273,7 +273,7 @@ class StreamingOracleInterner(WordInterner):
 
     __slots__ = ()
 
-    def intern_log(self, log, intervals, column, first_start, reduce) -> int:
+    def intern_log(self, log, intervals, column, first_start, reduce, feed_ns=None) -> int:
         if len(intervals) == 0:
             return 0
         if np.min(intervals) < 0 or np.max(intervals) >= len(column):

@@ -18,9 +18,9 @@ same :class:`~repro.grammar.rules.Grammar` that
 
 :func:`induce_grammar` is the word-fed twin of
 :func:`repro.grammar.sequitur.induce_grammar`, and
-:class:`GenerationalOracle` the per-generation twin of
-:class:`repro.grammar.sequitur.GenerationalSequitur` (the decay policy's
-grammar forgetting), with the same routing, sealing and retirement stats.
+:class:`GenerationalOracle` the word-fed twin of the decay generations of
+:class:`repro.grammar._kernel.TokenLog` (the decay policy's grammar
+forgetting), with the same routing, sealing and retirement stats.
 """
 
 from __future__ import annotations

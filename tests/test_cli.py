@@ -256,7 +256,7 @@ class TestUnifiedExecutorFlag:
     up front naming every valid choice.
     """
 
-    COMMANDS_WITH_EXECUTOR = ("detect", "stream", "evaluate", "serve")
+    COMMANDS_WITH_EXECUTOR = ("detect", "evaluate", "serve")
 
     def _help_for(self, command: str) -> str:
         parser = build_parser()
@@ -294,7 +294,6 @@ class TestUnifiedExecutorFlag:
     def test_unknown_executor_rejected_on_every_subcommand(self, capsys):
         cases = {
             "detect": ["detect", "--input", "x.csv", "--window", "10"],
-            "stream": ["stream", "--input", "x.csv", "--window", "10"],
             "evaluate": ["evaluate", "--dataset", "Wafer"],
             "serve": ["serve"],
         }
@@ -303,6 +302,17 @@ class TestUnifiedExecutorFlag:
                 main(cases[command] + ["--executor", "nope"])
             assert excinfo.value.code == 2, command
             assert "unknown executor" in capsys.readouterr().err, command
+
+    @pytest.mark.parametrize(
+        "flag", [["--executor", "thread"], ["--n-jobs", "2"], ["--scheduler", "127.0.0.1:9"]]
+    )
+    def test_stream_takes_no_executor_flags(self, flag, capsys):
+        """A streaming ensemble runs in this process, so ``stream`` rejects
+        the executor flags with a usage error instead of ignoring them."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stream", "--input", "x.csv", "--window", "10", *flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
     def test_scheduler_without_cluster_is_clean_error(self, series_file, capsys):
         code = main(
@@ -473,7 +483,8 @@ class TestExecutorLifecycle:
         assert shm_segments() == before
 
     def test_failing_stream_closes_executor(self, tmp_path, capsys, shm_segments):
-        """A chunk rejected mid-stream must tear down the snapshot pool."""
+        """A chunk rejected mid-stream is a clean error that leaves no shared
+        memory behind."""
         path = tmp_path / "feed.csv"
         values = [f"{v:.6f}" for v in self._series(1200)]
         values[900] = "nan"  # rejected by the stream state mid-feed
@@ -483,7 +494,6 @@ class TestExecutorLifecycle:
             [
                 "stream", "--input", str(path), "--window", "60",
                 "--ensemble-size", "4", "--seed", "0",
-                "--executor", "process", "--n-jobs", "2",
             ]
         )
         assert code == 2

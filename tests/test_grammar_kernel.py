@@ -39,8 +39,9 @@ from repro.core.multiresolution import MultiResolutionDiscretizer
 from repro.datasets.planting import make_corpus
 from repro.datasets.ucr_like import DATASETS
 from repro.grammar import _kernel
-from repro.grammar._kernel import FastSequitur
-from repro.grammar.sequitur import GenerationalSequitur, induce_grammar
+from repro.grammar._kernel import FastSequitur, TokenLog
+from repro.grammar.sequitur import induce_grammar
+from repro.sax.alphabet import WordInterner
 
 #: Token streams with heavy repetition (small alphabets make digram matches,
 #: rule reuse, and rule-utility inlining all fire often).
@@ -453,83 +454,114 @@ class TestInduceGrammarMatchesTheOracle:
 #: Offsets with long gaps, so generations are skipped as well as filled.
 offset_steps = st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=200)
 
+#: The identity alphabet column: a one-symbol row ``[[token]]`` is the word
+#: of ``token``, so a decay log's ids follow the stream's equality pattern.
+IDENTITY = np.arange(8, dtype=np.int64)
 
-class TestGenerationalSequiturMatchesTheOracle:
-    def test_feed_id_requires_vocabulary(self):
-        forgetter = GenerationalSequitur(4)
-        with pytest.raises(ValueError, match="vocabulary"):
-            forgetter.feed_id(0, 0)
+
+class DecayLog:
+    """A decay member's native token log, fed one ``(token, offset)`` at a
+    time: each token is a one-row block at its offset, unreduced."""
+
+    def __init__(self, generation_size: int) -> None:
+        self.log = TokenLog(1, generation_size)
+        self.table = WordInterner()
+
+    def feed(self, token: int, offset: int) -> None:
+        block = np.asarray([[token]], dtype=np.intp)
+        self.table.intern_log(self.log, block, IDENTITY, offset, False)
+
+
+def assert_generations_match(log: TokenLog, oracle: GenerationalOracle) -> None:
+    """Live generations (index, count, spans, rule stats) and retirement
+    counters of a decay log equal the oracle's."""
+    live = log.generations()
+    expected = oracle.live_grammars()
+    assert [(g[0], g[1]) for g in live] == [(index, count) for index, _, count in expected]
+    for (_, _, rules, refs, firsts, lasts), (_, grammar, _) in zip(live, expected):
+        expected_firsts, expected_lasts = grammar.occurrence_spans()
+        assert np.array_equal(firsts, expected_firsts)
+        assert np.array_equal(lasts, expected_lasts)
+        assert (rules, refs) == (grammar.n_rules - 1, sum(grammar.rule_refcounts()))
+    assert log.retired == (
+        oracle.retired_generations,
+        oracle.retired_tokens,
+        oracle.retired_rules,
+        oracle.retired_rule_refs,
+    )
+
+
+class TestDecayGenerationsMatchTheOracle:
+    """A decay member's generations, in its native token log, against the
+    word-fed per-generation oracle."""
 
     @pytest.mark.parametrize("size", [1, 3, 8, 64])
     @given(stream=token_streams, steps=offset_steps, horizon=st.integers(0, 40))
-    def test_live_grammars_and_retirement_match_the_oracle(self, size, stream, steps, horizon):
-        """``feed_id`` and ``feed`` give the oracle's live grammars, token
-        counts and retirement stats, with a horizon advance half way."""
+    def test_live_generations_and_retirement_match_the_oracle(self, size, stream, steps, horizon):
+        """Live spans, token counts, rule stats and retirement counters,
+        with a horizon advance half way."""
         vocabulary = _vocabulary(stream)
         offsets = np.cumsum([steps[i % len(steps)] for i in range(len(stream))]).tolist()
-        by_id = GenerationalSequitur(size, vocabulary=vocabulary)
-        by_word = GenerationalSequitur(size)
+        decay = DecayLog(size)
         oracle = GenerationalOracle(size)
         half = len(stream) // 2
         for position, (token, offset) in enumerate(zip(stream, offsets)):
             if position == half:
                 boundary = offsets[half - 1] - horizon if half else 0
-                dropped = {f.drop_before(boundary) for f in (by_id, by_word, oracle)}
-                assert len(dropped) == 1
-            by_id.feed_id(token, offset)
-            by_word.feed(vocabulary[token], offset)
+                decay.log.forget(boundary, 0)
+                oracle.drop_before(boundary)
+            decay.feed(token, offset)
             oracle.feed(vocabulary[token], offset)
-        expected = oracle.live_grammars()
-        assert by_id.live_grammars() == expected
-        assert by_word.live_grammars() == expected
-        stats = ("retired_generations", "retired_tokens", "retired_rules", "retired_rule_refs")
-        for name in stats:
-            assert getattr(by_id, name) == getattr(by_word, name) == getattr(oracle, name)
+        assert_generations_match(decay.log, oracle)
 
-    @given(stream=token_streams)
-    def test_live_spans_match_live_grammars(self, stream):
-        vocabulary = _vocabulary(stream)
-        forgetter = GenerationalSequitur(8, vocabulary=vocabulary)
-        for offset, token in enumerate(stream):
-            forgetter.feed_id(token, offset)
-        grammars = {i: g for i, g, _ in forgetter.live_grammars()}
-        for index, firsts, lasts, count in forgetter.live_spans():
-            expected_firsts, expected_lasts = grammars[index].occurrence_spans()
-            assert np.array_equal(firsts, expected_firsts)
-            assert np.array_equal(lasts, expected_lasts)
-            assert count == grammars[index].expanded_lengths()[0]
+    def test_a_poll_out_of_step_with_the_generations_raises(self):
+        """A horizon inside a sealed generation leaves it holding tokens that
+        are no longer live: the poll refuses it."""
+        decay = DecayLog(4)
+        for offset in range(12):
+            decay.feed(offset % 3, offset)
+        decay.log.forget(6, 0)  # generation 1 covers offsets 4..7
+        with pytest.raises(RuntimeError, match="out of step"):
+            decay.log.curve(2, 6, 8)
 
-    def test_replay_rebuilds_every_live_generation(self):
+    def test_load_routes_the_live_tokens_again(self):
         rng = np.random.default_rng(3)
-        vocabulary = [f"w{i}" for i in range(5)]
+        decay = DecayLog(16)
         tokens = [(int(rng.integers(0, 5)), offset) for offset in range(0, 300, 2)]
-        fed = GenerationalSequitur(16, vocabulary=vocabulary)
         for token, offset in tokens:
-            fed.feed_id(token, offset)
-        fed.drop_before(64)
-        live = [(t, o) for t, o in tokens if o >= 64]
-        replayed = GenerationalSequitur.replay(live, generation_size=16, vocabulary=vocabulary)
-        assert replayed.live_grammars() == fed.live_grammars()
-        assert replayed.retired_generations == 0
+            decay.feed(token, offset)
+        decay.log.forget(64, 0)
+        assert decay.log.retired[0] == 4
+        ids, offsets = decay.log.tokens()
+        replayed = TokenLog(1, 16)
+        replayed.load(ids, offsets, None, decay.log.pruned)
+        for mine, theirs in zip(replayed.generations(), decay.log.generations()):
+            assert mine[:4] == theirs[:4]
+            assert np.array_equal(mine[4], theirs[4]) and np.array_equal(mine[5], theirs[5])
+        assert len(replayed.generations()) == len(decay.log.generations())
+        assert replayed.retired == (0, 0, 0, 0)
+        for window in (2, 5):
+            assert replayed.curve(window, 64, 240)[0].tobytes() == (
+                decay.log.curve(window, 64, 240)[0].tobytes()
+            )
 
-    def test_sealing_releases_the_builder_arena(self):
-        """Decay soak (the interned-word bugfix): sealed generations must not
-        pin retired token storage — memory accounting stays bounded as
-        generations retire, instead of accumulating one arena per seal."""
+    def test_sealing_keeps_only_spans(self):
+        """Decay soak: a sealed generation keeps only its spans and counts,
+        so the log's memory plateaus as generations retire instead of
+        growing with every seal."""
         rng = np.random.default_rng(7)
-        vocabulary = [f"w{i}" for i in range(16)]
-        forgetter = GenerationalSequitur(64, vocabulary=vocabulary)
+        decay = DecayLog(64)
         readings = []
         for offset in range(6400):
-            forgetter.feed_id(int(rng.integers(0, 16)), offset)
+            decay.feed(int(rng.integers(0, 8)), offset)
             if offset % 64 == 63:
-                forgetter.drop_before(max(0, offset - 255))
-                readings.append(forgetter.memory_bytes())
-        assert forgetter.retired_generations > 0
-        assert forgetter._current_builder is not None
-        # Live state is ~4 generations throughout: the estimate must plateau,
+                decay.log.forget(max(0, offset - 255), 1024)
+                readings.append(decay.log.memory_bytes())
+        assert decay.log.retired[0] > 0
+        # Live state is ~4 generations throughout: the figure must plateau,
         # not grow with the number of seals (100 generations were sealed).
         assert max(readings[50:]) <= 2 * max(readings[:50])
-        # And every *sealed* generation has dropped its builder: only spans,
-        # counts and frozen rules remain.
-        assert set(forgetter._sealed) == set(forgetter._sealed_spans)
+        sizes = decay.log._export()[0]
+        sealed = decay.log.generations()[:-1]
+        assert sizes[14] == sum(2 * len(firsts) for *_, firsts, _ in sealed)
+        assert len(sealed) + 1 == sizes[12] <= 5

@@ -15,8 +15,9 @@ counter and curve byte must agree, also across an export -> restore.
 The ensemble-level tests check that a whole session on the native log
 exports the state of one on the oracle interner, and polls the curve of the
 oracle pipeline (``tests/oracles/pipeline.py``), under every policy and
-numerosity; that an ensemble poll is one native call for every one-call
-member; and that a member whose ingest fails leaves the others' decay
+numerosity; that an ensemble poll is one native call for every member,
+under every policy; that every decay poll is the oracle's decay ensemble
+bit for bit; and that a member whose ingest fails leaves the others' decay
 grammars agreeing with their logs.
 """
 
@@ -51,6 +52,10 @@ TABLE = MultiResolutionAlphabet(10, 2)
 #: Bytes per slot of a native arena, per rule, per digram bucket and per
 #: pending level, as ``_sequitur.c`` allocates them.
 ARENA_SLOT, ARENA_OTHER = 24, 16
+
+#: Bytes per decay generation slot (a ``Gen``: five int64 and a pointer)
+#: and per sealed span bound.
+GENERATION_SLOT, SPAN_BOUND = 48, 8
 
 
 class OracleLog:
@@ -274,6 +279,97 @@ class TestEnsembleAgainstTheOracleRoute:
                 assert mine.tobytes() == expected.tobytes()
 
 
+def assert_generations_agree(member) -> None:
+    """A decay member's generations partition its live tokens by offset:
+    every sealed one holds exactly the live tokens of its range, and the
+    open (newest) one at least its live ones."""
+    log, size = member._log, member.state.generation_size
+    offsets = log.tokens()[1]
+    generations = log.generations()
+    indices = [index for index, *_ in generations]
+    assert indices == sorted(set(indices))
+    live = dict(zip(*(a.tolist() for a in np.unique(offsets // size, return_counts=True))))
+    assert set(live) <= set(indices)
+    for index, count, rules, refs, firsts, lasts in generations:
+        expected = live.get(index, 0)
+        assert count >= expected if index == indices[-1] else count == expected
+        assert refs >= 2 * rules and len(firsts) == len(lasts) < max(count, 1)
+
+
+class TestDecayPollsAgainstTheOracle:
+    """Every decay poll equals the oracle pipeline's decay ensemble (one
+    word-fed grammar per generation, summed oldest first) bit for bit."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        capacity=st.one_of(st.integers(20, 200), st.integers(200, 4000)),
+        segments=st.integers(1, 8),
+        chunks=st.lists(
+            st.one_of(st.just(1), st.integers(1, 60), st.integers(200, 600)),
+            min_size=1,
+            max_size=6,
+        ),
+        restore_at=st.integers(1, 3600),
+        broken=st.integers(0, 2),
+    )
+    def test_polls_equal_the_oracle(self, seed, capacity, segments, chunks, restore_at, broken):
+        """Random chunkings (single points, chunks across several
+        generations), 1-8 generations per capacity, capacities from one
+        window to 4000, a snapshot/restore at an arbitrary point (inside a
+        generation), then a member whose ingest raises :class:`IndexError`."""
+        window = 20
+        config = dict(
+            window=window, ensemble_size=3, capacity=capacity, policy="decay",
+            segments=segments, seed=seed,
+        )
+        native, twin = StreamingEnsembleDetector(**config), StreamingEnsembleDetector(**config)
+        feed = make_feed(seed, sum(chunks) + 100)
+        position = 0
+        for size in chunks:
+            stop = position + size
+            if position < restore_at <= stop:
+                native.extend(feed[position:restore_at])
+                twin.extend(feed[position:restore_at])
+                native, twin = (StreamingEnsembleDetector.restore(d.snapshot()) for d in (native, twin))
+                position = restore_at
+            native.extend(feed[position:stop])
+            twin.extend(feed[position:stop])
+            position = stop
+            if native.state.live_length >= window:
+                expected = pipeline.stream_ensemble(native, feed[:position]).curve
+                assert native.density_curve().tobytes() == expected.tobytes()
+            for member in native.members:
+                assert_generations_agree(member)
+
+        # One member's ingest fails on the next block: it logs nothing, the
+        # members before it log (and route) the whole block.
+        before = [(m.export_state(), m._log.retired) for m in native.members]
+        victim = native.members[broken]
+        real = victim._ingest_block
+
+        def out_of_column(intervals, column, first, feed_ns):
+            return real(intervals + len(column), column, first, feed_ns)
+
+        with mock.patch.object(victim, "_ingest_block", out_of_column):
+            with pytest.raises(IndexError, match="alphabet column"):
+                native.extend(feed[position:])
+        twin.extend(feed[position:])
+        start = native.state.trim()
+        assert start == twin.horizon_start
+        for index, member in enumerate(native.members):
+            if index < broken:
+                member._forget_before(start)
+                reference = twin.members[index]
+                assert_same_state([member.export_state()], [reference.export_state()])
+                assert member._log.retired == reference._log.retired
+                assert member.density_curve().tobytes() == reference.density_curve().tobytes()
+            else:
+                assert_same_state([member.export_state()], [before[index][0]])
+                assert member._log.retired == before[index][1]
+            assert_generations_agree(member)
+
+
 class TestErrors:
     @pytest.mark.parametrize(
         "intervals, column",
@@ -454,7 +550,8 @@ class TestEnsemblePolls:
             )
         assert detector.horizon_start > 0
 
-    def test_one_native_call_polls_every_due_member(self):
+    @pytest.mark.parametrize("policy", ["sliding", "decay"])
+    def test_one_native_call_polls_every_due_member(self, policy):
         made = []
         real = _kernel.poll_logs
 
@@ -463,13 +560,14 @@ class TestEnsemblePolls:
             return real(logs, *args)
 
         source = PoolStream(0)
-        detector = StreamingEnsembleDetector(window=100, capacity=2000, seed=3)
+        detector = StreamingEnsembleDetector(window=100, capacity=2000, policy=policy, seed=3)
         with mock.patch.object(_kernel, "poll_logs", spy):
             for _ in range(12):
                 detector.extend(source.next_chunk())
             detector.detect(3)
             detector.detect(3)  # cached: nothing polled again
         assert made == [len(detector.members)]
+        assert (detector.members[0].retired_generations > 0) == (policy == "decay")
 
     def test_capture_sees_grammar_and_density_of_a_default_poll(self):
         detector = StreamingEnsembleDetector(window=100, capacity=2000, seed=4)
@@ -519,12 +617,18 @@ class TestMemoryBytes:
         sizes = log._export()[0]
         cap, width = sizes[1], sizes[5]
         slot_cap, rule_cap, table_cap, pending_cap = sizes[7:11]
-        assert cap >= log.stored
+        generations, generation_cap, sealed_bounds = sizes[12:15]
+        assert cap >= log.stored and generation_cap >= generations
+        # The sealed generations keep exactly their spans, nothing more.
+        sealed = log.generations()[:-1]
+        assert sealed_bounds == sum(len(firsts) + len(lasts) for *_, firsts, lasts in sealed)
         return (
             12 * cap
             + np.dtype(np.intp).itemsize * width
             + ARENA_SLOT * slot_cap
             + ARENA_OTHER * (rule_cap + table_cap + pending_cap)
+            + GENERATION_SLOT * generation_cap
+            + SPAN_BOUND * sealed_bounds
         )
 
     @pytest.mark.parametrize(
@@ -542,10 +646,10 @@ class TestMemoryBytes:
                 member.density_curve()
                 polled = True
             expected = member._interner.memory_bytes() + self.log_bytes(member._log)
-            if member._generations is not None:
-                expected += member._generations.memory_bytes()
             assert member.memory_bytes() == expected
         assert polled
         sizes = member._log._export()[0]
-        # The arena exists once a sliding or unbounded member has polled.
-        assert (sizes[7] > 0) == (policy != "decay")
+        # The arena exists once a member has polled, or (decay) ingested.
+        assert sizes[7] > 0
+        # Only decay members keep generations, and theirs retire.
+        assert (sizes[12] > 0) == (member.retired_generations > 0) == (policy == "decay")

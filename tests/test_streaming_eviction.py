@@ -22,8 +22,10 @@ import pytest
 
 from repro.core.engine import SharedStreamState
 from repro.core.streaming import StreamingEnsembleDetector, StreamingGrammarDetector
+from repro.grammar._kernel import TokenLog
 from repro.grammar.density import rule_density_curve
-from repro.grammar.sequitur import GenerationalSequitur, induce_grammar
+from repro.grammar.sequitur import induce_grammar
+from repro.sax.alphabet import WordInterner
 from repro.sax.numerosity import TokenSequence
 
 
@@ -304,12 +306,12 @@ class TestDecayPolicy:
         )
         for _ in range(40):
             detector.extend(np.cumsum(rng.standard_normal(100)))
-        forgetter = detector._generations
-        assert forgetter.retired_generations > 0
-        assert forgetter.retired_tokens == detector.retired_tokens
+        assert detector.retired_generations > 0
+        # Every pruned token went with a whole generation.
+        assert detector._log.retired[1] == detector.retired_tokens
         # Rule utility: every retired rule was referenced at least twice.
-        if forgetter.retired_rules:
-            assert forgetter.retired_rule_refs >= 2 * forgetter.retired_rules
+        if detector.retired_rules:
+            assert detector.retired_rule_refs >= 2 * detector.retired_rules
         # No live token predates the horizon, none was lost.
         live = detector.tokens()
         assert int(live.offsets[0]) >= detector.horizon_start
@@ -338,41 +340,49 @@ class TestDecayPolicy:
         assert np.array_equal(a.density_curve(), b.density_curve())
 
 
-class TestGenerationalSequitur:
+def _decay_log(generation_size: int, words, offsets) -> TokenLog:
+    """A decay token log fed ``words`` one at a time at ``offsets``."""
+    log, table = TokenLog(1, generation_size), WordInterner()
+    letters = {word: letter for letter, word in enumerate(dict.fromkeys(words))}
+    column = np.arange(len(letters), dtype=np.int64)
+    for word, offset in zip(words, offsets):
+        table.intern_log(log, np.asarray([[letters[word]]], dtype=np.intp), column, offset, False)
+    return log
+
+
+class TestDecayGenerations:
+    """The decay generations of a member's native token log."""
+
     def test_validation_and_ordering(self):
         with pytest.raises(ValueError, match="generation_size"):
-            GenerationalSequitur(0)
-        forgetter = GenerationalSequitur(10)
-        forgetter.feed("ab", 15)
+            TokenLog(1, -1)
+        log = _decay_log(10, ["ab"], [15])
         with pytest.raises(ValueError, match="non-decreasing"):
-            forgetter.feed("cd", 3)
+            log.load(np.asarray([0, 1]), np.asarray([15, 3]), None, 0)
+        assert log.n_tokens == 1  # checked before anything changed
+        with pytest.raises(ValueError, match="non-decreasing"):
+            _decay_log(10, ["ab", "cd"], [15, 3])
 
     def test_seal_and_drop_accounting(self):
-        forgetter = GenerationalSequitur(4)
         words = ["ab", "cd", "ab", "cd", "ab", "cd", "ef", "gh"]
-        for offset, word in enumerate(words):
-            forgetter.feed(word, offset)
-        live = forgetter.live_grammars()
-        assert [index for index, _, _ in live] == [0, 1]
-        assert [count for _, _, count in live] == [4, 4]
-        dropped = forgetter.drop_before(4)
-        assert dropped == 1
-        assert forgetter.retired_generations == 1
-        assert forgetter.retired_tokens == 4
-        assert forgetter.drop_before(4) == 0  # idempotent
-        # The still-growing current generation is never dropped.
-        assert forgetter.drop_before(100) == 0
-        assert [index for index, _, _ in forgetter.live_grammars()] == [1]
+        log = _decay_log(4, words, range(len(words)))
+        assert [(index, count) for index, count, *_ in log.generations()] == [(0, 4), (1, 4)]
+        log.forget(4, 0)
+        assert log.retired[:2] == (1, 4)
+        log.forget(4, 0)
+        assert log.retired[:2] == (1, 4)  # idempotent
+        # The still-growing open generation is never dropped.
+        log.forget(100, 0)
+        assert log.retired[:2] == (1, 4)
+        assert [index for index, *_ in log.generations()] == [1]
 
     def test_rules_never_span_generations(self):
         """The decay relaxation: a repeat crossing the boundary is not a rule."""
         single = induce_grammar(["ab", "cd", "ab", "cd"])
         assert single.n_rules > 1  # the repeat compresses in one grammar
-        forgetter = GenerationalSequitur(2)
-        for offset, word in enumerate(["ab", "cd", "ab", "cd"]):
-            forgetter.feed(word, offset)
-        for _, grammar, _ in forgetter.live_grammars():
-            assert grammar.n_rules == 1  # each generation saw the pair once
+        log = _decay_log(2, ["ab", "cd", "ab", "cd"], range(4))
+        for _, _, rules, _, firsts, _ in log.generations():
+            assert rules == 0 and len(firsts) == 0  # each generation saw the pair once
 
 
 class TestEnsembleEvictionParity:
