@@ -527,6 +527,134 @@ def _service_detect(
     return {"ms_per_detect": elapsed / calls * 1e3}
 
 
+class _LoopThread:
+    """An event loop running on its own daemon thread (one server's loop)."""
+
+    def __init__(self) -> None:
+        import asyncio
+        import threading
+
+        self.loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(target=self.loop.run_forever, daemon=True)
+        self._thread.start()
+
+    def run(self, coro):
+        """Run ``coro`` on this loop and wait for its result."""
+        import asyncio
+
+        return asyncio.run_coroutine_threadsafe(coro, self.loop).result()
+
+    def close(self) -> None:
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self._thread.join()
+        self.loop.close()
+
+
+def served_detect_once(
+    via: str,
+    points: int,
+    window: int = 100,
+    ensemble: int = 20,
+    calls: int = 5,
+    seed: int = 0,
+) -> float:
+    """Seconds for ``calls`` sequential ``POST /v1/detect`` requests over HTTP.
+
+    A ``ServiceHTTPServer`` (no executor, no result cache) and, for
+    ``via="router"``, a ``RouterHTTPServer`` in front of it run each on its
+    own event-loop thread on ephemeral ports. One closed-loop ``http.client``
+    caller sends every request over one keep-alive connection to the node
+    (``via="node"``) or to the router, a fresh seed each, bodies encoded
+    before the timer starts. So the cell reads ``service_detect``'s cost
+    plus the HTTP front end's, and the router cell adds the router hop.
+    """
+    import http.client
+    import json
+
+    from repro.service import DetectService
+    from repro.service.http import ServiceHTTPServer
+    from repro.service.router import RouterHTTPServer, SessionRouter
+
+    if via not in ("node", "router"):
+        raise ValueError(f"via must be 'node' or 'router', got {via!r}")
+    series = cached_series(points, seed).tolist()
+    bodies = [
+        json.dumps(
+            {"series": series, "k": 3, "seed": seed + call, "window": window,
+             "ensemble_size": ensemble}
+        ).encode("utf-8")
+        for call in range(calls + 1)
+    ]
+
+    async def start_node():
+        service = DetectService(n_jobs=2, cache_entries=0, default_timeout=None)
+        server = ServiceHTTPServer(service, "127.0.0.1", 0)
+        await server.start()
+        return service, server
+
+    async def stop_node(service, server):
+        await server.aclose()
+        await service.aclose()
+
+    async def start_router(port: int):
+        router = SessionRouter([f"127.0.0.1:{port}"])
+        server = RouterHTTPServer(router, "127.0.0.1", 0)
+        await server.start()
+        return router, server
+
+    async def stop_router(router, server):
+        await server.aclose()
+        await router.aclose()
+
+    node_loop = _LoopThread()
+    router_loop = _LoopThread() if via == "router" else None
+    try:
+        service, node = node_loop.run(start_node())
+        port = node.port
+        if router_loop is not None:
+            router, front = router_loop.run(start_router(node.port))
+            port = front.port
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+
+        def detect(body: bytes) -> None:
+            conn.request("POST", "/v1/detect", body=body,
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            reply = response.read()
+            if response.status != 200:
+                raise RuntimeError(f"detect answered {response.status}: {reply[:200]!r}")
+
+        try:
+            detect(bodies[0])  # untimed, as in detect_one_once
+            with Timer() as timer:
+                for body in bodies[1:]:
+                    detect(body)
+        finally:
+            conn.close()
+            if router_loop is not None:
+                router_loop.run(stop_router(router, front))
+            node_loop.run(stop_node(service, node))
+        return timer.elapsed
+    finally:
+        node_loop.close()
+        if router_loop is not None:
+            router_loop.close()
+
+
+@register("served_detect")
+def _served_detect(
+    *,
+    via: str,
+    points: int,
+    window: int = 100,
+    ensemble: int = 20,
+    calls: int = 5,
+    seed: int = 0,
+):
+    elapsed = served_detect_once(via, points, window, ensemble, calls, seed)
+    return {"ms_per_detect": elapsed / calls * 1e3}
+
+
 # ----------------------------------------------------------------------
 # Dispatch overhead: near-empty tasks over one shared series.
 # ----------------------------------------------------------------------

@@ -3,7 +3,10 @@
 Pure stdlib (``asyncio.start_server`` + ``json``) — the library adds no
 server dependency; the front end is deliberately minimal (JSON in/out,
 keep-alive, content-length bodies) and every behaviour that matters lives
-in the transport-agnostic core where it is unit-tested directly.
+in the transport-agnostic core where it is unit-tested directly. Request
+bodies are read as bytes and decoded as JSON only for the handlers that
+need an object; a handler marked :func:`raw_body` gets the bytes, and a
+bytes response goes out as written (the router relays both this way).
 
 Endpoints (v1)
 --------------
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import contextvars
 import json
 import math
 import os
@@ -64,9 +68,31 @@ from repro.obs.metrics import REGISTRY, stats_families
 from repro.service.core import DetectService
 from repro.service.errors import BadRequest, ServiceError, error_payload
 
-__all__ = ["BaseHTTPServer", "ServiceHTTPServer", "serve"]
+__all__ = ["BaseHTTPServer", "ServiceHTTPServer", "access_fields", "raw_body", "serve"]
 
 _log = get_logger("service.http")
+
+#: Extra fields of the current request's access-log line (the router adds
+#: ``node`` and ``upstream_ms``); each request binds a fresh dict.
+_ACCESS_FIELDS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "repro_access_fields", default=None
+)
+
+
+def access_fields() -> dict:
+    """The current request's extra access-log fields, to fill in place.
+
+    Outside a request this is a throwaway dict, so callers need not check.
+    """
+    fields = _ACCESS_FIELDS.get()
+    return {} if fields is None else fields
+
+
+def raw_body(handler: Callable) -> Callable:
+    """Mark a handler that takes the request body as bytes, not parsed JSON."""
+    handler.raw_body = True
+    return handler
+
 
 #: Requests slower than this (seconds) get a WARNING log line; the CLI
 #: ``--slow-request-ms`` flag and ``REPRO_SLOW_REQUEST_MS`` override it.
@@ -247,32 +273,19 @@ class BaseHTTPServer:
                     return
                 if request is None:
                     return
-                method, path, query, payload, keep_alive, req_headers = request
+                method, path, query, raw, keep_alive, req_headers = request
                 request_id = ensure_request_id(req_headers.get("x-request-id"))
                 started = time.perf_counter()
-                with bind_request_id(request_id):
-                    status, body, headers = await self._dispatch(method, path, query, payload)
-                    elapsed = time.perf_counter() - started
-                    headers.setdefault("X-Request-Id", request_id)
-                    label_path = _metric_path(path)
-                    _REQUESTS.labels(self.metrics_role, method, label_path, status).inc()
-                    _LATENCY.labels(self.metrics_role, method, label_path).observe(elapsed)
-                    log = _log.warning if elapsed >= self.slow_request_seconds else _log.info
-                    log(
-                        "%s %s -> %d in %.1f ms%s",
-                        method,
-                        path,
-                        status,
-                        elapsed * 1000.0,
-                        " (slow)" if elapsed >= self.slow_request_seconds else "",
-                        extra={
-                            "role": self.metrics_role,
-                            "method": method,
-                            "path": path,
-                            "status": status,
-                            "duration_ms": round(elapsed * 1000.0, 3),
-                        },
-                    )
+                fields: dict = {}
+                fields_token = _ACCESS_FIELDS.set(fields)
+                try:
+                    with bind_request_id(request_id):
+                        status, body, headers = await self._dispatch(method, path, query, raw)
+                        elapsed = time.perf_counter() - started
+                        headers.setdefault("X-Request-Id", request_id)
+                        self._log_access(method, path, status, elapsed, fields)
+                finally:
+                    _ACCESS_FIELDS.reset(fields_token)
                 await self._respond(writer, status, body, keep_alive=keep_alive, headers=headers)
                 if not keep_alive:
                     return
@@ -287,8 +300,42 @@ class BaseHTTPServer:
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
 
+    def _log_access(
+        self, method: str, path: str, status: int, elapsed: float, fields: dict
+    ) -> None:
+        """Count, time and log one answered request (WARNING when slow)."""
+        label_path = _metric_path(path)
+        _REQUESTS.labels(self.metrics_role, method, label_path, status).inc()
+        _LATENCY.labels(self.metrics_role, method, label_path).observe(elapsed)
+        slow = elapsed >= self.slow_request_seconds
+        upstream = ""
+        if "upstream_ms" in fields:
+            fields["upstream_ms"] = round(fields["upstream_ms"], 3)
+            upstream = f", node {fields['node']} {fields['upstream_ms']:.1f} ms"
+        (_log.warning if slow else _log.info)(
+            "%s %s -> %d in %.1f ms%s%s",
+            method,
+            path,
+            status,
+            elapsed * 1000.0,
+            upstream,
+            " (slow)" if slow else "",
+            extra={
+                "role": self.metrics_role,
+                "method": method,
+                "path": path,
+                "status": status,
+                "duration_ms": round(elapsed * 1000.0, 3),
+                **fields,
+            },
+        )
+
     async def _read_request(self, reader: asyncio.StreamReader):
-        """Parse one request; ``None`` on a cleanly closed connection."""
+        """Parse one request; ``None`` on a cleanly closed connection.
+
+        The body comes back as raw bytes: :meth:`_dispatch` decodes it as
+        JSON only for handlers not marked :func:`raw_body`.
+        """
         line = await reader.readline()
         if not line:
             return None
@@ -312,24 +359,35 @@ class BaseHTTPServer:
         if length < 0 or length > MAX_BODY_BYTES:
             raise _HttpError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""
-        payload: Any = None
-        if body:
-            try:
-                payload = json.loads(body)
-            except json.JSONDecodeError as error:
-                raise _HttpError(400, f"request body is not valid JSON: {error}") from None
         parts = urlsplit(target)
         query = {key: values[-1] for key, values in parse_qs(parts.query).items()}
         keep_alive = headers.get("connection", "keep-alive").lower() != "close"
-        return method.upper(), parts.path, query, payload, keep_alive, headers
+        return method.upper(), parts.path, query, body, keep_alive, headers
+
+    @staticmethod
+    def _decode(body: bytes) -> Any:
+        """A request body as JSON (``None`` when empty)."""
+        if not body:
+            return None
+        try:
+            return json.loads(body)
+        except json.JSONDecodeError as error:
+            raise _HttpError(400, f"request body is not valid JSON: {error}") from None
 
     # ------------------------------------------------------------------
     # Routing.
     # ------------------------------------------------------------------
 
     async def _dispatch(
-        self, method: str, path: str, query: dict, payload
-    ) -> tuple[int, dict, dict]:
+        self, method: str, path: str, query: dict, raw: bytes
+    ) -> tuple[int, dict | str | bytes, dict]:
+        """Route and run one request; never raises for a handler failure.
+
+        A handler gets the body decoded as JSON, or as bytes when marked
+        :func:`raw_body`. It returns ``(status, body)`` or ``(status, body,
+        headers)``; the headers (a relayed ``Retry-After``, the
+        ``Content-Type`` of a bytes body) go out with the response.
+        """
         headers: dict[str, str] = {}
         try:
             handler, args, deprecated = self._route(method, path)
@@ -337,8 +395,13 @@ class BaseHTTPServer:
                 # Legacy (pre-/v1) alias: still served, but flagged so
                 # clients can find the canonical path before it goes away.
                 headers["Deprecation"] = "true"
-            status, body = await handler(payload, query, *args)
+            payload = raw if getattr(handler, "raw_body", False) else self._decode(raw)
+            status, body, *extra = await handler(payload, query, *args)
+            if extra:
+                headers.update(extra[0])
             return status, body, headers
+        except _HttpError as error:
+            return error.status, {"error": {"code": "http", "message": str(error)}}, headers
         except ServiceError as error:
             if error.retry_after is not None:
                 headers["Retry-After"] = str(max(1, math.ceil(error.retry_after)))
@@ -396,13 +459,18 @@ class BaseHTTPServer:
     async def _respond(
         writer: asyncio.StreamWriter,
         status: int,
-        body: dict | str,
+        body: dict | str | bytes,
         *,
         keep_alive: bool,
         headers: dict[str, str] | None = None,
     ) -> None:
+        """Write one response; a bytes body goes out as is (JSON by default)."""
         headers = dict(headers or {})
-        if isinstance(body, str):
+        if isinstance(body, bytes):
+            # Pre-encoded (a node's reply relayed by the router).
+            data = body
+            content_type = headers.pop("Content-Type", "application/json")
+        elif isinstance(body, str):
             # Non-JSON payload: only the /metrics exposition text today.
             data = body.encode("utf-8")
             content_type = headers.pop("Content-Type", EXPOSITION_CONTENT_TYPE)

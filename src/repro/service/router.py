@@ -10,9 +10,13 @@ any node directly. The router
   placement is deterministic, balanced, and survives router restarts
   without a placement database;
 - **proxies** the full ``/v1`` session surface plus one-shot detects
-  (round-robin) to the owning node, passing response bodies through
-  verbatim — scores stay bitwise identical because the router never
-  re-encodes results;
+  (round-robin) to the owning node as a byte-level relay: request bodies
+  go to the node as the client sent them and the node's status, body and
+  ``Retry-After`` come back unchanged, so scores stay bitwise identical
+  because the router never re-encodes results. It decodes JSON only where
+  it reads a field: a create's name, an append's values, a migrate's
+  target, and the replies to append and restore. Requests reuse pooled
+  keep-alive connections, one idle set per node (:func:`_http_request`);
 - **recovers**: when a node stops answering, the session is re-placed on
   the next surviving node of its preference walk, restored there from its
   latest snapshot (shared :class:`~repro.service.snapshot.SnapshotStore`
@@ -42,7 +46,8 @@ import hashlib
 import itertools
 import json
 import signal
-from typing import Callable
+import time
+from typing import Callable, NamedTuple
 
 from repro.obs.context import get_request_id
 from repro.obs.expfmt import render_registry
@@ -54,7 +59,13 @@ from repro.service.errors import (
     SessionNotFound,
     TenantQuotaExceeded,
 )
-from repro.service.http import BaseHTTPServer, _MethodNotAllowed, _NotFound
+from repro.service.http import (
+    BaseHTTPServer,
+    _MethodNotAllowed,
+    _NotFound,
+    access_fields,
+    raw_body,
+)
 
 _log = get_logger("service.router")
 
@@ -130,70 +141,154 @@ class _NodeDown(Exception):
         self.addr = addr
 
 
+class _Reply(NamedTuple):
+    """One node response as the router relays it: status, raw body, headers."""
+
+    status: int
+    body: bytes
+    #: The response headers a relay passes on (``Content-Type``, ``Retry-After``).
+    headers: dict[str, str]
+
+    def json(self):
+        """The body decoded, for the few replies the router reads a field of."""
+        return json.loads(self.body) if self.body else None
+
+
+#: Node response headers the router passes on to its client.
+_RELAYED_HEADERS = {"content-type": "Content-Type", "retry-after": "Retry-After"}
+
+_Connection = tuple[asyncio.StreamReader, asyncio.StreamWriter]
+
+
+class _ConnectionPool:
+    """Idle keep-alive connections to the serve nodes, one stack per node.
+
+    A connection sits here only between requests: :func:`_http_request`
+    takes it out for one exchange and puts it back only after a complete
+    response that did not close it.
+    """
+
+    def __init__(self) -> None:
+        self._idle: dict[str, list[_Connection]] = {}
+
+    def take(self, addr: str) -> _Connection | None:
+        """The most recently used live idle connection to ``addr``, if any."""
+        idle = self._idle.get(addr)
+        while idle:
+            reader, writer = idle.pop()
+            if not (reader.at_eof() or writer.is_closing()):
+                return reader, writer
+            writer.close()  # the node hung up while it sat idle
+        return None
+
+    def put(self, addr: str, connection: _Connection) -> None:
+        """Park a connection whose last response was complete."""
+        self._idle.setdefault(addr, []).append(connection)
+
+    async def aclose(self) -> None:
+        """Close every idle connection and wait until each is closed."""
+        writers = [writer for idle in self._idle.values() for _reader, writer in idle]
+        self._idle.clear()
+        for writer in writers:
+            writer.close()
+        await asyncio.gather(*(writer.wait_closed() for writer in writers), return_exceptions=True)
+
+
+async def _read_reply(reader: asyncio.StreamReader) -> tuple[_Reply, bool]:
+    """Read one response; returns it and whether the connection can be reused."""
+    status_line = await reader.readline()
+    if not status_line:
+        raise ConnectionResetError("empty response")
+    status = int(status_line.split()[1])
+    headers: dict[str, str] = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = int(headers.get("content-length", 0))
+    body = await reader.readexactly(length) if length else b""
+    relayed = {
+        title: headers[name] for name, title in _RELAYED_HEADERS.items() if name in headers
+    }
+    # Without a length the body ran to the close; "close" is the node's last.
+    reusable = "content-length" in headers and headers.get("connection", "").lower() != "close"
+    return _Reply(status, body, relayed), reusable
+
+
 async def _http_request(
+    pool: _ConnectionPool,
     addr: str,
     method: str,
     path: str,
-    payload=None,
+    body: bytes = b"",
     *,
     timeout: float = 30.0,
     headers: dict[str, str] | None = None,
-):
-    """One stdlib-asyncio HTTP/1.1 request to ``host:port``; JSON in/out.
+) -> _Reply:
+    """One stdlib-asyncio HTTP/1.1 exchange with ``host:port``; bytes in/out.
 
-    One connection per request (``Connection: close``) — the router's
-    traffic is low-rate control-plane plus streaming chunks, where the
-    simplicity beats pooling. Any transport failure raises
-    :class:`_NodeDown` so callers can treat "cannot talk to the node" as
-    one condition, distinct from an HTTP error the node itself produced.
+    The request reuses an idle keep-alive connection from ``pool`` or opens
+    one; the body is sent as given and the reply comes back undecoded. The
+    connection returns to the pool only after a complete response that did
+    not close it; a timeout, a cancellation or any failure closes it, so a
+    late reply can never be read by the next request. Any transport failure
+    raises :class:`_NodeDown` so callers can treat "cannot talk to the node"
+    as one condition, distinct from an HTTP error the node itself produced.
+    Nothing is ever resent: a request that failed may have reached the node,
+    and an append must not arrive twice.
+
+    The time from writing to the node until its reply was read is added to
+    the request's access-log fields (``node``, ``upstream_ms``).
     """
-    host, _, port = addr.rpartition(":")
-    try:
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host or "127.0.0.1", int(port)), timeout
-        )
-    except (OSError, asyncio.TimeoutError, ValueError) as error:
-        raise _NodeDown(addr, error) from error
-    try:
-        body = b"" if payload is None else json.dumps(payload).encode("utf-8")
-        extra = "".join(f"{name}: {value}\r\n" for name, value in (headers or {}).items())
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {addr}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            "Connection: close\r\n"
-            f"{extra}"
-            "\r\n"
-        )
+    connection = pool.take(addr)
+    if connection is None:
+        host, _, port = addr.rpartition(":")
+        try:
+            connection = await asyncio.wait_for(
+                asyncio.open_connection(host or "127.0.0.1", int(port)), timeout
+            )
+        except (OSError, asyncio.TimeoutError, ValueError) as error:
+            raise _NodeDown(addr, error) from error
+    reader, writer = connection
+    extra = "".join(f"{name}: {value}\r\n" for name, value in (headers or {}).items())
+    head = (
+        f"{method} {path} HTTP/1.1\r\n"
+        f"Host: {addr}\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"{extra}"
+        "\r\n"
+    )
+
+    async def _exchange() -> tuple[_Reply, bool]:
         writer.write(head.encode("latin-1") + body)
         await writer.drain()
+        return await _read_reply(reader)
 
-        async def _read_response():
-            status_line = await reader.readline()
-            if not status_line:
-                raise ConnectionResetError("empty response")
-            status = int(status_line.split()[1])
-            length = 0
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                if name.strip().lower() == "content-length":
-                    length = int(value)
-            data = await reader.readexactly(length) if length else b""
-            return status, json.loads(data) if data else None
-
-        return await asyncio.wait_for(_read_response(), timeout)
+    reusable = False
+    started = time.perf_counter()
+    try:
+        reply, reusable = await asyncio.wait_for(_exchange(), timeout)
+        return reply
     except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError) as error:
         raise _NodeDown(addr, error) from error
     finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except Exception:  # pragma: no cover — peer already gone
-            pass
+        fields = access_fields()
+        fields["node"] = addr
+        fields["upstream_ms"] = (
+            fields.get("upstream_ms", 0.0) + (time.perf_counter() - started) * 1000.0
+        )
+        if reusable:
+            pool.put(addr, connection)
+        else:
+            writer.close()
+
+
+def _encode(payload: dict) -> bytes:
+    """A request body the router builds itself (recovery and replay)."""
+    return json.dumps(payload).encode("utf-8")
 
 
 class SessionRouter:
@@ -227,6 +322,7 @@ class SessionRouter:
         self._tails: dict[str, list[tuple[int, list, str]]] = {}
         self._locks: dict[str, asyncio.Lock] = {}
         self._rr = itertools.count()
+        self._pool = _ConnectionPool()
         self.proxied = 0
         self.recoveries = 0
         self.migrations = 0
@@ -241,16 +337,20 @@ class SessionRouter:
             lock = self._locks[name] = asyncio.Lock()
         return lock
 
+    async def aclose(self) -> None:
+        """Close every pooled node connection (the router's shutdown)."""
+        await self._pool.aclose()
+
     async def _call(
         self,
         addr: str,
         method: str,
         path: str,
-        payload=None,
+        body: bytes = b"",
         *,
         timeout=None,
         request_id: str | None = None,
-    ):
+    ) -> _Reply:
         """Proxy one request to a node, forwarding the correlation id.
 
         The forwarded ``X-Request-Id`` defaults to the id bound in this
@@ -262,7 +362,13 @@ class SessionRouter:
         request_id = request_id or get_request_id()
         headers = {"X-Request-Id": request_id} if request_id else None
         return await _http_request(
-            addr, method, path, payload, timeout=timeout or self.request_timeout, headers=headers
+            self._pool,
+            addr,
+            method,
+            path,
+            body,
+            timeout=timeout or self.request_timeout,
+            headers=headers,
         )
 
     def _forget(self, name: str) -> None:
@@ -289,7 +395,8 @@ class SessionRouter:
     # Session control plane.
     # ------------------------------------------------------------------
 
-    async def create(self, payload: dict):
+    async def create(self, payload: dict, body: bytes):
+        """Place a new session on its ring home; ``body`` is sent unchanged."""
         name = payload.get("name")
         if not isinstance(name, str) or not name:
             raise BadRequest("missing required string field 'name'")
@@ -306,17 +413,17 @@ class SessionRouter:
                 if not self.alive.get(addr, False):
                     continue
                 try:
-                    status, body = await self._call(addr, "POST", "/v1/sessions", payload)
+                    reply = await self._call(addr, "POST", "/v1/sessions", body)
                 except _NodeDown:
                     self.alive[addr] = False
                     continue
-                if status == 200:
+                if reply.status == 200:
                     self._placements[name] = addr
                     self._configs[name] = {
                         key: value for key, value in payload.items() if key != "name"
                     }
                     self._tails[name] = []
-                return status, body
+                return reply
         raise NodeUnavailable(f"no serve node reachable to create session {name!r}")
 
     async def close(self, name: str, query: dict):
@@ -326,60 +433,62 @@ class SessionRouter:
             if query:
                 suffix = "?" + "&".join(f"{key}={value}" for key, value in query.items())
             try:
-                status, body = await self._call(
-                    addr, "DELETE", f"/v1/sessions/{name}{suffix}"
-                )
+                reply = await self._call(addr, "DELETE", f"/v1/sessions/{name}{suffix}")
             except _NodeDown:
                 # The node is gone and so is the session; drop our records.
                 self.alive[addr] = False
-                status, body = 200, {"closed": {"name": name, "node_lost": True}}
-        if status in (200, 404, 410):
+                reply = (200, {"closed": {"name": name, "node_lost": True}})
+        if reply[0] in (200, 404, 410):
             # Closed — or the node already dropped it (evicted); either
             # way the router must not keep routing the name.
             self._forget(name)
-        return status, body
+        return reply
 
-    async def forward(self, name: str, method: str, path: str, payload=None):
+    async def forward(self, name: str, method: str, path: str, body: bytes = b"") -> _Reply:
         """Proxy one session-scoped request, recovering placement on failure."""
         async with self._lock(name):
-            return await self._forward_locked(name, method, path, payload)
+            return await self._forward_locked(name, method, path, body)
 
-    async def _forward_locked(self, name: str, method: str, path: str, payload=None):
+    async def _forward_locked(
+        self, name: str, method: str, path: str, body: bytes = b""
+    ) -> _Reply:
         addr = self._require_placed(name)
         try:
-            status, body = await self._call(addr, method, path, payload)
+            reply = await self._call(addr, method, path, body)
         except _NodeDown:
             self.alive[addr] = False
             await self._recover_locked(name)
             replacement = self._placements[name]
             try:
-                status, body = await self._call(replacement, method, path, payload)
+                reply = await self._call(replacement, method, path, body)
             except _NodeDown as error:
                 self.alive[replacement] = False
                 raise NodeUnavailable(
                     f"replacement node {replacement} for session {name!r} "
                     "died before answering"
                 ) from error
-        return status, body
+        return reply
 
-    async def append(self, name: str, payload: dict):
+    async def append(self, name: str, payload: dict, body: bytes) -> _Reply:
+        """Forward ``body`` (whose decoded form is ``payload``); buffer its values."""
         values = payload.get("values")
         if not isinstance(values, list) or not values:
             raise BadRequest("'values' must be a non-empty list of numbers")
         async with self._lock(name):
-            status, body = await self._forward_locked(
-                name, "POST", f"/v1/sessions/{name}/append", payload
+            reply = await self._forward_locked(
+                name, "POST", f"/v1/sessions/{name}/append", body
             )
-            if status == 200:
+            if reply.status == 200:
                 # Buffer the chunk at its absolute offset until a node
                 # checkpoint covers it; these are the points recovery
                 # replays on a surviving node.
-                start = int(body["length"]) - int(body["appended"])
+                info = reply.json()
+                start = int(info["length"]) - int(info["appended"])
                 self._tails.setdefault(name, []).append(
                     (start, list(values), get_request_id() or "")
                 )
-                self._prune_tail(name, body.get("snapshotted_length"))
-            return status, body
+                self._prune_tail(name, info.get("snapshotted_length"))
+            return reply
 
     def _require_placed(self, name: str) -> str:
         addr = self._placements.get(name)
@@ -444,16 +553,16 @@ class SessionRouter:
         matching snapshot falls back to recreating from the recorded
         create config and replaying the full tail.
         """
-        status, body = await self._call(addr, "POST", f"/v1/sessions/{name}/restore")
-        if status == 200:
-            return int(body["length"])
-        if status in (400, 404) and name in self._configs:
+        reply = await self._call(addr, "POST", f"/v1/sessions/{name}/restore")
+        if reply.status == 200:
+            return int(reply.json()["length"])
+        if reply.status in (400, 404) and name in self._configs:
             # No snapshot (or no store on that node): recreate from the
             # original config; the tail holds the full stream in this mode.
-            status, body = await self._call(
-                addr, "POST", "/v1/sessions", {"name": name, **self._configs[name]}
+            reply = await self._call(
+                addr, "POST", "/v1/sessions", _encode({"name": name, **self._configs[name]})
             )
-            if status == 200:
+            if reply.status == 200:
                 return 0
         return None
 
@@ -485,18 +594,19 @@ class SessionRouter:
                     "origin_request_id": origin_id or "-",
                 },
             )
-            status, body = await self._call(
+            reply = await self._call(
                 addr,
                 "POST",
                 f"/v1/sessions/{name}/append",
-                {"values": chunk},
+                _encode({"values": chunk}),
                 request_id=origin_id or None,
             )
-            if status != 200:
+            if reply.status != 200:
                 raise NodeUnavailable(
-                    f"replaying session {name!r} on {addr} failed with {status}: {body}"
+                    f"replaying session {name!r} on {addr} failed with {reply.status}: "
+                    f"{reply.body.decode('utf-8', 'replace')}"
                 )
-            self._prune_tail(name, body.get("snapshotted_length"))
+            self._prune_tail(name, reply.json().get("snapshotted_length"))
 
     async def migrate(self, name: str, payload) -> tuple[int, dict]:
         """Move a live session to an explicit target node."""
@@ -514,10 +624,8 @@ class SessionRouter:
             # snapshots — the restore on the target picks them up.
             snapshotted = False
             try:
-                status, _body = await self._call(
-                    addr=source, method="POST", path=f"/v1/sessions/{name}/snapshot"
-                )
-                snapshotted = status == 200
+                reply = await self._call(source, "POST", f"/v1/sessions/{name}/snapshot")
+                snapshotted = reply.status == 200
                 await self._call(
                     source, "DELETE", f"/v1/sessions/{name}?keep_snapshots=1&reason=migrated"
                 )
@@ -546,14 +654,14 @@ class SessionRouter:
     # Stateless proxying (one-shot detects).
     # ------------------------------------------------------------------
 
-    async def proxy_detect(self, path: str, payload):
-        """Round-robin a one-shot request over the surviving nodes."""
+    async def proxy_detect(self, path: str, body: bytes) -> _Reply:
+        """Round-robin a one-shot request over the surviving nodes, unparsed."""
         for _attempt in range(2 * len(self.nodes)):
             addr = self.nodes[next(self._rr) % len(self.nodes)]
             if not self.alive.get(addr, False):
                 continue
             try:
-                return await self._call(addr, "POST", path, payload)
+                return await self._call(addr, "POST", path, body)
             except _NodeDown:
                 self.alive[addr] = False
         raise NodeUnavailable("no serve node reachable for detection")
@@ -567,10 +675,8 @@ class SessionRouter:
         documents = []
         for addr in self.nodes:
             try:
-                status, _body = await self._call(
-                    addr, "GET", "/v1/healthz", timeout=PROBE_TIMEOUT
-                )
-                self.alive[addr] = status == 200
+                reply = await self._call(addr, "GET", "/v1/healthz", timeout=PROBE_TIMEOUT)
+                self.alive[addr] = reply.status == 200
             except _NodeDown:
                 self.alive[addr] = False
             documents.append(
@@ -658,7 +764,8 @@ class RouterHTTPServer(BaseHTTPServer):
         raise _NotFound(method, path)
 
     # ------------------------------------------------------------------
-    # Handlers (thin shims over the router; bodies pass through verbatim).
+    # Handlers (thin shims over the router). A node's reply goes back as
+    # the _Reply itself: its status, raw body and relayed headers.
     # ------------------------------------------------------------------
 
     async def _handle_healthz(self, payload, query) -> tuple[int, dict]:
@@ -675,24 +782,31 @@ class RouterHTTPServer(BaseHTTPServer):
     async def _handle_nodes(self, payload, query) -> tuple[int, dict]:
         return 200, await self.router.nodes_info()
 
-    async def _handle_detect(self, payload, query, path: str) -> tuple[int, dict]:
-        return await self.router.proxy_detect(path, self._require_object(payload))
+    @raw_body
+    async def _handle_detect(self, body: bytes, query, path: str) -> _Reply:
+        # Unparsed: the node validates it and answers bad JSON with its 400.
+        return await self.router.proxy_detect(path, body)
 
-    async def _handle_session_create(self, payload, query) -> tuple[int, dict]:
-        return await self.router.create(self._require_object(payload))
+    @raw_body
+    async def _handle_session_create(self, body: bytes, query):
+        return await self.router.create(self._require_object(self._decode(body)), body)
 
-    async def _handle_session_close(self, payload, query, name: str) -> tuple[int, dict]:
+    async def _handle_session_close(self, payload, query, name: str):
         return await self.router.close(name, query)
 
+    @raw_body
     async def _handle_forward(
-        self, payload, query, name: str, method: str, path: str
-    ) -> tuple[int, dict]:
-        return await self.router.forward(name, method, path, payload)
+        self, body: bytes, query, name: str, method: str, path: str
+    ) -> _Reply:
+        return await self.router.forward(name, method, path, body)
 
-    async def _handle_append(self, payload, query, name: str) -> tuple[int, dict]:
-        return await self.router.append(name, self._require_object(payload))
+    @raw_body
+    async def _handle_append(self, body: bytes, query, name: str) -> _Reply:
+        # Parsed for the replay tail, but the node gets the client's bytes.
+        payload = self._require_object(self._decode(body))
+        return await self.router.append(name, payload, body)
 
-    async def _handle_poll(self, payload, query, name: str, action: str) -> tuple[int, dict]:
+    async def _handle_poll(self, payload, query, name: str, action: str) -> _Reply:
         k = None
         if isinstance(payload, dict) and "k" in payload:
             k = payload["k"]
@@ -718,7 +832,11 @@ async def serve_router(
     ready: Callable[[RouterHTTPServer], None] | None = None,
     slow_request_ms: float | None = None,
 ) -> None:
-    """Run the router front end until SIGTERM/SIGINT, then shut down."""
+    """Run the router front end until SIGTERM/SIGINT, then shut down.
+
+    Shutdown stops accepting, drops client connections parked between
+    requests, and then closes every pooled node connection.
+    """
     server = RouterHTTPServer(router, host, port, slow_request_ms=slow_request_ms)
     await server.start()
     stop = asyncio.Event()
@@ -738,3 +856,4 @@ async def serve_router(
         for signame in registered:
             loop.remove_signal_handler(signame)
         await server.aclose()
+        await router.aclose()

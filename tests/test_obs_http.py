@@ -253,3 +253,39 @@ def test_slow_request_threshold_logs_warning(caplog):
         asyncio.run(main())
     slow = [r for r in caplog.records if "(slow)" in r.getMessage()]
     assert slow and slow[0].levelno == logging.WARNING
+
+
+def test_router_access_line_names_the_node_and_its_time(caplog):
+    """``duration_ms - upstream_ms`` is the router's own cost of a request."""
+
+    async def main():
+        async with DetectService(cache_entries=0) as service:
+            node = ServiceHTTPServer(service, "127.0.0.1", 0)
+            await node.start()
+            router = SessionRouter([f"127.0.0.1:{node.port}"])
+            server = RouterHTTPServer(router, "127.0.0.1", 0, slow_request_ms=0.0)
+            await server.start()
+            try:
+                status, _, _ = await _get(
+                    server.port, "/v1/detect", {"series": make_series(), "seed": 1, **CONFIG}
+                )
+                await _get(server.port, "/v1/healthz")
+            finally:
+                await server.aclose()
+                await router.aclose()
+                await node.aclose()
+        return status, f"127.0.0.1:{node.port}"
+
+    with caplog.at_level(logging.INFO, logger="repro.service.http"):
+        status, addr = asyncio.run(main())
+    assert status == 200
+    lines = [r for r in caplog.records if getattr(r, "role", None) == "router"]
+    detect = next(r for r in lines if r.path == "/v1/detect")
+    # The slow line (threshold 0) carries the hop in its text and extras.
+    assert detect.levelno == logging.WARNING
+    assert detect.node == addr
+    assert 0.0 < detect.upstream_ms <= detect.duration_ms
+    assert f"node {addr} " in detect.getMessage()
+    # A request the router answers itself names no node.
+    healthz = next(r for r in lines if r.path == "/v1/healthz")
+    assert not hasattr(healthz, "node") and not hasattr(healthz, "upstream_ms")

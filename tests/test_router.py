@@ -314,6 +314,52 @@ class TestTenantQuota:
             stop(router)
 
 
+class TestRelayedHeaders:
+    def test_node_507_reaches_the_client_with_its_retry_after(self):
+        """A node's retryable refusal keeps its envelope and header."""
+        node, node_port = _spawn(
+            ["serve", "--port", "0", "--memory-budget-mb", "0.001"], SERVE_BANNER
+        )
+        try:
+            router, port = _spawn(
+                ["router", "--port", "0", "--nodes", f"127.0.0.1:{node_port}"], ROUTER_BANNER
+            )
+            try:
+                ServiceClient(f"http://127.0.0.1:{port}").create_session("tiny.feed", **CONFIG)
+                chunk = json.dumps({"values": make_series(5, 200)}).encode()
+                path = "/v1/sessions/tiny.feed/append"
+                routed = _raw_post(port, path, chunk)
+                direct = _raw_post(node_port, path, chunk)
+            finally:
+                stop(router)
+        finally:
+            stop(node)
+        status, headers, body = routed
+        assert status == 507
+        assert headers.get("Retry-After") == "1"
+        envelope = json.loads(body)["error"]
+        assert envelope["code"] == "memory-budget-exceeded"
+        assert envelope["retry_after"] == 1.0
+        # The node's own answer, relayed unchanged.
+        assert (status, headers.get("Retry-After"), body) == (
+            direct[0], direct[1].get("Retry-After"), direct[2]
+        )
+
+
+def _raw_post(port: int, path: str, body: bytes) -> tuple[int, dict, bytes]:
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}{path}",
+        data=body,
+        method="POST",
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=60) as response:
+            return response.status, dict(response.headers), response.read()
+    except urllib.error.HTTPError as error:
+        return error.code, dict(error.headers), error.read()
+
+
 class TestFailover:
     def test_sigkill_mid_stream_is_bitwise_invisible(self, tmp_path):
         """Kill the owning node between chunks; detections must not change."""
