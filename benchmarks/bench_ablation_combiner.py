@@ -21,7 +21,7 @@ from repro.evaluation.tables import format_float, format_table
 ABLATION_DATASETS = ["TwoLeadECG", "Trace"]
 
 
-def bench_ablation_combiner(benchmark, report):
+def bench_ablation_combiner(report):
     def run():
         results: dict[str, dict[str, list[float]]] = {}
         for dataset in ABLATION_DATASETS:
@@ -37,7 +37,7 @@ def bench_ablation_combiner(benchmark, report):
             results[dataset] = per_combiner
         return results
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
 
     rows = [
         [dataset]

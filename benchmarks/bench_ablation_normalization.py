@@ -24,7 +24,7 @@ VARIANTS = {
 }
 
 
-def bench_ablation_normalization(benchmark, report):
+def bench_ablation_normalization(report):
     def run():
         results: dict[str, dict[str, list[float]]] = {}
         for dataset in ABLATION_DATASETS:
@@ -40,7 +40,7 @@ def bench_ablation_normalization(benchmark, report):
             results[dataset] = per_variant
         return results
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
 
     rows = [
         [dataset]

@@ -20,7 +20,7 @@ from repro.evaluation.tables import format_float, format_table
 ABLATION_DATASETS = ["TwoLeadECG", "Trace"]
 
 
-def bench_ablation_numerosity(benchmark, report):
+def bench_ablation_numerosity(report):
     def run():
         results = {}
         for dataset in ABLATION_DATASETS:
@@ -41,7 +41,7 @@ def bench_ablation_numerosity(benchmark, report):
             results[dataset] = (scores, sizes)
         return results
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
 
     rows = []
     for dataset in ABLATION_DATASETS:

@@ -25,7 +25,7 @@ VARIANTS = {
 }
 
 
-def bench_ablation_selection(benchmark, report):
+def bench_ablation_selection(report):
     def run():
         results: dict[str, dict[str, list[float]]] = {}
         for dataset in ABLATION_DATASETS:
@@ -41,7 +41,7 @@ def bench_ablation_selection(benchmark, report):
             results[dataset] = per_variant
         return results
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
 
     rows = [
         [dataset]

@@ -6,8 +6,8 @@ alphabet resolutions from one binary search. This bench measures the end
 effect: producing the numerosity-reduced token sequences for the full
 (w, a) grid via the shared MultiResolutionDiscretizer — whose PAA and
 interval matrices come from one :class:`repro.sax.plan.DiscretizationPlan`
-sweep of native passes — versus discretizing from scratch
-per combination.
+sweep of native passes, and whose tokens are ids from one native pass per
+member — versus discretizing words from scratch per combination.
 
 Shape check: the shared path is substantially faster than the naive path
 (the asymptotic claim is O(w_max^2 log a_max) vs O(n w_max a_max + ...)).
@@ -43,7 +43,7 @@ def _shared(series) -> float:
         discretizer = MultiResolutionDiscretizer(series, WINDOW, WMAX, AMAX)
         for w in range(2, WMAX + 1):
             for a in range(2, AMAX + 1):
-                discretizer.tokens(w, a)
+                discretizer.token_ids(w, a)
     return timer.elapsed
 
 

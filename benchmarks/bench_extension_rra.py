@@ -19,7 +19,7 @@ from repro.grammar.rra import RRADetector
 RRA_DATASETS = ["TwoLeadECG", "Trace"]
 
 
-def bench_extension_rra(benchmark, report):
+def bench_extension_rra(report):
     def run():
         results = {}
         for dataset in RRA_DATASETS:
@@ -32,7 +32,7 @@ def bench_extension_rra(benchmark, report):
             results[dataset] = evaluate_methods_on_corpus(corpus, factories)
         return results
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
 
     rows = []
     for dataset in RRA_DATASETS:

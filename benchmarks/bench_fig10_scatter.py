@@ -21,7 +21,7 @@ def _panel_lines(ensemble: list[float], baseline: list[float]) -> list[str]:
     return [f"    points: {pairs}"]
 
 
-def bench_fig10_scatter_data(benchmark, suite_results, report):
+def bench_fig10_scatter_data(suite_results, report):
     def build():
         lines = ["Figure 10: per-series (ensemble Score, baseline Score) pairs", ""]
         summary_rows = []
@@ -43,7 +43,7 @@ def bench_fig10_scatter_data(benchmark, suite_results, report):
                 )
         return lines, summary_rows
 
-    lines, summary_rows = benchmark.pedantic(build, rounds=1, iterations=1)
+    lines, summary_rows = build()
     table = format_table(
         ["Dataset", "Baseline", "w/t/l", "baseline-missed", "ensemble-missed"],
         summary_rows,

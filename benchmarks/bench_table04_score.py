@@ -14,28 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchlib import (
-    DATASET_ORDER,
-    METHOD_ORDER,
-    PAPER_TABLE4,
-    corpus_for,
-    scale_note,
-)
-from repro.evaluation.baselines import make_baseline_factories
-from repro.evaluation.harness import evaluate_detector
+from benchlib import DATASET_ORDER, METHOD_ORDER, PAPER_TABLE4, scale_note
 from repro.evaluation.tables import format_float, format_table
 
 
-def bench_table04_average_score(benchmark, suite_results, report):
-    # Benchmark unit: one full ensemble detection on the first TwoLeadECG
-    # case (the per-series cost a user pays).
-    case = corpus_for("TwoLeadECG", 1)[0]
-    factories = make_baseline_factories(seed=1)
-    detector = factories["Proposed"](case.gt_length)
-    benchmark.pedantic(
-        lambda: evaluate_detector(detector, [case]), rounds=3, iterations=1
-    )
-
+def bench_table04_average_score(suite_results, report):
     headers = ["Dataset"] + [f"{m} | paper" for m in METHOD_ORDER]
     rows = []
     averages: dict[str, dict[str, float]] = {}

@@ -19,7 +19,7 @@ from repro.evaluation.metrics import hit_rate
 from repro.evaluation.tables import format_float, format_table
 
 
-def bench_table05_hitrate(benchmark, suite_results, report):
+def bench_table05_hitrate(suite_results, report):
     def build():
         rows = []
         rates: dict[str, dict[str, float]] = {}
@@ -35,7 +35,7 @@ def bench_table05_hitrate(benchmark, suite_results, report):
             rows.append(cells)
         return rows, rates
 
-    rows, rates = benchmark.pedantic(build, rounds=1, iterations=1)
+    rows, rates = build()
     headers = ["Dataset"] + [f"{m} | paper" for m in METHOD_ORDER]
     table = format_table(
         headers, rows, title="Table 5: Performance evaluation results (HitRate)"

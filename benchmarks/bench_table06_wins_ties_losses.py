@@ -14,7 +14,7 @@ from repro.evaluation.tables import format_table
 BASELINES = ["GI-Random", "GI-Fix", "GI-Select", "Discord"]
 
 
-def bench_table06_wins_ties_losses(benchmark, suite_results, report):
+def bench_table06_wins_ties_losses(suite_results, report):
     def build():
         rows = []
         records = {}
@@ -29,7 +29,7 @@ def bench_table06_wins_ties_losses(benchmark, suite_results, report):
             rows.append(cells)
         return rows, records
 
-    rows, records = benchmark.pedantic(build, rounds=1, iterations=1)
+    rows, records = build()
     headers = ["vs Baseline"] + [f"{d} | paper" for d in DATASET_ORDER]
     table = format_table(
         headers,

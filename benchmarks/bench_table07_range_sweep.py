@@ -25,7 +25,7 @@ from repro.evaluation.tables import format_table
 SETTINGS = [(5, 5), (10, 10), (15, 15), (20, 20)]
 
 
-def bench_table07_wmax_amax_sweep(benchmark, suite_results, report):
+def bench_table07_wmax_amax_sweep(suite_results, report):
     def build():
         rows = []
         net_wins = {}
@@ -45,7 +45,7 @@ def bench_table07_wmax_amax_sweep(benchmark, suite_results, report):
             rows.append(cells)
         return rows, net_wins
 
-    rows, net_wins = benchmark.pedantic(build, rounds=1, iterations=1)
+    rows, net_wins = build()
     headers = ["Setting"] + [f"{d} | paper" for d in DATASET_ORDER]
     table = format_table(
         headers,

@@ -21,7 +21,7 @@ from repro.evaluation.tables import format_table
 SETTINGS = [(5, 10), (10, 10), (15, 10), (20, 10)]
 
 
-def bench_table08_wmax_sweep(benchmark, suite_results, report):
+def bench_table08_wmax_sweep(suite_results, report):
     def build():
         rows = []
         net_wins = {}
@@ -41,7 +41,7 @@ def bench_table08_wmax_sweep(benchmark, suite_results, report):
             rows.append(cells)
         return rows, net_wins
 
-    rows, net_wins = benchmark.pedantic(build, rounds=1, iterations=1)
+    rows, net_wins = build()
     headers = ["Setting"] + [f"{d} | paper" for d in DATASET_ORDER]
     table = format_table(
         headers,

@@ -22,7 +22,7 @@ from repro.evaluation.tables import format_table
 SETTINGS = [(10, 5), (10, 10), (10, 15), (10, 20)]
 
 
-def bench_table09_amax_sweep(benchmark, suite_results, report):
+def bench_table09_amax_sweep(suite_results, report):
     def build():
         rows = []
         net_wins = {}
@@ -42,7 +42,7 @@ def bench_table09_amax_sweep(benchmark, suite_results, report):
             rows.append(cells)
         return rows, net_wins
 
-    rows, net_wins = benchmark.pedantic(build, rounds=1, iterations=1)
+    rows, net_wins = build()
     headers = ["Setting"] + [f"{d} | paper" for d in DATASET_ORDER]
     table = format_table(
         headers,

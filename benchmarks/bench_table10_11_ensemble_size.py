@@ -43,8 +43,8 @@ def _scores_by_size() -> dict[str, dict[int, list[float]]]:
     return results
 
 
-def bench_table10_11_ensemble_size(benchmark, report):
-    results = benchmark.pedantic(_scores_by_size, rounds=1, iterations=1)
+def bench_table10_11_ensemble_size(report):
+    results = _scores_by_size()
 
     score_rows = []
     hit_rows = []

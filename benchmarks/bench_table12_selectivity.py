@@ -50,8 +50,8 @@ def _mean_scores() -> dict[str, dict[float, list[float]]]:
     return results
 
 
-def bench_table12_selectivity(benchmark, report):
-    results = benchmark.pedantic(_mean_scores, rounds=1, iterations=1)
+def bench_table12_selectivity(report):
+    results = _mean_scores()
 
     rows = []
     for dataset in DATASET_ORDER:

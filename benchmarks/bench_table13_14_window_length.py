@@ -35,8 +35,8 @@ def _scores_by_fraction() -> dict[str, dict[float, list[float]]]:
     return results
 
 
-def bench_table13_14_window_length(benchmark, report):
-    results = benchmark.pedantic(_scores_by_fraction, rounds=1, iterations=1)
+def bench_table13_14_window_length(report):
+    results = _scores_by_fraction()
 
     score_rows = []
     hit_rows = []

@@ -17,17 +17,21 @@ Scale knobs (environment variables):
 
 Heavy shared computations (the five-method suite behind Tables 4–6 and
 Figure 10) are cached as JSON under ``benchmarks/results/`` keyed by their
-configuration, so re-running individual benches is cheap.
+configuration and by a digest of the ``repro`` sources, so re-running
+individual benches is cheap and a change to the detector recomputes them.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 from pathlib import Path
 
 import numpy as np
 
+import repro
 from repro.datasets.planting import AnomalyTestCase, make_corpus
 from repro.datasets.ucr_like import DATASETS
 from repro.evaluation.baselines import make_baseline_factories
@@ -205,8 +209,25 @@ def corpus_for(dataset_name: str, n_cases: int) -> list[AnomalyTestCase]:
     return _corpus_cache[key]
 
 
+@functools.lru_cache(maxsize=1)
+def source_digest() -> str:
+    """Short digest of every ``repro`` ``*.py`` and ``*.c`` source file.
+
+    Part of every score cache key: scores cached by one version of the
+    detector are never served to another.
+    """
+    root = Path(repro.__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted([*root.rglob("*.py"), *root.rglob("*.c")]):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()[:12]
+
+
 def _suite_cache_path() -> Path:
-    return RESULTS_DIR / f"suite_cases{N_CASES}_seed{CORPUS_SEED}_m{METHOD_SEED}.json"
+    return RESULTS_DIR / (
+        f"suite_cases{N_CASES}_seed{CORPUS_SEED}_m{METHOD_SEED}_src{source_digest()}.json"
+    )
 
 
 def run_main_suite() -> dict[str, dict[str, list[float]]]:
@@ -278,11 +299,11 @@ def sweep_ensemble_scores(
     # used to collide on the same cache file. ``%g`` keeps the full value
     # (0.05 -> "0.05", 1.0 -> "1") with no float-repr noise. ``k`` is part
     # of the key too — it changes the returned scores, so omitting it
-    # served stale results to any caller varying k.
+    # served stale results to any caller varying k. So is the source digest.
     cache_key = (
         f"sweep_{dataset_name}_w{max_paa_size}_a{max_alphabet_size}"
         f"_N{ensemble_size}_t{round(selectivity, 6):g}_c{n_cases}"
-        f"_win{window}_s{seed}_k{k}.json"
+        f"_win{window}_s{seed}_k{k}_src{source_digest()}.json"
     )
     cache = RESULTS_DIR / cache_key
     if cache.exists():

@@ -10,6 +10,14 @@ The GrammarViz-style pipeline with one fixed ``(w, a)``:
 
 This detector is both the building block of the ensemble (each member is one
 such run) and the basis of the GI-Random / GI-Fix / GI-Select baselines.
+Its density curve is literally a one-member ensemble: steps 1–4 run as the
+ensemble member's one native call
+(:func:`repro.core.engine.compute_member_curves` with the single pair
+``(w, a)``), so it equals that member's curve byte for byte.
+:meth:`GrammarAnomalyDetector.tokenize` and
+:meth:`GrammarAnomalyDetector.grammar` keep the word-level pipeline for
+callers that need the words or the :class:`~repro.grammar.rules.Grammar`
+itself.
 """
 
 from __future__ import annotations
@@ -17,11 +25,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.anomaly import Anomaly, extract_candidates
+from repro.core.engine import compute_member_curves
 from repro.core.executors import StatelessBatchMixin
-from repro.grammar.density import rule_density_curve
 from repro.grammar.rules import Grammar
 from repro.grammar.sequitur import induce_grammar
-from repro.sax.numerosity import TokenSequence, numerosity_reduction
+from repro.sax.numerosity import STRATEGIES, TokenSequence, numerosity_reduction
 from repro.sax.sax import discretize
 from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD
 from repro.utils.validation import (
@@ -74,6 +82,8 @@ class GrammarAnomalyDetector(StatelessBatchMixin):
         self.window = int(window)
         self.paa_size = validate_paa_size(paa_size, self.window)
         self.alphabet_size = validate_alphabet_size(alphabet_size)
+        if numerosity not in STRATEGIES:
+            raise ValueError(f"unknown numerosity {numerosity!r}; expected one of {STRATEGIES}")
         self.numerosity = numerosity
         self.znorm_threshold = float(znorm_threshold)
 
@@ -97,11 +107,17 @@ class GrammarAnomalyDetector(StatelessBatchMixin):
         return induce_grammar(self.tokenize(series).words)
 
     def density_curve(self, series: np.ndarray) -> np.ndarray:
-        """Rule density curve of ``series`` (length ``len(series)``)."""
-        series = ensure_time_series(series, name="series", min_length=2)
-        tokens = self.tokenize(series)
-        grammar = induce_grammar(tokens.words)
-        return rule_density_curve(grammar, tokens, len(series))
+        """Rule density curve of ``series`` (length ``len(series)``): the
+        ensemble member ``(paa_size, alphabet_size)``'s one native call."""
+        return compute_member_curves(
+            series,
+            self.window,
+            [(self.paa_size, self.alphabet_size)],
+            max_paa_size=self.paa_size,
+            max_alphabet_size=self.alphabet_size,
+            znorm_threshold=self.znorm_threshold,
+            numerosity=self.numerosity,
+        )[0]
 
     def detect(self, series: np.ndarray, k: int = 3) -> list[Anomaly]:
         """Top-``k`` non-overlapping low-density windows, most anomalous first."""

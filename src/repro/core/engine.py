@@ -10,24 +10,26 @@ the layer that makes the library production-shaped on both axes:
   stream. Appends are amortized O(1) via capacity doubling, and the prefix
   sums are extended with the exact left-associated accumulation order of
   ``np.cumsum`` so streaming results stay bitwise equal to the batch path.
-- :func:`compute_member_curves` — the ensemble's member fan-out. All
-  members share one
-  :class:`~repro.core.multiresolution.MultiResolutionDiscretizer` (Section
-  6.2) and each member is one native call that releases the GIL
-  (:func:`repro.grammar._kernel.member_curve`); with more than one member
-  thread the per-``w`` sweeps and then the members fan out across the
-  calling thread and the process-wide thread pool
-  (:func:`repro.core.executors.fan_out`). Members never cross an executor:
-  naming one only sets how many threads they get
-  (:func:`repro.core.executors.member_jobs`). Every path runs the same
-  floating-point operations, so results are bitwise identical.
+- :func:`compute_member_curves` — every batch density curve: the
+  ensemble's members and, as a one-member call, the single-run
+  :class:`~repro.core.detector.GrammarAnomalyDetector`. All members share
+  one :class:`~repro.core.multiresolution.MultiResolutionDiscretizer`
+  (Section 6.2) and each member is one native call that releases the GIL
+  (:func:`repro.grammar._kernel.member_curve`), with exact numerosity
+  reduction or none; the per-``w`` sweeps and then the members fan out
+  across the calling thread and the process-wide thread pool
+  (:func:`repro.core.executors.fan_out`, inline with one thread). Members
+  never cross an executor: naming one only sets how many threads they get
+  (:func:`repro.core.executors.member_jobs`). Every thread count runs the
+  same floating-point operations, so results are bitwise identical.
 - :func:`detect_batch` / :func:`iter_detect_batch` — the serving shape for
   high-traffic workloads: fan out many *independent* series across an
   executor, one whole series per task, each handled by an
   identically-configured detector clone with a deterministic per-series
   seed, so results do not depend on the backend or scheduling order. Series
   reach process workers through shared memory, not pickling (see
-  :mod:`repro.core.executors`); a one-series batch runs in this process.
+  :mod:`repro.core.executors`), in about two chunks per worker; a
+  one-series batch runs in this process.
   ``iter_detect_batch`` yields each series' result as it completes instead
   of gathering the whole batch; a worker failure is wrapped in
   :class:`BatchItemError` carrying which input failed.
@@ -73,9 +75,7 @@ from repro.core.executors import (  # noqa: F401 — re-exported engine API
 )
 from repro.core.multiresolution import MultiResolutionDiscretizer
 from repro.grammar import _kernel
-from repro.grammar.density import rule_density_curve
-from repro.grammar.sequitur import induce_grammar
-from repro.obs.stages import merge, stage_timer
+from repro.obs.stages import merge
 from repro.sax._kernel import paa_rows_block
 from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD
 from repro.utils.rng import spawn_rngs
@@ -540,7 +540,7 @@ class SharedStreamState:
 
 
 # ----------------------------------------------------------------------
-# Parallel member execution (EnsembleGrammarDetector's member fan-out).
+# Parallel member execution (every batch density curve).
 # ----------------------------------------------------------------------
 
 
@@ -555,81 +555,6 @@ def _member_stage_times(phase_ns) -> dict[str, float]:
     }
 
 
-def _member_curve(
-    discretizer: MultiResolutionDiscretizer,
-    paa_size: int,
-    alphabet_size: int,
-    series_length: int,
-) -> np.ndarray:
-    """Density curve of one ensemble member, in one native call when possible.
-
-    With exact numerosity the member is
-    :func:`~repro.grammar._kernel.member_curve` on the shared interval
-    matrix: symbol lookup, numerosity, ids, Sequitur, spans and density in
-    one call, whose phase counters are charged to the ``discretize``,
-    ``grammar`` and ``density`` stages here. The ``"none"`` strategy keeps
-    every window, so it takes the word/Grammar path instead.
-    """
-    if discretizer.numerosity != "exact":
-        # The discretizer fires the paa/discretize stage timers itself (the
-        # shared sweep times matrix formation and breakpoint search).
-        tokens = discretizer.tokens(paa_size, alphabet_size)
-        with stage_timer("grammar"):
-            grammar = induce_grammar(tokens.words)
-        with stage_timer("density"):
-            return rule_density_curve(grammar, tokens, series_length)
-    curve, phase_ns = _kernel.member_curve(
-        discretizer.interval_matrix(paa_size),
-        discretizer.alphabet_table.symbol_column(alphabet_size),
-        discretizer.window,
-        series_length,
-    )
-    merge(_member_stage_times(phase_ns))
-    return curve
-
-
-def _fan_out_members(
-    discretizer: MultiResolutionDiscretizer,
-    parameters: Sequence[tuple[int, int]],
-    series_length: int,
-    n_jobs: int,
-) -> list[np.ndarray]:
-    """Every member's curve, fanned out across ``n_jobs`` threads in two phases.
-
-    The window statistics are computed once, here. Phase 1 fills the
-    sweep's interval matrix of each distinct ``w``, largest first (the
-    largest matrices take longest); phase 2 runs the members, largest ``w``
-    first, each one :func:`~repro.grammar._kernel.member_curve` call whose
-    curve lands in its sample-order slot. The tasks call nothing but those
-    two native passes: they record no stage timer and touch no thread-local
-    state, and this thread merges their measured times into the stages and
-    captures afterwards. The calls between the phases (``interval_matrix``
-    hits the filled cache, symbol columns are table reads) run here too.
-    """
-    sweep = discretizer.sweep
-    sweep.shared_stats()
-    widths = sorted({paa_size for paa_size, _ in parameters}, reverse=True)
-    for seconds in fan_out(sweep.fill_intervals, widths, n_jobs):
-        if seconds:
-            merge({"paa": seconds})
-    intervals = {paa_size: discretizer.interval_matrix(paa_size) for paa_size in widths}
-    table = discretizer.alphabet_table
-    order = sorted(range(len(parameters)), key=lambda i: parameters[i], reverse=True)
-    inputs = [
-        (intervals[parameters[i][0]], table.symbol_column(parameters[i][1])) for i in order
-    ]
-    window = discretizer.window
-
-    def member(pair):
-        return _kernel.member_curve(pair[0], pair[1], window, series_length)
-
-    curves: list[np.ndarray] = [np.empty(0)] * len(parameters)
-    for index, (curve, phase_ns) in zip(order, fan_out(member, inputs, n_jobs)):
-        curves[index] = curve
-        merge(_member_stage_times(phase_ns))
-    return curves
-
-
 def compute_member_curves(
     series: np.ndarray,
     window: int,
@@ -642,18 +567,28 @@ def compute_member_curves(
     n_jobs: int | None = 1,
     executor: MemberExecutor | str | None = None,
 ) -> list[np.ndarray]:
-    """Rule density curves of every ensemble member, in sample order.
+    """Rule density curves of every member, in sample order.
 
     All members share one :class:`MultiResolutionDiscretizer` and run in
-    this process: on this thread (one member thread) or fanned out across it
-    and the threads of the process-wide pool (see :func:`_fan_out_members`).
-    Without an executor ``n_jobs`` counts those threads (``None``: every
-    available CPU); an executor never receives a member, naming one only
-    sets the thread count (:func:`~repro.core.executors.member_jobs`). Only
-    exact numerosity fans out: the ``"none"`` strategy runs its members
-    here, one after another, as does a call made from a fan-out thread.
-    Member curves are deterministic functions of ``(series, window, w, a)``,
-    so every path produces bitwise-identical results.
+    this process, on this thread and the threads of the process-wide pool
+    (:func:`~repro.core.executors.fan_out`; with one thread, or from a pool
+    thread, everything runs inline). Without an executor ``n_jobs`` counts
+    those threads (``None``: every available CPU); an executor never
+    receives a member, naming one only sets the thread count
+    (:func:`~repro.core.executors.member_jobs`).
+
+    The window statistics are computed once, here. Phase 1 fills the
+    sweep's interval matrix of each distinct ``w``, largest first (the
+    largest matrices take longest); phase 2 runs the members, largest ``w``
+    first, each one :func:`~repro.grammar._kernel.member_curve` call (exact
+    or no numerosity reduction) whose curve lands in its sample-order slot:
+    a uniform random prefix of the sample is itself a uniform sample, which
+    the size-sweep benches rely on. The tasks call nothing but those two
+    native passes: they record no stage timer and touch no thread-local
+    state, and this thread merges their measured times into the stages and
+    captures afterwards. Member curves are deterministic functions of
+    ``(series, window, w, a, numerosity)``, so every thread count produces
+    bitwise-identical results.
     """
     jobs = member_jobs(executor, n_jobs)
     discretizer = MultiResolutionDiscretizer(
@@ -664,15 +599,28 @@ def compute_member_curves(
         znorm_threshold=znorm_threshold,
         numerosity=numerosity,
     )
-    if jobs > 1 and numerosity == "exact":
-        return _fan_out_members(discretizer, parameters, len(series), jobs)
-    # Grouped by w so the interval matrix is built once per w, but reported
-    # in *sample order* — a uniform random prefix of the sample is itself a
-    # uniform sample, which the size-sweep benches rely on.
+    sweep = discretizer.sweep
+    sweep.shared_stats()
+    widths = sorted({paa_size for paa_size, _ in parameters}, reverse=True)
+    for seconds in fan_out(sweep.fill_intervals, widths, jobs):
+        if seconds:
+            merge({"paa": seconds})
+    intervals = {paa_size: discretizer.interval_matrix(paa_size) for paa_size in widths}
+    table = discretizer.alphabet_table
+    order = sorted(range(len(parameters)), key=lambda i: parameters[i], reverse=True)
+    inputs = [
+        (intervals[parameters[i][0]], table.symbol_column(parameters[i][1])) for i in order
+    ]
+    window, length = discretizer.window, len(discretizer.series)
+    reduce = numerosity == "exact"
+
+    def member(pair):
+        return _kernel.member_curve(pair[0], pair[1], window, length, reduce=reduce)
+
     curves: list[np.ndarray] = [np.empty(0)] * len(parameters)
-    for index in sorted(range(len(parameters)), key=lambda i: parameters[i]):
-        paa_size, alphabet_size = parameters[index]
-        curves[index] = _member_curve(discretizer, paa_size, alphabet_size, len(series))
+    for index, (curve, phase_ns) in zip(order, fan_out(member, inputs, jobs)):
+        curves[index] = curve
+        merge(_member_stage_times(phase_ns))
     return curves
 
 
@@ -698,7 +646,7 @@ def _detect_series_chunk(payload) -> list[tuple[int, list]]:
     """Worker: run several per-series detections in one task.
 
     Chunking amortizes the per-task executor round trip (submission,
-    payload pickling, result sync) across ``chunksize`` series — the lever
+    payload pickling, result sync) across the chunk's series — the lever
     that makes micro-batched serving of *small* requests pay, where one
     IPC round trip per series would rival the detection itself. Each item
     is computed exactly as :func:`_detect_one_series` would, so results are
@@ -728,7 +676,6 @@ def iter_detect_batch(
     labels: Sequence[str] | None = None,
     seeds: Sequence | None = None,
     return_exceptions: bool = False,
-    chunksize: int = 1,
 ) -> Iterator[tuple[int, list]]:
     """Yield ``(index, anomalies)`` per series *as results complete*.
 
@@ -754,22 +701,19 @@ def iter_detect_batch(
     result instead and every other series still completes — the contract
     behind partial batch results in the CLI and the serving layer.
 
-    ``chunksize`` packs that many per-series detections into each worker
-    task (``multiprocessing.Pool.map``-style): per-task dispatch overhead
-    is amortized across the chunk, which is what makes pooled batches of
-    *small* series pay. Results are independent of the chunking; only
-    delivery granularity changes (a chunk's results arrive together).
-    Arguments are validated here, eagerly — the returned iterator only
-    defers execution.
+    A pooled batch packs about ``n_series / (2 * max_workers)`` per-series
+    detections into each worker task (``multiprocessing.Pool.map``-style),
+    so the pool stays balanced while per-task dispatch overhead is
+    amortized across the chunk — what makes pooled batches of *small*
+    series pay. Results are independent of the chunking; only delivery
+    granularity changes (a chunk's results arrive together). Arguments are
+    validated here, eagerly — the returned iterator only defers execution.
     """
     series_list = [np.ascontiguousarray(series, dtype=np.float64) for series in series_iterable]
     labels = _check_labels(labels, len(series_list))
     validate_executor_spec(executor)
     n_jobs = detector.n_jobs if n_jobs is None else n_jobs
     _resolve_n_jobs(n_jobs)  # validated here; the deferred half resolves it
-    chunksize = int(chunksize)
-    if chunksize < 1:
-        raise ValueError(f"chunksize must be a positive integer, got {chunksize}")
     kwargs = detector.clone_kwargs()
     if seeds is None:
         # spawn_rngs derives deterministic, independent (and picklable)
@@ -789,7 +733,6 @@ def iter_detect_batch(
         executor,
         labels,
         return_exceptions,
-        chunksize,
     )
 
 
@@ -802,7 +745,6 @@ def _iter_detect_batch(
     executor: MemberExecutor | str | None,
     labels: list[str] | None,
     return_exceptions: bool = False,
-    chunksize: int = 1,
 ) -> Iterator[tuple[int, list]]:
     """The deferred half of :func:`iter_detect_batch` (validated inputs)."""
     if not series_list:
@@ -826,8 +768,13 @@ def _iter_detect_batch(
         return
     pool, owned = _resolve_executor(executor, _resolve_n_jobs(n_jobs))
     # Pooled clones run their members serially to avoid nested pools; a
-    # serial executor runs its clones here, by the same rule as a batch of one.
-    clone_jobs = member_jobs(pool, n_jobs) if pool.kind == "serial" else 1
+    # serial executor runs its clones here, by the same rule as a batch of
+    # one, one series per task. A pool gets about two chunks per worker.
+    if pool.kind == "serial":
+        clone_jobs, chunksize = member_jobs(pool, n_jobs), 1
+    else:
+        clone_jobs = 1
+        chunksize = -(-len(series_list) // (2 * max(1, pool.max_workers)))
     with ExitStack() as stack:
         if owned:
             stack.callback(pool.close)
@@ -881,7 +828,6 @@ def detect_batch(
     labels: Sequence[str] | None = None,
     seeds: Sequence | None = None,
     return_exceptions: bool = False,
-    chunksize: int = 1,
 ) -> list[list]:
     """Top-``k`` anomalies of many independent series, optionally in parallel.
 
@@ -921,10 +867,6 @@ def detect_batch(
         When true, a failing series fills its result slot with the
         :class:`BatchItemError` instead of aborting the batch; every other
         series still completes.
-    chunksize:
-        Per-series detections packed into each worker task (amortizes the
-        per-task dispatch overhead for batches of small series); see
-        :func:`iter_detect_batch`. Results are independent of the value.
 
     Returns
     -------
@@ -941,7 +883,6 @@ def detect_batch(
             labels=labels,
             seeds=seeds,
             return_exceptions=return_exceptions,
-            chunksize=chunksize,
         )
     )
     results: list[list] = [None] * len(pairs)  # type: ignore[list-item]

@@ -31,6 +31,7 @@ from repro.core.engine import compute_member_curves, detect_batch, iter_detect_b
 from repro.core.executors import ExecutorOwnerMixin, MemberExecutor
 from repro.core.selection import curve_std, normalize_curve, select_by_std
 from repro.obs.stages import stage_timer
+from repro.sax.numerosity import STRATEGIES
 from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import (
@@ -157,6 +158,8 @@ class EnsembleGrammarDetector(ExecutorOwnerMixin):
             raise ValueError(f"selectivity must be in (0, 1], got {selectivity}")
         if combiner not in COMBINERS:
             raise ValueError(f"unknown combiner {combiner!r}; expected one of {COMBINERS}")
+        if numerosity not in STRATEGIES:
+            raise ValueError(f"unknown numerosity {numerosity!r}; expected one of {STRATEGIES}")
         if n_jobs is not None and int(n_jobs) < 1:
             raise ValueError(f"n_jobs must be a positive integer or None, got {n_jobs}")
         self.ensemble_size = int(ensemble_size)
@@ -285,7 +288,6 @@ class EnsembleGrammarDetector(ExecutorOwnerMixin):
         labels=None,
         seeds=None,
         return_exceptions: bool = False,
-        chunksize: int = 1,
     ) -> list[list[Anomaly]]:
         """Top-``k`` anomalies of many independent series (the serving shape).
 
@@ -309,7 +311,6 @@ class EnsembleGrammarDetector(ExecutorOwnerMixin):
             labels=labels,
             seeds=seeds,
             return_exceptions=return_exceptions,
-            chunksize=chunksize,
         )
 
     def iter_detect_batch(
@@ -322,7 +323,6 @@ class EnsembleGrammarDetector(ExecutorOwnerMixin):
         labels=None,
         seeds=None,
         return_exceptions: bool = False,
-        chunksize: int = 1,
     ):
         """Yield ``(index, anomalies)`` per series as results complete.
 
@@ -341,7 +341,6 @@ class EnsembleGrammarDetector(ExecutorOwnerMixin):
             labels=labels,
             seeds=seeds,
             return_exceptions=return_exceptions,
-            chunksize=chunksize,
         )
 
 

@@ -10,11 +10,17 @@ The ensemble needs token sequences for many ``(w, a)`` combinations of the
   coefficients located in the merged breakpoint table of
   :class:`repro.sax.breakpoints.MultiResolutionAlphabet` with one binary
   search — yielding the *interval index matrix*;
-- per ``(w, a)``, words are a constant-time table lookup into the symbol
-  matrix (Figure 6), followed by numerosity reduction.
+- per ``(w, a)``, a member's symbols are a constant-time lookup through
+  that alphabet's column of the symbol matrix (Figure 6).
 
-So the marginal cost of an extra alphabet size for an already-seen ``w`` is
-one fancy-indexing pass — the speedup benchmarked in
+Everything after the interval matrix runs natively, once per member, and
+never builds a word string: :func:`repro.sax._kernel.sax_tokens` does the
+lookup, numerosity reduction (exact or none) and token ids, and
+:func:`repro.grammar._kernel.member_curve` chains that pass with Sequitur,
+the rule spans and the density curve in one call
+(:func:`repro.core.engine.compute_member_curves`). So the marginal cost of
+an extra alphabet size for an already-seen ``w`` is one pass over the
+interval matrix — the speedup benchmarked in
 ``benchmarks/bench_discretization_speedup.py``.
 """
 
@@ -22,15 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.obs.stages import stage_timer
 from repro.sax import _kernel
-from repro.sax.alphabet import index_matrix_to_words
-from repro.sax.numerosity import (
-    TokenIdSequence,
-    TokenSequence,
-    kept_window_mask,
-    numerosity_reduction,
-)
+from repro.sax.numerosity import STRATEGIES
 from repro.sax.paa import CumulativeStats
 from repro.sax.plan import DiscretizationPlan
 from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD
@@ -43,7 +42,7 @@ from repro.utils.validation import (
 
 
 class MultiResolutionDiscretizer:
-    """Produce numerosity-reduced token sequences for many ``(w, a)`` cheaply.
+    """Share one series' discretization across many ``(w, a)`` members.
 
     Parameters
     ----------
@@ -75,6 +74,8 @@ class MultiResolutionDiscretizer:
         self.max_paa_size = validate_paa_size(max_paa_size, self.window)
         self.max_alphabet_size = validate_alphabet_size(max_alphabet_size)
         self.znorm_threshold = float(znorm_threshold)
+        if numerosity not in STRATEGIES:
+            raise ValueError(f"unknown numerosity {numerosity!r}; expected one of {STRATEGIES}")
         self.numerosity = numerosity
         self.stats = CumulativeStats(self.series)
         #: Open discretization plan (any paa_size up to ``window``); the
@@ -87,9 +88,6 @@ class MultiResolutionDiscretizer:
         )
         self.alphabet_table = self._plan.alphabet_table
         self._sweep = self._plan.sweep_series(self.stats)
-        #: Caches: (paa_size, alphabet_size) -> TokenSequence / ids.
-        self._token_cache: dict[tuple[int, int], TokenSequence] = {}
-        self._id_cache: dict[tuple[int, int], TokenIdSequence] = {}
 
     @property
     def sweep(self):
@@ -116,75 +114,16 @@ class MultiResolutionDiscretizer:
             )
         return self._sweep.interval_rows(paa_size)
 
-    def words(self, paa_size: int, alphabet_size: int) -> list[str]:
-        """SAX words of every window under ``(paa_size, alphabet_size)``."""
-        intervals = self.interval_matrix(paa_size)
-        symbols = self.alphabet_table.symbols_for(intervals, alphabet_size)
-        return index_matrix_to_words(symbols)
+    def token_ids(self, paa_size: int, alphabet_size: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(kept_offsets, ids)`` of one member, never a word string.
 
-    def tokens(self, paa_size: int, alphabet_size: int) -> TokenSequence:
-        """Numerosity-reduced token sequence for ``(paa_size, alphabet_size)``.
-
-        Cached per combination — ensemble members with duplicate parameters
-        (not sampled by Algorithm 1, but possible via direct calls) are free.
-
-        The exact-reduction fast path finds run boundaries on the symbol
-        *index matrix* first and only materializes word strings for the kept
-        windows; two windows share a word exactly when their symbol rows are
-        equal, so this is equivalent to reducing the full word list (and is
-        what makes the shared discretizer markedly faster than per-(w, a)
-        SAX — most windows are dropped before any string is built).
+        :func:`repro.sax._kernel.sax_tokens` over the shared interval
+        matrix and the member's alphabet column, under this discretizer's
+        numerosity strategy: the tokenize stage that
+        :func:`repro.grammar._kernel.member_curve` runs first, on its own.
         """
-        key = (int(paa_size), int(alphabet_size))
-        cached = self._token_cache.get(key)
-        if cached is not None:
-            return cached
-        intervals = self.interval_matrix(paa_size)
-        if self.numerosity == "exact":
-            with stage_timer("discretize"):
-                symbols = self.alphabet_table.symbols_for(intervals, alphabet_size)
-                kept_offsets = np.flatnonzero(kept_window_mask(symbols)).astype(np.int64)
-                words = index_matrix_to_words(symbols[kept_offsets])
-                cached = TokenSequence(
-                    tuple(words), kept_offsets, len(symbols), self.window
-                )
-        else:
-            with stage_timer("discretize"):
-                symbols = self.alphabet_table.symbols_for(intervals, alphabet_size)
-                words = index_matrix_to_words(symbols)
-                cached = numerosity_reduction(words, self.window, self.numerosity)
-        self._token_cache[key] = cached
-        return cached
-
-    def token_ids(self, paa_size: int, alphabet_size: int) -> TokenIdSequence:
-        """Token ids for ``(paa_size, alphabet_size)``, never a word string.
-
-        The string-free path for the native grammar builder. One native pass
-        (:func:`repro.sax._kernel.sax_tokens`) maps the shared interval
-        matrix to this member's symbols, keeps each row that differs from
-        the row before it, and numbers the kept rows in *first-occurrence*
-        order (not by sorted rank), at any word width: the words of
-        :meth:`tokens`, numbered as they first appear. Grammar structure
-        depends only on which tokens are equal, so these ids induce the same
-        grammar as interned ones; a batch sequence is fed once, so it needs
-        no id space that stays stable across calls. Only the exact strategy
-        is served here (``"none"`` keeps every window, so it gains nothing
-        from deferral); callers fall back to :meth:`tokens` for other
-        strategies.
-        """
-        if self.numerosity != "exact":
-            raise ValueError(
-                f"token_ids requires numerosity='exact', got {self.numerosity!r}"
-            )
-        key = (int(paa_size), int(alphabet_size))
-        cached = self._id_cache.get(key)
-        if cached is not None:
-            return cached
-        intervals = self.interval_matrix(paa_size)
-        with stage_timer("discretize"):
-            offsets, ids = _kernel.sax_tokens(
-                intervals, self.alphabet_table.symbol_column(alphabet_size)
-            )
-        cached = TokenIdSequence(ids, offsets, len(intervals), self.window)
-        self._id_cache[key] = cached
-        return cached
+        return _kernel.sax_tokens(
+            self.interval_matrix(paa_size),
+            self.alphabet_table.symbol_column(alphabet_size),
+            reduce=self.numerosity == "exact",
+        )

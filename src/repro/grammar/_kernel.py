@@ -16,7 +16,9 @@ The library carries the arena, the SAX front end (see
 ``repro.sax._kernel``), the two curve kernels ``seq_density`` and
 ``seq_median`` (which :func:`repro.grammar.density.density_curve_from_token_spans`
 and :func:`repro.core.combiners.combine_curves` call),
-:func:`member_curve`, one batch ensemble member in one call, and
+:func:`member_curve`, one batch member in one call (every batch density
+curve: ensemble members and the single-run detector, under either
+numerosity strategy), and
 :class:`TokenLog`, a streaming member's kept tokens and arena (or, under
 the decay policy, its per-generation arenas and sealed spans), with one
 call per drain block, horizon advance and poll under every policy
@@ -159,7 +161,7 @@ _SIGNATURES = (
         "seq_member_curve",
         ctypes.c_int,
         (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
-        + (ctypes.c_int64,) * 3
+        + (ctypes.c_int64,) * 4
         + (ctypes.c_void_p,) * 2,
     ),
     ("seq_log_new", ctypes.c_void_p, (ctypes.c_int64, ctypes.c_int64)),
@@ -199,7 +201,8 @@ _SIGNATURES = (
     (
         "sax_tokens",
         ctypes.c_int64,
-        (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
+        (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
+        + (ctypes.c_int64,) * 2
         + (ctypes.c_void_p,) * 2,
     ),
     ("sax_table_new", ctypes.c_void_p, ()),
@@ -261,13 +264,19 @@ def _checked(array, dtype, ndim: int, name: str) -> None:
 
 
 def member_curve(
-    intervals: np.ndarray, symbols: np.ndarray, window: int, length: int
+    intervals: np.ndarray,
+    symbols: np.ndarray,
+    window: int,
+    length: int,
+    *,
+    reduce: bool = True,
 ) -> tuple[np.ndarray, tuple[int, int, int, int]]:
-    """One batch ensemble member in one native call: ``(curve, phase_ns)``.
+    """One batch member in one native call: ``(curve, phase_ns)``.
 
     ``intervals`` is the member's interval matrix (``intp``, one row per
-    window start) and ``symbols`` its alphabet column (int64). The call runs
-    exactly the chain :func:`repro.sax._kernel.sax_tokens` ->
+    window start) and ``symbols`` its alphabet column (int64); ``reduce``
+    picks exact numerosity reduction (true) or none (every window a token).
+    The call runs exactly the chain :func:`repro.sax._kernel.sax_tokens` ->
     :meth:`FastSequitur.feed_many` -> :meth:`FastSequitur.occurrence_spans`
     -> :func:`repro.grammar.density.density_curve_from_token_spans` and
     returns the same float64 curve of ``length`` points, byte for byte,
@@ -292,7 +301,7 @@ def member_curve(
     phase_ns = (ctypes.c_int64 * 4)()
     status = _lib.seq_member_curve(
         intervals.ctypes.data, rows, width, symbols.ctypes.data, len(symbols),
-        window, length, curve.ctypes.data, phase_ns,
+        int(bool(reduce)), window, length, curve.ctypes.data, phase_ns,
     )
     if status:
         _raise(status, _MEMBER_ERRORS)

@@ -58,11 +58,14 @@
  * the bottom of this file: seq_density turns them into the rule density
  * curve, seq_median combines the ensemble's normalized member curves.
  *
- * One member, one call. seq_member_curve chains a batch ensemble member's
- * whole pipeline: sax_tokens (from _sax.c, which is compiled into the same
+ * One member, one call. seq_member_curve chains a batch member's whole
+ * pipeline: sax_tokens (from _sax.c, which is compiled into the same
  * library), the arena, seq_spans and seq_density, keeping every check and
- * status of the chained calls. It holds no state between calls, so members
- * may run on as many threads at once as the caller likes.
+ * status of the chained calls. It is every batch density curve of the
+ * package: ensemble members and the single-run detector alike, under
+ * either numerosity strategy (exact or none, the `reduce` flag). It holds
+ * no state between calls, so members may run on as many threads at once as
+ * the caller likes.
  *
  * One streaming member, one log. A SeqLog (bottom of the file) holds a
  * streaming member's kept token ids (int32) and window offsets (int64),
@@ -491,12 +494,13 @@ int seq_median(const double *const *rows, int64_t k, int64_t n, double *out) {
 
 /* ---- one batch member, end to end ---- */
 
-/* _sax.c: symbol lookup, exact numerosity reduction and first-occurrence
- * ids of one interval matrix; the kept count, or -1 (a value outside the
- * column or the letters) or -2 (no memory). */
+/* _sax.c: symbol lookup, numerosity reduction (exact when `reduce` is
+ * nonzero, none otherwise) and first-occurrence ids of one interval matrix;
+ * the kept count, or -1 (a value outside the column or the letters) or -2
+ * (no memory). */
 int64_t sax_tokens(const intptr_t *intervals, int64_t n_rows, int64_t width,
-                   const int64_t *column, int64_t n_symbols, int64_t *offsets,
-                   int64_t *ids);
+                   const int64_t *column, int64_t n_symbols, int64_t reduce,
+                   int64_t *offsets, int64_t *ids);
 
 static int64_t clock_ns(void) {
     struct timespec now;
@@ -514,14 +518,15 @@ static void lap(int64_t *mark, int64_t *phase) {
 /* The rule density curve (`length` doubles) of one batch member from its
  * interval matrix (n_rows x width, row r the window starting at r) and its
  * alphabet column: sax_tokens -> seq_feed_many -> seq_spans -> seq_density,
- * as the chained calls run them. A row or column value out of range is
+ * as the chained calls run them. `reduce` selects the numerosity strategy
+ * as in sax_tokens: exact (nonzero) or none (every window a token). A row or column value out of range is
  * SEQ_SYMBOL, no kept token SEQ_NO_TOKENS; every other status is the one
  * the failing stage returns. phase_ns receives the nanoseconds spent
  * tokenizing, feeding, walking the spans and accumulating the density (0
  * for a phase that did not run). */
 int seq_member_curve(const intptr_t *intervals, int64_t n_rows, int64_t width,
-                     const int64_t *column, int64_t n_symbols, int64_t window,
-                     int64_t length, double *curve, int64_t *phase_ns) {
+                     const int64_t *column, int64_t n_symbols, int64_t reduce,
+                     int64_t window, int64_t length, double *curve, int64_t *phase_ns) {
     int64_t rows = n_rows > 0 ? n_rows : 1, mark = clock_ns(), kept, nodes;
     int64_t *offsets = malloc(4 * (size_t)rows * sizeof *offsets), *ids, *firsts, *lasts;
     Seq *s = NULL;
@@ -529,7 +534,7 @@ int seq_member_curve(const intptr_t *intervals, int64_t n_rows, int64_t width,
     memset(phase_ns, 0, 4 * sizeof *phase_ns);
     if (!offsets) return SEQ_NOMEM;
     ids = offsets + rows, firsts = ids + rows, lasts = firsts + rows;
-    kept = sax_tokens(intervals, n_rows, width, column, n_symbols, offsets, ids);
+    kept = sax_tokens(intervals, n_rows, width, column, n_symbols, reduce, offsets, ids);
     lap(&mark, &phase_ns[0]);
     if (kept < 0) {
         status = kept == -1 ? SEQ_SYMBOL : SEQ_NOMEM;

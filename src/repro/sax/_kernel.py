@@ -4,8 +4,8 @@
 once per sweep, shared by every PAA size; then the native passes of
 ``_sax.c`` run: :func:`sax_intervals` does z-normalized PAA and the
 breakpoint search in one loop per PAA size, and :func:`sax_tokens` does
-symbol lookup, exact numerosity reduction and token ids in one loop per
-ensemble member, on a row table that lives for that one call. Streaming
+symbol lookup, numerosity reduction (exact or none) and token ids in one
+loop per batch member, on a row table that lives for that one call. Streaming
 members keep a table of the same kind for their whole life behind
 :class:`repro.sax.alphabet.WordInterner`, the only interner.
 
@@ -13,8 +13,8 @@ Build on first import: ``_sax.c`` is compiled with the Sequitur arena's
 ``_sequitur.c`` into the package's one native library, which
 ``repro.grammar._kernel`` builds and loads; this module binds the same
 handle. A failed build raises :class:`ImportError`; there is no fallback.
-A batch ensemble member calls :func:`sax_tokens`'s pass as the first stage
-of :func:`repro.grammar._kernel.member_curve`, inside one native call.
+Every batch member calls :func:`sax_tokens`'s pass as the first stage of
+:func:`repro.grammar._kernel.member_curve`, inside one native call.
 
 Parity contract (pinned by ``tests/test_sax_native.py``,
 ``tests/test_sax_properties.py`` and ``tests/test_kernel_differential.py``
@@ -177,14 +177,17 @@ def sax_intervals(
     return out_rows, out_intervals
 
 
-def sax_tokens(intervals: np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sax_tokens(
+    intervals: np.ndarray, symbols: np.ndarray, *, reduce: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
     """One native tokenize pass: ``(kept_offsets, ids)``, both int64.
 
     ``intervals`` is an interval matrix (``intp``, one row per window) and
     ``symbols`` one alphabet's column of the symbol matrix (int64, interval
-    -> symbol index). A window is kept when its symbol row differs from the
-    previous window's (exact numerosity reduction); kept rows get dense ids
-    in first-occurrence order, equal rows equal ids, at any row width. The
+    -> symbol index). With ``reduce`` (exact numerosity reduction) a window
+    is kept when its symbol row differs from the previous window's; without
+    it every window is kept. Kept rows get dense ids in first-occurrence
+    order, equal rows equal ids, at any row width. The
     row table is the one behind :class:`~repro.sax.alphabet.WordInterner`,
     created and freed inside the call.
     Inputs are checked before the C call, as in :func:`sax_intervals`.
@@ -198,7 +201,7 @@ def sax_tokens(intervals: np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, 
     ids = np.empty(rows, dtype=np.int64)
     kept = _lib.sax_tokens(
         intervals.ctypes.data, rows, width, symbols.ctypes.data, len(symbols),
-        offsets.ctypes.data, ids.ctypes.data,
+        int(bool(reduce)), offsets.ctypes.data, ids.ctypes.data,
     )
     if kept < 0:
         _raise(kept, _ERRORS)

@@ -7,7 +7,7 @@
  * compiler (with -ffp-contract=off, so no a*b+c is fused) into
  * ../grammar/__pycache__/ and loads the library through ctypes. There is
  * no fallback. sax_tokens is also the first stage of _sequitur.c's
- * seq_member_curve.
+ * seq_member_curve, which computes every batch density curve.
  *
  * sax_intervals: one pass per sweep and PAA size. Row r is the window that
  * starts at global index start + r. The pass repeats, operation for
@@ -50,7 +50,9 @@
  *                                   saved vocabulary); stops at the first
  *                                   repeated word and returns its index
  *   sax_tokens                      one batch member: a fresh table, one
- *                                   sax_table_intern call, free
+ *                                   sax_table_intern call (exact or no
+ *                                   numerosity reduction, by `reduce`),
+ *                                   free
  *
  * A row (or column) value out of range makes sax_table_intern forget the
  * ids the call added, so the table holds the words it held before. An
@@ -310,12 +312,12 @@ int64_t sax_table_insert(SaxTable *t, const uint8_t *words, const int64_t *ends,
 }
 
 int64_t sax_tokens(const intptr_t *intervals, int64_t n_rows, int64_t width,
-                   const int64_t *column, int64_t n_symbols, int64_t *offsets,
-                   int64_t *ids) {
+                   const int64_t *column, int64_t n_symbols, int64_t reduce,
+                   int64_t *offsets, int64_t *ids) {
     SaxTable *table = sax_table_new();
     if (!table) return SAX_NOMEM;
-    int64_t kept =
-        sax_table_intern(table, intervals, n_rows, width, column, n_symbols, NULL, 1, offsets, ids);
+    int64_t kept = sax_table_intern(table, intervals, n_rows, width, column, n_symbols, NULL,
+                                    reduce, offsets, ids);
     sax_table_free(table);
     return kept;
 }

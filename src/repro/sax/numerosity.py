@@ -74,53 +74,6 @@ class TokenSequence:
         return start, end
 
 
-@dataclass(frozen=True)
-class TokenIdSequence:
-    """A numerosity-reduced token sequence carried as integer ids.
-
-    The id-native counterpart of :class:`TokenSequence`, produced by the
-    batch tokenizer path
-    (:meth:`repro.core.multiresolution.MultiResolutionDiscretizer.token_ids`).
-    Two tokens share an id exactly when their words are equal; the id
-    values themselves mean nothing outside the sequence, and it carries no
-    vocabulary, so building one never decodes a word string. Grammar
-    kernels feed on :attr:`ids` directly.
-    """
-
-    ids: np.ndarray = field(repr=False)
-    offsets: np.ndarray = field(repr=False)
-    n_windows: int
-    window: int
-
-    def __post_init__(self) -> None:
-        if len(self.ids) != len(self.offsets):
-            raise ValueError(
-                f"ids and offsets must align, got {len(self.ids)} ids "
-                f"and {len(self.offsets)} offsets"
-            )
-        if len(self.offsets) and self.n_windows <= int(self.offsets[-1]):
-            raise ValueError("n_windows must exceed the last offset")
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-def kept_window_mask(symbols: np.ndarray) -> np.ndarray:
-    """Exact-numerosity keep mask over a symbol-index matrix.
-
-    ``mask[i]`` is True when row ``i`` differs from row ``i - 1`` (row 0 is
-    always kept): exactly the windows :func:`numerosity_reduction` keeps,
-    decided on integer symbol rows — two windows share a word iff their
-    symbol rows are equal — without materializing any strings.
-    """
-    matrix = np.asarray(symbols)
-    if matrix.ndim != 2:
-        raise ValueError(f"expected a 2-D symbol matrix, got shape {matrix.shape}")
-    keep = np.ones(len(matrix), dtype=bool)
-    keep[1:] = np.any(matrix[1:] != matrix[:-1], axis=1)
-    return keep
-
-
 def numerosity_reduction(
     words: list[str],
     window: int,

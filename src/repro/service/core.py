@@ -372,19 +372,6 @@ class DetectService:
                 out.append(result)
         return out
 
-    def _batch_chunksize(self, count: int) -> int:
-        """Task granularity for one coalesced batch.
-
-        Aim for ~2 chunks per worker so the pool stays balanced while the
-        per-task dispatch overhead is amortized across the chunk — the
-        knob that makes micro-batching of *small* requests pay (see
-        ``chunksize`` in :func:`repro.core.engine.iter_detect_batch`).
-        """
-        if self._executor is None or self._executor.kind == "serial":
-            return 1
-        workers = max(1, self._executor.max_workers)
-        return max(1, -(-count // (2 * workers)))
-
     def _run_batch(self, group: tuple, items: Sequence[_DetectItem]) -> list[tuple[int, Any]]:
         """Blocking batch runner (worker thread): one coalesced detect batch.
 
@@ -412,7 +399,6 @@ class DetectService:
                 executor=self._executor,
                 seeds=[item.seed for item in items],
                 return_exceptions=True,
-                chunksize=self._batch_chunksize(len(items)),
             )
             _log.debug(
                 "micro-batch of %d item(s) ran",

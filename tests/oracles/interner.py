@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sax.numerosity import kept_window_mask
+from oracles.sax import kept_window_mask
 
 #: Code point of the first symbol; symbol index ``i`` maps to ``chr(_BASE + i)``.
 _BASE = ord("a")
@@ -260,7 +260,7 @@ class StreamingOracleInterner(WordInterner):
 
     :meth:`intern_packed` reduces and interns one block the way streaming
     ingest did with the pure-Python interner: packed codes (or, past 12
-    symbols, :func:`~repro.sax.numerosity.kept_window_mask` and byte keys)
+    symbols, :func:`~oracles.sax.kept_window_mask` and byte keys)
     find the runs, ``previous`` carries the row before the block, and the
     kept rows are interned. It returns the native layout, ``(kept, 2)``
     rows of ``(offset in the block, id)``.

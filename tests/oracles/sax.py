@@ -8,7 +8,8 @@ prefix sums with numpy, re-deriving the window statistics per call, and
 prefix-sum paths, and :func:`sliding_paa_matrix` the batch form of the
 sliding rows over a :class:`~repro.sax.paa.CumulativeStats`.
 :func:`first_occurrence_ids` numbers words the way the native tokenizer
-numbers kept rows.
+numbers kept rows, and :func:`kept_window_mask` picks the rows its exact
+numerosity reduction keeps.
 """
 
 from __future__ import annotations
@@ -134,3 +135,20 @@ def first_occurrence_ids(words: Sequence[str]) -> np.ndarray:
         dtype=np.int64,
         count=len(words),
     )
+
+
+def kept_window_mask(symbols: np.ndarray) -> np.ndarray:
+    """Exact-numerosity keep mask over a symbol-index matrix.
+
+    ``mask[i]`` is True when row ``i`` differs from row ``i - 1`` (row 0 is
+    always kept): exactly the windows
+    :func:`~repro.sax.numerosity.numerosity_reduction` keeps, decided on
+    integer symbol rows — two windows share a word iff their symbol rows
+    are equal — without materializing any strings.
+    """
+    matrix = np.asarray(symbols)
+    if matrix.ndim != 2:
+        raise ValueError(f"expected a 2-D symbol matrix, got shape {matrix.shape}")
+    keep = np.ones(len(matrix), dtype=bool)
+    keep[1:] = np.any(matrix[1:] != matrix[:-1], axis=1)
+    return keep

@@ -1,6 +1,6 @@
 """Regression tests for benchlib's disk caches and the strict() switch.
 
-Two cache bugs are pinned here:
+Three cache bugs are pinned here:
 
 - ``sweep_ensemble_scores`` built its cache key with
   ``int(selectivity * 100)``, so 0.29 truncated to 28 (binary float) and
@@ -9,6 +9,8 @@ Two cache bugs are pinned here:
 - ``run_main_suite`` validated a cached suite by its dataset set alone, so
   a method added to ``METHOD_ORDER`` silently reused a stale suite that
   did not contain it.
+- Neither key covered the detector's code, so scores cached before a change
+  to ``src/repro`` were served after it.
 """
 
 from __future__ import annotations
@@ -87,6 +89,44 @@ class TestSweepCacheKey:
         assert benchlib.sweep_ensemble_scores("GunPoint", **self.SWEEP_KWARGS) == canned
         assert first != canned
 
+    def test_changed_source_digest_forces_a_recompute(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(benchlib, "RESULTS_DIR", tmp_path)
+        first = benchlib.sweep_ensemble_scores("GunPoint", **self.SWEEP_KWARGS)
+        (cache,) = tmp_path.glob("sweep_*.json")
+        assert f"_src{benchlib.source_digest()}" in cache.name
+        cache.write_text(json.dumps([0.123]))
+        monkeypatch.setattr(benchlib, "source_digest", lambda: "0123456789ab")
+        assert benchlib.sweep_ensemble_scores("GunPoint", **self.SWEEP_KWARGS) == first
+        assert len(list(tmp_path.glob("sweep_*.json"))) == 2
+
+
+class TestSourceDigest:
+    def test_covers_python_and_c_sources(self, tmp_path, monkeypatch):
+        package = tmp_path / "repro"
+        (package / "grammar").mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "grammar" / "_kernel.c").write_text("int f(void) { return 0; }\n")
+        (package / "notes.txt").write_text("not a source")
+        fake = SimpleNamespace(__file__=str(package / "__init__.py"))
+        monkeypatch.setattr(benchlib, "repro", fake)
+
+        def digest() -> str:
+            benchlib.source_digest.cache_clear()
+            return benchlib.source_digest()
+
+        try:
+            first = digest()
+            assert len(first) == 12
+            (package / "notes.txt").write_text("still not a source")
+            assert digest() == first
+            (package / "grammar" / "_kernel.c").write_text("int f(void) { return 1; }\n")
+            second = digest()
+            assert second != first
+            (package / "__init__.py").write_text("VERSION = 2\n")
+            assert digest() not in (first, second)
+        finally:
+            benchlib.source_digest.cache_clear()
+
 
 class _StubScores(SimpleNamespace):
     pass
@@ -142,6 +182,19 @@ class TestSuiteCacheValidation:
         # The stale file was replaced on disk, not just bypassed.
         reloaded = json.loads(benchlib._suite_cache_path().read_text())
         assert set(reloaded[benchlib.DATASET_ORDER[0]]) == set(benchlib.METHOD_ORDER)
+
+    def test_changed_source_digest_triggers_recompute(self, tmp_path, monkeypatch):
+        calls = self._stub_suite(monkeypatch, tmp_path)
+        cached = {
+            dataset: {method: [0.9] for method in benchlib.METHOD_ORDER}
+            for dataset in benchlib.DATASET_ORDER
+        }
+        self._write_cache(cached)
+        monkeypatch.setattr(benchlib, "source_digest", lambda: "0123456789ab")
+        suite = benchlib.run_main_suite()
+        assert len(calls) == len(benchlib.DATASET_ORDER)
+        assert suite[benchlib.DATASET_ORDER[0]][benchlib.METHOD_ORDER[0]] == [0.5]
+        assert len(list(tmp_path.glob("suite_*.json"))) == 2
 
     def test_missing_dataset_triggers_recompute(self, tmp_path, monkeypatch):
         calls = self._stub_suite(monkeypatch, tmp_path)

@@ -281,12 +281,21 @@ class TestParity:
         for index, anomalies in pairs:
             assert anomalies == reference[index]
 
-    def test_detect_batch_chunked(self, cluster, batch):
+    def test_detect_batch_chunked(self, cluster, batch, monkeypatch):
+        """Nine series over two workers go out as three tasks of three
+        series each (about two chunks per worker), with unchanged results."""
+        batch = batch * 3
         reference = _detector().detect_batch(batch, 3)
-        assert (
-            _detector(executor=cluster).detect_batch(batch, 3, chunksize=2)
-            == reference
-        )
+        tasks = []
+        imap_unordered = cluster.imap_unordered
+
+        def recording(function, payloads, **kwargs):
+            tasks.append((function.__name__, [len(chunk[0]) for chunk in payloads]))
+            return imap_unordered(function, payloads, **kwargs)
+
+        monkeypatch.setattr(cluster, "imap_unordered", recording)
+        assert _detector(executor=cluster).detect_batch(batch, 3) == reference
+        assert tasks == [("_detect_series_chunk", [3, 3, 3])]
 
     def test_evaluate_methods(self, cluster):
         from repro.datasets.planting import make_corpus

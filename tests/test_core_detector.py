@@ -35,6 +35,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="exceeds"):
             GrammarAnomalyDetector(window=4, paa_size=5)
 
+    def test_unknown_numerosity_rejected(self):
+        with pytest.raises(ValueError, match="unknown numerosity 'bogus'"):
+            GrammarAnomalyDetector(window=50, numerosity="bogus")
+
 
 class TestPipelineStages:
     def test_tokenize_produces_reduced_tokens(self, frequency_anomaly_series):

@@ -137,6 +137,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="combiner"):
             EnsembleGrammarDetector(window=100, combiner="vote")
 
+    def test_invalid_numerosity(self):
+        with pytest.raises(ValueError, match="unknown numerosity 'bogus'"):
+            EnsembleGrammarDetector(window=100, numerosity="bogus")
+
     def test_invalid_ensemble_size(self):
         with pytest.raises(ValueError, match="ensemble_size"):
             EnsembleGrammarDetector(window=100, ensemble_size=0)

@@ -41,6 +41,7 @@ from repro.datasets.ucr_like import DATASETS
 from repro.grammar import _kernel
 from repro.grammar._kernel import FastSequitur, TokenLog
 from repro.grammar.sequitur import induce_grammar
+from repro.sax._kernel import sax_tokens
 from repro.sax.alphabet import WordInterner
 
 #: Token streams with heavy repetition (small alphabets make digram matches,
@@ -271,7 +272,8 @@ class TestFastKernelEquivalence:
     def test_member_sequences(self, dataset, w, a):
         case = make_corpus(DATASETS[dataset], n_cases=1, seed=3)[0]
         discretizer = MultiResolutionDiscretizer(case.series, case.gt_length, w, a)
-        stream = discretizer.token_ids(w, a).ids.tolist()
+        column = discretizer.alphabet_table.symbol_column(a)
+        stream = sax_tokens(discretizer.interval_matrix(w), column)[1].tolist()
         batched = FastSequitur()
         batched.feed_many(stream)
         assert len(stream) > 300 and _n_rules(batched) > 1

@@ -2,8 +2,9 @@
 
 The property battery (``test_sax_properties.py``) pins the discretization
 stage in isolation; this suite drives random series through the *whole*
-detector — batch ``detect()``/``ensemble_report()`` and streaming
-append/extend + poll — and asserts the end results are bitwise identical
+detector — batch ``detect()``/``ensemble_report()``, the single-run
+detector and the GI baselines built on it, and streaming append/extend +
+poll — and asserts the end results are bitwise identical
 to the pipeline composed from ``tests/oracles/`` (numpy SAX, word-fed
 Sequitur, production density and combiner): same anomaly positions, same
 member selection, same float64 curve bits.
@@ -17,11 +18,13 @@ import pytest
 from oracles import pipeline
 from oracles.interner import MAX_PACKED_WIDTH
 from repro.core.combiners import COMBINERS
+from repro.core.detector import GrammarAnomalyDetector
 from repro.core.ensemble import EnsembleGrammarDetector
 from repro.core.executors import as_executor
 from repro.core.streaming import StreamingEnsembleDetector, StreamingGrammarDetector
 from repro.datasets.planting import make_corpus
 from repro.datasets.ucr_like import DATASETS
+from repro.evaluation.baselines import make_baseline_factories
 
 WINDOW = 50
 CONFIG = dict(
@@ -62,6 +65,7 @@ def assert_batch_matches_oracle(series: np.ndarray, report, anomalies, **config)
     for ours, expected in zip(report.member_curves, oracle.member_curves, strict=True):
         assert ours.tobytes() == expected.tobytes()
     assert anomalies == pipeline.anomalies(oracle.curve, detector.window, 3)
+    return oracle
 
 
 def assert_poll_matches_oracle(detector: StreamingEnsembleDetector, fed: np.ndarray) -> None:
@@ -93,10 +97,12 @@ def planted():
     return {name: make_corpus(dataset, n_cases=1, seed=3)[0] for name, dataset in DATASETS.items()}
 
 
+@pytest.mark.parametrize("n_jobs", [1, 2])
 @pytest.mark.parametrize("seed", [1, 2])
-def test_batch_detect_matches_the_oracle(seed):
+def test_batch_detect_matches_the_oracle(seed, n_jobs):
     series = random_series(seed)
-    assert_batch_matches_oracle(series, *batch_result(series, None))
+    report, anomalies = batch_result(series, None, n_jobs=n_jobs)
+    assert_batch_matches_oracle(series, report, anomalies, n_jobs=n_jobs)
 
 
 def test_wide_word_batch_detect_matches_the_oracle():
@@ -109,11 +115,14 @@ def test_wide_word_batch_detect_matches_the_oracle():
     assert_batch_matches_oracle(series, report, anomalies, **config)
 
 
-def test_none_numerosity_batch_detect_matches_the_oracle():
-    """The ``"none"`` strategy takes the word path: every window a token."""
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_none_numerosity_batch_detect_matches_the_oracle(n_jobs):
+    """The ``"none"`` strategy keeps every window a token, in the same one
+    native call per member as ``"exact"``, fanned out like it."""
     series = random_series(11)
-    report, anomalies = batch_result(series, None, numerosity="none")
-    assert_batch_matches_oracle(series, report, anomalies, numerosity="none")
+    config = dict(numerosity="none", n_jobs=n_jobs)
+    report, anomalies = batch_result(series, None, **config)
+    assert_batch_matches_oracle(series, report, anomalies, **config)
 
 
 @pytest.mark.parametrize("combiner", COMBINERS)
@@ -129,7 +138,23 @@ def test_planted_case_batch_detect_matches_the_oracle(planted, dataset, numerosi
     case = planted[dataset]
     config = dict(window=case.gt_length, ensemble_size=8, seed=7, numerosity=numerosity)
     report, anomalies = batch_result(case.series, None, **config)
-    assert_batch_matches_oracle(case.series, report, anomalies, **config)
+    oracle = assert_batch_matches_oracle(case.series, report, anomalies, **config)
+    # The single-run detector of each member's (w, a) is that member.
+    for (w, a), expected in zip(report.parameters, oracle.member_curves, strict=True):
+        single = GrammarAnomalyDetector(case.gt_length, w, a, numerosity=numerosity)
+        assert single.density_curve(case.series).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("method", ["GI-Fix", "GI-Random", "GI-Select"])
+@pytest.mark.parametrize("dataset", DATASETS)
+def test_planted_case_gi_baselines_match_the_oracle(planted, dataset, method):
+    case = planted[dataset]
+    window = case.gt_length
+    detector = make_baseline_factories(seed=1)[method](window)
+    anomalies = detector.detect(case.series, 3)
+    w, a = getattr(detector, "last_parameters", None) or (4, 4)
+    expected = pipeline.member_curve(case.series, window, w, a)
+    assert anomalies == pipeline.anomalies(expected, window, 3)
 
 
 def test_batch_detect_matches_the_oracle_across_executors(executor_kind):

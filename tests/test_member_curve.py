@@ -4,7 +4,7 @@
 pipeline in C. Its contract is the chain it replaces —
 ``sax_tokens -> feed_many -> occurrence_spans ->
 density_curve_from_token_spans`` — byte for byte, with the same error for
-every bad input. The chain's stages are native too and pinned against the
+every bad input, with exact numerosity reduction and without. The chain's stages are native too and pinned against the
 Python oracles by their own suites; real members of a series are also
 checked against the whole oracle pipeline of ``tests/oracles/`` here.
 """
@@ -31,9 +31,9 @@ from repro.sax.breakpoints import MultiResolutionAlphabet
 TABLE = MultiResolutionAlphabet(10, 2)
 
 
-def chain(intervals, symbols, window, length):
+def chain(intervals, symbols, window, length, reduce=True):
     """The four calls ``member_curve`` fuses, as the engine used to make them."""
-    offsets, ids = sax_tokens(intervals, symbols)
+    offsets, ids = sax_tokens(intervals, symbols, reduce=reduce)
     if not len(ids):
         raise ValueError("cannot induce a grammar from an empty token sequence")
     builder = FastSequitur()
@@ -45,7 +45,8 @@ def chain(intervals, symbols, window, length):
 @st.composite
 def members(draw):
     """An interval matrix over the merged 2..10 table, one alphabet column,
-    a window and a curve length around the matrix's natural one."""
+    a window, a curve length around the matrix's natural one and whether to
+    reduce."""
     width = draw(st.integers(1, 10))
     rows = draw(st.integers(1, 120))
     alphabet = draw(st.integers(2, 10))
@@ -59,12 +60,12 @@ def members(draw):
     window = draw(st.integers(1, 40))
     natural = rows + window - 1
     length = draw(st.integers(max(1, natural - 15), natural + 15))
-    return intervals, column, window, length
+    return intervals, column, window, length, draw(st.booleans())
 
 
-def check(intervals, column, window, length):
-    expected = chain(intervals, column, window, length)
-    curve, phase_ns = member_curve(intervals, column, window, length)
+def check(intervals, column, window, length, reduce=True):
+    expected = chain(intervals, column, window, length, reduce)
+    curve, phase_ns = member_curve(intervals, column, window, length, reduce=reduce)
     assert curve.dtype == np.float64 and curve.shape == (length,)
     assert curve.tobytes() == expected.tobytes()
     assert len(phase_ns) == 4 and all(ns >= 0 for ns in phase_ns)
@@ -73,23 +74,28 @@ def check(intervals, column, window, length):
 class TestDifferential:
     @settings(max_examples=300, deadline=None)
     @given(member=members())
-    @example(member=(np.zeros((1, 1), dtype=np.intp), TABLE.symbol_column(2), 1, 1))
-    @example(member=(np.zeros((1, 10), dtype=np.intp), TABLE.symbol_column(10), 10, 10))
-    @example(member=(np.full((50, 10), 3, dtype=np.intp), TABLE.symbol_column(4), 5, 54))
-    @example(member=(np.tile([[0], [1]], (40, 1)).astype(np.intp), TABLE.symbol_column(2), 3, 82))
+    @example(member=(np.zeros((1, 1), dtype=np.intp), TABLE.symbol_column(2), 1, 1, True))
+    @example(member=(np.zeros((1, 10), dtype=np.intp), TABLE.symbol_column(10), 10, 10, True))
+    @example(member=(np.full((50, 10), 3, dtype=np.intp), TABLE.symbol_column(4), 5, 54, True))
+    @example(member=(np.full((50, 10), 3, dtype=np.intp), TABLE.symbol_column(4), 5, 54, False))
+    @example(
+        member=(np.tile([[0], [1]], (40, 1)).astype(np.intp), TABLE.symbol_column(2), 3, 82, True)
+    )
     def test_equals_the_chain(self, member):
         check(*member)
 
+    @pytest.mark.parametrize("numerosity", ["exact", "none"])
     @pytest.mark.parametrize("alphabet", range(2, 11))
     @pytest.mark.parametrize("width", [1, 10])
-    def test_real_members_of_a_series(self, alphabet, width):
+    def test_real_members_of_a_series(self, alphabet, width, numerosity):
         series = np.cumsum(np.random.default_rng(alphabet * width).standard_normal(1500))
         discretizer = MultiResolutionDiscretizer(series, 60, 10, 10)
         intervals = discretizer.interval_matrix(width)
         column = discretizer.alphabet_table.symbol_column(alphabet)
-        check(intervals, column, 60, len(series))
-        curve, _ = member_curve(intervals, column, 60, len(series))
-        expected = pipeline.member_curve(series, 60, width, alphabet)
+        reduce = numerosity == "exact"
+        check(intervals, column, 60, len(series), reduce)
+        curve, _ = member_curve(intervals, column, 60, len(series), reduce=reduce)
+        expected = pipeline.member_curve(series, 60, width, alphabet, numerosity=numerosity)
         assert curve.tobytes() == expected.tobytes()
 
     def test_all_equal_rows_give_a_zero_curve(self):

@@ -5,10 +5,10 @@
 ``np.searchsorted(..., side="right")`` over them: integer and fractional
 segment widths, ring-buffer ``origin`` offsets, constant and near-constant
 windows, ``paa_size`` up to ``window``, alphabets up to 26 and values
-sitting exactly on a breakpoint. ``sax_tokens`` (through
-``MultiResolutionDiscretizer.token_ids``) must keep the windows the oracle's
-words keep after numerosity reduction, with the oracle's first-occurrence
-ids, at any word width, so the grammar spans are identical. The ctypes
+sitting exactly on a breakpoint. ``sax_tokens`` (over a
+``MultiResolutionDiscretizer``'s interval matrices) must keep the windows
+the oracle's words keep under either numerosity strategy, with the oracle's
+first-occurrence ids, at any word width, so the grammar spans are identical. The ctypes
 wrappers check their inputs before any C call.
 """
 
@@ -27,6 +27,7 @@ from oracles.sequitur import induce_grammar
 from repro.core.multiresolution import MultiResolutionDiscretizer
 from repro.grammar._kernel import FastSequitur
 from repro.sax import _kernel
+from repro.sax.alphabet import index_matrix_to_words
 from repro.sax.breakpoints import MultiResolutionAlphabet, gaussian_breakpoints
 
 FLAVORS = ("walk", "constant", "near_constant", "plateaus")
@@ -175,12 +176,24 @@ class TestSaxIntervals:
         assert intervals[-2, 0] == alphabet_size - 1  # NaN sorts past every break
 
 
-def reference_ids(discretizer, w, a):
+def production_ids(discretizer, w, a, numerosity="exact"):
+    """The native pass's ``(offsets, ids)`` for one member."""
+    return _kernel.sax_tokens(
+        discretizer.interval_matrix(w),
+        discretizer.alphabet_table.symbol_column(a),
+        reduce=numerosity == "exact",
+    )
+
+
+def reference_ids(discretizer, w, a, numerosity="exact"):
     """The oracle's words and token ids for the same member."""
-    tokens = pipeline.member_tokens(discretizer.series, discretizer.window, w, a)
-    production = discretizer.tokens(w, a)
-    assert tokens.words == production.words
-    assert np.array_equal(tokens.offsets, production.offsets)
+    tokens = pipeline.member_tokens(
+        discretizer.series, discretizer.window, w, a, numerosity=numerosity
+    )
+    offsets, _ = production_ids(discretizer, w, a, numerosity)
+    symbols = discretizer.alphabet_table.symbols_for(discretizer.interval_matrix(w), a)
+    assert list(tokens.words) == index_matrix_to_words(symbols[offsets])
+    assert np.array_equal(tokens.offsets, offsets)
     return tokens, first_occurrence_ids(tokens.words)
 
 
@@ -203,22 +216,25 @@ class TestSaxTokens:
         window=st.integers(8, 40),
         w=st.integers(2, 20),
         a=st.integers(2, 26),
+        numerosity=st.sampled_from(["exact", "none"]),
     )
-    def test_token_ids_match_the_reference_tokens(self, seed, flavor, window, w, a):
+    def test_token_ids_match_the_reference_tokens(
+        self, seed, flavor, window, w, a, numerosity
+    ):
         w = min(w, window)
         series = make_series(seed, 200, flavor)
         fast = MultiResolutionDiscretizer(series, window, w, 26)
-        ids = fast.token_ids(w, a)
-        tokens, expected = reference_ids(fast, w, a)
-        assert np.array_equal(ids.offsets, tokens.offsets)
-        assert (ids.n_windows, ids.window) == (tokens.n_windows, tokens.window)
+        offsets, ids = production_ids(fast, w, a, numerosity)
+        tokens, expected = reference_ids(fast, w, a, numerosity)
+        assert np.array_equal(offsets, tokens.offsets)
+        assert (fast.n_windows, fast.window) == (tokens.n_windows, tokens.window)
         # First-occurrence numbering of the same equality pattern is the
         # same sequence, so the ids equal the oracle's ids outright, and the
         # native grammar over them has the word grammar's spans.
-        assert same_pattern(ids.ids, tokens.words)
-        assert ids.ids.dtype == np.int64 and np.array_equal(ids.ids, expected)
+        assert same_pattern(ids, tokens.words)
+        assert ids.dtype == np.int64 and np.array_equal(ids, expected)
         reference_spans = induce_grammar(tokens.words).occurrence_spans()
-        assert all(np.array_equal(x, y) for x, y in zip(spans(ids.ids), reference_spans))
+        assert all(np.array_equal(x, y) for x, y in zip(spans(ids), reference_spans))
 
     @pytest.mark.parametrize("w", [12, 13, 16, 20])
     def test_wide_words_are_not_a_special_case(self, w):
@@ -226,12 +242,12 @@ class TestSaxTokens:
         series = np.tile(np.sin(np.linspace(0, 2 * np.pi, 40)), 15)
         series += 0.05 * np.random.default_rng(w).standard_normal(len(series))
         fast = MultiResolutionDiscretizer(series, 40, 20, 6)
-        ids = fast.token_ids(w, 6)
+        offsets, ids = production_ids(fast, w, 6)
         tokens, expected = reference_ids(fast, w, 6)
-        assert len(set(ids.ids.tolist())) < len(ids)  # some word repeats
-        assert np.array_equal(ids.offsets, tokens.offsets)
-        assert same_pattern(ids.ids, tokens.words)
-        assert np.array_equal(ids.ids, expected)
+        assert len(set(ids.tolist())) < len(ids)  # some word repeats
+        assert np.array_equal(offsets, tokens.offsets)
+        assert same_pattern(ids, tokens.words)
+        assert np.array_equal(ids, expected)
 
     def test_ids_are_dense_first_occurrence(self):
         intervals = np.asarray([[3, 1], [3, 1], [0, 2], [3, 1], [2, 2], [0, 2]], dtype=np.intp)
@@ -240,6 +256,10 @@ class TestSaxTokens:
         # Symbol rows: ba ba ab ba bb ab -> runs kept at 0, 2, 3, 4, 5.
         assert offsets.tolist() == [0, 2, 3, 4, 5]
         assert ids.tolist() == [0, 1, 0, 2, 1]
+        # Without reduction every window is a token, numbered the same way.
+        offsets, ids = _kernel.sax_tokens(intervals, symbols, reduce=False)
+        assert offsets.tolist() == [0, 1, 2, 3, 4, 5]
+        assert ids.tolist() == [0, 0, 1, 0, 2, 1]
         empty = _kernel.sax_tokens(np.empty((0, 2), dtype=np.intp), symbols)
         assert [len(part) for part in empty] == [0, 0]
 
@@ -335,7 +355,7 @@ class TestNativeGuards:
         with pytest.raises((TypeError, ValueError, pickle.PicklingError)):
             pickle.dumps(_kernel._lib.sax_tokens)
         series = make_series(1, 300, "walk")
-        ids = MultiResolutionDiscretizer(series, 30, 6, 6).token_ids(6, 6)
-        restored = pickle.loads(pickle.dumps(ids))
-        assert np.array_equal(restored.ids, ids.ids)
-        assert np.array_equal(restored.offsets, ids.offsets)
+        tokens = production_ids(MultiResolutionDiscretizer(series, 30, 6, 6), 6, 6)
+        restored = pickle.loads(pickle.dumps(tokens))
+        assert np.array_equal(restored[1], tokens[1])
+        assert np.array_equal(restored[0], tokens[0])

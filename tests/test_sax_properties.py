@@ -19,11 +19,11 @@ import pytest
 
 from oracles.interner import MAX_PACKED_WIDTH, pack_symbol_rows
 from oracles.interner import WordInterner as OracleInterner
-from oracles.sax import interval_rows_from, sliding_paa_rows
+from oracles.sax import interval_rows_from, kept_window_mask, sliding_paa_rows
 from repro.core.engine import SharedStreamState
 from repro.sax.alphabet import WordInterner, index_matrix_to_words
 from repro.sax.breakpoints import gaussian_breakpoints, symbol_indices
-from repro.sax.numerosity import kept_window_mask, numerosity_reduction
+from repro.sax.numerosity import numerosity_reduction
 from repro.sax.paa import CumulativeStats
 from repro.sax.plan import DiscretizationPlan
 from repro.sax.sax import discretize, sax_word

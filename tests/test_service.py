@@ -424,6 +424,8 @@ class TestDetectServiceValidation:
                     await service.detect(make_series(0), window=1)
                 with pytest.raises(BadRequest, match="invalid detector configuration"):
                     await service.detect(make_series(0), window=50, no_such_option=1)
+                with pytest.raises(BadRequest, match="unknown numerosity 'bogus'"):
+                    await service.detect(make_series(0), window=50, numerosity="bogus")
                 with pytest.raises(BadRequest, match="1-dimensional"):
                     await service.detect(np.zeros((4, 4)), window=50)
                 with pytest.raises(BadRequest, match="k must be positive"):

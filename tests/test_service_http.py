@@ -143,6 +143,16 @@ class TestHttpBasics:
         assert status == 400
         assert "bogus" in body["error"]["message"]
 
+    def test_unknown_numerosity_400(self, server):
+        status, body = request(
+            server,
+            "POST",
+            "/detect",
+            {"series": [1.0] * 100, "window": 10, "numerosity": "bogus"},
+        )
+        assert status == 400
+        assert "invalid detector configuration" in body["error"]["message"]
+
     def test_oversized_request_line_431(self, server):
         """A >64KiB request line gets a status, not a dropped connection."""
         req = urllib.request.Request(
