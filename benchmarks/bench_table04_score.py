@@ -8,13 +8,28 @@ Shape checks (the claims of Section 7.1.4):
 - the ensemble beats every single-parameter GI variant on (nearly) every
   dataset;
 - the ensemble is competitive with Discord overall.
+
+At the reduced default scale the per-case Scores of all five methods must
+also equal the committed golden (``benchmarks/golden/table04_scores.json``)
+exactly: a change to the detection pipeline that moves any detection shows
+here by dataset, method and case.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import json
 
-from benchlib import DATASET_ORDER, METHOD_ORDER, PAPER_TABLE4, scale_note
+import numpy as np
+import pytest
+
+from benchlib import (
+    DATASET_ORDER,
+    METHOD_ORDER,
+    PAPER_TABLE4,
+    SCORE_GOLDEN,
+    scale_note,
+    score_golden,
+)
 from repro.evaluation.tables import format_float, format_table
 
 
@@ -48,3 +63,25 @@ def bench_table04_average_score(suite_results, report):
     proposed_macro = np.mean([averages[d]["Proposed"] for d in DATASET_ORDER])
     discord_macro = np.mean([averages[d]["Discord"] for d in DATASET_ORDER])
     assert proposed_macro >= 0.75 * discord_macro
+
+
+def bench_table04_scores_match_golden(suite_results):
+    golden = json.loads(SCORE_GOLDEN.read_text())
+    measured = score_golden(suite_results)
+    scale = ("n_cases", "corpus_seed", "method_seed")
+    if any(measured[key] != golden[key] for key in scale):
+        pytest.skip(f"the golden holds the reduced default scale ({golden['n_cases']} cases)")
+    expected = golden["scores"]
+    diffs = []
+    for dataset in DATASET_ORDER:
+        for method in METHOD_ORDER:
+            want, got = expected[dataset][method], measured["scores"][dataset][method]
+            if len(want) != len(got):
+                diffs.append(f"{dataset} {method}: {len(got)} cases, golden has {len(want)}")
+                continue
+            diffs.extend(
+                f"{dataset} {method} case {case}: {value!r} != golden {reference!r}"
+                for case, (value, reference) in enumerate(zip(got, want))
+                if value != reference
+            )
+    assert not diffs, "per-case Scores moved off the golden:\n" + "\n".join(diffs)

@@ -81,6 +81,10 @@ GI_BASELINES = ["GI-Random", "GI-Fix", "GI-Select"]
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
+#: The reduced-scale suite's per-case Scores, committed: every detection
+#: change must leave them equal (``bench_table04_score.py`` asserts it).
+SCORE_GOLDEN = Path(__file__).parent / "golden" / "table04_scores.json"
+
 # ----------------------------------------------------------------------
 # Paper-reported values (embedded so each bench prints paper vs measured).
 # ----------------------------------------------------------------------
@@ -258,6 +262,16 @@ def run_main_suite() -> dict[str, dict[str, list[float]]]:
     RESULTS_DIR.mkdir(exist_ok=True)
     cache.write_text(json.dumps(results, indent=1))
     return results
+
+
+def score_golden(suite: dict[str, dict[str, list[float]]]) -> dict:
+    """The :data:`SCORE_GOLDEN` document of a suite run: its scale and scores."""
+    return {
+        "n_cases": N_CASES,
+        "corpus_seed": CORPUS_SEED,
+        "method_seed": METHOD_SEED,
+        "scores": suite,
+    }
 
 
 def best_gi_baseline_scores(suite: dict[str, dict[str, list[float]]], dataset: str) -> list[float]:
