@@ -16,11 +16,10 @@ Shape check: the shared path is substantially faster than the naive path
 from __future__ import annotations
 
 from benchlib import scale_note
+from oracles.sax import discretize, numerosity_reduction
 from repro.core.multiresolution import MultiResolutionDiscretizer
 from repro.datasets.generators import synthetic_ecg
 from repro.evaluation.tables import format_table
-from repro.sax.numerosity import numerosity_reduction
-from repro.sax.sax import discretize
 from repro.utils.timing import Timer
 
 LENGTH = 20_000

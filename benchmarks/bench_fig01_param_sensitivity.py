@@ -23,7 +23,7 @@ GRID_W = range(2, 11)
 GRID_A = range(2, 11)
 
 
-def bench_fig01_parameter_sensitivity(benchmark, report):
+def bench_fig01_parameter_sensitivity(report):
     series, anomaly = dishwasher_series(n_cycles=20, seed=0)
     window = anomaly.length
 
@@ -40,7 +40,7 @@ def bench_fig01_parameter_sensitivity(benchmark, report):
         )
         return grid, ensemble_score
 
-    grid, ensemble_score = benchmark.pedantic(build, rounds=1, iterations=1)
+    grid, ensemble_score = build()
 
     rows = []
     for w in GRID_W:

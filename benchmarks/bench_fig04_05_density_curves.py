@@ -23,7 +23,7 @@ from repro.utils.sparkline import sparkline
 MEMBERS = [(5, 5), (7, 4), (4, 8), (3, 3), (9, 9), (2, 2)]
 
 
-def bench_fig04_05_density_curves(benchmark, report):
+def bench_fig04_05_density_curves(report):
     case = make_test_case(DATASETS["TwoLeadECG"], seed=3)
     window = case.gt_length
 
@@ -36,7 +36,7 @@ def bench_fig04_05_density_curves(benchmark, report):
         members.sort(key=lambda item: -item[2])
         return members
 
-    members = benchmark.pedantic(run, rounds=1, iterations=1)
+    members = run()
 
     lines = [
         "Figure 4: ECG test series and one rule density curve",

@@ -44,8 +44,8 @@ def _measure() -> dict[str, dict[int, tuple[float, float]]]:
     return results
 
 
-def bench_fig08_scalability(benchmark, report):
-    results = benchmark.pedantic(_measure, rounds=1, iterations=1)
+def bench_fig08_scalability(report):
+    results = _measure()
 
     sections = []
     for name in GENERATORS:

@@ -22,7 +22,7 @@ LENGTH = 600_000 if FULL else 120_000
 WINDOW = 900
 
 
-def bench_fig09_fridge_freezer(benchmark, report):
+def bench_fig09_fridge_freezer(report):
     series, truths = fridge_freezer_series(length=LENGTH, seed=0)
 
     detector = EnsembleGrammarDetector(WINDOW, seed=0)
@@ -32,7 +32,7 @@ def bench_fig09_fridge_freezer(benchmark, report):
             candidates = detector.detect(series, k=3)
         return candidates, timer.elapsed
 
-    candidates, elapsed = benchmark.pedantic(run, rounds=1, iterations=1)
+    candidates, elapsed = run()
 
     def matching_truth(candidate):
         for truth in truths:

@@ -35,12 +35,12 @@ import numpy as np
 
 from benchlib import FULL, RESULTS_DIR, scale_note, strict
 from oracles import pipeline
+from oracles.pipeline import rule_density_curve
+from oracles.sax import numerosity_reduction
 from oracles.sequitur import SequiturBuilder
 from repro.core.streaming import StreamingGrammarDetector
 from repro.datasets.generators import random_walk
 from repro.evaluation.tables import format_table
-from repro.grammar.density import rule_density_curve
-from repro.sax.numerosity import numerosity_reduction
 from repro.sax.sax import sax_word
 from repro.utils.timing import Timer
 from runner.schema import write_bench_payload

@@ -24,7 +24,7 @@ PAPER = {
 }
 
 
-def bench_table03_dataset_properties(benchmark, report):
+def bench_table03_dataset_properties(report):
     def build() -> list[list[str]]:
         rows = []
         for name in DATASET_ORDER:
@@ -44,7 +44,7 @@ def bench_table03_dataset_properties(benchmark, report):
             )
         return rows
 
-    rows = benchmark.pedantic(build, rounds=1, iterations=1)
+    rows = build()
     table = format_table(
         [
             "Dataset",

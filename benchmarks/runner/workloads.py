@@ -470,6 +470,43 @@ def _detect_one(
     return {"ms_per_detect": elapsed / calls * 1e3}
 
 
+# Case 0 of each dataset's reduced-scale corpus, generated once per process.
+_planted_cache: dict[str, object] = {}
+
+
+def planted_case(dataset: str):
+    """Case 0 of ``dataset``'s evaluation corpus (corpus seed 0), as the
+    reduced-scale paper suite generates it."""
+    if dataset not in _planted_cache:
+        from repro.datasets.planting import make_corpus
+        from repro.datasets.ucr_like import DATASETS
+
+        _planted_cache[dataset] = make_corpus(DATASETS[dataset], n_cases=1, seed=0)[0]
+    return _planted_cache[dataset]
+
+
+def gi_select_detect_once(dataset: str, calls: int = 5) -> float:
+    """Seconds for ``calls`` GI-Select detections of one planted case.
+
+    Each detect runs the ``(w, a)`` grid search over the leading sample
+    (a tenth of the series, at least two windows) and then the chosen
+    single-run detector over the whole series, at the case's window.
+    """
+    from repro.evaluation.baselines import GISelectDetector
+
+    case = planted_case(dataset)
+    detector = GISelectDetector(case.gt_length)
+    with Timer() as timer:
+        for _ in range(calls):
+            detector.detect(case.series, 3)
+    return timer.elapsed
+
+
+@register("gi_select_detect")
+def _gi_select_detect(*, dataset: str, calls: int = 5):
+    return {"ms_per_detect": gi_select_detect_once(dataset, calls) / calls * 1e3}
+
+
 def service_detect_once(
     executor: str,
     points: int,

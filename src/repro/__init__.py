@@ -24,7 +24,7 @@ Package map
 - :mod:`repro.core` — the ensemble detector (Algorithm 1) and the
   single-run grammar-induction detector it generalizes.
 - :mod:`repro.sax` — z-normalization, PAA/FastPAA, breakpoints, SAX words,
-  numerosity reduction.
+  native tokenization with numerosity reduction.
 - :mod:`repro.grammar` — Sequitur and the rule density curve.
 - :mod:`repro.discord` — matrix profile (brute/MASS/STAMP/STOMP) and HOTSAX.
 - :mod:`repro.datasets` — synthetic UCR-like datasets, planting harness,
@@ -50,14 +50,8 @@ from repro.core import (
     as_executor,
 )
 from repro.discord import DiscordDetector, HotSaxDetector, hotsax_discords, matrix_profile_stomp
-from repro.grammar import (
-    Grammar,
-    RRADetector,
-    discover_motifs,
-    induce_grammar,
-    rule_density_curve,
-)
-from repro.sax import discretize, numerosity_reduction, sax_word
+from repro.grammar import Grammar, RRADetector, discover_motifs, induce_grammar
+from repro.sax import sax_word
 
 __version__ = "1.0.0"
 
@@ -83,11 +77,8 @@ __all__ = [
     "__version__",
     "as_executor",
     "discover_motifs",
-    "discretize",
     "hotsax_discords",
     "induce_grammar",
     "matrix_profile_stomp",
-    "numerosity_reduction",
-    "rule_density_curve",
     "sax_word",
 ]

@@ -15,9 +15,12 @@ ensemble member's one native call
 (:func:`repro.core.engine.compute_member_curves` with the single pair
 ``(w, a)``), so it equals that member's curve byte for byte.
 :meth:`GrammarAnomalyDetector.tokenize` and
-:meth:`GrammarAnomalyDetector.grammar` keep the word-level pipeline for
-callers that need the words or the :class:`~repro.grammar.rules.Grammar`
-itself.
+:meth:`GrammarAnomalyDetector.grammar` (and through them RRA and motif
+discovery) take the same native token ids
+(:meth:`~repro.core.multiresolution.MultiResolutionDiscretizer.token_ids`),
+feed them to a native Sequitur builder and freeze the
+:class:`~repro.grammar.rules.Grammar` with one word string per distinct
+token, never one per window.
 """
 
 from __future__ import annotations
@@ -27,17 +30,13 @@ import numpy as np
 from repro.core.anomaly import Anomaly, extract_candidates
 from repro.core.engine import compute_member_curves
 from repro.core.executors import StatelessBatchMixin
+from repro.core.multiresolution import MultiResolutionDiscretizer
+from repro.grammar._kernel import make_builder
 from repro.grammar.rules import Grammar
-from repro.grammar.sequitur import induce_grammar
-from repro.sax.numerosity import STRATEGIES, TokenSequence, numerosity_reduction
-from repro.sax.sax import discretize
+from repro.sax.alphabet import index_matrix_to_words
+from repro.sax.numerosity import STRATEGIES, TokenSequence
 from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD
-from repro.utils.validation import (
-    ensure_time_series,
-    validate_alphabet_size,
-    validate_paa_size,
-    validate_window,
-)
+from repro.utils.validation import validate_alphabet_size, validate_paa_size
 
 
 class GrammarAnomalyDetector(StatelessBatchMixin):
@@ -95,16 +94,40 @@ class GrammarAnomalyDetector(StatelessBatchMixin):
 
     def tokenize(self, series: np.ndarray) -> TokenSequence:
         """Discretize and numerosity-reduce ``series``."""
-        series = ensure_time_series(series, name="series", min_length=2)
-        validate_window(self.window, len(series))
-        words = discretize(
-            series, self.window, self.paa_size, self.alphabet_size, self.znorm_threshold
-        )
-        return numerosity_reduction(words, self.window, self.numerosity)
+        return self._induce(series)[1]
 
     def grammar(self, series: np.ndarray) -> Grammar:
         """Induce the Sequitur grammar of the discretized series."""
-        return induce_grammar(self.tokenize(series).words)
+        return self._induce(series)[0]
+
+    def _induce(self, series: np.ndarray) -> tuple[Grammar, TokenSequence]:
+        """The grammar of ``series`` and the token sequence it was induced from.
+
+        The member's native token ids are fed to a native Sequitur builder;
+        the word of each id is decoded once, from the symbol row of the
+        id's first kept window, to freeze the grammar and name the tokens.
+        """
+        discretizer = MultiResolutionDiscretizer(
+            series,
+            self.window,
+            self.paa_size,
+            self.alphabet_size,
+            znorm_threshold=self.znorm_threshold,
+            numerosity=self.numerosity,
+        )
+        offsets, ids = discretizer.token_ids(self.paa_size, self.alphabet_size)
+        _, first_kept = np.unique(ids, return_index=True)
+        vocabulary = index_matrix_to_words(
+            discretizer.alphabet_table.symbols_for(
+                discretizer.interval_matrix(self.paa_size)[offsets[first_kept]],
+                self.alphabet_size,
+            )
+        )
+        builder = make_builder()
+        builder.feed_many(ids)
+        words = tuple(vocabulary[token] for token in ids.tolist())
+        tokens = TokenSequence(words, offsets, discretizer.n_windows, self.window)
+        return builder.freeze(vocabulary), tokens
 
     def density_curve(self, series: np.ndarray) -> np.ndarray:
         """Rule density curve of ``series`` (length ``len(series)``): the

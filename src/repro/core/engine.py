@@ -618,7 +618,7 @@ def compute_member_curves(
         return _kernel.member_curve(pair[0], pair[1], window, length, reduce=reduce)
 
     curves: list[np.ndarray] = [np.empty(0)] * len(parameters)
-    for index, (curve, phase_ns) in zip(order, fan_out(member, inputs, jobs)):
+    for index, (curve, phase_ns, _) in zip(order, fan_out(member, inputs, jobs)):
         curves[index] = curve
         merge(_member_stage_times(phase_ns))
     return curves

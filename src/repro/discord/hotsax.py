@@ -12,20 +12,20 @@ matrix-profile methods. It searches for the subsequence with the largest
 Worst case O(N^2 m), typically far less. Distances follow the same
 z-normalized Euclidean conventions as :mod:`repro.discord.matrix_profile`,
 so on any input the top discord matches the brute-force matrix profile's
-maximum.
+maximum. Windows are bucketed by their SAX word's native token id
+(:meth:`~repro.core.multiresolution.MultiResolutionDiscretizer.token_ids`
+without numerosity reduction): equal words, equal ids, no word strings.
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
 
 import numpy as np
 
 from repro.core.anomaly import Anomaly
 from repro.core.executors import StatelessBatchMixin
+from repro.core.multiresolution import MultiResolutionDiscretizer
 from repro.discord.discords import Discord
 from repro.discord.matrix_profile import _is_constant, default_exclusion
-from repro.sax.sax import discretize
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import ensure_time_series, validate_window
 
@@ -55,8 +55,8 @@ def _find_single_discord(
     window: int,
     exclusion: int,
     outer_order: list[int],
-    buckets: dict[str, list[int]],
-    words: list[str],
+    buckets: list[list[int]],
+    ids: list[int],
     excluded: np.ndarray,
     rng: np.random.Generator,
 ) -> Discord | None:
@@ -74,7 +74,7 @@ def _find_single_discord(
         if excluded[i]:
             continue
         # Inner loop: same-word positions first, then the rest shuffled.
-        same_word = [j for j in buckets[words[i]] if abs(j - i) > exclusion]
+        same_word = [j for j in buckets[ids[i]] if abs(j - i) > exclusion]
         nearest = np.inf
         i_constant = bool(constant[i])
 
@@ -131,6 +131,18 @@ def _nearest_index(
     return int(np.argmin(distances))
 
 
+def _buckets_and_order(
+    ids: np.ndarray, rng: np.random.Generator
+) -> tuple[list[list[int]], list[int]]:
+    """Each word's window positions (ascending, indexed by token id) and the
+    outer loop order: rarest words first, random inside each bucket-size
+    class (one draw per window, in window order)."""
+    counts = np.bincount(ids)
+    positions = np.split(np.argsort(ids, kind="stable"), np.cumsum(counts)[:-1])
+    order = np.lexsort((rng.random(len(ids)), counts[ids]))
+    return [bucket.tolist() for bucket in positions], order.tolist()
+
+
 def hotsax_discords(
     series: np.ndarray,
     window: int,
@@ -165,18 +177,18 @@ def hotsax_discords(
         raise ValueError(f"k must be positive, got {k}")
     exclusion = default_exclusion(window) if exclusion is None else int(exclusion)
     rng = ensure_rng(seed)
-    words = discretize(series, window, paa_size, alphabet_size)
-    buckets: dict[str, list[int]] = defaultdict(list)
-    for position, word in enumerate(words):
-        buckets[word].append(position)
-    # Outer order: rarest words first, random inside each bucket-size class.
-    order = sorted(range(len(words)), key=lambda i: (len(buckets[words[i]]), rng.random()))
+    discretizer = MultiResolutionDiscretizer(
+        series, window, paa_size, alphabet_size, numerosity="none"
+    )
+    _, ids = discretizer.token_ids(paa_size, alphabet_size)
+    buckets, order = _buckets_and_order(ids, rng)
     normalized, constant = _normalized_subsequences(series, window)
-    excluded = np.zeros(len(words), dtype=bool)
+    excluded = np.zeros(len(ids), dtype=bool)
+    ids = ids.tolist()
     discords: list[Discord] = []
     for _ in range(k):
         found = _find_single_discord(
-            normalized, constant, window, exclusion, order, buckets, words, excluded, rng
+            normalized, constant, window, exclusion, order, buckets, ids, excluded, rng
         )
         if found is None:
             break

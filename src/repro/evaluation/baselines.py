@@ -8,12 +8,15 @@
   unsupervised optimization on the first 10% of the (normal) series,
   following the GrammarViz 3.0 procedure [19]: prefer the discretization
   whose grammar *covers* the normal sample best, breaking ties by grammar
-  description length (see :func:`select_parameters`).
+  description length (see :func:`select_parameters`). Each grid cell is one
+  native member call over a discretization shared by the whole grid.
 - **Discord** — the STOMP matrix-profile discord detector
   (:class:`repro.discord.discords.DiscordDetector`).
 
 All baselines implement the common ``detect(series, k)`` protocol, so the
-harness treats them interchangeably with the ensemble.
+harness treats them interchangeably with the ensemble. GI-Random and
+GI-Select check their ``[2, wmax] x [2, amax]`` ranges at construction with
+the ensemble's rules (``wmax`` is capped by the window).
 """
 
 from __future__ import annotations
@@ -25,13 +28,26 @@ import numpy as np
 from repro.core.anomaly import Anomaly
 from repro.core.detector import GrammarAnomalyDetector
 from repro.core.ensemble import EnsembleGrammarDetector
+from repro.core.multiresolution import MultiResolutionDiscretizer
 from repro.discord.discords import DiscordDetector
-from repro.grammar.density import rule_density_curve
-from repro.grammar.sequitur import induce_grammar
-from repro.sax.numerosity import numerosity_reduction
-from repro.sax.sax import discretize
+from repro.grammar._kernel import member_curve
 from repro.utils.rng import RandomState, ensure_rng
-from repro.utils.validation import ensure_time_series, validate_window
+from repro.utils.validation import (
+    ensure_time_series,
+    validate_alphabet_size,
+    validate_paa_size,
+    validate_window,
+)
+
+
+def _grid_bounds(window: int, max_paa_size: int, max_alphabet_size: int) -> tuple[int, int]:
+    """``(wmax, amax)`` of the ``[2, wmax] x [2, amax]`` grid, ``wmax`` capped
+    by ``window``; an empty range raises as :class:`EnsembleGrammarDetector`'s
+    constructor does."""
+    max_paa_size = validate_paa_size(min(int(max_paa_size), window), window)
+    if max_paa_size < 2:
+        raise ValueError("max_paa_size must be at least 2 to sample from [2, wmax]")
+    return max_paa_size, validate_alphabet_size(max_alphabet_size)
 
 
 def gi_fix_detector(window: int) -> GrammarAnomalyDetector:
@@ -64,6 +80,7 @@ class GIRandomDetector:
         if window < 2:
             raise ValueError(f"window must be at least 2, got {window}")
         self.window = int(window)
+        _grid_bounds(self.window, max_paa_size, max_alphabet_size)
         self.max_paa_size = int(max_paa_size)
         self.max_alphabet_size = int(max_alphabet_size)
         self._rng = ensure_rng(seed)
@@ -86,7 +103,9 @@ def select_parameters(
 ) -> tuple[int, int]:
     """Unsupervised ``(w, a)`` selection on a normal sample (GI-Select).
 
-    Grid search over ``[2, wmax] x [2, amax]`` minimizing, lexicographically:
+    Grid search over ``[2, wmax] x [2, amax]`` (``wmax`` capped by the
+    window; an empty range raises :class:`ValueError`) minimizing,
+    lexicographically:
 
     1. the fraction of sample points *not covered* by any grammar rule — on
        purely normal data everything should compress, so uncovered points
@@ -95,26 +114,28 @@ def select_parameters(
        relative to the token count, preferring the more compact grammar
        among equally covering ones.
 
+    The first cell in ``w``-major order wins a tie. Every cell is one
+    :func:`~repro.grammar._kernel.member_curve` call over one
+    :class:`~repro.core.multiresolution.MultiResolutionDiscretizer` of the
+    sample, which also returns the token count and the grammar size.
+
     This reproduces the intent of the GrammarViz 3.0 sampling-based
     parameter optimization [19] (see DESIGN.md, Substitutions).
     """
     sample = ensure_time_series(sample, name="sample", min_length=4)
     window = validate_window(window, len(sample))
-    best: tuple[float, float] | None = None
-    best_params = (2, 2)
-    for paa_size in range(2, min(max_paa_size, window) + 1):
+    max_paa_size, max_alphabet_size = _grid_bounds(window, max_paa_size, max_alphabet_size)
+    discretizer = MultiResolutionDiscretizer(sample, window, max_paa_size, max_alphabet_size)
+    best: tuple[tuple[float, float], tuple[int, int]] | None = None
+    for paa_size in range(2, max_paa_size + 1):
+        intervals = discretizer.interval_matrix(paa_size)
         for alphabet_size in range(2, max_alphabet_size + 1):
-            words = discretize(sample, window, paa_size, alphabet_size)
-            tokens = numerosity_reduction(words, window)
-            grammar = induce_grammar(tokens.words)
-            curve = rule_density_curve(grammar, tokens, len(sample))
-            uncovered = float(np.mean(curve == 0.0))
-            relative_size = grammar.grammar_size() / max(len(tokens), 1)
-            cost = (uncovered, relative_size)
-            if best is None or cost < best:
-                best = cost
-                best_params = (paa_size, alphabet_size)
-    return best_params
+            column = discretizer.alphabet_table.symbol_column(alphabet_size)
+            curve, _, (kept, size) = member_curve(intervals, column, window, len(sample))
+            cost = (float(np.mean(curve == 0.0)), size / max(kept, 1))
+            if best is None or cost < best[0]:
+                best = (cost, (paa_size, alphabet_size))
+    return best[1]
 
 
 class GISelectDetector:
@@ -138,6 +159,7 @@ class GISelectDetector:
         if not 0.0 < sample_fraction <= 1.0:
             raise ValueError(f"sample_fraction must be in (0, 1], got {sample_fraction}")
         self.window = int(window)
+        _grid_bounds(self.window, max_paa_size, max_alphabet_size)
         self.max_paa_size = int(max_paa_size)
         self.max_alphabet_size = int(max_alphabet_size)
         self.sample_fraction = float(sample_fraction)

@@ -1,10 +1,13 @@
 """Grammar-induction substrate (paper Section 5) and its applications.
 
 - :mod:`repro.grammar.sequitur` — the linear-time Sequitur algorithm
-  (digram uniqueness + rule utility) over discrete token sequences.
+  (digram uniqueness + rule utility); :func:`induce_grammar` is the thin
+  word-string wrapper over the native builder.
 - :mod:`repro.grammar._kernel` — the native Sequitur arena every grammar
-  is built on (the object-graph reference it is tested against lives in
-  ``tests/oracles/``).
+  is built on, and :func:`~repro.grammar._kernel.member_curve`, a batch
+  member (tokens, grammar, spans, density curve, token count and grammar
+  size) in one call (the object-graph reference Sequitur and the word-path
+  pipeline it is tested against live in ``tests/oracles/``).
 - :mod:`repro.grammar.rules` — the frozen :class:`Grammar` produced by
   induction: rules, expansions, occurrence enumeration, size metrics.
 - :mod:`repro.grammar.density` — the rule density curve (Section 5.2), the
@@ -14,9 +17,12 @@
   streamlines.
 - :mod:`repro.grammar.motifs` — frequent-rule motif discovery, the flip
   side of grammar-based anomaly detection.
+
+RRA and motif discovery take their grammar from the single-run detector's
+native token ids (:class:`repro.core.detector.GrammarAnomalyDetector`).
 """
 
-from repro.grammar.density import density_from_intervals, rule_density_curve
+from repro.grammar.density import density_from_intervals
 from repro.grammar.motifs import Motif, discover_motifs, motifs_from_grammar
 from repro.grammar.rra import RRADetector, RuleInterval, rule_intervals
 from repro.grammar.rules import Grammar, GrammarRule, RuleOccurrence
@@ -33,6 +39,5 @@ __all__ = [
     "discover_motifs",
     "induce_grammar",
     "motifs_from_grammar",
-    "rule_density_curve",
     "rule_intervals",
 ]

@@ -270,8 +270,8 @@ def member_curve(
     length: int,
     *,
     reduce: bool = True,
-) -> tuple[np.ndarray, tuple[int, int, int, int]]:
-    """One batch member in one native call: ``(curve, phase_ns)``.
+) -> tuple[np.ndarray, tuple[int, int, int, int], tuple[int, int]]:
+    """One batch member in one native call: ``(curve, phase_ns, (kept, size))``.
 
     ``intervals`` is the member's interval matrix (``intp``, one row per
     window start) and ``symbols`` its alphabet column (int64); ``reduce``
@@ -283,7 +283,10 @@ def member_curve(
     with the GIL released throughout. ``phase_ns`` holds the nanoseconds
     spent tokenizing, feeding, walking the spans and accumulating the
     density, for the caller to charge to its stages: this function records
-    nothing.
+    nothing. ``kept`` is the number of tokens fed to Sequitur and ``size``
+    the grammar size, exactly :meth:`Grammar.grammar_size` of
+    :meth:`FastSequitur.freeze` over those tokens (live rule symbols plus
+    live rules, R0 included): what GI-Select ranks a ``(w, a)`` cell by.
 
     Raises what the chain raises: :class:`TypeError`/:class:`ValueError`
     for malformed inputs before the C call; :class:`IndexError` for a value
@@ -298,14 +301,14 @@ def member_curve(
     if length <= 0:
         raise ValueError(f"curve length must be positive, got {length}")
     curve = np.empty(length, dtype=np.float64)
-    phase_ns = (ctypes.c_int64 * 4)()
+    counters = (ctypes.c_int64 * 6)()
     status = _lib.seq_member_curve(
         intervals.ctypes.data, rows, width, symbols.ctypes.data, len(symbols),
-        int(bool(reduce)), window, length, curve.ctypes.data, phase_ns,
+        int(bool(reduce)), window, length, curve.ctypes.data, counters,
     )
     if status:
         _raise(status, _MEMBER_ERRORS)
-    return curve, tuple(phase_ns)
+    return curve, tuple(counters[:4]), tuple(counters[4:])
 
 
 def make_builder() -> "FastSequitur":

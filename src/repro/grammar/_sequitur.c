@@ -63,9 +63,11 @@
  * library), the arena, seq_spans and seq_density, keeping every check and
  * status of the chained calls. It is every batch density curve of the
  * package: ensemble members and the single-run detector alike, under
- * either numerosity strategy (exact or none, the `reduce` flag). It holds
- * no state between calls, so members may run on as many threads at once as
- * the caller likes.
+ * either numerosity strategy (exact or none, the `reduce` flag). Next to
+ * its phase timings it reports the kept token count and the grammar size
+ * (live rule symbols plus live rules, R0 included), which is all GI-Select
+ * needs to rank a (w, a) cell. It holds no state between calls, so members
+ * may run on as many threads at once as the caller likes.
  *
  * One streaming member, one log. A SeqLog (bottom of the file) holds a
  * streaming member's kept token ids (int32) and window offsets (int64),
@@ -515,27 +517,41 @@ static void lap(int64_t *mark, int64_t *phase) {
     *mark = now;
 }
 
+/* Grammar.grammar_size() of an arena's grammar: every live rule (R0 and
+ * each rule still referenced) counts one plus the symbols of its body. */
+static int64_t grammar_size(const Seq *s) {
+    int64_t size = 0;
+    for (int64_t r = 0; r < s->rules; r++) {
+        if (r && s->rule_count[r] <= 0) continue;
+        int64_t guard = s->rule_guard[r];
+        size++;
+        for (int64_t symbol = s->next[guard]; symbol != guard; symbol = s->next[symbol]) size++;
+    }
+    return size;
+}
+
 /* The rule density curve (`length` doubles) of one batch member from its
  * interval matrix (n_rows x width, row r the window starting at r) and its
  * alphabet column: sax_tokens -> seq_feed_many -> seq_spans -> seq_density,
  * as the chained calls run them. `reduce` selects the numerosity strategy
- * as in sax_tokens: exact (nonzero) or none (every window a token). A row or column value out of range is
- * SEQ_SYMBOL, no kept token SEQ_NO_TOKENS; every other status is the one
- * the failing stage returns. phase_ns receives the nanoseconds spent
- * tokenizing, feeding, walking the spans and accumulating the density (0
- * for a phase that did not run). */
+ * as in sax_tokens: exact (nonzero) or none (every window a token). A row
+ * or column value out of range is SEQ_SYMBOL, no kept token SEQ_NO_TOKENS;
+ * every other status is the one the failing stage returns. counters (6
+ * entries) receives the nanoseconds spent tokenizing, feeding, walking the
+ * spans (and the rule lists) and accumulating the density, then the kept
+ * token count and the grammar size (0 for what did not run). */
 int seq_member_curve(const intptr_t *intervals, int64_t n_rows, int64_t width,
                      const int64_t *column, int64_t n_symbols, int64_t reduce,
-                     int64_t window, int64_t length, double *curve, int64_t *phase_ns) {
+                     int64_t window, int64_t length, double *curve, int64_t *counters) {
     int64_t rows = n_rows > 0 ? n_rows : 1, mark = clock_ns(), kept, nodes;
     int64_t *offsets = malloc(4 * (size_t)rows * sizeof *offsets), *ids, *firsts, *lasts;
     Seq *s = NULL;
     int status = SEQ_OK;
-    memset(phase_ns, 0, 4 * sizeof *phase_ns);
+    memset(counters, 0, 6 * sizeof *counters);
     if (!offsets) return SEQ_NOMEM;
     ids = offsets + rows, firsts = ids + rows, lasts = firsts + rows;
     kept = sax_tokens(intervals, n_rows, width, column, n_symbols, reduce, offsets, ids);
-    lap(&mark, &phase_ns[0]);
+    lap(&mark, &counters[0]);
     if (kept < 0) {
         status = kept == -1 ? SEQ_SYMBOL : SEQ_NOMEM;
         goto done;
@@ -544,21 +560,23 @@ int seq_member_curve(const intptr_t *intervals, int64_t n_rows, int64_t width,
         status = SEQ_NO_TOKENS;
         goto done;
     }
+    counters[4] = kept;
     if (!(s = seq_new())) {
         status = SEQ_NOMEM;
         goto done;
     }
     status = seq_feed_many(s, ids, kept);
-    lap(&mark, &phase_ns[1]);
+    lap(&mark, &counters[1]);
     if (status) goto done;
     nodes = seq_spans(s, firsts, lasts, kept);
-    lap(&mark, &phase_ns[2]);
+    if (nodes >= 0) counters[5] = grammar_size(s);
+    lap(&mark, &counters[2]);
     if (nodes < 0) {
         status = (int)nodes;
         goto done;
     }
     status = seq_density(offsets, kept, window, firsts, lasts, nodes, 0, length, curve);
-    lap(&mark, &phase_ns[3]);
+    lap(&mark, &counters[3]);
 done:
     if (s) seq_free(s);
     free(offsets);

@@ -9,15 +9,15 @@ Construction is O(#occurrences + N) using a difference array: each occurrence
 contributes +1 at its interval start and -1 one past its end, and a prefix
 sum yields the curve. Two implementations share those semantics:
 
-- :func:`density_curve_from_token_spans` — the production path of
-  streaming detection and of :func:`rule_density_curve`. It maps token
-  spans to intervals, clips and accumulates them in one native pass
-  (``seq_density`` in ``_sequitur.c``, beside the span walk that feeds
-  it). A batch member runs the same ``seq_density`` as the last stage of
-  its one native call (:func:`repro.grammar._kernel.member_curve`).
-- :func:`density_from_intervals` — numpy over explicit interval pairs; RRA,
-  the single-grammar detector and the GI baselines use it, and the tests
-  use it as the oracle of the native pass.
+- :func:`density_curve_from_token_spans` — token spans mapped to intervals,
+  clipped and accumulated in one native pass (``seq_density`` in
+  ``_sequitur.c``, beside the span walk that feeds it). A batch member runs
+  the same ``seq_density`` as the last stage of its one native call
+  (:func:`repro.grammar._kernel.member_curve`), and a streaming member as
+  the last stage of its token log's poll.
+- :func:`density_from_intervals` — numpy over explicit interval pairs; RRA
+  uses it for its coverage, and the tests use it as the oracle of the
+  native pass.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.grammar._kernel import _CURVE_ERRORS, _lib, _raise
-from repro.grammar.rules import Grammar
-from repro.sax.numerosity import TokenSequence
 
 
 def density_from_intervals(
@@ -133,55 +131,3 @@ def density_curve_from_token_spans(
     if status:
         _raise(status, _CURVE_ERRORS)
     return curve
-
-
-def rule_density_curve(
-    grammar: Grammar,
-    tokens: TokenSequence,
-    series_length: int,
-    *,
-    horizon_start: int = 0,
-) -> np.ndarray:
-    """Rule density curve of a series from its grammar and token sequence.
-
-    Every occurrence of every rule except R0 (R0 spans the whole sequence
-    and carries no locality information) is mapped back to the time-series
-    interval recorded at numerosity reduction:
-    ``[offsets[first_token], offsets[last_token] + window - 1]``.
-
-    Parameters
-    ----------
-    grammar:
-        Result of :func:`repro.grammar.induce_grammar` over ``tokens.words``.
-    tokens:
-        The numerosity-reduced token sequence, carrying window offsets.
-    series_length:
-        Length ``N`` of the output curve. With ``horizon_start=0`` this is
-        the original series length.
-    horizon_start:
-        Origin of the curve in stream coordinates. The streaming eviction
-        layer renormalizes density over the live horizon only: curve index
-        ``i`` covers stream point ``horizon_start + i``, and token spans are
-        shifted (and clipped) accordingly. The default 0 is the batch
-        behaviour.
-
-    Returns
-    -------
-    numpy.ndarray
-        Float array of length ``series_length``; higher = more rule coverage.
-    """
-    expected = grammar.expanded_lengths()[0]
-    if expected != len(tokens):
-        raise ValueError(
-            f"grammar expands to {expected} tokens but the token sequence "
-            f"has {len(tokens)}; they must come from the same discretization"
-        )
-    firsts, lasts = grammar.occurrence_spans()
-    return density_curve_from_token_spans(
-        np.asarray(tokens.offsets, dtype=np.int64),
-        tokens.window,
-        firsts,
-        lasts,
-        series_length,
-        horizon_start=int(horizon_start),
-    )

@@ -5,7 +5,9 @@ The flip side of grammar-based anomaly detection: where anomalies are the
 patterns — are the grammar rules with the most occurrences. The paper
 leans on this machinery (its Section 3.1 motivates compressibility for
 motif discovery), and the ensemble's member grammars expose motifs for
-free; this module extracts them.
+free; this module extracts them. :func:`discover_motifs` induces its
+grammar on the single-run detector's native path
+(:class:`repro.core.detector.GrammarAnomalyDetector`).
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.grammar.rules import Grammar
-from repro.grammar.sequitur import induce_grammar
-from repro.sax.numerosity import TokenSequence, numerosity_reduction
-from repro.sax.sax import discretize
+from repro.sax.numerosity import TokenSequence
 from repro.utils.validation import ensure_time_series, validate_window
 
 
@@ -111,13 +111,13 @@ def discover_motifs(
     >>> motifs[0].count >= 2
     True
     """
+    from repro.core.detector import GrammarAnomalyDetector  # repro.core imports us
+
     series = ensure_time_series(series, name="series", min_length=2)
     window = validate_window(window, len(series))
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    words = discretize(series, window, paa_size, alphabet_size)
-    tokens = numerosity_reduction(words, window)
-    grammar = induce_grammar(tokens.words)
+    grammar, tokens = GrammarAnomalyDetector(window, paa_size, alphabet_size)._induce(series)
     return motifs_from_grammar(
         grammar, tokens, len(series), min_token_length=min_token_length
     )[:k]

@@ -14,6 +14,10 @@ as the library's *variable-length* anomaly detector:
    refinement with early abandoning);
 4. the top-k non-overlapping intervals are reported — each with its own
    length, unlike fixed-window methods.
+
+The grammar and its token sequence come from the single-run detector's
+native path (:class:`repro.core.detector.GrammarAnomalyDetector`): native
+token ids, a native Sequitur builder, one word per distinct token.
 """
 
 from __future__ import annotations
@@ -26,9 +30,7 @@ from repro.core.anomaly import Anomaly
 from repro.core.executors import StatelessBatchMixin
 from repro.grammar.density import density_from_intervals
 from repro.grammar.rules import Grammar
-from repro.grammar.sequitur import induce_grammar
-from repro.sax.numerosity import TokenSequence, numerosity_reduction
-from repro.sax.sax import discretize
+from repro.sax.numerosity import TokenSequence
 from repro.sax.znorm import znorm
 from repro.utils.validation import ensure_time_series, validate_window
 
@@ -75,20 +77,13 @@ def rule_intervals(
             RuleInterval(start, end, occurrence.rule_index, counts[occurrence.rule_index])
         )
         spans.append((start, end))
-    # Zero-coverage gaps: maximal runs where the density curve is zero.
-    density = density_from_intervals(spans, series_length)
-    uncovered = density == 0
-    position = 0
-    while position < series_length:
-        if uncovered[position]:
-            gap_start = position
-            while position < series_length and uncovered[position]:
-                position += 1
-            # Ignore trivially short gaps (shorter than one window).
-            if position - gap_start >= tokens.window:
-                intervals.append(RuleInterval(gap_start, position - 1, -1, 0))
-        else:
-            position += 1
+    # Zero-coverage gaps: maximal runs where the density curve is zero,
+    # ignoring trivially short ones (shorter than one window).
+    uncovered = density_from_intervals(spans, series_length) == 0
+    edges = np.flatnonzero(np.diff(uncovered, prepend=False, append=False))
+    for gap_start, gap_stop in edges.reshape(-1, 2).tolist():
+        if gap_stop - gap_start >= tokens.window:
+            intervals.append(RuleInterval(gap_start, gap_stop - 1, -1, 0))
     return intervals
 
 
@@ -160,11 +155,12 @@ class RRADetector(StatelessBatchMixin):
 
     def intervals(self, series: np.ndarray) -> list[RuleInterval]:
         """The full candidate interval set for ``series``."""
+        from repro.core.detector import GrammarAnomalyDetector  # repro.core imports us
+
         series = ensure_time_series(series, name="series", min_length=2)
         validate_window(self.window, len(series))
-        words = discretize(series, self.window, self.paa_size, self.alphabet_size)
-        tokens = numerosity_reduction(words, self.window)
-        grammar = induce_grammar(tokens.words)
+        detector = GrammarAnomalyDetector(self.window, self.paa_size, self.alphabet_size)
+        grammar, tokens = detector._induce(series)
         return rule_intervals(grammar, tokens, len(series))
 
     def detect(self, series: np.ndarray, k: int = 3) -> list[Anomaly]:

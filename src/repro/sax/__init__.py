@@ -8,20 +8,26 @@ sequence that grammar induction consumes:
   prefix-sum FastPAA of Algorithm 2.
 - :mod:`repro.sax.breakpoints` — Gaussian equiprobable breakpoint tables and
   the merged multi-resolution table of Section 6.2.2.
-- :mod:`repro.sax.sax` — SAX words, vectorized sliding-window discretization,
-  and the MINDIST lower bound.
-- :mod:`repro.sax.numerosity` — numerosity reduction with recorded offsets.
+- :mod:`repro.sax.sax` — the SAX word of one subsequence and the MINDIST
+  lower bound.
+- :mod:`repro.sax.numerosity` — the numerosity-reduction strategies and the
+  token record (kept words with their window offsets).
 - :mod:`repro.sax.plan` — the shared multi-window discretization plan: one
   pass emits every ensemble member's PAA/symbol matrices, with the hot
-  loops in native code (:mod:`repro.sax._kernel`).
+  loops in native code (:mod:`repro.sax._kernel`, whose ``sax_tokens``
+  does symbol lookup, numerosity reduction and token ids in one pass).
+
+A series becomes tokens in one place,
+:meth:`repro.core.multiresolution.MultiResolutionDiscretizer.token_ids`;
+no word string is built per window.
 """
 
 from repro.sax.alphabet import ALPHABET, indices_to_word, word_to_indices
 from repro.sax.breakpoints import MultiResolutionAlphabet, gaussian_breakpoints
-from repro.sax.numerosity import TokenSequence, expand_tokens, numerosity_reduction
+from repro.sax.numerosity import TokenSequence
 from repro.sax.paa import CumulativeStats, paa
 from repro.sax.plan import DiscretizationPlan, DiscretizationSweep
-from repro.sax.sax import discretize, mindist, sax_word
+from repro.sax.sax import mindist, sax_word
 from repro.sax.znorm import znorm
 
 __all__ = [
@@ -31,12 +37,9 @@ __all__ = [
     "DiscretizationSweep",
     "MultiResolutionAlphabet",
     "TokenSequence",
-    "discretize",
-    "expand_tokens",
     "gaussian_breakpoints",
     "indices_to_word",
     "mindist",
-    "numerosity_reduction",
     "paa",
     "sax_word",
     "word_to_indices",

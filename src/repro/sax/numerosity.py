@@ -1,4 +1,4 @@
-"""Numerosity reduction (Section 4.2).
+"""Numerosity reduction (Section 4.2): strategies and the token record.
 
 Neighbouring sliding windows differ by one sample, so consecutive SAX words
 are frequently identical; feeding them all to Sequitur yields an explosion
@@ -6,8 +6,11 @@ of trivial-match rules. Numerosity reduction keeps only the *first* word of
 each run of consecutive identical words, together with its window offset —
 exactly the ``ba1, dc4, aa6, ac7`` compression of the paper's Eq. (3).
 
-The offsets are what later lets a grammar-rule occurrence be mapped back to
-a time-series interval.
+The reduction itself runs natively on symbol rows
+(:func:`repro.sax._kernel.sax_tokens`, which also assigns the token ids).
+This module names the strategies and holds :class:`TokenSequence`, the kept
+words with their offsets, which is what lets a grammar-rule occurrence be
+mapped back to a time-series interval.
 """
 
 from __future__ import annotations
@@ -72,56 +75,3 @@ class TokenSequence:
         start = int(self.offsets[first_token])
         end = int(self.offsets[last_token]) + self.window - 1
         return start, end
-
-
-def numerosity_reduction(
-    words: list[str],
-    window: int,
-    strategy: str = "exact",
-) -> TokenSequence:
-    """Apply numerosity reduction to a full sliding-window word list.
-
-    Parameters
-    ----------
-    words:
-        One SAX word per window start (output of :func:`repro.sax.discretize`).
-    window:
-        The sliding-window length used to produce ``words``.
-    strategy:
-        ``"exact"`` (collapse runs, the paper's choice) or ``"none"``.
-    """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    if not words:
-        raise ValueError("cannot reduce an empty word list")
-    if strategy == "none":
-        offsets = np.arange(len(words), dtype=np.int64)
-        return TokenSequence(tuple(words), offsets, len(words), window)
-    kept_words: list[str] = []
-    kept_offsets: list[int] = []
-    previous: str | None = None
-    for position, word in enumerate(words):
-        if word != previous:
-            kept_words.append(word)
-            kept_offsets.append(position)
-            previous = word
-    return TokenSequence(
-        tuple(kept_words),
-        np.asarray(kept_offsets, dtype=np.int64),
-        len(words),
-        window,
-    )
-
-
-def expand_tokens(tokens: TokenSequence) -> list[str]:
-    """Invert numerosity reduction: reconstruct the full word-per-window list.
-
-    ``numerosity_reduction`` is lossless given the offsets, per Section 4.2
-    ("S_NR contains all information needed to retrieve the original token
-    sequence"); this is the inverse used by the property tests.
-    """
-    expanded: list[str] = []
-    boundaries = list(tokens.offsets) + [tokens.n_windows]
-    for word, start, stop in zip(tokens.words, boundaries[:-1], boundaries[1:]):
-        expanded.extend([word] * (stop - start))
-    return expanded

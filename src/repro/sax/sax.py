@@ -1,23 +1,21 @@
-"""SAX word computation and sliding-window discretization (Section 4.1).
+"""SAX words of single subsequences (Section 4.1).
 
-``sax_word`` handles a single subsequence; ``discretize`` produces the word
-of every sliding window of a series using the vectorized prefix-sum PAA and
-a single ``searchsorted`` against the breakpoint table, so the whole series
-is discretized without a Python-level loop over windows.
+``sax_word`` discretizes one subsequence into its word string. A whole
+series is never turned into word strings: the sliding-window pipeline runs
+natively on symbol rows and token ids
+(:meth:`repro.core.multiresolution.MultiResolutionDiscretizer.token_ids`).
 
-``mindist`` implements the classic SAX lower-bounding distance, used by the
-HOTSAX comparator and by the property tests that pin the representation's
-correctness.
+``mindist`` implements the classic SAX lower-bounding distance between two
+words; the property tests pin the representation's correctness with it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sax import _kernel
-from repro.sax.alphabet import index_matrix_to_words, indices_to_word, word_to_indices
+from repro.sax.alphabet import indices_to_word, word_to_indices
 from repro.sax.breakpoints import gaussian_breakpoints, symbol_indices
-from repro.sax.paa import CumulativeStats, paa
+from repro.sax.paa import paa
 from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD, znorm
 from repro.utils.validation import (
     ensure_time_series,
@@ -50,71 +48,6 @@ def sax_word(
     alphabet_size = validate_alphabet_size(alphabet_size)
     coefficients = paa(znorm(values, znorm_threshold), paa_size)
     return indices_to_word(symbol_indices(coefficients, alphabet_size))
-
-
-def discretize(
-    series: np.ndarray,
-    window: int,
-    paa_size: int,
-    alphabet_size: int,
-    znorm_threshold: float = DEFAULT_ZNORM_THRESHOLD,
-    stats: CumulativeStats | None = None,
-) -> list[str]:
-    """SAX words of every sliding window of ``series``.
-
-    Parameters
-    ----------
-    series:
-        Input time series ``T``.
-    window:
-        Sliding window length ``n``.
-    paa_size, alphabet_size:
-        The discretization parameters ``w`` and ``a``.
-    znorm_threshold:
-        Constant-window guard passed through to the PAA stage.
-    stats:
-        Optional pre-built :class:`CumulativeStats` to share prefix sums
-        across calls with different ``(w, a)`` (the ensemble's hot path).
-
-    Returns
-    -------
-    list[str]
-        One word per window start ``p`` in ``0 .. len(series) - window``.
-    """
-    return index_matrix_to_words(
-        discretize_symbols(series, window, paa_size, alphabet_size, znorm_threshold, stats)
-    )
-
-
-def discretize_symbols(
-    series: np.ndarray,
-    window: int,
-    paa_size: int,
-    alphabet_size: int,
-    znorm_threshold: float = DEFAULT_ZNORM_THRESHOLD,
-    stats: CumulativeStats | None = None,
-) -> np.ndarray:
-    """Symbol-index matrix of every sliding window (``discretize`` sans strings).
-
-    Row ``p`` holds the 0-based alphabet indices of window ``p``'s SAX word;
-    :func:`discretize` is exactly ``index_matrix_to_words`` over this matrix.
-    The integer form is the tokenizer fast path: numerosity reduction and
-    word interning both operate on it, so strings are built only for the
-    kept, distinct words at the grammar boundary.
-    """
-    series = ensure_time_series(series, name="series", min_length=2)
-    window = validate_window(window, len(series))
-    paa_size = validate_paa_size(paa_size, window)
-    alphabet_size = validate_alphabet_size(alphabet_size)
-    if stats is None:
-        stats = CumulativeStats(series)
-    # One native pass: z-normalized PAA and the breakpoint search, with the
-    # breakpoint table as the interval table.
-    n_windows = len(stats.series) - window + 1
-    return _kernel.paa_rows_block(
-        stats.prefix_sum, stats.prefix_sq, stats.series, 0, n_windows, window, paa_size,
-        znorm_threshold, breakpoints=gaussian_breakpoints(alphabet_size),
-    )
 
 
 def mindist(

@@ -7,6 +7,11 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.core.executors import EXECUTOR_KINDS
+from repro.datasets.planting import make_corpus
+from repro.datasets.ucr_like import DATASETS
+
+#: Seed of the planted pool cases: six per UCR-like dataset.
+POOL_SEED = 20200330
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -79,3 +84,14 @@ def anomalous_sine(sine_series: np.ndarray) -> tuple[np.ndarray, int, int]:
 def random_walk_series(rng: np.random.Generator) -> np.ndarray:
     """A length-500 random walk."""
     return np.cumsum(rng.standard_normal(500))
+
+
+@pytest.fixture(scope="session")
+def pool_cases():
+    """The 36 planted pool cases (six per UCR-like dataset), each with a seed."""
+    return [
+        (case, POOL_SEED + index)
+        for offset, dataset in enumerate(DATASETS.values())
+        for index, case in enumerate(make_corpus(dataset, n_cases=6, seed=POOL_SEED + offset))
+    ]
+

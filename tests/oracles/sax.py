@@ -10,6 +10,11 @@ sliding rows over a :class:`~repro.sax.paa.CumulativeStats`.
 :func:`first_occurrence_ids` numbers words the way the native tokenizer
 numbers kept rows, and :func:`kept_window_mask` picks the rows its exact
 numerosity reduction keeps.
+
+The word path the native tokenizer replaced lives here too:
+:func:`discretize` (one SAX word string per sliding window, from the numpy
+rows above), :func:`numerosity_reduction` (Section 4.2 over those strings)
+and its inverse :func:`expand_tokens`.
 """
 
 from __future__ import annotations
@@ -18,9 +23,17 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.sax.alphabet import index_matrix_to_words
+from repro.sax.breakpoints import gaussian_breakpoints
+from repro.sax.numerosity import STRATEGIES, TokenSequence
 from repro.sax.paa import CumulativeStats, _fractional_prefix
 from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD, constancy_mask
-from repro.utils.validation import ensure_time_series, validate_paa_size, validate_window
+from repro.utils.validation import (
+    ensure_time_series,
+    validate_alphabet_size,
+    validate_paa_size,
+    validate_window,
+)
 
 
 def paa_naive(subsequence: np.ndarray, paa_size: int) -> np.ndarray:
@@ -152,3 +165,75 @@ def kept_window_mask(symbols: np.ndarray) -> np.ndarray:
     keep = np.ones(len(matrix), dtype=bool)
     keep[1:] = np.any(matrix[1:] != matrix[:-1], axis=1)
     return keep
+
+
+def discretize(
+    series: np.ndarray,
+    window: int,
+    paa_size: int,
+    alphabet_size: int,
+    znorm_threshold: float = DEFAULT_ZNORM_THRESHOLD,
+    stats: CumulativeStats | None = None,
+) -> list[str]:
+    """SAX words of every sliding window of ``series``.
+
+    One word per window start ``p`` in ``0 .. len(series) - window``: the
+    :func:`sliding_paa_matrix` row searched in the ``alphabet_size``
+    breakpoint table. ``stats`` may share one series' prefix sums across
+    calls with different ``(w, a)``.
+    """
+    series = ensure_time_series(series, name="series", min_length=2)
+    window = validate_window(window, len(series))
+    paa_size = validate_paa_size(paa_size, window)
+    alphabet_size = validate_alphabet_size(alphabet_size)
+    if stats is None:
+        stats = CumulativeStats(series)
+    rows = sliding_paa_matrix(stats, window, paa_size, znorm_threshold)
+    return index_matrix_to_words(interval_rows_from(rows, gaussian_breakpoints(alphabet_size)))
+
+
+def numerosity_reduction(
+    words: list[str],
+    window: int,
+    strategy: str = "exact",
+) -> TokenSequence:
+    """Numerosity reduction of a full sliding-window word list (Section 4.2).
+
+    ``"exact"`` keeps only the first word of each run of consecutive
+    identical words, with its window offset — the ``ba1, dc4, aa6, ac7``
+    compression of the paper's Eq. (3); ``"none"`` keeps every word.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    if not words:
+        raise ValueError("cannot reduce an empty word list")
+    if strategy == "none":
+        offsets = np.arange(len(words), dtype=np.int64)
+        return TokenSequence(tuple(words), offsets, len(words), window)
+    kept_words: list[str] = []
+    kept_offsets: list[int] = []
+    previous: str | None = None
+    for position, word in enumerate(words):
+        if word != previous:
+            kept_words.append(word)
+            kept_offsets.append(position)
+            previous = word
+    return TokenSequence(
+        tuple(kept_words),
+        np.asarray(kept_offsets, dtype=np.int64),
+        len(words),
+        window,
+    )
+
+
+def expand_tokens(tokens: TokenSequence) -> list[str]:
+    """Invert numerosity reduction: the full word-per-window list.
+
+    Reduction is lossless given the offsets, per Section 4.2 ("S_NR contains
+    all information needed to retrieve the original token sequence").
+    """
+    expanded: list[str] = []
+    boundaries = list(tokens.offsets) + [tokens.n_windows]
+    for word, start, stop in zip(tokens.words, boundaries[:-1], boundaries[1:]):
+        expanded.extend([word] * (stop - start))
+    return expanded

@@ -13,12 +13,10 @@ import pytest
 
 from oracles import pipeline
 from oracles.interner import MAX_PACKED_WIDTH, pack_symbol_rows
-from oracles.sax import first_occurrence_ids, kept_window_mask
+from oracles.sax import discretize, first_occurrence_ids, kept_window_mask, numerosity_reduction
 from repro.core.multiresolution import MultiResolutionDiscretizer
 from repro.sax._kernel import sax_tokens
 from repro.sax.alphabet import WordInterner, index_matrix_to_words
-from repro.sax.numerosity import numerosity_reduction
-from repro.sax.sax import discretize
 
 
 def native_tokens(d: MultiResolutionDiscretizer, w: int, a: int, *, reduce: bool = True):

@@ -14,8 +14,6 @@ from repro.core import EnsembleGrammarDetector
 from repro.core.combiners import COMBINERS, combine_curves
 from repro.core.executors import ProcessExecutor
 from repro.core.selection import curve_std, normalize_curve, select_by_std
-from repro.datasets.planting import make_corpus
-from repro.datasets.ucr_like import DATASETS
 from repro.grammar.density import density_from_intervals
 
 non_negative = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
@@ -318,18 +316,8 @@ class TestNativeMedianDifferential:
         assert combine_curves(curve).tobytes() == curve.tobytes()
 
 
-#: The paper's protocol over planted cases of all six UCR-like datasets:
-#: six cases each, N = 50 members, tau = 0.4.
-POOL_SEED = 20200330
-
-
-@pytest.fixture(scope="module")
-def pool_cases():
-    return [
-        (case, POOL_SEED + index)
-        for offset, dataset in enumerate(DATASETS.values())
-        for index, case in enumerate(make_corpus(dataset, n_cases=6, seed=POOL_SEED + offset))
-    ]
+# The paper's protocol over the planted pool cases (``pool_cases`` in
+# conftest.py): N = 50 members, tau = 0.4.
 
 
 def _oracle_ensemble_curve(detector, series, parameters):

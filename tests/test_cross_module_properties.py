@@ -12,16 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles.sax import first_occurrence_ids
+from oracles.pipeline import rule_density_curve
+from oracles.sax import discretize, expand_tokens, first_occurrence_ids, numerosity_reduction
 from repro.core.detector import GrammarAnomalyDetector
 from repro.core.multiresolution import MultiResolutionDiscretizer
 from repro.datasets.planting import make_corpus
 from repro.datasets.ucr_like import DATASETS
-from repro.grammar.density import rule_density_curve
 from repro.grammar.sequitur import induce_grammar
 from repro.sax._kernel import sax_tokens
-from repro.sax.numerosity import expand_tokens, numerosity_reduction
-from repro.sax.sax import discretize
 
 steps = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 

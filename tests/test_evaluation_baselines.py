@@ -112,6 +112,44 @@ class TestGISelect:
         assert detector.last_parameters is not None
 
 
+EMPTY_RANGES = [
+    dict(max_paa_size=1),
+    dict(max_paa_size=0),
+    dict(max_alphabet_size=1),
+    dict(max_alphabet_size=27),
+]
+
+
+class TestParameterRanges:
+    """An empty or impossible ``[2, wmax] x [2, amax]`` grid is an error, with
+    the ensemble's messages, never a silent fallback or a numpy error."""
+
+    @staticmethod
+    def ensemble_error(**ranges) -> str:
+        with pytest.raises(ValueError) as error:
+            EnsembleGrammarDetector(100, **ranges)
+        return str(error.value)
+
+    @pytest.mark.parametrize("ranges", EMPTY_RANGES)
+    @pytest.mark.parametrize("baseline", [GIRandomDetector, GISelectDetector])
+    def test_constructors_reject_like_the_ensemble(self, baseline, ranges):
+        with pytest.raises(ValueError) as error:
+            baseline(100, **ranges)
+        assert str(error.value) == self.ensemble_error(**ranges)
+
+    @pytest.mark.parametrize("ranges", EMPTY_RANGES)
+    def test_select_parameters_rejects_an_empty_grid(self, planted_series, ranges):
+        with pytest.raises(ValueError) as error:
+            select_parameters(planted_series[:800], 100, **ranges)
+        assert str(error.value) == self.ensemble_error(**ranges)
+
+    def test_window_caps_the_paa_range(self, planted_series):
+        """``wmax`` beyond the window is capped, not rejected."""
+        assert GISelectDetector(4, max_paa_size=10).max_paa_size == 10
+        w, _ = select_parameters(planted_series[:200], 3, max_paa_size=10)
+        assert 2 <= w <= 3
+
+
 class TestBaselineFactories:
     def test_contains_the_five_paper_methods(self):
         factories = make_baseline_factories(seed=0)

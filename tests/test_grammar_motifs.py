@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.sax import numerosity_reduction
 from repro.grammar.motifs import Motif, discover_motifs, motifs_from_grammar
 from repro.grammar.sequitur import induce_grammar
-from repro.sax.numerosity import numerosity_reduction
 
 
 @pytest.fixture

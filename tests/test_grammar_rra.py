@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.sax import numerosity_reduction
 from repro.core.anomaly import Anomaly
 from repro.grammar.rra import RRADetector, RuleInterval, rule_intervals
 from repro.grammar.sequitur import induce_grammar
-from repro.sax.numerosity import numerosity_reduction
 
 
 @pytest.fixture

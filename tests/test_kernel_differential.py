@@ -8,6 +8,11 @@ poll — and asserts the end results are bitwise identical
 to the pipeline composed from ``tests/oracles/`` (numpy SAX, word-fed
 Sequitur, production density and combiner): same anomaly positions, same
 member selection, same float64 curve bits.
+
+The detectors that need a grammar or a word per window rather than a curve
+(the single-run detector's ``tokenize``/``grammar``, GI-Select's grid
+search, RRA, motif discovery and HOT SAX) run on native token ids; over the
+36 planted pool cases they must equal the word-path oracles exactly.
 """
 
 from __future__ import annotations
@@ -17,14 +22,19 @@ import pytest
 
 from oracles import pipeline
 from oracles.interner import MAX_PACKED_WIDTH
+from oracles.sequitur import induce_grammar
 from repro.core.combiners import COMBINERS
 from repro.core.detector import GrammarAnomalyDetector
 from repro.core.ensemble import EnsembleGrammarDetector
 from repro.core.executors import as_executor
 from repro.core.streaming import StreamingEnsembleDetector, StreamingGrammarDetector
 from repro.datasets.planting import make_corpus
+from repro.core.multiresolution import MultiResolutionDiscretizer
 from repro.datasets.ucr_like import DATASETS
-from repro.evaluation.baselines import make_baseline_factories
+from repro.discord.hotsax import _buckets_and_order, hotsax_discords
+from repro.evaluation.baselines import GISelectDetector, make_baseline_factories
+from repro.grammar.motifs import discover_motifs, motifs_from_grammar
+from repro.grammar.rra import RRADetector
 
 WINDOW = 50
 CONFIG = dict(
@@ -232,3 +242,90 @@ def test_batch_and_streaming_agree():
     streaming = StreamingEnsembleDetector(**CONFIG)
     streaming.extend(series)
     assert np.array_equal(streaming.density_curve(), batch_curve)
+
+
+def pool_parameters(pool_cases):
+    """Each pool case and seed with its window and one ``(w, a)`` drawn from
+    the seed."""
+    for case, seed in pool_cases:
+        w, a = np.random.default_rng(seed).integers(2, 11, size=2).tolist()
+        yield case, seed, case.gt_length, w, a
+
+
+@pytest.mark.parametrize("numerosity", ["exact", "none"])
+def test_pool_tokenize_and_grammar_match_the_oracle(pool_cases, numerosity):
+    for case, seed, window, w, a in pool_parameters(pool_cases):
+        label = (case.dataset, seed, w, a)
+        detector = GrammarAnomalyDetector(window, w, a, numerosity=numerosity)
+        tokens = detector.tokenize(case.series)
+        expected = pipeline.member_tokens(case.series, window, w, a, numerosity=numerosity)
+        assert tokens.words == expected.words, label
+        assert tokens.offsets.tobytes() == expected.offsets.tobytes(), label
+        assert (tokens.n_windows, tokens.window) == (expected.n_windows, window), label
+        assert detector.grammar(case.series) == induce_grammar(expected.words), label
+
+
+def test_pool_gi_select_matches_the_oracle(pool_cases):
+    for case, seed, window, _, _ in pool_parameters(pool_cases):
+        detector = GISelectDetector(window)
+        anomalies = detector.detect(case.series, 3)
+        sample = case.series[: min(max(len(case.series) // 10, 2 * window), len(case.series))]
+        w, a = pipeline.select_parameters(sample, window)
+        assert detector.last_parameters == (w, a), (case.dataset, seed)
+        expected = pipeline.member_curve(case.series, window, w, a)
+        assert anomalies == pipeline.anomalies(expected, window, 3)
+
+
+class _OracleRRA(RRADetector):
+    """RRA whose candidates come from the word-path oracle."""
+
+    def intervals(self, series):
+        grammar, tokens = pipeline.grammar_and_tokens(
+            series, self.window, self.paa_size, self.alphabet_size
+        )
+        return pipeline.rule_intervals(grammar, tokens, len(series))
+
+
+def test_pool_rra_matches_the_oracle(pool_cases):
+    for case, seed, window, w, a in pool_parameters(pool_cases):
+        label = (case.dataset, seed, w, a)
+        detector, oracle = RRADetector(window, w, a), _OracleRRA(window, w, a)
+        assert detector.intervals(case.series) == oracle.intervals(case.series), label
+        assert detector.detect(case.series, 3) == oracle.detect(case.series, 3), label
+
+
+def test_pool_motifs_match_the_oracle(pool_cases):
+    for case, seed, window, w, a in pool_parameters(pool_cases):
+        grammar, tokens = pipeline.grammar_and_tokens(case.series, window, w, a)
+        expected = motifs_from_grammar(grammar, tokens, len(case.series))[:5]
+        found = discover_motifs(case.series, window, w, a)
+        assert found == expected, (case.dataset, seed, w, a)
+
+
+def test_pool_hotsax_search_inputs_match_the_oracle(pool_cases):
+    """HOT SAX's search is a function of its buckets, its outer order and
+    the generator state after ordering; on every pool case those equal the
+    word-string bucketing, so the discords do too."""
+    for case, seed in pool_cases:
+        window = case.gt_length
+        discretizer = MultiResolutionDiscretizer(case.series, window, 3, 3, numerosity="none")
+        _, ids = discretizer.token_ids(3, 3)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        buckets, order = _buckets_and_order(ids, rng)
+        words, oracle_buckets, oracle_order = pipeline.hotsax_buckets_and_order(
+            case.series, window, 3, 3, oracle_rng
+        )
+        label = (case.dataset, seed)
+        assert order == oracle_order, label
+        assert [buckets[i] for i in ids.tolist()] == [oracle_buckets[w] for w in words], label
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state, label
+
+
+@pytest.mark.parametrize("dataset", [name for name in DATASETS if name != "StarLightCurve"])
+def test_planted_case_hotsax_discords_match_the_oracle(pool_cases, dataset):
+    """End to end on the first pool case of each dataset (a StarLightCurve
+    search takes about ten seconds; its inputs are pinned above)."""
+    case, seed = next(item for item in pool_cases if item[0].dataset == dataset)
+    found = hotsax_discords(case.series, case.gt_length, 2, seed=seed)
+    assert found == pipeline.hotsax_discords(case.series, case.gt_length, 2, seed=seed)
+

@@ -4,8 +4,10 @@
 pipeline in C. Its contract is the chain it replaces —
 ``sax_tokens -> feed_many -> occurrence_spans ->
 density_curve_from_token_spans`` — byte for byte, with the same error for
-every bad input, with exact numerosity reduction and without. The chain's stages are native too and pinned against the
-Python oracles by their own suites; real members of a series are also
+every bad input, with exact numerosity reduction and without; its two
+counts are the chain's token count and the frozen grammar's
+``grammar_size()``. The chain's stages are native too and pinned against
+the Python oracles by their own suites; real members of a series are also
 checked against the whole oracle pipeline of ``tests/oracles/`` here.
 """
 
@@ -21,6 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import pipeline
+from oracles.sequitur import induce_grammar
 from repro.core.multiresolution import MultiResolutionDiscretizer
 from repro.grammar import _kernel
 from repro.grammar._kernel import FastSequitur, member_curve
@@ -32,14 +35,17 @@ TABLE = MultiResolutionAlphabet(10, 2)
 
 
 def chain(intervals, symbols, window, length, reduce=True):
-    """The four calls ``member_curve`` fuses, as the engine used to make them."""
+    """The four calls ``member_curve`` fuses, as the engine used to make them,
+    and ``(kept tokens, grammar size)`` of the frozen grammar."""
     offsets, ids = sax_tokens(intervals, symbols, reduce=reduce)
     if not len(ids):
         raise ValueError("cannot induce a grammar from an empty token sequence")
     builder = FastSequitur()
     builder.feed_many(ids)
     firsts, lasts = builder.occurrence_spans()
-    return density_curve_from_token_spans(offsets, window, firsts, lasts, length)
+    curve = density_curve_from_token_spans(offsets, window, firsts, lasts, length)
+    size = builder.freeze([str(i) for i in range(int(ids.max()) + 1)]).grammar_size()
+    return curve, (len(ids), size)
 
 
 @st.composite
@@ -64,11 +70,14 @@ def members(draw):
 
 
 def check(intervals, column, window, length, reduce=True):
-    expected = chain(intervals, column, window, length, reduce)
-    curve, phase_ns = member_curve(intervals, column, window, length, reduce=reduce)
+    expected, counts = chain(intervals, column, window, length, reduce)
+    curve, phase_ns, native_counts = member_curve(
+        intervals, column, window, length, reduce=reduce
+    )
     assert curve.dtype == np.float64 and curve.shape == (length,)
     assert curve.tobytes() == expected.tobytes()
     assert len(phase_ns) == 4 and all(ns >= 0 for ns in phase_ns)
+    assert native_counts == counts
 
 
 class TestDifferential:
@@ -94,14 +103,17 @@ class TestDifferential:
         column = discretizer.alphabet_table.symbol_column(alphabet)
         reduce = numerosity == "exact"
         check(intervals, column, 60, len(series), reduce)
-        curve, _ = member_curve(intervals, column, 60, len(series), reduce=reduce)
+        curve, _, counts = member_curve(intervals, column, 60, len(series), reduce=reduce)
         expected = pipeline.member_curve(series, 60, width, alphabet, numerosity=numerosity)
         assert curve.tobytes() == expected.tobytes()
+        tokens = pipeline.member_tokens(series, 60, width, alphabet, numerosity=numerosity)
+        assert counts == (len(tokens), induce_grammar(tokens.words).grammar_size())
 
     def test_all_equal_rows_give_a_zero_curve(self):
         intervals = np.full((30, 4), 2, dtype=np.intp)
-        curve, _ = member_curve(intervals, TABLE.symbol_column(5), 7, 36)
+        curve, _, (kept, size) = member_curve(intervals, TABLE.symbol_column(5), 7, 36)
         assert curve.tobytes() == np.zeros(36).tobytes()
+        assert (kept, size) == (1, 2)  # R0 -> one word
 
 
 class TestErrors:

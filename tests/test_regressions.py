@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from oracles.sax import discretize
 from repro.core.detector import GrammarAnomalyDetector
 from repro.core.ensemble import EnsembleGrammarDetector
 from repro.datasets.planting import make_test_case
 from repro.datasets.ucr_like import DATASETS
 from repro.grammar.sequitur import induce_grammar
 from repro.sax.breakpoints import gaussian_breakpoints
-from repro.sax.sax import discretize, sax_word
+from repro.sax.sax import sax_word
 
 
 class TestSaxPinned:

@@ -8,10 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles.sax import discretize
 from repro.sax.alphabet import ALPHABET, index_matrix_to_words, indices_to_word, word_to_indices
 from repro.sax.breakpoints import gaussian_breakpoints
 from repro.sax.paa import CumulativeStats, paa
-from repro.sax.sax import discretize, mindist, sax_word
+from repro.sax.sax import mindist, sax_word
 from repro.sax.znorm import znorm
 
 values_strategy = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)

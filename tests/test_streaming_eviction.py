@@ -20,10 +20,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.pipeline import rule_density_curve
 from repro.core.engine import SharedStreamState
 from repro.core.streaming import StreamingEnsembleDetector, StreamingGrammarDetector
 from repro.grammar._kernel import TokenLog
-from repro.grammar.density import rule_density_curve
 from repro.grammar.sequitur import induce_grammar
 from repro.sax.alphabet import WordInterner
 from repro.sax.numerosity import TokenSequence
