@@ -15,12 +15,9 @@ ensemble member's one native call
 (:func:`repro.core.engine.compute_member_curves` with the single pair
 ``(w, a)``), so it equals that member's curve byte for byte.
 :meth:`GrammarAnomalyDetector.tokenize` and
-:meth:`GrammarAnomalyDetector.grammar` (and through them RRA and motif
-discovery) take the same native token ids
-(:meth:`~repro.core.multiresolution.MultiResolutionDiscretizer.token_ids`),
-feed them to a native Sequitur builder and freeze the
-:class:`~repro.grammar.rules.Grammar` with one word string per distinct
-token, never one per window.
+:meth:`GrammarAnomalyDetector.grammar` (and RRA and motif discovery) feed
+the member's native token ids to a native Sequitur builder, with one word
+string per distinct token, never one per window.
 """
 
 from __future__ import annotations

@@ -8,15 +8,12 @@
   unsupervised optimization on the first 10% of the (normal) series,
   following the GrammarViz 3.0 procedure [19]: prefer the discretization
   whose grammar *covers* the normal sample best, breaking ties by grammar
-  description length (see :func:`select_parameters`). Each grid cell is one
-  native member call over a discretization shared by the whole grid.
+  description length (see :func:`select_parameters`).
 - **Discord** — the STOMP matrix-profile discord detector
   (:class:`repro.discord.discords.DiscordDetector`).
 
 All baselines implement the common ``detect(series, k)`` protocol, so the
-harness treats them interchangeably with the ensemble. GI-Random and
-GI-Select check their ``[2, wmax] x [2, amax]`` ranges at construction with
-the ensemble's rules (``wmax`` is capped by the window).
+harness treats them interchangeably with the ensemble.
 """
 
 from __future__ import annotations
@@ -114,10 +111,8 @@ def select_parameters(
        relative to the token count, preferring the more compact grammar
        among equally covering ones.
 
-    The first cell in ``w``-major order wins a tie. Every cell is one
-    :func:`~repro.grammar._kernel.member_curve` call over one
-    :class:`~repro.core.multiresolution.MultiResolutionDiscretizer` of the
-    sample, which also returns the token count and the grammar size.
+    Each cell is one :func:`~repro.grammar._kernel.member_curve` call over
+    one shared discretization of the sample; the first cell wins a tie.
 
     This reproduces the intent of the GrammarViz 3.0 sampling-based
     parameter optimization [19] (see DESIGN.md, Substitutions).

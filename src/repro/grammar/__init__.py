@@ -4,10 +4,8 @@
   (digram uniqueness + rule utility); :func:`induce_grammar` is the thin
   word-string wrapper over the native builder.
 - :mod:`repro.grammar._kernel` — the native Sequitur arena every grammar
-  is built on, and :func:`~repro.grammar._kernel.member_curve`, a batch
-  member (tokens, grammar, spans, density curve, token count and grammar
-  size) in one call (the object-graph reference Sequitur and the word-path
-  pipeline it is tested against live in ``tests/oracles/``).
+  is built on (the object-graph reference and the word-path pipeline it
+  is tested against live in ``tests/oracles/``).
 - :mod:`repro.grammar.rules` — the frozen :class:`Grammar` produced by
   induction: rules, expansions, occurrence enumeration, size metrics.
 - :mod:`repro.grammar.density` — the rule density curve (Section 5.2), the
@@ -17,9 +15,6 @@
   streamlines.
 - :mod:`repro.grammar.motifs` — frequent-rule motif discovery, the flip
   side of grammar-based anomaly detection.
-
-RRA and motif discovery take their grammar from the single-run detector's
-native token ids (:class:`repro.core.detector.GrammarAnomalyDetector`).
 """
 
 from repro.grammar.density import density_from_intervals

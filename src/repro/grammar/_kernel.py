@@ -284,9 +284,7 @@ def member_curve(
     spent tokenizing, feeding, walking the spans and accumulating the
     density, for the caller to charge to its stages: this function records
     nothing. ``kept`` is the number of tokens fed to Sequitur and ``size``
-    the grammar size, exactly :meth:`Grammar.grammar_size` of
-    :meth:`FastSequitur.freeze` over those tokens (live rule symbols plus
-    live rules, R0 included): what GI-Select ranks a ``(w, a)`` cell by.
+    the frozen grammar's :meth:`Grammar.grammar_size`.
 
     Raises what the chain raises: :class:`TypeError`/:class:`ValueError`
     for malformed inputs before the C call; :class:`IndexError` for a value

@@ -63,11 +63,10 @@
  * library), the arena, seq_spans and seq_density, keeping every check and
  * status of the chained calls. It is every batch density curve of the
  * package: ensemble members and the single-run detector alike, under
- * either numerosity strategy (exact or none, the `reduce` flag). Next to
- * its phase timings it reports the kept token count and the grammar size
- * (live rule symbols plus live rules, R0 included), which is all GI-Select
- * needs to rank a (w, a) cell. It holds no state between calls, so members
- * may run on as many threads at once as the caller likes.
+ * either numerosity strategy (exact or none, the `reduce` flag), and of
+ * GI-Select's grid, which ranks cells by its kept token count and grammar
+ * size. It holds no state between calls, so members may run on as many
+ * threads at once as the caller likes.
  *
  * One streaming member, one log. A SeqLog (bottom of the file) holds a
  * streaming member's kept token ids (int32) and window offsets (int64),

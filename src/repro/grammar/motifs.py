@@ -5,9 +5,8 @@ The flip side of grammar-based anomaly detection: where anomalies are the
 patterns — are the grammar rules with the most occurrences. The paper
 leans on this machinery (its Section 3.1 motivates compressibility for
 motif discovery), and the ensemble's member grammars expose motifs for
-free; this module extracts them. :func:`discover_motifs` induces its
-grammar on the single-run detector's native path
-(:class:`repro.core.detector.GrammarAnomalyDetector`).
+free; this module extracts them (:func:`discover_motifs` through
+:class:`repro.core.detector.GrammarAnomalyDetector`'s native token ids).
 """
 
 from __future__ import annotations

@@ -15,9 +15,8 @@ as the library's *variable-length* anomaly detector:
 4. the top-k non-overlapping intervals are reported — each with its own
    length, unlike fixed-window methods.
 
-The grammar and its token sequence come from the single-run detector's
-native path (:class:`repro.core.detector.GrammarAnomalyDetector`): native
-token ids, a native Sequitur builder, one word per distinct token.
+The grammar comes from the single-run detector's native token ids
+(:class:`repro.core.detector.GrammarAnomalyDetector`).
 """
 
 from __future__ import annotations

@@ -14,12 +14,9 @@ sequence that grammar induction consumes:
   token record (kept words with their window offsets).
 - :mod:`repro.sax.plan` — the shared multi-window discretization plan: one
   pass emits every ensemble member's PAA/symbol matrices, with the hot
-  loops in native code (:mod:`repro.sax._kernel`, whose ``sax_tokens``
-  does symbol lookup, numerosity reduction and token ids in one pass).
-
-A series becomes tokens in one place,
-:meth:`repro.core.multiresolution.MultiResolutionDiscretizer.token_ids`;
-no word string is built per window.
+  loops in native code (:mod:`repro.sax._kernel`). A series becomes
+  tokens natively, never one word string per window
+  (:meth:`repro.core.multiresolution.MultiResolutionDiscretizer.token_ids`).
 """
 
 from repro.sax.alphabet import ALPHABET, indices_to_word, word_to_indices

@@ -94,4 +94,3 @@ def pool_cases():
         for offset, dataset in enumerate(DATASETS.values())
         for index, case in enumerate(make_corpus(dataset, n_cases=6, seed=POOL_SEED + offset))
     ]
-

@@ -155,7 +155,7 @@ def kept_window_mask(symbols: np.ndarray) -> np.ndarray:
 
     ``mask[i]`` is True when row ``i`` differs from row ``i - 1`` (row 0 is
     always kept): exactly the windows
-    :func:`~repro.sax.numerosity.numerosity_reduction` keeps, decided on
+    :func:`numerosity_reduction` keeps, decided on
     integer symbol rows — two windows share a word iff their symbol rows
     are equal — without materializing any strings.
     """

@@ -287,7 +287,6 @@ class TestRuleDensityCurve:
 
     def test_anomaly_sits_at_density_minimum(self, anomalous_sine):
         """Integration: the planted anomaly is in the lowest-density region."""
-
         series, gt_position, gt_length = anomalous_sine
         words = discretize(series, 100, 5, 5)
         tokens = numerosity_reduction(words, 100)

@@ -328,4 +328,3 @@ def test_planted_case_hotsax_discords_match_the_oracle(pool_cases, dataset):
     case, seed = next(item for item in pool_cases if item[0].dataset == dataset)
     found = hotsax_discords(case.series, case.gt_length, 2, seed=seed)
     assert found == pipeline.hotsax_discords(case.series, case.gt_length, 2, seed=seed)
-
