@@ -701,8 +701,8 @@ def touch_task(payload) -> float:
     """Minimal worker task: materialize the series, return a checksum.
 
     The work is negligible on purpose — a burst of these isolates the
-    per-task dispatch round trip (lease + pickle + transport + result) of
-    whatever backend runs them. Shared by the executor and cluster benches.
+    per-task dispatch round trip (submit + pickle + transport + result) of
+    whatever backend runs them.
     """
     from repro.core.executors import resolve_series
 
@@ -722,20 +722,14 @@ def dispatch_overhead_once(executor, series: np.ndarray, tasks: int = 40) -> flo
 
 @register("dispatch")
 def _dispatch(*, executor: str, points: int, tasks: int = 40, workers: int = 2, seed: int = 0):
-    from repro.core.cluster import ClusterExecutor
     from repro.core.executors import ProcessExecutor
 
-    series = cached_series(points, seed)
-    if executor == "process":
-        with ProcessExecutor(workers) as pool:
-            pool.map(touch_task, [np.zeros(1)])  # spawn outside the measurement
-            per_task = dispatch_overhead_once(pool, series, tasks)
-    elif executor == "cluster":
-        with ClusterExecutor(workers, worker_wait=120.0, lease_timeout=30.0) as cluster:
-            cluster.start(wait=True)
-            per_task = dispatch_overhead_once(cluster, series, tasks)
-    else:
+    if executor != "process":
         raise ValueError(f"dispatch workload: unsupported executor {executor!r}")
+    series = cached_series(points, seed)
+    with ProcessExecutor(workers) as pool:
+        pool.map(touch_task, [np.zeros(1)])  # spawn outside the measurement
+        per_task = dispatch_overhead_once(pool, series, tasks)
     return {"ms_per_task": per_task * 1e3}
 
 

@@ -36,7 +36,6 @@ from repro.core import (
     Anomaly,
     AnomalyDetector,
     BatchItemError,
-    ClusterExecutor,
     EnsembleGrammarDetector,
     EnsembleReport,
     GrammarAnomalyDetector,
@@ -59,7 +58,6 @@ __all__ = [
     "Anomaly",
     "AnomalyDetector",
     "BatchItemError",
-    "ClusterExecutor",
     "DiscordDetector",
     "EnsembleGrammarDetector",
     "EnsembleReport",

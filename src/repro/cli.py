@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Five subcommands cover the library's main workflows:
+These subcommands cover the library's main workflows:
 
 - ``detect`` — run a detector over one or more series files and print/save
   the ranked anomalies. Passing several ``--input`` files fans the batch out
@@ -48,13 +48,11 @@ Five subcommands cover the library's main workflows:
 
       python -m repro serve --port 8765 --executor process --n-jobs 4 --max-batch 16
 
-- ``worker`` — join a cluster scheduler as one task-at-a-time worker
-  (:mod:`repro.core.cluster`). Any command run with ``--executor cluster
-  --scheduler HOST:PORT`` (including ``serve``) binds a scheduler at that
-  address; workers on any reachable machine dial in. See
-  ``docs/deployment.md``::
+- ``router`` — put one endpoint in front of several ``serve`` nodes: it
+  places sessions, fails them over, and splits a ``/v1/detect_batch`` over
+  the live nodes. See ``docs/deployment.md``::
 
-      python -m repro worker --connect 10.0.0.5:9123
+      python -m repro router --port 8766 --nodes 10.0.0.5:8765,10.0.0.6:8765
 
 - ``bench`` — run the declarative benchmark matrix
   (``benchmarks/bench_matrix.toml``) through the ``benchmarks/runner``
@@ -69,13 +67,10 @@ Five subcommands cover the library's main workflows:
 
 Every subcommand that runs batch detections (``detect``, ``evaluate``,
 ``serve``) accepts the same ``--executor`` flag, parsed by one shared
-helper: ``serial``, ``thread``, ``process``, or
-``cluster`` (``--scheduler HOST:PORT`` binds a fixed address for remote
-workers; without it a local mini-cluster of ``--n-jobs`` workers is
-spawned). Unknown names are rejected up front with the list of valid
-choices. Without ``--executor``, ``--n-jobs`` counts the member threads of
-each detect (default 1: every member on the calling thread) and no process
-is spawned. An executor carries whole series: a one-file ``detect`` runs
+helper: ``serial``, ``thread`` or ``process``. Unknown names are rejected
+up front with the list of valid choices. Without ``--executor``,
+``--n-jobs`` counts the member threads of each detect (default 1: every
+member on the calling thread) and no process is spawned. An executor carries whole series: a one-file ``detect`` runs
 its members on this process's threads even with one. Results are bitwise
 identical across backends. ``stream`` takes none of these flags (argparse
 rejects them): a streaming ensemble runs in this process.
@@ -89,7 +84,7 @@ density accumulation).
 Series files are one value per line (CSV with a single column; a header
 line is tolerated). All commands are deterministic under ``--seed``.
 Executors the CLI creates are context-managed: every pool (and any shared
-memory or worker fleet it manages) is released on success *and* on error
+memory it manages) is released on success *and* on error
 paths.
 """
 
@@ -105,7 +100,6 @@ from pathlib import Path
 import numpy as np
 
 from repro import __version__
-from repro.core.cluster import ClusterError, run_worker
 from repro.core.detector import GrammarAnomalyDetector
 from repro.core.engine import EVICTION_POLICIES
 from repro.core.ensemble import EnsembleGrammarDetector
@@ -165,9 +159,7 @@ EXECUTOR_HELP = (
     "execution backend for batches of series: 'serial' (inline reference), "
     "'thread' (reusable thread pool; every hot loop is native code that "
     "releases the GIL), 'process' (shared-memory series passing, reusable "
-    "pool), or 'cluster' (dispatch to `repro worker` processes over TCP; "
-    "spawns --n-jobs local workers, or binds --scheduler HOST:PORT for "
-    "remote ones). It carries whole series: the members of one detection "
+    "pool). It carries whole series: the members of one detection "
     "always run on this process's threads. Results are bitwise identical "
     "across backends. Default: none; --n-jobs then counts member threads "
     "and no process is spawned"
@@ -203,16 +195,6 @@ def _add_executor_options(parser: argparse.ArgumentParser) -> None:
         metavar="BACKEND",
         help=EXECUTOR_HELP,
     )
-    parser.add_argument(
-        "--scheduler",
-        metavar="HOST:PORT",
-        default=None,
-        help=(
-            "with --executor cluster: bind the scheduler at this address and "
-            "wait for externally started `repro worker --connect HOST:PORT` "
-            "processes instead of spawning local ones"
-        ),
-    )
 
 
 def open_cli_executor(args: argparse.Namespace, stack: ExitStack) -> MemberExecutor | None:
@@ -220,30 +202,13 @@ def open_cli_executor(args: argparse.Namespace, stack: ExitStack) -> MemberExecu
 
     The single place CLI executor flags become a live backend: the
     executor is registered on ``stack`` so every subcommand releases its
-    pool (or worker fleet) on success and on error paths alike. With
-    ``--executor cluster --scheduler HOST:PORT`` the scheduler is bound
-    immediately and the worker bring-up line is printed to stderr.
+    pool on success and on error paths alike.
     """
-    spec = args.executor
-    scheduler = getattr(args, "scheduler", None)
-    if spec is None:
-        if scheduler:
-            raise ValueError("--scheduler requires --executor cluster")
+    if args.executor is None:
         return None
-    if scheduler:
-        if spec != "cluster":
-            raise ValueError(f"--scheduler requires --executor cluster, not {spec!r}")
-        spec = f"cluster:{scheduler}"
-    executor = as_executor(spec, None if args.n_jobs <= 1 else args.n_jobs)
-    stack.enter_context(executor)
-    if scheduler:
-        host, port = executor.start(wait=False)
-        print(
-            f"cluster: scheduler listening on {host}:{port} — start workers "
-            f"with: python -m repro worker --connect {host}:{port}",
-            file=sys.stderr,
-        )
-    return executor
+    return stack.enter_context(
+        as_executor(args.executor, None if args.n_jobs <= 1 else args.n_jobs)
+    )
 
 
 def build_detector(
@@ -635,8 +600,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     # The executor is built (and torn down) here rather than inside the
     # service, so `serve` shares the exact flag semantics of every other
-    # subcommand — including `--executor cluster --scheduler HOST:PORT`,
-    # which lets the HTTP front end dispatch to a worker fleet.
+    # subcommand.
     with ExitStack() as stack:
         executor = open_cli_executor(args, stack)
         try:
@@ -719,17 +683,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         sys.path.insert(0, str(bench_dir))
     runner_cli = importlib.import_module("runner.cli")
     return runner_cli.run_bench(args, bench_dir)
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    _setup_cli_logging(args)
-    return run_worker(
-        args.connect,
-        authkey=args.authkey,
-        name=args.name,
-        heartbeat=args.heartbeat,
-        connect_retry=args.connect_retry,
-    )
 
 
 def _add_logging_options(parser: argparse.ArgumentParser) -> None:
@@ -979,42 +932,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_slow_request_option(router)
     router.set_defaults(handler=_cmd_router)
 
-    worker = commands.add_parser(
-        "worker",
-        help="join a cluster scheduler and execute dispatched tasks",
-    )
-    worker.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="scheduler address (printed by --executor cluster --scheduler)",
-    )
-    worker.add_argument(
-        "--name", default=None, help="worker name shown in scheduler stats"
-    )
-    worker.add_argument(
-        "--authkey",
-        default=None,
-        help=(
-            "shared connection secret; defaults to $REPRO_CLUSTER_AUTHKEY, "
-            "then a development constant"
-        ),
-    )
-    worker.add_argument(
-        "--heartbeat",
-        type=float,
-        default=5.0,
-        help="seconds between keep-alive heartbeats while computing (default 5)",
-    )
-    worker.add_argument(
-        "--connect-retry",
-        type=float,
-        default=10.0,
-        help="seconds to keep retrying the initial connection (default 10)",
-    )
-    _add_logging_options(worker)
-    worker.set_defaults(handler=_cmd_worker)
-
     bench = commands.add_parser(
         "bench",
         help="run the benchmark matrix with baselines and a regression gate",
@@ -1108,7 +1025,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "profile", None):
             return _run_profiled(args.handler, args)
         return args.handler(args)
-    except (ValueError, OSError, KeyError, BatchItemError, ClusterError) as error:
+    except (ValueError, OSError, KeyError, BatchItemError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:  # pragma: no cover — workers stopped by ^C

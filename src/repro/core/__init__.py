@@ -16,9 +16,6 @@ its ensemble variant (Sections 5–6).
 - :mod:`repro.core.executors` — the pluggable execution backends
   (serial/thread/process) with shared-memory series passing and reusable
   pools.
-- :mod:`repro.core.cluster` — the cross-machine backend behind the same
-  interface: the stdlib TCP cluster executor (scheduler + ``repro worker``
-  fleet).
 - :mod:`repro.core.engine` — the execution engine: shared stream state for
   streaming ensembles, executor-driven member execution, and the
   :func:`~repro.core.engine.detect_batch` /
@@ -37,11 +34,9 @@ from repro.core.engine import (
     detect_many,
     iter_detect_batch,
 )
-from repro.core.cluster import ClusterExecutor
 from repro.core.ensemble import EnsembleGrammarDetector, EnsembleReport, combine_and_detect
 from repro.core.executors import (
     EXECUTOR_KINDS,
-    EXECUTOR_SPECS,
     MemberExecutor,
     ProcessExecutor,
     SerialExecutor,
@@ -56,10 +51,8 @@ __all__ = [
     "Anomaly",
     "AnomalyDetector",
     "BatchItemError",
-    "ClusterExecutor",
     "EVICTION_POLICIES",
     "EXECUTOR_KINDS",
-    "EXECUTOR_SPECS",
     "EnsembleGrammarDetector",
     "EnsembleReport",
     "GrammarAnomalyDetector",

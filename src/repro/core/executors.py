@@ -73,7 +73,6 @@ import numpy as np
 __all__ = [
     "BatchItemError",
     "EXECUTOR_KINDS",
-    "EXECUTOR_SPECS",
     "ExecutorOwnerMixin",
     "MemberExecutor",
     "ProcessExecutor",
@@ -91,14 +90,10 @@ __all__ = [
     "resolve_series",
 ]
 
-#: The in-process executor backends (what the parity suite parametrizes
-#: over by default; the cluster backend lives in :mod:`repro.core.cluster`
-#: and is named via :data:`EXECUTOR_SPECS`).
+#: Every backend name :func:`as_executor` accepts — what the parity suite
+#: parametrizes over and the single source of the CLI help and of
+#: "unknown executor" error messages.
 EXECUTOR_KINDS = ("serial", "thread", "process")
-
-#: Every spec form :func:`as_executor` accepts — the single source of the
-#: CLI help and of "unknown executor" error messages.
-EXECUTOR_SPECS = ("serial", "thread", "process", "cluster[:HOST:PORT]")
 
 #: Prefix of every shared-memory segment this library creates (leak checks
 #: in the test suite key on it).
@@ -173,11 +168,6 @@ def resolve_series(ref) -> np.ndarray:
         finally:
             segment.close()
         return series
-    resolver = getattr(ref, "resolve", None)
-    if resolver is not None:
-        # Self-resolving references (the cluster backend's content-addressed
-        # blob refs) materialize themselves from worker-local storage.
-        return np.asarray(resolver(), dtype=np.float64)
     return np.asarray(ref, dtype=np.float64)
 
 
@@ -604,57 +594,29 @@ _EXECUTOR_CLASSES = {
 }
 
 
-def _split_spec(spec: str) -> tuple[str, str | None]:
-    """Split an executor spec into ``(backend name, optional address)``."""
-    base, sep, argument = spec.partition(":")
-    return base, (argument if sep else None)
-
-
 def _check_spec(spec: str) -> None:
     """Validate an executor spec string without constructing anything."""
-    base, argument = _split_spec(spec)
-    if base in _EXECUTOR_CLASSES:
-        if argument is not None:
-            raise ValueError(
-                f"executor {base!r} takes no address; expected one of {EXECUTOR_SPECS}"
-            )
+    if spec in _EXECUTOR_CLASSES:
         return
-    if base == "cluster":
-        if argument is not None:
-            # Function-level import: cluster.py imports this module at load
-            # time, so the reverse import must stay out of module scope.
-            from repro.core.cluster import parse_address
-
-            parse_address(argument)
-        return
-    raise ValueError(f"unknown executor {spec!r}; expected one of {EXECUTOR_SPECS}")
+    if spec == "cluster" or spec.startswith("cluster:"):
+        raise ValueError(
+            f"executor {spec!r} is no longer available: to spread a batch over "
+            "other hosts, send it as /v1/detect_batch to `repro router`, which "
+            f"splits it over its nodes; expected one of {EXECUTOR_KINDS}"
+        )
+    raise ValueError(f"unknown executor {spec!r}; expected one of {EXECUTOR_KINDS}")
 
 
 def as_executor(spec: str, max_workers: int | None = None) -> MemberExecutor:
-    """Instantiate an executor backend from a spec string.
+    """Instantiate an executor backend from its name in :data:`EXECUTOR_KINDS`.
 
-    Accepted forms (see :data:`EXECUTOR_SPECS`):
-
-    - ``"serial"`` / ``"thread"`` / ``"process"`` — the in-process backends;
-    - ``"cluster"`` — a self-contained localhost cluster: bind an ephemeral
-      port and spawn ``max_workers`` local worker subprocesses;
-    - ``"cluster:HOST:PORT"`` — bind ``HOST:PORT`` and wait for externally
-      started ``python -m repro worker`` processes (fleet mode).
-
-    Results are bitwise identical across every backend; the spec only
+    Results are bitwise identical across every backend; the name only
     chooses where the work runs. A non-string ``spec`` raises ``TypeError``.
     """
     if not isinstance(spec, str):
         raise TypeError(f"executor spec must be a string, got {type(spec).__name__}")
     _check_spec(spec)
-    base, argument = _split_spec(spec)
-    if base in _EXECUTOR_CLASSES:
-        return _EXECUTOR_CLASSES[base](max_workers)
-    from repro.core.cluster import ClusterExecutor
-
-    if argument is None:
-        return ClusterExecutor(max_workers)
-    return ClusterExecutor(max_workers, bind=argument)
+    return _EXECUTOR_CLASSES[spec](max_workers)
 
 
 def validate_executor_spec(executor) -> None:
@@ -665,7 +627,7 @@ def validate_executor_spec(executor) -> None:
         _check_spec(executor)
         return
     raise TypeError(
-        f"executor must be None, one of {EXECUTOR_SPECS}, or a MemberExecutor, "
+        f"executor must be None, one of {EXECUTOR_KINDS}, or a MemberExecutor, "
         f"got {type(executor).__name__}"
     )
 
@@ -716,7 +678,7 @@ def member_jobs(executor: MemberExecutor | str | None, n_jobs: int | None) -> in
     if executor is None or (n_jobs is not None and jobs > 1):
         return jobs
     if isinstance(executor, str):
-        kind, width = _split_spec(executor)[0], available_cpus()
+        kind, width = executor, available_cpus()
     else:
         kind, width = executor.kind, min(executor.max_workers, available_cpus())
     return 1 if kind == "serial" else width
@@ -727,7 +689,7 @@ def open_executor(executor, max_workers: int | None = None):
     """Yield a ready executor; close it on exit only if created here.
 
     ``executor`` may be a live :class:`MemberExecutor` (caller keeps
-    ownership — nothing is closed) or a spec from :data:`EXECUTOR_SPECS`
+    ownership — nothing is closed) or a name from :data:`EXECUTOR_KINDS`
     (a temporary executor is created and closed when the block exits).
     """
     if isinstance(executor, MemberExecutor):

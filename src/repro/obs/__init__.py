@@ -1,14 +1,14 @@
 """Zero-dependency telemetry: metrics, structured logs, stage timers.
 
-The observability subsystem the serving/cluster tiers report through:
+The observability subsystem the serving and routing tiers report through:
 
 - :mod:`repro.obs.metrics` — a thread-safe in-process metrics registry
   (``Counter``/``Gauge``/``Histogram`` with labeled children).
 - :mod:`repro.obs.expfmt` — Prometheus text-format exposition for
   ``GET /v1/metrics``.
 - :mod:`repro.obs.context` — the per-request correlation id, carried via
-  ``contextvars`` from the HTTP edge through the batcher to cluster
-  workers.
+  ``contextvars`` from the HTTP edge (and through the router to its
+  nodes) into the batcher.
 - :mod:`repro.obs.logging` — stdlib ``logging`` setup with a JSON
   formatter and automatic ``request_id`` stamping.
 - :mod:`repro.obs.stages` — the low-overhead pipeline stage timer seam

@@ -148,7 +148,7 @@ def capture() -> Iterator[dict[str, float]]:
     thread-seconds, so under a fan-out the stages may add up to more than
     the wall time, by up to the number of threads. Empty when telemetry is
     disabled or the executed path runs its stages in another process
-    (process/cluster executors record in the worker, not here).
+    (a process executor records in the worker, not here).
     """
     accumulator: dict[str, float] = {}
     stack = getattr(_local, "captures", None)

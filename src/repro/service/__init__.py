@@ -18,10 +18,10 @@ north star implies: one long-lived process that
 
 Served results are **bitwise identical** to the equivalent direct
 ``detect()``/streaming calls — the parity suite enforces it across every
-executor backend. The transport-agnostic core
-(:class:`~repro.service.core.DetectService`) is also the seam a future
-cross-machine dispatch backend plugs into: replace the in-process executor
-with a cluster one and the batching/session/caching layers carry over.
+executor backend. Several nodes go behind one router
+(:mod:`repro.service.router`; CLI: ``python -m repro router``), which
+places sessions, fails them over and splits a ``/v1/detect_batch`` over
+the live nodes — the one way this package reaches other hosts.
 """
 
 from repro.service.batching import MicroBatcher

@@ -26,7 +26,9 @@ A served request is **bitwise identical** to the equivalent direct call:
   ``detect_batch(..., seeds=...)``, so coalescing never changes results;
 - ``await service.detect_many(series_list, seed=s)`` equals
   ``EnsembleGrammarDetector(seed=s, ...).detect_batch(series_list)`` — the
-  same ``SeedSequence.spawn`` derivation, submitted per item;
+  same ``SeedSequence.spawn`` derivation, submitted per item (``offset=o``
+  on ``series_list[o:]`` gives the tail of that list, which is how the
+  router splits a batch over nodes);
 - session ``append``/``poll`` equals driving one
   :class:`~repro.core.streaming.StreamingEnsembleDetector` with the same
   chunks — the session *is* that detector.
@@ -107,7 +109,7 @@ class _DetectItem:
 
     ``request_id`` is captured at submit time because the batcher's drain
     task runs in its own ``contextvars`` context — the id must ride on the
-    item to reach the batch runner (and, through it, cluster envelopes).
+    item to reach the batch runner.
     """
 
     __slots__ = ("series", "seed", "kwargs", "k", "request_id")
@@ -129,13 +131,11 @@ class DetectService:
     ----------
     executor:
         Execution backend shared by every detect request (streaming
-        sessions always run in this process): a spec string from
-        :data:`~repro.core.executors.EXECUTOR_SPECS` — including
-        ``"cluster:HOST:PORT"``, which puts a worker fleet behind the
-        service with no other change — (the service creates and owns it),
-        a live :class:`~repro.core.executors.MemberExecutor` (borrowed;
-        the caller closes it), or ``None`` for the inline ``n_jobs``
-        semantics.
+        sessions always run in this process): a name from
+        :data:`~repro.core.executors.EXECUTOR_KINDS` (the service creates
+        and owns it), a live :class:`~repro.core.executors.MemberExecutor`
+        (borrowed; the caller closes it), or ``None`` for the inline
+        ``n_jobs`` semantics.
     n_jobs:
         Pool size for a spec-built executor; when ``executor`` is ``None``,
         the member threads of each detection (the batch engine's
@@ -258,7 +258,7 @@ class DetectService:
         the result; it never changes the detection itself. A micro-batch of
         one series runs its members in this process under every executor,
         so every stage is there; a cache hit reports an empty block, and a
-        coalesced batch under a process or cluster executor reports only
+        coalesced batch under a process executor reports only
         what ran here (its series ran in the workers).
         """
         kwargs, fingerprint = self._normalize_config(config)
@@ -323,6 +323,7 @@ class DetectService:
         *,
         k: int = 3,
         seed=0,
+        offset: int = 0,
         timeout=_UNSET,
         **config: Any,
     ) -> list[DetectResult | BatchItemError]:
@@ -335,9 +336,16 @@ class DetectService:
         — except that a failing series yields a
         :class:`~repro.core.executors.BatchItemError` in its slot instead
         of failing the whole request.
+
+        ``offset`` says where ``series_list`` starts inside a larger batch
+        (the router sends each node one chunk): item ``i`` is seeded and
+        named as item ``offset + i`` of that batch, so the chunks' results
+        joined in order equal the whole batch's.
         """
+        if type(offset) is not int or offset < 0:
+            raise BadRequest(f"offset must be a non-negative integer, got {offset!r}")
         series_list = list(series_list)
-        seeds = spawn_rngs(seed, len(series_list))
+        seeds = spawn_rngs(seed, len(series_list), start=offset)
         # One shared configuration: validate and fingerprint it once, not
         # once per series.
         kwargs, fingerprint = self._normalize_config(config)
@@ -364,9 +372,9 @@ class DetectService:
                 if isinstance(result, BatchItemError):
                     # Re-attribute: the wrapped index points into whatever
                     # micro-batch the item landed in, not this request.
-                    result = BatchItemError(index, None, result.cause_message)
+                    result = BatchItemError(offset + index, None, result.cause_message)
                 else:
-                    result = BatchItemError(index, None, result)
+                    result = BatchItemError(offset + index, None, result)
                 out.append(result)
             else:
                 out.append(result)
@@ -383,9 +391,9 @@ class DetectService:
 
         Telemetry rides along without touching results: the coalesced
         items' request ids are re-bound here (the drain task has its own
-        context) so engine/cluster log lines and task envelopes name the
-        originating requests, and the stage durations of the batch are
-        captured and returned with each successful slot.
+        context) so engine log lines name the originating requests, and
+        the stage durations of the batch are captured and returned with
+        each successful slot.
         """
         kwargs, k = items[0].kwargs, items[0].k
         request_ids = sorted({item.request_id for item in items if item.request_id})

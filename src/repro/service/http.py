@@ -604,7 +604,9 @@ class ServiceHTTPServer(BaseHTTPServer):
         series_list = payload.get("series")
         if not isinstance(series_list, list) or not series_list:
             raise BadRequest("'series' must be a non-empty list of series arrays")
-        config = _split_config(payload, CONFIG_KEYS, ("series", "k", "seed", "timeout"))
+        config = _split_config(
+            payload, CONFIG_KEYS, ("series", "k", "seed", "offset", "timeout")
+        )
         if "window" not in config:
             raise BadRequest("missing required field 'window'")
         kwargs = {}
@@ -614,6 +616,7 @@ class ServiceHTTPServer(BaseHTTPServer):
             series_list,
             k=payload.get("k", 3),
             seed=payload.get("seed", 0),
+            offset=payload.get("offset", 0),
             **kwargs,
             **config,
         )

@@ -17,6 +17,10 @@ any node directly. The router
   it reads a field: a create's name, an append's values, a migrate's
   target, and the replies to append and restore. Requests reuse pooled
   keep-alive connections, one idle set per node (:func:`_http_request`);
+- **splits** a ``/v1/detect_batch`` of several series over the live nodes,
+  one contiguous chunk each cut from the client's own text, and joins the
+  decoded results in order (floats round-trip exactly) — the document one
+  node answers for the whole batch;
 - **recovers**: when a node stops answering, the session is re-placed on
   the next surviving node of its preference walk, restored there from its
   latest snapshot (shared :class:`~repro.service.snapshot.SnapshotStore`
@@ -45,6 +49,7 @@ import bisect
 import hashlib
 import itertools
 import json
+import re
 import signal
 import time
 from typing import Callable, NamedTuple
@@ -287,8 +292,73 @@ async def _http_request(
 
 
 def _encode(payload: dict) -> bytes:
-    """A request body the router builds itself (recovery and replay)."""
+    """A body the router builds itself (recovery, replay and batch splits)."""
     return json.dumps(payload).encode("utf-8")
+
+
+_DECODER = json.JSONDecoder()
+_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _skip(text: str, pos: int) -> int:
+    return _SPACE.match(text, pos).end()
+
+
+def _cut_batch(body: bytes) -> tuple[dict, list[str]] | None:
+    """A ``/v1/detect_batch`` body as its other fields and its series' JSON texts.
+
+    The series keep the client's own text, so a chunk is built without
+    re-encoding a number. Anything but one JSON object with a ``series``
+    list of two or more items and a valid ``offset`` is ``None``: the body
+    then goes to one node unparsed, which answers it itself.
+    """
+    try:
+        text = body.decode("utf-8")
+        fields: dict = {}
+        pos = _skip(text, 0)
+        if text[pos] != "{":
+            return None
+        pos = _skip(text, pos + 1)
+        while text[pos] != "}":
+            if fields:
+                if text[pos] != ",":
+                    return None
+                pos = _skip(text, pos + 1)
+            key, pos = _DECODER.raw_decode(text, pos)
+            pos = _skip(text, pos)
+            if not isinstance(key, str) or key in fields or text[pos] != ":":
+                return None
+            pos = _skip(text, pos + 1)
+            if key == "series" and text[pos] == "[":
+                fields[key], pos = _items(text, pos)
+            else:
+                fields[key], pos = _DECODER.raw_decode(text, pos)
+            pos = _skip(text, pos)
+        if _skip(text, pos + 1) != len(text):
+            return None
+    except (ValueError, IndexError, RecursionError):
+        return None
+    series, offset = fields.pop("series", None), fields.get("offset", 0)
+    if not isinstance(series, list) or len(series) < 2:
+        return None
+    if type(offset) is not int or offset < 0:
+        return None
+    return fields, series
+
+
+def _items(text: str, pos: int) -> tuple[list[str], int]:
+    """The JSON text of each item of the array at ``pos``, and the end."""
+    items: list[str] = []
+    pos = _skip(text, pos + 1)
+    while text[pos] != "]":
+        if items:
+            if text[pos] != ",":
+                raise ValueError(f"expected ',' or ']' at {pos}")
+            pos = _skip(text, pos + 1)
+        _value, end = _DECODER.raw_decode(text, pos)
+        items.append(text[pos:end])
+        pos = _skip(text, end)
+    return items, pos + 1
 
 
 class SessionRouter:
@@ -655,35 +725,126 @@ class SessionRouter:
     # ------------------------------------------------------------------
 
     async def proxy_detect(self, path: str, body: bytes) -> _Reply:
-        """Round-robin a one-shot request over the surviving nodes, unparsed."""
-        for _attempt in range(2 * len(self.nodes)):
-            addr = self.nodes[next(self._rr) % len(self.nodes)]
-            if not self.alive.get(addr, False):
+        """Round-robin a one-shot request over the surviving nodes, unparsed.
+
+        The one exception is a ``/v1/detect_batch`` of two or more series
+        while two or more nodes are alive: it is split over them
+        (:meth:`_split_batch`).
+        """
+        if path == "/v1/detect_batch":
+            live = [addr for addr in self.nodes if self.alive[addr]]
+            cut = _cut_batch(body) if len(live) >= 2 else None
+            if cut is not None:
+                return await self._split_batch(path, *cut, live)
+        return (await self._detect_from(next(self._rr), path, body))[1]
+
+    async def _detect_from(self, start: int, path: str, body: bytes) -> tuple[str, _Reply]:
+        """Send a one-shot request to the first live node from ``nodes[start]`` on.
+
+        A node that fails is marked dead and the next one is tried. When
+        none is left, the nodes marked dead are probed once (a blip may have
+        passed) and the walk runs again before the request gives up.
+        Returns the answering node and its reply.
+        """
+        answer = await self._walk(start, path, body)
+        if answer is None and await self._revive():
+            answer = await self._walk(start, path, body)
+        if answer is None:
+            raise NodeUnavailable("no serve node reachable for detection")
+        return answer
+
+    async def _walk(self, start: int, path: str, body: bytes) -> tuple[str, _Reply] | None:
+        for step in range(len(self.nodes)):
+            addr = self.nodes[(start + step) % len(self.nodes)]
+            if not self.alive[addr]:
                 continue
             try:
-                return await self._call(addr, "POST", path, body)
+                return addr, await self._call(addr, "POST", path, body)
             except _NodeDown:
                 self.alive[addr] = False
-        raise NodeUnavailable("no serve node reachable for detection")
+        return None
+
+    async def _split_batch(
+        self, path: str, fields: dict, series: list[str], live: list[str]
+    ) -> _Reply:
+        """Cut a batch into one contiguous chunk per live node, sent at once.
+
+        Each chunk carries ``offset``, its first index in the client's
+        batch, so the node seeds and names its series as the whole batch
+        would; chunk ``i`` starts its walk on ``live[i]``. The replies are
+        joined in order when all are 200; otherwise the first other reply
+        is relayed unchanged. The access line names every answering node
+        and the wall time of the fan-out.
+        """
+        count = min(len(live), len(series))
+        bounds = [len(series) * index // count for index in range(count + 1)]
+        base = fields.get("offset", 0)
+        bodies = [
+            b'{"series": [%s], %s'
+            % (
+                ",".join(series[low:high]).encode("utf-8"),
+                _encode({**fields, "offset": base + low})[1:],
+            )
+            for low, high in zip(bounds, bounds[1:])
+        ]
+        started = time.perf_counter()
+        answers = await asyncio.gather(
+            *(
+                self._detect_from(self.nodes.index(addr), path, body)
+                for addr, body in zip(live, bodies)
+            ),
+            return_exceptions=True,
+        )
+        access = access_fields()
+        access["upstream_ms"] = (time.perf_counter() - started) * 1000.0
+        answered = [answer[0] for answer in answers if isinstance(answer, tuple)]
+        if answered:
+            access["node"] = ",".join(dict.fromkeys(answered))
+        for answer in answers:
+            if isinstance(answer, BaseException):
+                raise answer
+        replies = [reply for _addr, reply in answers]
+        refused = next((reply for reply in replies if reply.status != 200), None)
+        if refused is not None:
+            return refused
+        results, failed = [], 0
+        for reply in replies:
+            document = reply.json()
+            results.extend(document["results"])
+            failed += document["failed"]
+        return _Reply(
+            200,
+            _encode({"results": results, "failed": failed}),
+            {"Content-Type": "application/json"},
+        )
 
     # ------------------------------------------------------------------
     # Introspection.
     # ------------------------------------------------------------------
 
+    async def _probe(self, addr: str) -> bool:
+        """Ask ``addr`` for ``/v1/healthz``; record and return whether it is alive."""
+        try:
+            reply = await self._call(addr, "GET", "/v1/healthz", timeout=PROBE_TIMEOUT)
+            self.alive[addr] = reply.status == 200
+        except _NodeDown:
+            self.alive[addr] = False
+        return self.alive[addr]
+
+    async def _revive(self) -> bool:
+        """Probe every node marked dead once; whether any came back."""
+        dead = [addr for addr in self.nodes if not self.alive[addr]]
+        return any(await asyncio.gather(*(self._probe(addr) for addr in dead)))
+
     async def nodes_info(self) -> dict:
         """Probe every node (reviving recovered ones) and describe the fleet."""
         documents = []
         for addr in self.nodes:
-            try:
-                reply = await self._call(addr, "GET", "/v1/healthz", timeout=PROBE_TIMEOUT)
-                self.alive[addr] = reply.status == 200
-            except _NodeDown:
-                self.alive[addr] = False
             documents.append(
                 {
                     "node": addr,
                     "role": "serve",
-                    "alive": self.alive[addr],
+                    "alive": await self._probe(addr),
                     "sessions": sum(
                         1 for node in self._placements.values() if node == addr
                     ),

@@ -27,20 +27,32 @@ def ensure_rng(seed: RandomState = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: RandomState, count: int) -> list[np.random.Generator]:
+def spawn_rngs(seed: RandomState, count: int, *, start: int = 0) -> list[np.random.Generator]:
     """Split one seed into ``count`` independent child generators.
 
     Uses ``SeedSequence.spawn`` so children are statistically independent and
-    stable across NumPy versions for a fixed integer seed.
+    stable across NumPy versions for a fixed integer seed. ``start`` skips
+    the first children: the result is ``spawn_rngs(seed, start + count)[start:]``,
+    built without the skipped ones.
     """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
+    if count < 0 or start < 0:
+        raise ValueError(f"count and start must be non-negative, got {count} and {start}")
     if isinstance(seed, np.random.Generator):
         # Derive children from the generator's own stream.
-        seeds = seed.integers(0, 2**63 - 1, size=count)
+        seeds = seed.integers(0, 2**63 - 1, size=start + count)[start:]
         return [np.random.default_rng(int(s)) for s in seeds]
     sequence = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in sequence.spawn(count)]
+    # Child i of SeedSequence.spawn is the parent's entropy under spawn key (i,).
+    return [
+        np.random.default_rng(
+            np.random.SeedSequence(
+                sequence.entropy,
+                spawn_key=(*sequence.spawn_key, start + index),
+                pool_size=sequence.pool_size,
+            )
+        )
+        for index in range(count)
+    ]
 
 
 def iter_param_combinations(

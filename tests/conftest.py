@@ -17,12 +17,10 @@ POOL_SEED = 20200330
 def pytest_addoption(parser: pytest.Parser) -> None:
     parser.addoption(
         "--executor",
-        choices=EXECUTOR_KINDS + ("cluster",),
+        choices=EXECUTOR_KINDS,
         default=None,
         help="restrict executor-parametrized tests to one backend "
-        "(e.g. --executor process under a constrained taskset, or "
-        "--executor cluster to run the parity suite over a localhost "
-        "scheduler + worker fleet)",
+        "(e.g. --executor process under a constrained taskset)",
     )
 
 

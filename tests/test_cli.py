@@ -267,9 +267,9 @@ class TestUnifiedExecutorFlag:
         for command in self.COMMANDS_WITH_EXECUTOR:
             text = self._help_for(command)
             assert "--executor" in text
-            assert "--scheduler" in text
-            for backend in ("serial", "thread", "process", "cluster"):
+            for backend in ("serial", "thread", "process"):
                 assert f"'{backend}'" in text, (command, backend)
+            assert "cluster" not in text, command
 
     def test_executor_help_identical_across_subcommands(self):
         from repro.cli import EXECUTOR_HELP
@@ -288,7 +288,7 @@ class TestUnifiedExecutorFlag:
             assert excinfo.value.code == 2
             err = capsys.readouterr().err
             assert f"unknown executor {name!r}" in err
-            for backend in ("serial", "thread", "process", "cluster"):
+            for backend in ("serial", "thread", "process"):
                 assert backend in err
 
     def test_unknown_executor_rejected_on_every_subcommand(self, capsys):
@@ -303,9 +303,7 @@ class TestUnifiedExecutorFlag:
             assert excinfo.value.code == 2, command
             assert "unknown executor" in capsys.readouterr().err, command
 
-    @pytest.mark.parametrize(
-        "flag", [["--executor", "thread"], ["--n-jobs", "2"], ["--scheduler", "127.0.0.1:9"]]
-    )
+    @pytest.mark.parametrize("flag", [["--executor", "thread"], ["--n-jobs", "2"]])
     def test_stream_takes_no_executor_flags(self, flag, capsys):
         """A streaming ensemble runs in this process, so ``stream`` rejects
         the executor flags with a usage error instead of ignoring them."""
@@ -314,47 +312,30 @@ class TestUnifiedExecutorFlag:
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
-    def test_scheduler_without_cluster_is_clean_error(self, series_file, capsys):
-        code = main(
-            ["detect", "--input", str(series_file), "--window", "100",
-             "--executor", "process", "--scheduler", "127.0.0.1:9"]
-        )
-        assert code == 2
-        assert "--scheduler requires --executor cluster" in capsys.readouterr().err
+    @pytest.mark.parametrize("spec", ["cluster", "cluster:127.0.0.1:9"])
+    def test_cluster_executor_is_rejected_naming_the_router(self, spec, capsys):
+        """The cluster backend is gone: every subcommand that takes an
+        executor refuses it up front and points at the router instead."""
+        cases = {
+            "detect": ["detect", "--input", "x.csv", "--window", "10"],
+            "evaluate": ["evaluate", "--dataset", "Wafer"],
+            "serve": ["serve"],
+        }
+        for command in self.COMMANDS_WITH_EXECUTOR:
+            with pytest.raises(SystemExit) as excinfo:
+                main(cases[command] + ["--executor", spec, "--n-jobs", "2"])
+            assert excinfo.value.code == 2, command
+            err = capsys.readouterr().err
+            assert f"executor {spec!r} is no longer available" in err, command
+            assert "`repro router`" in err, command
 
-    def test_scheduler_without_executor_is_clean_error(self, series_file, capsys):
-        code = main(
-            ["detect", "--input", str(series_file), "--window", "100",
-             "--scheduler", "127.0.0.1:9"]
-        )
-        assert code == 2
-        assert "--scheduler requires --executor cluster" in capsys.readouterr().err
-
-    def test_worker_subcommand_in_top_level_help(self, capsys):
+    def test_worker_is_an_unknown_command(self, capsys):
+        commands = build_parser()._subparsers._group_actions[0].choices
+        assert "worker" not in commands
         with pytest.raises(SystemExit) as excinfo:
-            main(["--help"])
-        assert excinfo.value.code == 0
-        assert "worker" in capsys.readouterr().out
-
-    def test_detect_with_cluster_executor_matches_serial(self, tmp_path, capsys):
-        """End to end through the CLI: a localhost cluster batch is bitwise
-        identical to the serial run of the same command."""
-        first = np.sin(np.linspace(0, 30 * np.pi, 1200))
-        first[600:660] = np.sin(np.linspace(0, 6 * np.pi, 60))
-        second = np.sin(np.linspace(0, 30 * np.pi, 1200))
-        second[300:360] = np.sin(np.linspace(0, 6 * np.pi, 60))
-        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-        save_series(paths[0], first)
-        save_series(paths[1], second)
-        base = [
-            "detect", "--input", str(paths[0]), str(paths[1]),
-            "--window", "60", "--ensemble-size", "5", "--seed", "2",
-        ]
-        assert main(base) == 0
-        serial = capsys.readouterr().out
-        assert main(base + ["--executor", "cluster", "--n-jobs", "2"]) == 0
-        clustered = capsys.readouterr().out
-        assert clustered == serial
+            main(["worker", "--connect", "127.0.0.1:9"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'worker'" in capsys.readouterr().err
 
 
 class TestStreamCommand:

@@ -24,7 +24,6 @@ FAST_EXAMPLES = [
     "streaming_detection.py",
     "real_ucr_data.py",
     "serve_client.py",
-    "cluster_worker.py",
 ]
 
 
@@ -59,14 +58,3 @@ def test_streaming_example_localizes():
     )
     assert "anomaly localized" in result.stdout
 
-
-def test_cluster_example_verifies_parity():
-    result = subprocess.run(
-        [sys.executable, str(EXAMPLES_DIR / "cluster_worker.py")],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert result.returncode == 0, result.stderr[-2000:]
-    assert "bitwise parity with the serial run: OK" in result.stdout
-    assert "fleet: 2 workers" in result.stdout

@@ -75,18 +75,27 @@ class TestRegistry:
     def test_validate_executor_spec(self):
         validate_executor_spec(None)
         validate_executor_spec("thread")
-        validate_executor_spec("cluster")
-        validate_executor_spec("cluster:127.0.0.1:9123")
         executor = SerialExecutor()
         validate_executor_spec(executor)
         with pytest.raises(ValueError, match="unknown executor"):
             validate_executor_spec("ray")
-        with pytest.raises(ValueError, match="HOST:PORT"):
-            validate_executor_spec("cluster:no-port")
-        with pytest.raises(ValueError, match="takes no address"):
+        with pytest.raises(ValueError, match="unknown executor 'process:127.0.0.1:1'"):
             validate_executor_spec("process:127.0.0.1:1")
         with pytest.raises(TypeError, match="MemberExecutor"):
             validate_executor_spec(42)
+
+    @pytest.mark.parametrize("spec", ["cluster", "cluster:127.0.0.1:9123", "cluster:no-port"])
+    def test_cluster_spec_is_rejected_naming_the_router(self, spec):
+        """The cluster backend is gone; the router splits batches over hosts."""
+        from repro.service import DetectService
+
+        for build in (
+            lambda: as_executor(spec, 2),
+            lambda: validate_executor_spec(spec),
+            lambda: DetectService(executor=spec),
+        ):
+            with pytest.raises(ValueError, match="`repro router`"):
+                build()
 
     def test_invalid_max_workers(self):
         with pytest.raises(ValueError, match="max_workers"):

@@ -289,3 +289,42 @@ def test_router_access_line_names_the_node_and_its_time(caplog):
     # A request the router answers itself names no node.
     healthz = next(r for r in lines if r.path == "/v1/healthz")
     assert not hasattr(healthz, "node") and not hasattr(healthz, "upstream_ms")
+
+
+def test_split_batch_access_line_names_every_node_and_the_fan_out_time(caplog):
+    """Chunks run at once: ``upstream_ms`` is their wall time, not their sum."""
+    from test_router_relay import FakeNode, response
+
+    def answer(path, body):
+        count = len(json.loads(body)["series"])
+        reply = {"results": [{"anomalies": []}] * count, "failed": 0}
+        return 0.3, response(200, json.dumps(reply).encode())
+
+    async def main():
+        nodes = [FakeNode(answer), FakeNode(answer)]
+        addrs = [await node.start() for node in nodes]
+        router = SessionRouter(addrs)
+        server = RouterHTTPServer(router, "127.0.0.1", 0)
+        await server.start()
+        try:
+            body = {"series": [make_series(i, 100) for i in range(4)], "seed": 1, **CONFIG}
+            status, _, _ = await _get(server.port, "/v1/detect_batch", body)
+        finally:
+            await server.aclose()
+            await router.aclose()
+            for node in nodes:
+                await node.aclose()
+        return status, addrs
+
+    with caplog.at_level(logging.INFO, logger="repro.service.http"):
+        status, addrs = asyncio.run(main())
+    assert status == 200
+    line = next(
+        r for r in caplog.records
+        if getattr(r, "role", None) == "router" and r.path == "/v1/detect_batch"
+    )
+    assert line.node == ",".join(addrs)
+    # Each chunk takes 300 ms: the sum over the two would be 600.
+    assert 300.0 <= line.upstream_ms < 600.0
+    assert line.upstream_ms <= line.duration_ms
+    assert f"node {line.node} " in line.getMessage()

@@ -83,6 +83,8 @@ def stop(process: subprocess.Popen) -> None:
         except subprocess.TimeoutExpired:
             process.kill()
             process.wait(timeout=10)
+    if process.stdout is not None:
+        process.stdout.close()
 
 
 def start_fleet(snapshot_dir: str, *router_args: str) -> dict:

@@ -13,7 +13,8 @@ an ephemeral port. Blocking ``http.client`` calls hop through
 - a request that timed out closes its connection, so the next request
   reads its own reply and never the late one;
 - a node restarted on the same port is reached on a fresh connection and
-  stays ``alive``;
+  stays ``alive``; one that was marked dead meanwhile is probed back to
+  life by the next detect, with no ``/v1/nodes`` call in between;
 - router shutdown closes every pooled connection (the node sees each one
   go, and nothing is left for the garbage collector to warn about);
 - a failure mid-append is a ``_NodeDown`` and the append reached the node
@@ -68,8 +69,8 @@ class FakeNode:
         self.requests: list[tuple[bytes, bytes]] = []  # (head, body) as received
         self.connections = 0
 
-    async def start(self) -> str:
-        self._server = await asyncio.start_server(self._serve, "127.0.0.1", 0)
+    async def start(self, port: int = 0) -> str:
+        self._server = await asyncio.start_server(self._serve, "127.0.0.1", port)
         return f"127.0.0.1:{self._server.sockets[0].getsockname()[1]}"
 
     async def aclose(self) -> None:
@@ -252,6 +253,36 @@ def test_a_restarted_node_is_reached_on_a_fresh_connection():
     assert before[0] == after[0] == 200
     assert after[2] == before[2]
     assert alive
+
+
+def test_a_node_marked_dead_is_probed_back_by_the_next_detect():
+    def answer(path, body):
+        return 0.0, response(200, b'{"status": "ok"}' if path == "/v1/healthz" else ODD_REPLY)
+
+    async def main():
+        node = FakeNode(answer)
+        addr = await node.start()
+        port = int(addr.rpartition(":")[2])
+        router, server = await start_router([addr])
+        try:
+            await node.aclose()
+            down = await post(server.port, "/v1/detect", ODD_DETECT)
+            marked = router.alive[addr]
+            node = FakeNode(answer)
+            await node.start(port)
+            back = await post(server.port, "/v1/detect", ODD_DETECT)
+            alive = router.alive[addr]
+        finally:
+            await stop_router(router, server)
+            await node.aclose()
+        return down, marked, back, alive, node
+
+    down, marked, back, alive, node = asyncio.run(main())
+    assert down[0] == 504 and json.loads(down[2])["error"]["code"] == "node-unavailable"
+    assert marked is False
+    assert (back[0], back[2]) == (200, ODD_REPLY)
+    assert alive
+    assert [head.split()[1] for head, _body in node.requests] == [b"/v1/healthz", b"/v1/detect"]
 
 
 # ----------------------------------------------------------------------
