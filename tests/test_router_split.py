@@ -8,10 +8,12 @@ in order. Covers:
 - the node's ``offset`` field: ``offset=o`` on ``series[o:]`` is the tail
   of the whole batch, error slots name the client's index, bad values are
   a 400;
-- in process, against :class:`FakeNode` stand-ins: the chunk bodies, the
-  relay of a refused chunk with its ``Retry-After``, and the cases that
-  stay an unparsed relay (one live node, one series, a body that does not
-  parse);
+- in process, against :class:`FakeNode` stand-ins: the chunk bodies and
+  sizes (uneven batches, more live nodes than series), the summed
+  ``failed`` count, a chunk whose node drops the connection moving to the
+  next live node, the relay of a refused chunk with its ``Retry-After``,
+  and the cases that stay an unparsed relay (one live node, one series, a
+  body that does not parse);
 - end to end (subprocess fleet of two nodes and a router): a mixed batch
   with a failing series in the middle equals the direct ``detect_batch``,
   also with one node SIGKILLed while the router still counts it alive.
@@ -256,6 +258,109 @@ def test_with_one_live_node_the_batch_is_relayed_unparsed():
     assert status == 200
     assert nodes[0].bodies("/v1/detect_batch") == [body]
     assert nodes[1].requests == []
+
+
+def test_an_uneven_batch_is_cut_into_chunks_that_differ_by_at_most_one():
+    series = [[float(i), float(i) + 1.0] for i in range(7)]
+
+    async def main():
+        nodes, addrs = await _fleet(_batch_reply, _batch_reply, _batch_reply)
+        router, server = await start_router(addrs)
+        try:
+            body = json.dumps({"series": series, "window": 2}).encode()
+            reply = await post(server.port, "/v1/detect_batch", body)
+        finally:
+            await stop_router(router, server)
+            for node in nodes:
+                await node.aclose()
+        return reply, [[json.loads(b) for b in node.bodies("/v1/detect_batch")] for node in nodes]
+
+    (status, _headers, body), received = asyncio.run(main())
+    assert status == 200
+    assert [slot["index"] for slot in json.loads(body)["results"]] == list(range(7))
+    assert [(chunk["offset"], chunk["series"]) for [chunk] in received] == [
+        (0, series[0:2]),
+        (2, series[2:4]),
+        (4, series[4:7]),
+    ]
+
+
+def test_more_live_nodes_than_series_leaves_the_extra_nodes_idle():
+    async def main():
+        nodes, addrs = await _fleet(_batch_reply, _batch_reply, _batch_reply)
+        router, server = await start_router(addrs)
+        try:
+            body = b'{"series": [[1.0, 2.0], [3.0, 4.0]], "window": 2}'
+            return await post(server.port, "/v1/detect_batch", body), nodes
+        finally:
+            await stop_router(router, server)
+            for node in nodes:
+                await node.aclose()
+
+    (status, _headers, body), nodes = asyncio.run(main())
+    assert status == 200
+    assert [slot["index"] for slot in json.loads(body)["results"]] == [0, 1]
+    assert [node.bodies("/v1/detect_batch") for node in nodes] == [
+        [b'{"series": [[1.0, 2.0]], "window": 2, "offset": 0}'],
+        [b'{"series": [[3.0, 4.0]], "window": 2, "offset": 1}'],
+        [],
+    ]
+
+
+def test_the_failed_counts_of_the_chunks_are_summed():
+    def one_failure_per_chunk(path, body):
+        request = json.loads(body)
+        results = [{"anomalies": []} for _ in request["series"]]
+        results[0] = {"error": {"code": "bad-request", "message": f"{request['offset']}"}}
+        return 0.0, response(200, json.dumps({"results": results, "failed": 1}).encode())
+
+    async def main():
+        nodes, addrs = await _fleet(one_failure_per_chunk, one_failure_per_chunk)
+        router, server = await start_router(addrs)
+        try:
+            body = json.dumps({"series": [[1.0, 2.0]] * 4, "window": 2}).encode()
+            return await post(server.port, "/v1/detect_batch", body)
+        finally:
+            await stop_router(router, server)
+            for node in nodes:
+                await node.aclose()
+
+    status, _headers, body = asyncio.run(main())
+    document = json.loads(body)
+    assert status == 200
+    assert document["failed"] == 2
+    assert [slot.get("error", {}).get("message") for slot in document["results"]] == [
+        "0",
+        None,
+        "2",
+        None,
+    ]
+
+
+def test_a_chunk_whose_node_drops_the_connection_goes_to_the_next_live_node():
+    def drops(path, body):
+        return 0.0, None
+
+    async def main():
+        nodes, addrs = await _fleet(_batch_reply, drops)
+        router, server = await start_router(addrs)
+        try:
+            body = json.dumps({"series": [[1.0, 2.0]] * 4, "window": 2}).encode()
+            reply = await post(server.port, "/v1/detect_batch", body)
+            return reply, dict(router.alive), addrs, nodes
+        finally:
+            await stop_router(router, server)
+            for node in nodes:
+                await node.aclose()
+
+    (status, _headers, body), alive, addrs, nodes = asyncio.run(main())
+    assert status == 200
+    assert [slot["index"] for slot in json.loads(body)["results"]] == [0, 1, 2, 3]
+    assert alive == {addrs[0]: True, addrs[1]: False}
+    # The dropped chunk is sent again, unchanged, to the surviving node.
+    dropped = nodes[1].bodies("/v1/detect_batch")
+    assert dropped and dropped[-1] in nodes[0].bodies("/v1/detect_batch")
+    assert sorted(json.loads(b)["offset"] for b in nodes[0].bodies("/v1/detect_batch")) == [0, 2]
 
 
 # ----------------------------------------------------------------------

@@ -58,6 +58,26 @@ class TestSpawnRngs:
         children = spawn_rngs(generator, 3)
         assert len(children) == 3
 
+    @pytest.mark.parametrize("start", [0, 1, 4])
+    def test_start_skips_the_first_children(self, start):
+        tail = [child.standard_normal(3) for child in spawn_rngs(11, 3, start=start)]
+        whole = [child.standard_normal(3) for child in spawn_rngs(11, start + 3)]
+        for x, y in zip(tail, whole[start:], strict=True):
+            assert np.array_equal(x, y)
+
+    def test_start_from_generator_matches_the_tail(self):
+        tail = spawn_rngs(np.random.default_rng(5), 2, start=3)
+        whole = spawn_rngs(np.random.default_rng(5), 5)
+        for x, y in zip(tail, whole[3:], strict=True):
+            assert np.array_equal(x.standard_normal(4), y.standard_normal(4))
+
+    def test_start_with_zero_count(self):
+        assert spawn_rngs(0, 0, start=7) == []
+
+    def test_negative_start_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            spawn_rngs(0, 2, start=-1)
+
 
 class TestIterParamCombinations:
     def test_full_grid(self):
