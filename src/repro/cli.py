@@ -50,7 +50,7 @@ These subcommands cover the library's main workflows:
 
 - ``router`` — put one endpoint in front of several ``serve`` nodes: it
   places sessions, fails them over, and splits a ``/v1/detect_batch`` over
-  the live nodes. See ``docs/deployment.md``::
+  the hosts of the live nodes. See ``docs/deployment.md``::
 
       python -m repro router --port 8766 --nodes 10.0.0.5:8765,10.0.0.6:8765
 

@@ -21,7 +21,7 @@ Served results are **bitwise identical** to the equivalent direct
 executor backend. Several nodes go behind one router
 (:mod:`repro.service.router`; CLI: ``python -m repro router``), which
 places sessions, fails them over and splits a ``/v1/detect_batch`` over
-the live nodes — the one way this package reaches other hosts.
+the hosts of the live nodes — the one way this package reaches other hosts.
 """
 
 from repro.service.batching import MicroBatcher

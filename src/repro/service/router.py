@@ -17,10 +17,10 @@ any node directly. The router
   it reads a field: a create's name, an append's values, a migrate's
   target, and the replies to append and restore. Requests reuse pooled
   keep-alive connections, one idle set per node (:func:`_http_request`);
-- **splits** a ``/v1/detect_batch`` of several series over the live nodes,
-  one contiguous chunk each cut from the client's own text, and joins the
-  decoded results in order (floats round-trip exactly) — the document one
-  node answers for the whole batch;
+- **splits** a ``/v1/detect_batch`` of several series over the hosts of
+  its live nodes, one contiguous chunk each (decoded and re-encoded;
+  floats round-trip exactly), and joins the results in order — the
+  document one node answers for the whole batch;
 - **recovers**: when a node stops answering, the session is re-placed on
   the next surviving node of its preference walk, restored there from its
   latest snapshot (shared :class:`~repro.service.snapshot.SnapshotStore`
@@ -49,7 +49,6 @@ import bisect
 import hashlib
 import itertools
 import json
-import re
 import signal
 import time
 from typing import Callable, NamedTuple
@@ -296,69 +295,25 @@ def _encode(payload: dict) -> bytes:
     return json.dumps(payload).encode("utf-8")
 
 
-_DECODER = json.JSONDecoder()
-_SPACE = re.compile(r"[ \t\n\r]*")
+def _splittable(body: bytes) -> dict | None:
+    """A ``/v1/detect_batch`` body decoded, if the router can split it.
 
-
-def _skip(text: str, pos: int) -> int:
-    return _SPACE.match(text, pos).end()
-
-
-def _cut_batch(body: bytes) -> tuple[dict, list[str]] | None:
-    """A ``/v1/detect_batch`` body as its other fields and its series' JSON texts.
-
-    The series keep the client's own text, so a chunk is built without
-    re-encoding a number. Anything but one JSON object with a ``series``
-    list of two or more items and a valid ``offset`` is ``None``: the body
-    then goes to one node unparsed, which answers it itself.
+    That is one JSON object with a ``series`` list of two or more items and
+    a valid ``offset``; anything else is ``None`` and goes to one node
+    unparsed, which answers it itself.
     """
     try:
-        text = body.decode("utf-8")
-        fields: dict = {}
-        pos = _skip(text, 0)
-        if text[pos] != "{":
-            return None
-        pos = _skip(text, pos + 1)
-        while text[pos] != "}":
-            if fields:
-                if text[pos] != ",":
-                    return None
-                pos = _skip(text, pos + 1)
-            key, pos = _DECODER.raw_decode(text, pos)
-            pos = _skip(text, pos)
-            if not isinstance(key, str) or key in fields or text[pos] != ":":
-                return None
-            pos = _skip(text, pos + 1)
-            if key == "series" and text[pos] == "[":
-                fields[key], pos = _items(text, pos)
-            else:
-                fields[key], pos = _DECODER.raw_decode(text, pos)
-            pos = _skip(text, pos)
-        if _skip(text, pos + 1) != len(text):
-            return None
-    except (ValueError, IndexError, RecursionError):
+        request = json.loads(body)
+    except (ValueError, RecursionError):
         return None
-    series, offset = fields.pop("series", None), fields.get("offset", 0)
+    if not isinstance(request, dict):
+        return None
+    series, offset = request.get("series"), request.get("offset", 0)
     if not isinstance(series, list) or len(series) < 2:
         return None
     if type(offset) is not int or offset < 0:
         return None
-    return fields, series
-
-
-def _items(text: str, pos: int) -> tuple[list[str], int]:
-    """The JSON text of each item of the array at ``pos``, and the end."""
-    items: list[str] = []
-    pos = _skip(text, pos + 1)
-    while text[pos] != "]":
-        if items:
-            if text[pos] != ",":
-                raise ValueError(f"expected ',' or ']' at {pos}")
-            pos = _skip(text, pos + 1)
-        _value, end = _DECODER.raw_decode(text, pos)
-        items.append(text[pos:end])
-        pos = _skip(text, end)
-    return items, pos + 1
+    return request
 
 
 class SessionRouter:
@@ -728,15 +683,23 @@ class SessionRouter:
         """Round-robin a one-shot request over the surviving nodes, unparsed.
 
         The one exception is a ``/v1/detect_batch`` of two or more series
-        while two or more nodes are alive: it is split over them
-        (:meth:`_split_batch`).
+        while live nodes sit on two or more hosts: it is split, one chunk
+        per host (:meth:`_split_batch`). Nodes on one host share its CPUs,
+        which one node already uses all of, so a split between them would
+        only add the router's JSON work.
         """
+        start = next(self._rr)
         if path == "/v1/detect_batch":
-            live = [addr for addr in self.nodes if self.alive[addr]]
-            cut = _cut_batch(body) if len(live) >= 2 else None
-            if cut is not None:
-                return await self._split_batch(path, *cut, live)
-        return (await self._detect_from(next(self._rr), path, body))[1]
+            # The first live node of each host, in round-robin order.
+            heads: dict[str, str] = {}
+            for step in range(len(self.nodes)):
+                addr = self.nodes[(start + step) % len(self.nodes)]
+                if self.alive[addr]:
+                    heads.setdefault(addr.rpartition(":")[0], addr)
+            request = _splittable(body) if len(heads) >= 2 else None
+            if request is not None:
+                return await self._split_batch(path, request, list(heads.values()))
+        return (await self._detect_from(start, path, body))[1]
 
     async def _detect_from(self, start: int, path: str, body: bytes) -> tuple[str, _Reply]:
         """Send a one-shot request to the first live node from ``nodes[start]`` on.
@@ -764,34 +727,30 @@ class SessionRouter:
                 self.alive[addr] = False
         return None
 
-    async def _split_batch(
-        self, path: str, fields: dict, series: list[str], live: list[str]
-    ) -> _Reply:
-        """Cut a batch into one contiguous chunk per live node, sent at once.
+    async def _split_batch(self, path: str, request: dict, heads: list[str]) -> _Reply:
+        """Cut a batch into one contiguous chunk per head node, sent at once.
 
         Each chunk carries ``offset``, its first index in the client's
         batch, so the node seeds and names its series as the whole batch
-        would; chunk ``i`` starts its walk on ``live[i]``. The replies are
-        joined in order when all are 200; otherwise the first other reply
-        is relayed unchanged. The access line names every answering node
-        and the wall time of the fan-out.
+        would; chunk ``i`` starts its walk on ``heads[i]``, and ``heads``
+        comes rotated by the round-robin so successive batches start on
+        different nodes. The replies are joined in order when all are 200;
+        otherwise the first other reply is relayed unchanged. The access
+        line names every answering node and the wall time of the fan-out.
         """
-        count = min(len(live), len(series))
+        series = request["series"]
+        count = min(len(heads), len(series))
         bounds = [len(series) * index // count for index in range(count + 1)]
-        base = fields.get("offset", 0)
+        base = request.get("offset", 0)
         bodies = [
-            b'{"series": [%s], %s'
-            % (
-                ",".join(series[low:high]).encode("utf-8"),
-                _encode({**fields, "offset": base + low})[1:],
-            )
+            _encode({**request, "series": series[low:high], "offset": base + low})
             for low, high in zip(bounds, bounds[1:])
         ]
         started = time.perf_counter()
         answers = await asyncio.gather(
             *(
                 self._detect_from(self.nodes.index(addr), path, body)
-                for addr, body in zip(live, bodies)
+                for addr, body in zip(heads, bodies)
             ),
             return_exceptions=True,
         )

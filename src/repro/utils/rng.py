@@ -33,13 +33,17 @@ def spawn_rngs(seed: RandomState, count: int, *, start: int = 0) -> list[np.rand
     Uses ``SeedSequence.spawn`` so children are statistically independent and
     stable across NumPy versions for a fixed integer seed. ``start`` skips
     the first children: the result is ``spawn_rngs(seed, start + count)[start:]``,
-    built without the skipped ones.
+    built without the skipped ones. A ``Generator`` seed takes no ``start``:
+    its children are draws from its stream, and skipping them would mean
+    drawing them all.
     """
     if count < 0 or start < 0:
         raise ValueError(f"count and start must be non-negative, got {count} and {start}")
     if isinstance(seed, np.random.Generator):
+        if start:
+            raise ValueError(f"start={start} needs an int or None seed, not a Generator")
         # Derive children from the generator's own stream.
-        seeds = seed.integers(0, 2**63 - 1, size=start + count)[start:]
+        seeds = seed.integers(0, 2**63 - 1, size=count)
         return [np.random.default_rng(int(s)) for s in seeds]
     sequence = np.random.SeedSequence(seed)
     # Child i of SeedSequence.spawn is the parent's entropy under spawn key (i,).

@@ -302,7 +302,7 @@ def test_split_batch_access_line_names_every_node_and_the_fan_out_time(caplog):
 
     async def main():
         nodes = [FakeNode(answer), FakeNode(answer)]
-        addrs = [await node.start() for node in nodes]
+        addrs = [await node.start(host=f"127.0.0.{i + 1}") for i, node in enumerate(nodes)]
         router = SessionRouter(addrs)
         server = RouterHTTPServer(router, "127.0.0.1", 0)
         await server.start()

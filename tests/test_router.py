@@ -33,7 +33,7 @@ from repro.service.router import DEFAULT_REPLICAS, HashRing, tenant_of
 
 CONFIG = dict(window=40, ensemble_size=4, max_paa_size=5, max_alphabet_size=5)
 
-SERVE_BANNER = re.compile(r"serving on http://127\.0\.0\.1:(\d+)")
+SERVE_BANNER = re.compile(r"serving on http://127\.0\.0\.\d+:(\d+)")
 ROUTER_BANNER = re.compile(r"routing on http://127\.0\.0\.1:(\d+)")
 
 
@@ -87,14 +87,20 @@ def stop(process: subprocess.Popen) -> None:
         process.stdout.close()
 
 
-def start_fleet(snapshot_dir: str, *router_args: str) -> dict:
-    """Two serve nodes sharing a snapshot dir, one router in front."""
+def start_fleet(
+    snapshot_dir: str, *router_args: str, hosts: tuple[str, str] = ("127.0.0.1", "127.0.0.1")
+) -> dict:
+    """Two serve nodes sharing a snapshot dir, one router in front.
+
+    ``hosts`` are the nodes' bind addresses; two different 127.x.y.z
+    addresses make the router treat the nodes as two hosts.
+    """
     nodes, processes = [], []
     try:
-        for node_id in ("n1", "n2"):
+        for node_id, host in zip(("n1", "n2"), hosts):
             process, port = _spawn(
                 [
-                    "serve", "--port", "0",
+                    "serve", "--host", host, "--port", "0",
                     "--snapshot-dir", snapshot_dir,
                     "--snapshot-every", "200",
                     "--node-id", node_id,
@@ -102,7 +108,7 @@ def start_fleet(snapshot_dir: str, *router_args: str) -> dict:
                 SERVE_BANNER,
             )
             processes.append(process)
-            nodes.append(f"127.0.0.1:{port}")
+            nodes.append(f"{host}:{port}")
         router, router_port = _spawn(
             ["router", "--port", "0", "--nodes", ",".join(nodes), *router_args],
             ROUTER_BANNER,

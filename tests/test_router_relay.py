@@ -69,9 +69,10 @@ class FakeNode:
         self.requests: list[tuple[bytes, bytes]] = []  # (head, body) as received
         self.connections = 0
 
-    async def start(self, port: int = 0) -> str:
-        self._server = await asyncio.start_server(self._serve, "127.0.0.1", port)
-        return f"127.0.0.1:{self._server.sockets[0].getsockname()[1]}"
+    async def start(self, port: int = 0, host: str = "127.0.0.1") -> str:
+        """Listen on ``host`` (any 127.x.y.z stands in for another host)."""
+        self._server = await asyncio.start_server(self._serve, host, port)
+        return f"{host}:{self._server.sockets[0].getsockname()[1]}"
 
     async def aclose(self) -> None:
         self._server.close()

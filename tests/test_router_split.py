@@ -1,22 +1,25 @@
 """A ``/v1/detect_batch`` split by the router over its live nodes.
 
-With two or more live nodes, the router cuts a batch of several series
-into one contiguous chunk per node, sends the chunks at once (each with
-``offset``, its first index in the client's batch) and joins the results
-in order. Covers:
+With live nodes on two or more hosts, the router cuts a batch of several
+series into one contiguous chunk per host, sends the chunks at once (each
+with ``offset``, its first index in the client's batch) and joins the
+results in order. Different 127.x.y.z addresses stand for different
+hosts. Covers:
 
 - the node's ``offset`` field: ``offset=o`` on ``series[o:]`` is the tail
   of the whole batch, error slots name the client's index, bad values are
   a 400;
 - in process, against :class:`FakeNode` stand-ins: the chunk bodies and
-  sizes (uneven batches, more live nodes than series), the summed
-  ``failed`` count, a chunk whose node drops the connection moving to the
-  next live node, the relay of a refused chunk with its ``Retry-After``,
-  and the cases that stay an unparsed relay (one live node, one series, a
+  sizes (uneven batches, exact floats, more hosts than series with
+  successive batches rotating over them), the summed ``failed`` count, a
+  chunk whose node drops the connection moving to the next live node, the
+  relay of a refused chunk with its ``Retry-After``, and the cases that
+  stay an unparsed relay (one live node, nodes on one host, one series, a
   body that does not parse);
-- end to end (subprocess fleet of two nodes and a router): a mixed batch
-  with a failing series in the middle equals the direct ``detect_batch``,
-  also with one node SIGKILLed while the router still counts it alive.
+- end to end (subprocess fleet of two nodes on two loopback addresses and
+  a router): a mixed batch with a failing series in the middle equals the
+  direct ``detect_batch``, also with one node SIGKILLed while the router
+  still counts it alive.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import asyncio
 import json
 import signal
 
+import numpy as np
 import pytest
 from test_router import start_fleet, stop_fleet
 from test_router_relay import FakeNode, make_series, post, response, start_router, stop_router
@@ -121,6 +125,17 @@ def test_a_bad_offset_is_a_400(offset):
     assert json.loads(body)["error"]["code"] == "bad-request"
 
 
+def test_an_offset_with_a_generator_seed_is_refused_without_drawing():
+    async def main():
+        async with DetectService(cache_entries=0) as service:
+            with pytest.raises(ValueError, match="Generator"):
+                await service.detect_many(
+                    mixed_batch()[:2], k=2, seed=np.random.default_rng(0), offset=3, **CONFIG
+                )
+
+    asyncio.run(main())
+
+
 # ----------------------------------------------------------------------
 # The split, in process.
 # ----------------------------------------------------------------------
@@ -136,9 +151,12 @@ def _batch_reply(path: str, body: bytes) -> tuple[float, bytes]:
     return 0.0, response(200, json.dumps({"results": results, "failed": 0}).encode())
 
 
-async def _fleet(*answers) -> tuple[list[FakeNode], list[str]]:
+async def _fleet(*answers, host: str | None = None) -> tuple[list[FakeNode], list[str]]:
+    """Fake nodes, each on its own loopback host unless ``host`` is given."""
     nodes = [FakeNode(answer) for answer in answers]
-    return nodes, [await node.start() for node in nodes]
+    return nodes, [
+        await node.start(host=host or f"127.0.0.{index + 1}") for index, node in enumerate(nodes)
+    ]
 
 
 def test_chunks_are_contiguous_carry_their_offset_and_join_in_order():
@@ -167,25 +185,29 @@ def test_chunks_are_contiguous_carry_their_offset_and_join_in_order():
     assert second == {**request, "series": series[2:], "offset": 12}
 
 
-def test_each_chunk_carries_its_series_as_the_client_wrote_them():
-    body = b' {"window" :2,"series":[ [1.50, 1e0] ,[2.0E-1,3] , [4,5]],\n"seed": 3 } '
+def test_each_chunk_carries_its_values_exactly():
+    # Decoded and re-encoded by the router: every float must come back as
+    # the same double, extremes and signed zero included.
+    values = [0.1, -0.0, 5e-324, 1.7976931348623157e308, 2.0 / 3.0, 1e22, 3]
+    series = [values, values[::-1], [1.5, 2.5]]
 
     async def main():
         nodes, addrs = await _fleet(_batch_reply, _batch_reply)
         router, server = await start_router(addrs)
         try:
+            body = json.dumps({"series": series, "window": 2}).encode()
             reply = await post(server.port, "/v1/detect_batch", body)
         finally:
             await stop_router(router, server)
             for node in nodes:
                 await node.aclose()
-        return reply, [node.bodies("/v1/detect_batch") for node in nodes]
+        return reply, [json.loads(b) for node in nodes for b in node.bodies("/v1/detect_batch")]
 
-    (status, _headers, _reply), received = asyncio.run(main())
+    (status, _headers, _reply), chunks = asyncio.run(main())
     assert status == 200
-    assert received == [
-        [b'{"series": [[1.50, 1e0]], "window": 2, "seed": 3, "offset": 0}'],
-        [b'{"series": [[2.0E-1,3],[4,5]], "window": 2, "seed": 3, "offset": 1}'],
+    received = [values for chunk in chunks for values in chunk["series"]]
+    assert [[(type(v), v.hex() if isinstance(v, float) else v) for v in s] for s in received] == [
+        [(type(v), v.hex() if isinstance(v, float) else v) for v in s] for s in series
     ]
 
 
@@ -217,7 +239,6 @@ def test_a_refused_chunk_is_relayed_with_its_retry_after():
         b'{"series": [[1.0, 2.0], [3.0, 4.0]], "offset": -1, "window": 2}',
         b'{"series": [[1.0, 2.0], [3.0, 4.0]',  # not JSON
         b'{"series": [[1.0, 2.0], [3.0, 4.0],], "window": 2}',  # trailing comma
-        b'{"series": [[1.0], [2.0]], "series": [[1.0], [2.0]]}',  # duplicate key
         b'{"series": [[1.0, 2.0], [3.0, 4.0]]} x',  # trailing bytes
         b'[[1.0, 2.0], [3.0, 4.0]]',  # not an object
     ],
@@ -260,6 +281,24 @@ def test_with_one_live_node_the_batch_is_relayed_unparsed():
     assert nodes[1].requests == []
 
 
+def test_nodes_on_one_host_take_the_batch_unsplit_in_turn():
+    body = b'{"series": [[1.0, 2.0], [3.0,  4.0]], "window": 2}'
+
+    async def main():
+        nodes, addrs = await _fleet(_batch_reply, _batch_reply, host="127.0.0.1")
+        router, server = await start_router(addrs)
+        try:
+            return [await post(server.port, "/v1/detect_batch", body) for _ in range(2)], nodes
+        finally:
+            await stop_router(router, server)
+            for node in nodes:
+                await node.aclose()
+
+    replies, nodes = asyncio.run(main())
+    assert [status for status, _headers, _reply in replies] == [200, 200]
+    assert [node.bodies("/v1/detect_batch") for node in nodes] == [[body], [body]]
+
+
 def test_an_uneven_batch_is_cut_into_chunks_that_differ_by_at_most_one():
     series = [[float(i), float(i) + 1.0] for i in range(7)]
 
@@ -285,26 +324,28 @@ def test_an_uneven_batch_is_cut_into_chunks_that_differ_by_at_most_one():
     ]
 
 
-def test_more_live_nodes_than_series_leaves_the_extra_nodes_idle():
+def test_successive_batches_start_on_successive_nodes():
+    # Two series on three live nodes: each batch uses two nodes, and the
+    # round-robin moves the pair along, so all three share the load.
     async def main():
         nodes, addrs = await _fleet(_batch_reply, _batch_reply, _batch_reply)
         router, server = await start_router(addrs)
         try:
             body = b'{"series": [[1.0, 2.0], [3.0, 4.0]], "window": 2}'
-            return await post(server.port, "/v1/detect_batch", body), nodes
+            replies = [await post(server.port, "/v1/detect_batch", body) for _ in range(3)]
+            return replies, nodes
         finally:
             await stop_router(router, server)
             for node in nodes:
                 await node.aclose()
 
-    (status, _headers, body), nodes = asyncio.run(main())
-    assert status == 200
-    assert [slot["index"] for slot in json.loads(body)["results"]] == [0, 1]
-    assert [node.bodies("/v1/detect_batch") for node in nodes] == [
-        [b'{"series": [[1.0, 2.0]], "window": 2, "offset": 0}'],
-        [b'{"series": [[3.0, 4.0]], "window": 2, "offset": 1}'],
-        [],
-    ]
+    replies, nodes = asyncio.run(main())
+    for status, _headers, body in replies:
+        assert status == 200
+        assert [slot["index"] for slot in json.loads(body)["results"]] == [0, 1]
+    offsets = [[json.loads(b)["offset"] for b in node.bodies("/v1/detect_batch")] for node in nodes]
+    # Batch 1 on nodes 0, 1; batch 2 on nodes 1, 2; batch 3 on nodes 2, 0.
+    assert offsets == [[0, 1], [1, 0], [1, 0]]
 
 
 def test_the_failed_counts_of_the_chunks_are_summed():
@@ -385,7 +426,7 @@ def _check_split_batch(fleet: dict) -> None:
 def split_fleet(tmp_path):
     from repro.service import ServiceClient
 
-    fleet = start_fleet(str(tmp_path / "snapshots"))
+    fleet = start_fleet(str(tmp_path / "snapshots"), hosts=("127.0.0.1", "127.0.0.2"))
     fleet["node_client"] = ServiceClient(f"http://{fleet['nodes'][0]}")
     yield fleet
     stop_fleet(fleet)

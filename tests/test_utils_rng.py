@@ -65,11 +65,11 @@ class TestSpawnRngs:
         for x, y in zip(tail, whole[start:], strict=True):
             assert np.array_equal(x, y)
 
-    def test_start_from_generator_matches_the_tail(self):
-        tail = spawn_rngs(np.random.default_rng(5), 2, start=3)
-        whole = spawn_rngs(np.random.default_rng(5), 5)
-        for x, y in zip(tail, whole[3:], strict=True):
-            assert np.array_equal(x.standard_normal(4), y.standard_normal(4))
+    def test_start_with_a_generator_seed_is_rejected_before_any_draw(self):
+        generator = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="Generator"):
+            spawn_rngs(generator, 2, start=3)
+        assert generator.integers(0, 100) == np.random.default_rng(5).integers(0, 100)
 
     def test_start_with_zero_count(self):
         assert spawn_rngs(0, 0, start=7) == []
