@@ -275,6 +275,48 @@ def _discretize(*, points: int, members: int, window: int = 100, seed: int = 0):
 
 
 # ----------------------------------------------------------------------
+# Batch members: one native call each, on the thread's warm workspace.
+# ----------------------------------------------------------------------
+
+
+def member_curve_once(
+    points: int, members: int, window: int = 100, seed: int = 0
+) -> tuple[float, list]:
+    """Seconds for ``members`` batch members on this thread; returns the curves.
+
+    Samples the ``(w, a)`` bag as :func:`discretize_once` does and builds
+    every interval matrix outside the timed region; the timed loop is one
+    :func:`repro.grammar._kernel.member_curve` call per member (tokenize,
+    grammar, spans, density), largest ``w`` first as the engine orders
+    them, on the calling thread's native workspace.
+    """
+    from repro.core.multiresolution import MultiResolutionDiscretizer
+    from repro.utils.rng import ensure_rng
+
+    series = cached_series(points, seed)
+    rng = ensure_rng(seed)
+    pool = [(w, a) for w in range(2, 11) for a in range(2, 11)]
+    chosen = rng.choice(len(pool), size=min(members, len(pool)), replace=False)
+    configs = sorted((pool[int(i)] for i in chosen), reverse=True)
+    discretizer = MultiResolutionDiscretizer(series, window, 10, 10)
+    table = discretizer.alphabet_table
+    inputs = [(discretizer.interval_matrix(w), table.symbol_column(a)) for w, a in configs]
+    length = len(series)
+    with Timer() as timer:
+        curves = [
+            _kernel.member_curve(intervals, column, window, length)[0]
+            for intervals, column in inputs
+        ]
+    return timer.elapsed, curves
+
+
+@register("member_curve")
+def _member_curve(*, points: int, members: int, window: int = 100, seed: int = 0):
+    elapsed, curves = member_curve_once(points, members, window, seed)
+    return {"us_per_member": elapsed / len(curves) * 1e6}
+
+
+# ----------------------------------------------------------------------
 # Ensemble streaming ingest (the engine's vectorized shared-state path).
 # ----------------------------------------------------------------------
 

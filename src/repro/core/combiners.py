@@ -7,12 +7,25 @@ The paper combines the surviving ensemble members with the point-wise
 The median is native (``seq_median`` in ``repro/grammar/_sequitur.c``): it
 reads the member rows in place and equals ``np.median(..., axis=0)`` value
 for value, NaN columns included. The other combiners are numpy.
+
+:func:`combine_members` is steps 2-3 of Algorithm 1 (select by std,
+normalize, combine), the one combine of the batch ensemble, its sweep
+helper :func:`repro.core.ensemble.combine_and_detect` and the streaming
+poll. With the median it normalizes inside the median's pass: each kept
+row is divided by its peak as ``seq_median`` reads it, which is the
+division :func:`~repro.core.selection.normalize_curve` makes, so no
+normalized copy of a member is built. A batch detect hands it the stds
+and peaks its member threads measured next to each curve
+(:func:`repro.core.engine.run_members`).
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
+from repro.core.selection import normalize_curve, select_by_std
 from repro.grammar._kernel import _CURVE_ERRORS, _lib, _raise
 
 #: Combination strategies accepted by :func:`combine_curves`.
@@ -74,12 +87,65 @@ def combine_curves(curves: np.ndarray | list[np.ndarray], method: str = "median"
     raise ValueError(f"unknown combiner {method!r}; expected one of {COMBINERS}")
 
 
-def _median(members: list[np.ndarray]) -> np.ndarray:
-    """Point-wise median of equal-length float64 rows by ``seq_median``."""
+def _median(members: list[np.ndarray], divisors: np.ndarray | None = None) -> np.ndarray:
+    """Point-wise median of equal-length float64 rows by ``seq_median``,
+    row ``i`` divided by ``divisors[i]`` when given (negative values then
+    raise :class:`ValueError`)."""
     rows = [np.ascontiguousarray(member) for member in members]
     pointers = np.array([row.ctypes.data for row in rows], dtype=np.uintp)
     out = np.empty(rows[0].shape[0], dtype=np.float64)
-    status = _lib.seq_median(pointers.ctypes.data, len(rows), out.size, out.ctypes.data)
+    status = _lib.seq_median(
+        pointers.ctypes.data, None if divisors is None else divisors.ctypes.data,
+        len(rows), out.size, out.ctypes.data,
+    )
     if status:
         _raise(status, _CURVE_ERRORS)
     return out
+
+
+def combine_members(
+    curves: Sequence[np.ndarray],
+    *,
+    selectivity: float,
+    combiner: str = "median",
+    select_members: bool = True,
+    normalize_members: bool = True,
+    stds: Sequence[float] | None = None,
+    peaks: Sequence[float] | None = None,
+) -> tuple[np.ndarray, list[int]]:
+    """Steps 2-3 of Algorithm 1 on raw member curves: ``(curve, kept)``.
+
+    Keeps the top ``selectivity`` fraction by std (every member without
+    ``select_members``), scales each kept curve by its peak
+    (:func:`~repro.core.selection.normalize_curve`'s rules, when
+    ``normalize_members``) and combines them point-wise. ``stds`` and
+    ``peaks`` (``curve.max()``) are per member, when the caller measured
+    them already; computed here otherwise. The result is bitwise what
+    ``combine_curves([normalize_curve(curves[i]) for i in kept], combiner)``
+    returns, errors included: the median divides inside its native pass
+    instead, and a negative value still raises :class:`ValueError`.
+    """
+    kept = (
+        select_by_std(curves, selectivity, stds=stds)
+        if select_members
+        else list(range(len(curves)))
+    )
+    survivors = [curves[i] for i in kept]
+    if not normalize_members:
+        return combine_curves(survivors, combiner), kept
+    if combiner != "median":
+        return combine_curves([normalize_curve(curve) for curve in survivors], combiner), kept
+    rows, divisors = [], np.empty(len(kept), dtype=np.float64)
+    for position, (index, curve) in enumerate(zip(kept, survivors)):
+        row = np.asarray(curve, dtype=np.float64)
+        if row.ndim != 1 or row.size == 0 or (rows and row.shape != rows[0].shape):
+            # Off the fast path: the reference raises the right error.
+            survivors = [normalize_curve(curve) for curve in survivors]
+            return combine_curves(survivors, combiner), kept
+        peak = row.max() if peaks is None else peaks[index]
+        if peak <= 0.0:
+            # normalize_curve's zero-peak rule, after its negativity check.
+            row, peak = normalize_curve(row), 1.0
+        rows.append(row)
+        divisors[position] = peak
+    return _median(rows, divisors), kept

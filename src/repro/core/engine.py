@@ -54,7 +54,8 @@ Example
 from __future__ import annotations
 
 from contextlib import ExitStack
-from typing import Iterable, Iterator, Sequence
+from time import perf_counter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,6 +75,7 @@ from repro.core.executors import (  # noqa: F401 — re-exported engine API
     validate_executor_spec,
 )
 from repro.core.multiresolution import MultiResolutionDiscretizer
+from repro.core.selection import curve_std
 from repro.grammar import _kernel
 from repro.obs.stages import merge
 from repro.sax._kernel import paa_rows_block
@@ -544,18 +546,30 @@ class SharedStreamState:
 # ----------------------------------------------------------------------
 
 
-def _member_stage_times(phase_ns) -> dict[str, float]:
+def _member_stage_times(phase_ns, combine_s: float) -> dict[str, float]:
     """Seconds per stage from :func:`~repro.grammar._kernel.member_curve`'s
-    tokenize, feed, spans and density counters."""
+    tokenize, feed, spans and density counters, and the member's share of
+    the combine (its std and peak)."""
     tokenize, feed, spans, density = phase_ns
     return {
         "discretize": tokenize * 1e-9,
         "grammar": (feed + spans) * 1e-9,
         "density": density * 1e-9,
+        "combine": combine_s,
     }
 
 
-def compute_member_curves(
+class MemberRun(NamedTuple):
+    """What :func:`run_members` returns, every field in sample order: the
+    member curves, each curve's :func:`~repro.core.selection.curve_std`
+    and its peak (``curve.max()``)."""
+
+    curves: list[np.ndarray]
+    stds: tuple[float, ...]
+    peaks: tuple[float, ...]
+
+
+def run_members(
     series: np.ndarray,
     window: int,
     parameters: Sequence[tuple[int, int]],
@@ -566,8 +580,8 @@ def compute_member_curves(
     numerosity: str = "exact",
     n_jobs: int | None = 1,
     executor: MemberExecutor | str | None = None,
-) -> list[np.ndarray]:
-    """Rule density curves of every member, in sample order.
+) -> MemberRun:
+    """Rule density curves of every member, with each one's std and peak.
 
     All members share one :class:`MultiResolutionDiscretizer` and run in
     this process, on this thread and the threads of the process-wide pool
@@ -581,14 +595,17 @@ def compute_member_curves(
     sweep's interval matrix of each distinct ``w``, largest first (the
     largest matrices take longest); phase 2 runs the members, largest ``w``
     first, each one :func:`~repro.grammar._kernel.member_curve` call (exact
-    or no numerosity reduction) whose curve lands in its sample-order slot:
-    a uniform random prefix of the sample is itself a uniform sample, which
-    the size-sweep benches rely on. The tasks call nothing but those two
-    native passes: they record no stage timer and touch no thread-local
-    state, and this thread merges their measured times into the stages and
-    captures afterwards. Member curves are deterministic functions of
-    ``(series, window, w, a, numerosity)``, so every thread count produces
-    bitwise-identical results.
+    or no numerosity reduction, on the running thread's warm native
+    workspace) whose curve lands in its sample-order slot: a uniform random
+    prefix of the sample is itself a uniform sample, which the size-sweep
+    benches rely on. The thread that ran a member also takes its std and
+    peak, the per-member part of the combine
+    (:func:`~repro.core.combiners.combine_members`). The tasks record no
+    stage timer and touch no thread-local state of the stages: this thread
+    merges their measured times into the stages and captures afterwards,
+    the std and peak under ``combine``. Member curves are deterministic
+    functions of ``(series, window, w, a, numerosity)``, so every thread
+    count produces bitwise-identical results.
     """
     jobs = member_jobs(executor, n_jobs)
     discretizer = MultiResolutionDiscretizer(
@@ -615,13 +632,45 @@ def compute_member_curves(
     reduce = numerosity == "exact"
 
     def member(pair):
-        return _kernel.member_curve(pair[0], pair[1], window, length, reduce=reduce)
+        curve, phase_ns, _ = _kernel.member_curve(pair[0], pair[1], window, length, reduce=reduce)
+        started = perf_counter()
+        std, peak = curve_std(curve), curve.max()
+        return curve, std, peak, _member_stage_times(phase_ns, perf_counter() - started)
 
-    curves: list[np.ndarray] = [np.empty(0)] * len(parameters)
-    for index, (curve, phase_ns, _) in zip(order, fan_out(member, inputs, jobs)):
-        curves[index] = curve
-        merge(_member_stage_times(phase_ns))
-    return curves
+    count = len(parameters)
+    curves: list[np.ndarray] = [np.empty(0)] * count
+    stds, peaks = [0.0] * count, [0.0] * count
+    for index, (curve, std, peak, times) in zip(order, fan_out(member, inputs, jobs)):
+        curves[index], stds[index], peaks[index] = curve, std, peak
+        merge(times)
+    return MemberRun(curves, tuple(stds), tuple(peaks))
+
+
+def compute_member_curves(
+    series: np.ndarray,
+    window: int,
+    parameters: Sequence[tuple[int, int]],
+    *,
+    max_paa_size: int,
+    max_alphabet_size: int,
+    znorm_threshold: float = DEFAULT_ZNORM_THRESHOLD,
+    numerosity: str = "exact",
+    n_jobs: int | None = 1,
+    executor: MemberExecutor | str | None = None,
+) -> list[np.ndarray]:
+    """Rule density curves of every member, in sample order: the curves of
+    :func:`run_members` (which see), the only way a batch curve is made."""
+    return run_members(
+        series,
+        window,
+        parameters,
+        max_paa_size=max_paa_size,
+        max_alphabet_size=max_alphabet_size,
+        znorm_threshold=znorm_threshold,
+        numerosity=numerosity,
+        n_jobs=n_jobs,
+        executor=executor,
+    ).curves
 
 
 # ----------------------------------------------------------------------

@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.anomaly import Anomaly, extract_candidates
-from repro.core.combiners import COMBINERS, combine_curves
-from repro.core.engine import compute_member_curves, detect_batch, iter_detect_batch
+from repro.core.combiners import COMBINERS, combine_members
+from repro.core.engine import detect_batch, iter_detect_batch, run_members
 from repro.core.executors import ExecutorOwnerMixin, MemberExecutor
-from repro.core.selection import curve_std, normalize_curve, select_by_std
 from repro.obs.stages import stage_timer
 from repro.sax.numerosity import STRATEGIES
 from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD
@@ -218,7 +217,7 @@ class EnsembleGrammarDetector(ExecutorOwnerMixin):
         series = ensure_time_series(series, name="series", min_length=2)
         validate_window(self.window, len(series))
         parameters = self.sample_parameters()
-        curves = compute_member_curves(
+        curves, stds, peaks = run_members(
             series,
             self.window,
             parameters,
@@ -232,21 +231,20 @@ class EnsembleGrammarDetector(ExecutorOwnerMixin):
             executor=self._executor if self._executor is not None else self._executor_spec,
         )
         with stage_timer("combine"):
-            stds = tuple(curve_std(curve) for curve in curves)
-            if self.select_members:
-                kept = tuple(select_by_std(curves, self.selectivity, stds=stds))
-            else:
-                kept = tuple(range(len(curves)))
-            if self.normalize_members:
-                survivors = [normalize_curve(curves[i]) for i in kept]
-            else:
-                survivors = [curves[i] for i in kept]
-            ensemble_curve = combine_curves(survivors, self.combiner)
+            ensemble_curve, kept = combine_members(
+                curves,
+                selectivity=self.selectivity,
+                combiner=self.combiner,
+                select_members=self.select_members,
+                normalize_members=self.normalize_members,
+                stds=stds,
+                peaks=peaks,
+            )
         return EnsembleReport(
             curve=ensemble_curve,
             parameters=tuple(parameters),
             stds=stds,
-            kept=kept,
+            kept=tuple(kept),
             member_curves=tuple(curves) if keep_member_curves else (),
         )
 
@@ -365,14 +363,11 @@ def combine_and_detect(
     """
     if not member_curves:
         raise ValueError("member_curves must be non-empty")
-    curves = list(member_curves)
-    if select_members:
-        kept = select_by_std(curves, selectivity)
-    else:
-        kept = list(range(len(curves)))
-    if normalize_members:
-        survivors = [normalize_curve(curves[i]) for i in kept]
-    else:
-        survivors = [curves[i] for i in kept]
-    ensemble_curve = combine_curves(survivors, combiner)
+    ensemble_curve, _ = combine_members(
+        list(member_curves),
+        selectivity=selectivity,
+        combiner=combiner,
+        select_members=select_members,
+        normalize_members=normalize_members,
+    )
     return extract_candidates(ensemble_curve, window, k, minimize=True)

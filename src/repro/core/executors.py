@@ -63,6 +63,7 @@ import abc
 import itertools
 import os
 import threading
+import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, ThreadPoolExecutor, wait
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
@@ -454,6 +455,29 @@ class ThreadExecutor(_PooledExecutor):
         )
 
 
+#: Seconds between a pool worker's checks that its parent still lives.
+PARENT_POLL_S = 0.25
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool worker initializer: end the worker once ``parent`` is gone.
+
+    A daemon thread polls :func:`os.getppid` and calls :func:`os._exit`
+    as soon as it differs from ``parent`` (the worker was reparented, so
+    its parent died, SIGKILL included), so a crashed node's workers and the
+    shared memory they map do not outlive it. ``PR_SET_PDEATHSIG`` would
+    not do: it fires when the *thread* that spawned the worker exits, and
+    pool workers are spawned from whichever thread submits.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
+
+
 class ProcessExecutor(_PooledExecutor):
     """A reusable process pool with shared-memory series passing.
 
@@ -462,7 +486,8 @@ class ProcessExecutor(_PooledExecutor):
     input once per call through ``multiprocessing.shared_memory`` instead of
     pickling it into every task payload. Where shared memory is unavailable
     (no ``/dev/shm`` or an over-restrictive sandbox), series fall back to
-    inline payloads transparently.
+    inline payloads transparently. Each worker exits on its own once this
+    process dies (see :func:`_exit_with_parent`).
     """
 
     kind = "process"
@@ -472,7 +497,11 @@ class ProcessExecutor(_PooledExecutor):
         self._use_shared_memory = bool(use_shared_memory)
 
     def _create_pool(self):
-        return ProcessPoolExecutor(max_workers=self._max_workers)
+        return ProcessPoolExecutor(
+            max_workers=self._max_workers,
+            initializer=_exit_with_parent,
+            initargs=(os.getpid(),),
+        )
 
     def worker_pids(self) -> tuple[int, ...]:
         """PIDs of the live pool processes (empty before the lazy spawn)."""

@@ -8,6 +8,12 @@
 - :func:`normalize_curve` rescales a curve into [0, 1] by dividing by its
   maximum. The paper deliberately avoids min–max normalization so that
   zero density — the strongest anomaly signal — stays exactly zero.
+
+The detectors call these through :func:`repro.core.combiners.combine_members`:
+a batch detect takes every member's std (and peak) on the thread that ran
+the member, and the median divides by the peaks in its own native pass, so
+:func:`normalize_curve` is the reference those paths equal bit for bit
+(and the path of the non-median combiners).
 """
 
 from __future__ import annotations

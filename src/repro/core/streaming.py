@@ -70,9 +70,8 @@ from time import perf_counter
 import numpy as np
 
 from repro.core.anomaly import Anomaly, extract_candidates
-from repro.core.combiners import COMBINERS, combine_curves
+from repro.core.combiners import COMBINERS, combine_members
 from repro.core.engine import EVICTION_POLICIES, SharedStreamState
-from repro.core.selection import normalize_curve, select_by_std
 from repro.grammar import _kernel
 from repro.obs.stages import merge, stage_timer
 from repro.sax.alphabet import WordInterner
@@ -866,9 +865,7 @@ class StreamingEnsembleDetector:
         self._poll_due_members()
         curves = [member.density_curve() for member in self.members]
         with stage_timer("combine"):
-            kept = select_by_std(curves, self.selectivity)
-            survivors = [normalize_curve(curves[i]) for i in kept]
-            curve = combine_curves(survivors, self.combiner)
+            curve, _ = combine_members(curves, selectivity=self.selectivity, combiner=self.combiner)
         self._curve_cache = (version, curve)
         return curve
 

@@ -27,8 +27,9 @@ Concurrent first imports are safe (write, then rename). A failed build
 raises :class:`ImportError`; there is no Python fallback.
 
 Every entry point is a ctypes ``CDLL`` call, which releases the GIL for its
-duration; none keeps global state, so calls on distinct handles may run on
-any number of threads at once.
+duration; none keeps global state (beyond a count of live member
+workspaces), so calls on distinct handles may run on any number of threads
+at once. :func:`member_curve` gives each thread its own workspace handle.
 
 Equivalence contract (pinned by ``tests/test_grammar_kernel.py`` against
 the reference builder): for any token sequence the arena produces the
@@ -47,6 +48,7 @@ import platform
 import shlex
 import subprocess
 import sysconfig
+import threading
 from pathlib import Path
 from typing import Sequence
 
@@ -155,12 +157,16 @@ _SIGNATURES = (
     (
         "seq_median",
         ctypes.c_int,
-        (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p),
+        (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p),
     ),
+    ("seq_space_new", ctypes.c_void_p, ()),
+    ("seq_space_free", None, (ctypes.c_void_p,)),
+    ("seq_space_bytes", ctypes.c_int64, (ctypes.c_void_p,)),
+    ("seq_space_live", ctypes.c_int64, ()),
     (
         "seq_member_curve",
         ctypes.c_int,
-        (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
+        (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
         + (ctypes.c_int64,) * 4
         + (ctypes.c_void_p,) * 2,
     ),
@@ -201,7 +207,8 @@ _SIGNATURES = (
     (
         "sax_tokens",
         ctypes.c_int64,
-        (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
+        (ctypes.c_void_p,) * 2
+        + (ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
         + (ctypes.c_int64,) * 2
         + (ctypes.c_void_p,) * 2,
     ),
@@ -229,6 +236,7 @@ _CURVE_ERRORS = {
     -2: (MemoryError, "no memory for the median's sort scratch"),
     -5: (IndexError, "an occurrence span's token index lies outside the offsets"),
     -6: (ValueError, "an occurrence span maps to an empty interval (end before start)"),
+    -11: (ValueError, "rule density curves are non-negative by construction"),
 }
 
 #: Status codes of :func:`member_curve`: every stage's, plus its own two.
@@ -253,6 +261,38 @@ _LOG_ERRORS = {
 }
 
 _lib = _load(_build(_SOURCES, _SOURCE.parent / "__pycache__"), _SIGNATURES)
+
+#: Bytes a member workspace may keep after a call; above it, the call frees
+#: all of it (``seq_space_keep`` in ``_sequitur.c``).
+WORKSPACE_KEEP_BYTES = ctypes.c_int64.in_dll(_lib, "seq_space_keep").value
+
+
+class _Workspace:
+    """A native member workspace (``SeqSpace``), freed with its owner."""
+
+    __slots__ = ("handle",)
+
+    def __init__(self) -> None:
+        self.handle = _lib.seq_space_new()
+        if not self.handle:
+            raise MemoryError("cannot allocate a native member workspace")
+
+    def __del__(self, _free=_lib.seq_space_free) -> None:  # bound early: globals die at exit
+        if getattr(self, "handle", None):
+            _free(self.handle)
+
+
+#: This thread's member workspace, made by its first :func:`member_curve`;
+#: the thread's exit drops it, which frees the native memory.
+_thread = threading.local()
+
+
+def _workspace() -> int:
+    """The handle of the calling thread's member workspace."""
+    space = getattr(_thread, "space", None)
+    if space is None:
+        space = _thread.space = _Workspace()
+    return space.handle
 
 
 def _checked(array, dtype, ndim: int, name: str) -> None:
@@ -280,7 +320,12 @@ def member_curve(
     :meth:`FastSequitur.feed_many` -> :meth:`FastSequitur.occurrence_spans`
     -> :func:`repro.grammar.density.density_curve_from_token_spans` and
     returns the same float64 curve of ``length`` points, byte for byte,
-    with the GIL released throughout. ``phase_ns`` holds the nanoseconds
+    with the GIL released throughout. It runs on the calling thread's
+    workspace: a native arena, row table and scratch buffers made by the
+    thread's first call, emptied (not freed) by each later one and freed
+    when the thread ends. A call that leaves more than
+    :data:`WORKSPACE_KEEP_BYTES` in it frees all of it, so no thread keeps
+    more than that between members. ``phase_ns`` holds the nanoseconds
     spent tokenizing, feeding, walking the spans and accumulating the
     density, for the caller to charge to its stages: this function records
     nothing. ``kept`` is the number of tokens fed to Sequitur and ``size``
@@ -301,7 +346,7 @@ def member_curve(
     curve = np.empty(length, dtype=np.float64)
     counters = (ctypes.c_int64 * 6)()
     status = _lib.seq_member_curve(
-        intervals.ctypes.data, rows, width, symbols.ctypes.data, len(symbols),
+        _workspace(), intervals.ctypes.data, rows, width, symbols.ctypes.data, len(symbols),
         int(bool(reduce)), window, length, curve.ctypes.data, counters,
     )
     if status:

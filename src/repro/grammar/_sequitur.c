@@ -56,7 +56,9 @@
  *
  * Curve kernels. The spans the walk yields end in two arena-free kernels at
  * the bottom of this file: seq_density turns them into the rule density
- * curve, seq_median combines the ensemble's normalized member curves.
+ * curve, seq_median combines the ensemble's member curves, dividing each
+ * by its peak on the way when given the peaks (normalize and median in one
+ * pass).
  *
  * One member, one call. seq_member_curve chains a batch member's whole
  * pipeline: sax_tokens (from _sax.c, which is compiled into the same
@@ -65,8 +67,14 @@
  * package: ensemble members and the single-run detector alike, under
  * either numerosity strategy (exact or none, the `reduce` flag), and of
  * GI-Select's grid, which ranks cells by its kept token count and grammar
- * size. It holds no state between calls, so members may run on as many
- * threads at once as the caller likes.
+ * size. The call runs on a caller-owned workspace (SeqSpace): an arena, a
+ * row table and scratch buffers that stay allocated between calls and are
+ * emptied at the start of each, so a member does not pay to grow them
+ * from nothing. The caller keeps one workspace per thread (repro's
+ * member_curve does, and frees it when the thread ends); no two calls may
+ * share one at once. A workspace that holds more than seq_space_keep
+ * bytes after a call gives all of it back, which bounds both what it
+ * retains and what emptying it costs the next call.
  *
  * One streaming member, one log. A SeqLog (bottom of the file) holds a
  * streaming member's kept token ids (int32) and window offsets (int64),
@@ -104,7 +112,7 @@
 enum {
     SEQ_OK = 0, SEQ_RANGE = -1, SEQ_NOMEM = -2, SEQ_TAIL = -3, SEQ_SPANS = -4,
     SEQ_INDEX = -5, SEQ_EMPTY = -6, SEQ_SYMBOL = -7, SEQ_NO_TOKENS = -8,
-    SEQ_GENERATIONS = -9, SEQ_ORDER = -10
+    SEQ_GENERATIONS = -9, SEQ_ORDER = -10, SEQ_NEGATIVE = -11
 };
 
 typedef struct {
@@ -454,13 +462,19 @@ int seq_density(const int64_t *offsets, int64_t n_offsets, int64_t window,
 /* Point-wise median of k >= 1 rows of n doubles, as np.median computes it:
  * the mean of the middle value (odd k) or pair (even k), summed from +0.0
  * as numpy's mean is, so a -0.0 median comes out +0.0; and a NaN wherever a
- * column holds one. Each column is insertion-sorted starting from the
- * previous column's order, which density curves (piecewise constant) mostly
- * keep, so a point costs about k steps. */
-int seq_median(const double *const *rows, int64_t k, int64_t n, double *out) {
+ * column holds one. With `divisors` (NULL means none), row i's values are
+ * read as rows[i][t] / divisors[i], the one IEEE division numpy's
+ * `row / peak` makes, so normalizing and combining is one pass; a value
+ * below zero is then SEQ_NEGATIVE (normalize_curve's rule), checked before
+ * it is divided. Each column is insertion-sorted starting from the previous
+ * column's order, which density curves (piecewise constant) mostly keep,
+ * so a point costs about k steps. */
+int seq_median(const double *const *rows, const double *divisors, int64_t k, int64_t n,
+               double *out) {
     int64_t *order = malloc((size_t)k * sizeof *order);
     double *sorted = malloc((size_t)k * sizeof *sorted);
     int64_t lower = (k - 1) / 2, upper = k / 2;
+    int status = SEQ_OK;
     if (!order || !sorted) {
         free(order), free(sorted);
         return SEQ_NOMEM;
@@ -471,6 +485,13 @@ int seq_median(const double *const *rows, int64_t k, int64_t n, double *out) {
         int any_nan = 0;
         for (int64_t i = 0; i < k; i++) {
             double v = rows[order[i]][t];
+            if (divisors) {
+                if (v < 0) {
+                    status = SEQ_NEGATIVE;
+                    goto done;
+                }
+                v /= divisors[order[i]];
+            }
             if (v != v) any_nan = 1, nan = v;
             sorted[i] = v;
         }
@@ -489,17 +510,22 @@ int seq_median(const double *const *rows, int64_t k, int64_t n, double *out) {
         }
         out[t] = lower == upper ? 0.0 + sorted[lower] : (0.0 + sorted[lower] + sorted[upper]) / 2;
     }
+done:
     free(order), free(sorted);
-    return SEQ_OK;
+    return status;
 }
 
 /* ---- one batch member, end to end ---- */
 
-/* _sax.c: symbol lookup, numerosity reduction (exact when `reduce` is
- * nonzero, none otherwise) and first-occurrence ids of one interval matrix;
+/* _sax.c: the bytes a row table holds; and symbol lookup, numerosity
+ * reduction (exact when `reduce` is nonzero, none otherwise) and
+ * first-occurrence ids of one interval matrix into `table`, emptied first;
  * the kept count, or -1 (a value outside the column or the letters) or -2
  * (no memory). */
-int64_t sax_tokens(const intptr_t *intervals, int64_t n_rows, int64_t width,
+int64_t sax_table_bytes(const void *table);
+void *sax_table_new(void);
+void sax_table_free(void *table);
+int64_t sax_tokens(void *table, const intptr_t *intervals, int64_t n_rows, int64_t width,
                    const int64_t *column, int64_t n_symbols, int64_t reduce,
                    int64_t *offsets, int64_t *ids);
 
@@ -529,27 +555,83 @@ static int64_t grammar_size(const Seq *s) {
     return size;
 }
 
+/* A member workspace: what seq_member_curve would otherwise allocate and
+ * grow per call, kept warm between the calls of one thread. `seq` is the
+ * arena (emptied with reset), `table` the row table (emptied by
+ * sax_tokens), `scratch` the offsets, ids, firsts and lasts of up to
+ * `scratch_rows` rows; each is made on first use. After every call that
+ * leaves more than seq_space_keep bytes in it, all three are freed, so one
+ * huge member neither pins its memory nor makes later small members pay
+ * for emptying it. seq_space_live counts the workspaces not yet freed. */
+typedef struct {
+    Seq *seq;
+    void *table;
+    int64_t *scratch;
+    int64_t scratch_rows;
+} SeqSpace;
+
+const int64_t seq_space_keep = (int64_t)4 << 20;
+static int64_t live_spaces;
+
+SeqSpace *seq_space_new(void) {
+    SeqSpace *w = calloc(1, sizeof *w);
+    if (w) __atomic_add_fetch(&live_spaces, 1, __ATOMIC_RELAXED);
+    return w;
+}
+
+static void space_release(SeqSpace *w) {
+    if (w->seq) seq_free(w->seq);
+    sax_table_free(w->table);
+    free(w->scratch);
+    memset(w, 0, sizeof *w);
+}
+
+void seq_space_free(SeqSpace *w) {
+    if (!w) return;
+    space_release(w);
+    free(w);
+    __atomic_sub_fetch(&live_spaces, 1, __ATOMIC_RELAXED);
+}
+
+int64_t seq_space_live(void) { return __atomic_load_n(&live_spaces, __ATOMIC_RELAXED); }
+
+/* Bytes the workspace holds, from its capacities (see FastSequitur.memory_bytes). */
+int64_t seq_space_bytes(const SeqSpace *w) {
+    const Seq *s = w->seq;
+    int64_t arena = s ? 24 * s->slot_cap + 16 * (s->rule_cap + s->table_cap + s->pending_cap) : 0;
+    return arena + sax_table_bytes(w->table) + 32 * w->scratch_rows;
+}
+
 /* The rule density curve (`length` doubles) of one batch member from its
  * interval matrix (n_rows x width, row r the window starting at r) and its
- * alphabet column: sax_tokens -> seq_feed_many -> seq_spans -> seq_density,
- * as the chained calls run them. `reduce` selects the numerosity strategy
- * as in sax_tokens: exact (nonzero) or none (every window a token). A row
- * or column value out of range is SEQ_SYMBOL, no kept token SEQ_NO_TOKENS;
- * every other status is the one the failing stage returns. counters (6
- * entries) receives the nanoseconds spent tokenizing, feeding, walking the
- * spans (and the rule lists) and accumulating the density, then the kept
- * token count and the grammar size (0 for what did not run). */
-int seq_member_curve(const intptr_t *intervals, int64_t n_rows, int64_t width,
+ * alphabet column, on the workspace `w`: sax_tokens -> seq_feed_many ->
+ * seq_spans -> seq_density, as the chained calls run them. The workspace's
+ * arena and table are emptied first, and the grammar does not depend on
+ * their capacities (the digram table and the row table are maps), so the
+ * curve equals a fresh arena's bit for bit. `reduce` selects the
+ * numerosity strategy as in sax_tokens: exact (nonzero) or none (every
+ * window a token). A row or column value out of range is SEQ_SYMBOL, no
+ * kept token SEQ_NO_TOKENS; every other status is the one the failing
+ * stage returns, and leaves the workspace fit for the next call. counters
+ * (6 entries) receives the nanoseconds spent tokenizing, feeding, walking
+ * the spans (and the rule lists) and accumulating the density, then the
+ * kept token count and the grammar size (0 for what did not run). */
+int seq_member_curve(SeqSpace *w, const intptr_t *intervals, int64_t n_rows, int64_t width,
                      const int64_t *column, int64_t n_symbols, int64_t reduce,
                      int64_t window, int64_t length, double *curve, int64_t *counters) {
     int64_t rows = n_rows > 0 ? n_rows : 1, mark = clock_ns(), kept, nodes;
-    int64_t *offsets = malloc(4 * (size_t)rows * sizeof *offsets), *ids, *firsts, *lasts;
-    Seq *s = NULL;
+    int64_t *offsets, *ids, *firsts, *lasts;
     int status = SEQ_OK;
     memset(counters, 0, 6 * sizeof *counters);
-    if (!offsets) return SEQ_NOMEM;
-    ids = offsets + rows, firsts = ids + rows, lasts = firsts + rows;
-    kept = sax_tokens(intervals, n_rows, width, column, n_symbols, reduce, offsets, ids);
+    if (rows > w->scratch_rows) {
+        free(w->scratch);
+        w->scratch_rows = 0;
+        if (!(w->scratch = malloc(4 * (size_t)rows * sizeof *w->scratch))) return SEQ_NOMEM;
+        w->scratch_rows = rows;
+    }
+    if (!w->table && !(w->table = sax_table_new())) return SEQ_NOMEM;
+    offsets = w->scratch, ids = offsets + rows, firsts = ids + rows, lasts = firsts + rows;
+    kept = sax_tokens(w->table, intervals, n_rows, width, column, n_symbols, reduce, offsets, ids);
     lap(&mark, &counters[0]);
     if (kept < 0) {
         status = kept == -1 ? SEQ_SYMBOL : SEQ_NOMEM;
@@ -560,15 +642,17 @@ int seq_member_curve(const intptr_t *intervals, int64_t n_rows, int64_t width,
         goto done;
     }
     counters[4] = kept;
-    if (!(s = seq_new())) {
+    if (w->seq) {
+        reset(w->seq);
+    } else if (!(w->seq = seq_new())) {
         status = SEQ_NOMEM;
         goto done;
     }
-    status = seq_feed_many(s, ids, kept);
+    status = seq_feed_many(w->seq, ids, kept);
     lap(&mark, &counters[1]);
     if (status) goto done;
-    nodes = seq_spans(s, firsts, lasts, kept);
-    if (nodes >= 0) counters[5] = grammar_size(s);
+    nodes = seq_spans(w->seq, firsts, lasts, kept);
+    if (nodes >= 0) counters[5] = grammar_size(w->seq);
     lap(&mark, &counters[2]);
     if (nodes < 0) {
         status = (int)nodes;
@@ -577,8 +661,7 @@ int seq_member_curve(const intptr_t *intervals, int64_t n_rows, int64_t width,
     status = seq_density(offsets, kept, window, firsts, lasts, nodes, 0, length, curve);
     lap(&mark, &counters[3]);
 done:
-    if (s) seq_free(s);
-    free(offsets);
+    if (seq_space_bytes(w) > seq_space_keep) space_release(w);
     return status;
 }
 

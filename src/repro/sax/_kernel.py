@@ -5,8 +5,10 @@ once per sweep, shared by every PAA size; then the native passes of
 ``_sax.c`` run: :func:`sax_intervals` does z-normalized PAA and the
 breakpoint search in one loop per PAA size, and :func:`sax_tokens` does
 symbol lookup, numerosity reduction (exact or none) and token ids in one
-loop per batch member, on a row table that lives for that one call. Streaming
-members keep a table of the same kind for their whole life behind
+loop per batch member, on a row table emptied at the start of the pass (the
+calling thread's member workspace inside
+:func:`repro.grammar._kernel.member_curve`, a throwaway one here).
+Streaming members keep a table of the same kind for their whole life behind
 :class:`repro.sax.alphabet.WordInterner`, the only interner.
 
 Build on first import: ``_sax.c`` is compiled with the Sequitur arena's
@@ -189,7 +191,7 @@ def sax_tokens(
     it every window is kept. Kept rows get dense ids in first-occurrence
     order, equal rows equal ids, at any row width. The
     row table is the one behind :class:`~repro.sax.alphabet.WordInterner`,
-    created and freed inside the call.
+    created and freed around the native pass.
     Inputs are checked before the C call, as in :func:`sax_intervals`.
     """
     _checked(intervals, np.intp, 2, "intervals")
@@ -199,10 +201,16 @@ def sax_tokens(
         raise ValueError(f"need words of at least one symbol and a symbol table, got {width}")
     offsets = np.empty(rows, dtype=np.int64)
     ids = np.empty(rows, dtype=np.int64)
-    kept = _lib.sax_tokens(
-        intervals.ctypes.data, rows, width, symbols.ctypes.data, len(symbols),
-        int(bool(reduce)), offsets.ctypes.data, ids.ctypes.data,
-    )
+    table = _lib.sax_table_new()
+    if not table:
+        raise MemoryError("cannot allocate a native row table")
+    try:
+        kept = _lib.sax_tokens(
+            table, intervals.ctypes.data, rows, width, symbols.ctypes.data, len(symbols),
+            int(bool(reduce)), offsets.ctypes.data, ids.ctypes.data,
+        )
+    finally:
+        _lib.sax_table_free(table)
     if kept < 0:
         _raise(kept, _ERRORS)
     offsets.resize(kept, refcheck=False)

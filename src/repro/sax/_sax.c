@@ -23,7 +23,11 @@
  *   interval    = number of breaks b with !(row[k] < b)
  *
  * so the float rows and the interval matrix are bitwise those of the numpy
- * reference, for integer and fractional segment widths alike. The window
+ * reference, for integer and fractional segment widths alike. The interval
+ * is not found by bisection, whose loads each wait on the compare before
+ * them: a 1024-slice start table, built once per call from the breaks,
+ * gives an index that one or two exact compares fix up (see
+ * search_breaks). Streaming drains run the same pass. The window
  * statistics (means, safe stds, constancy mask) come in from
  * repro.sax._kernel.window_stats, computed once per sweep. Positions are
  * never negative (0 <= origin <= start), so truncation is floor. Either
@@ -49,34 +53,88 @@
  *   sax_table_insert                words given as bytes in id order (a
  *                                   saved vocabulary); stops at the first
  *                                   repeated word and returns its index
- *   sax_tokens                      one batch member: a fresh table, one
+ *   sax_table_bytes                 the bytes a table holds
+ *   sax_tokens                      one batch member: the caller's table,
+ *                                   emptied (truncate_ids to 0, keeping
+ *                                   its capacities), then one
  *                                   sax_table_intern call (exact or no
- *                                   numerosity reduction, by `reduce`),
- *                                   free
+ *                                   numerosity reduction, by `reduce`).
+ *                                   seq_member_curve passes its thread's
+ *                                   workspace table, so ids restart at 0
+ *                                   per member on warm buffers
  *
  * A row (or column) value out of range makes sax_table_intern forget the
  * ids the call added, so the table holds the words it held before. An
  * allocation failure adds no half-made id either: every id in the table
  * stays findable.
  */
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
 enum { SAX_OK = 0, SAX_RANGE = -1, SAX_NOMEM = -2 };
 
-/* The number of breaks b with !(z < b): np.searchsorted(side="right"),
- * including its NaN rule (a NaN lands past every break). Branch-free. */
-static intptr_t upper_bound(const double *breaks, int64_t n_breaks, double z) {
-    const double *base = breaks;
-    int64_t n = n_breaks;
-    if (n == 0) return 0;
-    while (n > 1) {
-        int64_t half = n / 2;
-        base = !(z < base[half]) ? base + half : base;
-        n -= half;
+/* The breakpoint search. bucket_of maps z to one of SAX_BUCKETS equal
+ * slices of [breaks[0], breaks[n - 1]] (below the first slice or NaN: the
+ * first; above the last: the last), and slice k starts the search at
+ * start[k], the number of breaks whose own slice lies before it; `before`
+ * and `first` are the breaks either side of that index (-inf and +inf past
+ * the ends). The map never decreases in z, so for a sorted table those
+ * breaks all lie below any z of slice k, and the answer is start[k] plus
+ * the breaks of slice k up to z. Most slices hold no break (a table the
+ * detectors build, alphabets 2 to 26, puts at most one in any slice), so
+ * z usually lies in [before, first) and start[k] is the answer after two
+ * compares against the slice itself. Otherwise exact compares walk the
+ * index up while !(z < breaks[i]) and down while z < breaks[i - 1]. Either
+ * way the result is the number of breaks b with !(z < b) from any start:
+ * np.searchsorted(side="right") of a sorted table, including its NaN rule
+ * (a NaN lands past every break). The slice arithmetic only picks where
+ * the walk starts. */
+enum { SAX_BUCKETS = 1024 };
+
+typedef struct {
+    int64_t start;
+    double before, first;
+} Slice;
+
+typedef struct {
+    const double *breaks;
+    int64_t n_breaks;
+    double low, scale;
+    Slice slices[SAX_BUCKETS];
+} Search;
+
+static int64_t bucket_of(const Search *search, double z) {
+    double slice = (z - search->low) * search->scale;
+    slice = slice > 0 ? slice : 0;
+    slice = slice < SAX_BUCKETS - 1 ? slice : SAX_BUCKETS - 1;
+    return (int64_t)slice;
+}
+
+static void search_init(Search *search, const double *breaks, int64_t n_breaks) {
+    double span = n_breaks ? breaks[n_breaks - 1] - breaks[0] : 0.0;
+    search->breaks = breaks, search->n_breaks = n_breaks;
+    search->low = n_breaks ? breaks[0] : 0.0;
+    search->scale = span > 0 ? SAX_BUCKETS / span : 0.0;
+    for (int64_t k = 0, i = 0; k < SAX_BUCKETS; k++) {
+        while (i < n_breaks && bucket_of(search, breaks[i]) < k) i++;
+        search->slices[k].start = i;
+        search->slices[k].before = i > 0 ? breaks[i - 1] : -INFINITY;
+        search->slices[k].first = i < n_breaks ? breaks[i] : INFINITY;
     }
-    return (intptr_t)(base - breaks) + !(z < *base);
+}
+
+static intptr_t search_breaks(const Search *search, double z) {
+    const Slice *slice = &search->slices[bucket_of(search, z)];
+    int64_t i = slice->start;
+    if (!(z < slice->first) || z < slice->before) {
+        const double *breaks = search->breaks;
+        int64_t n = search->n_breaks;
+        while (i < n && !(z < breaks[i])) i++;
+        while (i > 0 && z < breaks[i - 1]) i--;
+    }
+    return (intptr_t)i;
 }
 
 int sax_intervals(const double *prefix, int64_t n_prefix, const double *values,
@@ -88,6 +146,8 @@ int sax_intervals(const double *prefix, int64_t n_prefix, const double *values,
         n_values < 1)
         return SAX_RANGE;
     double step = (double)window / (double)paa_size;
+    Search search;
+    if (intervals) search_init(&search, breaks, n_breaks);
     double *relative = malloc(2 * (size_t)(paa_size + 1) * sizeof *relative);
     if (!relative) return SAX_NOMEM;
     double *cumulative = relative + paa_size + 1;
@@ -111,7 +171,7 @@ int sax_intervals(const double *prefix, int64_t n_prefix, const double *values,
             double coefficient = (cumulative[k + 1] - cumulative[k]) / step;
             double z = constant[r] ? 0.0 : (coefficient - means[r]) / stds[r];
             if (rows) rows[offset + k] = z;
-            if (intervals) intervals[offset + k] = upper_bound(breaks, n_breaks, z);
+            if (intervals) intervals[offset + k] = search_breaks(&search, z);
         }
     }
 done:
@@ -143,6 +203,11 @@ void sax_table_free(SaxTable *t) {
 }
 
 int64_t sax_table_size(const SaxTable *t) { return t->n_ids; }
+
+/* Bytes the table holds, from its capacities (0 for no table). */
+int64_t sax_table_bytes(const SaxTable *t) {
+    return t ? t->byte_cap + 12 * t->id_cap + 4 * t->bucket_cap : 0;
+}
 
 /* sizes: n_ids, id_cap, n_bytes, byte_cap, bucket_cap; arrays: bytes, ends. */
 void sax_table_export(const SaxTable *t, int64_t *sizes, const void **arrays) {
@@ -311,13 +376,10 @@ int64_t sax_table_insert(SaxTable *t, const uint8_t *words, const int64_t *ends,
     return n;
 }
 
-int64_t sax_tokens(const intptr_t *intervals, int64_t n_rows, int64_t width,
+int64_t sax_tokens(SaxTable *t, const intptr_t *intervals, int64_t n_rows, int64_t width,
                    const int64_t *column, int64_t n_symbols, int64_t reduce,
                    int64_t *offsets, int64_t *ids) {
-    SaxTable *table = sax_table_new();
-    if (!table) return SAX_NOMEM;
-    int64_t kept = sax_table_intern(table, intervals, n_rows, width, column, n_symbols, NULL,
-                                    reduce, offsets, ids);
-    sax_table_free(table);
-    return kept;
+    truncate_ids(t, 0);
+    return sax_table_intern(t, intervals, n_rows, width, column, n_symbols, NULL, reduce,
+                            offsets, ids);
 }

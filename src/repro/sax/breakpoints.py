@@ -113,12 +113,6 @@ class MultiResolutionAlphabet:
         """The inclusive range of alphabet sizes this table covers."""
         return range(self.min_alphabet_size, self.max_alphabet_size + 1)
 
-    def interval_indices(self, values: np.ndarray) -> np.ndarray:
-        """Locate the merged-table interval of each value (one binary search)."""
-        return np.searchsorted(
-            self.merged_breakpoints, np.asarray(values, dtype=np.float64), side="right"
-        )
-
     def symbol_column(self, alphabet_size: int) -> np.ndarray:
         """Interval -> symbol index under one alphabet size (contiguous int64)."""
         alphabet_size = int(alphabet_size)
@@ -132,12 +126,3 @@ class MultiResolutionAlphabet:
     def symbols_for(self, interval_idx: np.ndarray, alphabet_size: int) -> np.ndarray:
         """Symbol indices of pre-located intervals under one alphabet size."""
         return self.symbol_column(alphabet_size)[np.asarray(interval_idx)]
-
-    def all_symbols_for(self, interval_idx: np.ndarray) -> np.ndarray:
-        """Symbol indices of pre-located intervals under *every* alphabet size.
-
-        Returns an array with one trailing axis of length
-        ``max_alphabet_size - min_alphabet_size + 1`` — the per-value symbol
-        sequence of Figure 6 (e.g. ``aaa``, ``abb``, ``bcd``).
-        """
-        return self.symbol_matrix[np.asarray(interval_idx)]

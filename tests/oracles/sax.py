@@ -4,7 +4,10 @@
 prefix sums with numpy, re-deriving the window statistics per call, and
 :func:`interval_rows_from` searches a breakpoint table with
 ``np.searchsorted``; ``repro/sax/_sax.c`` must reproduce both bit for bit.
-:func:`paa_naive` is the upsample-and-average PAA, the ground truth of the
+:func:`interval_indices` and :func:`all_symbols_for` read a
+:class:`~repro.sax.breakpoints.MultiResolutionAlphabet` that way (Figure
+6's one search for every resolution). :func:`paa_naive` is the
+upsample-and-average PAA, the ground truth of the
 prefix-sum paths, and :func:`sliding_paa_matrix` the batch form of the
 sliding rows over a :class:`~repro.sax.paa.CumulativeStats`.
 :func:`first_occurrence_ids` numbers words the way the native tokenizer
@@ -139,6 +142,21 @@ def interval_rows_from(rows: np.ndarray, merged_breakpoints: np.ndarray) -> np.n
     """
     return np.searchsorted(merged_breakpoints, rows, side="right")
 
+
+
+def interval_indices(table, values: np.ndarray) -> np.ndarray:
+    """The merged-table interval of each value of ``values`` under a
+    :class:`~repro.sax.breakpoints.MultiResolutionAlphabet` ``table``: one
+    search for every resolution (:func:`interval_rows_from`)."""
+    return interval_rows_from(np.asarray(values, dtype=np.float64), table.merged_breakpoints)
+
+
+def all_symbols_for(table, interval_idx: np.ndarray) -> np.ndarray:
+    """Symbol indices of pre-located intervals under *every* alphabet size
+    of ``table``: one trailing axis of length ``max_alphabet_size -
+    min_alphabet_size + 1``, the per-value symbol sequence of Figure 6
+    (e.g. ``aaa``, ``abb``, ``bcd``)."""
+    return table.symbol_matrix[np.asarray(interval_idx)]
 
 def first_occurrence_ids(words: Sequence[str]) -> np.ndarray:
     """Dense int64 ids of ``words`` in first-occurrence order."""

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from oracles.sax import all_symbols_for, interval_indices
 from repro.sax.breakpoints import (
     MultiResolutionAlphabet,
     gaussian_breakpoints,
@@ -97,7 +98,7 @@ class TestMultiResolutionAlphabet:
     def test_matches_single_resolution(self, amax, value):
         """The paper's Section 6.2.2 claim: one lookup = all resolutions."""
         table = MultiResolutionAlphabet(amax)
-        interval = table.interval_indices(np.array([value]))
+        interval = interval_indices(table, np.array([value]))
         for a in table.alphabet_sizes():
             fast = table.symbols_for(interval, a)[0]
             direct = symbol_indices(np.array([value]), a)[0]
@@ -106,8 +107,8 @@ class TestMultiResolutionAlphabet:
     def test_all_symbols_for_figure_6_shape(self):
         """Figure 6: each coefficient maps to one symbol per alphabet size."""
         table = MultiResolutionAlphabet(4)
-        intervals = table.interval_indices(np.array([-1.0, -0.2, 1.0]))
-        symbols = table.all_symbols_for(intervals)
+        intervals = interval_indices(table, np.array([-1.0, -0.2, 1.0]))
+        symbols = all_symbols_for(table, intervals)
         assert symbols.shape == (3, 3)
         # For a=2, value -1.0 -> 'a'(0), -0.2 -> 'a'(0), 1.0 -> 'b'(1).
         assert symbols[:, 0].tolist() == [0, 0, 1]
@@ -117,14 +118,14 @@ class TestMultiResolutionAlphabet:
         intervals map to sequences aaa, abb, bcd for a = 2, 3, 4."""
         table = MultiResolutionAlphabet(4)
         values = np.array([-0.8, -0.2, 0.8])  # in (-inf,-0.67), (-0.43,0), (0.67,inf)
-        intervals = table.interval_indices(values)
-        rows = table.all_symbols_for(intervals)
+        intervals = interval_indices(table, values)
+        rows = all_symbols_for(table, intervals)
         words = ["".join("abcd"[s] for s in row) for row in rows]
         assert words == ["aaa", "abb", "bcd"]
 
     def test_rejects_alphabet_outside_range(self):
         table = MultiResolutionAlphabet(6, min_alphabet_size=3)
-        intervals = table.interval_indices(np.array([0.0]))
+        intervals = interval_indices(table, np.array([0.0]))
         with pytest.raises(ValueError, match="outside table range"):
             table.symbols_for(intervals, 2)
         with pytest.raises(ValueError, match="outside table range"):

@@ -176,6 +176,119 @@ class TestSaxIntervals:
         assert intervals[-2, 0] == alphabet_size - 1  # NaN sorts past every break
 
 
+
+def searched(table, probes, sign=1.0):
+    """The native pass's rows and intervals for ``sign * probe`` per probe.
+
+    As in the tie golden vectors: ``window == paa_size == 1``, zero means,
+    stds of ``sign`` (so -1.0 turns a probe of 0.0 into a row of -0.0) and a
+    prefix alternating ``0, probe``; every other row is ``-sign * probe``.
+    """
+    probes = np.asarray(probes, dtype=np.float64)
+    prefix = np.zeros(2 * len(probes) + 1)
+    prefix[1::2] = probes
+    count = 2 * len(probes)
+    stats = (np.zeros(count), np.full(count, sign), np.zeros(count, dtype=bool))
+    with np.errstate(all="ignore"):
+        return _kernel.sax_intervals(
+            prefix, np.zeros(count), 0, count, 1, 1, stats,
+            np.ascontiguousarray(table, dtype=np.float64), rows=True,
+        )
+
+
+def assert_searchsorted(table, probes, sign=1.0):
+    """Native intervals equal ``np.searchsorted(side="right")`` of the rows."""
+    rows, intervals = searched(table, probes, sign)
+    expected = np.searchsorted(np.asarray(table, dtype=np.float64), rows, side="right")
+    assert np.array_equal(intervals, expected), (table, rows[:, 0], intervals[:, 0])
+    return rows[:, 0], intervals[:, 0]
+
+
+#: The widest table the detectors build: every break of alphabets 2..26.
+WIDEST = MultiResolutionAlphabet(26).merged_breakpoints
+
+#: Values that stress the search: signed zeros, the smallest and largest
+#: doubles, subnormals, infinities and NaN.
+SPECIALS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -1e-310,
+    np.finfo(np.float64).max, -np.finfo(np.float64).max, np.inf, -np.inf, np.nan,
+]
+
+
+def around(table):
+    """Every break, its neighbouring doubles, and values past both ends."""
+    table = np.asarray(table, dtype=np.float64)
+    if not len(table):
+        return np.array(SPECIALS)
+    return np.concatenate([
+        table,
+        np.nextafter(table, -np.inf),
+        np.nextafter(table, np.inf),
+        [table[0] - 1.0, table[-1] + 1.0, table[0] * 4, table[-1] * 4],
+        SPECIALS,
+    ])
+
+
+class TestBreakpointSearch:
+    """The start-table search of ``sax_intervals`` equals
+    ``np.searchsorted(side="right")`` on every sorted table: a value on a
+    break lands above it, a NaN past every break."""
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [],
+            [0.0],
+            [-0.0],
+            [1.5],
+            [0.0, 0.0, 0.0],
+            [-1.0, 0.0, 0.0, 0.0, 1.0],
+            [-1.0, -1.0, 2.0, 2.0],
+            [1e-310, 2e-310, 3e-310],
+            [-1e300, 1e300],
+            [-np.inf, 0.0, np.inf],
+            list(gaussian_breakpoints(3)),
+            list(WIDEST),
+        ],
+        ids=lambda table: f"{len(table)}-breaks",
+    )
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_fixed_tables(self, table, sign):
+        assert_searchsorted(table, around(table), sign)
+
+    def test_signed_zeros_reach_the_search(self):
+        rows, intervals = assert_searchsorted([-1.0, 0.0, 1.0], [0.0], sign=-1.0)
+        assert np.signbit(rows[0]) and rows[0] == 0.0
+        assert intervals[0] == 2  # -0.0 is not below the 0.0 break
+
+    def test_below_and_above_every_break(self):
+        _, intervals = assert_searchsorted(WIDEST, [-1e9, 1e9, -np.inf, np.inf, np.nan])
+        assert intervals[::2].tolist() == [0, len(WIDEST), 0, len(WIDEST), len(WIDEST)]
+
+    def test_every_break_of_the_widest_table(self):
+        _, intervals = assert_searchsorted(WIDEST, WIDEST)
+        assert np.array_equal(intervals[::2], np.arange(1, len(WIDEST) + 1))
+
+    @given(
+        table=st.lists(
+            st.one_of(
+                st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0]),
+                st.floats(-1e6, 1e6, allow_subnormal=True),
+            ),
+            max_size=40,
+        ),
+        probes=st.lists(
+            st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIALS)),
+            min_size=1,
+            max_size=40,
+        ),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_random_tables_and_values(self, table, probes, sign):
+        table = np.sort(np.asarray(table, dtype=np.float64))
+        assert_searchsorted(table, np.concatenate([probes, around(table)]), sign)
+
+
 def production_ids(discretizer, w, a, numerosity="exact"):
     """The native pass's ``(offsets, ids)`` for one member."""
     return _kernel.sax_tokens(

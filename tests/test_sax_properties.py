@@ -21,6 +21,7 @@ from oracles.interner import MAX_PACKED_WIDTH, pack_symbol_rows
 from oracles.interner import WordInterner as OracleInterner
 from oracles.sax import (
     discretize,
+    interval_indices,
     interval_rows_from,
     kept_window_mask,
     numerosity_reduction,
@@ -336,7 +337,7 @@ def test_merged_table_ties_agree_with_scalar(alphabet_size):
         np.nextafter(gaussian_breakpoints(alphabet_size), np.inf),
         table.merged_breakpoints,
     ])
-    merged_route = table.symbols_for(table.interval_indices(probes), alphabet_size)
+    merged_route = table.symbols_for(interval_indices(table, probes), alphabet_size)
     assert np.array_equal(merged_route, symbol_indices(probes, alphabet_size))
 
 

@@ -315,6 +315,34 @@ class TestShutdownHygiene:
         # ...and no leaked shared-memory segments.
         assert shm_segments() == before
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_sigkill_takes_the_pool_workers_with_the_node(self, shm_segments):
+        """A SIGKILLed node cannot shut its pool down: each worker notices
+        it was orphaned and exits by itself within a few seconds."""
+        before = shm_segments()
+        process, port = start_server("--executor", "process", "--n-jobs", "2")
+        try:
+            # Two series, so the batch reaches the process pool.
+            series = [[float(v) for v in make_series(seed, 2_000)] for seed in (7, 8)]
+            payload = {"series": series, "k": 3, "seed": 5, "window": 50, "ensemble_size": 5}
+            status, _ = request(port, "POST", "/v1/detect_batch", payload)
+            assert status == 200
+            _, stats = request(port, "GET", "/stats")
+            worker_pids = stats["executor"]["worker_pids"]
+            assert worker_pids, "process pool never spawned"
+            assert all(_pid_running(pid) for pid in worker_pids)
+        finally:
+            process.kill()
+            process.wait(timeout=30)
+            process.stdout.close()
+        deadline = time.monotonic() + 5
+        alive = worker_pids
+        while alive and time.monotonic() < deadline:
+            time.sleep(0.05)
+            alive = [pid for pid in worker_pids if _pid_running(pid)]
+        assert not alive, f"workers outlived their SIGKILLed node: {alive}"
+        assert shm_segments() == before
+
     def test_sigterm_with_live_session_exits_clean(self, shm_segments):
         before = shm_segments()
         process, port = start_server("--executor", "process", "--n-jobs", "2")
@@ -331,6 +359,17 @@ class TestShutdownHygiene:
         finally:
             assert stop_server(process) == 0
         assert shm_segments() == before
+
+
+def _pid_running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie (an exited orphan stays a
+    zombie until whatever adopted it reaps it)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            state = stat.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError, IndexError):
+        return False
+    return state not in ("Z", "X")
 
 
 def _pid_alive(pid: int) -> bool:
