@@ -16,7 +16,7 @@ row is divided by its peak as ``seq_median`` reads it, which is the
 division :func:`~repro.core.selection.normalize_curve` makes, so no
 normalized copy of a member is built. A batch detect hands it the stds
 and peaks its member threads measured next to each curve
-(:func:`repro.core.engine.run_members`).
+(:func:`repro.core.engine.compute_member_curves`).
 """
 
 from __future__ import annotations

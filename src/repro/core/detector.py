@@ -137,7 +137,7 @@ class GrammarAnomalyDetector(StatelessBatchMixin):
             max_alphabet_size=self.alphabet_size,
             znorm_threshold=self.znorm_threshold,
             numerosity=self.numerosity,
-        )[0]
+        ).curves[0]
 
     def detect(self, series: np.ndarray, k: int = 3) -> list[Anomaly]:
         """Top-``k`` non-overlapping low-density windows, most anomalous first."""

@@ -560,16 +560,16 @@ def _member_stage_times(phase_ns, combine_s: float) -> dict[str, float]:
 
 
 class MemberRun(NamedTuple):
-    """What :func:`run_members` returns, every field in sample order: the
-    member curves, each curve's :func:`~repro.core.selection.curve_std`
-    and its peak (``curve.max()``)."""
+    """What :func:`compute_member_curves` returns, every field in sample
+    order: the member curves, each curve's
+    :func:`~repro.core.selection.curve_std` and its peak (``curve.max()``)."""
 
     curves: list[np.ndarray]
     stds: tuple[float, ...]
     peaks: tuple[float, ...]
 
 
-def run_members(
+def compute_member_curves(
     series: np.ndarray,
     window: int,
     parameters: Sequence[tuple[int, int]],
@@ -644,33 +644,6 @@ def run_members(
         curves[index], stds[index], peaks[index] = curve, std, peak
         merge(times)
     return MemberRun(curves, tuple(stds), tuple(peaks))
-
-
-def compute_member_curves(
-    series: np.ndarray,
-    window: int,
-    parameters: Sequence[tuple[int, int]],
-    *,
-    max_paa_size: int,
-    max_alphabet_size: int,
-    znorm_threshold: float = DEFAULT_ZNORM_THRESHOLD,
-    numerosity: str = "exact",
-    n_jobs: int | None = 1,
-    executor: MemberExecutor | str | None = None,
-) -> list[np.ndarray]:
-    """Rule density curves of every member, in sample order: the curves of
-    :func:`run_members` (which see), the only way a batch curve is made."""
-    return run_members(
-        series,
-        window,
-        parameters,
-        max_paa_size=max_paa_size,
-        max_alphabet_size=max_alphabet_size,
-        znorm_threshold=znorm_threshold,
-        numerosity=numerosity,
-        n_jobs=n_jobs,
-        executor=executor,
-    ).curves
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.anomaly import Anomaly, extract_candidates
 from repro.core.combiners import COMBINERS, combine_members
-from repro.core.engine import detect_batch, iter_detect_batch, run_members
+from repro.core.engine import compute_member_curves, detect_batch, iter_detect_batch
 from repro.core.executors import ExecutorOwnerMixin, MemberExecutor
 from repro.obs.stages import stage_timer
 from repro.sax.numerosity import STRATEGIES
@@ -217,7 +217,7 @@ class EnsembleGrammarDetector(ExecutorOwnerMixin):
         series = ensure_time_series(series, name="series", min_length=2)
         validate_window(self.window, len(series))
         parameters = self.sample_parameters()
-        curves, stds, peaks = run_members(
+        curves, stds, peaks = compute_member_curves(
             series,
             self.window,
             parameters,

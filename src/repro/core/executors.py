@@ -459,16 +459,20 @@ class ThreadExecutor(_PooledExecutor):
 PARENT_POLL_S = 0.25
 
 
-def _exit_with_parent(parent: int) -> None:
-    """Pool worker initializer: end the worker once ``parent`` is gone.
+def _exit_with_parent() -> None:
+    """Pool worker initializer: end the worker once its parent is gone.
 
     A daemon thread polls :func:`os.getppid` and calls :func:`os._exit`
-    as soon as it differs from ``parent`` (the worker was reparented, so
-    its parent died, SIGKILL included), so a crashed node's workers and the
-    shared memory they map do not outlive it. ``PR_SET_PDEATHSIG`` would
+    as soon as it differs from the parent the worker started with (the
+    worker was reparented, so its parent died, SIGKILL included), so a
+    crashed node's workers and the shared memory they map do not outlive
+    it. The parent is read in the worker, so it is the real one under every
+    start method: the node under fork and spawn, the forkserver (which
+    exits when the node dies) under forkserver. ``PR_SET_PDEATHSIG`` would
     not do: it fires when the *thread* that spawned the worker exits, and
     pool workers are spawned from whichever thread submits.
     """
+    parent = os.getppid()
 
     def watch() -> None:
         while os.getppid() == parent:
@@ -500,7 +504,6 @@ class ProcessExecutor(_PooledExecutor):
         return ProcessPoolExecutor(
             max_workers=self._max_workers,
             initializer=_exit_with_parent,
-            initargs=(os.getpid(),),
         )
 
     def worker_pids(self) -> tuple[int, ...]:

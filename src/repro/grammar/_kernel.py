@@ -201,9 +201,10 @@ _SIGNATURES = (
         ctypes.c_int,
         (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
         + (ctypes.c_int64,) * 6
-        + (ctypes.c_void_p,) * 4
-        + (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p),
+        + (ctypes.c_void_p,) * 6,
     ),
+    ("sax_search_new", ctypes.c_void_p, (ctypes.c_void_p, ctypes.c_int64)),
+    ("sax_search_free", None, (ctypes.c_void_p,)),
     (
         "sax_tokens",
         ctypes.c_int64,

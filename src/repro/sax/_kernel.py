@@ -3,9 +3,10 @@
 :func:`window_stats` computes the window means and standard deviations
 once per sweep, shared by every PAA size; then the native passes of
 ``_sax.c`` run: :func:`sax_intervals` does z-normalized PAA and the
-breakpoint search in one loop per PAA size, and :func:`sax_tokens` does
-symbol lookup, numerosity reduction (exact or none) and token ids in one
-loop per batch member, on a row table emptied at the start of the pass (the
+breakpoint search in one loop per PAA size (its start table built once
+per breakpoint table, :class:`BreakpointSearch`), and :func:`sax_tokens`
+does symbol lookup, numerosity reduction (exact or none) and token ids in
+one loop per batch member, on a row table emptied at the start of the pass (the
 calling thread's member workspace inside
 :func:`repro.grammar._kernel.member_curve`, a throwaway one here).
 Streaming members keep a table of the same kind for their whole life behind
@@ -42,6 +43,35 @@ _ERRORS = {
     -1: (IndexError, "an index lies outside the tables or buffers of the native SAX pass"),
     -2: (MemoryError, "the native SAX pass could not allocate its buffers"),
 }
+
+
+class BreakpointSearch:
+    """A sorted breakpoint table and the native start table that searches it.
+
+    ``_sax.c``'s ``SaxSearch`` handle: a copy of ``breakpoints`` (float64,
+    sorted) with its 1024-slice start table, built here once and freed with
+    this object; :attr:`breakpoints` is a read-only copy of the same breaks.
+    Every :class:`~repro.sax.plan.DiscretizationPlan` of one merged table
+    shares one (:func:`~repro.sax.plan.merged_search`), so the passes of its
+    sweeps (batch sizes and streaming drains alike) skip the build.
+    """
+
+    __slots__ = ("breakpoints", "handle")
+
+    def __init__(self, breakpoints: np.ndarray) -> None:
+        _checked(breakpoints, np.float64, 1, "breakpoints")
+        self.breakpoints = breakpoints.copy()
+        self.breakpoints.flags.writeable = False
+        self.handle = _lib.sax_search_new(breakpoints.ctypes.data, len(breakpoints))
+        if not self.handle:
+            raise MemoryError("cannot allocate a native breakpoint search")
+
+    def __del__(self, _free=_lib.sax_search_free) -> None:  # bound early: globals die at exit
+        if getattr(self, "handle", None):
+            _free(self.handle)
+
+    def __reduce__(self):
+        return BreakpointSearch, (self.breakpoints,)
 
 
 def window_stats(
@@ -88,16 +118,12 @@ def paa_rows_block(
     *,
     origin: int = 0,
     stats: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    breakpoints: np.ndarray | None = None,
 ) -> np.ndarray:
     """Z-normalized PAA rows for window starts in ``[start, stop)``, natively.
 
     Row ``i`` corresponds to the window starting at global index
-    ``start + i``. With a sorted ``breakpoints`` table the result is
-    instead the interval matrix of those rows (the ``side="right"`` search
-    of every coefficient), computed without forming the rows. ``stats``
-    may carry a precomputed :func:`window_stats` triple to share across
-    PAA sizes. ``origin`` is the global index of ``values[0]``: an evicted
+    ``start + i``. ``stats`` may carry a precomputed :func:`window_stats`
+    triple to share across PAA sizes. ``origin`` is the global index of ``values[0]``: an evicted
     stream buffer passes its retained arrays with their offset, and the
     window positions stay global, so every output bit equals the
     unevicted computation's.
@@ -106,11 +132,9 @@ def paa_rows_block(
         stats = window_stats(
             prefix_sum, prefix_sq, start, stop, window, znorm_threshold, origin=origin
         )
-    rows, intervals = sax_intervals(
-        prefix_sum, values, start, stop, window, paa_size, stats, breakpoints,
-        origin=origin, rows=breakpoints is None,
-    )
-    return rows if breakpoints is None else intervals
+    return sax_intervals(
+        prefix_sum, values, start, stop, window, paa_size, stats, origin=origin, rows=True
+    )[0]
 
 
 def sax_intervals(
@@ -121,7 +145,7 @@ def sax_intervals(
     window: int,
     paa_size: int,
     stats: tuple[np.ndarray, np.ndarray, np.ndarray],
-    breakpoints: np.ndarray | None = None,
+    search: BreakpointSearch | None = None,
     *,
     origin: int = 0,
     rows: bool = False,
@@ -130,10 +154,10 @@ def sax_intervals(
 
     ``rows`` (float64, one row per window start in ``[start, stop)``) is
     written when ``rows=True``; ``intervals`` (``intp``, the
-    ``side="right"`` search of every coefficient in ``breakpoints``; a
-    value equal to a breakpoint falls in the region above it) when a
-    table is given. Either is ``None`` otherwise. ``stats`` is the
-    :func:`window_stats` triple of the same range. Inputs are checked here,
+    ``side="right"`` search of every coefficient in ``search``'s
+    breakpoints; a value equal to a breakpoint falls in the region above
+    it) when a search is given. Either is ``None`` otherwise. ``stats`` is
+    the :func:`window_stats` triple of the same range. Inputs are checked here,
     before the C call: wrong dtypes raise :class:`TypeError`, wrong shapes,
     lengths or ranges :class:`ValueError`.
     """
@@ -161,16 +185,16 @@ def sax_intervals(
         )
     out_rows = np.empty((count, paa_size)) if rows else None
     out_intervals = None
-    if breakpoints is not None:
-        _checked(breakpoints, np.float64, 1, "breakpoints")
+    if search is not None:
+        if not isinstance(search, BreakpointSearch):
+            raise TypeError("search must be a BreakpointSearch")
         out_intervals = np.empty((count, paa_size), dtype=np.intp)
     if count:
         status = _lib.sax_intervals(
             prefix_sum.ctypes.data, len(prefix_sum), values.ctypes.data, len(values),
             start, stop, origin, window, paa_size,
             means.ctypes.data, stds.ctypes.data, constant.ctypes.data,
-            None if breakpoints is None else breakpoints.ctypes.data,
-            0 if breakpoints is None else len(breakpoints),
+            None if search is None else search.handle,
             None if out_rows is None else out_rows.ctypes.data,
             None if out_intervals is None else out_intervals.ctypes.data,
         )

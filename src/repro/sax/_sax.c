@@ -25,13 +25,15 @@
  * so the float rows and the interval matrix are bitwise those of the numpy
  * reference, for integer and fractional segment widths alike. The interval
  * is not found by bisection, whose loads each wait on the compare before
- * them: a 1024-slice start table, built once per call from the breaks,
- * gives an index that one or two exact compares fix up (see
- * search_breaks). Streaming drains run the same pass. The window
- * statistics (means, safe stds, constancy mask) come in from
- * repro.sax._kernel.window_stats, computed once per sweep. Positions are
- * never negative (0 <= origin <= start), so truncation is floor. Either
- * output may be NULL.
+ * them: a 1024-slice start table gives an index that one or two exact
+ * compares fix up (see search_breaks). The table lives in a SaxSearch
+ * handle (sax_search_new/free), built once per breakpoint table: every
+ * DiscretizationPlan of a merged table shares one (plan.py merged_search),
+ * so the many small passes of streaming drains share it with the batch
+ * sweeps. The window statistics (means, safe stds, constancy mask) come
+ * in from repro.sax._kernel.window_stats, computed once per sweep.
+ * Positions are never negative (0 <= origin <= start), so truncation is
+ * floor. Either output may be NULL.
  *
  * The row table (SaxTable): the distinct words seen so far, each with a
  * dense id in first-seen order. Words are stored once, as ASCII letters
@@ -99,22 +101,28 @@ typedef struct {
 } Slice;
 
 typedef struct {
-    const double *breaks;
     int64_t n_breaks;
     double low, scale;
     Slice slices[SAX_BUCKETS];
-} Search;
+    double breaks[];
+} SaxSearch;
 
-static int64_t bucket_of(const Search *search, double z) {
+static int64_t bucket_of(const SaxSearch *search, double z) {
     double slice = (z - search->low) * search->scale;
     slice = slice > 0 ? slice : 0;
     slice = slice < SAX_BUCKETS - 1 ? slice : SAX_BUCKETS - 1;
     return (int64_t)slice;
 }
 
-static void search_init(Search *search, const double *breaks, int64_t n_breaks) {
+/* A search over a copy of the sorted `breaks` (NULL when out of memory). */
+SaxSearch *sax_search_new(const double *breaks, int64_t n_breaks) {
+    if (n_breaks < 0) return NULL;
+    SaxSearch *search = malloc(sizeof *search + (size_t)n_breaks * sizeof *breaks);
+    if (!search) return NULL;
+    if (n_breaks) memcpy(search->breaks, breaks, (size_t)n_breaks * sizeof *breaks);
+    breaks = search->breaks;
     double span = n_breaks ? breaks[n_breaks - 1] - breaks[0] : 0.0;
-    search->breaks = breaks, search->n_breaks = n_breaks;
+    search->n_breaks = n_breaks;
     search->low = n_breaks ? breaks[0] : 0.0;
     search->scale = span > 0 ? SAX_BUCKETS / span : 0.0;
     for (int64_t k = 0, i = 0; k < SAX_BUCKETS; k++) {
@@ -123,9 +131,12 @@ static void search_init(Search *search, const double *breaks, int64_t n_breaks) 
         search->slices[k].before = i > 0 ? breaks[i - 1] : -INFINITY;
         search->slices[k].first = i < n_breaks ? breaks[i] : INFINITY;
     }
+    return search;
 }
 
-static intptr_t search_breaks(const Search *search, double z) {
+void sax_search_free(SaxSearch *search) { free(search); }
+
+static intptr_t search_breaks(const SaxSearch *search, double z) {
     const Slice *slice = &search->slices[bucket_of(search, z)];
     int64_t i = slice->start;
     if (!(z < slice->first) || z < slice->before) {
@@ -140,14 +151,12 @@ static intptr_t search_breaks(const Search *search, double z) {
 int sax_intervals(const double *prefix, int64_t n_prefix, const double *values,
                   int64_t n_values, int64_t start, int64_t stop, int64_t origin,
                   int64_t window, int64_t paa_size, const double *means,
-                  const double *stds, const uint8_t *constant, const double *breaks,
-                  int64_t n_breaks, double *rows, intptr_t *intervals) {
+                  const double *stds, const uint8_t *constant, const SaxSearch *search,
+                  double *rows, intptr_t *intervals) {
     if (origin < 0 || start < origin || stop < start || window < 1 || paa_size < 1 ||
-        n_values < 1)
+        n_values < 1 || (intervals && !search))
         return SAX_RANGE;
     double step = (double)window / (double)paa_size;
-    Search search;
-    if (intervals) search_init(&search, breaks, n_breaks);
     double *relative = malloc(2 * (size_t)(paa_size + 1) * sizeof *relative);
     if (!relative) return SAX_NOMEM;
     double *cumulative = relative + paa_size + 1;
@@ -171,7 +180,7 @@ int sax_intervals(const double *prefix, int64_t n_prefix, const double *values,
             double coefficient = (cumulative[k + 1] - cumulative[k]) / step;
             double z = constant[r] ? 0.0 : (coefficient - means[r]) / stds[r];
             if (rows) rows[offset + k] = z;
-            if (intervals) intervals[offset + k] = search_breaks(&search, z);
+            if (intervals) intervals[offset + k] = search_breaks(search, z);
         }
     }
 done:

@@ -38,6 +38,7 @@ returns its time for the calling thread to charge to ``paa``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from time import perf_counter
 from typing import Iterable, Sequence
 
@@ -49,6 +50,16 @@ from repro.sax.breakpoints import MultiResolutionAlphabet
 from repro.sax.paa import CumulativeStats
 from repro.sax.znorm import DEFAULT_ZNORM_THRESHOLD
 from repro.utils.validation import validate_alphabet_size, validate_paa_size
+
+
+@lru_cache(maxsize=64)
+def merged_search(max_alphabet_size: int, min_alphabet_size: int) -> _kernel.BreakpointSearch:
+    """The native search of :class:`MultiResolutionAlphabet`'s merged table,
+    built once per process and table (about 25 KB each): a streaming
+    ensemble opens a plan per member and per session, and they all share it.
+    """
+    table = MultiResolutionAlphabet(max_alphabet_size, min_alphabet_size)
+    return _kernel.BreakpointSearch(table.merged_breakpoints)
 
 
 class DiscretizationPlan:
@@ -72,7 +83,10 @@ class DiscretizationPlan:
         breakpoint table.
     """
 
-    __slots__ = ("window", "configs", "paa_sizes", "znorm_threshold", "alphabet_table")
+    __slots__ = (
+        "window", "configs", "paa_sizes", "znorm_threshold", "alphabet_table",
+        "breakpoint_search",
+    )
 
     def __init__(
         self,
@@ -111,6 +125,10 @@ class DiscretizationPlan:
                 )
         #: Merged breakpoint table shared by every member (Section 6.2.2).
         self.alphabet_table = MultiResolutionAlphabet(max_alphabet_size, min_alphabet_size)
+        #: The merged table's native search, shared by every plan of the table.
+        self.breakpoint_search = merged_search(
+            self.alphabet_table.max_alphabet_size, self.alphabet_table.min_alphabet_size
+        )
 
     def sweep(
         self,
@@ -236,7 +254,7 @@ class DiscretizationSweep:
     def _native_intervals(self, paa_size: int) -> np.ndarray:
         return _kernel.sax_intervals(
             self._prefix_sum, self._values, self.start, self.stop, self.plan.window,
-            paa_size, self.shared_stats(), self.plan.alphabet_table.merged_breakpoints,
+            paa_size, self.shared_stats(), self.plan.breakpoint_search,
             origin=self._origin,
         )[1]
 

@@ -229,10 +229,10 @@ class TestParallelMemberExecution:
         parameters = [(4, 4), (4, 7), (2, 3), (6, 5), (6, 2)]
         serial = compute_member_curves(
             batch_series, 100, parameters, max_paa_size=10, max_alphabet_size=10, n_jobs=1
-        )
+        ).curves
         parallel = compute_member_curves(
             batch_series, 100, parameters, max_paa_size=10, max_alphabet_size=10, n_jobs=2
-        )
+        ).curves
         assert len(serial) == len(parallel) == len(parameters)
         for a, b in zip(serial, parallel):
             assert np.array_equal(a, b)

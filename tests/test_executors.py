@@ -8,8 +8,11 @@ bitwise parity of member curves across all three backends.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ import pytest
 from repro.core.engine import compute_member_curves
 from repro.core.executors import (
     EXECUTOR_KINDS,
+    PARENT_POLL_S,
     BatchItemError,
     MemberExecutor,
     ProcessExecutor,
@@ -25,6 +29,7 @@ from repro.core.executors import (
     ThreadExecutor,
     as_executor,
     open_executor,
+    _exit_with_parent,
     resolve_series,
     validate_executor_spec,
 )
@@ -231,6 +236,16 @@ class TestPoolReuse:
             executor.map(_square, [2, 3])
             assert executor._pool is first_pool
 
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_parent_watch_spares_workers_of_a_live_parent(self, method):
+        """Workers keep running while their parent lives, whatever started
+        them: under forkserver their parent is the forkserver, not us."""
+        context = multiprocessing.get_context(method)
+        with ProcessPoolExecutor(1, mp_context=context, initializer=_exit_with_parent) as pool:
+            worker = pool.submit(os.getpid).result()
+            time.sleep(4 * PARENT_POLL_S)
+            assert pool.submit(os.getpid).result() == worker
+
     def test_thread_pool_reuse(self):
         with ThreadExecutor(2) as executor:
             executor.map(_square, [1])
@@ -278,7 +293,7 @@ class TestMemberCurveParity:
     def test_compute_member_curves_bitwise_identical(self, executor_kind, member_series):
         reference = compute_member_curves(
             member_series, 100, PARAMETERS, max_paa_size=10, max_alphabet_size=10, n_jobs=1
-        )
+        ).curves
         with as_executor(executor_kind, 2) as executor:
             curves = compute_member_curves(
                 member_series,
@@ -287,7 +302,7 @@ class TestMemberCurveParity:
                 max_paa_size=10,
                 max_alphabet_size=10,
                 executor=executor,
-            )
+            ).curves
         assert len(curves) == len(reference)
         for ours, expected in zip(curves, reference):
             assert np.array_equal(ours, expected)
@@ -301,9 +316,9 @@ class TestMemberCurveParity:
             max_alphabet_size=10,
             executor="thread",
             n_jobs=2,
-        )
+        ).curves
         reference = compute_member_curves(
             member_series, 100, PARAMETERS, max_paa_size=10, max_alphabet_size=10, n_jobs=1
-        )
+        ).curves
         for ours, expected in zip(by_name, reference):
             assert np.array_equal(ours, expected)

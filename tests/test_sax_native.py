@@ -64,7 +64,8 @@ def native_block(buffers, start, stop, window, paa_size, threshold, origin, tabl
         prefix, prefix_sq, start, stop, window, threshold, origin=origin
     )
     return _kernel.sax_intervals(
-        prefix, values, start, stop, window, paa_size, stats, table, origin=origin, rows=True
+        prefix, values, start, stop, window, paa_size, stats, _kernel.BreakpointSearch(table),
+        origin=origin, rows=True,
     )
 
 
@@ -135,12 +136,13 @@ class TestSaxIntervals:
         prefix, prefix_sq, values = buffers
         stats = _kernel.window_stats(prefix, prefix_sq, 0, 41, 10)
         only_rows = _kernel.sax_intervals(prefix, values, 0, 41, 10, 3, stats, rows=True)
-        only_intervals = _kernel.sax_intervals(prefix, values, 0, 41, 10, 3, stats, table)
+        search = _kernel.BreakpointSearch(table)
+        only_intervals = _kernel.sax_intervals(prefix, values, 0, 41, 10, 3, stats, search)
         assert only_rows[1] is None and only_intervals[0] is None
         assert_bitwise(only_rows[0], rows)
         assert np.array_equal(only_intervals[1], intervals)
         empty = _kernel.sax_intervals(prefix, values, 7, 7, 10, 3, _kernel.window_stats(
-            prefix, prefix_sq, 7, 7, 10), table, rows=True)
+            prefix, prefix_sq, 7, 7, 10), search, rows=True)
         assert empty[0].shape == empty[1].shape == (0, 3)
 
     @pytest.mark.parametrize("alphabet_size", [2, 3, 4, 5, 8, 10, 16, 20, 26])
@@ -164,7 +166,8 @@ class TestSaxIntervals:
         count = 2 * len(probes)
         stats = (np.zeros(count), np.ones(count), np.zeros(count, dtype=bool))
         rows, intervals = _kernel.sax_intervals(
-            prefix, np.zeros(count), 0, count, 1, 1, stats, table, rows=True
+            prefix, np.zeros(count), 0, count, 1, 1, stats, _kernel.BreakpointSearch(table),
+            rows=True,
         )
         # Equal as values (the pass adds a zero, so -0.0 comes back as 0.0).
         np.testing.assert_array_equal(rows[::2, 0], probes)
@@ -192,7 +195,7 @@ def searched(table, probes, sign=1.0):
     with np.errstate(all="ignore"):
         return _kernel.sax_intervals(
             prefix, np.zeros(count), 0, count, 1, 1, stats,
-            np.ascontiguousarray(table, dtype=np.float64), rows=True,
+            _kernel.BreakpointSearch(np.ascontiguousarray(table, dtype=np.float64)), rows=True,
         )
 
 
@@ -268,6 +271,25 @@ class TestBreakpointSearch:
     def test_every_break_of_the_widest_table(self):
         _, intervals = assert_searchsorted(WIDEST, WIDEST)
         assert np.array_equal(intervals[::2], np.arange(1, len(WIDEST) + 1))
+
+    def test_one_search_serves_many_passes(self):
+        """A search holds its own copy of the breaks: built once, it gives
+        every later pass the same intervals, after its source array is
+        overwritten and after a pickle round trip (which rebuilds it)."""
+        table = np.array(WIDEST)
+        probes = around(table)
+        expected = np.searchsorted(table, probes, side="right")
+        search = _kernel.BreakpointSearch(table)
+        table[:] = 0.0
+        prefix = np.zeros(2 * len(probes) + 1)
+        prefix[1::2] = probes
+        count = 2 * len(probes)
+        stats = (np.zeros(count), np.ones(count), np.zeros(count, dtype=bool))
+        for again in (search, search, pickle.loads(pickle.dumps(search))):
+            _, intervals = _kernel.sax_intervals(
+                prefix, np.zeros(count), 0, count, 1, 1, stats, again
+            )
+            assert np.array_equal(intervals[::2, 0], expected)
 
     @given(
         table=st.lists(
@@ -391,13 +413,14 @@ class TestNativeGuards:
         prefix = np.concatenate(([0.0], np.cumsum(series)))
         prefix_sq = np.concatenate(([0.0], np.cumsum(series**2)))
         stats = _kernel.window_stats(prefix, prefix_sq, 0, 51, 10)
-        return dict(prefix=prefix, values=series, stats=stats, table=gaussian_breakpoints(4))
+        search = _kernel.BreakpointSearch(gaussian_breakpoints(4))
+        return dict(prefix=prefix, values=series, stats=stats, search=search)
 
     def call(self, good, **changes):
         args = {**good, **changes}
         return _kernel.sax_intervals(
             args["prefix"], args["values"], args.get("start", 0), args.get("stop", 51),
-            args.get("window", 10), args.get("paa_size", 5), args["stats"], args["table"],
+            args.get("window", 10), args.get("paa_size", 5), args["stats"], args["search"],
             origin=args.get("origin", 0),
         )
 
@@ -406,11 +429,10 @@ class TestNativeGuards:
         [
             (lambda g: {"prefix": g["prefix"].astype(np.float32)}, TypeError),
             (lambda g: {"values": g["values"].tolist()}, TypeError),
-            (lambda g: {"table": g["table"].astype(np.int64)}, TypeError),
+            (lambda g: {"search": g["search"].breakpoints}, TypeError),
             (lambda g: {"stats": (g["stats"][0], g["stats"][1], g["stats"][2].astype(np.uint8))},
              TypeError),
             (lambda g: {"prefix": g["prefix"][::2]}, ValueError),
-            (lambda g: {"table": g["table"][None, :]}, ValueError),
             (lambda g: {"stats": g["stats"][:2]}, ValueError),
             (lambda g: {"stats": tuple(part[:-1] for part in g["stats"])}, ValueError),
             (lambda g: {"prefix": g["prefix"][:-1]}, ValueError),
@@ -426,6 +448,20 @@ class TestNativeGuards:
         monkeypatch.setattr(_kernel, "_lib", _NoCalls())
         with pytest.raises(error):
             self.call(good, **changes(good))
+
+    @pytest.mark.parametrize(
+        "table, error",
+        [
+            (gaussian_breakpoints(4).astype(np.int64), TypeError),
+            (gaussian_breakpoints(4).tolist(), TypeError),
+            (gaussian_breakpoints(4)[None, :], ValueError),
+            (np.repeat(gaussian_breakpoints(4), 2)[::2], ValueError),
+        ],
+    )
+    def test_bad_breakpoint_tables_raise_before_any_c_call(self, monkeypatch, table, error):
+        monkeypatch.setattr(_kernel, "_lib", _NoCalls())
+        with pytest.raises(error):
+            _kernel.BreakpointSearch(table)
 
     @pytest.mark.parametrize(
         "intervals, symbols, error",
