@@ -399,6 +399,59 @@ def _stream_cycle(
 
 
 # ----------------------------------------------------------------------
+# Appends alone to a stream_ingest-shaped session.
+# ----------------------------------------------------------------------
+
+
+def stream_append_once(
+    appends: int,
+    members: int = 20,
+    window: int = 100,
+    capacity: int = 2000,
+    chunk_min: int = 200,
+    chunk_max: int = 400,
+    seed: int = 0,
+) -> float:
+    """Seconds for ``appends`` appends to one bounded sliding session.
+
+    The session has the end-to-end ``stream_ingest`` workload's shape
+    (members, window, capacity, sliding policy, chunks of ``chunk_min`` to
+    ``chunk_max`` points) and is filled to twice its capacity outside the
+    timed region, so the horizon already moves. Nothing is polled: the row
+    times the drain of each append (window statistics, the native drain
+    call and the horizon advance) and nothing else.
+    """
+    sizes = np.random.default_rng(seed).integers(chunk_min, chunk_max + 1, size=appends)
+    warm = 2 * capacity
+    bounds = (warm + np.concatenate(([0], np.cumsum(sizes)))).tolist()
+    series = cached_series(bounds[-1], seed)
+    detector = StreamingEnsembleDetector(
+        window=window, ensemble_size=members, capacity=capacity, policy="sliding", seed=seed
+    )
+    detector.extend(series[:warm])
+    chunks = [series[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    with Timer() as timer:
+        for chunk in chunks:
+            detector.extend(chunk)
+    return timer.elapsed
+
+
+@register("stream_append")
+def _stream_append(
+    *,
+    appends: int,
+    members: int = 20,
+    window: int = 100,
+    capacity: int = 2000,
+    chunk_min: int = 200,
+    chunk_max: int = 400,
+    seed: int = 0,
+):
+    elapsed = stream_append_once(appends, members, window, capacity, chunk_min, chunk_max, seed)
+    return {"ms_per_append": elapsed / appends * 1e3}
+
+
+# ----------------------------------------------------------------------
 # Batch detection across executor backends.
 # ----------------------------------------------------------------------
 

@@ -373,13 +373,17 @@ class SharedStreamState:
         in generation steps and retention stays within
         ``capacity + generation_size - 1`` points.
         """
+        return self.evict_to(self.trim_target())
+
+    def trim_target(self) -> int:
+        """The start :meth:`trim` would retire to now, without retiring anything."""
         if self.capacity is None:
             return self._start
         target = self.horizon_start
         if self.policy == "decay":
             step = self.generation_size
             target = (target // step) * step
-        return self.evict_to(max(target, self._start))
+        return max(target, self._start)
 
     # ------------------------------------------------------------------
     # Snapshot / restore.
@@ -503,6 +507,21 @@ class SharedStreamState:
             origin=base,
         )
 
+    def buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """``(prefix_sum, prefix_sq, values, origin)``: the retained buffers.
+
+        Views of everything still stored (the dead prefix not yet compacted
+        included), from global index ``origin``, as the discretization
+        passes read them; invalidated by the next append.
+        """
+        used = self._n - self._base
+        return (
+            self._prefix[: used + 1],
+            self._prefix_sq[: used + 1],
+            self._values[:used],
+            self._base,
+        )
+
     def sweep(self, plan, first_start: int, *, stop: int | None = None):
         """Open a shared discretization sweep over completed windows.
 
@@ -529,16 +548,8 @@ class SharedStreamState:
                 f"first_start={first_start} outside the completed-window range "
                 f"[{self._start}, {stop}]"
             )
-        base = self._base
-        used = self._n - base
-        return plan.sweep(
-            self._prefix[: used + 1],
-            self._prefix_sq[: used + 1],
-            self._values[:used],
-            first_start,
-            stop,
-            origin=base,
-        )
+        prefix_sum, prefix_sq, values, origin = self.buffers()
+        return plan.sweep(prefix_sum, prefix_sq, values, first_start, stop, origin=origin)
 
 
 # ----------------------------------------------------------------------

@@ -5,11 +5,11 @@ large-scale data; Sequitur is naturally *incremental*, so the pipeline
 extends to streams. The streaming path is built on the execution engine
 (:mod:`repro.core.engine`): every arriving chunk lands in one
 :class:`~repro.core.engine.SharedStreamState` — a numpy-backed buffer with
-running prefix sums — and ``extend()`` computes all newly completed windows'
-z-normalized PAA rows and SAX symbols in one vectorized pass per distinct
-PAA size, feeding only the numerosity-kept words to each live member.
-Snapshotting at any moment yields the rule density curve over the live
-range of the stream.
+running prefix sums — and ``extend()`` drains all newly completed windows
+into every member in one native call per block: one z-normalized PAA and
+breakpoint-search pass per distinct PAA size, then each member's
+numerosity-kept tokens into its log. Snapshotting at any moment yields the
+rule density curve over the live range of the stream.
 
 :class:`StreamingGrammarDetector` is one such live member;
 :class:`StreamingEnsembleDetector` maintains a fixed parameter bag of
@@ -18,9 +18,10 @@ than N copies of the stream) and combines their snapshot curves exactly as
 Algorithm 1 does (std filter -> max-normalize -> median).
 
 Every member, under every policy, runs on the native token log and
-Sequitur arenas of :mod:`repro.grammar._kernel`: one native call per drain
-block, per horizon advance and per poll, and an ensemble polls all its
-members in one call. The parity suites compare its polls with the
+Sequitur arenas of :mod:`repro.grammar._kernel`: a detector drains all its
+members (and prunes them to the horizon) in one native call per block
+(:class:`_Drain`; a lone member is an ensemble of one) and polls them all
+in one call. The parity suites compare its polls with the
 pure-Python pipeline of ``tests/oracles/`` (numpy SAX, word-fed Sequitur
 over the live tokens, one grammar per decay generation).
 
@@ -74,6 +75,7 @@ from repro.core.combiners import COMBINERS, combine_members
 from repro.core.engine import EVICTION_POLICIES, SharedStreamState
 from repro.grammar import _kernel
 from repro.obs.stages import merge, stage_timer
+from repro.sax._kernel import window_stats
 from repro.sax.alphabet import WordInterner
 from repro.sax.numerosity import STRATEGIES, TokenSequence
 from repro.sax.plan import DiscretizationPlan
@@ -85,8 +87,8 @@ from repro.utils.validation import (
     validate_window,
 )
 
-#: Window starts discretized per drain block — bounds the transient PAA/
-#: symbol matrices even when one huge chunk arrives, so bounded-memory
+#: Window starts discretized per drain block — bounds the transient
+#: interval matrix even when one huge chunk arrives, so bounded-memory
 #: streams stay bounded during ingest as well as between chunks.
 _DRAIN_BLOCK = 65_536
 
@@ -213,18 +215,19 @@ class StreamingGrammarDetector:
             znorm_threshold=self.znorm_threshold,
             min_alphabet_size=self.alphabet_size,
         )
-        #: Window starts already discretized and logged.
-        self._consumed = 0
         #: Distinct words ever seen, each with a stable id; word strings are
         #: materialized only at snapshot boundaries (frozen grammars,
         #: snapshot export, ``tokens()``).
         self._interner = WordInterner()
         #: The kept tokens (ids against the interner, window offsets), the
-        #: carried symbol row, the live boundary and prune counter, and the
-        #: arena over the live ids (or, under decay, the generations):
-        #: native memory, touched by one call per drain block, horizon
-        #: advance and poll.
+        #: carried symbol row, the cursor, the live boundary and prune
+        #: counter, and the arena over the live ids (or, under decay, the
+        #: generations): native memory, touched by one call per drain
+        #: block and one per poll.
         self._log = self._new_log()
+        #: This member's drain when it owns its state (an ensemble drains
+        #: the members attached to its state).
+        self._drainer = self._new_drain()
         #: Last snapshot curve, keyed by the shared state's version counter:
         #: repeated ``density_curve()`` polls without new data are O(1).
         self._curve_cache: tuple[int, np.ndarray] | None = None
@@ -233,8 +236,19 @@ class StreamingGrammarDetector:
         """An empty token log, with generations under the decay policy."""
         return _kernel.TokenLog(self.paa_size, self.state.generation_size or 0)
 
+    def _new_drain(self) -> "_Drain | None":
+        """The drain of this member alone, or ``None`` on a shared state."""
+        if not self._owns_state:
+            return None
+        return _Drain(self.state, self._plan, [self], self.numerosity)
+
     def __len__(self) -> int:
         return len(self.state)
+
+    @property
+    def _consumed(self) -> int:
+        """Window starts already discretized and logged (the log's cursor)."""
+        return self._log.consumed
 
     @property
     def bounded(self) -> bool:
@@ -303,81 +317,21 @@ class StreamingGrammarDetector:
         self._require_owned_state()
         self.state.append(value)
         self._drain()
-        self._evict()
 
     def extend(self, values) -> None:
         """Consume a batch of observations in one vectorized pass."""
         self._require_owned_state()
         self.state.extend(values)
         self._drain()
-        self._evict()
 
     def _drain(self) -> None:
-        """Discretize every completed-but-unseen window and log the kept tokens.
+        """Log every completed-but-unseen window and advance the horizon.
 
-        Runs in fixed-size blocks so the transient PAA/symbol matrices stay
-        bounded no matter how large one chunk is; block boundaries are
-        invisible to the result (numerosity reduction carries the last
-        symbol row across them).
+        The member drains as an ensemble of one: one native call per block
+        of at most :data:`_DRAIN_BLOCK` window starts, the last of which
+        also forgets what slid out of the horizon (see :class:`_Drain`).
         """
-        n_windows = self.state.n_windows(self.window)
-        column = self._plan.alphabet_table.symbol_column(self.alphabet_size)
-        while self._consumed < n_windows:
-            stop = min(self._consumed + _DRAIN_BLOCK, n_windows)
-            # The sweep fires the paa/discretize stage timers internally.
-            sweep = self.state.sweep(self._plan, self._consumed, stop=stop)
-            intervals = sweep.interval_rows(self.paa_size)
-            feed_ns = np.zeros(1, dtype=np.int64)
-            started = perf_counter()
-            self._ingest_block(intervals, column, self._consumed, feed_ns)
-            _charge_ingest(perf_counter() - started, feed_ns)
-
-    def _evict(self) -> None:
-        """Advance the retention horizon and forget what slid out."""
-        if self.state.capacity is None:
-            return
-        start = self.state.trim()
-        self._forget_before(start)
-
-    def _forget_before(self, start: int) -> None:
-        """Prune tokens whose window start precedes ``start`` (amortized O(1)).
-
-        One native call: the log bisects its sorted offsets for the new live
-        boundary and drops the dead prefix once it holds more than
-        :data:`_PRUNE_SLACK` tokens and outweighs the live part. Under the
-        decay policy, the same call drops the sealed generations that ended
-        at or before ``start`` wholesale.
-        """
-        if start <= 0:
-            return
-        self._log.forget(start, _PRUNE_SLACK)
-
-    def _ingest_block(
-        self, intervals: np.ndarray, column: np.ndarray, first_start: int, feed_ns: np.ndarray
-    ) -> None:
-        """Log one block of windows in one native call.
-
-        ``intervals`` holds one merged-table interval row per window start
-        in ``first_start .. first_start + len(intervals) - 1``; ``column``
-        maps them to this member's symbols. Two windows share a SAX word
-        exactly when their symbol rows are equal, so the call
-        (:meth:`~repro.sax.alphabet.WordInterner.intern_log`) looks the
-        symbols up, drops each row equal to the one before it (the last row
-        of the previous block is carried in the log), gives every kept row
-        an id that stays stable across drains and appends ids and offsets
-        to the log. A word string is built once per *distinct* row, ever,
-        and only when the vocabulary is read.
-
-        This is ``discretize`` time, as in batch ``token_ids``; the caller
-        times it. Only the decay generations feed a grammar at ingest, in
-        the same call, which adds that feed time to ``feed_ns`` for the
-        caller to charge to ``grammar``; unbounded and sliding members
-        induce at poll time.
-        """
-        self._interner.intern_log(
-            self._log, intervals, column, first_start, self.numerosity == "exact", feed_ns
-        )
-        self._consumed = first_start + len(intervals)
+        self._drainer()
 
     # ------------------------------------------------------------------
     # Snapshot / restore (serialization).
@@ -388,7 +342,7 @@ class StreamingGrammarDetector:
 
         Holds the live kept tokens (as interned ids + window offsets, copied
         out of the log), the vocabulary that gives those ids meaning, and
-        the ingest cursors. Grammar arenas and generations are deliberately
+        the ingest cursor. Grammar arenas and generations are deliberately
         *not* exported: a grammar is a deterministic function of the token
         sequence fed to it, so :meth:`_restore_state` rebuilds them from the
         live ids — smaller snapshots, and no arena structures on the wire.
@@ -438,10 +392,17 @@ class StreamingGrammarDetector:
                 f"member snapshot counts {data['total_kept']} kept and {pruned} pruned "
                 f"tokens but holds {len(ids)} live ones"
             )
+        consumed = int(data["consumed"])
+        if consumed < (int(offsets[-1]) + 1 if len(offsets) else 0):
+            raise ValueError(
+                f"member snapshot cursor {consumed} lies before its last token's window"
+            )
         last = data["last_symbols"]
         self._log = self._new_log()
-        self._log.load(ids, offsets, None if last is None else np.asarray(last), pruned)
-        self._consumed = int(data["consumed"])
+        self._log.load(
+            ids, offsets, None if last is None else np.asarray(last), pruned, consumed
+        )
+        self._drainer = self._new_drain()
         self._curve_cache = None
 
     # ------------------------------------------------------------------
@@ -517,15 +478,81 @@ class StreamingGrammarDetector:
         return candidates
 
 
-def _charge_ingest(elapsed: float, feed_ns: np.ndarray) -> None:
-    """Charge one drain block's ingest: what decay generations spent feeding
-    (``feed_ns[0]``) to ``grammar``, the rest (lookup, reduction,
-    interning) to ``discretize``."""
-    feed = int(feed_ns[0]) * 1e-9
-    if feed:
-        merge({"discretize": max(elapsed - feed, 0.0), "grammar": feed})
-    else:
-        merge({"discretize": elapsed})
+class _Drain:
+    """The one drain path of a detector's members: one native call per block.
+
+    Built once per detector (and again by a restore) over its stream
+    state, its discretization plan and its members: a
+    :class:`~repro.grammar._kernel.LogDrain` holding every member's log,
+    row table, PAA-size index and alphabet column, checked once. A call
+    drains every completed window some member has not logged yet, in blocks
+    of at most :data:`_DRAIN_BLOCK` window starts: numpy window statistics
+    (:func:`~repro.sax._kernel.window_stats`, bitwise the reference's),
+    then one native call that discretizes the block once per distinct PAA
+    size and logs it into every member from the member's own cursor; the
+    last block's call also prunes every log to the horizon the state then
+    trims to. A block is charged to ``paa`` (the statistics plus the
+    native passes), ``discretize`` and, under the decay policy, ``grammar``:
+    one observation each.
+
+    A call that raises (a member's log or table could not grow) leaves the
+    members it reached holding the block and the state untrimmed; the next
+    call starts from the lowest cursor, so a session that recovers is
+    bitwise one that never failed.
+    """
+
+    __slots__ = ("state", "window", "znorm_threshold", "_call", "_logs", "_next", "_decay")
+
+    def __init__(self, state: SharedStreamState, plan: DiscretizationPlan, members, numerosity):
+        self.state = state
+        self.window = plan.window
+        self.znorm_threshold = plan.znorm_threshold
+        paa_sizes = sorted({member.paa_size for member in members})
+        # Members grouped by PAA size, so each interval matrix serves a run.
+        members = sorted(members, key=lambda member: member.paa_size)
+        self._logs = [member._log for member in members]
+        self._call = _kernel.LogDrain(
+            plan.window,
+            plan.breakpoint_search,
+            paa_sizes,
+            self._logs,
+            [member._interner for member in members],
+            [paa_sizes.index(member.paa_size) for member in members],
+            [plan.alphabet_table.symbol_column(member.alphabet_size) for member in members],
+            reduce=numerosity == "exact",
+            slack=_PRUNE_SLACK,
+        )
+        #: The lowest member cursor, or ``None`` after a failed call.
+        self._next: int | None = None
+        self._decay = state.generation_size is not None
+
+    def __call__(self) -> None:
+        state, window = self.state, self.window
+        n_windows = state.n_windows(window)
+        first = self._next
+        if first is None:
+            first = self._next = min(log.consumed for log in self._logs)
+        bounded = state.capacity is not None
+        horizon = state.trim_target() if bounded else 0
+        prefix_sum, prefix_sq, values, origin = state.buffers()
+        while first < n_windows:
+            stop = min(first + _DRAIN_BLOCK, n_windows)
+            started = perf_counter()
+            stats = window_stats(
+                prefix_sum, prefix_sq, first, stop, window, self.znorm_threshold, origin=origin
+            )
+            stats_s = perf_counter() - started
+            self._next = None
+            paa, discretize, grammar = self._call(
+                prefix_sum, values, origin, first, stop, stats, horizon if stop == n_windows else 0
+            )
+            self._next = first = stop
+            times = {"paa": stats_s + paa * 1e-9, "discretize": discretize * 1e-9}
+            if self._decay:
+                times["grammar"] = grammar * 1e-9
+            merge(times)
+        if bounded:
+            state.trim()
 
 
 def _poll_stage_times(phase_ns) -> dict[str, float]:
@@ -548,21 +575,22 @@ class StreamingEnsembleDetector:
 
     All members reference a single :class:`~repro.core.engine.SharedStreamState`
     — the stream is stored once, not per member — and ``extend()`` ingests
-    each chunk with one vectorized PAA/interval pass per distinct PAA size,
-    shared by every member of that size via the merged breakpoint table.
+    each chunk with one PAA/interval pass per distinct PAA size, shared by
+    every member of that size via the merged breakpoint table.
 
     Each member keeps its kept tokens and live grammar (under decay, its
     generations) in one native token log
-    (:class:`~repro.grammar._kernel.TokenLog`), so a drain block costs one
-    native call per member. An ensemble poll polls every due member, under
-    every policy, in one native call
-    (:func:`~repro.grammar._kernel.poll_logs`) on the calling thread, which
-    charges their phase counters to the ``grammar`` and ``density`` stages.
+    (:class:`~repro.grammar._kernel.TokenLog`), and a drain block of the
+    whole ensemble, passes, ingests and horizon included, is one native
+    call. An ensemble poll polls every due member, under every policy, in
+    one native call (:func:`~repro.grammar._kernel.poll_logs`) on the
+    calling thread, which charges their phase counters to the ``grammar``
+    and ``density`` stages.
 
     A streaming ensemble takes no executor: the live token logs never leave
     this process, and one native poll of every due member here beats one
-    pool task per member (see ``docs/streaming.md``). Ingest is one
-    vectorized pass plus one call per member.
+    pool task per member (see ``docs/streaming.md``). Ingest is one call
+    per block.
     """
 
     def __init__(
@@ -620,7 +648,6 @@ class StreamingEnsembleDetector:
             znorm_threshold=self.znorm_threshold,
             max_alphabet_size=max_alphabet_size,
         )
-        self._alphabet_table = self._plan.alphabet_table
         self.members = [
             StreamingGrammarDetector(
                 window,
@@ -632,9 +659,8 @@ class StreamingEnsembleDetector:
             )
             for w, a in self.parameters
         ]
-        #: Distinct PAA sizes — the vectorized ingest shares one
-        #: PAA/interval pass per distinct size.
-        self._paa_sizes = sorted({member.paa_size for member in self.members})
+        #: The one drain of every member.
+        self._drainer = _Drain(self.state, self._plan, self.members, self.numerosity)
         #: Snapshot memoization keyed by the state's version counter: the
         #: combined ensemble curve, and the last ``detect(k)`` result, so
         #: high-frequency polling without new data is O(1).
@@ -665,44 +691,15 @@ class StreamingEnsembleDetector:
         self._drain()
 
     def _drain(self) -> None:
-        """Vectorized ingest: one PAA + interval pass per distinct PAA size.
+        """Log every completed window into every member, then advance the horizon.
 
-        Then one native call per member logs the block's kept tokens (and,
-        under decay, feeds them to its generations), charged to
-        ``discretize`` and the generations' feed to ``grammar``. Large
-        chunks are drained in fixed-size blocks (bounded transient memory);
-        once every member has consumed every completed window, the
-        retention horizon advances and members forget what slid out, again
-        one native call each.
+        One native call per block of at most :data:`_DRAIN_BLOCK` window
+        starts (see :class:`_Drain`): one PAA and interval pass per distinct
+        PAA size, every member's ingest from its own cursor and, in the
+        last block's call, every member's forgetting of what slid out of
+        the horizon.
         """
-        n_windows = self.state.n_windows(self.window)
-        # Every member is drained in lock-step by this loop (members never
-        # ingest on their own when attached), so one cursor serves all.
-        first = self.members[0]._consumed
-        table = self._alphabet_table
-        while first < n_windows:
-            stop = min(first + _DRAIN_BLOCK, n_windows)
-            # One shared sweep per block; the sweep fires the paa stage timer
-            # itself, once per distinct size, so the matrices are formed
-            # before the timer.
-            sweep = self.state.sweep(self._plan, first, stop=stop)
-            intervals = {w: sweep.interval_rows(w) for w in self._paa_sizes}
-            feed_ns = np.zeros(1, dtype=np.int64)
-            started = perf_counter()
-            for member in self.members:
-                member._ingest_block(
-                    intervals[member.paa_size],
-                    table.symbol_column(member.alphabet_size),
-                    first,
-                    feed_ns,
-                )
-            _charge_ingest(perf_counter() - started, feed_ns)
-            first = stop
-        if self.state.capacity is not None:
-            start = self.state.trim()
-            if start:
-                for member in self.members:
-                    member._forget_before(start)
+        self._drainer()
 
     def _poll_due_members(self) -> None:
         """Cache the curve of every due member, from one native call.
@@ -828,7 +825,6 @@ class StreamingEnsembleDetector:
             znorm_threshold=instance.znorm_threshold,
             max_alphabet_size=instance.max_alphabet_size,
         )
-        instance._alphabet_table = instance._plan.alphabet_table
         instance.members = []
         for (w, a), data in zip(parameters, member_states):
             member = StreamingGrammarDetector(
@@ -841,7 +837,9 @@ class StreamingEnsembleDetector:
             )
             member._restore_state(data)
             instance.members.append(member)
-        instance._paa_sizes = sorted({member.paa_size for member in instance.members})
+        instance._drainer = _Drain(
+            instance.state, instance._plan, instance.members, instance.numerosity
+        )
         instance._curve_cache = None
         instance._detect_cache = None
         return instance

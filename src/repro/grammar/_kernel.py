@@ -20,9 +20,10 @@ and :func:`repro.core.combiners.combine_curves` call),
 curve: ensemble members and the single-run detector, under either
 numerosity strategy), and
 :class:`TokenLog`, a streaming member's kept tokens and arena (or, under
-the decay policy, its per-generation arenas and sealed spans), with one
-call per drain block, horizon advance and poll under every policy
-(:func:`poll_logs` polls the logs of a whole ensemble in one call).
+the decay policy, its per-generation arenas and sealed spans): a
+detector drains all its members' logs with one :class:`LogDrain` call per
+block (which also prunes them to the horizon) and polls them with one
+:func:`poll_logs` call, under every policy.
 Concurrent first imports are safe (write, then rename). A failed build
 raises :class:`ImportError`; there is no Python fallback.
 
@@ -189,12 +190,23 @@ _SIGNATURES = (
     (
         "seq_log_load",
         ctypes.c_int,
-        (ctypes.c_void_p,) * 3 + (ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64),
+        (ctypes.c_void_p,) * 3 + (ctypes.c_int64, ctypes.c_void_p) + (ctypes.c_int64,) * 2,
     ),
     ("seq_log_live", ctypes.c_int64, (ctypes.c_void_p,)),
     ("seq_log_copy", None, (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)),
     ("seq_log_export", None, (ctypes.c_void_p,) * 3),
     ("seq_log_generations", ctypes.c_int64, (ctypes.c_void_p,) * 3),
+    (
+        "seq_drain",
+        ctypes.c_int,
+        (ctypes.c_void_p, ctypes.c_int64) * 2
+        + (ctypes.c_int64,) * 4
+        + (ctypes.c_void_p,) * 5
+        + (ctypes.c_int64,)
+        + (ctypes.c_void_p,) * 5
+        + (ctypes.c_int64,) * 4
+        + (ctypes.c_void_p,),
+    ),
     # _sax.c
     (
         "sax_intervals",
@@ -259,6 +271,11 @@ _LOG_ERRORS = {
         "range; horizon and generations are out of step",
     ),
     -10: (ValueError, "token offsets must be non-negative and non-decreasing"),
+    -12: (
+        ValueError,
+        "the drain's block, buffers, PAA sizes and member widths disagree",
+    ),
+    -13: (ValueError, "a member's cursor lies before the block: windows would be skipped"),
 }
 
 _lib = _load(_build(_SOURCES, _SOURCE.parent / "__pycache__"), _SIGNATURES)
@@ -526,11 +543,12 @@ class TokenLog:
     A thin handle on a ``SeqLog`` of ``_sequitur.c``: the kept token ids
     (int32) and their window offsets (int64), the carried symbol row of the
     last window, the live boundary, the prune counter and the member's
-    persistent Sequitur arena. A member makes one call per drain block
-    (:meth:`ingest`), one per horizon advance (:meth:`forget`) and one per
-    poll (:meth:`curve`); each releases the GIL, and none touches another
-    log, so the polls of distinct logs may run on distinct threads. One log
-    must not be used by two threads at once.
+    persistent Sequitur arena, and the member's cursor (:attr:`consumed`).
+    A detector drains the logs of all its members with one :class:`LogDrain`
+    call per block, which also prunes them to the horizon, and polls them
+    with one :func:`poll_logs` call; each call releases the GIL, and the
+    polls of distinct logs may run on distinct threads. One log must not be
+    used by two threads at once.
 
     The arena is Sequitur over exactly the live ids as of the last poll,
     anchored at the prune counter it was built under. While that counter
@@ -542,7 +560,7 @@ class TokenLog:
     makes the curve bitwise equal to re-inducing over the live tokens.
 
     With ``generation_size`` (the decay policy), each ingested token is
-    also routed, in the same call, to the generation
+    also routed, in the ingesting call, to the generation
     ``offset // generation_size``, whose own arena it feeds; the first token
     of a later generation seals the open one, keeping only its spans and
     rule counts. :meth:`forget` drops the sealed generations the horizon
@@ -573,9 +591,10 @@ class TokenLog:
         """One C call: ``(count, cap, live, kept, pruned, width, has_carry,
         slot_cap, rule_cap, table_cap, pending_cap, generation_size,
         generations, generation_cap, sealed_span_slots, retired_generations,
-        retired_tokens, retired_rules, retired_rule_refs, open_count)`` and
-        the carried row (int64; meaningful when ``has_carry``)."""
-        sizes = (ctypes.c_int64 * 20)()
+        retired_tokens, retired_rules, retired_rule_refs, open_count,
+        consumed)`` and the carried row (int64; meaningful when
+        ``has_carry``)."""
+        sizes = (ctypes.c_int64 * 21)()
         carry = np.zeros(self.width, dtype=np.int64)
         _lib.seq_log_export(self._handle, sizes, carry.ctypes.data)
         return list(sizes), carry
@@ -599,6 +618,12 @@ class TokenLog:
     def pruned(self) -> int:
         """Tokens ever pruned (their windows slid out of the horizon)."""
         return self._export()[0][4]
+
+    @property
+    def consumed(self) -> int:
+        """The member's cursor: window starts ingested so far (the next
+        drain block starts its rows for this log here)."""
+        return self._export()[0][20]
 
     @property
     def carry(self) -> np.ndarray | None:
@@ -652,50 +677,11 @@ class TokenLog:
         _lib.seq_log_copy(self._handle, count, ids.ctypes.data, offsets.ctypes.data)
         return ids, offsets
 
-    def ingest(
-        self,
-        table,
-        intervals: np.ndarray,
-        column: np.ndarray,
-        first_start: int,
-        reduce: bool,
-        feed_ns: np.ndarray | None = None,
-    ) -> int:
-        """Append one drain block's kept tokens; returns how many were kept.
-
-        ``table`` is the handle of the member's native row table
-        (:class:`repro.sax.alphabet.WordInterner`), ``intervals`` the
-        block's interval matrix (``intp``, row ``r`` the window starting at
-        ``first_start + r``) and ``column`` the member's alphabet column
-        (int64). One call looks the symbols up, drops each row equal to the
-        row before it when ``reduce`` (the last row of the previous block is
-        carried), interns the kept rows and appends their ids and offsets.
-        With generations, the same call routes the kept tokens to them and
-        adds the nanoseconds that took to ``feed_ns[0]`` (a one-element
-        int64 array), when given.
-        A value outside the column raises :class:`IndexError` and appends
-        nothing; :class:`MemoryError` when the log or table cannot grow.
-        """
-        _checked(intervals, np.intp, 2, "intervals")
-        _checked(column, np.int64, 1, "column")
-        rows, width = intervals.shape
-        if width != self.width or not len(column) or not table:
-            raise ValueError(
-                f"need {self.width}-symbol rows, a symbol column and a row table, "
-                f"got width {width}"
-            )
-        kept = _lib.seq_log_ingest(
-            self._handle, table, intervals.ctypes.data, rows, column.ctypes.data, len(column),
-            bool(reduce), first_start, None if feed_ns is None else feed_ns.ctypes.data,
-        )
-        if kept < 0:
-            _raise(kept, _LOG_ERRORS)
-        return kept
-
     def forget(self, start: int, slack: int) -> int:
         """Prune the tokens whose window starts before ``start``; returns how many.
 
-        One bisection of the sorted offsets. The dead prefix is dropped from
+        What a drain block's call does to every log at a horizon advance,
+        for one log: one bisection of the sorted offsets. The dead prefix is dropped from
         memory once it holds more than ``slack`` tokens and outweighs the
         live ones (amortized O(1) per token). Every sealed generation that
         ends at or before ``start`` is dropped into :attr:`retired`.
@@ -719,12 +705,18 @@ class TokenLog:
         return poll_logs((self,), window, horizon_start, length)[0]
 
     def load(
-        self, ids: np.ndarray, offsets: np.ndarray, carry: np.ndarray | None, pruned: int
+        self,
+        ids: np.ndarray,
+        offsets: np.ndarray,
+        carry: np.ndarray | None,
+        pruned: int,
+        consumed: int | None = None,
     ) -> None:
         """Replace the stored tokens with live ones, after ``pruned`` slid out.
 
         The restore path of a session snapshot: ``ids`` and ``offsets`` are
-        the live tokens, ``carry`` the carried row (or ``None``). The arena
+        the live tokens, ``carry`` the carried row (or ``None``) and
+        ``consumed`` the cursor (``None`` keeps the current one). The arena
         is rebuilt over them at the next poll; generations are rebuilt now,
         by routing the tokens again (offsets must then be non-negative and
         non-decreasing, else :class:`ValueError`), and :attr:`retired`
@@ -736,6 +728,9 @@ class TokenLog:
             raise ValueError(f"got {ids.shape} ids but {offsets.shape} offsets")
         if pruned < 0:
             raise ValueError(f"a pruned count cannot be negative, got {pruned}")
+        consumed = self.consumed if consumed is None else int(consumed)
+        if consumed < 0:
+            raise ValueError(f"a cursor cannot be negative, got {consumed}")
         row = None
         if carry is not None:
             row = np.ascontiguousarray(carry, dtype=np.intp)
@@ -743,7 +738,7 @@ class TokenLog:
                 raise ValueError(f"carried row must hold {self.width} symbols, got {row.shape}")
         status = _lib.seq_log_load(
             self._handle, ids.ctypes.data, offsets.ctypes.data, len(ids),
-            None if row is None else row.ctypes.data, int(pruned),
+            None if row is None else row.ctypes.data, int(pruned), consumed,
         )
         if status:
             _raise(status, _LOG_ERRORS)
@@ -790,8 +785,168 @@ def poll_logs(
     return [(curve, tuple(phase_ns[3 * i : 3 * i + 3])) for i, curve in enumerate(curves)]
 
 
+#: Symbols are the letters ``a`` to ``z``: an alphabet column maps each
+#: interval to one of these 26 symbol indices.
+_LETTERS = 26
+
+
+class LogDrain:
+    """The drain of N streaming members' token logs: one native call per block.
+
+    Built once per detector from the window, the merged table's
+    :class:`~repro.sax._kernel.BreakpointSearch`, the distinct PAA sizes
+    and, per member, its :class:`TokenLog`, its row table (a
+    :class:`~repro.sax.alphabet.WordInterner`), the index of its PAA size
+    and its alphabet column (int64, interval -> symbol). ``reduce`` picks
+    exact numerosity reduction (true) or none for every member, ``slack``
+    the dead tokens a log keeps before dropping them (see
+    :meth:`TokenLog.forget`).
+
+    Every array a call reads is checked before ``seq_drain`` runs, so a
+    malformed input raises a typed error before any log is written: the
+    member arrays and columns here, once; the block's arrays at each call.
+    Counts, widths and sizes that disagree raise :class:`ValueError`, a
+    wrong type :class:`TypeError`, and a column that does not cover every
+    interval the search returns, or maps one outside the letters,
+    :class:`IndexError`.
+
+    Each call (:meth:`__call__`) discretizes one block of window starts
+    for every distinct PAA size into one reused scratch matrix, ingests
+    every member from its own cursor (:attr:`TokenLog.consumed`), and,
+    given a horizon, prunes every log to it, with the GIL released once.
+    The call that fails at one member leaves the members it reached before
+    holding the block and the rest untouched, so the next call, from the
+    lowest cursor, completes the block bitwise as if nothing had failed.
+    """
+
+    __slots__ = ("window", "_owners", "_fixed", "_counters", "_slack", "_reduce")
+
+    def __init__(
+        self,
+        window: int,
+        search,
+        paa_sizes: Sequence[int],
+        logs: Sequence[TokenLog],
+        tables: Sequence,
+        size_index: Sequence[int],
+        columns: Sequence[np.ndarray],
+        *,
+        reduce: bool,
+        slack: int,
+    ) -> None:
+        from repro.sax._kernel import BreakpointSearch
+        from repro.sax.alphabet import WordInterner
+
+        self.window = int(window)
+        count = len(logs)
+        if not count:
+            raise ValueError("a drain needs at least one member")
+        if not len(tables) == len(size_index) == len(columns) == count:
+            raise ValueError(
+                f"{count} logs need as many row tables, size indices and columns, got "
+                f"{len(tables)}, {len(size_index)} and {len(columns)}"
+            )
+        if not isinstance(search, BreakpointSearch):
+            raise TypeError("search must be a BreakpointSearch")
+        sizes = np.asarray(paa_sizes, dtype=np.int64)
+        if sizes.ndim != 1 or not len(sizes) or np.any(np.diff(sizes) <= 0):
+            raise ValueError(f"paa_sizes must be distinct and ascending, got {list(paa_sizes)}")
+        if sizes[0] < 1 or sizes[-1] > self.window:
+            raise ValueError(f"paa sizes must lie in [1, {self.window}], got {sizes.tolist()}")
+        index = np.asarray(size_index, dtype=np.int64)
+        if index.shape != (count,) or index.min() < 0 or index.max() >= len(sizes):
+            raise ValueError(f"size indices must lie in [0, {len(sizes)}), got {list(size_index)}")
+        if len({id(log) for log in logs}) != count:
+            raise ValueError("a token log can belong to one member only")
+        n_breaks = len(search.breakpoints)
+        for log, table, at, column in zip(logs, tables, index.tolist(), columns):
+            if log is None or table is None:
+                raise ValueError("each member needs a token log and a row table")
+            if not isinstance(log, TokenLog) or not isinstance(table, WordInterner):
+                raise TypeError("each member needs a TokenLog and a WordInterner row table")
+            if log.width != sizes[at]:
+                raise ValueError(f"a log of width {log.width} cannot take PAA size {sizes[at]}")
+            _checked(column, np.int64, 1, "column")
+            if not len(column):
+                raise ValueError("each member needs a symbol column")
+            if len(column) <= n_breaks or column.min() < 0 or column.max() >= _LETTERS:
+                raise IndexError(
+                    f"an alphabet column must map all {n_breaks + 1} intervals to letters"
+                )
+        self._reduce = int(bool(reduce))
+        self._slack = int(slack)
+        # Keep every object whose memory the call reads alive with the drain.
+        self._owners = (search, sizes, index, tuple(logs), tuple(tables), tuple(columns))
+        pointers = ctypes.c_void_p * count
+        self._fixed = (
+            search.handle, sizes.ctypes.data, len(sizes),
+            pointers(*[log._handle for log in logs]),
+            pointers(*[table._handle for table in tables]),
+            index.ctypes.data,
+            pointers(*[column.ctypes.data for column in columns]),
+            (ctypes.c_int64 * count)(*[len(column) for column in columns]),
+            count,
+        )
+        self._counters = (ctypes.c_int64 * 3)()
+
+    def __call__(
+        self,
+        prefix_sum: np.ndarray,
+        values: np.ndarray,
+        origin: int,
+        first: int,
+        stop: int,
+        stats: tuple[np.ndarray, np.ndarray, np.ndarray],
+        horizon: int = 0,
+    ) -> tuple[int, int, int]:
+        """Drain window starts ``[first, stop)``; returns ``(paa, discretize,
+        grammar)`` nanoseconds.
+
+        ``prefix_sum`` and ``values`` are the stream buffers from global
+        index ``origin`` (as :func:`repro.sax._kernel.sax_intervals` reads
+        them), ``stats`` the block's :func:`~repro.sax._kernel.window_stats`
+        triple and ``horizon``, when positive, the window start every log is
+        pruned to once the block is in. The three counters add up to the
+        native call's wall time: ``paa`` the interval passes,
+        ``discretize`` lookup, reduction, interning and appending (and
+        pruning logs without generations), ``grammar`` the decay
+        generations' feed and drop. Records nothing.
+        """
+        first, stop, origin = int(first), int(stop), int(origin)
+        _checked(prefix_sum, np.float64, 1, "prefix_sum")
+        _checked(values, np.float64, 1, "values")
+        means, stds, constant = stats
+        _checked(means, np.float64, 1, "means")
+        _checked(stds, np.float64, 1, "safe_stds")
+        _checked(constant, np.bool_, 1, "constant")
+        count = stop - first
+        if count <= 0 or not 0 <= origin <= first:
+            raise ValueError(
+                f"a drain block needs 0 <= origin <= first < stop, got {origin}, {first}, {stop}"
+            )
+        if not len(means) == len(stds) == len(constant) == count:
+            raise ValueError(f"stats must hold {count} windows")
+        needed = stop - origin + self.window
+        if len(prefix_sum) < needed or len(values) < needed - 1:
+            raise ValueError(
+                f"window starts up to {stop - 1} need {needed} prefix sums from origin "
+                f"{origin}, got {len(prefix_sum)} (and {len(values)} values)"
+            )
+        counters = self._counters
+        status = _lib.seq_drain(
+            prefix_sum.ctypes.data, len(prefix_sum), values.ctypes.data, len(values),
+            origin, self.window, first, stop,
+            means.ctypes.data, stds.ctypes.data, constant.ctypes.data,
+            *self._fixed, self._reduce, int(horizon), self._slack, counters,
+        )
+        if status:
+            _raise(status, _LOG_ERRORS)
+        return counters[0], counters[1], counters[2]
+
+
 __all__ = [
     "FastSequitur",
+    "LogDrain",
     "TokenLog",
     "current_kernel",
     "make_builder",

@@ -76,18 +76,25 @@
  * bytes after a call gives all of it back, which bounds both what it
  * retains and what emptying it costs the next call.
  *
- * One streaming member, one log. A SeqLog (bottom of the file) holds a
- * streaming member's kept token ids (int32) and window offsets (int64),
- * the carried last symbol row, the live boundary, the prune counter and
- * the member's persistent arena. seq_log_ingest takes one drain block
- * through sax_table_intern into the member's row table and appends the
- * kept tokens; seq_log_forget prunes past the horizon; seq_log_curves
- * runs whole polls (feed or rebuild, spans, density) of one or more logs.
- * A log is touched by one call at a time, so the polls of distinct
- * members may run on distinct threads.
+ * One streaming member, one log. A SeqLog holds a streaming member's kept
+ * token ids (int32) and window offsets (int64), the carried last symbol
+ * row, its cursor (the window starts it has ingested), the live boundary,
+ * the prune counter and the member's persistent arena. log_ingest takes
+ * one block of interval rows through sax_table_intern into the member's
+ * row table and appends the kept tokens (seq_log_ingest exposes it for
+ * rows at any offset); seq_log_forget prunes past the horizon;
+ * seq_log_curves runs whole polls (feed or rebuild, spans, density) of one
+ * or more logs. A log is touched by one call at a time, so the polls of
+ * distinct members may run on distinct threads.
+ *
+ * One drain block, one call. seq_drain (bottom of the file) drains a block
+ * of window starts into every member of a detector: one sax_intervals pass
+ * per distinct PAA size into one scratch matrix, log_ingest of every
+ * member of that size from its own cursor, then seq_log_forget of every
+ * log at a horizon advance. Its stage counters add up to its wall time.
  *
  * Decay generations. A log made with a generation size g > 0 (the decay
- * policy) also routes every kept token, inside seq_log_ingest, to the
+ * policy) also routes every kept token, inside log_ingest, to the
  * generation offset / g. Generations are a Gen array, oldest first: the
  * last one is open and owns the log's arena, which is fed at ingest (not
  * at poll); the first token of a later generation seals it. Sealing walks
@@ -112,7 +119,8 @@
 enum {
     SEQ_OK = 0, SEQ_RANGE = -1, SEQ_NOMEM = -2, SEQ_TAIL = -3, SEQ_SPANS = -4,
     SEQ_INDEX = -5, SEQ_EMPTY = -6, SEQ_SYMBOL = -7, SEQ_NO_TOKENS = -8,
-    SEQ_GENERATIONS = -9, SEQ_ORDER = -10, SEQ_NEGATIVE = -11
+    SEQ_GENERATIONS = -9, SEQ_ORDER = -10, SEQ_NEGATIVE = -11, SEQ_DRAIN = -12,
+    SEQ_CURSOR = -13
 };
 
 typedef struct {
@@ -704,6 +712,7 @@ typedef struct {
     int64_t live;        /* index of the first live token */
     int64_t kept, pruned; /* tokens ever kept and ever pruned */
     int64_t width, has_carry, anchor;
+    int64_t consumed;    /* windows ingested: the next block starts here */
     Seq *seq;
     int64_t generation_size;  /* g > 0 routes tokens to generations; 0 does not */
     Gen *gens;                /* the live generations, oldest first; the last is open */
@@ -824,35 +833,33 @@ static int route(SeqLog *log, const int32_t *ids, const int64_t *offsets, int64_
     return SEQ_OK;
 }
 
-/* One drain block: intervals is n_rows x width (row r the window starting
- * at first + r), column the member's alphabet column. Looks the symbols
- * up, drops each row equal to the one before it when `reduce` (the row
- * before the block is the carried one), interns the kept rows into `table`
- * and appends their ids and offsets; with generations, also routes them
- * (adding the nanoseconds that takes to *feed_ns, when given). Returns the
- * kept count, SEQ_SYMBOL for a value outside the column (nothing is
- * appended, and the table forgets the words the call added), SEQ_NOMEM,
- * or the status of a failed routing. */
-int64_t seq_log_ingest(SeqLog *log, void *table, const intptr_t *intervals, int64_t n_rows,
-                       const int64_t *column, int64_t n_symbols, int64_t reduce, int64_t first,
-                       int64_t *feed_ns) {
-    int64_t width = log->width, kept, *ids, *offsets;
+/* One block of one member: intervals is n_rows x width (row r the window
+ * starting at first + r), column the member's alphabet column. Looks the
+ * symbols up, drops each row equal to the one before it when `reduce` (the
+ * row before the block is the carried one), interns the kept rows into
+ * `table` and appends their ids and offsets; with generations, also routes
+ * them (adding the nanoseconds that takes to *feed_ns, when given). `ids`
+ * is scratch for n_rows ids. Returns the kept count, SEQ_SYMBOL for a value
+ * outside the column (nothing is appended, and the table forgets the words
+ * the call added), SEQ_NOMEM (nothing is appended), or the status of a
+ * failed routing. The cursor moves past the block once its tokens are in
+ * the log. */
+static int64_t log_ingest(SeqLog *log, void *table, const intptr_t *intervals, int64_t n_rows,
+                          const int64_t *column, int64_t n_symbols, int64_t reduce, int64_t first,
+                          int64_t *ids, int64_t *feed_ns) {
+    int64_t width = log->width, kept, *offsets;
     if (n_rows <= 0) return 0;
-    if (log_reserve(log, n_rows) || !(ids = malloc((size_t)n_rows * sizeof *ids)))
-        return SEQ_NOMEM;
+    if (log_reserve(log, n_rows)) return SEQ_NOMEM;
     offsets = log->offsets + log->count;
     kept = sax_table_intern(table, intervals, n_rows, width, column, n_symbols,
                             reduce && log->has_carry ? log->carry : NULL, reduce, offsets, ids);
-    if (kept < 0) {
-        free(ids);
-        return kept == -1 ? SEQ_SYMBOL : SEQ_NOMEM;
-    }
+    if (kept < 0) return kept == -1 ? SEQ_SYMBOL : SEQ_NOMEM;
     for (int64_t i = 0; i < kept; i++) {
         offsets[i] += first;
         log->ids[log->count + i] = (int32_t)ids[i];
     }
-    free(ids);
     log->count += kept, log->kept += kept;
+    log->consumed = first + n_rows;
     if (reduce) {
         const intptr_t *last = intervals + (n_rows - 1) * width;
         for (int64_t j = 0; j < width; j++) log->carry[j] = (intptr_t)column[last[j]];
@@ -865,6 +872,20 @@ int64_t seq_log_ingest(SeqLog *log, void *table, const intptr_t *intervals, int6
         if (feed_ns) *feed_ns += spent;
         if (status) return status;
     }
+    return kept;
+}
+
+/* log_ingest with its own id scratch: places rows at any window offsets
+ * (first), which a stream drain cannot, so the log's routing can be driven
+ * token by token. */
+int64_t seq_log_ingest(SeqLog *log, void *table, const intptr_t *intervals, int64_t n_rows,
+                       const int64_t *column, int64_t n_symbols, int64_t reduce, int64_t first,
+                       int64_t *feed_ns) {
+    int64_t *ids = malloc((size_t)(n_rows > 0 ? n_rows : 1) * sizeof *ids), kept;
+    if (!ids) return SEQ_NOMEM;
+    kept = log_ingest(log, table, intervals, n_rows, column, n_symbols, reduce, first, ids,
+                      feed_ns);
+    free(ids);
     return kept;
 }
 
@@ -984,13 +1005,13 @@ int seq_log_curves(SeqLog *const *logs, int64_t n, int64_t window, int64_t horiz
 }
 
 /* Replace the stored tokens with n live ones (a restored snapshot), after
- * `pruned` tokens slid out; carry may be NULL. Ids must lie in [0, 2^31)
- * and, with generations, offsets must be non-negative and ascending
- * (checked before anything changes). Without generations the builder is
- * rebuilt at the next poll; with them, the tokens are routed again and
- * the retired counters restart at zero. */
+ * `pruned` tokens slid out, with the cursor at `consumed` windows; carry may
+ * be NULL. Ids must lie in [0, 2^31) and, with generations, offsets must be
+ * non-negative and ascending (checked before anything changes). Without
+ * generations the builder is rebuilt at the next poll; with them, the
+ * tokens are routed again and the retired counters restart at zero. */
 int seq_log_load(SeqLog *log, const int64_t *ids, const int64_t *offsets, int64_t n,
-                 const intptr_t *carry, int64_t pruned) {
+                 const intptr_t *carry, int64_t pruned, int64_t consumed) {
     int64_t count = log->count;
     for (int64_t i = 0; i < n; i++) {
         if (!IN_RANGE(ids[i])) return SEQ_RANGE;
@@ -1005,6 +1026,7 @@ int seq_log_load(SeqLog *log, const int64_t *ids, const int64_t *offsets, int64_
     for (int64_t i = 0; i < n; i++) log->ids[i] = (int32_t)ids[i];
     if (n) memcpy(log->offsets, offsets, (size_t)n * sizeof *offsets);
     log->count = n, log->live = 0, log->pruned = pruned, log->kept = pruned + n;
+    log->consumed = consumed;
     log->has_carry = carry != NULL;
     if (carry) memcpy(log->carry, carry, (size_t)log->width * sizeof *carry);
     log->anchor = -1;
@@ -1029,7 +1051,8 @@ void seq_log_copy(const SeqLog *log, int64_t n, int64_t *ids, int64_t *offsets) 
  * slot_cap, rule_cap, table_cap, pending_cap (0 without one), then
  * generation_size, the live generations, their capacity, the sealed
  * generations' span slots, the retired generations, tokens, rules and
- * rule references, and the open generation's token count}; carry receives the carried row when there is one. */
+ * rule references, the open generation's token count, and the cursor};
+ * carry receives the carried row when there is one. */
 void seq_log_export(const SeqLog *log, int64_t *sizes, int64_t *carry) {
     const Seq *s = log->seq;
     sizes[0] = log->count, sizes[1] = log->cap, sizes[2] = log->live, sizes[3] = log->kept;
@@ -1041,6 +1064,7 @@ void seq_log_export(const SeqLog *log, int64_t *sizes, int64_t *carry) {
     for (int64_t g = 0; g + 1 < log->n_gens; g++) sizes[14] += 2 * log->gens[g].nodes;
     for (int j = 0; j < 4; j++) sizes[15 + j] = log->retired[j];
     sizes[19] = log->n_gens ? log->gens[log->n_gens - 1].count : 0;
+    sizes[20] = log->consumed;
     for (int64_t j = 0; log->has_carry && j < log->width; j++) carry[j] = log->carry[j];
 }
 
@@ -1064,4 +1088,129 @@ int64_t seq_log_generations(SeqLog *log, int64_t *info, int64_t *spans) {
         spans += 2 * row[2];
     }
     return log->n_gens;
+}
+
+/* ---- one drain block of N streaming members ---- */
+
+/* _sax.c: the z-normalized PAA + breakpoint search pass over window starts
+ * [start, stop), and the number of breaks a search holds. */
+int sax_intervals(const double *prefix, int64_t n_prefix, const double *values,
+                  int64_t n_values, int64_t start, int64_t stop, int64_t origin,
+                  int64_t window, int64_t paa_size, const double *means,
+                  const double *stds, const uint8_t *constant, const void *search,
+                  double *rows, intptr_t *intervals);
+int64_t sax_search_breaks(const void *search);
+
+/* Charge the time since *mark to *phase (adding) and move the mark. */
+static void add_lap(int64_t *mark, int64_t *phase) {
+    int64_t spent;
+    lap(mark, &spent);
+    *phase += spent;
+}
+
+/* Everything seq_drain reads, checked before any log is written: the block
+ * lies inside the buffers, every PAA size fits the window, every member's
+ * log has its size's width, its column covers every interval the search
+ * can return with letters only, its cursor lies in the block or past it,
+ * and a decay member's first new window is not before its open
+ * generation. */
+static int drain_inputs_ok(int64_t n_prefix, int64_t n_values, int64_t origin, int64_t window,
+                           int64_t first, int64_t stop, int64_t n_breaks,
+                           const int64_t *paa_sizes, int64_t n_sizes, SeqLog *const *logs,
+                           void *const *tables, const int64_t *size_index,
+                           const int64_t *const *columns, const int64_t *n_symbols,
+                           int64_t n_members) {
+    if (n_members < 1 || n_sizes < 1 || window < 1 || origin < 0 || first < origin
+        || stop <= first || n_prefix < stop - origin + window
+        || n_values < stop - origin + window - 1 || n_breaks < 0)
+        return SEQ_DRAIN;
+    for (int64_t s = 0; s < n_sizes; s++)
+        if (paa_sizes[s] < 1 || paa_sizes[s] > window) return SEQ_DRAIN;
+    for (int64_t m = 0; m < n_members; m++) {
+        const SeqLog *log = logs[m];
+        if (!log || !tables[m] || size_index[m] < 0 || size_index[m] >= n_sizes
+            || log->width != paa_sizes[size_index[m]])
+            return SEQ_DRAIN;
+        if (n_symbols[m] <= n_breaks) return SEQ_SYMBOL;
+        for (int64_t i = 0; i < n_symbols[m]; i++)
+            if (columns[m][i] < 0 || columns[m][i] >= 26) return SEQ_SYMBOL;
+        if (log->consumed < first) return SEQ_CURSOR;
+        if (log->generation_size && log->n_gens && log->consumed < stop
+            && log->consumed / log->generation_size < log->gens[log->n_gens - 1].index)
+            return SEQ_ORDER;
+    }
+    return SEQ_OK;
+}
+
+/* One drain block of n_members streaming members over window starts
+ * [first, stop) of one stream: prefix (n_prefix sums) and values (n_values)
+ * are the stream buffers from global index `origin`, means, stds and
+ * constant the block's window statistics (repro.sax._kernel.window_stats).
+ * For each distinct PAA size, one sax_intervals pass through `search`
+ * fills the block's interval matrix into one scratch buffer, reused by the
+ * next size; every member of that size (size_index[m]) then ingests its
+ * rows from its own cursor (the rows before it were ingested by an earlier
+ * call that failed later on) through log_ingest into its log and row table
+ * with its alphabet column. Once every member holds the block, a positive
+ * `horizon` prunes every log to it (seq_log_forget with `slack`).
+ *
+ * counters (3 entries) receives the nanoseconds of the call by stage, and
+ * they add up to its wall time: paa (the interval passes), discretize
+ * (lookup, reduction, interning and appending, and pruning a log without
+ * generations) and grammar (routing tokens to decay generations, and
+ * dropping them at the horizon). Returns SEQ_OK; SEQ_DRAIN, SEQ_SYMBOL,
+ * SEQ_CURSOR or SEQ_ORDER from the input checks, before any log is
+ * written; or the first failing member's status, which leaves the members
+ * before it holding the block and their cursors past it, and the rest as
+ * they were: a later call from the lowest cursor completes the block. */
+int seq_drain(const double *prefix, int64_t n_prefix, const double *values, int64_t n_values,
+              int64_t origin, int64_t window, int64_t first, int64_t stop, const double *means,
+              const double *stds, const uint8_t *constant, const void *search,
+              const int64_t *paa_sizes, int64_t n_sizes, SeqLog *const *logs,
+              void *const *tables, const int64_t *size_index, const int64_t *const *columns,
+              const int64_t *n_symbols, int64_t n_members, int64_t reduce, int64_t horizon,
+              int64_t slack, int64_t *counters) {
+    int64_t mark = clock_ns(), rows = stop - first, widest = 0, *ids;
+    intptr_t *intervals;
+    int status = drain_inputs_ok(n_prefix, n_values, origin, window, first, stop,
+                                 search ? sax_search_breaks(search) : -1, paa_sizes, n_sizes,
+                                 logs, tables, size_index, columns, n_symbols, n_members);
+    memset(counters, 0, 3 * sizeof *counters);
+    if (status) return status;
+    for (int64_t s = 0; s < n_sizes; s++) widest = paa_sizes[s] > widest ? paa_sizes[s] : widest;
+    intervals = malloc((size_t)rows * (size_t)widest * sizeof *intervals);
+    ids = malloc((size_t)rows * sizeof *ids);
+    if (!intervals || !ids) {
+        free(intervals), free(ids);
+        return SEQ_NOMEM;
+    }
+    for (int64_t s = 0; s < n_sizes && !status; s++) {
+        int64_t width = paa_sizes[s], due = 0;
+        for (int64_t m = 0; m < n_members; m++)
+            due |= size_index[m] == s && logs[m]->consumed < stop;
+        if (!due) continue;
+        status = sax_intervals(prefix, n_prefix, values, n_values, first, stop, origin, window,
+                               width, means, stds, constant, search, NULL, intervals);
+        add_lap(&mark, &counters[0]);
+        if (status) {
+            status = status == -1 ? SEQ_DRAIN : SEQ_NOMEM;
+            break;
+        }
+        for (int64_t m = 0; m < n_members && !status; m++) {
+            SeqLog *log = logs[m];
+            int64_t from = log->consumed, feed = 0, spent = 0, kept;
+            if (size_index[m] != s || from >= stop) continue;
+            kept = log_ingest(log, tables[m], intervals + (from - first) * width, stop - from,
+                              columns[m], n_symbols[m], reduce, from, ids, &feed);
+            if (kept < 0) status = (int)kept;
+            add_lap(&mark, &spent);
+            counters[1] += spent - feed, counters[2] += feed;
+        }
+    }
+    free(intervals), free(ids);
+    for (int64_t m = 0; m < n_members && !status && horizon > 0; m++) {
+        seq_log_forget(logs[m], horizon, slack);
+        add_lap(&mark, &counters[logs[m]->generation_size ? 2 : 1]);
+    }
+    return status;
 }

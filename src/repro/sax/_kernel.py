@@ -10,7 +10,9 @@ one loop per batch member, on a row table emptied at the start of the pass (the
 calling thread's member workspace inside
 :func:`repro.grammar._kernel.member_curve`, a throwaway one here).
 Streaming members keep a table of the same kind for their whole life behind
-:class:`repro.sax.alphabet.WordInterner`, the only interner.
+:class:`repro.sax.alphabet.WordInterner`, the only interner; their drains
+run the same two passes (statistics here, the rest inside one native call
+per block, :class:`repro.grammar._kernel.LogDrain`).
 
 Build on first import: ``_sax.c`` is compiled with the Sequitur arena's
 ``_sequitur.c`` into the package's one native library, which

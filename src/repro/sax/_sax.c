@@ -7,7 +7,9 @@
  * compiler (with -ffp-contract=off, so no a*b+c is fused) into
  * ../grammar/__pycache__/ and loads the library through ctypes. There is
  * no fallback. sax_tokens is also the first stage of _sequitur.c's
- * seq_member_curve, which computes every batch density curve.
+ * seq_member_curve, which computes every batch density curve, and
+ * sax_intervals and sax_table_intern run inside _sequitur.c's seq_drain,
+ * one streaming drain block of every member of a detector.
  *
  * sax_intervals: one pass per sweep and PAA size. Row r is the window that
  * starts at global index start + r. The pass repeats, operation for
@@ -30,7 +32,7 @@
  * handle (sax_search_new/free), built once per breakpoint table: every
  * DiscretizationPlan of a merged table shares one (plan.py merged_search),
  * so the many small passes of streaming drains share it with the batch
- * sweeps. The window statistics (means, safe stds, constancy mask) come
+ * sweeps (sax_search_breaks reads its size). The window statistics (means, safe stds, constancy mask) come
  * in from repro.sax._kernel.window_stats, computed once per sweep.
  * Positions are never negative (0 <= origin <= start), so truncation is
  * floor. Either output may be NULL.
@@ -135,6 +137,8 @@ SaxSearch *sax_search_new(const double *breaks, int64_t n_breaks) {
 }
 
 void sax_search_free(SaxSearch *search) { free(search); }
+
+int64_t sax_search_breaks(const SaxSearch *search) { return search->n_breaks; }
 
 static intptr_t search_breaks(const SaxSearch *search, double z) {
     const Slice *slice = &search->slices[bucket_of(search, z)];

@@ -167,26 +167,6 @@ class WordInterner:
         """
         return self._intern(symbols, previous, reduce).T
 
-    def intern_log(
-        self,
-        log,
-        intervals: np.ndarray,
-        column: np.ndarray,
-        first_start: int,
-        reduce: bool,
-        feed_ns: np.ndarray | None = None,
-    ) -> int:
-        """One drain block into a streaming member's token log, in one native call.
-
-        :meth:`repro.grammar._kernel.TokenLog.ingest` on this table: symbol
-        lookup through ``column``, numerosity reduction against the log's
-        carried row when ``reduce``, interning, and appending the kept ids
-        and offsets (window starts from ``first_start``) to ``log``, whose
-        decay generations (if any) take them in the same call and add their
-        feed time to ``feed_ns``. Returns the kept count.
-        """
-        return log.ingest(self._handle, intervals, column, first_start, reduce, feed_ns)
-
     def _intern(self, symbols, previous, reduce: bool) -> np.ndarray:
         """The ``(2, kept)`` offsets and ids of one ``sax_table_intern`` call."""
         rows = np.ascontiguousarray(symbols, dtype=np.intp)

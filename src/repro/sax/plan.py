@@ -19,11 +19,13 @@ coefficient only on its value — so for an ensemble with ``m`` members over
   first-occurrence order, not the sorted rank of a word.
 
 A :class:`DiscretizationPlan` is built once per detector from the ensemble
-configuration; each batch series or streaming drain block then opens a
-:class:`DiscretizationSweep` over a window-start range, which caches the
-per-PAA-size matrices lazily so batch (all starts at once), streaming
-(64Ki-row drain blocks with ring-buffer ``origin`` offsets) and the
-multi-resolution discretizer all share one code path.
+configuration; each batch series then opens a :class:`DiscretizationSweep`
+over a window-start range, which caches the per-PAA-size matrices lazily,
+so batch detection (all starts at once) and the multi-resolution
+discretizer share one code path. A streaming detector uses its plan's
+merged table, search and columns only: its drain blocks run the same
+native pass inside one call for every member
+(:class:`repro.grammar._kernel.LogDrain`).
 
 The hot loops are the native passes of :mod:`repro.sax._kernel`, pinned
 bitwise-identical to the numpy reference (``tests/oracles/sax.py``) by the

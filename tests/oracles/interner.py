@@ -5,16 +5,20 @@ codes that streaming members used before the native row table; it assigns
 the same ids (dense, first-seen order) by construction, and
 :class:`StreamingOracleInterner` puts it behind the native class's block
 API (numerosity reduction with a carried row, then interning), exactly as
-the streaming ingest ran it. ``tests/test_sax_interner.py`` compares the two
-value for value, and ``tests/test_snapshot.py`` runs whole streaming
-sessions on either.
+the streaming ingest ran it. :class:`OracleDrain` is the list-based route
+of a detector's one-call drain (``repro.core.streaming._Drain``): numpy SAX
+intervals per member, the oracle interner, and one forget per log.
+``tests/test_sax_interner.py`` compares the interners value for value, and
+``tests/test_snapshot.py`` and ``tests/test_stream_log.py`` run whole
+streaming sessions on either route.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from oracles.sax import kept_window_mask
+from oracles.sax import interval_rows_from, kept_window_mask, sliding_paa_rows
+from repro.grammar import _kernel
 
 #: Code point of the first symbol; symbol index ``i`` maps to ``chr(_BASE + i)``.
 _BASE = ord("a")
@@ -265,15 +269,16 @@ class StreamingOracleInterner(WordInterner):
     kept rows are interned. It returns the native layout, ``(kept, 2)``
     rows of ``(offset in the block, id)``.
 
-    :meth:`intern_log` is the list-based route a streaming member's native
-    ingest call replaces: numpy symbol lookup through the alphabet column,
+    :meth:`intern_log` is the list-based route of one member's ingest in
+    the native drain call: numpy symbol lookup through the alphabet column,
     :meth:`intern_packed` against the log's carried row, then the log's
-    tokens plus the kept ones loaded back with the new carried row.
+    tokens plus the kept ones loaded back with the new carried row and the
+    cursor past the block.
     """
 
     __slots__ = ()
 
-    def intern_log(self, log, intervals, column, first_start, reduce, feed_ns=None) -> int:
+    def intern_log(self, log, intervals, column, first_start, reduce) -> int:
         if len(intervals) == 0:
             return 0
         if np.min(intervals) < 0 or np.max(intervals) >= len(column):
@@ -287,6 +292,7 @@ class StreamingOracleInterner(WordInterner):
             np.concatenate([offsets, kept[:, 0] + first_start]),
             carry,
             log.pruned,
+            first_start + len(intervals),
         )
         return len(kept)
 
@@ -314,3 +320,68 @@ class StreamingOracleInterner(WordInterner):
         else:
             ids = WordInterner.intern_packed(self, codes[kept], symbols.shape[1])
         return np.stack([kept, ids], axis=1)
+
+
+class OracleDrain:
+    """The list-based route of ``repro.core.streaming._Drain``.
+
+    Built like it, from a detector's stream state, plan, members and
+    numerosity strategy, and installed in its place (patch
+    ``repro.core.streaming._Drain``) together with
+    :class:`StreamingOracleInterner` (patch ``WordInterner``). A call takes
+    each member from its own cursor to the last completed window in one
+    piece: the reference sliding PAA rows and ``np.searchsorted`` intervals
+    of ``oracles.sax``, then :meth:`StreamingOracleInterner.intern_log`.
+    Then the state trims, and each log forgets what slid out, one call per
+    log, as members did before the one-call drain.
+    """
+
+    def __init__(self, state, plan, members, numerosity) -> None:
+        self.state, self.plan, self.members = state, plan, list(members)
+        self.reduce = numerosity == "exact"
+
+    def __call__(self) -> None:
+        from repro.core.streaming import _PRUNE_SLACK
+
+        state, plan = self.state, self.plan
+        n_windows = state.n_windows(plan.window)
+        prefix_sum, prefix_sq, values, origin = state.buffers()
+        table = plan.alphabet_table
+        for member in self.members:
+            first = member._log.consumed
+            if first >= n_windows:
+                continue
+            rows = sliding_paa_rows(
+                prefix_sum, prefix_sq, values, first, n_windows, plan.window,
+                member.paa_size, plan.znorm_threshold, origin=origin,
+            )
+            intervals = interval_rows_from(rows, table.merged_breakpoints)
+            member._interner.intern_log(
+                member._log, intervals, table.symbol_column(member.alphabet_size), first,
+                self.reduce,
+            )
+        if state.capacity is not None:
+            horizon = state.trim()
+            for member in self.members if horizon else ():
+                member._log.forget(horizon, _PRUNE_SLACK)
+
+
+def native_ingest(log, table, intervals, column, first_start, reduce) -> int:
+    """One native ingest of raw interval rows into ``log``: what the drain
+    call runs per member, without the stream in front of it.
+
+    ``_sequitur.c``'s ``seq_log_ingest`` with the same arguments as
+    :meth:`StreamingOracleInterner.intern_log` (``table`` a native
+    :class:`~repro.sax.alphabet.WordInterner`): rows at any window offset,
+    tokens at offsets no stream drain can place (repeats, gaps), which the
+    decay-generation tests need. Returns the kept count.
+    """
+    intervals = np.ascontiguousarray(intervals, dtype=np.intp)
+    column = np.ascontiguousarray(column, dtype=np.int64)
+    kept = _kernel._lib.seq_log_ingest(
+        log._handle, table._handle, intervals.ctypes.data, len(intervals), column.ctypes.data,
+        len(column), bool(reduce), first_start, None,
+    )
+    if kept < 0:
+        _kernel._raise(kept, _kernel._LOG_ERRORS)
+    return kept

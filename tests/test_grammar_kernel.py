@@ -34,6 +34,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import sequitur as oracle_sequitur
+from oracles.interner import native_ingest
 from oracles.sequitur import GenerationalOracle, SequiturBuilder
 from repro.core.multiresolution import MultiResolutionDiscretizer
 from repro.datasets.planting import make_corpus
@@ -471,7 +472,7 @@ class DecayLog:
 
     def feed(self, token: int, offset: int) -> None:
         block = np.asarray([[token]], dtype=np.intp)
-        self.table.intern_log(self.log, block, IDENTITY, offset, False)
+        native_ingest(self.log, self.table, block, IDENTITY, offset, False)
 
 
 def assert_generations_match(log: TokenLog, oracle: GenerationalOracle) -> None:

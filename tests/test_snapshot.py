@@ -21,7 +21,7 @@ import pytest
 import repro.core.streaming as streaming_mod
 import repro.service.snapshot as snapshot_mod
 from oracles import pipeline
-from oracles.interner import StreamingOracleInterner
+from oracles.interner import OracleDrain, StreamingOracleInterner
 from repro.core.ensemble import EnsembleGrammarDetector
 from repro.core.streaming import (
     SNAPSHOT_FORMAT,
@@ -164,6 +164,7 @@ class TestInternerStability:
         native = build(policy)
         with monkeypatch.context() as patch:
             patch.setattr(streaming_mod, "WordInterner", StreamingOracleInterner)
+            patch.setattr(streaming_mod, "_Drain", OracleDrain)
             oracle = build(policy)
         assert all(type(m._interner) is StreamingOracleInterner for m in oracle.members)
         boundaries = (0, 1, 260, 333, 900, 901, len(feed))
@@ -190,6 +191,7 @@ class TestInternerStability:
         native.extend(feed[:800])
         with monkeypatch.context() as patch:
             patch.setattr(streaming_mod, "WordInterner", StreamingOracleInterner)
+            patch.setattr(streaming_mod, "_Drain", OracleDrain)
             oracle = build(policy)
             oracle.extend(feed[:800])
             # Native snapshot, resumed on the oracle interner.

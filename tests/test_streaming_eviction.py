@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.interner import native_ingest
 from oracles.pipeline import rule_density_curve
 from repro.core.engine import SharedStreamState
 from repro.core.streaming import StreamingEnsembleDetector, StreamingGrammarDetector
@@ -346,7 +347,7 @@ def _decay_log(generation_size: int, words, offsets) -> TokenLog:
     letters = {word: letter for letter, word in enumerate(dict.fromkeys(words))}
     column = np.arange(len(letters), dtype=np.int64)
     for word, offset in zip(words, offsets):
-        table.intern_log(log, np.asarray([[letters[word]]], dtype=np.intp), column, offset, False)
+        native_ingest(log, table, np.asarray([[letters[word]]], dtype=np.intp), column, offset, False)
     return log
 
 
