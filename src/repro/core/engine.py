@@ -456,6 +456,25 @@ class SharedStreamState:
     # Discretization.
     # ------------------------------------------------------------------
 
+    def _window_range(self, window: int, first_start, stop) -> tuple[int, int]:
+        """``(first_start, stop)`` as ints, ``stop`` clipped to the completed
+        windows; ``ValueError`` when ``first_start`` precedes the eviction
+        horizon or lies past ``stop``."""
+        completed = self.n_windows(window)
+        stop = completed if stop is None else min(int(stop), completed)
+        first_start = int(first_start)
+        if first_start < self._start:
+            raise ValueError(
+                f"first_start={first_start} precedes the eviction horizon "
+                f"{self._start}; those windows have been retired"
+            )
+        if not first_start <= stop:
+            raise ValueError(
+                f"first_start={first_start} outside the completed-window range "
+                f"[{self._start}, {stop}]"
+            )
+        return first_start, stop
+
     def paa_rows(
         self,
         first_start: int,
@@ -480,19 +499,7 @@ class SharedStreamState:
         """
         window = validate_window(window, self.live_length)
         paa_size = validate_paa_size(paa_size, window)
-        completed = self.n_windows(window)
-        stop = completed if stop is None else min(int(stop), completed)
-        first_start = int(first_start)
-        if first_start < self._start:
-            raise ValueError(
-                f"first_start={first_start} precedes the eviction horizon "
-                f"{self._start}; those windows have been retired"
-            )
-        if not first_start <= stop:
-            raise ValueError(
-                f"first_start={first_start} outside the completed-window range "
-                f"[{self._start}, {stop}]"
-            )
+        first_start, stop = self._window_range(window, first_start, stop)
         base = self._base
         used = self._n - base
         return paa_rows_block(
@@ -532,22 +539,12 @@ class SharedStreamState:
         PAA matrices and interval matrices across every member of ``plan``.
         The sweep reads the live buffers with their ring-buffer ``origin``
         offset, so — exactly as for :meth:`paa_rows` — rows for live
-        windows are bitwise identical to the unbounded state's.
+        windows are bitwise identical to the unbounded state's. The
+        streaming detectors do not use it: their drain computes its
+        intervals natively (``seq_drain``).
         """
         window = validate_window(plan.window, self.live_length)
-        completed = self.n_windows(window)
-        stop = completed if stop is None else min(int(stop), completed)
-        first_start = int(first_start)
-        if first_start < self._start:
-            raise ValueError(
-                f"first_start={first_start} precedes the eviction horizon "
-                f"{self._start}; those windows have been retired"
-            )
-        if not first_start <= stop:
-            raise ValueError(
-                f"first_start={first_start} outside the completed-window range "
-                f"[{self._start}, {stop}]"
-            )
+        first_start, stop = self._window_range(window, first_start, stop)
         prefix_sum, prefix_sq, values, origin = self.buffers()
         return plan.sweep(prefix_sum, prefix_sq, values, first_start, stop, origin=origin)
 

@@ -364,7 +364,8 @@ class StreamingGrammarDetector:
         """Install :meth:`export_state` output into a freshly built member.
 
         The member must already be attached to the restored shared state and
-        configured identically (window, sizes, numerosity). The live tokens
+        configured identically (window, sizes, numerosity); its cursor must
+        lie between the state's horizon and its completed windows. The live tokens
         are loaded into the log, whose arena (unbounded and sliding) is
         rebuilt over them at the next poll: unbounded members never prune,
         so their live tokens are the complete fed sequence. A decay log
@@ -396,6 +397,11 @@ class StreamingGrammarDetector:
         if consumed < (int(offsets[-1]) + 1 if len(offsets) else 0):
             raise ValueError(
                 f"member snapshot cursor {consumed} lies before its last token's window"
+            )
+        if not self.state.start <= consumed <= self.n_windows:
+            raise ValueError(
+                f"member snapshot cursor {consumed} lies outside the stream's windows "
+                f"[{self.state.start}, {self.n_windows}]"
             )
         last = data["last_symbols"]
         self._log = self._new_log()
@@ -498,7 +504,11 @@ class _Drain:
     A call that raises (a member's log or table could not grow) leaves the
     members it reached holding the block and the state untrimmed; the next
     call starts from the lowest cursor, so a session that recovers is
-    bitwise one that never failed.
+    bitwise one that never failed. A decay member whose generation feed
+    ran out of memory is the exception: it holds the block but its
+    generations are lost, so every later call raises :class:`RuntimeError`
+    until the session is restored from a snapshot (see
+    :class:`~repro.grammar._kernel.TokenLog`).
     """
 
     __slots__ = ("state", "window", "znorm_threshold", "_call", "_logs", "_next", "_decay")

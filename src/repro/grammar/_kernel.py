@@ -276,6 +276,11 @@ _LOG_ERRORS = {
         "the drain's block, buffers, PAA sizes and member widths disagree",
     ),
     -13: (ValueError, "a member's cursor lies before the block: windows would be skipped"),
+    -14: (
+        RuntimeError,
+        "a decay member ran out of memory while feeding its generations, which are "
+        "now out of step with its tokens; restore the session from a snapshot",
+    ),
 }
 
 _lib = _load(_build(_SOURCES, _SOURCE.parent / "__pycache__"), _SIGNATURES)
@@ -566,6 +571,11 @@ class TokenLog:
     rule counts. :meth:`forget` drops the sealed generations the horizon
     passed into the :attr:`retired` counters, and a poll sums one density
     curve per live generation (rules never span a generation boundary).
+    Routing runs once the tokens are in the log and cannot be undone, so a
+    routing that runs out of memory leaves the log's tokens and cursor
+    whole but its generations lost: every later drain, poll and
+    :meth:`generations` call then raises :class:`RuntimeError` before
+    writing anything, until :meth:`load` routes the tokens again.
     """
 
     __slots__ = ("_handle", "width")
@@ -710,17 +720,17 @@ class TokenLog:
         offsets: np.ndarray,
         carry: np.ndarray | None,
         pruned: int,
-        consumed: int | None = None,
+        consumed: int,
     ) -> None:
         """Replace the stored tokens with live ones, after ``pruned`` slid out.
 
         The restore path of a session snapshot: ``ids`` and ``offsets`` are
         the live tokens, ``carry`` the carried row (or ``None``) and
-        ``consumed`` the cursor (``None`` keeps the current one). The arena
-        is rebuilt over them at the next poll; generations are rebuilt now,
-        by routing the tokens again (offsets must then be non-negative and
-        non-decreasing, else :class:`ValueError`), and :attr:`retired`
-        restarts at zero.
+        ``consumed`` the cursor. The arena is rebuilt over them at the next
+        poll; generations are rebuilt now, by routing the tokens again
+        (offsets must then be non-negative and non-decreasing, else
+        :class:`ValueError`), :attr:`retired` restarts at zero, and a log
+        that a failed routing broke is whole again.
         """
         ids = np.ascontiguousarray(ids, dtype=np.int64)
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
@@ -728,7 +738,7 @@ class TokenLog:
             raise ValueError(f"got {ids.shape} ids but {offsets.shape} offsets")
         if pruned < 0:
             raise ValueError(f"a pruned count cannot be negative, got {pruned}")
-        consumed = self.consumed if consumed is None else int(consumed)
+        consumed = int(consumed)
         if consumed < 0:
             raise ValueError(f"a cursor cannot be negative, got {consumed}")
         row = None
@@ -817,6 +827,9 @@ class LogDrain:
     The call that fails at one member leaves the members it reached before
     holding the block and the rest untouched, so the next call, from the
     lowest cursor, completes the block bitwise as if nothing had failed.
+    The exception is a decay member whose routing fails (see
+    :class:`TokenLog`): it holds the block but is broken, and every later
+    call raises :class:`RuntimeError` before writing any log.
     """
 
     __slots__ = ("window", "_owners", "_fixed", "_counters", "_slack", "_reduce")

@@ -110,6 +110,14 @@
  * one prefix sum: the sum of per-generation density curves, which are
  * integers, so it equals adding those curves one by one bit for bit.
  * seq_log_load re-routes the loaded tokens the same way.
+ *
+ * Routing happens after a block's tokens are in the log, and a Sequitur
+ * feed that runs out of memory can stop mid-rewrite, so a routing failure
+ * cannot be undone: it marks the log broken (SEQ_BROKEN). Its tokens,
+ * carry and cursor stay whole, so a snapshot of it is sound, but every
+ * later drain that includes it, poll of it or read of its generations is
+ * refused before anything is written, until seq_log_load re-routes its
+ * tokens from scratch.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -120,7 +128,7 @@ enum {
     SEQ_OK = 0, SEQ_RANGE = -1, SEQ_NOMEM = -2, SEQ_TAIL = -3, SEQ_SPANS = -4,
     SEQ_INDEX = -5, SEQ_EMPTY = -6, SEQ_SYMBOL = -7, SEQ_NO_TOKENS = -8,
     SEQ_GENERATIONS = -9, SEQ_ORDER = -10, SEQ_NEGATIVE = -11, SEQ_DRAIN = -12,
-    SEQ_CURSOR = -13
+    SEQ_CURSOR = -13, SEQ_BROKEN = -14
 };
 
 typedef struct {
@@ -718,6 +726,7 @@ typedef struct {
     Gen *gens;                /* the live generations, oldest first; the last is open */
     int64_t n_gens, gen_cap;
     int64_t retired[4];       /* generations, tokens, rules, rule references dropped */
+    int64_t broken;           /* a routing failure's status: the generations are lost */
 } SeqLog;
 
 /* Free the oldest n generations and shift the rest down. */
@@ -839,16 +848,23 @@ static int route(SeqLog *log, const int32_t *ids, const int64_t *offsets, int64_
  * row before the block is the carried one), interns the kept rows into
  * `table` and appends their ids and offsets; with generations, also routes
  * them (adding the nanoseconds that takes to *feed_ns, when given). `ids`
- * is scratch for n_rows ids. Returns the kept count, SEQ_SYMBOL for a value
- * outside the column (nothing is appended, and the table forgets the words
- * the call added), SEQ_NOMEM (nothing is appended), or the status of a
- * failed routing. The cursor moves past the block once its tokens are in
- * the log. */
+ * is scratch for n_rows ids. Returns the kept count; SEQ_BROKEN for a
+ * broken log, or SEQ_ORDER for a block before the open generation
+ * (nothing is appended); SEQ_SYMBOL for a value outside the column
+ * (nothing is appended, and the table forgets the words the call added);
+ * SEQ_NOMEM (nothing is appended); or the status of a failed routing,
+ * which leaves the block in the log and the log broken. The cursor moves
+ * past the block once its tokens are in the log. */
 static int64_t log_ingest(SeqLog *log, void *table, const intptr_t *intervals, int64_t n_rows,
                           const int64_t *column, int64_t n_symbols, int64_t reduce, int64_t first,
                           int64_t *ids, int64_t *feed_ns) {
     int64_t width = log->width, kept, *offsets;
+    if (log->broken) return SEQ_BROKEN;
     if (n_rows <= 0) return 0;
+    if (log->generation_size
+        && (first < 0
+            || (log->n_gens && first / log->generation_size < log->gens[log->n_gens - 1].index)))
+        return SEQ_ORDER;
     if (log_reserve(log, n_rows)) return SEQ_NOMEM;
     offsets = log->offsets + log->count;
     kept = sax_table_intern(table, intervals, n_rows, width, column, n_symbols,
@@ -870,7 +886,7 @@ static int64_t log_ingest(SeqLog *log, void *table, const intptr_t *intervals, i
         int status = route(log, log->ids + log->count - kept, offsets, kept);
         lap(&mark, &spent);
         if (feed_ns) *feed_ns += spent;
-        if (status) return status;
+        if (status) return log->broken = status;
     }
     return kept;
 }
@@ -965,6 +981,7 @@ static int log_curve(SeqLog *log, int64_t window, int64_t horizon_start, int64_t
     Seq *s = log->seq;
     int status;
     memset(phase_ns, 0, 3 * sizeof *phase_ns);
+    if (log->broken) return SEQ_BROKEN;
     if (!n) {
         memset(curve, 0, (size_t)length * sizeof *curve);
         return SEQ_OK;
@@ -1009,7 +1026,8 @@ int seq_log_curves(SeqLog *const *logs, int64_t n, int64_t window, int64_t horiz
  * be NULL. Ids must lie in [0, 2^31) and, with generations, offsets must be
  * non-negative and ascending (checked before anything changes). Without
  * generations the builder is rebuilt at the next poll; with them, the
- * tokens are routed again and the retired counters restart at zero. */
+ * tokens are routed again, the retired counters restart at zero and a
+ * broken log is whole again, unless this routing fails too. */
 int seq_log_load(SeqLog *log, const int64_t *ids, const int64_t *offsets, int64_t n,
                  const intptr_t *carry, int64_t pruned, int64_t consumed) {
     int64_t count = log->count;
@@ -1029,12 +1047,12 @@ int seq_log_load(SeqLog *log, const int64_t *ids, const int64_t *offsets, int64_
     log->consumed = consumed;
     log->has_carry = carry != NULL;
     if (carry) memcpy(log->carry, carry, (size_t)log->width * sizeof *carry);
-    log->anchor = -1;
+    log->anchor = -1, log->broken = SEQ_OK;
     if (!log->generation_size) return SEQ_OK;
     drop_generations(log, log->n_gens);
     memset(log->retired, 0, sizeof log->retired);
     if (log->seq) reset(log->seq);
-    return route(log, log->ids, log->offsets, n);
+    return (int)(log->broken = route(log, log->ids, log->offsets, n));
 }
 
 int64_t seq_log_live(const SeqLog *log) { return log->count - log->live; }
@@ -1074,6 +1092,7 @@ void seq_log_export(const SeqLog *log, int64_t *sizes, int64_t *carry) {
  * sealed generation's and 2 count of the open one's. Returns the number of
  * generations, or a status. */
 int64_t seq_log_generations(SeqLog *log, int64_t *info, int64_t *spans) {
+    if (log->broken) return SEQ_BROKEN;
     for (int64_t g = 0; g < log->n_gens; g++) {
         const Gen *gen = &log->gens[g];
         int64_t *row = info + 5 * g;
@@ -1112,8 +1131,8 @@ static void add_lap(int64_t *mark, int64_t *phase) {
  * lies inside the buffers, every PAA size fits the window, every member's
  * log has its size's width, its column covers every interval the search
  * can return with letters only, its cursor lies in the block or past it,
- * and a decay member's first new window is not before its open
- * generation. */
+ * it is not broken, and a decay member's first new window is not before
+ * its open generation. */
 static int drain_inputs_ok(int64_t n_prefix, int64_t n_values, int64_t origin, int64_t window,
                            int64_t first, int64_t stop, int64_t n_breaks,
                            const int64_t *paa_sizes, int64_t n_sizes, SeqLog *const *logs,
@@ -1135,6 +1154,7 @@ static int drain_inputs_ok(int64_t n_prefix, int64_t n_values, int64_t origin, i
         for (int64_t i = 0; i < n_symbols[m]; i++)
             if (columns[m][i] < 0 || columns[m][i] >= 26) return SEQ_SYMBOL;
         if (log->consumed < first) return SEQ_CURSOR;
+        if (log->broken) return SEQ_BROKEN;
         if (log->generation_size && log->n_gens && log->consumed < stop
             && log->consumed / log->generation_size < log->gens[log->n_gens - 1].index)
             return SEQ_ORDER;
@@ -1159,10 +1179,13 @@ static int drain_inputs_ok(int64_t n_prefix, int64_t n_values, int64_t origin, i
  * (lookup, reduction, interning and appending, and pruning a log without
  * generations) and grammar (routing tokens to decay generations, and
  * dropping them at the horizon). Returns SEQ_OK; SEQ_DRAIN, SEQ_SYMBOL,
- * SEQ_CURSOR or SEQ_ORDER from the input checks, before any log is
- * written; or the first failing member's status, which leaves the members
- * before it holding the block and their cursors past it, and the rest as
- * they were: a later call from the lowest cursor completes the block. */
+ * SEQ_CURSOR, SEQ_BROKEN or SEQ_ORDER from the input checks, before any
+ * log is written; or the first failing member's status, which leaves the
+ * members before it holding the block and their cursors past it, and the
+ * rest as they were: a later call from the lowest cursor completes the
+ * block. The exception is a failed routing, which leaves the failing
+ * member holding the block too, but broken (see the header comment), so
+ * every later call is refused until its log is loaded again. */
 int seq_drain(const double *prefix, int64_t n_prefix, const double *values, int64_t n_values,
               int64_t origin, int64_t window, int64_t first, int64_t stop, const double *means,
               const double *stds, const uint8_t *constant, const void *search,

@@ -537,7 +537,7 @@ class TestDecayGenerationsMatchTheOracle:
         assert decay.log.retired[0] == 4
         ids, offsets = decay.log.tokens()
         replayed = TokenLog(1, 16)
-        replayed.load(ids, offsets, None, decay.log.pruned)
+        replayed.load(ids, offsets, None, decay.log.pruned, decay.log.consumed)
         for mine, theirs in zip(replayed.generations(), decay.log.generations()):
             assert mine[:4] == theirs[:4]
             assert np.array_equal(mine[4], theirs[4]) and np.array_equal(mine[5], theirs[5])

@@ -23,7 +23,8 @@ under every policy and numerosity, for one member and many, across drain
 blocks; that a drain block and an ensemble poll are one native call for
 every member; that every decay poll is the oracle's decay ensemble bit for
 bit; that a drain failing at one member leaves the members before it
-holding the block, and that the session then recovers bitwise; and that the
+holding the block, and that the session then recovers bitwise (a decay
+member whose generation feed failed, through a snapshot); and that the
 drain's stage counters add up to its native call.
 """
 
@@ -687,7 +688,7 @@ class TestErrors:
     def test_load_rejects_malformed_tokens(self, ids, offsets, carry, pruned):
         log = TokenLog(2)
         with pytest.raises(ValueError):
-            log.load(np.asarray(ids), np.asarray(offsets), carry, pruned)
+            log.load(np.asarray(ids), np.asarray(offsets), carry, pruned, 2)
         assert log.stored == 0
 
     def test_restore_rejects_counters_that_disagree_with_the_tokens(self):
@@ -696,6 +697,24 @@ class TestErrors:
         snapshot = detector.snapshot()
         snapshot["members"][0]["total_kept"] += 1
         with pytest.raises(ValueError, match="live ones"):
+            StreamingEnsembleDetector.restore(snapshot)
+
+    @pytest.mark.parametrize("where", ["past the windows", "before the horizon"])
+    def test_restore_rejects_a_cursor_outside_the_streams_windows(self, where):
+        """A member cursor past the restored stream's windows would make the
+        member skip the windows in between; one before its horizon would
+        make every later drain refuse the block."""
+        detector = StreamingEnsembleDetector(window=20, ensemble_size=2, capacity=60, seed=1)
+        detector.extend(make_feed(1, 400))
+        snapshot = detector.snapshot()
+        member = snapshot["members"][1]
+        if where == "past the windows":
+            member["consumed"] = detector.members[1].n_windows + 1
+        else:
+            member.update(kept_ids=member["kept_ids"][:0], kept_offsets=member["kept_offsets"][:0])
+            member["total_pruned"] = member["total_kept"]
+            member["consumed"] = detector.horizon_start - 1
+        with pytest.raises(ValueError, match="outside the stream's windows"):
             StreamingEnsembleDetector.restore(snapshot)
 
     def test_a_log_cannot_be_pickled(self):
@@ -724,13 +743,13 @@ class TestErrors:
                 [np.arange(3, dtype=np.int64)], reduce=True, slack=0,
             )
             loaded = TokenLog(1)
-            loaded.load(np.arange(rows), np.arange(rows), None, 0)
+            loaded.load(np.arange(rows), np.arange(rows), None, 0, rows)
             with open("/proc/self/status") as status:
                 size = next(int(line.split()[1]) for line in status if line.startswith("VmSize"))
             limit = (size << 10) + (32 << 20)
             resource.setrlimit(resource.RLIMIT_AS, (limit, resource.RLIM_INFINITY))
             small = TokenLog(1)
-            small.load(np.arange(4), np.arange(4), None, 0)
+            small.load(np.arange(4), np.arange(4), None, 0, 4)
 
             def shared():
                 poll_logs([small, loaded], 4, 0, 16)
@@ -899,31 +918,40 @@ class TestFailedIngest:
             assert failing.density_curve().tobytes() == reference.density_curve().tobytes()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc and RLIMIT_AS")
-    def test_a_real_allocation_failure_recovers_bitwise(self):
+    @pytest.mark.parametrize("policy", ["unbounded", "decay"])
+    def test_a_real_allocation_failure_recovers_bitwise(self, policy):
         """Under a tightening address-space limit, a large append fails
         wherever memory runs out first: in numpy, or at some member of the
         native drain. The limit is raised step by step until the append
-        gets through; every attempt that failed at a member left the
-        members before it holding the block, and the session that finally
-        got through equals one that never failed."""
+        gets through; every attempt that failed at a member's log or table
+        left the members before it holding the block. One that failed in a
+        decay member's generation feed broke that member, so the next
+        append raises RuntimeError, and the session is restored from its
+        own snapshot (the limit then counts from the restored process size).
+        Either way, the session that finally got through equals one that
+        never failed."""
+        bounds = {} if policy == "unbounded" else dict(capacity=20_000, policy=policy)
         script = textwrap.dedent(
             """
             import resource
             import numpy as np
             from repro.core.streaming import StreamingEnsembleDetector
 
+            def vm_size():
+                with open("/proc/self/status") as status:
+                    return next(int(line.split()[1]) for line in status if line.startswith("VmSize"))
+
             rng = np.random.default_rng(3)
             feed = np.cumsum(rng.standard_normal(62_000))
-            config = dict(window=100, ensemble_size=10, seed=5)
+            config = dict(window=100, ensemble_size=10, seed=5, **BOUNDS)
             failing, reference = (StreamingEnsembleDetector(**config) for _ in range(2))
             for detector in (failing, reference):
                 detector.extend(feed[:2000])
             reference.extend(feed[2000:])
-            with open("/proc/self/status") as status:
-                size = next(int(line.split()[1]) for line in status if line.startswith("VmSize"))
-            failures = partial = 0
-            for step in range(400):
+            size, step, failures, partial = vm_size(), 0, 0, 0
+            while step < 400:
                 resource.setrlimit(resource.RLIMIT_AS, ((size << 10) + (step << 18), resource.RLIM_INFINITY))
+                step += 1
                 try:
                     failing.extend(feed[2000:] if len(failing) < len(feed) else feed[:0])
                     break
@@ -931,6 +959,10 @@ class TestFailedIngest:
                     failures += 1
                     cursors = [member._consumed for member in failing.members]
                     partial += 0 < sum(c == len(feed) - 99 for c in cursors) < len(cursors)
+                except RuntimeError:
+                    resource.setrlimit(resource.RLIMIT_AS, (resource.RLIM_INFINITY, resource.RLIM_INFINITY))
+                    failing = StreamingEnsembleDetector.restore(failing.snapshot())
+                    size, step = vm_size(), 0
             resource.setrlimit(resource.RLIMIT_AS, (resource.RLIM_INFINITY, resource.RLIM_INFINITY))
             same = all(
                 mine.export_state()["kept_ids"].tolist() == theirs.export_state()["kept_ids"].tolist()
@@ -940,12 +972,84 @@ class TestFailedIngest:
             curves = failing.density_curve().tobytes() == reference.density_curve().tobytes()
             print(failures > 0, partial > 0, same, curves, failing.detect(3) == reference.detect(3))
             """
-        )
+        ).replace("BOUNDS", repr(bounds))
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["True"] * 5
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc and RLIMIT_AS")
+    def test_a_failed_generation_feed_breaks_the_log_until_it_is_loaded(self):
+        """A decay member's generation feed that runs out of memory cannot be
+        undone: its log keeps the block's tokens and cursor, and every later
+        drain, poll and generation read raises RuntimeError without writing
+        any log (the member after it stays untouched) until a load routes
+        the tokens again."""
+        script = textwrap.dedent(
+            """
+            import resource
+            import numpy as np
+            from repro.core.engine import SharedStreamState
+            from repro.grammar._kernel import LogDrain, TokenLog, poll_logs
+            from repro.sax._kernel import window_stats
+            from repro.sax.alphabet import WordInterner
+            from repro.sax.plan import merged_search
+
+            # Distinct ids repeat no digram, so the arena holds one slot per
+            # token: its guard and 2^20 - 1 tokens fill its 2^20 slots, and
+            # the block's one token must grow it (the log's 2^20 token
+            # slots still take that token).
+            n, window, size = (1 << 20) - 1, 4, 1 << 40
+            decay, sliding = TokenLog(1, size), TokenLog(1)
+            decay.load(np.arange(n), np.arange(n), None, 0, n)
+            sliding.load(np.arange(0), np.arange(0), None, 0, n)
+            assert decay._export()[0][7] == n + 1
+            state = SharedStreamState()
+            state.extend(np.sin(np.arange(n + window)))
+            prefix_sum, prefix_sq, values, origin = state.buffers()
+            stats = window_stats(prefix_sum, prefix_sq, n, n + 1, window)
+            drain = LogDrain(
+                window, merged_search(3, 3), [1], [decay, sliding],
+                [WordInterner(), WordInterner()], [0, 0],
+                [np.arange(3, dtype=np.int64)] * 2, reduce=False, slack=0,
+            )
+
+            def block():
+                drain(prefix_sum, values, origin, n, n + 1, stats)
+
+            def outcome(call):
+                try:
+                    call()
+                    return "ran"
+                except (MemoryError, RuntimeError) as error:
+                    return type(error).__name__
+
+            with open("/proc/self/status") as status:
+                vm = next(int(line.split()[1]) for line in status if line.startswith("VmSize"))
+            resource.setrlimit(resource.RLIMIT_AS, ((vm << 10) + (2 << 20), resource.RLIM_INFINITY))
+            print(outcome(block))
+            resource.setrlimit(resource.RLIMIT_AS, (resource.RLIM_INFINITY, resource.RLIM_INFINITY))
+            print(decay.consumed == decay.kept == n + 1)
+            for call in (block, lambda: poll_logs([decay], window, 0, 16), decay.generations):
+                print(outcome(call))
+            print(sliding.consumed == n and sliding.stored == 0)
+            ids, offsets = decay.tokens()
+            decay.load(ids, offsets, None, 0, decay.consumed)
+            print(outcome(block), sliding.consumed == n + 1 and sliding.stored == 1)
+            fresh = TokenLog(1, size)
+            fresh.load(ids, offsets, None, 0, n + 1)
+            print([g[:4] for g in decay.generations()] == [g[:4] for g in fresh.generations()])
+            """
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [
+            "MemoryError", "True", "RuntimeError", "RuntimeError", "RuntimeError", "True",
+            "ran", "True", "True",
+        ]
 
 
 class TestDrainAccounting:

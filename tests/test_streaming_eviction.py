@@ -359,7 +359,7 @@ class TestDecayGenerations:
             TokenLog(1, -1)
         log = _decay_log(10, ["ab"], [15])
         with pytest.raises(ValueError, match="non-decreasing"):
-            log.load(np.asarray([0, 1]), np.asarray([15, 3]), None, 0)
+            log.load(np.asarray([0, 1]), np.asarray([15, 3]), None, 0, 16)
         assert log.n_tokens == 1  # checked before anything changed
         with pytest.raises(ValueError, match="non-decreasing"):
             _decay_log(10, ["ab", "cd"], [15, 3])
